@@ -289,13 +289,17 @@ let bad_flag_value ~flag ~given ~valid =
   Printf.eprintf "cqctl: unknown %s %s (valid: %s)\n%!" flag given valid;
   Stdlib.exit bad_flag_exit
 
-(* "itree" | "skiplist" | "treap" for a single backend, or "all". *)
+(* One backend by its Stab_backend spelling, or "all". *)
+let backend_names = List.map Cq_index.Stab_backend.to_string Cq_index.Stab_backend.all
+
 let backend_arg =
   Arg.(
     value
-    & opt string "itree"
+    & opt string (Cq_index.Stab_backend.to_string Cq_index.Stab_backend.Itree)
     & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:"Engine stabbing backend: $(b,itree), $(b,skiplist), $(b,treap), or $(b,all).")
+        ~doc:
+          (Printf.sprintf "Engine stabbing backend: %s, or $(b,all)."
+             (String.concat ", " (List.map (Printf.sprintf "$(b,%s)") backend_names))))
 
 let backends_of s =
   if String.equal s "all" then Cq_index.Stab_backend.all
@@ -303,7 +307,8 @@ let backends_of s =
     match Cq_index.Stab_backend.of_string s with
     | Ok k -> [ k ]
     | Error _ ->
-        bad_flag_value ~flag:"--backend" ~given:s ~valid:"itree, skiplist, treap, all"
+        bad_flag_value ~flag:"--backend" ~given:s
+          ~valid:(String.concat ", " (backend_names @ [ "all" ]))
 
 let strategy_arg =
   Arg.(

@@ -148,43 +148,30 @@ let ab_purist (scale : Setup.scale) =
     ~rows
 
 let ab_stab_index (scale : Setup.scale) =
-  Report.section "ablation-stab-index" "Interval tree vs interval skip list vs priority search tree";
+  Report.section "ablation-stab-index" "Interval tree vs priority search tree";
   Report.note "the paper offers either structure for the per-query stabbing index";
   Report.note "(BJ-DOuter, SJ-SelectFirst); both give O(log n + k) stabs and O(log n)";
   Report.note "updates — this measures the constants.";
   let n = scale.queries in
   let queries = churn_trace ~seed:23 ~n in
-  let module Isl = Cq_index.Interval_skiplist in
-  let module It = Cq_index.Interval_tree in
   let probes =
     let rng = Rng.create 31 in
     Array.init 20_000 (fun _ -> Cq_util.Dist.uniform rng ~lo:0.0 ~hi:10_000.0)
   in
   (* Interval tree. *)
-  let it = It.Mutable.create () in
-  let it_ins = Report.time_per_op ~n (fun i -> It.Mutable.add it queries.(i).BQ.range i) in
+  let module It = Cq_index.Flat_interval_tree in
+  let it = It.create () in
+  let it_ins = Report.time_per_op ~n (fun i -> It.add it queries.(i).BQ.range i) in
   let hits = ref 0 in
   let it_stab =
     Report.time_per_op ~n:(Array.length probes) (fun i ->
-        It.Mutable.stab it probes.(i) (fun _ _ -> incr hits))
+        It.stab it probes.(i) (fun _ -> incr hits))
   in
   let it_del =
-    Report.time_per_op ~n (fun i ->
-        ignore (It.Mutable.remove it queries.(i).BQ.range (fun p -> p = i)))
-  in
-  (* Skip list. *)
-  let sl = Isl.create ~seed:3 () in
-  let sl_ins = Report.time_per_op ~n (fun i -> Isl.add sl queries.(i).BQ.range i) in
-  let sl_stab =
-    Report.time_per_op ~n:(Array.length probes) (fun i ->
-        Isl.stab sl probes.(i) (fun _ _ -> incr hits))
-  in
-  let sl_del =
-    Report.time_per_op ~n (fun i ->
-        ignore (Isl.remove sl queries.(i).BQ.range (fun p -> p = i)))
+    Report.time_per_op ~n (fun i -> ignore (It.remove it queries.(i).BQ.range (fun p -> p = i)))
   in
   Report.note "avg stab output: %.1f intervals"
-    (float_of_int !hits /. float_of_int (2 * Array.length probes));
+    (float_of_int !hits /. float_of_int (Array.length probes));
   (* Priority search tree. *)
   let module Pst = Cq_index.Priority_search_tree in
   let pst = Pst.Mutable.create ~seed:5 () in
@@ -202,14 +189,13 @@ let ab_stab_index (scale : Setup.scale) =
     ~rows:
       [
         [ "interval tree (AVL)"; Report.fmt_ns it_ins; Report.fmt_ns it_stab; Report.fmt_ns it_del ];
-        [ "interval skip list"; Report.fmt_ns sl_ins; Report.fmt_ns sl_stab; Report.fmt_ns sl_del ];
         [ "priority search tree"; Report.fmt_ns pst_ins; Report.fmt_ns pst_stab; Report.fmt_ns pst_del ];
       ]
 
 let ab_backend (scale : Setup.scale) =
   Report.section "ablation-backend" "Stabbing backend for the scattered-query index";
   Report.note "the processors are functorized over the stabbing index that holds the";
-  Report.note "scattered (non-hotspot) queries; same workload, three backends.";
+  Report.note "scattered (non-hotspot) queries; same workload, every backend.";
   let module BJ = Cq_joins.Band_join in
   let table = Setup.s_table scale ~seed:1 in
   let events = Setup.r_events scale ~seed:2 ~n:(max 50 (scale.events / 2)) in

@@ -13,10 +13,10 @@ val ab_purist : Setup.scale -> unit
 (** SSI on every group vs hotspots-only (§4's closing comparison). *)
 
 val ab_stab_index : Setup.scale -> unit
-(** Interval tree vs interval skip list vs priority search tree. *)
+(** Interval tree vs priority search tree. *)
 
 val ab_backend : Setup.scale -> unit
-(** The three pluggable stabbing backends under the same Hotspot
+(** Every pluggable stabbing backend under the same Hotspot
     processors (band and select). *)
 
 val ab_adaptive : Setup.scale -> unit

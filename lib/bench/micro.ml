@@ -7,7 +7,7 @@ open Bechamel
 module I = Cq_interval.Interval
 module BQ = Cq_joins.Band_query
 module Fbt = Cq_relation.Table.Fbt
-module Itree = Cq_index.Interval_tree
+module Itree = Cq_index.Flat_interval_tree
 module P = Hotspot_core.Refined_partition.Make (BQ.Elem)
 module T = Hotspot_core.Hotspot_tracker.Make (BQ.Elem)
 
@@ -23,8 +23,8 @@ let tests () =
   (* Pre-built structures probed by the benchmarks. *)
   let bt = Fbt.create () in
   Array.iteri (fun i r -> Fbt.insert bt (I.midpoint r) i) rs;
-  let it = Itree.Mutable.create () in
-  Array.iteri (fun i r -> Itree.Mutable.add it r i) rs;
+  let it = Itree.create () in
+  Array.iteri (fun i r -> Itree.add it r i) rs;
   let part = P.create ~epsilon:1.0 () in
   Array.iter (fun q -> P.insert part q) queries;
   let tracker = T.create ~alpha:0.005 () in
@@ -39,16 +39,12 @@ let tests () =
         (Cq_index.Rect.make ~x:r ~y:(I.of_midpoint ~mid:(I.midpoint r) ~len:(I.length r)))
         i)
     rs;
-  let sl = Cq_index.Interval_skiplist.create ~seed:7 () in
-  Array.iteri (fun i r -> Cq_index.Interval_skiplist.add sl r i) rs;
   let pst = Cq_index.Priority_search_tree.Mutable.create ~seed:7 () in
   Array.iteri (fun i r -> Cq_index.Priority_search_tree.Mutable.add pst r i) rs;
   [
     Test.make ~name:"rtree.point_stab"
       (Staged.stage (fun () ->
            ignore (Cq_index.Rtree.stab_count rt ~x:(probe ()) ~y:(probe ()))));
-    Test.make ~name:"interval_skiplist.stab"
-      (Staged.stage (fun () -> ignore (Cq_index.Interval_skiplist.stab_count sl (probe ()))));
     Test.make ~name:"pst.stab_any"
       (Staged.stage (fun () ->
            ignore (Cq_index.Priority_search_tree.Mutable.stab_any pst (probe ()))));
@@ -59,12 +55,12 @@ let tests () =
            Fbt.insert bt k (-1);
            ignore (Fbt.remove_first bt k (fun v -> v = -1))));
     Test.make ~name:"interval_tree.stab"
-      (Staged.stage (fun () -> ignore (Itree.Mutable.stab_count it (probe ()))));
+      (Staged.stage (fun () -> ignore (Itree.stab_count it (probe ()))));
     Test.make ~name:"interval_tree.add+remove"
       (Staged.stage (fun () ->
            let iv = I.of_midpoint ~mid:(probe ()) ~len:300.0 in
-           Itree.Mutable.add it iv (-1);
-           ignore (Itree.Mutable.remove it iv (fun v -> v = -1))));
+           Itree.add it iv (-1);
+           ignore (Itree.remove it iv (fun v -> v = -1))));
     Test.make ~name:"canonical_partition.build(1k)"
       (Staged.stage
          (let sub = Array.sub queries 0 1000 in

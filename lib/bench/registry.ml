@@ -55,7 +55,7 @@ let ablation_exps =
     { id = "ablation-purist"; title = "SSI everywhere vs hotspots only"; run = Ablations.ab_purist };
     {
       id = "ablation-stab-index";
-      title = "Interval tree vs interval skip list";
+      title = "Interval tree vs priority search tree";
       run = Ablations.ab_stab_index;
     };
     {

@@ -1,5 +1,5 @@
 module I = Cq_interval.Interval
-module Itree = Cq_index.Interval_tree
+module Itree = Cq_index.Flat_interval_tree
 module Metrics = Cq_obs.Metrics
 module Trace = Cq_obs.Trace
 
@@ -25,7 +25,7 @@ module Make (E : Partition_intf.ELEMENT) = struct
     groups : (int, grp) Hashtbl.t;
     (* Interval tree over group intersections, for the overlap lookup
        on insertion; replaced wholesale by reconstructions. *)
-    mutable gindex : int Itree.Mutable.t;
+    mutable gindex : int Itree.t;
     mutable where : grp EMap.t;
     mutable next_gid : int;
     mutable n : int; (* current number of elements *)
@@ -42,7 +42,7 @@ module Make (E : Partition_intf.ELEMENT) = struct
           {
             epsilon;
             groups = Hashtbl.create 64;
-            gindex = Itree.Mutable.create ();
+            gindex = Itree.create ();
             where = EMap.empty;
             next_gid = 0;
             n = 0;
@@ -69,14 +69,14 @@ module Make (E : Partition_intf.ELEMENT) = struct
     let elems = Array.of_list (elements t) in
     Hashtbl.reset t.groups;
     t.where <- EMap.empty;
-    let gi = Itree.Mutable.create () in
+    let gi = Itree.create () in
     let fresh = Stabbing.canonical E.interval elems in
     Array.iter
       (fun (g : elt Stabbing.group) ->
         let gid = fresh_gid t in
         let grp = { gid; members = ESet.of_list (Array.to_list g.members); isect = g.isect } in
         Hashtbl.replace t.groups gid grp;
-        Itree.Mutable.add gi g.isect gid;
+        Itree.add gi g.isect gid;
         Array.iter (fun e -> t.where <- EMap.add e grp t.where) g.members)
       fresh;
     t.gindex <- gi;
@@ -97,29 +97,23 @@ module Make (E : Partition_intf.ELEMENT) = struct
   let insert t e =
     if mem t e then invalid_arg "Lazy_partition.insert: element already present";
     let iv = E.interval e in
-    (* Any group whose common intersection overlaps iv can absorb it. *)
-    let candidate = ref None in
-    (let s = Itree.Mutable.snapshot t.gindex in
-     try
-       Itree.query s iv (fun _ gid ->
-           candidate := Some gid;
-           raise Exit)
-     with Exit -> ());
-    (match !candidate with
+    (* Any group whose common intersection overlaps iv can absorb it;
+       the first in (lo, hi) order is taken. *)
+    (match Itree.first_overlap t.gindex iv with
     | Some gid ->
         let grp = Hashtbl.find t.groups gid in
         let isect' = I.inter grp.isect iv in
         assert (not (I.is_empty isect'));
-        ignore (Itree.Mutable.remove t.gindex grp.isect (fun g -> g = gid));
+        ignore (Itree.remove t.gindex grp.isect (fun g -> g = gid));
         grp.isect <- isect';
         grp.members <- ESet.add e grp.members;
-        Itree.Mutable.add t.gindex isect' gid;
+        Itree.add t.gindex isect' gid;
         t.where <- EMap.add e grp t.where
     | None ->
         let gid = fresh_gid t in
         let grp = { gid; members = ESet.singleton e; isect = iv } in
         Hashtbl.replace t.groups gid grp;
-        Itree.Mutable.add t.gindex iv gid;
+        Itree.add t.gindex iv gid;
         t.where <- EMap.add e grp t.where);
     t.n <- t.n + 1;
     maybe_reconstruct t
@@ -132,7 +126,7 @@ module Make (E : Partition_intf.ELEMENT) = struct
         t.where <- EMap.remove e t.where;
         if ESet.is_empty grp.members then begin
           Hashtbl.remove t.groups grp.gid;
-          ignore (Itree.Mutable.remove t.gindex grp.isect (fun g -> g = grp.gid))
+          ignore (Itree.remove t.gindex grp.isect (fun g -> g = grp.gid))
         end;
         t.n <- t.n - 1;
         t.dels_since <- t.dels_since + 1;

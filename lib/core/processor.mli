@@ -14,7 +14,7 @@
 
     The stabbing index holding the scattered queries is itself a
     functor parameter ({!Cq_index.Stab_backend.S}), so every backend
-    (interval tree, interval skip list, treap) drives identical
+    (interval tree, treap-based priority search tree) drives identical
     processing code.
 
     Per event, the two-step walk costs O(h log m + k) over the hotspot

@@ -17,7 +17,7 @@
     The processors themselves are chosen per engine through
     {!Config}: any {!Hotspot_core.Processor.strategy} (hotspot-tracked
     or plain SSI) over any {!Cq_index.Stab_backend.kind} (interval
-    tree, interval skip list, or treap-based priority search tree).
+    tree or treap-based priority search tree).
 
     Cost model (Sections 3.1/3.2, Theorems 3 and 4): each insertion
     pays O(log m) to store the tuple in its home table plus the

@@ -2,16 +2,16 @@ module I = Cq_interval.Interval
 
 (* Implementation notes.
 
-   Same structure as {!Interval_tree} — an AVL tree on the key
-   (lo, hi) with a max-right-endpoint augmentation — but laid out as a
-   struct-of-arrays arena: node [i]'s fields live at index [i] of the
-   [lo]/[hi]/[maxhi] float columns and the [left]/[right]/[height] int
-   columns.  Float columns are monomorphic float arrays, so endpoints
-   are stored flat (unboxed); child links are immediate ints.  The only
-   boxed word per entry is the payload's [Some] cell, allocated once at
-   [add].  A [stab] therefore touches no pointers except the payload it
-   reports and allocates nothing, where the boxed tree chases one heap
-   node per visited entry.
+   An AVL tree on the key (lo, hi) with a max-right-endpoint
+   augmentation, laid out as a struct-of-arrays arena: node [i]'s
+   fields live at index [i] of the [lo]/[hi]/[maxhi] float columns and
+   the [left]/[right]/[height] int columns.  Float columns are
+   monomorphic float arrays, so endpoints are stored flat (unboxed);
+   child links are immediate ints.  The only boxed word per entry is
+   the payload's [Some] cell, allocated once at [add].  A [stab]
+   therefore touches no pointers except the payload it reports and
+   allocates nothing, where a node-per-entry tree chases one heap node
+   per visited entry.
 
    Freed slots are threaded into a free list through the [left] column
    ([free] holds the head); a released slot drops its payload reference
@@ -21,12 +21,12 @@ module I = Cq_interval.Interval
    stores here is exactly the paper's "few queries are scattered"
    regime.
 
-   Ordering and traversal are kept bit-for-bit compatible with
-   {!Interval_tree}: duplicates of an equal (lo, hi) key are inserted
-   to the right, [remove] on an equal key with a non-matching payload
-   searches the right subtree before the left, and [stab] emits
-   matches in in-order sequence under the same maxhi pruning — so
-   swapping one implementation for the other never reorders results. *)
+   Emission order is part of the contract: duplicates of an equal
+   (lo, hi) key are inserted to the right and rotations preserve the
+   in-order sequence, so it is always the live entries sorted stably
+   by (lo, hi) in insertion order.  [stab], [stab_batch] and
+   [first_overlap] report in that sequence; the cross-backend stream
+   tests and the lazy partition's group choice rely on it. *)
 
 let nil = -1
 
@@ -158,8 +158,8 @@ let rebalance t i =
   end
   else i
 
-(* Order by (lo, hi), matching {!Interval_tree.cmp_iv}: compare the
-   key [(key_lo, key_hi)] against node [j]. *)
+(* Order by (lo, hi): compare the key [(key_lo, key_hi)] against
+   node [j]. *)
 let cmp_key t key_lo key_hi j =
   let c = Float.compare key_lo t.lo.(j) in
   if c <> 0 then c else Float.compare key_hi t.hi.(j)
@@ -168,7 +168,7 @@ let cmp_key t key_lo key_hi j =
 (* Insertion                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Equal keys go right so duplicates coexist (same as the boxed tree). *)
+(* Equal keys go right so duplicates coexist in insertion order. *)
 let rec insert_at t i nd =
   if i = nil then nd
   else begin
@@ -235,9 +235,9 @@ let rec del t i key_lo key_hi pred =
         l
       end
       else begin
-        (* Two children: the in-order successor takes over this slot's
-           position, exactly as the boxed tree promotes [min_node] of
-           the right subtree. *)
+        (* Two children: the in-order successor (the minimum of the
+           right subtree) takes over this slot's position, which keeps
+           the in-order sequence intact. *)
         let r, s = detach_min t t.right.(i) in
         t.left.(s) <- t.left.(i);
         t.right.(s) <- r;
@@ -248,7 +248,7 @@ let rec del t i key_lo key_hi pred =
     else
       (* Same key, wrong payload: equal keys were inserted to the
          right, but rotations can move them to either side — search
-         right first, then left (mirrors {!Interval_tree.remove}). *)
+         right first, then left. *)
       let r = del t t.right.(i) key_lo key_hi pred in
       if r <> not_found then begin
         t.right.(i) <- r;
@@ -279,7 +279,7 @@ let remove t iv pred =
 
 let[@cq.hot] rec stab_at t i x f =
   (* Prune: nothing below contains x if every right endpoint is to its
-     left.  Emission order matches {!Interval_tree.stab} exactly. *)
+     left.  Matches are reported in in-order sequence. *)
   if i <> nil && t.maxhi.(i) >= x then begin
     stab_at t t.left.(i) x f;
     if t.lo.(i) <= x then begin
@@ -353,6 +353,29 @@ let[@cq.hot] stab_batch t ~keys ~f =
       end
     in
     go t.root 0 n
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Overlap lookup                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let first_overlap t q =
+  if I.is_empty q then None
+  else begin
+    let qlo = I.lo q and qhi = I.hi q in
+    (* An in-order walk under the maxhi pruning of [stab_at] that stops
+       at the first entry with lo <= qhi and hi >= qlo. *)
+    let rec go i =
+      if i = nil || t.maxhi.(i) < qlo then None
+      else
+        match go t.left.(i) with
+        | Some _ as found -> found
+        | None ->
+            if t.lo.(i) > qhi then None
+            else if t.hi.(i) >= qlo then Some (payload_exn t i)
+            else go t.right.(i)
+    in
+    go t.root
   end
 
 (* ------------------------------------------------------------------ *)

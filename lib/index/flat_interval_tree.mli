@@ -1,19 +1,22 @@
 (** Flat (struct-of-arrays) augmented interval tree.
 
-    Semantically identical to {!Interval_tree.Mutable} — an AVL tree
-    keyed on (lo, hi) with a max-right-endpoint augmentation answering
-    1-D stabbing queries — but stored as an int-indexed arena: node
-    fields live in parallel [float array] / [int array] columns, so a
-    node occupies no heap object of its own and endpoint floats stay
-    unboxed.  [stab] allocates nothing and chases no pointers beyond
-    the payloads it reports, which makes this the hot-path form of the
-    stabbing index ({!Stab_backend}'s [Itree] kind is backed by it).
+    An AVL tree keyed on (lo, hi) with a max-right-endpoint
+    augmentation answering 1-D stabbing queries — the in-memory
+    counterpart of the paper's "external interval tree" option — stored
+    as an int-indexed arena: node fields live in parallel
+    [float array] / [int array] columns, so a node occupies no heap
+    object of its own and endpoint floats stay unboxed.  [stab]
+    allocates nothing and chases no pointers beyond the payloads it
+    reports.  It backs {!Stab_backend}'s [Itree] kind, the baseline
+    joins' per-query stabbing indexes and the lazy partition's group
+    index.
 
-    Ordering, duplicate placement and stab emission order are
-    bit-for-bit those of {!Interval_tree}: duplicates of an equal key
-    coexist (inserted right), and [stab] visits matches in in-order
-    key sequence.  Swapping the two implementations never reorders
-    results. *)
+    Emission order is a contract: duplicates of an equal key coexist
+    (inserted right), so the in-order sequence is always the live
+    entries sorted stably by (lo, hi) in insertion order, and [stab],
+    [stab_batch], [first_overlap], [iter] and [to_list] all follow it.
+    The cross-backend stream-equality tests and the lazy partition's
+    group choice rely on it. *)
 
 type 'a t
 
@@ -49,6 +52,12 @@ val stab_batch : 'a t -> keys:float array -> f:(idx:int -> 'a -> unit) -> unit
     not modified.  Cost is one sort of the key indices plus a single
     maxhi-pruned traversal — o(k log n + output) shared work instead
     of k independent descents. *)
+
+val first_overlap : 'a t -> Cq_interval.Interval.t -> 'a option
+(** [first_overlap t q] is the payload of the first entry, in the
+    in-order sequence, whose interval overlaps [q] (closed endpoints);
+    [None] if none does or [q] is empty.  The walk is pruned like
+    [stab] and stops at the first hit. *)
 
 val iter : 'a t -> ('a -> unit) -> unit
 (** Visit every stored payload once, in ascending (lo, hi) order. *)

@@ -35,22 +35,6 @@ module Interval_tree : S = struct
   let check_invariants = M.check_invariants
 end
 
-module Interval_skiplist : S = struct
-  module M = Interval_skiplist
-
-  type 'a t = 'a M.t
-
-  let name = "interval_skiplist"
-  let create ~seed = M.create ~seed ()
-  let size = M.size
-  let add = M.add
-  let remove = M.remove
-  let stab t x f = M.stab t x (fun _ p -> f p)
-  let stab_batch t ~keys ~f = loop_stab_batch stab t ~keys ~f
-  let iter t f = M.iter t (fun _ p -> f p)
-  let check_invariants = M.check_invariants
-end
-
 module Treap : S = struct
   module M = Priority_search_tree.Mutable
 
@@ -129,28 +113,23 @@ module Instrumented (B : S) : S = struct
   let check_invariants = B.check_invariants
 end
 
-type kind = Itree | Skiplist | Treap_pst
+type kind = Itree | Treap_pst
 
-let all = [ Itree; Skiplist; Treap_pst ]
+let all = [ Itree; Treap_pst ]
 
-let to_string = function Itree -> "itree" | Skiplist -> "skiplist" | Treap_pst -> "treap"
+let to_string = function Itree -> "itree" | Treap_pst -> "treap"
 
 let of_string = function
   | "itree" | "interval_tree" -> Ok Itree
-  | "skiplist" | "interval_skiplist" -> Ok Skiplist
   | "treap" | "pst" | "priority_search_tree" -> Ok Treap_pst
-  | s -> Error (Printf.sprintf "unknown stabbing backend %S (itree|skiplist|treap)" s)
+  | s ->
+      Error
+        (Printf.sprintf "unknown stabbing backend %S (%s)" s
+           (String.concat "|" (List.map to_string all)))
 
 let backend : kind -> (module S) = function
   | Itree -> (module Interval_tree)
-  | Skiplist -> (module Interval_skiplist)
   | Treap_pst -> (module Treap)
 
 module Instrumented_interval_tree = Instrumented (Interval_tree)
-module Instrumented_interval_skiplist = Instrumented (Interval_skiplist)
 module Instrumented_treap = Instrumented (Treap)
-
-let instrumented : kind -> (module S) = function
-  | Itree -> (module Instrumented_interval_tree)
-  | Skiplist -> (module Instrumented_interval_skiplist)
-  | Treap_pst -> (module Instrumented_treap)

@@ -1,8 +1,8 @@
 (** First-class pluggable stabbing-index backends.
 
-    Every structure in this library that answers 1-D stabbing queries
-    — the augmented interval tree, the interval skip list, the
-    treap-based priority search tree — is packaged here behind one
+    The two dynamic 1-D stabbing structures in this library — the
+    augmented interval tree and the treap-based priority search tree,
+    the two options the paper names — are packaged here behind one
     imperative signature, so processors can be functorized over the
     index rather than hard-wiring one.  The paper itself treats the
     choice as open ("an index on ranges, e.g., priority search tree or
@@ -16,12 +16,11 @@ module type S = sig
   type 'a t
 
   val name : string
-  (** Short stable identifier ("interval_tree", "interval_skiplist",
-      "priority_search_tree"). *)
+  (** Short stable identifier ("interval_tree", "priority_search_tree"). *)
 
   val create : seed:int -> 'a t
-  (** [seed] feeds any internal randomization (skip-list levels, treap
-      priorities); deterministic backends ignore it.  Fixing the seed
+  (** [seed] feeds any internal randomization (treap priorities);
+      deterministic backends ignore it.  Fixing the seed
       makes a run reproducible bit-for-bit. *)
 
   val size : 'a t -> int
@@ -54,14 +53,10 @@ module type S = sig
 end
 
 module Interval_tree : S
-(** Augmented AVL interval tree, backed by the flat arena layout
+(** Augmented AVL interval tree in the flat arena layout
     ({!Cq_index.Flat_interval_tree}) — allocation-free stabs and a
-    native batched descent; deterministic, ignores the seed.
-    Traversal order is bit-for-bit that of the boxed
-    {!Cq_index.Interval_tree.Mutable} it replaced. *)
-
-module Interval_skiplist : S
-(** Hanson–Johnson interval skip list ({!Cq_index.Interval_skiplist}). *)
+    native batched descent; deterministic, ignores the seed.  Stabs
+    report in ascending (lo, hi) order, equal keys in insertion order. *)
 
 module Treap : S
 (** Treap-based priority search tree
@@ -77,7 +72,6 @@ module Instrumented (B : S) : S
     unconditionally. *)
 
 module Instrumented_interval_tree : S
-module Instrumented_interval_skiplist : S
 module Instrumented_treap : S
 (** Pre-applied {!Instrumented} wrappers — named so functor
     instantiations over them are shared across the codebase instead of
@@ -88,16 +82,15 @@ module Instrumented_treap : S
     A nominal tag for configuration records and CLI flags; resolve it
     to an implementation with {!backend}. *)
 
-type kind = Itree | Skiplist | Treap_pst
+type kind = Itree | Treap_pst
 
 val all : kind list
 
 val to_string : kind -> string
-(** ["itree" | "skiplist" | "treap"] — the [cqctl] flag spellings. *)
+(** ["itree" | "treap"] — the [cqctl] flag spellings. *)
 
 val of_string : string -> (kind, string) result
+(** Accepts {!to_string}'s spellings and the long names
+    (["interval_tree"], ["pst"], ["priority_search_tree"]). *)
 
 val backend : kind -> (module S)
-
-val instrumented : kind -> (module S)
-(** The {!Instrumented}-wrapped module for the kind. *)

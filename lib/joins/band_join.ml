@@ -2,7 +2,7 @@ module I = Cq_interval.Interval
 module Table = Cq_relation.Table
 module Tuple = Cq_relation.Tuple
 module Fbt = Table.Fbt
-module Itree = Cq_index.Interval_tree
+module Itree = Cq_index.Flat_interval_tree
 module Vec = Cq_util.Vec
 module Processor = Hotspot_core.Processor
 module Dedupe = Processor.Dedupe
@@ -73,33 +73,33 @@ module Douter = struct
     (* Stabbing index over the band windows (the paper suggests a
        dynamic priority search tree; an augmented interval tree has the
        same O(log n + k) stabbing bound and O(log n) updates). *)
-    windows : Band_query.t Itree.Mutable.t;
+    windows : Band_query.t Itree.t;
     dedupe : Dedupe.t;
   }
 
   let name = "BJ-D"
 
   let create table queries =
-    let windows = Itree.Mutable.create () in
-    Array.iter (fun (q : Band_query.t) -> Itree.Mutable.add windows q.range q) queries;
+    let windows = Itree.create () in
+    Array.iter (fun (q : Band_query.t) -> Itree.add windows q.range q) queries;
     { table; windows; dedupe = Dedupe.create () }
 
   let process_r t (r : Tuple.r) sink =
     Table.iter_s t.table (fun s ->
-        Itree.Mutable.stab t.windows (s.b -. r.b) (fun _ q -> sink q s))
+        Itree.stab t.windows (s.b -. r.b) (fun q -> sink q s))
 
   let affected t (r : Tuple.r) report =
     Dedupe.fresh t.dedupe;
     Table.iter_s t.table (fun s ->
-        Itree.Mutable.stab t.windows (s.b -. r.b) (fun _ (q : Band_query.t) ->
+        Itree.stab t.windows (s.b -. r.b) (fun (q : Band_query.t) ->
             if Dedupe.mark t.dedupe q.qid then report q))
 
-  let insert_query t (q : Band_query.t) = Itree.Mutable.add t.windows q.range q
+  let insert_query t (q : Band_query.t) = Itree.add t.windows q.range q
 
   let delete_query t (q : Band_query.t) =
-    Itree.Mutable.remove t.windows q.range (fun p -> p.Band_query.qid = q.qid)
+    Itree.remove t.windows q.range (fun p -> p.Band_query.qid = q.qid)
 
-  let query_count t = Itree.Mutable.size t.windows
+  let query_count t = Itree.size t.windows
 end
 
 (* --------------------------------------------------------------------- *)
@@ -320,7 +320,6 @@ end
 
 module Make_core (B : Cq_index.Stab_backend.S) = Processor.Make (Core_query) (B)
 module C_itree = Make_core (Cq_index.Stab_backend.Instrumented_interval_tree)
-module C_skiplist = Make_core (Cq_index.Stab_backend.Instrumented_interval_skiplist)
 module C_treap = Make_core (Cq_index.Stab_backend.Instrumented_treap)
 
 module Ssi = C_itree.Ssi
@@ -334,10 +333,8 @@ end
 let processor strategy kind : (module PROCESSOR) =
   match (strategy, kind) with
   | Processor.Hotspot, Cq_index.Stab_backend.Itree -> (module C_itree.Hotspot)
-  | Processor.Hotspot, Cq_index.Stab_backend.Skiplist -> (module C_skiplist.Hotspot)
   | Processor.Hotspot, Cq_index.Stab_backend.Treap_pst -> (module C_treap.Hotspot)
   | Processor.Ssi, Cq_index.Stab_backend.Itree -> (module C_itree.Ssi)
-  | Processor.Ssi, Cq_index.Stab_backend.Skiplist -> (module C_skiplist.Ssi)
   | Processor.Ssi, Cq_index.Stab_backend.Treap_pst -> (module C_treap.Ssi)
 
 (* --------------------------------------------------------------------- *)

@@ -2,7 +2,7 @@ module I = Cq_interval.Interval
 module Table = Cq_relation.Table
 module Tuple = Cq_relation.Tuple
 module Fbt = Table.Fbt
-module Itree = Cq_index.Interval_tree
+module Itree = Cq_index.Flat_interval_tree
 module Vec = Cq_util.Vec
 module CQ = Composite_query
 module Processor = Hotspot_core.Processor
@@ -82,30 +82,30 @@ end
 module Afirst = struct
   type t = {
     table : Table.s_table;
-    a_index : CQ.t Itree.Mutable.t;
+    a_index : CQ.t Itree.t;
   }
 
   let name = "CJ-A"
 
   let create table queries =
-    let a_index = Itree.Mutable.create () in
-    Array.iter (fun (q : CQ.t) -> Itree.Mutable.add a_index q.range_a q) queries;
+    let a_index = Itree.create () in
+    Array.iter (fun (q : CQ.t) -> Itree.add a_index q.range_a q) queries;
     { table; a_index }
 
   let process_r t (r : Tuple.r) sink =
-    Itree.Mutable.stab t.a_index r.a (fun _ q ->
+    Itree.stab t.a_index r.a (fun q ->
         ignore (probe_query t.table q ~b:r.b ~stop_after_first:false sink))
 
   let affected t (r : Tuple.r) report =
-    Itree.Mutable.stab t.a_index r.a (fun _ q ->
+    Itree.stab t.a_index r.a (fun q ->
         if probe_query t.table q ~b:r.b ~stop_after_first:true (fun _ _ -> ()) then report q)
 
-  let insert_query t (q : CQ.t) = Itree.Mutable.add t.a_index q.range_a q
+  let insert_query t (q : CQ.t) = Itree.add t.a_index q.range_a q
 
   let delete_query t (q : CQ.t) =
-    Itree.Mutable.remove t.a_index q.range_a (fun p -> p.CQ.qid = q.qid)
+    Itree.remove t.a_index q.range_a (fun p -> p.CQ.qid = q.qid)
 
-  let query_count t = Itree.Mutable.size t.a_index
+  let query_count t = Itree.size t.a_index
 end
 
 (* --------------------------------------------------------------------- *)
@@ -174,7 +174,6 @@ end
 
 module Make_core (B : Cq_index.Stab_backend.S) = Processor.Make (Core_query) (B)
 module C_itree = Make_core (Cq_index.Stab_backend.Instrumented_interval_tree)
-module C_skiplist = Make_core (Cq_index.Stab_backend.Instrumented_interval_skiplist)
 module C_treap = Make_core (Cq_index.Stab_backend.Instrumented_treap)
 
 module Ssi = C_itree.Ssi
@@ -188,10 +187,8 @@ end
 let processor strategy kind : (module PROCESSOR) =
   match (strategy, kind) with
   | Processor.Hotspot, Cq_index.Stab_backend.Itree -> (module C_itree.Hotspot)
-  | Processor.Hotspot, Cq_index.Stab_backend.Skiplist -> (module C_skiplist.Hotspot)
   | Processor.Hotspot, Cq_index.Stab_backend.Treap_pst -> (module C_treap.Hotspot)
   | Processor.Ssi, Cq_index.Stab_backend.Itree -> (module C_itree.Ssi)
-  | Processor.Ssi, Cq_index.Stab_backend.Skiplist -> (module C_skiplist.Ssi)
   | Processor.Ssi, Cq_index.Stab_backend.Treap_pst -> (module C_treap.Ssi)
 
 (* --------------------------------------------------------------------- *)

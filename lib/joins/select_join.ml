@@ -2,7 +2,7 @@ module I = Cq_interval.Interval
 module Table = Cq_relation.Table
 module Tuple = Cq_relation.Tuple
 module Pbt = Table.Pbt
-module Itree = Cq_index.Interval_tree
+module Itree = Cq_index.Flat_interval_tree
 module Rtree = Cq_index.Rtree
 module Vec = Cq_util.Vec
 module Processor = Hotspot_core.Processor
@@ -156,18 +156,18 @@ end
 module Select_first = struct
   type t = {
     table : Table.s_table;
-    a_index : Select_query.t Itree.Mutable.t;
+    a_index : Select_query.t Itree.t;
   }
 
   let name = "SJ-S"
 
   let create table queries =
-    let a_index = Itree.Mutable.create () in
-    Array.iter (fun (q : Select_query.t) -> Itree.Mutable.add a_index q.range_a q) queries;
+    let a_index = Itree.create () in
+    Array.iter (fun (q : Select_query.t) -> Itree.add a_index q.range_a q) queries;
     { table; a_index }
 
   let process_r t (r : Tuple.r) sink =
-    Itree.Mutable.stab t.a_index r.a (fun _ (q : Select_query.t) ->
+    Itree.stab t.a_index r.a (fun (q : Select_query.t) ->
         Pbt.iter_range (Table.s_by_bc t.table)
           ~lo:(r.b, I.lo q.range_c)
           ~hi:(r.b, I.hi q.range_c)
@@ -175,19 +175,19 @@ module Select_first = struct
 
   let affected t (r : Tuple.r) report =
     let bc = Table.s_by_bc t.table in
-    Itree.Mutable.stab t.a_index r.a (fun _ (q : Select_query.t) ->
+    Itree.stab t.a_index r.a (fun (q : Select_query.t) ->
         match Pbt.seek_ge bc (r.b, I.lo q.range_c) with
         | Some c ->
             let kb, kc = Pbt.key c in
             if kb = r.b && kc <= I.hi q.range_c then report q
         | None -> ())
 
-  let insert_query t (q : Select_query.t) = Itree.Mutable.add t.a_index q.range_a q
+  let insert_query t (q : Select_query.t) = Itree.add t.a_index q.range_a q
 
   let delete_query t (q : Select_query.t) =
-    Itree.Mutable.remove t.a_index q.range_a (fun p -> p.Select_query.qid = q.qid)
+    Itree.remove t.a_index q.range_a (fun p -> p.Select_query.qid = q.qid)
 
-  let query_count t = Itree.Mutable.size t.a_index
+  let query_count t = Itree.size t.a_index
 end
 
 (* --------------------------------------------------------------------- *)
@@ -307,7 +307,6 @@ end
 
 module Make_core (B : Cq_index.Stab_backend.S) = Processor.Make (Core_query) (B)
 module C_itree = Make_core (Cq_index.Stab_backend.Instrumented_interval_tree)
-module C_skiplist = Make_core (Cq_index.Stab_backend.Instrumented_interval_skiplist)
 module C_treap = Make_core (Cq_index.Stab_backend.Instrumented_treap)
 
 module Ssi = C_itree.Ssi
@@ -321,10 +320,8 @@ end
 let processor strategy kind : (module PROCESSOR) =
   match (strategy, kind) with
   | Processor.Hotspot, Cq_index.Stab_backend.Itree -> (module C_itree.Hotspot)
-  | Processor.Hotspot, Cq_index.Stab_backend.Skiplist -> (module C_skiplist.Hotspot)
   | Processor.Hotspot, Cq_index.Stab_backend.Treap_pst -> (module C_treap.Hotspot)
   | Processor.Ssi, Cq_index.Stab_backend.Itree -> (module C_itree.Ssi)
-  | Processor.Ssi, Cq_index.Stab_backend.Skiplist -> (module C_skiplist.Ssi)
   | Processor.Ssi, Cq_index.Stab_backend.Treap_pst -> (module C_treap.Ssi)
 
 (* --------------------------------------------------------------------- *)

@@ -45,85 +45,7 @@ let sample limit xs =
     let step = n / limit in
     List.filteri (fun i _ -> i mod step = 0) xs
 
-(* ------------------------------------------------------------------ *)
-(* Interval tree                                                        *)
-(* ------------------------------------------------------------------ *)
-
-module It = Cq_index.Interval_tree
-
 let stab_probes entries = sample 24 (List.concat_map (fun iv -> [ I.lo iv; I.hi iv ]) entries)
-
-let interval_tree (t : 'a It.t) : report =
-  let c = ctx "interval_tree" in
-  guard c "avl" (fun () -> It.check_invariants t);
-  let entries = List.map fst (It.to_list t) in
-  let n = List.length entries in
-  if n <> It.size t then pushf c "size" "size reports %d but %d entries listed" (It.size t) n;
-  List.iter (fun iv -> if I.is_empty iv then push c "entries" "stored interval is empty") entries;
-  List.iter
-    (fun x ->
-      let want = List.length (List.filter (fun iv -> I.stabs iv x) entries) in
-      let got = It.stab_count t x in
-      if got <> want then pushf c "stab" "stab_count at %g is %d, expected %d" x got want;
-      let listed = It.stab_list t x in
-      if List.length listed <> got then pushf c "stab" "stab_list/stab_count disagree at %g" x;
-      List.iter
-        (fun (iv, _) ->
-          if not (I.stabs iv x) then pushf c "stab" "reported interval %s misses %g" (I.to_string iv) x)
-        listed)
-    (stab_probes entries);
-  seal c
-
-(* ------------------------------------------------------------------ *)
-(* Interval skip list (no iteration API: probes supplied by caller)     *)
-(* ------------------------------------------------------------------ *)
-
-module Isl = Cq_index.Interval_skiplist
-
-let interval_skiplist ?(probes = []) ~expected:(count_at : float -> int)
-    (t : 'a Isl.t) : report =
-  let c = ctx "interval_skiplist" in
-  guard c "markers" (fun () -> Isl.check_invariants t);
-  List.iter
-    (fun x ->
-      let listed = Isl.stab_list t x in
-      let got = Isl.stab_count t x in
-      if List.length listed <> got then pushf c "stab" "stab_list/stab_count disagree at %g" x;
-      let want = count_at x in
-      if got <> want then pushf c "stab" "stab_count at %g is %d, expected %d" x got want;
-      List.iter
-        (fun (iv, _) ->
-          if not (I.stabs iv x) then pushf c "stab" "reported interval %s misses %g" (I.to_string iv) x)
-        listed)
-    (sample 24 probes);
-  seal c
-
-(* ------------------------------------------------------------------ *)
-(* Priority search tree                                                 *)
-(* ------------------------------------------------------------------ *)
-
-module Pst = Cq_index.Priority_search_tree
-
-let priority_search_tree (t : 'a Pst.t) : report =
-  let c = ctx "priority_search_tree" in
-  guard c "bst+heap" (fun () -> Pst.check_invariants t);
-  let entries = ref [] in
-  Pst.iter (fun iv _ -> entries := iv :: !entries) t;
-  let entries = !entries in
-  let n = List.length entries in
-  if n <> Pst.size t then pushf c "size" "size reports %d but %d entries listed" (Pst.size t) n;
-  List.iter
-    (fun x ->
-      let want = List.length (List.filter (fun iv -> I.stabs iv x) entries) in
-      let got = Pst.stab_count t x in
-      if got <> want then pushf c "stab" "stab_count at %g is %d, expected %d" x got want;
-      match Pst.stab_any t x with
-      | Some (iv, _) ->
-          if want = 0 then pushf c "stab_any" "stab_any found an entry at unstabbed %g" x
-          else if not (I.stabs iv x) then pushf c "stab_any" "stab_any interval misses %g" x
-      | None -> if want > 0 then pushf c "stab_any" "stab_any missed %d entries at %g" want x)
-    (stab_probes entries);
-  seal c
 
 (* ------------------------------------------------------------------ *)
 (* Any stabbing backend, audited through the common S signature        *)

@@ -23,18 +23,6 @@ val merge : report list -> report
 
 (** {2 Per-structure auditors} *)
 
-val interval_tree : 'a Cq_index.Interval_tree.t -> report
-(** AVL shape, max-hi augmentation, size/to_list agreement, and sampled
-    stab queries versus a naive filter over the listed entries. *)
-
-val interval_skiplist :
-  ?probes:float list -> expected:(float -> int) -> 'a Cq_index.Interval_skiplist.t -> report
-(** The skip list exposes no iteration, so the caller supplies the probe
-    positions and the expected stab count at each ([expected] is
-    typically a closure over a mirror of the inserted intervals). *)
-
-val priority_search_tree : 'a Cq_index.Priority_search_tree.t -> report
-
 val rtree : 'a Cq_index.Rtree.t -> report
 (** MBR containment down every path plus sampled center-point stabs. *)
 

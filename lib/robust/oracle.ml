@@ -90,7 +90,7 @@ let mirror_remove_one tbl id iv =
 let mirror_entries tbl = Hashtbl.fold (fun id iv acc -> (id, iv) :: acc) tbl []
 
 (* ------------------------------------------------------------------ *)
-(* Stabbing indexes: one generic driver, five instances                 *)
+(* Stabbing indexes: one generic driver, four instances                 *)
 (* ------------------------------------------------------------------ *)
 
 module type STAB_INDEX = sig
@@ -169,7 +169,6 @@ module Stab_driver (B : Cq_index.Stab_backend.S) : STAB_INDEX = struct
 end
 
 module Itree_driver = Stab_driver (Cq_index.Stab_backend.Interval_tree)
-module Skiplist_driver = Stab_driver (Cq_index.Stab_backend.Interval_skiplist)
 module Pst_driver = Stab_driver (Cq_index.Stab_backend.Treap)
 
 (* Intervals embed into the R-tree as zero-height-free rectangles
@@ -1159,7 +1158,6 @@ let run_burst ?(shards = 2) ~seed ~ops () =
 let index_drivers : (module STAB_INDEX) list =
   [
     (module Itree_driver);
-    (module Skiplist_driver);
     (module Pst_driver);
     (module Rtree_driver);
     (module Treap_driver);

@@ -27,7 +27,7 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 (** {2 Stabbing-index drivers}
 
-    The five 1-D-stabbing-capable indexes behind one interface; the
+    The four 1-D-stabbing-capable indexes behind one interface; the
     treap driver additionally split/joins at every probe, and the
     R-tree driver embeds intervals as [iv × \[0,1\]] rectangles. *)
 
@@ -45,11 +45,10 @@ end
 
 module Stab_driver (B : Cq_index.Stab_backend.S) : STAB_INDEX
 (** A driver for any backend behind the common
-    {!Cq_index.Stab_backend.S} signature — the three backend drivers
+    {!Cq_index.Stab_backend.S} signature — the two backend drivers
     below are its instances. *)
 
 module Itree_driver : STAB_INDEX
-module Skiplist_driver : STAB_INDEX
 module Pst_driver : STAB_INDEX
 module Rtree_driver : STAB_INDEX
 module Treap_driver : STAB_INDEX

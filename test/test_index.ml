@@ -1,10 +1,10 @@
 (* Model-based tests for the index substrate: B+-tree vs a sorted-list
-   model, interval tree vs brute force, treap split/join algebra,
+   model, interval tree vs brute force and a stable (lo, hi) list model, treap split/join algebra,
    R-tree vs brute force. *)
 
 module I = Cq_interval.Interval
 module Btree = Cq_index.Btree
-module Itree = Cq_index.Interval_tree
+module Flat = Cq_index.Flat_interval_tree
 module Rect = Cq_index.Rect
 module Rtree = Cq_index.Rtree
 module Rng = Cq_util.Rng
@@ -219,70 +219,73 @@ let interval_gen =
       (map float_of_int (int_bound 100))
       (map float_of_int (int_bound 100)))
 
+let of_list ivs =
+  let t = Flat.create () in
+  List.iteri (fun i iv -> Flat.add t iv i) ivs;
+  t
+
+(* The reference for the emission-order contract: live (interval, id)
+   entries sorted stably by (lo, hi), so equal keys stay in insertion
+   order.  Cross-backend stream equality and the lazy partition's
+   group choice both rest on the tree reporting in this order. *)
+let by_key (a, _) (b, _) = I.compare_lo a b
+let model_of ivs = List.stable_sort by_key (List.mapi (fun i iv -> (iv, i)) ivs)
+let model_add model iv id = List.stable_sort by_key (model @ [ (iv, id) ])
+
+let model_first_overlap model w =
+  Option.map snd (List.find_opt (fun (iv, _) -> I.overlaps iv w) model)
+
 let prop_itree_stab_matches_brute =
   QCheck2.Test.make ~name:"interval tree: stab = brute force" ~count:300
     QCheck2.Gen.(pair (list_size (int_range 0 200) interval_gen) (list_size (int_range 1 20) (map float_of_int (int_bound 100))))
     (fun (ivs, probes) ->
-      let t = List.fold_left (fun acc (i, iv) -> Itree.add iv i acc) Itree.empty
-          (List.mapi (fun i iv -> (i, iv)) ivs)
-      in
-      Itree.check_invariants t;
+      let t = of_list ivs in
+      Flat.check_invariants t;
       List.for_all
         (fun x ->
-          let got = List.sort compare (List.map snd (Itree.stab_list t x)) in
+          let got = ref [] in
+          Flat.stab t x (fun p -> got := p :: !got);
           let want =
-            List.sort compare
-              (List.filteri (fun _ _ -> true) (List.mapi (fun i iv -> (i, iv)) ivs)
-              |> List.filter (fun (_, iv) -> I.stabs iv x)
-              |> List.map fst)
+            List.mapi (fun i iv -> (i, iv)) ivs
+            |> List.filter (fun (_, iv) -> I.stabs iv x)
+            |> List.map fst
           in
-          got = want)
+          List.sort compare !got = want && Flat.stab_count t x = List.length want)
         probes)
 
 let prop_itree_remove =
   QCheck2.Test.make ~name:"interval tree: add/remove round trip" ~count:300
     QCheck2.Gen.(list_size (int_range 0 150) interval_gen)
     (fun ivs ->
-      let indexed = List.mapi (fun i iv -> (i, iv)) ivs in
-      let t = List.fold_left (fun acc (i, iv) -> Itree.add iv i acc) Itree.empty indexed in
+      let t = of_list ivs in
       (* Remove every other element; survivors must be exactly the rest. *)
-      let t =
-        List.fold_left
-          (fun acc (i, iv) ->
-            if i mod 2 = 0 then
-              match Itree.remove iv (fun p -> p = i) acc with
-              | Some acc' -> acc'
-              | None -> QCheck2.Test.fail_report "expected removal to succeed"
-            else acc)
-          t indexed
-      in
-      Itree.check_invariants t;
-      let survivors = List.sort compare (List.map snd (Itree.to_list t)) in
-      survivors = List.sort compare (List.filter (fun i -> i mod 2 = 1) (List.map fst indexed)))
+      List.iteri
+        (fun i iv ->
+          if i mod 2 = 0 && not (Flat.remove t iv (fun p -> p = i)) then
+            QCheck2.Test.fail_report "expected removal to succeed")
+        ivs;
+      Flat.check_invariants t;
+      let survivors = List.sort compare (List.map (fun (_, _, p) -> p) (Flat.to_list t)) in
+      survivors = List.filter (fun i -> i mod 2 = 1) (List.mapi (fun i _ -> i) ivs))
 
 let prop_itree_query_overlaps =
-  QCheck2.Test.make ~name:"interval tree: window query = brute force" ~count:200
+  QCheck2.Test.make ~name:"interval tree: window query = first overlap in the list model" ~count:200
     QCheck2.Gen.(pair (list_size (int_range 0 150) interval_gen) interval_gen)
-    (fun (ivs, w) ->
-      let indexed = List.mapi (fun i iv -> (i, iv)) ivs in
-      let t = List.fold_left (fun acc (i, iv) -> Itree.add iv i acc) Itree.empty indexed in
-      let got = ref [] in
-      Itree.query t w (fun _ p -> got := p :: !got);
-      List.sort compare !got
-      = List.sort compare (List.map fst (List.filter (fun (_, iv) -> I.overlaps iv w) indexed)))
+    (fun (ivs, w) -> Flat.first_overlap (of_list ivs) w = model_first_overlap (model_of ivs) w)
 
 let test_itree_remove_missing () =
-  let t = Itree.add (I.make 0.0 1.0) 0 Itree.empty in
-  Alcotest.(check bool) "absent interval" true (Itree.remove (I.make 5.0 6.0) (fun _ -> true) t = None);
-  Alcotest.(check bool) "wrong payload" true (Itree.remove (I.make 0.0 1.0) (fun p -> p = 9) t = None)
+  let t = of_list [ I.make 0.0 1.0 ] in
+  Alcotest.(check bool) "absent interval" false (Flat.remove t (I.make 5.0 6.0) (fun _ -> true));
+  Alcotest.(check bool) "wrong payload" false (Flat.remove t (I.make 0.0 1.0) (fun p -> p = 9));
+  Alcotest.(check bool) "empty window" true (Flat.first_overlap t I.empty = None)
 
 let test_itree_mutable_facade () =
-  let m = Itree.Mutable.create () in
-  Itree.Mutable.add m (I.make 0.0 10.0) "a";
-  Itree.Mutable.add m (I.make 5.0 15.0) "b";
-  Alcotest.(check int) "stab count" 2 (Itree.Mutable.stab_count m 7.0);
-  Alcotest.(check bool) "remove" true (Itree.Mutable.remove m (I.make 0.0 10.0) (fun _ -> true));
-  Alcotest.(check int) "size after" 1 (Itree.Mutable.size m)
+  let m = Flat.create () in
+  Flat.add m (I.make 0.0 10.0) "a";
+  Flat.add m (I.make 5.0 15.0) "b";
+  Alcotest.(check int) "stab count" 2 (Flat.stab_count m 7.0);
+  Alcotest.(check bool) "remove" true (Flat.remove m (I.make 0.0 10.0) (fun _ -> true));
+  Alcotest.(check int) "size after" 1 (Flat.size m)
 
 (* ------------------------------- Treap -------------------------------- *)
 
@@ -420,95 +423,6 @@ let test_rtree_empty_rect_rejected () =
     (fun () -> Rtree.insert t Rect.empty 0)
 
 
-(* --------------------------- Interval skip list ----------------------- *)
-
-module Isl = Cq_index.Interval_skiplist
-
-let prop_isl_stab_matches_brute =
-  QCheck2.Test.make ~name:"skip list: stab = brute force" ~count:300
-    QCheck2.Gen.(pair (list_size (int_range 0 150) interval_gen)
-                    (list_size (int_range 1 20) (map float_of_int (int_bound 100))))
-    (fun (ivs, probes) ->
-      let t = Isl.create ~seed:5 () in
-      List.iteri (fun i iv -> Isl.add t iv i) ivs;
-      Isl.check_invariants t;
-      let probes =
-        probes @ List.concat_map (fun iv -> [ I.lo iv; I.hi iv ]) ivs
-      in
-      List.for_all
-        (fun x ->
-          let got = List.sort compare (List.map snd (Isl.stab_list t x)) in
-          let want =
-            List.mapi (fun i iv -> (i, iv)) ivs
-            |> List.filter (fun (_, iv) -> I.stabs iv x)
-            |> List.map fst |> List.sort compare
-          in
-          got = want)
-        probes)
-
-let prop_isl_matches_interval_tree_under_churn =
-  QCheck2.Test.make ~name:"skip list: agrees with interval tree under churn" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 200)
-                   (pair (frequencyl [ (3, true); (2, false) ]) interval_gen))
-    (fun ops ->
-      let sl = Isl.create ~seed:9 () in
-      let it = Itree.Mutable.create () in
-      let live = ref [] in
-      let next = ref 0 in
-      List.iter
-        (fun (is_add, iv) ->
-          if is_add then begin
-            let id = !next in
-            incr next;
-            Isl.add sl iv id;
-            Itree.Mutable.add it iv id;
-            live := (iv, id) :: !live
-          end
-          else
-            match !live with
-            | [] -> ()
-            | (iv, id) :: rest ->
-                if not (Isl.remove sl iv (fun p -> p = id)) then
-                  QCheck2.Test.fail_report "skip list remove failed";
-                ignore (Itree.Mutable.remove it iv (fun p -> p = id));
-                live := rest)
-        ops;
-      Isl.check_invariants sl;
-      let ok = ref true in
-      for x = 0 to 100 do
-        let xf = float_of_int x in
-        if
-          List.sort compare (List.map snd (Isl.stab_list sl xf))
-          <> List.sort compare
-               (List.map snd (Itree.stab_list (Itree.Mutable.snapshot it) xf))
-        then ok := false
-      done;
-      !ok && Isl.size sl = List.length !live)
-
-let test_isl_point_intervals () =
-  let t = Isl.create () in
-  Isl.add t (I.point 5.0) "a";
-  Isl.add t (I.point 5.0) "b";
-  Isl.add t (I.make 0.0 10.0) "c";
-  Isl.check_invariants t;
-  Alcotest.(check int) "stab at the point" 3 (Isl.stab_count t 5.0);
-  Alcotest.(check int) "stab off the point" 1 (Isl.stab_count t 6.0);
-  Alcotest.(check bool) "remove one dup" true (Isl.remove t (I.point 5.0) (fun p -> p = "a"));
-  Isl.check_invariants t;
-  Alcotest.(check int) "one dup left" 2 (Isl.stab_count t 5.0)
-
-let test_isl_remove_missing () =
-  let t = Isl.create () in
-  Isl.add t (I.make 1.0 2.0) 0;
-  Alcotest.(check bool) "absent interval" false (Isl.remove t (I.make 5.0 6.0) (fun _ -> true));
-  Alcotest.(check bool) "wrong payload" false (Isl.remove t (I.make 1.0 2.0) (fun p -> p = 9));
-  Alcotest.(check bool) "empty rejected" true
-    (try
-       Isl.add t I.empty 1;
-       false
-     with Invalid_argument _ -> true)
-
-
 (* ------------------------ Priority search tree ------------------------ *)
 
 module Pst = Cq_index.Priority_search_tree
@@ -592,19 +506,19 @@ let test_treap_extras () =
 
 (* ------------------- flat interval tree / stab_batch ------------------ *)
 
-module Flat = Cq_index.Flat_interval_tree
 module SB = Cq_index.Stab_backend
 
-(* The flat arena tree claims bit-for-bit the semantics of the boxed
-   persistent tree — including emission order, so the lists are
-   compared unsorted. *)
-let prop_flat_matches_persistent_under_churn =
-  QCheck2.Test.make ~name:"flat itree: agrees with persistent tree under churn" ~count:200
+(* The flat tree against the list model under churn: stab emission
+   order is compared unsorted, and the overlap lookup must pick the
+   model's first overlapping entry. *)
+let prop_flat_matches_list_model_under_churn =
+  QCheck2.Test.make ~name:"flat itree: agrees with a stable (lo, hi) list model under churn"
+    ~count:200
     QCheck2.Gen.(
       list_size (int_range 1 200) (pair (frequencyl [ (3, true); (2, false) ]) interval_gen))
     (fun ops ->
       let ft : int Flat.t = Flat.create () in
-      let it = Itree.Mutable.create () in
+      let model = ref [] in
       let live = ref [] in
       let next = ref 0 in
       List.iter
@@ -613,7 +527,7 @@ let prop_flat_matches_persistent_under_churn =
             let id = !next in
             incr next;
             Flat.add ft iv id;
-            Itree.Mutable.add it iv id;
+            model := model_add !model iv id;
             live := (iv, id) :: !live
           end
           else
@@ -622,7 +536,7 @@ let prop_flat_matches_persistent_under_churn =
             | (iv, id) :: rest ->
                 if not (Flat.remove ft iv (fun p -> p = id)) then
                   QCheck2.Test.fail_report "flat tree remove failed";
-                ignore (Itree.Mutable.remove it iv (fun p -> p = id));
+                model := List.filter (fun (_, p) -> p <> id) !model;
                 live := rest)
         ops;
       Flat.check_invariants ft;
@@ -631,10 +545,12 @@ let prop_flat_matches_persistent_under_churn =
         let xf = float_of_int x in
         let got = ref [] in
         Flat.stab ft xf (fun p -> got := p :: !got);
-        if List.rev !got <> List.map snd (Itree.stab_list (Itree.Mutable.snapshot it) xf)
-        then ok := false
+        let want = List.filter_map (fun (iv, p) -> if I.stabs iv xf then Some p else None) !model in
+        if List.rev !got <> want then ok := false;
+        let w = I.make xf (xf +. 3.0) in
+        if Flat.first_overlap ft w <> model_first_overlap !model w then ok := false
       done;
-      !ok && Flat.size ft = List.length !live)
+      !ok && Flat.size ft = List.length !model)
 
 (* Every backend's batched descent must agree with a loop of scalar
    stabs, key by key, in the exact per-key order. *)
@@ -700,15 +616,8 @@ let () =
         ] );
       ( "flat_interval_tree",
         [
-          qc prop_flat_matches_persistent_under_churn;
+          qc prop_flat_matches_list_model_under_churn;
           qc prop_stab_batch_matches_stab_loop;
-        ] );
-      ( "interval_skiplist",
-        [
-          qc prop_isl_stab_matches_brute;
-          qc prop_isl_matches_interval_tree_under_churn;
-          Alcotest.test_case "point intervals" `Quick test_isl_point_intervals;
-          Alcotest.test_case "remove missing" `Quick test_isl_remove_missing;
         ] );
       ( "priority_search_tree",
         [
