@@ -29,31 +29,11 @@ let scale_term =
             "Override the shard counts swept by $(b,scale-domains) (comma-separated, e.g. \
              $(b,--shards 1,2)).")
   in
-  let rebalance =
-    let parse s =
-      match Arg.conv_parser Arg.float s with
-      | Ok t when Float.is_finite t && t >= 1.0 -> Ok t
-      | Ok _ -> Error (`Msg (Printf.sprintf "rebalance threshold must be >= 1.0, got %s" s))
-      | Error _ as e -> e
-    in
-    Arg.(
-      value
-      & opt (some (conv (parse, Arg.conv_printer Arg.float))) None
-      & info [ "rebalance" ] ~docv:"THRESH"
-          ~doc:
-            "Arm the $(b,rebalance-drift) experiment's strip rebalancer at imbalance-ratio \
-             threshold $(docv) (>= 1.0; default 1.5).")
-  in
   Term.(
-    const (fun f shards rebalance ->
+    const (fun f shards ->
         let s = if f then Cq_bench.Setup.full else Cq_bench.Setup.quick in
-        let s =
-          match shards with None -> s | Some sh -> { s with Cq_bench.Setup.shards = sh }
-        in
-        match rebalance with
-        | None -> s
-        | Some _ -> { s with Cq_bench.Setup.rebalance })
-    $ full $ shards $ rebalance)
+        match shards with None -> s | Some sh -> { s with Cq_bench.Setup.shards = sh })
+    $ full $ shards)
 
 (* --------------------------- observability ----------------------------- *)
 
@@ -340,8 +320,9 @@ let fuzz_cmd =
           ~doc:
             "Fault stream: $(b,default) runs the full structure battery, $(b,burst) replays \
              seeded overload bursts through the Shed policy and checks degraded answers \
-             against the exact mirror, $(b,drift) replays walking-hotspot streams that force \
-             strip migrations and checks delivery stays bit-for-bit shard-count-independent.")
+             against the exact mirror, $(b,drift) replays walking-hotspot streams with online \
+             register/deregister and checks delivery stays bit-for-bit \
+             shard-count-independent.")
   in
   let run seed ops backend shards faults metrics =
     with_metrics metrics @@ fun () ->
@@ -473,37 +454,15 @@ let overload_arg =
            report admission/shedding counters and degraded-answer bounds.")
 
 (* $(b,stats --shards N): replay a walking-hotspot drift stream through
-   an N-shard parallel engine with the rebalancer armed and print the
-   per-shard load gauges and the rebalancer ledger — the live view the
-   parallel.shard.* / parallel.rebalance.* metrics export. *)
+   an N-shard parallel engine and print the per-shard load gauges — the
+   live view the parallel.shard.* metrics export. *)
 let run_shard_demo ~seed ~shards ~events =
   let module Par = Cq_engine.Parallel in
   let stream = Cq_robust.Fault.gen_drift ~shards ~seed ~n:(max 240 events) () in
-  let t =
-    Par.create ~alpha:0.1 ~seed ~shards ~batch_size:8
-      ~rebalance:(Some { Cq_engine.Engine.Config.threshold = 1.5; check_every = 2 })
-      ()
-  in
-  let handles = Queue.create () in
-  Array.iter
-    (fun op ->
-      match op with
-      | Cq_robust.Fault.Drift_register { range } ->
-          Queue.add (Par.register t (Par.Band { range }) (fun _ _ -> ())) handles
-      | Cq_robust.Fault.Drift_register_select { range_a; range_c } ->
-          Queue.add (Par.register t (Par.Select { range_a; range_c }) (fun _ _ -> ())) handles
-      | Cq_robust.Fault.Drift_deregister -> (
-          match Queue.take_opt handles with
-          | Some sub -> ignore (Par.deregister t sub)
-          | None -> ())
-      | Cq_robust.Fault.Drift_r rows -> Par.ingest_batch t Par.R rows
-      | Cq_robust.Fault.Drift_s rows -> Par.ingest_batch t Par.S rows
-      | Cq_robust.Fault.Drift_flush -> ignore (Par.flush t))
-    stream;
-  ignore (Par.flush t);
+  let t = Par.create ~alpha:0.1 ~seed ~shards ~batch_size:8 () in
+  Cq_robust.Oracle.replay_drift t stream (fun _ _ _ -> ());
   Par.check_invariants t;
   let loads = Par.shard_loads t in
-  let rb = Par.rebalance_stats t in
   Format.printf "@[<v>-- shard loads (drift demo, %d events) ----------------------@]@."
     (Array.length stream);
   Format.printf "  %-6s %8s %8s %10s %7s %10s@." "shard" "queries" "groups" "max group"
@@ -513,9 +472,6 @@ let run_shard_demo ~seed ~shards ~events =
       Format.printf "  %-6d %8d %8d %10d %7d %10d@." l.Par.sl_shard l.Par.sl_queries
         l.Par.sl_groups l.Par.sl_max_group l.Par.sl_queue_depth l.Par.sl_delivered)
     loads;
-  Format.printf
-    "  rebalancer: %d checks, %d migrations, %d queries moved, last ratio %.2f@."
-    rb.Par.rb_checks rb.Par.rb_migrations rb.Par.rb_migrated_queries rb.Par.rb_last_ratio;
   Par.shutdown t
 
 let stats_cmd =
@@ -526,8 +482,8 @@ let stats_cmd =
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Run the demo through an $(docv)-shard parallel engine under a walking-hotspot \
-             drift stream (rebalancer armed) and print per-shard load gauges and the \
-             rebalancer ledger instead of the sequential stats block.")
+             drift stream and print per-shard load gauges instead of the sequential stats \
+             block.")
   in
   let run seed queries events alpha backend strategy overload shards =
     let backend = first_backend backend and strategy = strategy_of strategy in
@@ -551,8 +507,8 @@ let stats_cmd =
          "Run an instrumented demo workload and print the engine stats block, the metrics \
           registry, and the trace tail.  With $(b,--overload reject|shed), a bursty \
           parallel demo exercises the admission-control / load-shedding path instead.  \
-          With $(b,--shards N), a walking-hotspot drift demo prints per-shard load gauges \
-          and the strip rebalancer's ledger.")
+          With $(b,--shards N), a walking-hotspot drift demo prints per-shard load \
+          gauges.")
     Term.(
       const run $ seed_arg $ demo_queries $ demo_events $ demo_alpha $ backend_arg
       $ strategy_arg $ overload_arg $ shards)

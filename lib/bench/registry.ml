@@ -36,11 +36,6 @@ let scale_exps =
       title = "Network front-end: latency and throughput vs sessions";
       run = Serve_exps.serve_sessions;
     };
-    {
-      id = "rebalance-drift";
-      title = "Adaptive shard rebalancing under hotspot drift";
-      run = Rebalance_exps.rebalance_drift;
-    };
   ]
 
 let ablation_exps =

@@ -9,8 +9,8 @@ type exp = {
 
 val all : exp list
 (** In paper order: table1, fig2, fig7i, fig7ii, fig8iii, fig8iv, fig9,
-    fig10i, fig10ii, fig11, fig12, then scale-domains, overload,
-    serve-sessions and rebalance-drift, then ablations. *)
+    fig10i, fig10ii, fig11, fig12, then scale-domains, overload and
+    serve-sessions, then ablations. *)
 
 val find : string -> exp option
 val ids : unit -> string list

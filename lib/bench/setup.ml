@@ -3,25 +3,10 @@ module W = Cq_relation.Workload
 module Rng = Cq_util.Rng
 module Dist = Cq_util.Dist
 
-type scale = {
-  tuples : int;
-  queries : int;
-  events : int;
-  shards : int list;
-  rebalance : float option;
-}
+type scale = { tuples : int; queries : int; events : int; shards : int list }
 
-let quick =
-  { tuples = 20_000; queries = 20_000; events = 200; shards = [ 1; 2; 4 ]; rebalance = None }
-
-let full =
-  {
-    tuples = 100_000;
-    queries = 100_000;
-    events = 500;
-    shards = [ 1; 2; 4; 8 ];
-    rebalance = None;
-  }
+let quick = { tuples = 20_000; queries = 20_000; events = 200; shards = [ 1; 2; 4 ] }
+let full = { tuples = 100_000; queries = 100_000; events = 500; shards = [ 1; 2; 4; 8 ] }
 
 let domain = (0.0, 10_000.0)
 

@@ -6,10 +6,6 @@ type scale = {
   queries : int;
   events : int;
   shards : int list;  (** Shard counts the [scale-domains] experiment sweeps. *)
-  rebalance : float option;
-      (** Imbalance-ratio threshold override for the [rebalance-drift]
-          experiment ([cqctl bench --rebalance]); [None] leaves the
-          experiment's default (1.5). *)
 }
 
 val quick : scale

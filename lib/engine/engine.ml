@@ -31,8 +31,6 @@ module Config = struct
     | "shed" -> Ok Shed
     | s -> Error (Printf.sprintf "unknown overload policy %S (block|reject|shed)" s)
 
-  type rebalance = { threshold : float; check_every : int }
-
   type t = {
     alpha : float;
     epsilon : float;
@@ -43,7 +41,6 @@ module Config = struct
     batch_size : int;
     overload : overload;
     shed_rate : float;
-    rebalance : rebalance option;
   }
 
   let default =
@@ -57,7 +54,6 @@ module Config = struct
       batch_size = 256;
       overload = Block;
       shed_rate = 1.0;
-      rebalance = None;
     }
 
   (* The single validator behind every try_create path (sequential and
@@ -78,24 +74,7 @@ module Config = struct
                 | Ok _ -> (
                     match Err.in_unit_open_closed ~name:"shed_rate" t.shed_rate with
                     | Error _ as e -> e
-                    | Ok _ -> (
-                        match t.rebalance with
-                        | None -> Ok t
-                        | Some { threshold; check_every } ->
-                            if not (Float.is_finite threshold && threshold >= 1.0) then
-                              Error
-                                (Err.Invalid_parameter
-                                   {
-                                     name = "rebalance.threshold";
-                                     value = Printf.sprintf "%g" threshold;
-                                     expected = "a finite imbalance ratio >= 1.0";
-                                   })
-                            else (
-                              match
-                                Err.at_least ~name:"rebalance.check_every" ~min:1 check_every
-                              with
-                              | Error _ as e -> e
-                              | Ok _ -> Ok t))))))
+                    | Ok _ -> Ok t))))
 end
 
 type subscription =
@@ -498,7 +477,7 @@ let try_create_cfg (cfg : Config.t) =
 let create_cfg cfg = Err.ok_exn (try_create_cfg cfg)
 
 let try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?overload
-    ?shed_rate ?rebalance () =
+    ?shed_rate () =
   let d = Config.default in
   try_create_cfg
     {
@@ -511,14 +490,13 @@ let try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?ove
       batch_size = Option.value batch_size ~default:d.batch_size;
       overload = Option.value overload ~default:d.overload;
       shed_rate = Option.value shed_rate ~default:d.shed_rate;
-      rebalance = Option.value rebalance ~default:d.rebalance;
     }
 
 let create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?overload ?shed_rate
-    ?rebalance () =
+    () =
   Err.ok_exn
     (try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?overload
-       ?shed_rate ?rebalance ())
+       ?shed_rate ())
 
 let fresh_qid t =
   let q = t.next_qid in

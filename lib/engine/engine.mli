@@ -45,22 +45,6 @@ module Config : sig
 
   val overload_of_string : string -> (overload, string) result
 
-  (** Adaptive shard-rebalancing knobs for {!Parallel}: at every
-      [check_every]-th flush barrier the coordinator compares per-shard
-      loads (windowed result deliveries plus a base cost per registered
-      query) and, when [max_load * shards / total_load] exceeds
-      [threshold], migrates whole stabbing-group strips from the
-      hottest shard to the coolest — see DESIGN.md §15 for the
-      quiesce/replay protocol and why determinism survives.  The
-      sequential engine validates and ignores it. *)
-  type rebalance = {
-    threshold : float;
-        (** Load-imbalance ratio (>= 1.0) that triggers migration;
-            1.0 rebalances on any imbalance, large values never. *)
-    check_every : int;
-        (** Rebalance check cadence, in flush barriers (>= 1). *)
-  }
-
   type t = {
     alpha : float;
         (** Hotspot threshold passed to the trackers; must lie in
@@ -103,11 +87,6 @@ module Config : sig
             rate — the deterministic-replay configuration; under
             [Shed] with rate 1.0 the parallel engine instead adapts
             the rate to queue depth. *)
-    rebalance : rebalance option;
-        (** Adaptive shard rebalancing for {!Parallel}; [None] (the
-            default) keeps the configuration-time query partition
-            static.  Ignored by the sequential engine and by
-            [shards = 1]. *)
   }
 
   val default : t
@@ -148,14 +127,13 @@ val try_create :
   ?batch_size:int ->
   ?overload:Config.overload ->
   ?shed_rate:float ->
-  ?rebalance:Config.rebalance option ->
   unit ->
   (t, Cq_util.Error.t) result
 (** Per-knob convenience over {!try_create_cfg}; unspecified knobs
-    take their {!Config.default} values.  [shards]/[batch_size]/
-    [rebalance] are validated (via {!Config.validate}) and otherwise
-    ignored by the sequential engine — pass the same knobs to
-    {!Parallel.try_create} for the sharded deployment. *)
+    take their {!Config.default} values.  [shards]/[batch_size] are
+    validated (via {!Config.validate}) and otherwise ignored by the
+    sequential engine — pass the same knobs to {!Parallel.try_create}
+    for the sharded deployment. *)
 
 val create :
   ?alpha:float ->
@@ -167,7 +145,6 @@ val create :
   ?batch_size:int ->
   ?overload:Config.overload ->
   ?shed_rate:float ->
-  ?rebalance:Config.rebalance option ->
   unit ->
   t
 

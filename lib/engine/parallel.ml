@@ -19,14 +19,6 @@ let m_merge_ns = Metrics.histogram "parallel.merge_ns"
 let m_batches = Metrics.counter "parallel.batches"
 let m_imbalance = Metrics.gauge "parallel.shard_imbalance"
 
-(* Rebalancer observability: checks run, whole-group (strip) moves,
-   queries carried by those moves, and the load-imbalance ratio seen at
-   the last check.  All recorded on the coordinator's domain. *)
-let m_rb_checks = Metrics.counter "parallel.rebalance.checks"
-let m_rb_migrations = Metrics.counter "parallel.rebalance.migrations"
-let m_rb_migrated = Metrics.counter "parallel.rebalance.migrated_queries"
-let m_rb_ratio = Metrics.gauge "parallel.rebalance.last_ratio"
-
 (* Overload-management observability: admission-control rejections
    (Reject policy), whole chunks dropped because a queue stayed full
    past the shed-mode grace window, the effective keep-rate of the most
@@ -52,28 +44,14 @@ let compare_tagged a b =
     let c = Int.compare a.shard b.shard in
     if c <> 0 then c else Int.compare a.idx b.idx
 
-(* The coordinator keeps every query's full definition: routing needs
-   its partition-axis strip, and migration replays the definition into
-   the target shard (the data plane is broadcast-replicated, so the
-   definition is the whole of a query's portable state). *)
+(* The coordinator keeps every query's full definition: its
+   partition-axis strip names the owning shard. *)
 type spec =
   | Band of { range : I.t }
   | Select of { range_a : I.t; range_c : I.t }
 
-(* A subscription names only the query: the owning shard is looked up
-   at use time, because the rebalancer may have migrated the query
-   since the handle was issued. *)
 type subscription = { sub_qid : int }
-
-(* Coordinator-side record of one live query.  [rg_window] counts the
-   results delivered since the last rebalance check — the windowed
-   load signal the migration policy reads. *)
-type reg = {
-  rg_spec : spec;
-  rg_cb : Tuple.r -> Tuple.s -> unit;
-  rg_strip : int;
-  mutable rg_window : int;
-}
+type reg = { rg_spec : spec; rg_cb : Tuple.r -> Tuple.s -> unit }
 
 (* What a shard reports at every barrier: its drained result buffer
    plus the stats/snapshot block, captured on the shard's own domain
@@ -151,12 +129,6 @@ type t = {
   cfg : E.Config.t;
   impl : impl;
   regs : (int, reg) Hashtbl.t;  (* qid -> full query definition *)
-  owners : (int, int) Hashtbl.t;  (* qid -> owning shard *)
-  (* Strip-ownership overrides laid down by the rebalancer.  A strip
-     absent here lives on its round-robin home shard; migrating a strip
-     records the new owner so later registrations land with their
-     group. *)
-  strip_owners : (int, int) Hashtbl.t;
   mutable next_qid : int;
   mutable next_seq : int;
   mutable total_delivered : int;
@@ -172,13 +144,6 @@ type t = {
      views of them sit in shard queues; unsealed at the next flush
      barrier, after every shard has consumed its copy of the views. *)
   mutable inflight : Batch.t list;
-  (* Rebalancer bookkeeping: flush barriers seen (the check clock) and
-     the running totals surfaced by [rebalance_stats]. *)
-  mutable flushes : int;
-  mutable n_checks : int;
-  mutable n_migrations : int;
-  mutable n_migrated : int;
-  mutable last_ratio : float;
   mutable stopped : bool;
 }
 
@@ -333,26 +298,19 @@ let try_create_cfg (cfg : E.Config.t) =
           cfg;
           impl;
           regs = Hashtbl.create 64;
-          owners = Hashtbl.create 64;
-          strip_owners = Hashtbl.create 16;
           next_qid = 0;
           next_seq = 0;
           total_delivered = 0;
           dropped_chunks = 0;
           dropped_rows = 0;
           inflight = [];
-          flushes = 0;
-          n_checks = 0;
-          n_migrations = 0;
-          n_migrated = 0;
-          last_ratio = 1.0;
           stopped = false;
         }
 
 let create_cfg cfg = Err.ok_exn (try_create_cfg cfg)
 
 let try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?overload
-    ?shed_rate ?rebalance () =
+    ?shed_rate () =
   let d = E.Config.default in
   try_create_cfg
     {
@@ -365,14 +323,13 @@ let try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?ove
       batch_size = Option.value batch_size ~default:d.batch_size;
       overload = Option.value overload ~default:d.overload;
       shed_rate = Option.value shed_rate ~default:d.shed_rate;
-      rebalance = Option.value rebalance ~default:d.rebalance;
     }
 
 let create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?overload ?shed_rate
-    ?rebalance () =
+    () =
   Err.ok_exn
     (try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?overload
-       ?shed_rate ?rebalance ())
+       ?shed_rate ())
 
 let shards t = t.cfg.shards
 
@@ -390,9 +347,9 @@ let ensure_live t = if t.stopped then Err.raise_ stopped_error
 (* Range partitioning with striping: the partition axis is cut into
    fixed-width strips and strips are dealt round-robin to shards, so a
    cluster of overlapping queries (a future hotspot) stays mostly
-   within one shard while distinct clusters spread across shards.  The
-   strip is also the rebalancer's migration unit: queries sharing a
-   strip share a stabbing neighbourhood, so they move together. *)
+   within one shard while distinct clusters spread across shards.  A
+   query's shard is a pure function of its definition and the shard
+   count: it never moves. *)
 let strip_width = 128.0
 
 let strip_of iv =
@@ -400,23 +357,16 @@ let strip_of iv =
   if not (Float.is_finite mid) then 0
   else int_of_float (Float.floor (mid /. strip_width))
 
-let default_shard_of_strip t strip =
-  let n = t.cfg.shards in
-  ((strip mod n) + n) mod n
-
-(* Current owner of a strip: the rebalancer's override if it moved the
-   strip, the round-robin home shard otherwise. *)
-let shard_of_strip t strip =
-  match Hashtbl.find_opt t.strip_owners strip with
-  | Some sh -> sh
-  | None -> default_shard_of_strip t strip
-
 (* The partition axis the strips cut: [range] for band queries,
    [range_c] for selects, mirroring the sequential engine's processor
    split. *)
 let spec_axis = function
   | Band { range } -> range
   | Select { range_c; _ } -> range_c
+
+let shard_of t spec =
+  let n = t.cfg.shards in
+  ((strip_of (spec_axis spec) mod n) + n) mod n
 
 let validate_spec = function
   | Band { range } ->
@@ -439,15 +389,11 @@ let record_seq (s : seq_state) qid r s_tup =
   s.buf := { seq = !(s.cur_seq); shard = 0; idx = !(s.cur_idx); qid; r; s = s_tup } :: !(s.buf);
   incr s.cur_idx
 
-(* Install one query: record its definition, route it to its strip's
-   current owner, and replay the subscription there.  O(1) beyond the
-   engine's own subscribe. *)
+(* Install one query: record its definition and subscribe it on its
+   strip's shard.  O(1) beyond the engine's own subscribe. *)
 let add_query t spec cb =
   let qid = fresh_qid t in
-  let strip = strip_of (spec_axis spec) in
-  let shard = shard_of_strip t strip in
-  Hashtbl.replace t.regs qid { rg_spec = spec; rg_cb = cb; rg_strip = strip; rg_window = 0 };
-  Hashtbl.replace t.owners qid shard;
+  Hashtbl.replace t.regs qid { rg_spec = spec; rg_cb = cb };
   (match t.impl with
   | Seq s ->
       let sub =
@@ -457,28 +403,23 @@ let add_query t spec cb =
             E.subscribe_select s.eng ~range_a ~range_c (record_seq s qid)
       in
       Hashtbl.replace s.subs qid sub
-  | Par p -> Bounded_queue.push p.shard_states.(shard).queue (sub_cmd qid spec));
+  | Par p -> Bounded_queue.push p.shard_states.(shard_of t spec).queue (sub_cmd qid spec));
   { sub_qid = qid }
 
 let remove_query t qid =
-  if not (Hashtbl.mem t.regs qid) then false
-  else begin
-    Hashtbl.remove t.regs qid;
-    let owner = Hashtbl.find_opt t.owners qid in
-    Hashtbl.remove t.owners qid;
-    (match t.impl with
-    | Seq s -> (
-        match Hashtbl.find_opt s.subs qid with
-        | Some esub ->
-            ignore (E.unsubscribe s.eng esub);
-            Hashtbl.remove s.subs qid
-        | None -> ())
-    | Par p -> (
-        match owner with
-        | Some sh -> Bounded_queue.push p.shard_states.(sh).queue (Unsub { qid })
-        | None -> ()));
-    true
-  end
+  match Hashtbl.find_opt t.regs qid with
+  | None -> false
+  | Some rg ->
+      Hashtbl.remove t.regs qid;
+      (match t.impl with
+      | Seq s -> (
+          match Hashtbl.find_opt s.subs qid with
+          | Some esub ->
+              ignore (E.unsubscribe s.eng esub);
+              Hashtbl.remove s.subs qid
+          | None -> ())
+      | Par p -> Bounded_queue.push p.shard_states.(shard_of t rg.rg_spec).queue (Unsub { qid }));
+      true
 
 let try_subscribe_band t ~range cb =
   match live t with
@@ -715,155 +656,11 @@ let deliver t results =
   List.iter
     (fun tg ->
       (match Hashtbl.find_opt t.regs tg.qid with
-      | Some rg ->
-          (* The windowed load signal the rebalancer reads: results
-             delivered since the last check.  Counted here, on the
-             already-merged stream, so it is a pure function of the
-             input — identical across runs and across shard layouts. *)
-          rg.rg_window <- rg.rg_window + 1;
-          protected rg.rg_cb tg.r tg.s
+      | Some rg -> protected rg.rg_cb tg.r tg.s
       | None -> ());
       t.total_delivered <- t.total_delivered + 1)
     sorted;
   List.length sorted
-
-(* ----------------------------- rebalancing ------------------------------ *)
-
-(* Load model: a shard's load is the sum over its queries of
-   [1 + rg_window] — one point for ownership, plus the results the
-   query delivered since the last check.  Cold queries keep a floor
-   weight so empty shards still attract migrations, and hot groups
-   dominate, which is the point. *)
-let shard_query_loads t =
-  let loads = Array.make t.cfg.shards 0 in
-  Hashtbl.iter
-    (fun qid rg ->
-      match Hashtbl.find_opt t.owners qid with
-      | Some sh -> loads.(sh) <- loads.(sh) + 1 + rg.rg_window
-      | None -> ())
-    t.regs;
-  loads
-
-(* max(load) * shards / total(load): 1.0 is perfectly even, [shards] is
-   everything-on-one-shard. *)
-let imbalance_ratio loads =
-  let total = Array.fold_left ( + ) 0 loads in
-  if total = 0 then 1.0
-  else
-    let mx = Array.fold_left Int.max 0 loads in
-    float_of_int (mx * Array.length loads) /. float_of_int total
-
-(* First-index tie-break keeps the choice a pure function of the load
-   vector. *)
-let arg_extreme cmp loads =
-  let best = ref 0 in
-  Array.iteri (fun i v -> if cmp v loads.(!best) then best := i) loads;
-  !best
-
-(* Move one whole strip from [src] to [dst].  The caller runs at a
-   flush barrier, so both queues are drained: the Unsub/Sub pairs land
-   at the same position of both shards' command streams, making the
-   migration point a deterministic batch boundary.  The data plane is
-   broadcast-replicated, so re-subscribing on the target is a complete
-   state transfer — the query's results are identical either side of
-   the move. *)
-let migrate_strip t p ~strip ~src ~dst =
-  let qids =
-    Hashtbl.fold
-      (fun qid rg acc ->
-        if rg.rg_strip = strip then
-          match Hashtbl.find_opt t.owners qid with
-          | Some sh when sh = src -> qid :: acc
-          | Some _ | None -> acc
-        else acc)
-      t.regs []
-    |> List.sort Int.compare
-  in
-  List.iter
-    (fun qid ->
-      match Hashtbl.find_opt t.regs qid with
-      | None -> ()
-      | Some rg ->
-          Bounded_queue.push p.shard_states.(src).queue (Unsub { qid });
-          Bounded_queue.push p.shard_states.(dst).queue (sub_cmd qid rg.rg_spec);
-          Hashtbl.replace t.owners qid dst)
-    qids;
-  Hashtbl.replace t.strip_owners strip dst;
-  List.length qids
-
-(* Runs on the coordinator immediately after every flush barrier's
-   delivery.  Every [check_every] flushes: while the imbalance ratio
-   exceeds the threshold, greedily move the strip that best lowers the
-   heaviest shard's projected load — but only if it strictly improves
-   it, so the loop terminates and cannot oscillate.  All inputs
-   (windowed counts, flush count, config) are pure functions of the
-   input stream, so the migration schedule is too. *)
-let maybe_rebalance t p =
-  match t.cfg.rebalance with
-  | None -> ()
-  | Some { E.Config.threshold; check_every } ->
-      t.flushes <- t.flushes + 1;
-      if t.flushes mod check_every = 0 then begin
-        t.n_checks <- t.n_checks + 1;
-        Metrics.incr m_rb_checks;
-        let loads = shard_query_loads t in
-        let improving = ref true in
-        while !improving do
-          improving := false;
-          let ratio = imbalance_ratio loads in
-          t.last_ratio <- ratio;
-          Metrics.set m_rb_ratio ratio;
-          if ratio > threshold then begin
-            let src = arg_extreme ( > ) loads in
-            let dst = arg_extreme ( < ) loads in
-            if src <> dst then begin
-              (* Weight of every strip hosted on the source shard. *)
-              let strip_w : (int, int) Hashtbl.t = Hashtbl.create 16 in
-              Hashtbl.iter
-                (fun qid rg ->
-                  match Hashtbl.find_opt t.owners qid with
-                  | Some sh when sh = src ->
-                      let w =
-                        match Hashtbl.find_opt strip_w rg.rg_strip with
-                        | Some w -> w
-                        | None -> 0
-                      in
-                      Hashtbl.replace strip_w rg.rg_strip (w + 1 + rg.rg_window)
-                  | Some _ | None -> ())
-                t.regs;
-              (* Candidate strip: minimise the projected heavier side
-                 of the (src, dst) pair; ties break to the smallest
-                 strip id. *)
-              let best = ref None in
-              Hashtbl.iter
-                (fun strip w ->
-                  let projected = Int.max (loads.(src) - w) (loads.(dst) + w) in
-                  match !best with
-                  | None -> best := Some (strip, w, projected)
-                  | Some (bs, _, bp) ->
-                      if projected < bp || (projected = bp && strip < bs) then
-                        best := Some (strip, w, projected))
-                strip_w;
-              match !best with
-              | Some (strip, w, projected) when projected < loads.(src) ->
-                  let moved = migrate_strip t p ~strip ~src ~dst in
-                  loads.(src) <- loads.(src) - w;
-                  loads.(dst) <- loads.(dst) + w;
-                  t.n_migrations <- t.n_migrations + 1;
-                  t.n_migrated <- t.n_migrated + moved;
-                  Metrics.incr m_rb_migrations;
-                  Metrics.add m_rb_migrated moved;
-                  Log.info (fun m ->
-                      m "rebalance: strip %d (%d queries, weight %d) shard %d -> %d" strip
-                        moved w src dst);
-                  improving := true
-              | Some _ | None -> ()
-            end
-          end
-        done;
-        (* Fresh window for the next check. *)
-        Hashtbl.iter (fun _ rg -> rg.rg_window <- 0) t.regs
-      end
 
 (* Run one barrier command (Flush or Check) through every shard and
    wait for all acks before looking at any error — a poisoned shard
@@ -951,10 +748,6 @@ let sync t =
           (float_of_int (mx * Array.length counts) /. float_of_int total)
       end;
       let n = deliver t all in
-      (* Rebalance checks run here, after delivery at the barrier:
-         queues are drained, windowed counts are fresh, and any
-         migration commands land before the next batch. *)
-      maybe_rebalance t p;
       (Array.to_list (Array.map (fun (_, ack, _) -> ack) acks) |> List.filter_map Fun.id, n)
 
 let flush t =
@@ -1044,21 +837,6 @@ let shard_loads t =
           })
         p.shard_states
 
-type rebalance_stats = {
-  rb_checks : int;
-  rb_migrations : int;
-  rb_migrated_queries : int;
-  rb_last_ratio : float;
-}
-
-let rebalance_stats t =
-  {
-    rb_checks = t.n_checks;
-    rb_migrations = t.n_migrations;
-    rb_migrated_queries = t.n_migrated;
-    rb_last_ratio = t.last_ratio;
-  }
-
 let merged_stats (acks : ack list) =
   let band = List.fold_left (fun acc a -> P.merge_snapshot acc a.a_band) P.empty_snapshot acks in
   let select =
@@ -1128,39 +906,20 @@ let check_invariants t =
   (match t.impl with
   | Seq s -> E.check_invariants s.eng
   | Par p -> ignore (barrier p Check));
-  (* Every registered query is owned by exactly one shard, and the
-     shards' query populations add up to the registry. *)
-  if Hashtbl.length t.regs <> Hashtbl.length t.owners then
-    fail "parallel: %d registrations for %d owned queries" (Hashtbl.length t.regs)
-      (Hashtbl.length t.owners);
+  (* Each shard hosts exactly the registered queries whose strips deal
+     to it. *)
+  let expected = Array.make t.cfg.shards 0 in
   Hashtbl.iter
-    (fun qid shard ->
-      if shard < 0 || shard >= t.cfg.shards then
-        fail "parallel: query %d owned by nonexistent shard %d" qid shard)
-    t.owners;
-  Hashtbl.iter
-    (fun strip shard ->
-      if shard < 0 || shard >= t.cfg.shards then
-        fail "parallel: strip %d owned by nonexistent shard %d" strip shard)
-    t.strip_owners;
-  (* Ownership is strip-granular: a query always lives on its strip's
-     current shard, so whole stabbing neighbourhoods migrate together
-     and a re-registration joins its group wherever it moved to. *)
-  Hashtbl.iter
-    (fun qid rg ->
-      let expect = shard_of_strip t rg.rg_strip in
-      match Hashtbl.find_opt t.owners qid with
-      | Some sh when sh = expect -> ()
-      | Some sh ->
-          fail "parallel: query %d on shard %d but its strip %d maps to shard %d" qid sh
-            rg.rg_strip expect
-      | None -> fail "parallel: query %d registered but unowned" qid)
+    (fun _ rg ->
+      let sh = shard_of t rg.rg_spec in
+      expected.(sh) <- expected.(sh) + 1)
     t.regs;
-  let owned =
-    List.fold_left (fun acc a -> acc + a.a_band.P.snap_queries + a.a_select.P.snap_queries) 0 acks
-  in
-  if owned <> Hashtbl.length t.owners then
-    fail "parallel: shards own %d queries, registry has %d" owned (Hashtbl.length t.owners);
+  List.iteri
+    (fun sh a ->
+      let hosted = a.a_band.P.snap_queries + a.a_select.P.snap_queries in
+      if hosted <> expected.(sh) then
+        fail "parallel: shard %d hosts %d queries, its strips hold %d" sh hosted expected.(sh))
+    acks;
   match t.impl with
   | Seq _ -> ()
   | Par p ->

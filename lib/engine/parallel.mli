@@ -33,21 +33,15 @@
     replays seeded workloads through both engines and asserts the
     multisets agree.
 
-    {2 Elasticity and rebalancing}
+    {2 Elasticity}
 
-    The engine is {e elastic}: queries join and leave a running engine
-    ({!try_register} / {!try_deregister}), and an optional rebalancer
-    ({!Engine.Config.rebalance}) migrates whole strips — stabbing
-    neighbourhoods — between shards when the load-imbalance ratio
-    crosses a threshold.  Both operations quiesce at a flush barrier,
-    so every membership change happens at a deterministic position of
-    the event stream; and because the data plane is
-    broadcast-replicated (every shard sees every tuple), moving a query
-    is just replaying its definition on the target shard — no state
-    transfer, and the query's result stream is {b identical either side
-    of the move} (only the [shard] component of its merge tags
-    changes).  The full protocol, including why determinism survives,
-    is DESIGN.md §15.
+    Queries join and leave a running engine ({!try_register} /
+    {!try_deregister}).  Both calls quiesce at a flush barrier, so
+    every membership change happens at a deterministic position of the
+    event stream.  A query's shard is a fixed function of its strip and
+    the shard count: placement never changes after registration, so a
+    query lives on one shard for its whole life.  DESIGN.md §15 has the
+    protocol and the measurement behind the static placement.
 
     {2 Fallback and caveats}
 
@@ -79,9 +73,7 @@ type spec =
   | Select of { range_a : Cq_interval.Interval.t; range_c : Cq_interval.Interval.t }
 
 type subscription
-(** A handle naming one live query.  Deliberately {e not} tied to a
-    shard: the rebalancer may migrate the query at any flush barrier,
-    and the handle keeps working across moves. *)
+(** A handle naming one live query. *)
 
 val try_create_cfg : Engine.Config.t -> (t, Cq_util.Error.t) result
 (** Validates via {!Engine.Config.validate} (so a bad [shards] or
@@ -101,7 +93,6 @@ val try_create :
   ?batch_size:int ->
   ?overload:Engine.Config.overload ->
   ?shed_rate:float ->
-  ?rebalance:Engine.Config.rebalance option ->
   unit ->
   (t, Cq_util.Error.t) result
 
@@ -115,7 +106,6 @@ val create :
   ?batch_size:int ->
   ?overload:Engine.Config.overload ->
   ?shed_rate:float ->
-  ?rebalance:Engine.Config.rebalance option ->
   unit ->
   t
 
@@ -186,10 +176,9 @@ val try_register :
   (Cq_relation.Tuple.r -> Cq_relation.Tuple.s -> unit) ->
   (subscription, Cq_util.Error.t) result
 (** Flush-barrier quiesce, then install the query on its strip's
-    {e current} owner — which may be a migrated shard, so a
-    re-registration lands with the rest of its stabbing neighbourhood.
-    Pending results of other queries are delivered by the implicit
-    flush.  Errors: empty ranges ([Empty_range]), dead engine. *)
+    shard, next to the rest of its stabbing neighbourhood.  Pending
+    results of other queries are delivered by the implicit flush.
+    Errors: empty ranges ([Empty_range]), dead engine. *)
 
 val register :
   t -> spec -> (Cq_relation.Tuple.r -> Cq_relation.Tuple.s -> unit) -> subscription
@@ -310,20 +299,6 @@ val shard_loads : t -> shard_load array
     shard.  [shards = 1] reports a single synthetic entry.  O(shards)
     beyond the flush. *)
 
-(** Cumulative rebalancer activity.  All zeros unless
-    {!Engine.Config.rebalance} is set. *)
-type rebalance_stats = {
-  rb_checks : int;  (** Imbalance checks run (every [check_every] flushes). *)
-  rb_migrations : int;  (** Whole-strip moves executed. *)
-  rb_migrated_queries : int;  (** Queries carried by those moves. *)
-  rb_last_ratio : float;
-      (** Imbalance ratio after the latest check:
-          [max(load) * shards / total(load)], 1.0 = perfectly even. *)
-}
-
-val rebalance_stats : t -> rebalance_stats
-(** O(1); no barrier. *)
-
 val shed_info : t -> Engine.degraded list
 (** Flushes, then returns the degraded-answer reports of every query
     that was ever touched by a sub-unit shed coin, sorted by qid (each
@@ -359,9 +334,9 @@ val shed_totals : t -> shed_totals
 
 val check_invariants : t -> unit
 (** Flushes, then runs {!Engine.check_invariants} on every shard (on
-    the shard's own domain) plus coordinator-side checks: every
-    registered query is owned by exactly one live shard, and global
-    delivery counts equal the sum of per-shard counts. *)
+    the shard's own domain) plus coordinator-side checks: each shard
+    hosts exactly the registered queries whose strips deal to it, and
+    global delivery counts equal the sum of per-shard counts. *)
 
 val shutdown : t -> unit
 (** Flush outstanding batches (delivering their results), stop and

@@ -25,10 +25,10 @@ val groups_needed : n_groups:int -> beta:float -> target:float -> int
     stay Zipf([dr_beta])-distributed — rank 0 is always the hottest —
     so as the lattice walks across shard strips, the {e load} walks
     with it while the {e distribution shape} is stationary.  This is
-    the workload generator behind [Cq_robust.Oracle.run_drift] and the
-    [rebalance-drift] bench: it forces the parallel engine's
-    rebalancer to migrate strips without ever changing the per-step
-    sampling law, keeping runs reproducible from the seed alone. *)
+    the workload generator behind [Cq_robust.Oracle.run_drift]: it
+    moves the parallel engine's load across shards without ever
+    changing the per-step sampling law, keeping runs reproducible from
+    the seed alone. *)
 type drift = {
   dr_groups : int;  (** Number of group sites (> 0). *)
   dr_beta : float;  (** Zipf exponent of the group-size law. *)

@@ -185,9 +185,9 @@ let pp_drift_op fmt = function
 
 (* One strip of Parallel's partition axis is 128 wide; placing the
    drift sites exactly [shards] strips apart parks every Zipf rank on
-   the same home shard, so registration mass concentrates there and
-   the rebalancer must fire.  The lattice then walks by a seeded
-   velocity, carrying the pile-up across strip boundaries. *)
+   the same home shard, so registration mass concentrates there.  The
+   lattice then walks by a seeded velocity, carrying the pile-up
+   across strip boundaries. *)
 let drift_strip_width = 128.0
 let drift_flush_every = 6
 
@@ -206,8 +206,7 @@ let gen_drift ?(shards = 4) ~seed ~n () =
   let site rank = Z.group_center d ~step:!step ~rank in
   let register i =
     (* The first [dr_groups] registrations take one rank each, so at
-       least two distinct strips are always populated and a whole-strip
-       move can strictly improve the imbalance. *)
+       least two distinct strips are always populated. *)
     let rank = if i < d.Z.dr_groups then i else Z.sample_rank d ~u:(Rng.float rng) in
     let c = site rank in
     let w = 4.0 +. (Rng.float rng *. 40.0) in
@@ -219,8 +218,8 @@ let gen_drift ?(shards = 4) ~seed ~n () =
   in
   (* Rows aimed at the hot sites: an R row [(u, u + c)] has band value
      [b - a = c], an S row [(u + c, c)] has select attribute [c], so
-     both query kinds at site [c] actually deliver and the windowed
-     load signal tracks the walk. *)
+     both query kinds at site [c] actually deliver and the delivery
+     load tracks the walk. *)
   let rows len =
     Array.init len (fun _ ->
         let c = site (Z.sample_rank d ~u:(Rng.float rng)) in

@@ -90,11 +90,9 @@ val gen_drift : ?shards:int -> seed:int -> n:int -> unit -> drift_op array
 (** A {!Cq_engine.Zipf_model.drift} hotspot that walks over the
     parallel engine's partition axis.  The Zipf sites are laid exactly
     [shards] (default 4) strips apart, so every rank shares a home
-    shard: registrations pile onto one shard, the imbalance ratio hits
-    [shards], and a configured rebalancer {e must} migrate — then the
-    lattice walks (a seeded velocity per flush step) and drags the
-    pile-up across strip boundaries, forcing repeat migrations.  The
-    first three registrations take distinct ranks so at least two
-    strips are populated (a precondition for a strictly-improving
-    whole-strip move).  Pure function of [seed]; all intervals and rows
-    are materialised in the array, so replays are exact. *)
+    shard: registrations pile onto one shard while the others idle —
+    then the lattice walks (a seeded velocity per flush step) and drags
+    the pile-up across strip boundaries.  The first three registrations
+    take distinct ranks so at least two strips are populated.  Pure
+    function of [seed]; all intervals and rows are materialised in the
+    array, so replays are exact. *)

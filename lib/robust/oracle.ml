@@ -541,6 +541,39 @@ let run_engine ?(backend = Cq_index.Stab_backend.Itree) ~seed ~ops () =
 
 module Par = Cq_engine.Parallel
 
+(* The verdict shared by the parallel differentials: the (query, rid,
+   sid) multisets and delivery counts of a 1-shard and an N-shard run
+   must agree; the first difference in sorted order is reported. *)
+let compare_shard_runs run ~shards (seq_rs, seq_n) (par_rs, par_n) =
+  if seq_n <> par_n then
+    diverge run 0 "sequential delivered %d results, %d shards delivered %d" seq_n shards par_n
+  else begin
+    let cmp (q1, r1, s1) (q2, r2, s2) =
+      let c = Int.compare q1 q2 in
+      if c <> 0 then c
+      else
+        let c = Int.compare r1 r2 in
+        if c <> 0 then c else Int.compare s1 s2
+    in
+    let rec first_diff i xs ys =
+      match (xs, ys) with
+      | [], [] -> ()
+      | (q, r, s) :: _, [] ->
+          diverge run i "result (q=%d, rid=%d, sid=%d) missing under %d shards" q r s shards
+      | [], (q, r, s) :: _ ->
+          diverge run i "result (q=%d, rid=%d, sid=%d) fabricated under %d shards" q r s shards
+      | x :: xs', y :: ys' ->
+          if cmp x y = 0 then first_diff (i + 1) xs' ys'
+          else
+            let q, r, s = x and q', r', s' = y in
+            diverge run i
+              "multisets differ: sequential has (q=%d, rid=%d, sid=%d), %d shards have (q=%d, \
+               rid=%d, sid=%d)"
+              q r s shards q' r' s'
+    in
+    first_diff 0 (List.sort cmp seq_rs) (List.sort cmp par_rs)
+  end
+
 (* The whole workload — queries, row batches, the engine's batch size —
    is materialised from the seed first, then replayed verbatim into a
    1-shard and an N-shard engine, so both runs see bit-identical input
@@ -590,129 +623,56 @@ let run_parallel ?(shards = 2) ~seed ~ops () =
   in
   let total_rows = List.fold_left (fun acc (_, rows) -> acc + Array.length rows) 0 batches in
   (try
-     let seq_rs, seq_n = collect 1 in
-     let par_rs, par_n = collect shards in
-     let cmp (q1, r1, s1) (q2, r2, s2) =
-       let c = Int.compare q1 q2 in
-       if c <> 0 then c
-       else
-         let c = Int.compare r1 r2 in
-         if c <> 0 then c else Int.compare s1 s2
-     in
-     if seq_n <> par_n then
-       diverge run 0 "sequential delivered %d results, %d shards delivered %d" seq_n shards
-         par_n
-     else begin
-       let a = List.sort cmp seq_rs and b = List.sort cmp par_rs in
-       let rec first_diff i xs ys =
-         match (xs, ys) with
-         | [], [] -> ()
-         | (q, r, s) :: _, [] ->
-             diverge run i "result (q=%d, rid=%d, sid=%d) missing under %d shards" q r s shards
-         | [], (q, r, s) :: _ ->
-             diverge run i "result (q=%d, rid=%d, sid=%d) fabricated under %d shards" q r s
-               shards
-         | x :: xs', y :: ys' ->
-             if cmp x y = 0 then first_diff (i + 1) xs' ys'
-             else
-               let q, r, s = x and q', r', s' = y in
-               diverge run i
-                 "multisets differ: sequential has (q=%d, rid=%d, sid=%d), %d shards have \
-                  (q=%d, rid=%d, sid=%d)"
-                 q r s shards q' r' s'
-       in
-       first_diff 0 a b
-     end
+     let seq = collect 1 in
+     compare_shard_runs run ~shards seq (collect shards)
    with exn -> diverge run 0 "uncaught exception: %s" (Printexc.to_string exn));
   finish run ~ops:total_rows ~final_size:total_rows
+
+let replay_drift t stream cb =
+  let handles = Queue.create () in
+  let next_qi = ref 0 in
+  let reg spec =
+    let qi = !next_qi in
+    incr next_qi;
+    Queue.add (Par.register t spec (cb qi)) handles
+  in
+  Array.iter
+    (fun op ->
+      match op with
+      | Fault.Drift_register { range } -> reg (Par.Band { range })
+      | Fault.Drift_register_select { range_a; range_c } -> reg (Par.Select { range_a; range_c })
+      | Fault.Drift_deregister -> (
+          match Queue.take_opt handles with
+          | Some sub -> ignore (Par.deregister t sub)
+          | None -> ())
+      | Fault.Drift_r rows -> Par.ingest_batch t Par.R rows
+      | Fault.Drift_s rows -> Par.ingest_batch t Par.S rows
+      | Fault.Drift_flush -> ignore (Par.flush t))
+    stream;
+  ignore (Par.flush t)
 
 (* Drift differential run: a {!Fault.gen_drift} walking-hotspot stream
    — live registration/deregistration mid-ingest, registration mass
    Zipf-concentrated on one home shard, the concentration walking
    across strips — is replayed verbatim into a 1-shard engine (no
-   domains, no rebalancer activity) and an N-shard engine with the
-   rebalancer armed.  Two properties under test: the delivered
-   (query, rid, sid) multiset is bit-for-bit independent of the shard
-   count {e even while strips migrate}, and the stream's pile-up
-   actually forces at least one migration (otherwise the run proves
-   nothing about migration safety). *)
+   domains) and an N-shard engine.  The delivered (query, rid, sid)
+   multiset must be bit-for-bit independent of the shard count. *)
 let run_drift ?(shards = 4) ~seed ~ops () =
   let run = make_run (Printf.sprintf "drift[%d]" shards) seed in
   let stream = Fault.gen_drift ~shards ~seed ~n:(max 60 ops) () in
   let collect n_shards =
-    let t =
-      Par.create ~alpha:0.1 ~seed ~shards:n_shards ~batch_size:8
-        ~rebalance:(Some { Engine.Config.threshold = 1.5; check_every = 2 })
-        ()
-    in
+    let t = Par.create ~alpha:0.1 ~seed ~shards:n_shards ~batch_size:8 () in
     let results = ref [] in
-    let handles = Queue.create () in
-    let next_qi = ref 0 in
-    let reg spec =
-      let qi = !next_qi in
-      incr next_qi;
-      let cb (r : Tuple.r) (s : Tuple.s) = results := (qi, r.rid, s.sid) :: !results in
-      Queue.add (Par.register t spec cb) handles
-    in
-    Array.iter
-      (fun op ->
-        match op with
-        | Fault.Drift_register { range } -> reg (Par.Band { range })
-        | Fault.Drift_register_select { range_a; range_c } ->
-            reg (Par.Select { range_a; range_c })
-        | Fault.Drift_deregister -> (
-            match Queue.take_opt handles with
-            | Some sub -> ignore (Par.deregister t sub)
-            | None -> ())
-        | Fault.Drift_r rows -> Par.ingest_batch t Par.R rows
-        | Fault.Drift_s rows -> Par.ingest_batch t Par.S rows
-        | Fault.Drift_flush -> ignore (Par.flush t))
-      stream;
-    ignore (Par.flush t);
+    replay_drift t stream (fun qi (r : Tuple.r) (s : Tuple.s) ->
+        results := (qi, r.rid, s.sid) :: !results);
     Par.check_invariants t;
     let delivered = Par.results_delivered t in
-    let rb = Par.rebalance_stats t in
     Par.shutdown t;
-    (!results, delivered, rb)
+    (!results, delivered)
   in
   (try
-     let seq_rs, seq_n, _ = collect 1 in
-     let par_rs, par_n, rb = collect shards in
-     if rb.Par.rb_migrations < 1 then
-       diverge run 0 "drift stream forced no migration (%d checks, ratio %.2f)"
-         rb.Par.rb_checks rb.Par.rb_last_ratio
-     else if seq_n <> par_n then
-       diverge run 0 "sequential delivered %d results, %d shards delivered %d" seq_n shards
-         par_n
-     else begin
-       let cmp (q1, r1, s1) (q2, r2, s2) =
-         let c = Int.compare q1 q2 in
-         if c <> 0 then c
-         else
-           let c = Int.compare r1 r2 in
-           if c <> 0 then c else Int.compare s1 s2
-       in
-       let a = List.sort cmp seq_rs and b = List.sort cmp par_rs in
-       let rec first_diff i xs ys =
-         match (xs, ys) with
-         | [], [] -> ()
-         | (q, r, s) :: _, [] ->
-             diverge run i "result (q=%d, rid=%d, sid=%d) missing under %d shards" q r s
-               shards
-         | [], (q, r, s) :: _ ->
-             diverge run i "result (q=%d, rid=%d, sid=%d) fabricated under %d shards" q r s
-               shards
-         | x :: xs', y :: ys' ->
-             if cmp x y = 0 then first_diff (i + 1) xs' ys'
-             else
-               let q, r, s = x and q', r', s' = y in
-               diverge run i
-                 "multisets differ under migration: sequential has (q=%d, rid=%d, sid=%d), \
-                  %d shards have (q=%d, rid=%d, sid=%d)"
-                 q r s shards q' r' s'
-       in
-       first_diff 0 a b
-     end
+     let seq = collect 1 in
+     compare_shard_runs run ~shards seq (collect shards)
    with exn -> diverge run 0 "uncaught exception: %s" (Printexc.to_string exn));
   finish run ~ops:(Array.length stream) ~final_size:(Array.length stream)
 

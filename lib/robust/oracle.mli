@@ -106,18 +106,26 @@ val run_parallel : ?shards:int -> seed:int -> ops:int -> unit -> outcome
     [Parallel]'s docs; deletions are out of scope (the parallel API is
     insert-only for now). *)
 
+val replay_drift :
+  Cq_engine.Parallel.t ->
+  Fault.drift_op array ->
+  (int -> Cq_relation.Tuple.r -> Cq_relation.Tuple.s -> unit) ->
+  unit
+(** [replay_drift t stream cb] applies a {!Fault.gen_drift} stream to
+    [t] through {!Cq_engine.Parallel.register} / [deregister] (which
+    drops the oldest live query), [ingest_batch] and [flush], then
+    flushes once more.  [cb i] is the result callback of the [i]-th
+    registration. *)
+
 val run_drift : ?shards:int -> seed:int -> ops:int -> unit -> outcome
 (** Hotspot-drift differential run: replays a {!Fault.gen_drift}
     walking-hotspot stream — online {!Cq_engine.Parallel.register} /
     [deregister] mid-ingest, registration mass Zipf-piled on one home
     shard, the pile walking across strips — into a 1-shard engine and
-    an N-shard engine (default 4) with the rebalancer armed
-    ([threshold = 1.5], [check_every = 2]).  Asserts (a) at least one
-    strip migration was actually forced (a drift run that never
-    migrates is reported as a divergence, not silently vacuous), and
-    (b) the delivered [(query, rid, sid)] multiset and delivery counts
-    are bit-for-bit independent of the shard count {e across} those
-    migrations.  Invariants are checked on both engines. *)
+    an N-shard engine (default 4).  Asserts that the delivered
+    [(query, rid, sid)] multiset and delivery counts are bit-for-bit
+    independent of the shard count.  Invariants are checked on both
+    engines. *)
 
 val run_shed : ?shards:int -> ?rate:float -> seed:int -> ops:int -> unit -> outcome
 (** Shed-mode differential check.  A seeded insert-only workload runs
