@@ -128,35 +128,8 @@ module type PROCESSOR = sig
   val check_invariants : t -> unit
 
   val set_shed : t -> (int -> bool) option -> unit
-  (** Install ([Some]) or clear ([None], the default) a load-shedding
-      predicate.  During [process_r] the predicate is consulted only
-      for (event, qid) pairs that definitely produce at least one
-      result — group identification is anchor-exact, and the scattered
-      fallback confirms with [probe_hit] first — so the consultation
-      set is a pure function of the query population and the event
-      stream, independent of internal structure (hotspot grouping,
-      partition layout, seeds).  A [false] verdict suppresses that
-      query's probe for this event.  [affected] and structural
-      maintenance stay exact.  With [None] there is no per-candidate
-      overhead. *)
-
   val stage_batch : t -> event array -> int -> unit
-  (** [stage_batch t evs n] precomputes per-event scattered-index
-      candidates for the events [evs.(0 .. n-1)] with a single batched
-      index descent, when the processor has a scattered index and the
-      events project to fixed stabbing points.  A no-op (beyond
-      refreshing lazy state) otherwise.  The staged candidates feed
-      [process_staged]; any query insertion or deletion invalidates
-      them (later [process_staged] calls then fall back to the live
-      per-event path, preserving exact semantics). *)
-
   val process_staged : t -> idx:int -> event -> (query -> result -> unit) -> unit
-  (** [process_staged t ~idx ev sink] is exactly [process_r t ev sink]
-      for the [idx]-th staged event, reusing the candidates staged by
-      the last [stage_batch] when they are still valid.  [ev] must be
-      the same value passed at position [idx] of that batch.  Falls
-      back to [process_r] when nothing (or a smaller batch) was
-      staged. *)
 end
 
 type strategy = Hotspot | Ssi
@@ -191,6 +164,68 @@ module Make (Q : QUERY) (B : Cq_index.Stab_backend.S) = struct
   let m_fanout = Metrics.histogram ("proc." ^ Q.label ^ ".fanout")
   let m_dedupe_marks = Metrics.histogram ("proc." ^ Q.label ^ ".dedupe_marks")
 
+  (* The per-event walk state both strategies share: the dedupe epoch,
+     the shed predicate, and the preallocated [mark]/[visit] closures,
+     parameterised through the [ev]/[sink] cells so a walk builds no
+     closure per event.  [cands] counts the candidates the walk offers
+     (group members reaching [mark], scattered queries) and [marked]
+     the ones surviving dedupe, for the fanout metrics. *)
+  type walker = {
+    store : Q.store;
+    dedupe : Dedupe.t;
+    mutable shed : (int -> bool) option;
+    mutable ev : Q.event option;
+    mutable sink : Q.t -> Q.result -> unit;
+    mutable cands : int;
+    mutable marked : int;
+    mutable mark : Q.t -> bool;
+    mutable visit : stab:float -> Q.Group.g -> unit;
+  }
+
+  let create_walker store =
+    let w =
+      {
+        store;
+        dedupe = Dedupe.create ();
+        shed = None;
+        ev = None;
+        sink = dummy_sink;
+        cands = 0;
+        marked = 0;
+        mark = (fun _ -> false);
+        visit = (fun ~stab:_ _ -> ());
+      }
+    in
+    w.mark <-
+      (fun q ->
+        w.cands <- w.cands + 1;
+        Dedupe.mark w.dedupe (Q.qid q)
+        && begin
+             w.marked <- w.marked + 1;
+             match w.shed with None -> true | Some pred -> pred (Q.qid q)
+           end);
+    w.visit <-
+      (fun ~stab g ->
+        match w.ev with
+        | Some ev -> Q.Group.process w.store g ~stab ev ~mark:w.mark w.sink
+        | None -> ());
+    w
+
+  let[@cq.hot] begin_event w ev sink =
+    Dedupe.fresh w.dedupe;
+    w.cands <- 0;
+    w.marked <- 0;
+    w.ev <- Some ev;
+    w.sink <- sink
+
+  let[@cq.hot] end_event w =
+    w.ev <- None;
+    w.sink <- dummy_sink;
+    if Metrics.enabled () then begin
+      Metrics.observe m_fanout (float_of_int w.cands);
+      Metrics.observe m_dedupe_marks (float_of_int w.marked)
+    end
+
   module Hotspot = struct
     type query = Q.t
     type event = Q.event
@@ -198,18 +233,12 @@ module Make (Q : QUERY) (B : Cq_index.Stab_backend.S) = struct
     type result = Q.result
 
     type t = {
-      store : Q.store;
       tracker : Tracker.t;
       hot : (int, Q.Group.g) Hashtbl.t;
       scattered : Q.t B.t;
-      dedupe : Dedupe.t;
-      mutable shed : (int -> bool) option;
-      (* Hot-path closures, allocated once and parameterised through
-         the [cur_*] cells so [process_r] builds no closure per event.
-         Set after record creation (they capture [t]). *)
-      mutable cur_ev : Q.event option;
-      mutable cur_sink : Q.t -> Q.result -> unit;
-      mutable c_mark : Q.t -> bool;
+      w : walker;
+      (* Preallocated walk closures over [w] (set after creation, they
+         capture [t]). *)
       mutable c_group : int -> Q.Group.g -> unit;
       mutable c_scat : Q.t -> unit;
       (* Batch staging: one scattered-index descent answers a whole
@@ -243,15 +272,10 @@ module Make (Q : QUERY) (B : Cq_index.Stab_backend.S) = struct
       Array.iter (fun q -> Tracker.insert tracker q) queries;
       let t =
         {
-          store;
           tracker;
           hot;
           scattered;
-          dedupe = Dedupe.create ();
-          shed = None;
-          cur_ev = None;
-          cur_sink = dummy_sink;
-          c_mark = (fun _ -> false);
+          w = create_walker store;
           c_group = (fun _ _ -> ());
           c_scat = (fun _ -> ());
           stage_keys = [||];
@@ -260,26 +284,22 @@ module Make (Q : QUERY) (B : Cq_index.Stab_backend.S) = struct
           staged_n = -1;
         }
       in
-      t.c_mark <-
-        (fun q ->
-          Dedupe.mark t.dedupe (Q.qid q)
-          && (match t.shed with None -> true | Some pred -> pred (Q.qid q)));
-      t.c_group <-
-        (fun gid g ->
-          match t.cur_ev with
-          | Some ev ->
-              let stab = Tracker.hotspot_stab t.tracker gid in
-              Q.Group.process t.store g ~stab ev ~mark:t.c_mark t.cur_sink
-          | None -> ());
+      t.c_group <- (fun gid g -> t.w.visit ~stab:(Tracker.hotspot_stab t.tracker gid) g);
+      (* Hotspot and scattered sets are disjoint, so a scattered
+         candidate needs no dedupe mark; under shedding it is confirmed
+         with [probe_hit] before the predicate is asked. *)
       t.c_scat <-
         (fun q ->
-          match t.cur_ev with
+          let w = t.w in
+          w.cands <- w.cands + 1;
+          w.marked <- w.marked + 1;
+          match w.ev with
           | Some ev -> (
-              match t.shed with
-              | None -> Q.probe t.store q ev (fun res -> t.cur_sink q res)
+              match w.shed with
+              | None -> Q.probe w.store q ev (fun res -> w.sink q res)
               | Some pred ->
-                  if Q.probe_hit t.store q ev && pred (Q.qid q) then
-                    Q.probe t.store q ev (fun res -> t.cur_sink q res))
+                  if Q.probe_hit w.store q ev && pred (Q.qid q) then
+                    Q.probe w.store q ev (fun res -> w.sink q res))
           | None -> ());
       t.c_stage <- (fun ~idx q -> Vec.push (Vec.get t.stage_cand idx) q);
       t
@@ -296,55 +316,32 @@ module Make (Q : QUERY) (B : Cq_index.Stab_backend.S) = struct
       | Some x -> B.stab t.scattered x f
       | None -> B.iter t.scattered f
 
-    let[@cq.hot] process_r t ev sink =
-      Dedupe.fresh t.dedupe;
-      if Metrics.enabled () then begin
-        let cands = ref 0 and marked = ref 0 in
-        let mark q =
-          Stdlib.incr cands;
-          let fresh = Dedupe.mark t.dedupe (Q.qid q) in
-          if fresh then Stdlib.incr marked;
-          fresh && (match t.shed with None -> true | Some pred -> pred (Q.qid q))
-        in
-        Hashtbl.iter
-          (fun gid g ->
-            let stab = Tracker.hotspot_stab t.tracker gid in
-            Q.Group.process t.store g ~stab ev ~mark sink)
-          t.hot;
-        (match t.shed with
-        | None ->
-            iter_scattered t ev (fun q ->
-                Stdlib.incr cands;
-                Stdlib.incr marked;
-                Q.probe t.store q ev (fun res -> sink q res))
-        | Some pred ->
-            iter_scattered t ev (fun q ->
-                Stdlib.incr cands;
-                Stdlib.incr marked;
-                if Q.probe_hit t.store q ev && pred (Q.qid q) then
-                  Q.probe t.store q ev (fun res -> sink q res)));
-        Metrics.observe m_fanout (float_of_int !cands);
-        Metrics.observe m_dedupe_marks (float_of_int !marked)
-      end
-      else begin
-        t.cur_ev <- Some ev;
-        t.cur_sink <- sink;
-        Hashtbl.iter t.c_group t.hot;
-        iter_scattered t ev t.c_scat;
-        t.cur_ev <- None;
-        t.cur_sink <- dummy_sink
-      end
+    (* The one event body (Section 3.1's two-step walk): every hotspot
+       group, then the scattered candidates — those staged for event
+       [idx] when the last [stage_batch] covered it, else a live stab
+       of the scattered index. *)
+    let[@cq.hot] walk t ~idx ev sink =
+      begin_event t.w ev sink;
+      Hashtbl.iter t.c_group t.hot;
+      if 0 <= idx && idx < t.staged_n then Vec.iter t.c_scat (Vec.get t.stage_cand idx)
+      else iter_scattered t ev t.c_scat;
+      end_event t.w
+
+    let process_r t ev sink = walk t ~idx:(-1) ev sink
+    let process_staged = walk
 
     (* Stage the scattered-index candidates for a whole batch with one
        batched descent.  Only possible when every event projects to a
        point on the scatter axis; band-style queries (no fixed stabbing
-       point) keep the per-event path.  The staged buckets stay valid
-       for the rest of the batch because event processing never moves
-       queries between the hotspot and scattered partitions — only
-       query churn does, and that invalidates below. *)
+       point) keep the per-event stab, and so does a single row, whose
+       live stab yields the same candidates in the same order.  The
+       staged buckets stay valid for the rest of the batch because
+       event processing never moves queries between the hotspot and
+       scattered partitions — only query churn does, and that
+       invalidates below. *)
     let[@cq.hot] stage_batch t evs n =
       t.staged_n <- -1;
-      if n > 0 && B.size t.scattered > 0 then begin
+      if n >= 2 && B.size t.scattered > 0 then begin
         match Q.scatter_point evs.(0) with
         | None -> ()
         | Some _ ->
@@ -367,66 +364,18 @@ module Make (Q : QUERY) (B : Cq_index.Stab_backend.S) = struct
             end
       end
 
-    let[@cq.hot] process_staged t ~idx ev sink =
-      if idx < 0 || idx >= t.staged_n then process_r t ev sink
-      else begin
-        Dedupe.fresh t.dedupe;
-        let bucket = Vec.get t.stage_cand idx in
-        if Metrics.enabled () then begin
-          let cands = ref 0 and marked = ref 0 in
-          let mark q =
-            Stdlib.incr cands;
-            let fresh = Dedupe.mark t.dedupe (Q.qid q) in
-            if fresh then Stdlib.incr marked;
-            fresh && (match t.shed with None -> true | Some pred -> pred (Q.qid q))
-          in
-          Hashtbl.iter
-            (fun gid g ->
-              let stab = Tracker.hotspot_stab t.tracker gid in
-              Q.Group.process t.store g ~stab ev ~mark sink)
-            t.hot;
-          (match t.shed with
-          | None ->
-              Vec.iter
-                (fun q ->
-                  Stdlib.incr cands;
-                  Stdlib.incr marked;
-                  Q.probe t.store q ev (fun res -> sink q res))
-                bucket
-          | Some pred ->
-              Vec.iter
-                (fun q ->
-                  Stdlib.incr cands;
-                  Stdlib.incr marked;
-                  if Q.probe_hit t.store q ev && pred (Q.qid q) then
-                    Q.probe t.store q ev (fun res -> sink q res))
-                bucket);
-          Metrics.observe m_fanout (float_of_int !cands);
-          Metrics.observe m_dedupe_marks (float_of_int !marked)
-        end
-        else begin
-          t.cur_ev <- Some ev;
-          t.cur_sink <- sink;
-          Hashtbl.iter t.c_group t.hot;
-          Vec.iter t.c_scat bucket;
-          t.cur_ev <- None;
-          t.cur_sink <- dummy_sink
-        end
-      end
-
     let affected t ev report =
-      Dedupe.fresh t.dedupe;
-      let mark q = Dedupe.mark t.dedupe (Q.qid q) in
+      let { store; dedupe; _ } = t.w in
+      Dedupe.fresh dedupe;
+      let mark q = Dedupe.mark dedupe (Q.qid q) in
       Hashtbl.iter
         (fun gid g ->
           let stab = Tracker.hotspot_stab t.tracker gid in
-          Q.Group.identify t.store g ~stab ev ~mark report)
+          Q.Group.identify store g ~stab ev ~mark report)
         t.hot;
-      (* Hotspot and scattered sets are disjoint, so scattered hits
-         need no dedupe marking. *)
-      iter_scattered t ev (fun q -> if Q.probe_hit t.store q ev then report q)
+      iter_scattered t ev (fun q -> if Q.probe_hit store q ev then report q)
 
-    let set_shed t pred = t.shed <- pred
+    let set_shed t pred = t.w.shed <- pred
 
     (* Query churn can move queries between the hotspot and scattered
        partitions, so any staged batch candidates are stale. *)
@@ -503,18 +452,11 @@ module Make (Q : QUERY) (B : Cq_index.Stab_backend.S) = struct
     module Index = Ssi0.Make (Elem) (G)
 
     type t = {
-      store : Q.store;
       queries : (int, Q.t) Hashtbl.t;
       mutable index : Index.t;
       mutable dirty : bool;
       mutable rebuilds : int;
-      dedupe : Dedupe.t;
-      mutable shed : (int -> bool) option;
-      (* Hot-path closures, allocated once (see Hotspot above). *)
-      mutable cur_ev : Q.event option;
-      mutable cur_sink : Q.t -> Q.result -> unit;
-      mutable c_mark : Q.t -> bool;
-      mutable c_visit : stab:float -> Q.Group.g -> unit;
+      w : walker;
     }
 
     let name = Q.label ^ "-SSI"
@@ -533,69 +475,37 @@ module Make (Q : QUERY) (B : Cq_index.Stab_backend.S) = struct
     let create store queries =
       let h = Hashtbl.create (max 16 (Array.length queries)) in
       Array.iter (fun q -> Hashtbl.replace h (Q.qid q) q) queries;
-      let t =
-        {
-          store;
-          queries = h;
-          index = Index.build queries;
-          dirty = false;
-          rebuilds = 0;
-          dedupe = Dedupe.create ();
-          shed = None;
-          cur_ev = None;
-          cur_sink = dummy_sink;
-          c_mark = (fun _ -> false);
-          c_visit = (fun ~stab:_ _ -> ());
-        }
-      in
-      t.c_mark <-
-        (fun q ->
-          Dedupe.mark t.dedupe (Q.qid q)
-          && (match t.shed with None -> true | Some pred -> pred (Q.qid q)));
-      t.c_visit <-
-        (fun ~stab g ->
-          match t.cur_ev with
-          | Some ev -> Q.Group.process t.store g ~stab ev ~mark:t.c_mark t.cur_sink
-          | None -> ());
-      t
+      {
+        queries = h;
+        index = Index.build queries;
+        dirty = false;
+        rebuilds = 0;
+        w = create_walker store;
+      }
 
     let create_cfg ?alpha:_ ?epsilon:_ ?seed:_ store queries = create store queries
 
+    (* The same walk with no scattered remainder: every canonical group
+       the event stabs. *)
     let[@cq.hot] process_r t ev sink =
       refresh t;
-      Dedupe.fresh t.dedupe;
-      if Metrics.enabled () then begin
-        let cands = ref 0 and marked = ref 0 in
-        let mark q =
-          Stdlib.incr cands;
-          let fresh = Dedupe.mark t.dedupe (Q.qid q) in
-          if fresh then Stdlib.incr marked;
-          fresh && (match t.shed with None -> true | Some pred -> pred (Q.qid q))
-        in
-        Index.iter t.index (fun ~stab g -> Q.Group.process t.store g ~stab ev ~mark sink);
-        Metrics.observe m_fanout (float_of_int !cands);
-        Metrics.observe m_dedupe_marks (float_of_int !marked)
-      end
-      else begin
-        t.cur_ev <- Some ev;
-        t.cur_sink <- sink;
-        Index.iter t.index t.c_visit;
-        t.cur_ev <- None;
-        t.cur_sink <- dummy_sink
-      end
+      begin_event t.w ev sink;
+      Index.iter t.index t.w.visit;
+      end_event t.w
 
     (* SSI has no scattered index, so there is nothing to stage beyond
        hoisting the lazy rebuild out of the per-event loop. *)
     let[@cq.hot] stage_batch t _ n = if n > 0 then refresh t
-    let[@cq.hot] process_staged t ~idx:_ ev sink = process_r t ev sink
+    let process_staged t ~idx:_ ev sink = process_r t ev sink
 
     let affected t ev report =
       refresh t;
-      Dedupe.fresh t.dedupe;
-      let mark q = Dedupe.mark t.dedupe (Q.qid q) in
-      Index.iter t.index (fun ~stab g -> Q.Group.identify t.store g ~stab ev ~mark report)
+      let { store; dedupe; _ } = t.w in
+      Dedupe.fresh dedupe;
+      let mark q = Dedupe.mark dedupe (Q.qid q) in
+      Index.iter t.index (fun ~stab g -> Q.Group.identify store g ~stab ev ~mark report)
 
-    let set_shed t pred = t.shed <- pred
+    let set_shed t pred = t.w.shed <- pred
 
     let insert_query t q =
       Hashtbl.replace t.queries (Q.qid q) q;

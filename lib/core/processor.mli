@@ -212,21 +212,24 @@ module type PROCESSOR = sig
   val stage_batch : t -> event array -> int -> unit
   (** [stage_batch t evs n] precomputes per-event scattered-index
       candidates for the events [evs.(0 .. n-1)] with a single batched
-      index descent ({!Cq_index.Stab_backend.S.stab_batch}), when the
-      processor keeps a scattered index and the events project to
-      fixed stabbing points; otherwise it only hoists lazy maintenance
-      (the SSI rebuild) out of the per-event loop.  Staged candidates
-      are invalidated by any query insertion or deletion — subsequent
-      {!process_staged} calls then fall back to the live per-event
-      path, so semantics never depend on staleness. *)
+      index descent ({!Cq_index.Stab_backend.S.stab_batch}), when
+      [n >= 2], the processor keeps a scattered index and the events
+      project to fixed stabbing points; otherwise it only hoists lazy
+      maintenance (the SSI rebuild) out of the per-event loop.  A
+      single row is never staged: its walk stabs the index directly,
+      which yields the same candidates in the same order.  Staged
+      candidates are invalidated by any query insertion or deletion,
+      after which {!process_staged} stabs the index live. *)
 
   val process_staged : t -> idx:int -> event -> (query -> result -> unit) -> unit
-  (** [process_staged t ~idx ev sink] behaves exactly like
-      [process_r t ev sink], reusing candidates staged for position
-      [idx] by the last {!stage_batch} when still valid and falling
-      back to the live path otherwise.  [ev] must be the event passed
-      at position [idx] of that batch.  Results for a given event are
-      identical, in identical order, to the per-event path. *)
+  (** [process_staged t ~idx ev sink] is the processor's one event
+      walk — every hotspot group, then the scattered candidates.  The
+      candidates are the ones the last {!stage_batch} staged for
+      position [idx] when [0 <= idx < n] of a still-valid staging, and
+      a live stab of the scattered index otherwise; {!process_r} is the
+      same walk with [idx = -1].  [ev] must be the event passed at
+      position [idx] of that batch.  Results for a given event are
+      identical, in identical order, either way. *)
 end
 
 (** {2 Runtime strategy selection} *)

@@ -155,7 +155,8 @@ type t = {
   (* Hot-path delivery closures, allocated once at creation and
      parameterised through the [cur_r]/[cur_s] cells, so per-event
      ingest builds no sink closures.  [evbuf]/[sbuf] are the reusable
-     pseudo-event buffers of the flat-batch path. *)
+     pseudo-event buffers of the flat-batch path, and [one] the
+     one-row batch a single-tuple insert rides in. *)
   mutable cur_r : Tuple.r option;
   mutable cur_s : Tuple.s option;
   mutable ob_r : BQ.t -> Tuple.s -> unit;
@@ -164,6 +165,7 @@ type t = {
   mutable os_s : SQ.t -> Tuple.s -> unit;
   mutable evbuf : Tuple.r array;
   mutable sbuf : Tuple.s array;
+  one : Batch.t;
 }
 
 (* Dispatch helpers over the existential packages. *)
@@ -456,6 +458,7 @@ let try_create_cfg (cfg : Config.t) =
           os_s = (fun _ _ -> ());
           evbuf = [||];
           sbuf = [||];
+          one = Batch.create ~capacity:1 ();
         }
       in
       (* Tie the delivery-closure knot: the four sinks read the event
@@ -582,42 +585,9 @@ let unsubscribe t = function
 let band_query_count t = band_count t.r_side.band
 let select_query_count t = select_count t.r_side.select
 
-(* The symmetric event path, written once and driven by both sides:
-   the event — encoded in the R role for [side]'s processors — is run
-   through the side's band and select processors, then stored in the
-   side's home table so future events on the other side can see it. *)
-let ingest t side pseudo ~on_band ~on_select =
-  t.events <- t.events + 1;
-  (* Ordinals advance on ingests only (never on retractions), so a
-     broadcast stream assigns the same ordinal to the same event on
-     every shard. *)
-  t.shed_ord <- t.shed_ord + 1;
-  (* Cap on this event's per-query result count: it can only pair with
-     tuples already stored on the other side.  Broadcast replication
-     makes this size shard-invariant at a given ordinal, so the claimed
-     error bounds built from it are too. *)
-  if t.shed_rate < 1.0 then
-    t.shed_ev_kbound <-
-      Table.s_size (if side == t.r_side then t.s_side.home else t.r_side.home);
-  Metrics.incr m_events;
-  if Metrics.enabled () then begin
-    let (), dt =
-      Cq_util.Clock.time_ns (fun () ->
-          band_process side.band pseudo on_band;
-          select_process side.select pseudo on_select;
-          Table.insert_s side.home (to_row pseudo))
-    in
-    Metrics.observe m_ingest_ns (Int64.to_float dt)
-  end
-  else begin
-    band_process side.band pseudo on_band;
-    select_process side.select pseudo on_select;
-    Table.insert_s side.home (to_row pseudo)
-  end
-
-(* Deletion, likewise: the tuple leaves the home table first (it must
-   not join with itself), then the very machinery that produced its
-   result pairs at insertion time recomputes them as retractions.
+(* Deletion: the tuple leaves the home table first (it must not join
+   with itself), then the very processors that produced its result
+   pairs at insertion time recompute them as retractions.
 
    Shed mode is insert-only, matching the parallel API (which routes no
    deletions at all): a retraction would recompute the {e exact} result
@@ -643,115 +613,72 @@ let retract t side pseudo ~on_band ~on_select =
     t.events <- t.events + 1;
     Metrics.incr m_events;
     let count = ref 0 in
-    let run () =
-      band_process side.band pseudo (fun q s ->
-          incr count;
-          on_band q s);
-      select_process side.select pseudo (fun q s ->
-          incr count;
-          on_select q s)
-    in
+    let t0 = Metrics.stamp () in
     (* [shed_guard] has already excluded shed-mode engines, so the rate
        is 1.0 here and the recomputation is exact. *)
-    if Metrics.enabled () then begin
-      let (), dt = Cq_util.Clock.time_ns run in
-      Metrics.observe m_retract_ns (Int64.to_float dt)
-    end
-    else run ();
+    band_process side.band pseudo (fun q s ->
+        incr count;
+        on_band q s);
+    select_process side.select pseudo (fun q s ->
+        incr count;
+        on_select q s);
+    Metrics.observe_since m_retract_ns t0;
     Some !count
   end
 
-(* Attribute values must be finite: a NaN join key admitted into the
-   B-trees breaks their total order silently — by far the nastiest
-   corruption the fuzz harness found a route to. *)
-let insert_r_unchecked t ~a ~b =
-  let rid = t.next_rid in
-  t.next_rid <- rid + 1;
-  let r = { Tuple.rid; a; b } in
-  let before = t.results in
-  t.cur_r <- Some r;
-  ingest t t.r_side r ~on_band:t.ob_r ~on_select:t.os_r;
-  t.cur_r <- None;
-  (r, t.results - before)
+(* {2 Ingest}
 
-let try_insert_r t ~a ~b =
-  match Err.both (Err.finite ~name:"a" a) (Err.finite ~name:"b" b) with
-  | Error e -> Error e
-  | Ok _ -> Ok (insert_r_unchecked t ~a ~b)
-
-let insert_r t ~a ~b = Err.ok_exn (try_insert_r t ~a ~b)
-
-let insert_s_unchecked t ~b ~c =
-  let sid = t.next_sid in
-  t.next_sid <- sid + 1;
-  let s = { Tuple.sid; b; c } in
-  let before = t.results in
-  (* Through the mirror: the new S-tuple plays the R role, and the
-     probe results are r_mirror rows decoded back into R shape. *)
-  t.cur_s <- Some s;
-  ingest t t.s_side (of_row s) ~on_band:t.ob_s ~on_select:t.os_s;
-  t.cur_s <- None;
-  (s, t.results - before)
-
-let try_insert_s t ~b ~c =
-  match Err.both (Err.finite ~name:"b" b) (Err.finite ~name:"c" c) with
-  | Error e -> Error e
-  | Ok _ -> Ok (insert_s_unchecked t ~b ~c)
-
-let insert_s t ~b ~c = Err.ok_exn (try_insert_s t ~b ~c)
-
-(* {2 Flat-batch ingest}
-
+   Every insertion is a flat batch — a single tuple is a batch of one.
    The batch is validated as a whole, its events staged through the
    processors' batched scattered-index descent, then processed event
    by event through the preallocated sinks — no per-event closures, no
-   intermediate per-tuple lists.  Semantics are exactly the sequential
-   path's: each event is processed before its row reaches the home
-   table (a tuple never joins with itself), ordinals advance once per
-   row, and same-side events never join with each other, so staging
-   the whole batch up front observes the same index state per event as
-   a sequential replay.  Subscriber callbacks must not re-enter the
-   engine (ingest, subscribe, unsubscribe) during a batch: the staged
-   candidates and scratch buffers assume the structure is quiescent
-   until the batch returns. *)
+   intermediate per-tuple lists.  Each event is processed before its
+   row reaches the home table (a tuple never joins with itself),
+   ordinals advance once per row, and same-side events never join with
+   each other, so staging the whole batch up front observes the same
+   index state per event as a row-by-row replay.  Subscriber callbacks
+   must not re-enter the engine (ingest, subscribe, unsubscribe) during
+   a batch: the staged candidates and scratch buffers assume the
+   structure is quiescent until the batch returns. *)
 
 let ensure_evbuf t n =
   if Array.length t.evbuf < n then t.evbuf <- Array.make n dummy_r
 
 let ensure_sbuf t n = if Array.length t.sbuf < n then t.sbuf <- Array.make n dummy_s
 
-(* Same per-event bookkeeping as [ingest], with the staged processor
-   entry points. *)
-(* [home] is the row stored in the side's home table — structurally
-   [to_row pseudo], passed in so the S side can reuse the row it
-   already built instead of re-allocating it per event. *)
+(* The symmetric event body, written once and driven by both sides:
+   the event — encoded in the R role for [side]'s processors — is run
+   through the side's band and select processors, then stored in the
+   side's home table so future events on the other side can see it.
+   [home] is that stored row — structurally [to_row pseudo], passed in
+   so the S side can reuse the row it already built. *)
 let[@cq.hot] ingest_staged t side ~idx pseudo ~home ~on_band ~on_select =
   t.events <- t.events + 1;
+  (* Ordinals advance on ingests only (never on retractions), so a
+     broadcast stream assigns the same ordinal to the same event on
+     every shard. *)
   t.shed_ord <- t.shed_ord + 1;
+  (* Cap on this event's per-query result count: it can only pair with
+     tuples already stored on the other side.  Broadcast replication
+     makes this size shard-invariant at a given ordinal, so the claimed
+     error bounds built from it are too. *)
   if t.shed_rate < 1.0 then
     t.shed_ev_kbound <-
       Table.s_size (if side == t.r_side then t.s_side.home else t.r_side.home);
   Metrics.incr m_events;
-  if Metrics.enabled () then begin
-    let (), dt =
-      Cq_util.Clock.time_ns (fun () ->
-          band_process_staged side.band ~idx pseudo on_band;
-          select_process_staged side.select ~idx pseudo on_select;
-          Table.insert_s side.home home)
-    in
-    Metrics.observe m_ingest_ns (Int64.to_float dt)
-  end
-  else begin
-    band_process_staged side.band ~idx pseudo on_band;
-    select_process_staged side.select ~idx pseudo on_select;
-    Table.insert_s side.home home
-  end
+  let t0 = Metrics.stamp () in
+  band_process_staged side.band ~idx pseudo on_band;
+  select_process_staged side.select ~idx pseudo on_select;
+  Table.insert_s side.home home;
+  Metrics.observe_since m_ingest_ns t0
 
 (* Whole-batch validation, mirroring [validate_rows]: a bad row fails
-   the batch before any state changes. *)
-(* Tracks the first bad index, not a materialised error, so the clean
-   (overwhelmingly common) pass allocates nothing; the [Error] payload
-   is built once, after the scan, only on the failure path. *)
+   the batch before any state changes.  Attribute values must be
+   finite — a NaN join key admitted into the B-trees breaks their total
+   order silently.  Tracks the first bad index, not a materialised
+   error, so the clean (overwhelmingly common) pass allocates nothing;
+   the [Error] payload is built once, after the scan, only on the
+   failure path. *)
 let[@cq.hot] validate_batch ~x_name ~y_name batch =
   let n = Batch.length batch in
   let bad = ref (-1) in
@@ -827,6 +754,29 @@ let[@cq.hot] try_ingest_batch_s t ?on_event batch =
 
 let ingest_batch_r t ?on_event batch = Err.ok_exn (try_ingest_batch_r t ?on_event batch)
 let ingest_batch_s t ?on_event batch = Err.ok_exn (try_ingest_batch_s t ?on_event batch)
+
+(* A single tuple is a batch of one: it rides in the engine-owned
+   one-row batch through the same validation and event body, and
+   [stage_batch] skips staging for it, so the processors stab their
+   indexes directly. *)
+let push_one t ~x ~y =
+  Batch.clear t.one;
+  Batch.push t.one ~x ~y;
+  t.one
+
+let try_insert_r t ~a ~b =
+  match try_ingest_batch_r t (push_one t ~x:a ~y:b) with
+  | Error e -> Error e
+  | Ok n -> Ok (t.evbuf.(0), n)
+
+let insert_r t ~a ~b = Err.ok_exn (try_insert_r t ~a ~b)
+
+let try_insert_s t ~b ~c =
+  match try_ingest_batch_s t (push_one t ~x:b ~y:c) with
+  | Error e -> Error e
+  | Ok n -> Ok (t.sbuf.(0), n)
+
+let insert_s t ~b ~c = Err.ok_exn (try_insert_s t ~b ~c)
 
 (* Bulk loads validate every row before touching the tables, so a bad
    row cannot leave a half-applied load behind.  The Cq_error payload

@@ -212,13 +212,20 @@ val try_insert_r :
 (** Append an R-tuple: runs all affected continuous queries, invokes
     their callbacks, stores the tuple for future S-side events.
     Returns the tuple and the number of results delivered.  NaN or
-    infinite attribute values are rejected before any state changes. *)
+    infinite attribute values are rejected before any state changes.
+
+    A single tuple is a batch of one: the row rides in an engine-owned
+    one-row {!Cq_relation.Batch} through {!try_ingest_batch_r}, so it
+    shares the batch path's validation, event body and results.  A
+    one-row batch skips the batched index descent; the processors stab
+    their indexes directly.  The same non-reentrancy rule applies:
+    callbacks must not re-enter the engine. *)
 
 val insert_r : t -> a:float -> b:float -> Cq_relation.Tuple.r * int
 
 val try_insert_s :
   t -> b:float -> c:float -> (Cq_relation.Tuple.s * int, Cq_util.Error.t) result
-(** Symmetric S-side insertion. *)
+(** Symmetric S-side insertion, through {!try_ingest_batch_s}. *)
 
 val insert_s : t -> b:float -> c:float -> Cq_relation.Tuple.s * int
 
@@ -230,7 +237,8 @@ val insert_s : t -> b:float -> c:float -> Cq_relation.Tuple.s * int
     preallocated delivery closures — no per-event closures and no
     intermediate per-tuple lists.  Results, callback invocations,
     ordinals and shed coins are identical, event for event, to a loop
-    of the corresponding [insert_*] calls.
+    of the corresponding [insert_*] calls (which are one-row batches
+    themselves).
 
     {b Non-reentrancy.}  Subscriber callbacks must not re-enter the
     engine (ingest, subscribe, unsubscribe, delete) while a batch is
@@ -254,6 +262,14 @@ val try_ingest_batch_s :
 
 val ingest_batch_r : t -> ?on_event:(int -> unit) -> Cq_relation.Batch.t -> int
 val ingest_batch_s : t -> ?on_event:(int -> unit) -> Cq_relation.Batch.t -> int
+
+val validate_batch :
+  x_name:string -> y_name:string -> Cq_relation.Batch.t -> (unit, Cq_util.Error.t) result
+(** The batch validator behind every ingest path, sequential and
+    parallel: [Ok ()] when every row's [x] and [y] are finite, else
+    {!Cq_util.Error.Not_finite} for the first bad row, naming [x_name]
+    or [y_name] ("a"/"b" for R rows, "b"/"c" for S rows).  The clean
+    pass allocates nothing. *)
 
 val delete_r : t -> Cq_relation.Tuple.r -> int option
 (** Delete a previously inserted R tuple: every result pair it

@@ -115,15 +115,20 @@ type shed_totals = {
   par_dropped_rows : int;
 }
 
-type seq_state = {
+(* One engine plus the tagging state that turns its callbacks into
+   merge-ready results: the body of every shard worker, and the whole
+   of a one-shard engine.  [cur_seq]/[cur_idx] tag the result being
+   delivered; [subs] maps global qids to the engine's handles. *)
+type shard_eng = {
+  home : int;  (* the shard id stamped on every result *)
   eng : E.t;
-  buf : tagged list ref;
-  cur_seq : int ref;
-  cur_idx : int ref;
+  mutable buf : tagged list;  (* newest first *)
+  mutable cur_seq : int;
+  mutable cur_idx : int;
   subs : (int, E.subscription) Hashtbl.t;
 }
 
-type impl = Seq of seq_state | Par of par
+type impl = Seq of shard_eng | Par of par
 
 type t = {
   cfg : E.Config.t;
@@ -160,71 +165,78 @@ let has_error st =
   Mutex.unlock st.lock;
   e
 
-(* The shard body: one sequential engine fed from the SPSC queue.  A
-   failing command poisons the shard — the exception is stored for the
+let shard_eng ~home eng =
+  { home; eng; buf = []; cur_seq = 0; cur_idx = 0; subs = Hashtbl.create 64 }
+
+let record se qid r s =
+  se.buf <- { seq = se.cur_seq; shard = se.home; idx = se.cur_idx; qid; r; s } :: se.buf;
+  se.cur_idx <- se.cur_idx + 1
+
+let apply se = function
+  | Ingest { iside; batch; base_seq; rate } ->
+      E.set_shed_rate se.eng rate;
+      (* Results are tagged while their event processes, so the tag
+         must be positioned before each event: set it for event 0 here,
+         and let the engine's post-event hook pre-position it for event
+         [i + 1]. *)
+      se.cur_seq <- base_seq;
+      se.cur_idx <- 0;
+      let bump i =
+        se.cur_seq <- base_seq + i + 1;
+        se.cur_idx <- 0
+      in
+      ignore
+        (match iside with
+        | R -> E.ingest_batch_r se.eng ~on_event:bump batch
+        | S -> E.ingest_batch_s se.eng ~on_event:bump batch)
+  | Sub_band { qid; range } ->
+      Hashtbl.replace se.subs qid (E.subscribe_band se.eng ~qid ~range (record se qid))
+  | Sub_select { qid; range_a; range_c } ->
+      Hashtbl.replace se.subs qid
+        (E.subscribe_select se.eng ~qid ~range_a ~range_c (record se qid))
+  | Unsub { qid } -> (
+      match Hashtbl.find_opt se.subs qid with
+      | Some sub ->
+          ignore (E.unsubscribe se.eng sub);
+          Hashtbl.remove se.subs qid
+      | None -> ())
+  | Check -> E.check_invariants se.eng
+  | Flush | Stop -> ()
+
+(* Drain the result buffer into a barrier ack, with the stats block
+   captured on the engine's own domain. *)
+let take_ack se =
+  let ack =
+    {
+      a_results = se.buf;
+      a_stats = E.stats se.eng;
+      a_band = E.band_snapshot se.eng;
+      a_select = E.select_snapshot se.eng;
+      a_degraded = E.shed_info se.eng;
+      a_shed = E.shed_totals se.eng;
+    }
+  in
+  se.buf <- [];
+  ack
+
+(* The shard body: one shard engine fed from the SPSC queue.  A failing
+   command poisons the shard — the exception is stored for the
    coordinator and subsequent commands are skipped, but barrier acks
    keep flowing so a poisoned shard can never deadlock a flush. *)
-let worker ~sid ~eng (st : shard_state) () =
-  let subs : (int, E.subscription) Hashtbl.t = Hashtbl.create 64 in
-  let buf = ref [] in
-  let cur_seq = ref 0 and cur_idx = ref 0 in
-  let record qid r s =
-    buf := { seq = !cur_seq; shard = sid; idx = !cur_idx; qid; r; s } :: !buf;
-    incr cur_idx
-  in
-  let apply = function
-    | Ingest { iside; batch; base_seq; rate } ->
-        E.set_shed_rate eng rate;
-        (* Results are tagged while their event processes, so the tag
-           must be positioned before each event: set it for event 0
-           here, and let the engine's post-event hook pre-position it
-           for event [i + 1]. *)
-        cur_seq := base_seq;
-        cur_idx := 0;
-        let bump i =
-          cur_seq := base_seq + i + 1;
-          cur_idx := 0
-        in
-        ignore
-          (match iside with
-          | R -> E.ingest_batch_r eng ~on_event:bump batch
-          | S -> E.ingest_batch_s eng ~on_event:bump batch)
-    | Sub_band { qid; range } ->
-        Hashtbl.replace subs qid (E.subscribe_band eng ~qid ~range (record qid))
-    | Sub_select { qid; range_a; range_c } ->
-        Hashtbl.replace subs qid (E.subscribe_select eng ~qid ~range_a ~range_c (record qid))
-    | Unsub { qid } -> (
-        match Hashtbl.find_opt subs qid with
-        | Some sub ->
-            ignore (E.unsubscribe eng sub);
-            Hashtbl.remove subs qid
-        | None -> ())
-    | Check -> E.check_invariants eng
-    | Flush | Stop -> ()
-  in
+let worker se (st : shard_state) () =
   let running = ref true in
   while !running do
     match Bounded_queue.pop st.queue with
     | Stop -> running := false
     | (Flush | Check) as cmd ->
-        (if not (has_error st) then try apply cmd with exn -> set_error st exn);
-        let ack =
-          {
-            a_results = !buf;
-            a_stats = E.stats eng;
-            a_band = E.band_snapshot eng;
-            a_select = E.select_snapshot eng;
-            a_degraded = E.shed_info eng;
-            a_shed = E.shed_totals eng;
-          }
-        in
-        buf := [];
+        (if not (has_error st) then try apply se cmd with exn -> set_error st exn);
+        let ack = take_ack se in
         Mutex.lock st.lock;
         st.ack <- Some ack;
         st.acked <- true;
         Condition.signal st.cond;
         Mutex.unlock st.lock
-    | cmd -> if not (has_error st) then ( try apply cmd with exn -> set_error st exn)
+    | cmd -> if not (has_error st) then ( try apply se cmd with exn -> set_error st exn)
   done
 
 (* ---------------------------- construction ------------------------------ *)
@@ -236,15 +248,7 @@ let try_create_cfg (cfg : E.Config.t) =
   | Error e -> Error e
   | Ok cfg ->
       let impl =
-        if cfg.shards = 1 then
-          Seq
-            {
-              eng = E.create_cfg cfg;
-              buf = ref [];
-              cur_seq = ref 0;
-              cur_idx = ref 0;
-              subs = Hashtbl.create 64;
-            }
+        if cfg.shards = 1 then Seq (shard_eng ~home:0 (E.create_cfg cfg))
         else begin
           let shard_states =
             Array.init cfg.shards (fun sid ->
@@ -287,7 +291,7 @@ let try_create_cfg (cfg : E.Config.t) =
                    must not: re-key every shard to the coordinator's
                    seed so coin flips agree across shard counts. *)
                 E.set_shed_seed eng cfg.seed;
-                Domain.spawn (worker ~sid:st.sid ~eng st))
+                Domain.spawn (worker (shard_eng ~home:st.sid eng) st))
               shard_states
           in
           Par { shard_states; doms }
@@ -385,25 +389,19 @@ let fresh_qid t =
   t.next_qid <- q + 1;
   q
 
-let record_seq (s : seq_state) qid r s_tup =
-  s.buf := { seq = !(s.cur_seq); shard = 0; idx = !(s.cur_idx); qid; r; s = s_tup } :: !(s.buf);
-  incr s.cur_idx
+(* Hand a query command to the shard its strip deals to: applied
+   inline on a one-shard engine, queued otherwise. *)
+let send t spec cmd =
+  match t.impl with
+  | Seq se -> apply se cmd
+  | Par p -> Bounded_queue.push p.shard_states.(shard_of t spec).queue cmd
 
 (* Install one query: record its definition and subscribe it on its
    strip's shard.  O(1) beyond the engine's own subscribe. *)
 let add_query t spec cb =
   let qid = fresh_qid t in
   Hashtbl.replace t.regs qid { rg_spec = spec; rg_cb = cb };
-  (match t.impl with
-  | Seq s ->
-      let sub =
-        match spec with
-        | Band { range } -> E.subscribe_band s.eng ~range (record_seq s qid)
-        | Select { range_a; range_c } ->
-            E.subscribe_select s.eng ~range_a ~range_c (record_seq s qid)
-      in
-      Hashtbl.replace s.subs qid sub
-  | Par p -> Bounded_queue.push p.shard_states.(shard_of t spec).queue (sub_cmd qid spec));
+  send t spec (sub_cmd qid spec);
   { sub_qid = qid }
 
 let remove_query t qid =
@@ -411,14 +409,7 @@ let remove_query t qid =
   | None -> false
   | Some rg ->
       Hashtbl.remove t.regs qid;
-      (match t.impl with
-      | Seq s -> (
-          match Hashtbl.find_opt s.subs qid with
-          | Some esub ->
-              ignore (E.unsubscribe s.eng esub);
-              Hashtbl.remove s.subs qid
-          | None -> ())
-      | Par p -> Bounded_queue.push p.shard_states.(shard_of t rg.rg_spec).queue (Unsub { qid }));
+      send t rg.rg_spec (Unsub { qid });
       true
 
 let try_subscribe_band t ~range cb =
@@ -455,20 +446,6 @@ let select_query_count t =
     t.regs 0
 
 (* ------------------------------ ingest --------------------------------- *)
-
-let validate_side_batch side batch =
-  let fst_name, snd_name = match side with R -> ("a", "b") | S -> ("b", "c") in
-  let n = Batch.length batch in
-  let bad = ref None in
-  for i = 0 to n - 1 do
-    if Option.is_none !bad then begin
-      let x = Batch.x batch i and y = Batch.y batch i in
-      if not (Float.is_finite x) then bad := Some (Err.Not_finite { name = fst_name; value = x })
-      else if not (Float.is_finite y) then
-        bad := Some (Err.Not_finite { name = snd_name; value = y })
-    end
-  done;
-  match !bad with None -> Ok () | Some e -> Error e
 
 (* Crude service-time hint for rejected producers: roughly half a
    millisecond per command ahead of the one that didn't fit. *)
@@ -508,7 +485,8 @@ let wait_all_space p ~deadline =
     p.shard_states
 
 let try_ingest_batch_flat t side batch =
-  match Result.bind (live t) (fun () -> validate_side_batch side batch) with
+  let x_name, y_name = match side with R -> ("a", "b") | S -> ("b", "c") in
+  match Result.bind (live t) (fun () -> E.validate_batch ~x_name ~y_name batch) with
   | Error e -> Error e
   | Ok () -> (
       let bs = t.cfg.batch_size in
@@ -560,24 +538,11 @@ let try_ingest_batch_flat t side batch =
       | Error _ as e -> e
       | Ok () ->
           (match t.impl with
-          | Seq s ->
-              (* Single engine: one batch-path descent over the whole
-                 batch.  Results are tagged while their event
-                 processes, so position the tag for event 0 up front
-                 and let the post-event hook pre-position it for event
-                 [i + 1] — identical numbering to the per-row loop. *)
+          | Seq se ->
+              (* Single engine: the whole batch is one command. *)
               let base_seq = t.next_seq in
               t.next_seq <- base_seq + n;
-              s.cur_seq := base_seq;
-              s.cur_idx := 0;
-              let bump i =
-                s.cur_seq := base_seq + i + 1;
-                s.cur_idx := 0
-              in
-              ignore
-                (match side with
-                | R -> E.ingest_batch_r s.eng ~on_event:bump batch
-                | S -> E.ingest_batch_s s.eng ~on_event:bump batch)
+              apply se (Ingest { iside = side; batch; base_seq; rate = t.cfg.shed_rate })
           | Par p ->
               (* Chunks are zero-copy slice views of the caller's
                  batch: freeze the root while any view sits in a shard
@@ -696,23 +661,9 @@ let barrier p cmd =
    (each also carries its shard's stats/snapshot block). *)
 let sync t =
   match t.impl with
-  | Seq s ->
-      let rs = !(s.buf) in
-      s.buf := [];
-      let n = deliver t rs in
-      let acks =
-        [
-          {
-            a_results = [];
-            a_stats = E.stats s.eng;
-            a_band = E.band_snapshot s.eng;
-            a_select = E.select_snapshot s.eng;
-            a_degraded = E.shed_info s.eng;
-            a_shed = E.shed_totals s.eng;
-          };
-        ]
-      in
-      (acks, n)
+  | Seq se ->
+      let ack = take_ack se in
+      ([ ack ], deliver t ack.a_results)
   | Par p ->
       let acks = barrier p Flush in
       (* Every shard has drained its queue past our Ingest commands
@@ -752,14 +703,11 @@ let sync t =
 
 let flush t =
   ensure_live t;
-  if Metrics.enabled () then begin
-    let (_, n), dt = Cq_util.Clock.time_ns (fun () -> sync t) in
-    Metrics.observe m_merge_ns (Int64.to_float dt);
-    if t.cfg.overload = E.Config.Shed then
-      Metrics.observe m_degraded_flush_ns (Int64.to_float dt);
-    n
-  end
-  else snd (sync t)
+  let t0 = Metrics.stamp () in
+  let _, n = sync t in
+  Metrics.observe_since m_merge_ns t0;
+  if t.cfg.overload = E.Config.Shed then Metrics.observe_since m_degraded_flush_ns t0;
+  n
 
 let results_delivered t = t.total_delivered
 
@@ -903,9 +851,7 @@ let check_invariants t =
   ensure_live t;
   let fail fmt = Err.corrupt ~structure:"parallel" fmt in
   let acks, _ = sync t in
-  (match t.impl with
-  | Seq s -> E.check_invariants s.eng
-  | Par p -> ignore (barrier p Check));
+  (match t.impl with Seq se -> apply se Check | Par p -> ignore (barrier p Check));
   (* Each shard hosts exactly the registered queries whose strips deal
      to it. *)
   let expected = Array.make t.cfg.shards 0 in
@@ -929,36 +875,29 @@ let check_invariants t =
 
 (* ------------------------------ shutdown ------------------------------- *)
 
+(* Bounded-wait Stop delivery: a wedged or poisoned shard whose queue
+   stays full must not deadlock teardown.  A shard whose Stop could not
+   be enqueued is abandoned (leaked domain) rather than joined forever
+   — and the leak is logged. *)
+let stop_shards p =
+  let stop_ok =
+    Array.map
+      (fun st -> Bounded_queue.push_timeout st.queue Stop ~timeout_ns:200_000_000L)
+      p.shard_states
+  in
+  Array.iteri
+    (fun i ok ->
+      if ok then Domain.join p.doms.(i)
+      else Log.err (fun m -> m "shard %d did not accept Stop within 200ms; abandoning its domain" i))
+    stop_ok
+
 let shutdown t =
   if not t.stopped then
-    match t.impl with
-    | Seq _ ->
-        Fun.protect
-          ~finally:(fun () -> t.stopped <- true)
-          (fun () -> ignore (sync t))
-    | Par p ->
-        Fun.protect
-          ~finally:(fun () ->
-            t.stopped <- true;
-            (* Bounded-wait Stop delivery: a wedged or poisoned shard
-               whose queue stays full must not deadlock teardown.  A
-               shard whose Stop could not be enqueued is abandoned
-               (leaked domain) rather than joined forever — and the
-               leak is logged. *)
-            let stop_ok =
-              Array.map
-                (fun st ->
-                  Bounded_queue.push_timeout st.queue Stop ~timeout_ns:200_000_000L)
-                p.shard_states
-            in
-            Array.iteri
-              (fun i ok ->
-                if ok then Domain.join p.doms.(i)
-                else
-                  Log.err (fun m ->
-                      m "shard %d did not accept Stop within 200ms; abandoning its domain" i))
-              stop_ok)
-          (fun () -> ignore (sync t))
+    Fun.protect
+      ~finally:(fun () ->
+        t.stopped <- true;
+        match t.impl with Seq _ -> () | Par p -> stop_shards p)
+      (fun () -> ignore (sync t))
 
 let with_engine cfg f =
   let t = create_cfg cfg in

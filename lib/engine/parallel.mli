@@ -46,8 +46,9 @@
     {2 Fallback and caveats}
 
     With [shards = 1] no domains are spawned: commands execute inline
-    on a sequential {!Engine.t} with the same buffered-delivery
-    semantics.  Deletions and retraction callbacks are not yet routed
+    on a sequential {!Engine.t}, through the same command handler and
+    barrier ack a shard worker uses, so delivery is buffered exactly as
+    with shards.  Deletions and retraction callbacks are not yet routed
     through the parallel API (use the sequential engine); observability
     recording from worker domains is best-effort (concurrent counter
     increments may be lost — the switches are off by default).

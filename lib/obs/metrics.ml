@@ -56,6 +56,14 @@ let observe h v =
     if v > h.mx then h.mx <- v
   end
 
+(* Latency timing with one body for both switch states: the clock is
+   read only while recording is enabled, and a measurement whose start
+   predates the switch being turned on ([t0 = 0L]) is dropped. *)
+let stamp () = if !on then Cq_util.Clock.monotonic_ns () else 0L
+
+let observe_since h t0 =
+  if !on && not (Int64.equal t0 0L) then observe h (Int64.to_float (Int64.sub (Cq_util.Clock.monotonic_ns ()) t0))
+
 let hist_count h = h.n
 let hist_sum h = h.sum
 let hist_max h = if h.n = 0 then 0.0 else h.mx

@@ -65,6 +65,18 @@ val observe : histogram -> float -> unit
 (** Record one sample (negative and NaN samples collapse into bucket
     0).  No-op while disabled, like every recording call. *)
 
+val stamp : unit -> int64
+(** The start of a latency measurement: the monotonic clock in
+    nanoseconds while recording is enabled, [0L] (no clock read)
+    otherwise. *)
+
+val observe_since : histogram -> int64 -> unit
+(** [observe_since h t0] records the nanoseconds elapsed since the
+    {!stamp} [t0] ([0L] — taken while disabled — records nothing).
+    No-op while disabled, so an instrumented body runs
+    the same code under either switch state at the cost of one branch
+    per call. *)
+
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
 val hist_min : histogram -> float

@@ -676,15 +676,19 @@ let run_drift ?(shards = 4) ~seed ~ops () =
    with exn -> diverge run 0 "uncaught exception: %s" (Printexc.to_string exn));
   finish run ~ops:(Array.length stream) ~final_size:(Array.length stream)
 
-(* Flat-batch differential check: one seeded insert-only workload runs
-   twice through identically configured sequential engines — once a
-   row at a time (insert_r/insert_s), once through the flat-batch path
-   (ingest_batch_r/_s) — and the delivered (query, rid, sid) multisets
-   must be identical, tuple-id assignment included (both paths draw
-   rids/sids from the same counter in the same order).  A third of the
-   batches are followed by a fresh subscription, so staged candidates
-   go stale mid-stream and the staging-invalidation fallback is
-   exercised on both engines alike. *)
+(* Staging differential check: one seeded insert-only workload runs
+   twice through identically configured sequential engines.  Both runs
+   share one event body; they differ in how each batch's scattered
+   candidates are found.  The first ingests every row as a one-row
+   batch (insert_r/insert_s), which skips staging and stabs the
+   scattered index per event; the second ingests each n-row batch
+   whole (ingest_batch_r/_s), which stages all n keys with one batched
+   descent.  The delivered (query, rid, sid) multisets must be
+   identical, tuple-id assignment included (both runs draw rids/sids
+   from the same counter in the same order).  A third of the batches
+   are followed by a fresh subscription, so every batch stages against
+   a query population that churn has just changed.  This is the only
+   engine-level check of multi-key staging. *)
 let run_batch ?(backend = Cq_index.Stab_backend.Itree) ~seed ~ops () =
   let run =
     make_run (Printf.sprintf "batch[%s]" (Cq_index.Stab_backend.to_string backend)) seed
@@ -755,23 +759,24 @@ let run_batch ?(backend = Cq_index.Stab_backend.Itree) ~seed ~ops () =
          if c <> 0 then c else Int.compare s1 s2
      in
      if seq_n <> bat_n then
-       diverge run 0 "per-tuple path delivered %d results, batch path delivered %d" seq_n bat_n
+       diverge run 0 "one-row batches delivered %d results, staged batches delivered %d" seq_n
+         bat_n
      else begin
        let a = List.sort cmp seq_rs and b = List.sort cmp bat_rs in
        let rec first_diff i xs ys =
          match (xs, ys) with
          | [], [] -> ()
          | (q, r, s) :: _, [] ->
-             diverge run i "result (q=%d, rid=%d, sid=%d) missing under batch ingest" q r s
+             diverge run i "result (q=%d, rid=%d, sid=%d) missing under staged batches" q r s
          | [], (q, r, s) :: _ ->
-             diverge run i "result (q=%d, rid=%d, sid=%d) fabricated under batch ingest" q r s
+             diverge run i "result (q=%d, rid=%d, sid=%d) fabricated under staged batches" q r s
          | x :: xs', y :: ys' ->
              if cmp x y = 0 then first_diff (i + 1) xs' ys'
              else
                let q, r, s = x and q', r', s' = y in
                diverge run i
-                 "multisets differ: per-tuple has (q=%d, rid=%d, sid=%d), batch has (q=%d, \
-                  rid=%d, sid=%d)"
+                 "multisets differ: one-row batches have (q=%d, rid=%d, sid=%d), staged \
+                  batches have (q=%d, rid=%d, sid=%d)"
                  q r s q' r' s'
        in
        first_diff 0 a b

@@ -83,15 +83,17 @@ val run_engine :
 
 val run_batch :
   ?backend:Cq_index.Stab_backend.kind -> seed:int -> ops:int -> unit -> outcome
-(** Flat-batch-vs-per-tuple differential run: one seeded insert-only
-    workload (band/select subscriptions plus batched rows) is replayed
-    into two identically configured sequential engines — once through
-    {!Cq_engine.Engine.insert_r}/[insert_s] a row at a time, once
-    through {!Cq_engine.Engine.ingest_batch_r}/[_s] — and the
-    delivered result multisets, keyed by [(query, rid, sid)], must be
-    identical (tuple-id assignment included).  A third of the batches
-    are followed by a mid-stream subscription, exercising the
-    staging-invalidation fallback.  [backend] selects the stabbing
+(** Staging differential run: one seeded insert-only workload
+    (band/select subscriptions plus batched rows) is replayed into two
+    identically configured sequential engines — once as n one-row
+    batches through {!Cq_engine.Engine.insert_r}/[insert_s] (no
+    staging: each event stabs the scattered index directly), once as
+    one n-row batch through {!Cq_engine.Engine.ingest_batch_r}/[_s]
+    (one staged, batched descent) — and the delivered result
+    multisets, keyed by [(query, rid, sid)], must be identical
+    (tuple-id assignment included).  A third of the batches are
+    followed by a subscription, so batches stage against a query
+    population churn has just changed.  [backend] selects the stabbing
     backend whose [stab_batch] the batch path descends (default the
     interval tree). *)
 

@@ -32,9 +32,6 @@ let raise_ e = raise (Cq_error e)
 let ok_exn = function Ok v -> v | Error e -> raise_ e
 let corrupt ~structure fmt = Printf.ksprintf (fun detail -> raise_ (Corrupt { structure; detail })) fmt
 
-let finite ~name v =
-  if Float.is_finite v then Ok v else Error (Not_finite { name; value = v })
-
 let in_unit_open_closed ~name v =
   if Float.is_finite v && v > 0.0 && v <= 1.0 then Ok v
   else

@@ -50,9 +50,6 @@ val corrupt : structure:string -> ('a, unit, string, 'b) format4 -> 'a
 
 (** {2 Validators} *)
 
-val finite : name:string -> float -> (float, t) result
-(** Reject NaN and infinities. *)
-
 val in_unit_open_closed : name:string -> float -> (float, t) result
 (** Require [0 < v <= 1] (the hotspot threshold's domain). *)
 

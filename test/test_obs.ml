@@ -358,6 +358,65 @@ let test_band_join_acceptance () =
       let spans = complete_spans (parse_json body) in
       Alcotest.(check bool) "trace holds a complete span" true (List.length spans >= 1))
 
+(* The metrics switch only observes: one seeded band+select workload,
+   run with metrics off and then on, must deliver the identical
+   (qid, rid, sid) sequence, and with metrics on every ingested row
+   must leave exactly one fanout sample per join processor — under
+   both strategies, through single-tuple inserts and staged batches
+   alike. *)
+let test_metrics_on_matches_off () =
+  let module E = Cq_engine.Engine in
+  let module Rng = Cq_util.Rng in
+  let run strategy =
+    let rng = Rng.create 11 in
+    let eng = E.create ~alpha:0.05 ~seed:11 ~strategy () in
+    let out = ref [] in
+    let cb qid (r : Cq_relation.Tuple.r) (s : Cq_relation.Tuple.s) =
+      out := (qid, r.rid, s.sid) :: !out
+    in
+    let iv lo w = Cq_interval.Interval.make lo (lo +. w) in
+    for qid = 0 to 59 do
+      let lo = if qid mod 3 = 0 then 100.0 *. Rng.float rng else 20.0 +. Rng.float rng in
+      if qid mod 2 = 0 then ignore (E.subscribe_band eng ~range:(iv (lo -. 50.0) 30.0) (cb qid))
+      else
+        ignore
+          (E.subscribe_select eng ~range_a:(iv lo 40.0) ~range_c:(iv (lo -. 10.0) 40.0) (cb qid))
+    done;
+    let rows = ref 0 in
+    for step = 1 to 40 do
+      let x = 100.0 *. Rng.float rng and y = 100.0 *. Rng.float rng in
+      if step mod 4 = 0 then begin
+        let b = Cq_relation.Batch.create () in
+        for _ = 1 to 8 do
+          Cq_relation.Batch.push b ~x:(100.0 *. Rng.float rng) ~y:(100.0 *. Rng.float rng)
+        done;
+        rows := !rows + 8;
+        ignore (if Rng.bool rng then E.ingest_batch_r eng b else E.ingest_batch_s eng b)
+      end
+      else begin
+        incr rows;
+        if Rng.bool rng then ignore (E.insert_r eng ~a:x ~b:y)
+        else ignore (E.insert_s eng ~b:x ~c:y)
+      end
+    done;
+    (List.rev !out, !rows)
+  in
+  List.iter
+    (fun strategy ->
+      let name = Hotspot_core.Processor.strategy_to_string strategy in
+      M.set_enabled false;
+      let off, rows = run strategy in
+      with_obs @@ fun () ->
+      M.reset ();
+      let on, _ = run strategy in
+      Alcotest.(check bool) (name ^ ": workload delivers results") true (off <> []);
+      Alcotest.(check (list (triple int int int))) (name ^ ": same deliveries") off on;
+      Alcotest.(check int) (name ^ ": one BJ fanout sample per row") rows
+        (M.hist_count (M.histogram "proc.BJ.fanout"));
+      Alcotest.(check int) (name ^ ": one SJ fanout sample per row") rows
+        (M.hist_count (M.histogram "proc.SJ.fanout")))
+    Hotspot_core.Processor.strategies
+
 let () =
   Alcotest.run "cq_obs"
     [
@@ -380,5 +439,8 @@ let () =
           Alcotest.test_case "chrome export well-formed" `Quick test_chrome_export_well_formed;
         ] );
       ( "acceptance",
-        [ Alcotest.test_case "instrumented band join" `Quick test_band_join_acceptance ] );
+        [
+          Alcotest.test_case "instrumented band join" `Quick test_band_join_acceptance;
+          Alcotest.test_case "metrics on matches off" `Quick test_metrics_on_matches_off;
+        ] );
     ]
