@@ -60,10 +60,10 @@ let with_metrics enabled f =
 (* Shared demo workload for $(b,stats) and $(b,trace): a band-join
    engine under a clustered query population hot enough that the
    trackers promote (and, after the unsubscribe wave, demote) groups. *)
-let run_demo ~queries ~events ~alpha ~seed ~backend ~strategy =
+let run_demo ~queries ~events ~alpha ~seed ~strategy =
   let module E = Cq_engine.Engine in
   let rng = Cq_util.Rng.create seed in
-  let eng = E.create ~alpha ~seed ~backend ~strategy () in
+  let eng = E.create ~alpha ~seed ~strategy () in
   let ranges =
     Cq_relation.Workload.gen_clustered_ranges ~scattered_len:(10.0, 4.0) rng ~n:queries
       ~n_clusters:8 ~clustered_frac:0.9 ~domain:(-500.0, 500.0) ~cluster_halfwidth:15.0
@@ -260,7 +260,7 @@ let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"RNG seed
 
 (* Unknown enum-ish flag values get their own exit code and a one-line
    hint, not cmdliner's generic usage dump (124) and not a raw
-   exception: scripts can tell a mistyped --backend/--strategy apart
+   exception: scripts can tell a mistyped --strategy/--format apart
    from a real failure.  Validation therefore happens in the command
    bodies (below), not in a cmdliner conv. *)
 let bad_flag_exit = 64
@@ -268,27 +268,6 @@ let bad_flag_exit = 64
 let bad_flag_value ~flag ~given ~valid =
   Printf.eprintf "cqctl: unknown %s %s (valid: %s)\n%!" flag given valid;
   Stdlib.exit bad_flag_exit
-
-(* One backend by its Stab_backend spelling, or "all". *)
-let backend_names = List.map Cq_index.Stab_backend.to_string Cq_index.Stab_backend.all
-
-let backend_arg =
-  Arg.(
-    value
-    & opt string (Cq_index.Stab_backend.to_string Cq_index.Stab_backend.Itree)
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          (Printf.sprintf "Engine stabbing backend: %s, or $(b,all)."
-             (String.concat ", " (List.map (Printf.sprintf "$(b,%s)") backend_names))))
-
-let backends_of s =
-  if String.equal s "all" then Cq_index.Stab_backend.all
-  else
-    match Cq_index.Stab_backend.of_string s with
-    | Ok k -> [ k ]
-    | Error _ ->
-        bad_flag_value ~flag:"--backend" ~given:s
-          ~valid:(String.concat ", " (backend_names @ [ "all" ]))
 
 let strategy_arg =
   Arg.(
@@ -324,7 +303,7 @@ let fuzz_cmd =
              register/deregister and checks delivery stays bit-for-bit \
              shard-count-independent.")
   in
-  let run seed ops backend shards faults metrics =
+  let run seed ops shards faults metrics =
     with_metrics metrics @@ fun () ->
     let outcomes =
       match faults with
@@ -355,24 +334,7 @@ let fuzz_cmd =
             Cq_robust.Oracle.run_drift ~shards ~seed ~ops:drift_ops ();
             Cq_robust.Oracle.run_drift ~shards:alt ~seed ~ops:drift_ops ();
           ]
-      | `Default -> (
-          match backends_of backend with
-          | [ b ] -> Cq_robust.Oracle.fuzz_all ~backend:b ~shards ~seed ~ops ()
-          | b0 :: rest ->
-              (* One full battery, then the backend-sensitive runs (engine
-                 plus the flat-batch differential, whose stab_batch descent
-                 differs per backend) under each further backend — the
-                 structure runs are backend-independent. *)
-              Cq_robust.Oracle.fuzz_all ~backend:b0 ~shards ~seed ~ops ()
-              @ List.concat_map
-                  (fun b ->
-                    let fuzz_ops = max 200 (ops / 10) in
-                    [
-                      Cq_robust.Oracle.run_engine ~backend:b ~seed ~ops:fuzz_ops ();
-                      Cq_robust.Oracle.run_batch ~backend:b ~seed ~ops:fuzz_ops ();
-                    ])
-                  rest
-          | [] -> [])
+      | `Default -> Cq_robust.Oracle.fuzz_all ~shards ~seed ~ops ()
     in
     List.iter (fun o -> Format.printf "@[<v>%a@]@." Cq_robust.Oracle.pp_outcome o) outcomes;
     let bad = List.filter (fun o -> not (Cq_robust.Oracle.passed o)) outcomes in
@@ -398,7 +360,7 @@ let fuzz_cmd =
        ~doc:
          "Differential fuzzing: run a seeded adversarial operation stream against every \
           structure and a naive oracle; exit nonzero on any divergence or invariant violation.")
-    Term.(ret (const run $ seed_arg $ ops $ backend_arg $ shards $ faults $ metrics_term))
+    Term.(ret (const run $ seed_arg $ ops $ shards $ faults $ metrics_term))
 
 (* ------------------------------ audit ---------------------------------- *)
 
@@ -406,13 +368,9 @@ let audit_cmd =
   let n =
     Arg.(value & opt int 10_000 & info [ "n" ] ~docv:"N" ~doc:"Workload operations to build each structure from.")
   in
-  let run seed n backend metrics =
+  let run seed n metrics =
     with_metrics metrics @@ fun () ->
-    let reports =
-      List.concat_map
-        (fun b -> Cq_robust.Oracle.audit_workload ~backend:b ~seed ~n ())
-        (backends_of backend)
-    in
+    let reports = Cq_robust.Oracle.audit_workload ~seed ~n () in
     let bad = ref 0 in
     List.iter
       (fun (name, report) ->
@@ -427,7 +385,7 @@ let audit_cmd =
        ~doc:
          "Build every structure from a seeded workload and run its deep invariant audit; \
           exit nonzero on any violation.")
-    Term.(ret (const run $ seed_arg $ n $ backend_arg $ metrics_term))
+    Term.(ret (const run $ seed_arg $ n $ metrics_term))
 
 (* ------------------------- stats and trace ------------------------------ *)
 
@@ -439,8 +397,6 @@ let demo_events =
 
 let demo_alpha =
   Arg.(value & opt float 0.02 & info [ "alpha" ] ~doc:"Hotspot threshold.")
-
-let first_backend b = match backends_of b with k :: _ -> k | [] -> Cq_index.Stab_backend.Itree
 
 let overload_arg =
   let module C = Cq_engine.Engine.Config in
@@ -485,14 +441,14 @@ let stats_cmd =
              drift stream and print per-shard load gauges instead of the sequential stats \
              block.")
   in
-  let run seed queries events alpha backend strategy overload shards =
-    let backend = first_backend backend and strategy = strategy_of strategy in
+  let run seed queries events alpha strategy overload shards =
+    let strategy = strategy_of strategy in
     Cq_obs.Metrics.set_enabled true;
     Cq_obs.Trace.set_enabled true;
     (match (shards, overload) with
     | Some shards, _ -> run_shard_demo ~seed ~shards ~events
     | None, Cq_engine.Engine.Config.Block ->
-        let eng = run_demo ~queries ~events ~alpha ~seed ~backend ~strategy in
+        let eng = run_demo ~queries ~events ~alpha ~seed ~strategy in
         Format.printf "@[<v>%a@]@." Cq_engine.Engine.pp_stats (Cq_engine.Engine.stats eng)
     | None, ((Cq_engine.Engine.Config.Reject | Cq_engine.Engine.Config.Shed) as overload) ->
         run_overload_demo ~seed ~overload ~events);
@@ -510,8 +466,8 @@ let stats_cmd =
           With $(b,--shards N), a walking-hotspot drift demo prints per-shard load \
           gauges.")
     Term.(
-      const run $ seed_arg $ demo_queries $ demo_events $ demo_alpha $ backend_arg
-      $ strategy_arg $ overload_arg $ shards)
+      const run $ seed_arg $ demo_queries $ demo_events $ demo_alpha $ strategy_arg
+      $ overload_arg $ shards)
 
 let trace_cmd =
   let out =
@@ -520,11 +476,11 @@ let trace_cmd =
       & opt string "trace.json"
       & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the Chrome trace_event JSON.")
   in
-  let run seed queries events alpha backend strategy out =
-    let backend = first_backend backend and strategy = strategy_of strategy in
+  let run seed queries events alpha strategy out =
+    let strategy = strategy_of strategy in
     Cq_obs.Metrics.set_enabled true;
     Cq_obs.Trace.set_enabled true;
-    ignore (run_demo ~queries ~events ~alpha ~seed ~backend ~strategy);
+    ignore (run_demo ~queries ~events ~alpha ~seed ~strategy);
     Cq_obs.Trace.write_chrome ~path:out;
     Printf.printf "wrote %d trace events to %s (%d dropped by the ring)\n"
       (Cq_obs.Trace.length ()) out
@@ -536,8 +492,8 @@ let trace_cmd =
          "Run the instrumented demo workload and export the trace ring as Chrome \
           trace_event JSON (load in chrome://tracing or Perfetto).")
     Term.(
-      const run $ seed_arg $ demo_queries $ demo_events $ demo_alpha $ backend_arg
-      $ strategy_arg $ out)
+      const run $ seed_arg $ demo_queries $ demo_events $ demo_alpha $ strategy_arg
+      $ out)
 
 (* --------------------------- serve / client ----------------------------- *)
 
@@ -583,8 +539,8 @@ let serve_cmd =
   let alpha =
     Arg.(value & opt float 0.01 & info [ "alpha" ] ~doc:"Hotspot threshold.")
   in
-  let run seed host port max_sessions session_queue shards alpha backend strategy metrics =
-    let backend = first_backend backend and strategy = strategy_of strategy in
+  let run seed host port max_sessions session_queue shards alpha strategy metrics =
+    let strategy = strategy_of strategy in
     with_metrics metrics @@ fun () ->
     match resolve_addr host port with
     | Error msg -> `Error (false, msg)
@@ -594,7 +550,6 @@ let serve_cmd =
             Cq_engine.Engine.Config.default with
             Cq_engine.Engine.Config.alpha;
             seed;
-            backend;
             strategy;
             shards;
           }
@@ -608,9 +563,8 @@ let serve_cmd =
             let stop _ = Cq_net.Server.stop srv in
             Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
             Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-            Printf.printf "cqctl serve: listening on %s:%d (backend %s, strategy %s, %d shard%s)\n%!"
+            Printf.printf "cqctl serve: listening on %s:%d (strategy %s, %d shard%s)\n%!"
               host (Cq_net.Server.port srv)
-              (Cq_index.Stab_backend.to_string backend)
               (Hotspot_core.Processor.strategy_to_string strategy)
               shards
               (if shards = 1 then "" else "s");
@@ -627,7 +581,7 @@ let serve_cmd =
     Term.(
       ret
         (const run $ seed_arg $ host_arg $ port $ max_sessions $ session_queue $ shards
-        $ alpha $ backend_arg $ strategy_arg $ metrics_term))
+        $ alpha $ strategy_arg $ metrics_term))
 
 let client_cmd =
   let port =

@@ -192,49 +192,6 @@ let ab_stab_index (scale : Setup.scale) =
         [ "priority search tree"; Report.fmt_ns pst_ins; Report.fmt_ns pst_stab; Report.fmt_ns pst_del ];
       ]
 
-let ab_backend (scale : Setup.scale) =
-  Report.section "ablation-backend" "Stabbing backend for the scattered-query index";
-  Report.note "the processors are functorized over the stabbing index that holds the";
-  Report.note "scattered (non-hotspot) queries; same workload, every backend.";
-  let module BJ = Cq_joins.Band_join in
-  let table = Setup.s_table scale ~seed:1 in
-  let events = Setup.r_events scale ~seed:2 ~n:(max 50 (scale.events / 2)) in
-  let n = scale.queries in
-  Report.json_param "queries" (string_of_int n);
-  Report.json_param "events" (string_of_int (Array.length events));
-  Report.json_param "alpha" "0.002";
-  let band_queries = Setup.band_queries scale ~seed:29 ~n ~len_mu:400.0 () in
-  let sel_queries =
-    Setup.clustered_select_queries ~seed:31 ~n ~n_clusters:60 ~clustered_frac:0.5
-  in
-  let warmup = max 1 (Array.length events / 10) in
-  let sink = ref 0 in
-  let rows =
-    List.map
-      (fun kind ->
-        let (module BP : BJ.PROCESSOR) =
-          BJ.processor Hotspot_core.Processor.Hotspot kind
-        in
-        let bp = BP.create_cfg ~alpha:0.002 ~seed:7 table band_queries in
-        let t_band =
-          Report.throughput ~events ~warmup (fun r -> BP.affected bp r (fun _ -> incr sink))
-        in
-        let (module SP : SJ.PROCESSOR) =
-          SJ.processor Hotspot_core.Processor.Hotspot kind
-        in
-        let sp = SP.create_cfg ~alpha:0.002 ~seed:7 table sel_queries in
-        let t_sel =
-          Report.throughput ~events ~warmup (fun r -> SP.affected sp r (fun _ -> incr sink))
-        in
-        [
-          Cq_index.Stab_backend.to_string kind;
-          Report.fmt_throughput t_band;
-          Report.fmt_throughput t_sel;
-        ])
-      Cq_index.Stab_backend.all
-  in
-  Report.table ~header:[ "backend"; "BJ-Hotspot"; "SJ-Hotspot" ] ~rows
-
 let ab_adaptive (scale : Setup.scale) =
   Report.section "ablation-adaptive" "Per-event cost-based strategy choice (Section 6)";
   Report.note "the dispatcher estimates n' from an SSI histogram over the rangeA";

@@ -15,9 +15,5 @@ val ab_purist : Setup.scale -> unit
 val ab_stab_index : Setup.scale -> unit
 (** Interval tree vs priority search tree. *)
 
-val ab_backend : Setup.scale -> unit
-(** Every pluggable stabbing backend under the same Hotspot
-    processors (band and select). *)
-
 val ab_adaptive : Setup.scale -> unit
 (** §6's per-event cost-based strategy routing. *)

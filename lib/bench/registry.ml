@@ -54,11 +54,6 @@ let ablation_exps =
       run = Ablations.ab_stab_index;
     };
     {
-      id = "ablation-backend";
-      title = "Pluggable stabbing backends under the Hotspot processors";
-      run = Ablations.ab_backend;
-    };
-    {
       id = "ablation-adaptive";
       title = "Cost-based per-event strategy choice";
       run = Ablations.ab_adaptive;

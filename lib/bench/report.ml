@@ -44,9 +44,9 @@ let json_num v =
   else "null"
 
 (* The metrics registry rendered as one JSON object: the [obs] block
-   every BENCH_<id>.json carries.  Histograms are summarised (count /
-   sum / min / max / p50 / p90 / p99) rather than dumped bucket by
-   bucket. *)
+   a BENCH_<id>.json carries when metrics are enabled.  Histograms are
+   summarised (count / sum / min / max / p50 / p90 / p99) rather than
+   dumped bucket by bucket. *)
 let json_of_obs () =
   let module M = Cq_obs.Metrics in
   let snap = M.snapshot () in
@@ -111,9 +111,9 @@ let json_of_record r =
                     (fun row -> Printf.sprintf "[%s]" (String.concat ", " (List.map json_str row)))
                     rows)))
           (List.rev r.rec_tables)));
-  add "],\n";
-  add (Printf.sprintf "  \"obs\": %s\n" (json_of_obs ()));
-  add "}\n";
+  add "]";
+  if Cq_obs.Metrics.enabled () then add (Printf.sprintf ",\n  \"obs\": %s" (json_of_obs ()));
+  add "\n}\n";
   Buffer.contents buf
 
 let flush_record () =

@@ -30,11 +30,11 @@ val fmt_f : float -> string
     section starts (or at {!json_end}).  The JSON carries the
     experiment id, title, recorded params, notes, raw metrics
     ([events_per_sec] from {!throughput}, [ns_per_op] from
-    {!time_per_op}), every printed table, and an [obs] block — the
-    {!Cq_obs.Metrics} registry snapshot taken at flush time (reset at
-    each section start, so the block is a per-experiment delta).  With
-    metrics disabled the block is still present ([enabled] false,
-    every registered value at zero). *)
+    {!time_per_op}), every printed table and, when {!Cq_obs.Metrics}
+    is enabled, an [obs] block — the registry snapshot taken at flush
+    time (reset at each section start, so the block is a
+    per-experiment delta).  With metrics disabled there is no [obs]
+    key. *)
 
 val json_begin : dir:string -> unit
 (** Start recording; creates [dir] if missing. *)

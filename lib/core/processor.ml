@@ -144,8 +144,9 @@ let strategy_of_string = function
   | s -> Error (Printf.sprintf "unknown strategy %S (hotspot|ssi)" s)
 
 
-module Make (Q : QUERY) (B : Cq_index.Stab_backend.S) = struct
+module Make (Q : QUERY) = struct
   module Vec = Cq_util.Vec
+  module B = Cq_index.Stab_backend.Instrumented_interval_tree
 
   module Elem = struct
     type t = Q.t
@@ -255,7 +256,7 @@ module Make (Q : QUERY) (B : Cq_index.Stab_backend.S) = struct
 
     let create_cfg ?(alpha = 0.001) ?epsilon ?seed store queries =
       let hot = Hashtbl.create 16 in
-      let scattered = B.create ~seed:(Option.value seed ~default:0x40757) in
+      let scattered = B.create ~seed:0 in
       let on_event = function
         | Tracker.Hotspot_created (gid, members) ->
             let g = Q.Group.create () in
@@ -307,7 +308,7 @@ module Make (Q : QUERY) (B : Cq_index.Stab_backend.S) = struct
     let create store queries = create_cfg store queries
 
     (* Scattered queries are served individually; when the event
-       projects to a point on the scatter axis the backend prunes the
+       projects to a point on the scatter axis the interval tree prunes the
        candidates with a stabbing query, otherwise every scattered
        query is probed (band windows shift with the event, so no fixed
        stabbing point exists). *)

@@ -12,10 +12,12 @@
     only supplies its query geometry ({!QUERY}) and the processors fall
     out as thin instantiations.
 
-    The stabbing index holding the scattered queries is itself a
-    functor parameter ({!Cq_index.Stab_backend.S}), so every backend
-    (interval tree, treap-based priority search tree) drives identical
-    processing code.
+    The stabbing index holding the scattered queries is the flat
+    interval tree behind its metrics decorator
+    ({!Cq_index.Stab_backend.Instrumented_interval_tree}).  The paper
+    leaves that index open (interval tree or priority search tree); it
+    is fixed because repeated [ablation-backend] captures showed the
+    treap-based priority search tree winning nothing beyond noise.
 
     Per event, the two-step walk costs O(h log m + k) over the hotspot
     groups (h ≤ 2/α of them, Theorems 3 and 4) plus the scattered
@@ -212,7 +214,7 @@ module type PROCESSOR = sig
   val stage_batch : t -> event array -> int -> unit
   (** [stage_batch t evs n] precomputes per-event scattered-index
       candidates for the events [evs.(0 .. n-1)] with a single batched
-      index descent ({!Cq_index.Stab_backend.S.stab_batch}), when
+      index descent ({!Cq_index.Flat_interval_tree.stab_batch}), when
       [n >= 2], the processor keeps a scattered index and the events
       project to fixed stabbing points; otherwise it only hoists lazy
       maintenance (the SSI rebuild) out of the per-event loop.  A
@@ -242,7 +244,7 @@ val strategy_to_string : strategy -> string
 
 val strategy_of_string : string -> (strategy, string) result
 
-module Make (Q : QUERY) (B : Cq_index.Stab_backend.S) : sig
+module Make (Q : QUERY) : sig
   module Tracker : module type of Hotspot_tracker.Make (struct
     type t = Q.t
 
@@ -250,7 +252,8 @@ module Make (Q : QUERY) (B : Cq_index.Stab_backend.S) : sig
     let interval = Q.interval
   end)
 
-  (** SSI on the α-hotspots, per-query probing (pruned through [B]) on
+  (** SSI on the α-hotspots, per-query probing (pruned through the
+      scattered interval tree) on
       the scattered remainder — Section 2.2 + the closing remark of
       Section 3.1. *)
   module Hotspot :

@@ -35,7 +35,6 @@ module Config = struct
     alpha : float;
     epsilon : float;
     seed : int;
-    backend : Cq_index.Stab_backend.kind;
     strategy : Hotspot_core.Processor.strategy;
     shards : int;
     batch_size : int;
@@ -48,7 +47,6 @@ module Config = struct
       alpha = 0.01;
       epsilon = 1.0;
       seed = 0x40757;
-      backend = Cq_index.Stab_backend.Itree;
       strategy = Hotspot_core.Processor.Hotspot;
       shards = 1;
       batch_size = 256;
@@ -402,8 +400,8 @@ let dummy_r = { Tuple.rid = -1; a = 0.0; b = 0.0 }
 let dummy_s = { Tuple.sid = -1; b = 0.0; c = 0.0 }
 
 let make_side (cfg : Config.t) ~probe ~home ~seed_base =
-  let (module BP : BJ.PROCESSOR) = BJ.processor cfg.strategy cfg.backend in
-  let (module SP : SJ.PROCESSOR) = SJ.processor cfg.strategy cfg.backend in
+  let (module BP : BJ.PROCESSOR) = BJ.processor cfg.strategy in
+  let (module SP : SJ.PROCESSOR) = SJ.processor cfg.strategy in
   {
     band =
       Bproc
@@ -479,7 +477,7 @@ let try_create_cfg (cfg : Config.t) =
 
 let create_cfg cfg = Err.ok_exn (try_create_cfg cfg)
 
-let try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?overload
+let try_create ?alpha ?epsilon ?seed ?strategy ?shards ?batch_size ?overload
     ?shed_rate () =
   let d = Config.default in
   try_create_cfg
@@ -487,7 +485,6 @@ let try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?ove
       alpha = Option.value alpha ~default:d.alpha;
       epsilon = Option.value epsilon ~default:d.epsilon;
       seed = Option.value seed ~default:d.seed;
-      backend = Option.value backend ~default:d.backend;
       strategy = Option.value strategy ~default:d.strategy;
       shards = Option.value shards ~default:d.shards;
       batch_size = Option.value batch_size ~default:d.batch_size;
@@ -495,10 +492,10 @@ let try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?ove
       shed_rate = Option.value shed_rate ~default:d.shed_rate;
     }
 
-let create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?overload ?shed_rate
+let create ?alpha ?epsilon ?seed ?strategy ?shards ?batch_size ?overload ?shed_rate
     () =
   Err.ok_exn
-    (try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?overload
+    (try_create ?alpha ?epsilon ?seed ?strategy ?shards ?batch_size ?overload
        ?shed_rate ())
 
 let fresh_qid t =

@@ -16,8 +16,7 @@
 
     The processors themselves are chosen per engine through
     {!Config}: any {!Hotspot_core.Processor.strategy} (hotspot-tracked
-    or plain SSI) over any {!Cq_index.Stab_backend.kind} (interval
-    tree or treap-based priority search tree).
+    or plain SSI), with scattered queries in the flat interval tree.
 
     Cost model (Sections 3.1/3.2, Theorems 3 and 4): each insertion
     pays O(log m) to store the tuple in its home table plus the
@@ -58,9 +57,6 @@ module Config : sig
             gets a distinct derived seed): two engines built with the
             same seed and fed the same event sequence evolve
             identically, bit for bit.  Default [0x40757]. *)
-    backend : Cq_index.Stab_backend.kind;
-        (** Stabbing index used for the scattered query sets.
-            Default [Itree]. *)
     strategy : Hotspot_core.Processor.strategy;
         (** [Hotspot] (SSI on α-hotspots + per-query probing on the
             scattered remainder, the default) or [Ssi] (one static
@@ -121,7 +117,6 @@ val try_create :
   ?alpha:float ->
   ?epsilon:float ->
   ?seed:int ->
-  ?backend:Cq_index.Stab_backend.kind ->
   ?strategy:Hotspot_core.Processor.strategy ->
   ?shards:int ->
   ?batch_size:int ->
@@ -139,7 +134,6 @@ val create :
   ?alpha:float ->
   ?epsilon:float ->
   ?seed:int ->
-  ?backend:Cq_index.Stab_backend.kind ->
   ?strategy:Hotspot_core.Processor.strategy ->
   ?shards:int ->
   ?batch_size:int ->

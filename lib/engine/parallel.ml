@@ -313,7 +313,7 @@ let try_create_cfg (cfg : E.Config.t) =
 
 let create_cfg cfg = Err.ok_exn (try_create_cfg cfg)
 
-let try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?overload
+let try_create ?alpha ?epsilon ?seed ?strategy ?shards ?batch_size ?overload
     ?shed_rate () =
   let d = E.Config.default in
   try_create_cfg
@@ -321,7 +321,6 @@ let try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?ove
       alpha = Option.value alpha ~default:d.alpha;
       epsilon = Option.value epsilon ~default:d.epsilon;
       seed = Option.value seed ~default:d.seed;
-      backend = Option.value backend ~default:d.backend;
       strategy = Option.value strategy ~default:d.strategy;
       shards = Option.value shards ~default:d.shards;
       batch_size = Option.value batch_size ~default:d.batch_size;
@@ -329,10 +328,10 @@ let try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?ove
       shed_rate = Option.value shed_rate ~default:d.shed_rate;
     }
 
-let create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?overload ?shed_rate
+let create ?alpha ?epsilon ?seed ?strategy ?shards ?batch_size ?overload ?shed_rate
     () =
   Err.ok_exn
-    (try_create ?alpha ?epsilon ?seed ?backend ?strategy ?shards ?batch_size ?overload
+    (try_create ?alpha ?epsilon ?seed ?strategy ?shards ?batch_size ?overload
        ?shed_rate ())
 
 let shards t = t.cfg.shards

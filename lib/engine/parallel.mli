@@ -88,7 +88,6 @@ val try_create :
   ?alpha:float ->
   ?epsilon:float ->
   ?seed:int ->
-  ?backend:Cq_index.Stab_backend.kind ->
   ?strategy:Hotspot_core.Processor.strategy ->
   ?shards:int ->
   ?batch_size:int ->
@@ -101,7 +100,6 @@ val create :
   ?alpha:float ->
   ?epsilon:float ->
   ?seed:int ->
-  ?backend:Cq_index.Stab_backend.kind ->
   ?strategy:Hotspot_core.Processor.strategy ->
   ?shards:int ->
   ?batch_size:int ->

@@ -7,16 +7,16 @@
     [float array] / [int array] columns, so a node occupies no heap
     object of its own and endpoint floats stay unboxed.  [stab]
     allocates nothing and chases no pointers beyond the payloads it
-    reports.  It backs {!Stab_backend}'s [Itree] kind, the baseline
-    joins' per-query stabbing indexes and the lazy partition's group
-    index.
+    reports.  It is every processor's scattered-query index (through
+    {!Stab_backend.Instrumented_interval_tree}), the baseline joins'
+    per-query stabbing index and the lazy partition's group index.
 
     Emission order is a contract: duplicates of an equal key coexist
     (inserted right), so the in-order sequence is always the live
     entries sorted stably by (lo, hi) in insertion order, and [stab],
     [stab_batch], [first_overlap], [iter] and [to_list] all follow it.
-    The cross-backend stream-equality tests and the lazy partition's
-    group choice rely on it. *)
+    Staged-vs-live processor walks and the lazy partition's group
+    choice rely on it. *)
 
 type 'a t
 

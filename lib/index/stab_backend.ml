@@ -113,23 +113,4 @@ module Instrumented (B : S) : S = struct
   let check_invariants = B.check_invariants
 end
 
-type kind = Itree | Treap_pst
-
-let all = [ Itree; Treap_pst ]
-
-let to_string = function Itree -> "itree" | Treap_pst -> "treap"
-
-let of_string = function
-  | "itree" | "interval_tree" -> Ok Itree
-  | "treap" | "pst" | "priority_search_tree" -> Ok Treap_pst
-  | s ->
-      Error
-        (Printf.sprintf "unknown stabbing backend %S (%s)" s
-           (String.concat "|" (List.map to_string all)))
-
-let backend : kind -> (module S) = function
-  | Itree -> (module Interval_tree)
-  | Treap_pst -> (module Treap)
-
 module Instrumented_interval_tree = Instrumented (Interval_tree)
-module Instrumented_treap = Instrumented (Treap)

@@ -1,14 +1,15 @@
-(** First-class pluggable stabbing-index backends.
+(** The two dynamic 1-D stabbing structures the paper names for the
+    scattered-query index — the augmented interval tree and the
+    treap-based priority search tree ("an index on ranges, e.g.,
+    priority search tree or external interval tree") — behind one
+    imperative signature, so the differential oracle and the invariant
+    audits drive both through the same code.
 
-    The two dynamic 1-D stabbing structures in this library — the
-    augmented interval tree and the treap-based priority search tree,
-    the two options the paper names — are packaged here behind one
-    imperative signature, so processors can be functorized over the
-    index rather than hard-wiring one.  The paper itself treats the
-    choice as open ("an index on ranges, e.g., priority search tree or
-    external interval tree"); making it a parameter lets the ablation
-    harness and the fuzz oracle drive every candidate through the same
-    code. *)
+    The processors use only {!Instrumented_interval_tree}: repeated
+    [ablation-backend] and [ablation-stab-index] captures showed the
+    priority search tree winning nothing beyond noise end to end and
+    losing every raw column.  {!Treap} is the adapter for its oracle
+    driver. *)
 
 (** The backend contract: a mutable multiset of (interval, payload)
     entries supporting stabbing queries and full iteration. *)
@@ -72,25 +73,5 @@ module Instrumented (B : S) : S
     unconditionally. *)
 
 module Instrumented_interval_tree : S
-module Instrumented_treap : S
-(** Pre-applied {!Instrumented} wrappers — named so functor
-    instantiations over them are shared across the codebase instead of
-    duplicated at each use site. *)
-
-(** {2 Runtime selection}
-
-    A nominal tag for configuration records and CLI flags; resolve it
-    to an implementation with {!backend}. *)
-
-type kind = Itree | Treap_pst
-
-val all : kind list
-
-val to_string : kind -> string
-(** ["itree" | "treap"] — the [cqctl] flag spellings. *)
-
-val of_string : string -> (kind, string) result
-(** Accepts {!to_string}'s spellings and the long names
-    (["interval_tree"], ["pst"], ["priority_search_tree"]). *)
-
-val backend : kind -> (module S)
+(** [Instrumented (Interval_tree)]: the scattered-query index of
+    every {!Hotspot_core.Processor.Make} instance. *)

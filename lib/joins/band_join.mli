@@ -21,8 +21,7 @@
 
     {!Ssi} and {!Hotspot} are instantiations of the shared
     {!Hotspot_core.Processor.Make} core with this module's band-axis
-    group walk; {!processor} selects one per strategy × stabbing
-    backend. *)
+    group walk; {!processor} selects one per strategy. *)
 
 type sink = Band_query.t -> Cq_relation.Tuple.s -> unit
 (** Called once per new result tuple (the R side is the event itself). *)
@@ -79,13 +78,8 @@ module Hotspot : sig
       fixing it makes a run reproducible bit-for-bit. *)
 end
 
-val processor :
-  Hotspot_core.Processor.strategy ->
-  Cq_index.Stab_backend.kind ->
-  (module PROCESSOR)
-(** The {!Hotspot} or {!Ssi} processor backed by the chosen stabbing
-    index ({!Hotspot} and {!Ssi} themselves are the interval-tree
-    instances). *)
+val processor : Hotspot_core.Processor.strategy -> (module PROCESSOR)
+(** {!Hotspot} or {!Ssi}, for runtime strategy selection. *)
 
 val reference : Cq_relation.Table.s_table -> Band_query.t array -> Cq_relation.Tuple.r ->
   (int * int) list

@@ -16,8 +16,7 @@
     {!Ssi} and {!Hotspot} are instantiations of the shared
     {!Hotspot_core.Processor.Make} core — the hotspot tracker partitions
     the band windows, and scattered queries are indexed (and pruned) by
-    their rangeA selections; {!processor} selects one per strategy ×
-    stabbing backend. *)
+    their rangeA selections; {!processor} selects one per strategy. *)
 
 type sink = Composite_query.t -> Cq_relation.Tuple.s -> unit
 
@@ -58,13 +57,8 @@ end
     an event only ever touches scattered queries whose A-selection it
     satisfies. *)
 
-val processor :
-  Hotspot_core.Processor.strategy ->
-  Cq_index.Stab_backend.kind ->
-  (module PROCESSOR)
-(** The {!Hotspot} or {!Ssi} processor backed by the chosen stabbing
-    backend ({!Hotspot} and {!Ssi} themselves are the interval-tree
-    instances). *)
+val processor : Hotspot_core.Processor.strategy -> (module PROCESSOR)
+(** {!Hotspot} or {!Ssi}, for runtime strategy selection. *)
 
 val reference :
   Cq_relation.Table.s_table ->

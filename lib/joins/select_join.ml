@@ -305,24 +305,18 @@ module Core_query = struct
   end
 end
 
-module Make_core (B : Cq_index.Stab_backend.S) = Processor.Make (Core_query) (B)
-module C_itree = Make_core (Cq_index.Stab_backend.Instrumented_interval_tree)
-module C_treap = Make_core (Cq_index.Stab_backend.Instrumented_treap)
-
-module Ssi = C_itree.Ssi
+module Core = Processor.Make (Core_query)
+module Ssi = Core.Ssi
 
 module Hotspot = struct
-  include C_itree.Hotspot
+  include Core.Hotspot
 
   let create_alpha ~alpha ?seed table queries = create_cfg ~alpha ?seed table queries
 end
 
-let processor strategy kind : (module PROCESSOR) =
-  match (strategy, kind) with
-  | Processor.Hotspot, Cq_index.Stab_backend.Itree -> (module C_itree.Hotspot)
-  | Processor.Hotspot, Cq_index.Stab_backend.Treap_pst -> (module C_treap.Hotspot)
-  | Processor.Ssi, Cq_index.Stab_backend.Itree -> (module C_itree.Ssi)
-  | Processor.Ssi, Cq_index.Stab_backend.Treap_pst -> (module C_treap.Ssi)
+let processor : Processor.strategy -> (module PROCESSOR) = function
+  | Processor.Hotspot -> (module Hotspot)
+  | Processor.Ssi -> (module Ssi)
 
 (* --------------------------------------------------------------------- *)
 (* Adaptive per-event strategy choice (Section 6)                          *)

@@ -16,8 +16,7 @@
 
     {!Ssi} and {!Hotspot} are instantiations of the shared
     {!Hotspot_core.Processor.Make} core with this module's R-tree
-    group probe; {!processor} selects one per strategy × stabbing
-    backend. *)
+    group probe; {!processor} selects one per strategy. *)
 
 type sink = Select_query.t -> Cq_relation.Tuple.s -> unit
 
@@ -55,13 +54,8 @@ module Hotspot : sig
       fixing it makes a run reproducible bit-for-bit. *)
 end
 
-val processor :
-  Hotspot_core.Processor.strategy ->
-  Cq_index.Stab_backend.kind ->
-  (module PROCESSOR)
-(** The {!Hotspot} or {!Ssi} processor backed by the chosen stabbing
-    index ({!Hotspot} and {!Ssi} themselves are the interval-tree
-    instances). *)
+val processor : Hotspot_core.Processor.strategy -> (module PROCESSOR)
+(** {!Hotspot} or {!Ssi}, for runtime strategy selection. *)
 
 module Adaptive : sig
   include STRATEGY

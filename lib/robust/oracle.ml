@@ -415,11 +415,9 @@ let q_matches q (r : Tuple.r) (s : Tuple.s) =
   | Band w -> I.stabs w (s.b -. r.b)
   | Select (ra, rc) -> r.b = s.b && I.stabs ra r.a && I.stabs rc s.c
 
-let run_engine ?(backend = Cq_index.Stab_backend.Itree) ~seed ~ops () =
-  let run =
-    make_run (Printf.sprintf "engine[%s]" (Cq_index.Stab_backend.to_string backend)) seed
-  in
-  let eng = Engine.create ~alpha:0.1 ~seed ~backend () in
+let run_engine ~seed ~ops () =
+  let run = make_run "engine" seed in
+  let eng = Engine.create ~alpha:0.1 ~seed () in
   let stream = Fault.gen_engine ~seed ~n:ops in
   let rng = Rng.create (seed + 0x9e37) in
   let queries : q_state list ref = ref [] in
@@ -689,10 +687,8 @@ let run_drift ?(shards = 4) ~seed ~ops () =
    are followed by a fresh subscription, so every batch stages against
    a query population that churn has just changed.  This is the only
    engine-level check of multi-key staging. *)
-let run_batch ?(backend = Cq_index.Stab_backend.Itree) ~seed ~ops () =
-  let run =
-    make_run (Printf.sprintf "batch[%s]" (Cq_index.Stab_backend.to_string backend)) seed
-  in
+let run_batch ~seed ~ops () =
+  let run = make_run "batch" seed in
   let rng = Rng.create (seed + 0xba7c) in
   let n_q = 8 + Rng.int rng 17 in
   let mk_iv () =
@@ -714,7 +710,7 @@ let run_batch ?(backend = Cq_index.Stab_backend.Itree) ~seed ~ops () =
         (side, rows, churn))
   in
   let collect use_batch =
-    let eng = Engine.create ~alpha:0.1 ~seed ~backend () in
+    let eng = Engine.create ~alpha:0.1 ~seed () in
     let results = ref [] in
     let next_q = ref 0 in
     let subscribe q =
@@ -1131,7 +1127,7 @@ let index_drivers : (module STAB_INDEX) list =
 (* Build every structure from the same adversarial stream (mutations
    only, single-copy semantics so the set-like structures can share
    it), then deep-audit each one once. *)
-let audit_workload ?(backend = Cq_index.Stab_backend.Itree) ~seed ~n () =
+let audit_workload ~seed ~n () =
   let audit_start = Cq_util.Clock.monotonic_ns () in
   let stream = Fault.gen ~seed ~n in
   let mirror : (int, I.t) Hashtbl.t = Hashtbl.create 1024 in
@@ -1175,7 +1171,7 @@ let audit_workload ?(backend = Cq_index.Stab_backend.Itree) ~seed ~n () =
   apply ~add:(fun id iv -> Lazy_p.insert lp (id, iv)) ~del:(fun id iv -> ignore (Lazy_p.delete lp (id, iv)));
   let rp = Refined_p.create ~seed () in
   apply ~add:(fun id iv -> Refined_p.insert rp (id, iv)) ~del:(fun id iv -> ignore (Refined_p.delete rp (id, iv)));
-  let eng = Engine.create ~alpha:0.1 ~seed ~backend () in
+  let eng = Engine.create ~alpha:0.1 ~seed () in
   let rng = Rng.create (seed + 0x9e37) in
   let subs = ref [] and rs = ref [] and ss = ref [] in
   let pick l = match !l with [] -> None | xs -> Some (List.nth xs (Rng.int rng (List.length xs))) in
@@ -1225,7 +1221,7 @@ let audit_workload ?(backend = Cq_index.Stab_backend.Itree) ~seed ~n () =
   Trace.add_span ~cat:"oracle" ~name:"oracle.audit_workload" ~ts_ns:audit_start ~dur_ns ();
   reports
 
-let fuzz_all ?backend ?(shards = 2) ~seed ~ops () =
+let fuzz_all ?(shards = 2) ~seed ~ops () =
   let engine_ops = max 200 (ops / 10) in
   List.map (fun d -> run_index d ~seed ~ops) index_drivers
   @ [
@@ -1233,8 +1229,8 @@ let fuzz_all ?backend ?(shards = 2) ~seed ~ops () =
       run_tracker ~seed ~ops ();
       run_lazy_partition ~seed ~ops;
       run_refined_partition ~seed ~ops;
-      run_engine ?backend ~seed ~ops:engine_ops ();
-      run_batch ?backend ~seed ~ops:engine_ops ();
+      run_engine ~seed ~ops:engine_ops ();
+      run_batch ~seed ~ops:engine_ops ();
       run_parallel ~shards ~seed ~ops:engine_ops ();
       run_shed_adaptive ~seed ~ops:engine_ops ();
     ]

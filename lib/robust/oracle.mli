@@ -44,9 +44,9 @@ module type STAB_INDEX = sig
 end
 
 module Stab_driver (B : Cq_index.Stab_backend.S) : STAB_INDEX
-(** A driver for any backend behind the common
-    {!Cq_index.Stab_backend.S} signature — the two backend drivers
-    below are its instances. *)
+(** A driver for any structure behind the common
+    {!Cq_index.Stab_backend.S} signature — {!Itree_driver} and
+    {!Pst_driver} are its instances. *)
 
 module Itree_driver : STAB_INDEX
 module Pst_driver : STAB_INDEX
@@ -71,18 +71,14 @@ val run_tracker : ?alpha:float -> seed:int -> ops:int -> unit -> outcome
 val run_lazy_partition : seed:int -> ops:int -> outcome
 val run_refined_partition : seed:int -> ops:int -> outcome
 
-val run_engine :
-  ?backend:Cq_index.Stab_backend.kind -> seed:int -> ops:int -> unit -> outcome
+val run_engine : seed:int -> ops:int -> unit -> outcome
 (** Whole-engine differential run: per-query delivery/retraction
     balances against a brute-force join mirror, must-reject inputs
     (NaN attributes, empty windows) asserted to return [Error],
     callbacks after unsubscribe flagged, engine invariants audited at
-    checkpoints.  [backend] selects the engine's stabbing backend
-    (default the interval tree) — the mirror is backend-oblivious, so
-    the same run exercises every candidate. *)
+    checkpoints. *)
 
-val run_batch :
-  ?backend:Cq_index.Stab_backend.kind -> seed:int -> ops:int -> unit -> outcome
+val run_batch : seed:int -> ops:int -> unit -> outcome
 (** Staging differential run: one seeded insert-only workload
     (band/select subscriptions plus batched rows) is replayed into two
     identically configured sequential engines — once as n one-row
@@ -93,9 +89,7 @@ val run_batch :
     multisets, keyed by [(query, rid, sid)], must be identical
     (tuple-id assignment included).  A third of the batches are
     followed by a subscription, so batches stage against a query
-    population churn has just changed.  [backend] selects the stabbing
-    backend whose [stab_batch] the batch path descends (default the
-    interval tree). *)
+    population churn has just changed. *)
 
 val run_parallel : ?shards:int -> seed:int -> ops:int -> unit -> outcome
 (** Parallel-vs-sequential differential run: one seeded workload
@@ -181,23 +175,12 @@ val run_serve : ?sessions:int -> ?shards:int -> seed:int -> ops:int -> unit -> o
     equality) is the contract.  [sessions] defaults to 4, [shards] to
     2. *)
 
-val fuzz_all :
-  ?backend:Cq_index.Stab_backend.kind ->
-  ?shards:int ->
-  seed:int ->
-  ops:int ->
-  unit ->
-  outcome list
+val fuzz_all : ?shards:int -> seed:int -> ops:int -> unit -> outcome list
 (** The full battery (the engine and parallel runs use [ops/10]
     operations, each one being a full event cascade; [shards] — default
     2 — feeds {!run_parallel}). *)
 
-val audit_workload :
-  ?backend:Cq_index.Stab_backend.kind ->
-  seed:int ->
-  n:int ->
-  unit ->
-  (string * Invariant.report) list
+val audit_workload : seed:int -> n:int -> unit -> (string * Invariant.report) list
 (** Build every structure from the same seeded adversarial stream and
     run each deep audit once — no differential mirror, just the
     invariant reports.  Powers [cqctl audit]. *)

@@ -226,7 +226,7 @@ let of_list ivs =
 
 (* The reference for the emission-order contract: live (interval, id)
    entries sorted stably by (lo, hi), so equal keys stay in insertion
-   order.  Cross-backend stream equality and the lazy partition's
+   order.  Staged-vs-live processor walks and the lazy partition's
    group choice both rest on the tree reporting in this order. *)
 let by_key (a, _) (b, _) = I.compare_lo a b
 let model_of ivs = List.stable_sort by_key (List.mapi (fun i iv -> (iv, i)) ivs)
@@ -506,8 +506,6 @@ let test_treap_extras () =
 
 (* ------------------- flat interval tree / stab_batch ------------------ *)
 
-module SB = Cq_index.Stab_backend
-
 (* The flat tree against the list model under churn: stab emission
    order is compared unsorted, and the overlap lookup must pick the
    model's first overlapping entry. *)
@@ -552,31 +550,27 @@ let prop_flat_matches_list_model_under_churn =
       done;
       !ok && Flat.size ft = List.length !model)
 
-(* Every backend's batched descent must agree with a loop of scalar
+(* The flat tree's batched descent must agree with a loop of scalar
    stabs, key by key, in the exact per-key order. *)
 let prop_stab_batch_matches_stab_loop =
-  QCheck2.Test.make ~name:"stab_batch = per-key stab loop (all backends)" ~count:150
+  QCheck2.Test.make ~name:"stab_batch = per-key stab loop (flat tree)" ~count:150
     QCheck2.Gen.(
       pair (list_size (int_range 0 60) interval_gen)
         (list_size (int_range 0 20) (float_bound_inclusive 100.0)))
     (fun (ivs, key_list) ->
       let keys = Array.of_list key_list in
-      List.for_all
-        (fun kind ->
-          let module B = (val SB.backend kind) in
-          let t = B.create ~seed:11 in
-          List.iteri (fun i iv -> B.add t iv i) ivs;
-          let per_idx = Array.make (Array.length keys) [] in
-          B.stab_batch t ~keys ~f:(fun ~idx p -> per_idx.(idx) <- p :: per_idx.(idx));
-          let ok = ref true in
-          Array.iteri
-            (fun i key ->
-              let want = ref [] in
-              B.stab t key (fun p -> want := p :: !want);
-              if per_idx.(i) <> !want then ok := false)
-            keys;
-          !ok)
-        SB.all)
+      let t = Flat.create () in
+      List.iteri (fun i iv -> Flat.add t iv i) ivs;
+      let per_idx = Array.make (Array.length keys) [] in
+      Flat.stab_batch t ~keys ~f:(fun ~idx p -> per_idx.(idx) <- p :: per_idx.(idx));
+      let ok = ref true in
+      Array.iteri
+        (fun i key ->
+          let want = ref [] in
+          Flat.stab t key (fun p -> want := p :: !want);
+          if per_idx.(i) <> !want then ok := false)
+        keys;
+      !ok)
 
 (* --------------------------------------------------------------------- *)
 

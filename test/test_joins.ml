@@ -526,40 +526,35 @@ let test_composite_churn () =
       Alcotest.(check int) (S.name ^ " count") 1 (S.query_count st))
     composite_strategies
 
-(* ----------------------- Pluggable stabbing backends ------------------- *)
+(* ------------------------ Runtime-selected processors ------------------ *)
 
-(* Every strategy × backend combination out of the shared processor
-   core must produce the exact result stream of the brute-force oracle
-   (hence streams identical across backends), including under churn. *)
+(* Every strategy out of the shared processor core, selected through
+   [processor], must produce the exact result stream of the brute-force
+   oracle, including under churn. *)
 
-let strategies = [ Hotspot_core.Processor.Hotspot; Hotspot_core.Processor.Ssi ]
-let backends = Cq_index.Stab_backend.all
+let strategies = Hotspot_core.Processor.strategies
 
-let prop_band_backends_equivalent =
-  QCheck2.Test.make ~name:"band processors: identical streams across backends" ~count:100
+let prop_band_processors_match =
+  QCheck2.Test.make ~name:"band processors: match brute force" ~count:100
     band_case_gen (fun (s_tuples, ranges, events) ->
       let table, _ = make_s_table s_tuples in
       let queries = BQ.of_ranges (Array.of_list (List.map (fun iv -> I.shift iv (-5.0)) ranges)) in
       let events = make_r_events events in
       List.for_all
         (fun strategy ->
+          let (module P : BJ.PROCESSOR) = BJ.processor strategy in
+          let st = P.create_cfg ~alpha:0.3 ~seed:42 table queries in
           List.for_all
-            (fun kind ->
-              let (module P : BJ.PROCESSOR) = BJ.processor strategy kind in
-              let st = P.create_cfg ~alpha:0.3 ~seed:42 table queries in
-              List.for_all
-                (fun r ->
-                  let acc = ref [] in
-                  P.process_r st r (fun q s -> acc := (q.BQ.qid, s.Tuple.sid) :: !acc);
-                  List.sort compare !acc = BJ.reference table queries r
-                  || QCheck2.Test.fail_reportf "%s/%s diverges from the oracle" P.name
-                       (Cq_index.Stab_backend.to_string kind))
-                events)
-            backends)
+            (fun r ->
+              let acc = ref [] in
+              P.process_r st r (fun q s -> acc := (q.BQ.qid, s.Tuple.sid) :: !acc);
+              List.sort compare !acc = BJ.reference table queries r
+              || QCheck2.Test.fail_reportf "%s diverges from the oracle" P.name)
+            events)
         strategies)
 
-let prop_select_backends_equivalent =
-  QCheck2.Test.make ~name:"select processors: identical streams across backends" ~count:100
+let prop_select_processors_match =
+  QCheck2.Test.make ~name:"select processors: match brute force" ~count:100
     QCheck2.Gen.(triple s_tuples_gen select_queries_gen r_events_gen)
     (fun (s_tuples, ranges, events) ->
       let table, _ = make_s_table s_tuples in
@@ -567,48 +562,40 @@ let prop_select_backends_equivalent =
       let events = make_r_events events in
       List.for_all
         (fun strategy ->
+          let (module P : SJ.PROCESSOR) = SJ.processor strategy in
+          let st = P.create_cfg ~alpha:0.3 ~seed:42 table queries in
           List.for_all
-            (fun kind ->
-              let (module P : SJ.PROCESSOR) = SJ.processor strategy kind in
-              let st = P.create_cfg ~alpha:0.3 ~seed:42 table queries in
-              List.for_all
-                (fun r ->
-                  let acc = ref [] in
-                  P.process_r st r (fun q s -> acc := (q.SQ.qid, s.Tuple.sid) :: !acc);
-                  List.sort compare !acc = SJ.reference table queries r
-                  || QCheck2.Test.fail_reportf "%s/%s diverges from the oracle" P.name
-                       (Cq_index.Stab_backend.to_string kind))
-                events)
-            backends)
+            (fun r ->
+              let acc = ref [] in
+              P.process_r st r (fun q s -> acc := (q.SQ.qid, s.Tuple.sid) :: !acc);
+              List.sort compare !acc = SJ.reference table queries r
+              || QCheck2.Test.fail_reportf "%s diverges from the oracle" P.name)
+            events)
         strategies)
 
-let prop_composite_backends_equivalent =
-  QCheck2.Test.make ~name:"composite processors: identical streams across backends"
-    ~count:100 composite_gen (fun (s_tuples, specs, events) ->
+let prop_composite_processors_match =
+  QCheck2.Test.make ~name:"composite processors: match brute force" ~count:100 composite_gen
+    (fun (s_tuples, specs, events) ->
       let table, _ = make_s_table s_tuples in
       let queries = make_composites specs in
       let events = make_r_events events in
       List.for_all
         (fun strategy ->
+          let (module P : CJ.PROCESSOR) = CJ.processor strategy in
+          let st = P.create_cfg ~alpha:0.3 ~seed:42 table queries in
           List.for_all
-            (fun kind ->
-              let (module P : CJ.PROCESSOR) = CJ.processor strategy kind in
-              let st = P.create_cfg ~alpha:0.3 ~seed:42 table queries in
-              List.for_all
-                (fun r ->
-                  let acc = ref [] in
-                  P.process_r st r (fun q s -> acc := (q.CQ.qid, s.Tuple.sid) :: !acc);
-                  List.sort compare !acc = CJ.reference table queries r
-                  || QCheck2.Test.fail_reportf "%s/%s diverges from the oracle" P.name
-                       (Cq_index.Stab_backend.to_string kind))
-                events)
-            backends)
+            (fun r ->
+              let acc = ref [] in
+              P.process_r st r (fun q s -> acc := (q.CQ.qid, s.Tuple.sid) :: !acc);
+              List.sort compare !acc = CJ.reference table queries r
+              || QCheck2.Test.fail_reportf "%s diverges from the oracle" P.name)
+            events)
         strategies)
 
-let prop_backends_churn_equivalent =
-  (* Query churn exercises the backends' remove paths: delete every
-     other query between events and re-check against the oracle. *)
-  QCheck2.Test.make ~name:"band processors: backends agree under churn" ~count:60
+let prop_band_processors_churn =
+  (* Query churn exercises the remove paths: delete every other query
+     between events and re-check against the oracle. *)
+  QCheck2.Test.make ~name:"band processors: match brute force under churn" ~count:60
     band_case_gen (fun (s_tuples, ranges, events) ->
       let table, _ = make_s_table s_tuples in
       let all = BQ.of_ranges (Array.of_list (List.map (fun iv -> I.shift iv (-5.0)) ranges)) in
@@ -620,25 +607,21 @@ let prop_backends_churn_equivalent =
       let events = make_r_events events in
       List.for_all
         (fun strategy ->
+          let (module P : BJ.PROCESSOR) = BJ.processor strategy in
+          let st = P.create_cfg ~alpha:0.3 ~seed:42 table all in
+          List.iter
+            (fun q ->
+              if not (P.delete_query st q) then
+                ignore (QCheck2.Test.fail_reportf "%s: delete_query failed" P.name))
+            drop;
+          P.check_invariants st;
           List.for_all
-            (fun kind ->
-              let (module P : BJ.PROCESSOR) = BJ.processor strategy kind in
-              let st = P.create_cfg ~alpha:0.3 ~seed:42 table all in
-              List.iter
-                (fun q ->
-                  if not (P.delete_query st q) then
-                    ignore (QCheck2.Test.fail_reportf "%s: delete_query failed" P.name))
-                drop;
-              P.check_invariants st;
-              List.for_all
-                (fun r ->
-                  let acc = ref [] in
-                  P.process_r st r (fun q s -> acc := (q.BQ.qid, s.Tuple.sid) :: !acc);
-                  List.sort compare !acc = BJ.reference table keep r
-                  || QCheck2.Test.fail_reportf "%s/%s diverges after churn" P.name
-                       (Cq_index.Stab_backend.to_string kind))
-                events)
-            backends)
+            (fun r ->
+              let acc = ref [] in
+              P.process_r st r (fun q s -> acc := (q.BQ.qid, s.Tuple.sid) :: !acc);
+              List.sort compare !acc = BJ.reference table keep r
+              || QCheck2.Test.fail_reportf "%s diverges after churn" P.name)
+            events)
         strategies)
 
 (* ---------------------------------------------------------------------- *)
@@ -679,11 +662,11 @@ let () =
           qc prop_ssi2d_s_events_match;
           Alcotest.test_case "churn + both directions" `Quick test_ssi2d_churn_and_groups;
         ] );
-      ( "backends",
+      ( "processor",
         [
-          qc prop_band_backends_equivalent;
-          qc prop_select_backends_equivalent;
-          qc prop_composite_backends_equivalent;
-          qc prop_backends_churn_equivalent;
+          qc prop_band_processors_match;
+          qc prop_select_processors_match;
+          qc prop_composite_processors_match;
+          qc prop_band_processors_churn;
         ] );
     ]

@@ -316,6 +316,40 @@ let test_chrome_export_well_formed () =
       | _ -> Alcotest.fail "span missing ts/dur")
     spans
 
+(* ------------------------- bench JSON capture ------------------------ *)
+
+(* One [Report] section written to BENCH_<id>.json in a fresh temp dir,
+   returned parsed. *)
+let report_capture () =
+  let module R = Cq_bench.Report in
+  let dir = Filename.temp_file "cq_report" ".d" in
+  Sys.remove dir;
+  R.json_begin ~dir;
+  R.section "obs-roundtrip" "Report capture round trip";
+  R.table ~header:[ "k"; "v" ] ~rows:[ [ "a"; "1" ] ];
+  R.json_end ();
+  let path = Filename.concat dir "BENCH_obs-roundtrip.json" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      Sys.rmdir dir)
+    (fun () ->
+      let ic = open_in_bin path in
+      let body = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      parse_json body)
+
+(* The capture carries an [obs] block only while metrics are enabled. *)
+let test_report_obs_only_when_enabled () =
+  let off = report_capture () in
+  Alcotest.(check bool) "no obs key with metrics off" true (obj_field "obs" off = None);
+  Alcotest.(check bool) "tables kept" true (obj_field "tables" off <> None);
+  with_obs @@ fun () ->
+  match obj_field "obs" (report_capture ()) with
+  | Some obs ->
+      Alcotest.(check bool) "obs.enabled" true (obj_field "enabled" obs = Some (J_bool true))
+  | None -> Alcotest.fail "obs key missing with metrics on"
+
 (* --------------------------- acceptance ------------------------------ *)
 
 (* The ISSUE's acceptance workload: a clustered band-join population
@@ -438,6 +472,9 @@ let () =
           Alcotest.test_case "with_span records on raise" `Quick test_with_span_records_on_raise;
           Alcotest.test_case "chrome export well-formed" `Quick test_chrome_export_well_formed;
         ] );
+      ( "report",
+        [ Alcotest.test_case "obs block only when enabled" `Quick test_report_obs_only_when_enabled ]
+      );
       ( "acceptance",
         [
           Alcotest.test_case "instrumented band join" `Quick test_band_join_acceptance;

@@ -50,25 +50,13 @@ let test_fuzz_partitions () =
   check_outcome (Oracle.run_lazy_partition ~seed:3 ~ops:fuzz_ops);
   check_outcome (Oracle.run_refined_partition ~seed:3 ~ops:fuzz_ops)
 
-let test_fuzz_engine () =
-  (* Every pluggable backend behind the same differential mirror. *)
-  List.iter
-    (fun backend -> check_outcome (Oracle.run_engine ~backend ~seed:3 ~ops:400 ()))
-    Cq_index.Stab_backend.all
+let test_fuzz_engine () = check_outcome (Oracle.run_engine ~seed:3 ~ops:400 ())
 
 let test_fuzz_batch () =
-  (* The flat-batch-vs-per-tuple multiset property over 100+ seeds on
-     the default backend (the one with a native batched descent), plus
-     a smaller sweep over the loop-fallback backends. *)
+  (* The flat-batch-vs-per-tuple multiset property over 100+ seeds. *)
   List.iter
     (fun seed -> check_outcome (Oracle.run_batch ~seed ~ops:200 ()))
-    (List.init 110 (fun i -> i + 1));
-  List.iter
-    (fun seed ->
-      List.iter
-        (fun backend -> check_outcome (Oracle.run_batch ~backend ~seed ~ops:200 ()))
-        Cq_index.Stab_backend.all)
-    (List.init 10 (fun i -> i + 1))
+    (List.init 110 (fun i -> i + 1))
 
 let test_fuzz_parallel () =
   (* The parallel-vs-sequential multiset property across many seeds and
