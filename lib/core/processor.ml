@@ -23,6 +23,9 @@ module Dedupe = struct
     | _ ->
         Hashtbl.replace d.seen qid d.event;
         true
+
+  let forget d qid = Hashtbl.remove d.seen qid
+  let length d = Hashtbl.length d.seen
 end
 
 module type QUERY = sig
@@ -37,8 +40,12 @@ module type QUERY = sig
   val interval : t -> I.t
   val scatter_interval : t -> I.t
   val scatter_point : event -> float option
-  val probe : store -> t -> event -> (result -> unit) -> unit
-  val probe_hit : store -> t -> event -> bool
+  type scan
+
+  val scan_create : store -> scan
+  val scan_begin : scan -> event -> unit
+  val scan_probe : scan -> t -> (t -> result -> unit) -> unit
+  val scan_hit : scan -> t -> bool
 
   module Group : sig
     type g
@@ -227,6 +234,14 @@ module Make (Q : QUERY) = struct
       Metrics.observe m_dedupe_marks (float_of_int w.marked)
     end
 
+  (* Deleted queries leave the dedupe table, so it never holds more
+     entries than there are registered queries. *)
+  let check_dedupe ~name w queries =
+    let n = Dedupe.length w.dedupe in
+    if n > queries then
+      Cq_util.Error.corrupt ~structure:name "%s: dedupe table holds %d entries for %d queries"
+        name n queries
+
   module Hotspot = struct
     type query = Q.t
     type event = Q.event
@@ -238,6 +253,7 @@ module Make (Q : QUERY) = struct
       hot : (int, Q.Group.g) Hashtbl.t;
       scattered : Q.t B.t;
       w : walker;
+      scan : Q.scan;
       (* Preallocated walk closures over [w] (set after creation, they
          capture [t]). *)
       mutable c_group : int -> Q.Group.g -> unit;
@@ -253,6 +269,17 @@ module Make (Q : QUERY) = struct
     }
 
     let name = Q.label ^ "-Hotspot"
+
+    (* Hotspot and scattered sets are disjoint, so a scattered
+       candidate needs no dedupe mark; under shedding it is confirmed
+       with [scan_hit] before the predicate is asked. *)
+    let[@cq.hot] visit_scattered t q =
+      let w = t.w in
+      w.cands <- w.cands + 1;
+      w.marked <- w.marked + 1;
+      match w.shed with
+      | None -> Q.scan_probe t.scan q w.sink
+      | Some pred -> if Q.scan_hit t.scan q && pred (Q.qid q) then Q.scan_probe t.scan q w.sink
 
     let create_cfg ?(alpha = 0.001) ?epsilon ?seed store queries =
       let hot = Hashtbl.create 16 in
@@ -277,6 +304,7 @@ module Make (Q : QUERY) = struct
           hot;
           scattered;
           w = create_walker store;
+          scan = Q.scan_create store;
           c_group = (fun _ _ -> ());
           c_scat = (fun _ -> ());
           stage_keys = [||];
@@ -286,22 +314,7 @@ module Make (Q : QUERY) = struct
         }
       in
       t.c_group <- (fun gid g -> t.w.visit ~stab:(Tracker.hotspot_stab t.tracker gid) g);
-      (* Hotspot and scattered sets are disjoint, so a scattered
-         candidate needs no dedupe mark; under shedding it is confirmed
-         with [probe_hit] before the predicate is asked. *)
-      t.c_scat <-
-        (fun q ->
-          let w = t.w in
-          w.cands <- w.cands + 1;
-          w.marked <- w.marked + 1;
-          match w.ev with
-          | Some ev -> (
-              match w.shed with
-              | None -> Q.probe w.store q ev (fun res -> w.sink q res)
-              | Some pred ->
-                  if Q.probe_hit w.store q ev && pred (Q.qid q) then
-                    Q.probe w.store q ev (fun res -> w.sink q res))
-          | None -> ());
+      t.c_scat <- (fun q -> visit_scattered t q);
       t.c_stage <- (fun ~idx q -> Vec.push (Vec.get t.stage_cand idx) q);
       t
 
@@ -323,6 +336,7 @@ module Make (Q : QUERY) = struct
        of the scattered index. *)
     let[@cq.hot] walk t ~idx ev sink =
       begin_event t.w ev sink;
+      Q.scan_begin t.scan ev;
       Hashtbl.iter t.c_group t.hot;
       if 0 <= idx && idx < t.staged_n then Vec.iter t.c_scat (Vec.get t.stage_cand idx)
       else iter_scattered t ev t.c_scat;
@@ -374,7 +388,8 @@ module Make (Q : QUERY) = struct
           let stab = Tracker.hotspot_stab t.tracker gid in
           Q.Group.identify store g ~stab ev ~mark report)
         t.hot;
-      iter_scattered t ev (fun q -> if Q.probe_hit store q ev then report q)
+      Q.scan_begin t.scan ev;
+      iter_scattered t ev (fun q -> if Q.scan_hit t.scan q then report q)
 
     let set_shed t pred = t.w.shed <- pred
 
@@ -386,6 +401,7 @@ module Make (Q : QUERY) = struct
 
     let delete_query t q =
       t.staged_n <- -1;
+      Dedupe.forget t.w.dedupe (Q.qid q);
       Tracker.delete t.tracker q
     let query_count t = Tracker.size t.tracker
     let num_hotspots t = Tracker.num_hotspots t.tracker
@@ -431,7 +447,8 @@ module Make (Q : QUERY) = struct
       B.check_invariants t.scattered;
       if B.size t.scattered <> List.length scattered then
         fail "%s: scattered index holds %d of %d queries" name (B.size t.scattered)
-          (List.length scattered)
+          (List.length scattered);
+      check_dedupe ~name t.w (query_count t)
   end
 
   module Ssi = struct
@@ -515,6 +532,7 @@ module Make (Q : QUERY) = struct
     let delete_query t q =
       if Hashtbl.mem t.queries (Q.qid q) then begin
         Hashtbl.remove t.queries (Q.qid q);
+        Dedupe.forget t.w.dedupe (Q.qid q);
         t.dirty <- true;
         true
       end
@@ -540,7 +558,8 @@ module Make (Q : QUERY) = struct
       refresh t;
       if Index.size t.index <> Hashtbl.length t.queries then
         Cq_util.Error.corrupt ~structure:name "index holds %d of %d queries"
-          (Index.size t.index) (Hashtbl.length t.queries)
+          (Index.size t.index) (Hashtbl.length t.queries);
+      check_dedupe ~name t.w (query_count t)
 
     (* Extras used by the adaptive dispatcher. *)
     let num_groups t =

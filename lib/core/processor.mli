@@ -23,7 +23,12 @@
     groups (h ≤ 2/α of them, Theorems 3 and 4) plus the scattered
     fallback — a per-query probe under the [Hotspot] strategy, another
     group walk under plain [Ssi]; query insert/delete is O(log n)
-    amortised through the tracker and partition maintainers. *)
+    amortised through the tracker and partition maintainers.  The
+    scattered probes of one event share a [QUERY.scan]: a band join
+    sweeps them through S.B with one forward finger, at
+    O(|scattered| + k) plus an O(log n) seek only where a window's
+    shifted lower end passes the finger by more than a leaf, instead
+    of the paper's O(|scattered| log n). *)
 
 (** Per-event deduplication of affected queries: a query reachable
     from both boundary scans of a group must be reported once. *)
@@ -37,6 +42,14 @@ module Dedupe : sig
   val mark : t -> int -> bool
   (** [mark d qid] is [true] the first time [qid] is marked in the
       current epoch. *)
+
+  val forget : t -> int -> unit
+  (** Drop [qid]'s entry.  Every [delete_query] that owns a table
+      calls it, so the table never outgrows the registered queries
+      under subscribe/unsubscribe churn. *)
+
+  val length : t -> int
+  (** Number of qids holding an entry. *)
 end
 
 (** What a join application must provide: its query geometry and its
@@ -73,11 +86,33 @@ module type QUERY = sig
       windows shift with the event (band joins), in which case every
       scattered query is probed. *)
 
-  val probe : store -> t -> event -> (result -> unit) -> unit
-  (** Traditional per-query processing of one scattered query. *)
+  type scan
+  (** Per-processor state for probing the scattered queries of one
+      event, one query at a time (the traditional per-query
+      processing).  It is created once with the processor and begun
+      once per event, so a probe builds no closure.
 
-  val probe_hit : store -> t -> event -> bool
-  (** Existence-only version of {!probe}. *)
+      Contract: after {!scan_begin}, the candidates reach {!scan_probe}
+      and {!scan_hit} in the scattered index's in-order sequence
+      (ascending [scatter_interval] lower end), possibly a sub-sequence
+      of it and possibly with a query offered to [scan_hit] and then
+      to [scan_probe].  The store is not mutated between [scan_begin]
+      and the event's last probe; the engine's non-reentrancy rule
+      guarantees this.  A band join uses both facts to sweep one
+      forward finger through S.B for the whole event. *)
+
+  val scan_create : store -> scan
+
+  val scan_begin : scan -> event -> unit
+  (** Start probing for a new event. *)
+
+  val scan_probe : scan -> t -> (t -> result -> unit) -> unit
+  (** [scan_probe s q sink] calls [sink q res] for every result of the
+      scattered query [q] on the current event, in the order the
+      per-query probe would emit them. *)
+
+  val scan_hit : scan -> t -> bool
+  (** Whether {!scan_probe} would emit at least one result. *)
 
   (** The per-group auxiliary structure (sorted sequences for band
       windows, an R-tree for select rectangles) with the group walk of
@@ -202,7 +237,7 @@ module type PROCESSOR = sig
       candidate qid) — after per-event dedupe — and {e only} for pairs
       that definitely produce at least one result: group
       identification is anchor-exact, and the scattered fallback
-      confirms with [probe_hit] before asking.  The consultation set
+      confirms with [scan_hit] before asking.  The consultation set
       is therefore a pure function of the query population and the
       event stream, independent of internal structure (hotspot
       grouping, scatter layout, seeds), which makes drop-side

@@ -110,14 +110,18 @@ module Make (K : ORDERED) = struct
     done;
     !lo
 
-  (* Position of the first key >= [key] among the live prefix. *)
-  let leaf_lower_bound keys count key =
-    let lo = ref 0 and hi = ref count in
+  (* Position of the first key >= [key] among the slots [from, count)
+     of a leaf, all of whose slots before [from] hold keys < [key]. *)
+  let lower_bound_from keys from count key =
+    let lo = ref from and hi = ref count in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       if K.compare_at keys mid key < 0 then lo := mid + 1 else hi := mid
     done;
     !lo
+
+  (* Position of the first key >= [key] among the live prefix. *)
+  let leaf_lower_bound keys count key = lower_bound_from keys 0 count key
 
   (* ------------------------------------------------------------------ *)
   (* Insertion                                                           *)
@@ -406,6 +410,89 @@ module Make (K : ORDERED) = struct
   let rec leftmost_leaf = function
     | Leaf l -> l
     | Internal nd -> leftmost_leaf nd.kids.(0)
+
+  (* ------------------------------------------------------------------ *)
+  (* Fingers                                                             *)
+  (* ------------------------------------------------------------------ *)
+
+  (* A finger designates the entry at [fidx] of [fleaf], or, with
+     [fidx = fleaf.lcount], the end of the tree: only the last leaf (or
+     the empty root) is ever left at its count, because a seek that
+     runs off a leaf moves to the first slot of the next one. *)
+  type 'a finger = {
+    ftree : 'a t;
+    mutable fleaf : 'a leaf;
+    mutable fidx : int;
+  }
+
+  let finger_reset f =
+    f.fleaf <- leftmost_leaf f.ftree.root;
+    f.fidx <- 0
+
+  let finger t = { ftree = t; fleaf = leftmost_leaf t.root; fidx = 0 }
+
+  (* Whether every entry before the finger is < [k]: the keys are
+     sorted, so it is enough to look at the one just before it. *)
+  let[@cq.hot] before_lt f k =
+    let l = f.fleaf and i = f.fidx in
+    if i > 0 then K.compare_at l.lkeys (i - 1) k < 0
+    else
+      match l.lprev with
+      | Some p -> K.compare_at p.lkeys (p.lcount - 1) k < 0
+      | None -> true
+
+  let[@cq.hot] finger_descend f k =
+    let l = descend_ge f.ftree.root k in
+    let i = leaf_lower_bound l.lkeys l.lcount k in
+    match l.lnext with
+    | Some nx when i = l.lcount ->
+        f.fleaf <- nx;
+        f.fidx <- 0
+    | _ ->
+        f.fleaf <- l;
+        f.fidx <- i
+
+  (* When everything before the finger is < [k], the target lies at or
+     after the finger: at the end if the finger is there, else in its
+     leaf when the leaf's last key is >= [k], else in the next leaf
+     when that one's is.  Any other target (one that went backwards,
+     or jumped more than a leaf ahead) re-descends from the root. *)
+  let[@cq.hot] finger_seek f k =
+    let l = f.fleaf and i = f.fidx in
+    let n = l.lcount in
+    if before_lt f k then begin
+      if i = n then ()
+      else if K.compare_at l.lkeys (n - 1) k >= 0 then f.fidx <- lower_bound_from l.lkeys i n k
+      else
+        match l.lnext with
+        | Some nx when K.compare_at nx.lkeys (nx.lcount - 1) k >= 0 ->
+            f.fleaf <- nx;
+            f.fidx <- lower_bound_from nx.lkeys 0 nx.lcount k
+        | _ -> finger_descend f k
+    end
+    else finger_descend f k
+
+  let finger_key f ~default =
+    let l = f.fleaf in
+    if f.fidx < l.lcount then l.lkeys.(f.fidx) else default
+
+  let finger_prev_key f ~default =
+    let l = f.fleaf and i = f.fidx in
+    if i > 0 then l.lkeys.(i - 1)
+    else match l.lprev with Some p -> p.lkeys.(p.lcount - 1) | None -> default
+
+  (* A module-level loop rather than a local closure over [hi]/[x]/[g],
+     so a walk allocates nothing. *)
+  let[@cq.hot] rec iter_le_from l i hi x g =
+    if i < l.lcount then begin
+      if K.compare_at l.lkeys i hi <= 0 then begin
+        g x l.lvals.(i);
+        iter_le_from l (i + 1) hi x g
+      end
+    end
+    else match l.lnext with Some nx -> iter_le_from nx 0 hi x g | None -> ()
+
+  let[@cq.hot] finger_iter_le f hi x g = iter_le_from f.fleaf f.fidx hi x g
 
   let rec rightmost_leaf = function
     | Leaf l -> l

@@ -84,6 +84,49 @@ module Make (K : ORDERED) : sig
       the rightmost entry with key < [k] (strictly), for as long as
       [f] returns [true].  Allocation-free. *)
 
+  (** {2 Fingers}
+
+      A finger is a reusable position in one tree, for many seeks
+      whose targets mostly rise, such as every scattered band window
+      of one event.  It designates an entry, or the end of the tree.
+      None of the finger functions allocates a closure or a cursor
+      record.
+
+      Any update to the tree ({!insert}, {!remove_first}) invalidates
+      every finger on it; {!finger_reset} makes it valid again.  A
+      caller that resets once per scan and does not update the tree
+      during the scan never sees a stale finger. *)
+
+  type 'a finger
+
+  val finger : 'a t -> 'a finger
+  (** A finger on the tree, at its leftmost entry. *)
+
+  val finger_reset : 'a finger -> unit
+  (** Move the finger back to the leftmost entry (O(log n)). *)
+
+  val finger_seek : 'a finger -> K.t -> unit
+  (** [finger_seek f k] moves [f] to the leftmost entry with key
+      >= [k], or to the end when there is none: the entry {!seek_ge}
+      finds.  The result is correct for any order of targets.  When
+      every entry before the finger is < [k] and the target lies in
+      the finger's leaf or the next one, the seek searches from the
+      finger and costs O(log order); any other target, including one
+      that goes backwards, re-descends from the root. *)
+
+  val finger_key : 'a finger -> default:K.t -> K.t
+  (** The key at the finger, or [default] at the end. *)
+
+  val finger_prev_key : 'a finger -> default:K.t -> K.t
+  (** The key of the entry just before the finger, or [default] when
+      the finger is at the leftmost entry (or the tree is empty). *)
+
+  val finger_iter_le : 'a finger -> K.t -> 'x -> ('x -> 'a -> unit) -> unit
+  (** [finger_iter_le f hi x g] calls [g x v] for each entry from the
+      finger on, in order, while its key is <= [hi].  The finger does
+      not move.  After [finger_seek f lo] this visits exactly what
+      [iter_range ~lo ~hi] visits. *)
+
   val iter : 'a t -> (K.t -> 'a -> unit) -> unit
   (** In-order iteration over all entries. *)
 

@@ -97,6 +97,7 @@ module Douter = struct
   let insert_query t (q : Band_query.t) = Itree.add t.windows q.range q
 
   let delete_query t (q : Band_query.t) =
+    Dedupe.forget t.dedupe q.qid;
     Itree.remove t.windows q.range (fun p -> p.Band_query.qid = q.qid)
 
   let query_count t = Itree.size t.windows
@@ -295,15 +296,53 @@ module Core_query = struct
   let scatter_interval = interval
 
   (* Band windows shift with the event's B value, so scattered queries
-     have no fixed stabbing point: each is probed individually. *)
+     have no fixed stabbing point: every one is probed. *)
   let scatter_point _ = None
 
-  let probe table (q : Band_query.t) (r : Tuple.r) emit =
-    let w = Band_query.instantiated q ~b:r.b in
-    Fbt.iter_range (Table.s_by_b table) ~lo:(I.lo w) ~hi:(I.hi w) (fun _ s -> emit s)
+  (* The scattered windows arrive in ascending [lo], so their shifted
+     lower ends [lo + r.b] only rise: one forward finger through S.B
+     answers every window of the event (BJ-MJ's merge, applied to the
+     scattered remainder).  [cells] holds r.b, the key at the finger
+     (+inf at the end) and the key before it (-inf at the start), so a
+     window whose shifted [lo] lies in (before, at] — most of them,
+     since the windows outnumber the S rows they span — needs two
+     float compares and no seek. *)
+  type scan = {
+    finger : Tuple.s Fbt.finger;
+    cells : float array;
+  }
 
-  let probe_hit table q (r : Tuple.r) =
-    window_nonempty table (Band_query.instantiated q ~b:r.b)
+  let scan_create table =
+    { finger = Fbt.finger (Table.s_by_b table); cells = [| 0.0; neg_infinity; infinity |] }
+
+  (* An empty (before, at] makes the event's first window seek, so an
+     event with no scattered window reads no key (and boxes none). *)
+  let[@cq.hot] scan_begin s (r : Tuple.r) =
+    Fbt.finger_reset s.finger;
+    s.cells.(0) <- r.b;
+    s.cells.(1) <- neg_infinity;
+    s.cells.(2) <- infinity
+
+  (* Put the finger on the leftmost S row with B >= lo + r.b.  The
+     window ends are read as fields of the private record: a call to
+     [I.lo] in another module would return a boxed float per window. *)
+  let[@cq.hot] scan_seek s (q : Band_query.t) =
+    let c = s.cells in
+    let lo = q.range.I.lo +. c.(0) in
+    if not (c.(2) < lo && lo <= c.(1)) then begin
+      Fbt.finger_seek s.finger lo;
+      c.(1) <- Fbt.finger_key s.finger ~default:infinity;
+      c.(2) <- Fbt.finger_prev_key s.finger ~default:neg_infinity
+    end
+
+  let[@cq.hot] scan_hit s (q : Band_query.t) =
+    scan_seek s q;
+    s.cells.(1) <= q.range.I.hi +. s.cells.(0)
+
+  let[@cq.hot] scan_probe s (q : Band_query.t) sink =
+    scan_seek s q;
+    let hi = q.range.I.hi +. s.cells.(0) in
+    if s.cells.(1) <= hi then Fbt.finger_iter_le s.finger hi q sink
 
   module Group = struct
     type g = G.g
@@ -423,6 +462,7 @@ module Ssi_dynamic = struct
         ignore (P.delete t.part q);
         sync t;
         Hashtbl.remove t.cache gid;
+        Dedupe.forget t.dedupe q.Band_query.qid;
         true
 
   let query_count t = P.size t.part

@@ -139,11 +139,20 @@ module Core_query = struct
   let scatter_interval (q : CQ.t) = q.range_a
   let scatter_point (r : Tuple.r) = Some r.a
 
-  let probe table q (r : Tuple.r) emit =
-    ignore (probe_query table q ~b:r.b ~stop_after_first:false (fun _ s -> emit s))
+  (* Candidates are already pruned by the rangeA stab, so each one is
+     probed on its own: the scan only remembers the event. *)
+  type scan = {
+    table : Table.s_table;
+    mutable ev : Tuple.r;
+  }
 
-  let probe_hit table q (r : Tuple.r) =
-    probe_query table q ~b:r.b ~stop_after_first:true (fun _ _ -> ())
+  let scan_create table = { table; ev = { rid = -1; a = 0.0; b = 0.0 } }
+  let scan_begin s r = s.ev <- r
+
+  let scan_probe s q sink =
+    ignore (probe_query s.table q ~b:s.ev.b ~stop_after_first:false sink)
+
+  let scan_hit s q = probe_query s.table q ~b:s.ev.b ~stop_after_first:true (fun _ _ -> ())
 
   module Group = struct
     type g = G.g

@@ -144,6 +144,7 @@ module Join_first = struct
   let delete_query t (q : Select_query.t) =
     let hit = Rtree.remove t.rects (Select_query.rect q) (fun p -> p.Select_query.qid = q.qid) in
     if hit then t.count <- t.count - 1;
+    Dedupe.forget t.dedupe q.qid;
     hit
 
   let query_count t = t.count
@@ -276,17 +277,29 @@ module Core_query = struct
   let scatter_interval (q : Select_query.t) = q.range_a
   let scatter_point (r : Tuple.r) = Some r.a
 
-  let probe table (q : Select_query.t) (r : Tuple.r) emit =
-    Pbt.iter_range (Table.s_by_bc table)
-      ~lo:(r.b, I.lo q.range_c)
-      ~hi:(r.b, I.hi q.range_c)
-      (fun _ s -> emit s)
+  (* Candidates are already pruned by the rangeA stab, so each one is
+     probed on its own: the scan only remembers the event. *)
+  type scan = {
+    table : Table.s_table;
+    mutable ev : Tuple.r;
+  }
 
-  let probe_hit table (q : Select_query.t) (r : Tuple.r) =
-    match Pbt.seek_ge (Table.s_by_bc table) (r.b, I.lo q.range_c) with
+  let scan_create table = { table; ev = { rid = -1; a = 0.0; b = 0.0 } }
+  let scan_begin s r = s.ev <- r
+
+  let scan_probe s (q : Select_query.t) sink =
+    let b = s.ev.b in
+    Pbt.iter_range (Table.s_by_bc s.table)
+      ~lo:(b, I.lo q.range_c)
+      ~hi:(b, I.hi q.range_c)
+      (fun _ res -> sink q res)
+
+  let scan_hit s (q : Select_query.t) =
+    let b = s.ev.b in
+    match Pbt.seek_ge (Table.s_by_bc s.table) (b, I.lo q.range_c) with
     | Some c ->
         let kb, kc = Pbt.key c in
-        kb = r.b && kc <= I.hi q.range_c
+        kb = b && kc <= I.hi q.range_c
     | None -> false
 
   module Group = struct

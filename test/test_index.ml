@@ -164,6 +164,73 @@ let prop_btree_walks =
           List.rev !asc = ge_model && !desc = lt_model)
         probes)
 
+(* The finger runs on the production S.B tree, at the smallest order
+   (duplicates straddle many leaves) and the default one. *)
+module Fbt = Cq_relation.Table.Fbt
+
+let fbt_of_ops ~order ops =
+  let t = Fbt.create ~order () in
+  List.iteri
+    (fun v -> function
+      | Ins k -> Fbt.insert t k v
+      | Del k -> ignore (Fbt.remove_first t k (fun _ -> true)))
+    ops;
+  t
+
+(* Targets reach past both ends of [key_gen]'s grid. *)
+let target_gen = QCheck2.Gen.(map (fun i -> float_of_int i /. 2.0) (int_range (-4) 44))
+
+(* After each seek the finger must sit where [seek_ge] lands (the
+   first entry [finger_iter_le] visits is that entry), report the keys
+   at and before that entry, and walk exactly what [iter_range] walks.
+   Targets are replayed rising, then in generated order (which goes
+   backwards), on one finger. *)
+let prop_btree_finger =
+  QCheck2.Test.make ~name:"btree: finger seeks match seek_ge" ~count:300
+    QCheck2.Gen.(
+      quad (oneofl [ 2; 16 ]) ops_gen
+        (list_size (int_range 1 40) target_gen)
+        (map float_of_int (int_bound 6)))
+    (fun (order, ops, targets, width) ->
+      let t = fbt_of_ops ~order ops in
+      let f = Fbt.finger t in
+      let check k =
+        Fbt.finger_seek f k;
+        let walked = ref [] in
+        Fbt.finger_iter_le f (k +. width) () (fun () v -> walked := v :: !walked);
+        let expected = ref [] in
+        Fbt.iter_range t ~lo:k ~hi:(k +. width) (fun _ v -> expected := v :: !expected);
+        let at = ref None in
+        Fbt.finger_iter_le f infinity () (fun () v -> if !at = None then at := Some v);
+        let ge = Fbt.seek_ge t k in
+        let before =
+          match ge with
+          | Some c -> Option.map Fbt.key (Fbt.prev c)
+          | None -> Option.map fst (Fbt.max_entry t)
+        in
+        !walked = !expected
+        && !at = Option.map Fbt.value ge
+        (* The defaults lie outside every key the generators make. *)
+        && Fbt.finger_key f ~default:1e9 = Option.fold ~none:1e9 ~some:Fbt.key ge
+        && Fbt.finger_prev_key f ~default:(-1e9) = Option.value before ~default:(-1e9)
+      in
+      let rising = List.for_all check (List.sort Float.compare targets) in
+      Fbt.finger_reset f;
+      rising && List.for_all check targets)
+
+let test_btree_finger_empty () =
+  let t = Fbt.create ~order:2 () in
+  let f = Fbt.finger t in
+  List.iter
+    (fun k ->
+      Fbt.finger_seek f k;
+      Alcotest.(check (float 0.0)) "at the end" infinity (Fbt.finger_key f ~default:infinity);
+      Alcotest.(check (float 0.0))
+        "nothing before" neg_infinity
+        (Fbt.finger_prev_key f ~default:neg_infinity);
+      Fbt.finger_iter_le f infinity () (fun () _ -> Alcotest.fail "visited an entry"))
+    [ 1.0; neg_infinity; infinity; 0.0 ]
+
 let test_btree_walk_early_stop () =
   let t = FB.create ~order:2 () in
   List.iter (fun k -> FB.insert t k (int_of_float k)) [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 ];
@@ -587,10 +654,12 @@ let () =
           qc prop_btree_bulk_load;
           qc prop_btree_cursor_walk;
           qc prop_btree_walks;
+          qc prop_btree_finger;
           Alcotest.test_case "walk early stop" `Quick test_btree_walk_early_stop;
           Alcotest.test_case "neighbours" `Quick test_btree_neighbours;
           Alcotest.test_case "duplicates" `Quick test_btree_find_all_duplicates;
           Alcotest.test_case "empty tree" `Quick test_btree_empty;
+          Alcotest.test_case "finger on an empty tree" `Quick test_btree_finger_empty;
           Alcotest.test_case "validation + bulk sizes" `Quick test_btree_validation;
         ] );
       ( "interval_tree",

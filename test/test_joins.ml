@@ -609,20 +609,95 @@ let prop_band_processors_churn =
         (fun strategy ->
           let (module P : BJ.PROCESSOR) = BJ.processor strategy in
           let st = P.create_cfg ~alpha:0.3 ~seed:42 table all in
-          List.iter
-            (fun q ->
-              if not (P.delete_query st q) then
-                ignore (QCheck2.Test.fail_reportf "%s: delete_query failed" P.name))
-            drop;
-          P.check_invariants st;
+          let matches queries r =
+            let acc = ref [] in
+            P.process_r st r (fun q s -> acc := (q.BQ.qid, s.Tuple.sid) :: !acc);
+            List.sort compare !acc = BJ.reference table queries r
+          in
+          (* Events before the deletes leave the dropped queries marked
+             in the per-event dedupe, which must forget them. *)
           List.for_all
-            (fun r ->
-              let acc = ref [] in
-              P.process_r st r (fun q s -> acc := (q.BQ.qid, s.Tuple.sid) :: !acc);
-              List.sort compare !acc = BJ.reference table keep r
-              || QCheck2.Test.fail_reportf "%s diverges after churn" P.name)
-            events)
+            (fun r -> matches all r || QCheck2.Test.fail_reportf "%s diverges before churn" P.name)
+            events
+          && begin
+               List.iter
+                 (fun q ->
+                   if not (P.delete_query st q) then
+                     ignore (QCheck2.Test.fail_reportf "%s: delete_query failed" P.name))
+                 drop;
+               P.check_invariants st;
+               List.for_all
+                 (fun r ->
+                   matches keep r || QCheck2.Test.fail_reportf "%s diverges after churn" P.name)
+                 events
+             end)
         strategies)
+
+(* With every query scattered, a band event is one forward sweep of the
+   S.B finger over the windows in scattered-index order: ascending
+   (lo, hi), ties in insertion order.  Keys sit on the integer grid, as
+   do R.B and the window ends, so shifted window ends land exactly on
+   keys, and many windows share a lower end.  S rows arrive between
+   events, so each event's sweep starts on a changed tree. *)
+let prop_band_scattered_sweep =
+  QCheck2.Test.make ~name:"band processors: scattered sweep = per-query loop" ~count:100
+    QCheck2.Gen.(pair band_case_gen s_tuples_gen)
+    (fun ((s_tuples, ranges, events), arrivals) ->
+      let table, _ = make_s_table s_tuples in
+      (* With α = 1 a group is promoted only if it holds every query.
+         The first query is promoted while it is alone and demoted by
+         the third; three disjoint windows keep any later group from
+         holding them all. *)
+      let ranges = I.make (-100.0) (-99.0) :: I.make 99.0 100.0 :: I.make 199.0 200.0 :: ranges in
+      let queries = BQ.of_ranges (Array.of_list (List.map (fun iv -> I.shift iv (-5.0)) ranges)) in
+      let sweep_order =
+        List.stable_sort
+          (fun (a : BQ.t) (b : BQ.t) ->
+            compare (I.lo a.range, I.hi a.range) (I.lo b.range, I.hi b.range))
+          (Array.to_list queries)
+      in
+      let st = BJ.Hotspot.create_cfg ~alpha:1.0 ~seed:42 table queries in
+      let arrivals = ref (List.mapi (fun i (b, c) -> { Tuple.sid = 5000 + i; b; c }) arrivals) in
+      List.for_all
+        (fun (r : Tuple.r) ->
+          (match !arrivals with
+          | s :: s' :: rest ->
+              Table.insert_s table s;
+              Table.insert_s table s';
+              arrivals := rest
+          | _ -> ());
+          let per_query =
+            List.map
+              (fun (q : BQ.t) ->
+                let rows = ref [] in
+                Table.Fbt.iter_range (Table.s_by_b table) ~lo:(I.lo q.range +. r.b)
+                  ~hi:(I.hi q.range +. r.b) (fun _ s -> rows := (q.qid, s.Tuple.sid) :: !rows);
+                (q.qid, List.rev !rows))
+              sweep_order
+          in
+          let want = List.concat_map snd per_query in
+          let hit =
+            List.filter_map (fun (qid, rows) -> if rows = [] then None else Some qid) per_query
+          in
+          let got = ref [] in
+          BJ.Hotspot.process_r st r (fun q s -> got := (q.BQ.qid, s.Tuple.sid) :: !got);
+          let affected = ref [] in
+          BJ.Hotspot.affected st r (fun q -> affected := q.BQ.qid :: !affected);
+          let asked = ref [] in
+          BJ.Hotspot.set_shed st (Some (fun qid -> asked := qid :: !asked; qid mod 2 = 0));
+          let kept = ref [] in
+          BJ.Hotspot.process_r st r (fun q s -> kept := (q.BQ.qid, s.Tuple.sid) :: !kept);
+          BJ.Hotspot.set_shed st None;
+          let check what ok = ok || QCheck2.Test.fail_reportf "b=%g: %s" r.b what in
+          check "a query was promoted" (BJ.Hotspot.num_hotspots st = 0)
+          && check "loop differs from reference"
+               (List.sort compare want = BJ.reference table queries r)
+          && check "emission order differs" (List.rev !got = want)
+          && check "affected differs" (List.rev !affected = hit)
+          && check "shed consulted other queries" (List.rev !asked = hit)
+          && check "shed kept other rows"
+               (List.rev !kept = List.filter (fun (qid, _) -> qid mod 2 = 0) want))
+        (make_r_events events))
 
 (* ---------------------------------------------------------------------- *)
 
@@ -668,5 +743,6 @@ let () =
           qc prop_select_processors_match;
           qc prop_composite_processors_match;
           qc prop_band_processors_churn;
+          qc prop_band_scattered_sweep;
         ] );
     ]
