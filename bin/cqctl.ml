@@ -212,19 +212,17 @@ let run_overload_demo ~seed ~overload ~events =
          (fun _ _ -> ()))
   done;
   let rejected = ref 0 and accepted = ref 0 in
+  (* The burst workload's rows and flushes; its queries are replaced by
+     the twelve bands above. *)
   Array.iter
-    (fun op ->
-      match op with
-      | Cq_robust.Fault.Burst_r rows -> (
-          match Par.try_ingest_batch t Par.R rows with
+    (function
+      | Cq_robust.Fault.Rows (side, rows) -> (
+          match Par.try_ingest_batch t side rows with
           | Ok () -> incr accepted
           | Error _ -> incr rejected)
-      | Cq_robust.Fault.Burst_s rows -> (
-          match Par.try_ingest_batch t Par.S rows with
-          | Ok () -> incr accepted
-          | Error _ -> incr rejected)
-      | Cq_robust.Fault.Burst_flush -> ignore (Par.flush t))
-    (Cq_robust.Fault.gen_burst ~seed ~n:(max 24 (events / 50)));
+      | Cq_robust.Fault.Flush -> ignore (Par.flush t)
+      | _ -> ())
+    (Cq_robust.Fault.gen_burst ~seed ~n:(max 24 (events / 50))).steps;
   ignore (Par.flush t);
   let totals = Par.shed_totals t in
   let info = Par.shed_info t in
@@ -305,36 +303,40 @@ let fuzz_cmd =
   in
   let run seed ops shards faults metrics =
     with_metrics metrics @@ fun () ->
+    let module O = Cq_robust.Oracle in
+    let module F = Cq_robust.Fault in
     let outcomes =
       match faults with
       | `Burst ->
           (* The shed battery: forced-rate differential checks at two
-             rates and two shard counts (the outcomes must agree), the
-             mixed-rate schedule that interleaves exact and shedding
-             phases, then the adaptive burst-liveness replay. *)
-          let fuzz_ops = max 100 (ops / 100) in
+             rates and two shard counts, the mixed-rate schedule that
+             interleaves exact and shedding phases, then the adaptive
+             burst-liveness replay. *)
+          let n = max 100 (ops / 100) in
           List.concat_map
             (fun rate ->
-              [
-                Cq_robust.Oracle.run_shed ~shards:1 ~rate ~seed ~ops:fuzz_ops ();
-                Cq_robust.Oracle.run_shed ~shards ~rate ~seed ~ops:fuzz_ops ();
-              ])
+              List.map
+                (fun n_shards ->
+                  O.diff (F.gen_uniform ~rates:[| rate |] ~seed ~n ()) O.Reference (O.Par n_shards)
+                    O.Shed_bounds)
+                [ 1; shards ])
             [ 0.25; 0.75 ]
           @ [
-              Cq_robust.Oracle.run_shed_adaptive ~seed ~ops:fuzz_ops ();
-              Cq_robust.Oracle.run_burst ~shards ~seed ~ops:(max 240 (ops / 50)) ();
+              O.diff (F.gen_uniform ~rates:F.mixed_rates ~seed ~n ()) O.Reference O.Seq_rows
+                O.Shed_bounds;
+              O.diff (F.gen_burst ~seed ~n:(max 24 (ops / 500))) O.Reference (O.Par shards)
+                O.Shed_bounds;
             ]
       | `Drift ->
           (* Walking-hotspot replays at the requested shard count and a
              second one, so a placement-dependent bug can't hide behind
              a single layout. *)
-          let drift_ops = max 240 (ops / 50) in
-          let alt = if shards = 2 then 4 else 2 in
-          [
-            Cq_robust.Oracle.run_drift ~shards ~seed ~ops:drift_ops ();
-            Cq_robust.Oracle.run_drift ~shards:alt ~seed ~ops:drift_ops ();
-          ]
-      | `Default -> Cq_robust.Oracle.fuzz_all ~shards ~seed ~ops ()
+          let n = max 240 (ops / 50) in
+          List.map
+            (fun n_shards ->
+              O.diff (F.gen_drift ~shards:n_shards ~seed ~n ()) (O.Par 1) (O.Par n_shards) O.Same)
+            [ shards; (if shards = 2 then 4 else 2) ]
+      | `Default -> O.fuzz_all ~shards ~seed ~ops ()
     in
     List.iter (fun o -> Format.printf "@[<v>%a@]@." Cq_robust.Oracle.pp_outcome o) outcomes;
     let bad = List.filter (fun o -> not (Cq_robust.Oracle.passed o)) outcomes in
@@ -414,13 +416,17 @@ let overload_arg =
    live view the parallel.shard.* metrics export. *)
 let run_shard_demo ~seed ~shards ~events =
   let module Par = Cq_engine.Parallel in
-  let stream = Cq_robust.Fault.gen_drift ~shards ~seed ~n:(max 240 events) () in
+  let w = Cq_robust.Fault.gen_drift ~shards ~seed ~n:(max 240 events) () in
   let t = Par.create ~alpha:0.1 ~seed ~shards ~batch_size:8 () in
-  Cq_robust.Oracle.replay_drift t stream (fun _ _ _ -> ());
-  Par.check_invariants t;
+  let o = Cq_robust.Oracle.replay_par t w in
+  Option.iter
+    (fun (d : Cq_robust.Oracle.divergence) ->
+      Format.printf "replay diverged at step %d: %s@." d.op_index d.detail)
+    o.failure;
+  List.iter (Format.printf "VIOLATION %a@." Cq_robust.Invariant.pp_violation) o.violations;
   let loads = Par.shard_loads t in
   Format.printf "@[<v>-- shard loads (drift demo, %d events) ----------------------@]@."
-    (Array.length stream);
+    (Array.length w.steps);
   Format.printf "  %-6s %8s %8s %10s %7s %10s@." "shard" "queries" "groups" "max group"
     "queue" "delivered";
   Array.iter

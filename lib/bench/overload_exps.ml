@@ -131,13 +131,14 @@ let burst_run ~seed ~n_ops policy =
     | Ok () -> ()
     | Error _ -> incr rejected
   in
+  (* The burst workload's rows and flushes; its queries are replaced
+     by the twelve bands above. *)
   Array.iter
-    (fun op ->
-      match op with
-      | Cq_robust.Fault.Burst_r rows -> ingest Par.R rows
-      | Cq_robust.Fault.Burst_s rows -> ingest Par.S rows
-      | Cq_robust.Fault.Burst_flush -> ignore (timed flush_ns (fun () -> Par.flush t)))
-    (Cq_robust.Fault.gen_burst ~seed ~n:n_ops);
+    (function
+      | Cq_robust.Fault.Rows (side, rows) -> ingest side rows
+      | Cq_robust.Fault.Flush -> ignore (timed flush_ns (fun () -> Par.flush t))
+      | _ -> ())
+    (Cq_robust.Fault.gen_burst ~seed ~n:n_ops).steps;
   ignore (timed flush_ns (fun () -> Par.flush t));
   let totals = Par.shed_totals t in
   Par.shutdown t;
@@ -154,7 +155,7 @@ let overload (scale : Setup.scale) =
   Report.note "Part A (accuracy): a seeded workload runs through the Shed policy at";
   Report.note "forced keep-rates; per-query Horvitz-Thompson estimates must land";
   Report.note "inside their claimed error bounds (checked here against an exact";
-  Report.note "brute-force mirror; fuzzed across seeds by Oracle.run_shed).";
+  Report.note "brute-force mirror; fuzzed across seeds by the Shed_bounds oracle).";
   Report.note "Part B (latency): the same seeded burst stream (ingest outrunning";
   Report.note "drain) replays under each overload policy; Shed must keep ingest";
   Report.note "calls non-blocking where Block absorbs the queue wait.";

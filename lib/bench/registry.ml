@@ -31,11 +31,6 @@ let scale_exps =
       title = "Overload management: admission control and load shedding";
       run = Overload_exps.overload;
     };
-    {
-      id = "serve-sessions";
-      title = "Network front-end: latency and throughput vs sessions";
-      run = Serve_exps.serve_sessions;
-    };
   ]
 
 let ablation_exps =

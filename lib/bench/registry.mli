@@ -9,8 +9,9 @@ type exp = {
 
 val all : exp list
 (** In paper order: table1, fig2, fig7i, fig7ii, fig8iii, fig8iv, fig9,
-    fig10i, fig10ii, fig11, fig12, then scale-domains, overload and
-    serve-sessions, then ablations. *)
+    fig10i, fig10ii, fig11, fig12, then scale-domains and overload,
+    then ablations.  Served measurement lives in cqbench's
+    [served-mixed] workload ([bench/e2e]). *)
 
 val find : string -> exp option
 val ids : unit -> string list

@@ -226,9 +226,9 @@ let select_telemetry (Sproc ((module P), p)) = P.telemetry p
    phases' result count while the claimed bound only covered the
    shed phases' sampling error.  Hence recording is gated on
    [shed_engaged] (shed mode), not on the instantaneous rate.
-   [Cq_robust.Oracle.run_shed] fuzzes the bound at constant forced
-   rates and [Cq_robust.Oracle.run_shed_adaptive] across rate
-   schedules that mix exact and shedding phases. *)
+   The oracle's [Shed_bounds] sweeps fuzz the bound at constant forced
+   rates and across rate schedules that mix exact and shedding
+   phases. *)
 
 let est_for t qid =
   match Hashtbl.find_opt t.shed_ests qid with

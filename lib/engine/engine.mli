@@ -316,10 +316,10 @@ val load_r : t -> (float * float) array -> unit
     p = 1, contributing their count to the estimate and zero to the
     error terms, so the claimed bound covers the {e entire} stream
     even when an adaptive controller alternates exact and shedding
-    phases.  {!Cq_robust.Oracle.run_shed} fuzz-checks observed error
-    <= claimed bound at constant forced rates and
-    {!Cq_robust.Oracle.run_shed_adaptive} across mixed-rate
-    schedules, both against an exact mirror.
+    phases.  The differential harness's [Shed_bounds] comparator
+    ({!Cq_robust.Oracle.verdict}) fuzz-checks observed error <= claimed
+    bound against an exact mirror, at constant forced rates and across
+    mixed-rate schedules.
 
     An engine first handed a sub-unit rate via {!set_shed_rate}
     mid-stream (rather than at creation) enters shed mode only at

@@ -311,8 +311,6 @@ let try_create_cfg (cfg : E.Config.t) =
           stopped = false;
         }
 
-let create_cfg cfg = Err.ok_exn (try_create_cfg cfg)
-
 let try_create ?alpha ?epsilon ?seed ?strategy ?shards ?batch_size ?overload
     ?shed_rate () =
   let d = E.Config.default in
@@ -600,8 +598,6 @@ let try_ingest_batch_flat t side batch =
               done);
           Ok ())
 
-let ingest_batch_flat t side batch = Err.ok_exn (try_ingest_batch_flat t side batch)
-
 (* Legacy row-array ingest: copy once into a fresh root batch and ship
    it down the flat path. *)
 let try_ingest_batch t side rows = try_ingest_batch_flat t side (Batch.of_rows rows)
@@ -615,16 +611,25 @@ let protected cb r s =
   with exn ->
     Log.warn (fun m -> m "subscriber callback raised %s" (Printexc.to_string exn))
 
+(* Results of a query unsubscribed since its shard produced them are
+   discarded here, before anything counts them as delivered. *)
 let deliver t results =
-  let sorted = List.sort compare_tagged results in
+  let n = ref 0 in
   List.iter
     (fun tg ->
-      (match Hashtbl.find_opt t.regs tg.qid with
-      | Some rg -> protected rg.rg_cb tg.r tg.s
-      | None -> ());
-      t.total_delivered <- t.total_delivered + 1)
-    sorted;
-  List.length sorted
+      match Hashtbl.find_opt t.regs tg.qid with
+      | Some rg ->
+          protected rg.rg_cb tg.r tg.s;
+          incr n;
+          (match t.impl with
+          | Par p ->
+              let st = p.shard_states.(tg.shard) in
+              st.delivered <- st.delivered + 1
+          | Seq _ -> ())
+      | None -> ())
+    (List.sort compare_tagged results);
+  t.total_delivered <- t.total_delivered + !n;
+  !n
 
 (* Run one barrier command (Flush or Check) through every shard and
    wait for all acks before looking at any error — a poisoned shard
@@ -656,15 +661,17 @@ let barrier p cmd =
   Array.iter (fun (_, _, err) -> match err with Some exn -> raise exn | None -> ()) acks;
   acks
 
-(* Drain every shard, deliver the merged results, and return the acks
-   (each also carries its shard's stats/snapshot block). *)
-let sync t =
+(* Drain every shard through a [cmd] barrier (a [Check] also audits
+   each shard's engine), deliver the merged results, and return the
+   acks (each also carries its shard's stats/snapshot block). *)
+let sync ?(cmd = Flush) t =
   match t.impl with
   | Seq se ->
+      apply se cmd;
       let ack = take_ack se in
       ([ ack ], deliver t ack.a_results)
   | Par p ->
-      let acks = barrier p Flush in
+      let acks = barrier p cmd in
       (* Every shard has drained its queue past our Ingest commands
          (the barrier ack follows them in FIFO order), so no chunk
          view is live any more: release the frozen roots. *)
@@ -672,24 +679,27 @@ let sync t =
       t.inflight <- [];
       let all =
         Array.fold_left
-          (fun acc (st, ack, _) ->
-            match ack with
-            | Some a ->
-                st.delivered <- st.delivered + List.length a.a_results;
-                (* Refresh the per-shard load gauges from the ack, on
-                   the coordinator's domain — worker-side recording
-                   would race the registry's lock-free cells. *)
-                st.ld_queries <- a.a_band.P.snap_queries + a.a_select.P.snap_queries;
-                st.ld_groups <- a.a_stats.E.band_hotspots + a.a_stats.E.select_hotspots;
-                st.ld_max_group <- a.a_stats.E.max_group_size;
-                Metrics.set st.queries_gauge (float_of_int st.ld_queries);
-                Metrics.set st.groups_gauge (float_of_int st.ld_groups);
-                Metrics.set st.max_group_gauge (float_of_int st.ld_max_group);
-                Metrics.set st.delivered_gauge (float_of_int st.delivered);
-                List.rev_append a.a_results acc
-            | None -> acc)
+          (fun acc (_, ack, _) ->
+            match ack with Some a -> List.rev_append a.a_results acc | None -> acc)
           [] acks
       in
+      let n = deliver t all in
+      Array.iter
+        (fun (st, ack, _) ->
+          match ack with
+          | Some a ->
+              (* Refresh the per-shard load gauges from the ack, on the
+                 coordinator's domain — worker-side recording would race
+                 the registry's lock-free cells. *)
+              st.ld_queries <- a.a_band.P.snap_queries + a.a_select.P.snap_queries;
+              st.ld_groups <- a.a_stats.E.band_hotspots + a.a_stats.E.select_hotspots;
+              st.ld_max_group <- a.a_stats.E.max_group_size;
+              Metrics.set st.queries_gauge (float_of_int st.ld_queries);
+              Metrics.set st.groups_gauge (float_of_int st.ld_groups);
+              Metrics.set st.max_group_gauge (float_of_int st.ld_max_group);
+              Metrics.set st.delivered_gauge (float_of_int st.delivered)
+          | None -> ())
+        acks;
       let counts = Array.map (fun (st, _, _) -> st.delivered) acks in
       let total = Array.fold_left ( + ) 0 counts in
       if total > 0 then begin
@@ -697,7 +707,6 @@ let sync t =
         Metrics.set m_imbalance
           (float_of_int (mx * Array.length counts) /. float_of_int total)
       end;
-      let n = deliver t all in
       (Array.to_list (Array.map (fun (_, ack, _) -> ack) acks) |> List.filter_map Fun.id, n)
 
 let flush t =
@@ -709,38 +718,6 @@ let flush t =
   n
 
 let results_delivered t = t.total_delivered
-
-(* ------------------------ elastic registration -------------------------- *)
-
-(* Online registration on a running engine: quiesce at a flush barrier
-   first, so the new query's first observable event is a deterministic
-   stream position (the barrier), then install it exactly like a
-   static subscription. *)
-let try_register t spec cb =
-  match live t with
-  | Error e -> Error e
-  | Ok () -> (
-      match validate_spec spec with
-      | Error e -> Error e
-      | Ok () ->
-          ignore (sync t);
-          Ok (add_query t spec cb))
-
-let register t spec cb = Err.ok_exn (try_register t spec cb)
-
-(* Online deregistration: same barrier discipline.  [Ok false] when the
-   subscription was already gone. *)
-let try_deregister t sub =
-  match live t with
-  | Error e -> Error e
-  | Ok () ->
-      if not (Hashtbl.mem t.regs sub.sub_qid) then Ok false
-      else begin
-        ignore (sync t);
-        Ok (remove_query t sub.sub_qid)
-      end
-
-let deregister t sub = Err.ok_exn (try_deregister t sub)
 
 (* ---------------------------- introspection ----------------------------- *)
 
@@ -849,8 +826,8 @@ let shard_result_counts t =
 let check_invariants t =
   ensure_live t;
   let fail fmt = Err.corrupt ~structure:"parallel" fmt in
-  let acks, _ = sync t in
-  (match t.impl with Seq se -> apply se Check | Par p -> ignore (barrier p Check));
+  (* One barrier drains every shard and audits its engine. *)
+  let acks, _ = sync ~cmd:Check t in
   (* Each shard hosts exactly the registered queries whose strips deal
      to it. *)
   let expected = Array.make t.cfg.shards 0 in
@@ -899,5 +876,5 @@ let shutdown t =
       (fun () -> ignore (sync t))
 
 let with_engine cfg f =
-  let t = create_cfg cfg in
+  let t = Err.ok_exn (try_create_cfg cfg) in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

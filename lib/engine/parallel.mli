@@ -29,16 +29,18 @@
       sequence number, shard id, per-event delivery index — and the
       merge sorts on that triple before invoking callbacks.
 
-    [cq_robust]'s differential oracle ([Cq_robust.Oracle.run_parallel])
-    replays seeded workloads through both engines and asserts the
-    multisets agree.
+    [cq_robust]'s differential harness ({!Cq_robust.Oracle.diff} with
+    the [Par 1] and [Par n] drivers) replays seeded workloads through
+    both shard counts and asserts the multisets agree.
 
     {2 Elasticity}
 
-    Queries join and leave a running engine ({!try_register} /
-    {!try_deregister}).  Both calls quiesce at a flush barrier, so
-    every membership change happens at a deterministic position of the
-    event stream.  A query's shard is a fixed function of its strip and
+    Queries join and leave a running engine through {!subscribe_band} /
+    {!subscribe_select} and {!unsubscribe}.  A caller that wants the
+    change at a flush barrier calls [ignore (flush t)] first: the join
+    or leave point is then a deterministic batch boundary of the event
+    stream, and replaying the same call sequence against the same input
+    yields bit-for-bit the same output for any shard count.  A query's shard is a fixed function of its strip and
     the shard count: placement never changes after registration, so a
     query lives on one shard for its whole life.  DESIGN.md §15 has the
     protocol and the measurement behind the static placement.
@@ -63,16 +65,6 @@ type t
     {!Engine.try_insert_r} / {!Engine.try_insert_s}. *)
 type side = R | S
 
-(** A continuous query's full, portable definition — everything needed
-    to (re)play it into any shard.  [Band {range}] subscribes to
-    [b - a ∈ range] join results; [Select {range_a; range_c}] to
-    [a ∈ range_a ∧ c ∈ range_c] ones.  The routing strip is derived
-    from [range] (band) or [range_c] (select), the processors'
-    partition axes. *)
-type spec =
-  | Band of { range : Cq_interval.Interval.t }
-  | Select of { range_a : Cq_interval.Interval.t; range_c : Cq_interval.Interval.t }
-
 type subscription
 (** A handle naming one live query. *)
 
@@ -81,8 +73,6 @@ val try_create_cfg : Engine.Config.t -> (t, Cq_util.Error.t) result
     [batch_size] names that field in the error payload), then spawns
     [cfg.shards - 1 >= 1 ? cfg.shards : 0] worker domains, each owning
     a sequential engine derived from [cfg] with a distinct seed. *)
-
-val create_cfg : Engine.Config.t -> t
 
 val try_create :
   ?alpha:float ->
@@ -150,44 +140,14 @@ val subscribe_select :
 
 val unsubscribe : t -> subscription -> bool
 (** Remove a query without a barrier: results already buffered on its
-    shard (ingested but not yet flushed) are still delivered at the
-    next flush, then silently discarded at the merge.  [false] if the
-    subscription was already gone.  For a deterministic leave point use
-    {!try_deregister}. *)
+    shard (ingested but not yet flushed) are discarded at the next
+    flush's merge: no callback runs for them and no delivery counter
+    includes them.  [false] if the subscription was already gone.  For
+    a deterministic leave point that delivers everything the query
+    produced so far, call [ignore (flush t)] first. *)
 
 val band_query_count : t -> int
 val select_query_count : t -> int
-
-(** {2 Elastic registration}
-
-    Online membership changes on a {e running} engine.  Both calls
-    first run a full flush barrier (cost: one {!flush}, i.e. one
-    queue-drain round-trip per shard plus the merge), so the join or
-    leave point is a deterministic batch boundary of the event stream:
-    replaying the same call sequence against the same input yields
-    bit-for-bit the same output, for any shard count.  Beyond the
-    barrier, registration is O(1) on the coordinator plus one
-    subscribe on the owning shard. *)
-
-val try_register :
-  t ->
-  spec ->
-  (Cq_relation.Tuple.r -> Cq_relation.Tuple.s -> unit) ->
-  (subscription, Cq_util.Error.t) result
-(** Flush-barrier quiesce, then install the query on its strip's
-    shard, next to the rest of its stabbing neighbourhood.  Pending
-    results of other queries are delivered by the implicit flush.
-    Errors: empty ranges ([Empty_range]), dead engine. *)
-
-val register :
-  t -> spec -> (Cq_relation.Tuple.r -> Cq_relation.Tuple.s -> unit) -> subscription
-
-val try_deregister : t -> subscription -> (bool, Cq_util.Error.t) result
-(** Flush-barrier quiesce (delivering everything the query produced up
-    to the barrier), then remove it.  [Ok false] when the subscription
-    was already gone — in that case no barrier runs. *)
-
-val deregister : t -> subscription -> bool
 
 (** {2 Batch ingest} *)
 
@@ -216,8 +176,6 @@ val try_ingest_batch_flat :
 
     Validation and overload behaviour are identical to
     {!try_ingest_batch}. *)
-
-val ingest_batch_flat : t -> side -> Cq_relation.Batch.t -> unit
 
 val try_ingest_batch : t -> side -> (float * float) array -> (unit, Cq_util.Error.t) result
 (** Row-array convenience wrapper: copies [rows] once into a fresh
@@ -258,7 +216,7 @@ val flush : t -> int
 (** Barrier: wait until every shard has drained its queue, then merge
     the shards' tagged result buffers in [(seq, shard, idx)] order and
     invoke the subscriber callbacks.  Returns the number of results
-    delivered by this flush.  Worker-side failures (a shard engine
+    delivered by this flush, that is the number of callbacks it ran.  Worker-side failures (a shard engine
     raising) are re-raised here, on the coordinator. *)
 
 val results_delivered : t -> int
@@ -311,7 +269,8 @@ val shed_info : t -> Engine.degraded list
     is flipped for their events, nothing accounts for them — so the
     bounds are valid {b only while} {!shed_totals}[.par_dropped_rows]
     is 0; check it before trusting them
-    ({!Cq_robust.Oracle.run_burst} does exactly that). *)
+    (the harness's [Shed_bounds] comparator, {!Cq_robust.Oracle.verdict},
+    does exactly that). *)
 
 (** Aggregate shedding counters: the shards' coin totals plus the
     coordinator's whole-chunk drops (which no coin ever sees). *)

@@ -25,7 +25,7 @@ val groups_needed : n_groups:int -> beta:float -> target:float -> int
     stay Zipf([dr_beta])-distributed — rank 0 is always the hottest —
     so as the lattice walks across shard strips, the {e load} walks
     with it while the {e distribution shape} is stationary.  This is
-    the workload generator behind [Cq_robust.Oracle.run_drift]: it
+    the workload generator behind [Cq_robust.Fault.gen_drift]: it
     moves the parallel engine's load across shards without ever
     changing the per-step sampling law, keeping runs reproducible from
     the seed alone. *)

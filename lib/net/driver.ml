@@ -60,19 +60,7 @@ type outcome = {
   latencies_ns : float array;
   overloads : (Frame.overload_source * int * float) list;
   server : Server.stats;
-  server_metrics : Metrics.snapshot option;
-  elapsed_s : float;
 }
-
-let percentile samples q =
-  let n = Array.length samples in
-  if n = 0 then 0.0
-  else begin
-    let sorted = Array.copy samples in
-    Array.sort Float.compare sorted;
-    let rank = int_of_float (Float.ceil (q /. 100.0 *. float_of_int n)) in
-    sorted.(min (n - 1) (max 0 (rank - 1)))
-  end
 
 exception Bail of Client.error
 
@@ -85,8 +73,7 @@ let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
    cores are scarce (a domain parked in select stalls the other's minor
    collections for the full select timeout), and a separate process is
    the honest deployment shape anyway.  The child ships its ephemeral
-   port up front and its final stats + metrics snapshot at shutdown
-   over a pipe. *)
+   port up front and its final stats at shutdown over a pipe. *)
 type server_handle = { pid : int; ic : in_channel }
 
 let fork_server config =
@@ -106,7 +93,6 @@ let fork_server config =
           flush oc;
           Server.serve srv;
           Marshal.to_channel oc (Server.stats srv) [];
-          Marshal.to_channel oc (Metrics.snapshot ()) [];
           flush oc;
           Unix._exit 0)
   | pid -> (
@@ -132,7 +118,7 @@ let fork_server config =
    behaviour. *)
 type server_backend =
   | Forked of server_handle
-  | Domained of Server.t * (Server.stats * Metrics.snapshot option) Domain.t
+  | Domained of Server.t * Server.stats Domain.t
 
 let spawn_server config =
   match fork_server config with
@@ -145,12 +131,12 @@ let spawn_server config =
           let d =
             Domain.spawn (fun () ->
                 Server.serve srv;
-                (Server.stats srv, Some (Metrics.snapshot ())))
+                Server.stats srv)
           in
           Ok (Server.port srv, Domained (srv, d)))
 
-(* Stop the child and collect (stats, metrics snapshot); [None]s mean
-   the child crashed instead of shutting down. *)
+(* Stop the child and collect its stats; [None] means the child
+   crashed instead of shutting down. *)
 let stop_server h =
   (try Unix.kill h.pid Sys.sigterm with Unix.Unix_error (_, _, _) -> ());
   let fd = Unix.descr_of_in_channel h.ic in
@@ -160,31 +146,27 @@ let stop_server h =
     | _ -> true
     | exception Unix.Unix_error (_, _, _) -> false
   in
-  let stats, snap =
-    if not readable then (None, None)
+  let stats =
+    if not readable then None
     else
       (* A crashed child yields a truncated stream: [End_of_file] or a
          [Failure] from Marshal, or [Sys_error] if the pipe was torn
          down under us.  Anything else (e.g. a real [Unix_error]) is a
          driver bug and must propagate, not read as "child crashed". *)
       match (Marshal.from_channel h.ic : Server.stats) with
-      | st -> (
-          match (Marshal.from_channel h.ic : Metrics.snapshot) with
-          | sn -> (Some st, Some sn)
-          | exception (End_of_file | Failure _ | Sys_error _) -> (Some st, None))
-      | exception (End_of_file | Failure _ | Sys_error _) -> (None, None)
+      | st -> Some st
+      | exception (End_of_file | Failure _ | Sys_error _) -> None
   in
   if not readable then (try Unix.kill h.pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
   close_in h.ic;
   (try ignore (Unix.waitpid [] h.pid) with Unix.Unix_error (_, _, _) -> ());
-  (stats, snap)
+  stats
 
 let stop_backend = function
   | Forked h -> stop_server h
   | Domained (srv, d) ->
       Server.stop srv;
-      let st, sn = Domain.join d in
-      (Some st, sn)
+      Some (Domain.join d)
 
 let register_queries clients (w : workload) =
   Array.mapi
@@ -215,7 +197,6 @@ let run_workload ?(engine = Engine.Config.default) ?(session_queue = 4096) (w : 
         in
         let qids = register_queries cs w in
         let latencies = Array.make (Array.length w.batches) 0.0 in
-        let t_start = Clock.monotonic () in
         let overloads = ref [] in
         Array.iteri
           (fun i b ->
@@ -233,7 +214,6 @@ let run_workload ?(engine = Engine.Config.default) ?(session_queue = 4096) (w : 
                {!Client.pump}). *)
             Array.iter (fun c -> ignore (Client.pump c)) cs)
           w.batches;
-        let elapsed_s = Clock.monotonic () -. t_start in
         (* FLUSHED rides the result FIFO, so it is the drain barrier:
            once it arrives, every surviving RESULTS frame for batches
            acked above has been stashed. *)
@@ -250,14 +230,13 @@ let run_workload ?(engine = Engine.Config.default) ?(session_queue = 4096) (w : 
             List.iter (fun o -> overloads := o :: !overloads) (Client.take_overloads c);
             ignore (Client.bye c))
           cs;
-        (results, qids, latencies, List.rev !overloads, elapsed_s)
+        (results, qids, latencies, List.rev !overloads)
       in
       match run () with
-      | results, qids, latencies_ns, overloads, elapsed_s -> (
+      | results, qids, latencies_ns, overloads -> (
           match stop_backend h with
-          | Some server, server_metrics ->
-              Ok { results; qids; latencies_ns; overloads; server; server_metrics; elapsed_s }
-          | None, _ -> Error (Client.Io "server child crashed before reporting stats"))
+          | Some server -> Ok { results; qids; latencies_ns; overloads; server }
+          | None -> Error (Client.Io "server child crashed before reporting stats"))
       | exception Bail e ->
           List.iter Client.close !clients;
           ignore (stop_backend h);
@@ -395,7 +374,7 @@ let fuzz ?(conns = 64) ~seed () =
           | Error _ ->
               Client.close c;
               incr hangs));
-      let fz_server, _ = stop_backend h in
+      let fz_server = stop_backend h in
       {
         fz_conns = conns;
         fz_typed_errors = !typed;

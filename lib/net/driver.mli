@@ -1,7 +1,6 @@
 (** Seeded multi-client loopback driver: the reference way to exercise
-    {!Server} end to end, shared by the tests, the
-    {!Cq_robust.Oracle.run_serve} differential check, and the
-    [serve-sessions] bench experiment.
+    {!Server} end to end, shared by the tests and the served driver of
+    the differential harness ({!Cq_robust.Oracle.diff}).
 
     {!gen_workload} synthesises a deterministic workload — per-session
     continuous queries plus a global sequence of tuple batches — from a
@@ -54,12 +53,6 @@ type outcome = {
   overloads : (Frame.overload_source * int * float) list;
       (** Overload notices observed client-side. *)
   server : Server.stats;  (** Server counters at shutdown. *)
-  server_metrics : Cq_obs.Metrics.snapshot option;
-      (** The server process's metrics registry at shutdown, when
-          recording was enabled — the server runs in a forked child
-          (see below), so its counters are not in this process's
-          registry. *)
-  elapsed_s : float;  (** Wall time of the streaming phase. *)
 }
 
 val run_workload :
@@ -76,15 +69,11 @@ val run_workload :
     GC handshake when cores are scarce (a domain parked in [select]
     stalls the other's minor collections for the full select timeout),
     and a separate process is the honest deployment shape anyway.  The
-    child ships its stats and metrics snapshot back over a pipe at
-    shutdown.  [Unix.fork] refuses to run in a process that has ever
+    child ships its stats back over a pipe at shutdown.  [Unix.fork] refuses to run in a process that has ever
     created a domain, so callers that already spun up a parallel
     engine (the oracle's direct replay, bench experiments) silently
     fall back to serving from a spawned domain — slower on starved
     machines, behaviourally identical. *)
-
-val percentile : float array -> float -> float
-(** Nearest-rank percentile (q in [0, 100]) over a copy; 0 on empty. *)
 
 (** {2 Protocol fuzzing} *)
 

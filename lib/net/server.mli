@@ -9,7 +9,7 @@
     processed it.  Under the lockstep driving discipline of
     {!Driver.run_workload} that makes the whole multi-session execution
     deterministic and differentially checkable against a direct
-    single-engine run ({!Cq_robust.Oracle.run_serve}).
+    single-engine run (the [Served] driver of {!Cq_robust.Oracle.diff}).
 
     Backpressure is end to end: each session's outbound buffers are
     bounded ({!Session}), a session with a full result queue stops

@@ -95,93 +95,173 @@ let gen ~seed ~n =
         | 3 | 4 | 5 | 6 | 7 | 8 -> if adding_phase then fresh_add () else remove_some ()
         | _ -> if adding_phase || !live_n = 0 then fresh_add () else remove_some ())
 
-(* ------------------------------------------------------------------ *)
-(* Engine-level operations                                              *)
-(* ------------------------------------------------------------------ *)
-
-type engine_op =
-  | Sub_band of { range : I.t }
-  | Sub_select of { range_a : I.t; range_c : I.t }
-  | Unsub_random
-  | Ins_r of { a : float; b : float }
-  | Ins_s of { b : float; c : float }
-  | Del_r_random
-  | Del_s_random
-  | Reject_ins_r of { a : float; b : float }
-  | Reject_sub_band
-
-let pp_engine_op fmt = function
-  | Sub_band { range } -> Format.fprintf fmt "sub-band %s" (I.to_string range)
-  | Sub_select { range_a; range_c } ->
-      Format.fprintf fmt "sub-select %s %s" (I.to_string range_a) (I.to_string range_c)
-  | Unsub_random -> Format.fprintf fmt "unsub"
-  | Ins_r { a; b } -> Format.fprintf fmt "ins-r %g %g" a b
-  | Ins_s { b; c } -> Format.fprintf fmt "ins-s %g %g" b c
-  | Del_r_random -> Format.fprintf fmt "del-r"
-  | Del_s_random -> Format.fprintf fmt "del-s"
-  | Reject_ins_r { a; b } -> Format.fprintf fmt "reject-ins-r %g %g" a b
-  | Reject_sub_band -> Format.fprintf fmt "reject-sub-band"
 
 (* ------------------------------------------------------------------ *)
-(* Overload burst streams                                               *)
+(* Engine-level workloads                                               *)
 (* ------------------------------------------------------------------ *)
 
-type burst_op =
-  | Burst_r of (float * float) array
-  | Burst_s of (float * float) array
-  | Burst_flush
+module Par = Cq_engine.Parallel
+module Config = Cq_engine.Engine.Config
+module Z = Cq_engine.Zipf_model
 
-let pp_burst_op fmt = function
-  | Burst_r rows -> Format.fprintf fmt "burst-r[%d]" (Array.length rows)
-  | Burst_s rows -> Format.fprintf fmt "burst-s[%d]" (Array.length rows)
-  | Burst_flush -> Format.fprintf fmt "burst-flush"
+type query = Band of I.t | Select of I.t * I.t
+
+type step =
+  | Sub of query
+  | Unsub of int
+  | Rows of Par.side * (float * float) array
+  | Del of Par.side * int
+  | Flush
+  | Rate of float
+  | Bad_row of Par.side * (float * float)
+  | Bad_sub
+
+type workload = {
+  name : string;
+  seed : int;
+  steps : step array;
+  overload : Config.overload;
+  batch_size : int;
+}
+
+let side_char = function Par.R -> 'r' | Par.S -> 's'
+
+let pp_step fmt = function
+  | Sub (Band w) -> Format.fprintf fmt "sub-band %s" (I.to_string w)
+  | Sub (Select (a, c)) -> Format.fprintf fmt "sub-select %s %s" (I.to_string a) (I.to_string c)
+  | Unsub k -> Format.fprintf fmt "unsub #%d" k
+  | Rows (side, rows) ->
+      Format.fprintf fmt "rows-%c" (side_char side);
+      Array.iter (fun (x, y) -> Format.fprintf fmt " (%g, %g)" x y) rows
+  | Del (side, k) -> Format.fprintf fmt "del-%c #%d" (side_char side) k
+  | Flush -> Format.fprintf fmt "flush"
+  | Rate p -> Format.fprintf fmt "rate %g" p
+  | Bad_row (side, (x, y)) -> Format.fprintf fmt "bad-row-%c (%g, %g)" (side_char side) x y
+  | Bad_sub -> Format.fprintf fmt "bad-sub"
+
+(* A band or select query whose windows are [lo, lo + w] with [lo]
+   uniform in [lo0, lo0 + span) and [w] in [w0, w0 + dw). *)
+let gen_query rng (lo0, span, w0, dw) =
+  let window () =
+    let lo = lo0 +. (Rng.float rng *. span) in
+    I.make lo (lo +. w0 +. (Rng.float rng *. dw))
+  in
+  if Rng.bool rng then Band (window ())
+  else
+    let a = window () in
+    Select (a, window ())
+
+let mixed_rates = [| 1.0; 1.0; 1.0; 0.25; 0.5; 0.75 |]
+
+(* Rows uniform over [0, 1000)^2, windows up to 150 wide over the same
+   range, so every query kind delivers. *)
+let gen_uniform ?(churn = false) ?rates ~seed ~n () =
+  let rng = Rng.create seed in
+  let query () = gen_query rng (-200.0, 1000.0, 1.0, 150.0) in
+  let subs = List.init (8 + Rng.int rng 17) (fun _ -> Sub (query ())) in
+  let batch i =
+    let rate =
+      match rates with
+      | None -> []
+      | Some rs -> [ Rate (if i = 0 then rs.(0) else rs.(Rng.int rng (Array.length rs))) ]
+    in
+    let side = if Rng.bool rng then Par.R else Par.S in
+    let rows =
+      Array.init (1 + Rng.int rng 50) (fun _ -> (Rng.float rng *. 1000.0, Rng.float rng *. 1000.0))
+    in
+    let sub = if churn && Rng.int rng 3 = 0 then [ Sub (query ()) ] else [] in
+    rate @ (Rows (side, rows) :: sub)
+  in
+  let steps = Array.of_list (subs @ List.concat (List.init (max 2 (n / 40)) batch)) in
+  {
+    name = ((if churn then "uniform+churn" else "uniform") ^ if Option.is_some rates then "+rates" else "");
+    seed;
+    steps;
+    overload = (if Option.is_some rates then Config.Shed else Config.Block);
+    batch_size = 1 + Rng.int rng 64;
+  }
+
+(* Low enough that a 400-step stream reaches it and deletes. *)
+let tuple_cap = 200
+let query_cap = 60
+
+let gen_engine ~seed ~n =
+  let rng = Rng.create seed in
+  let grid () = float_of_int (Rng.int rng 21 - 10) in
+  let window () =
+    let lo = grid () in
+    I.make lo (lo +. float_of_int (Rng.int rng 5))
+  in
+  (* Exact live counts, so victims can be drawn as indices into the
+     live sets. *)
+  let r = ref 0 and s = ref 0 and q = ref 0 in
+  let del side count =
+    decr count;
+    Del (side, Rng.int rng (!count + 1))
+  in
+  let steps =
+    Array.init n (fun _ ->
+        match Rng.int rng 24 with
+        | 0 when !q < query_cap ->
+            incr q;
+            Sub (Band (window ()))
+        | 1 when !q < query_cap ->
+            incr q;
+            let a = window () in
+            Sub (Select (a, window ()))
+        | 2 when !q > 0 ->
+            decr q;
+            Unsub (Rng.int rng (!q + 1))
+        | 3 ->
+            let bad = if Rng.bool rng then Float.nan else Float.infinity in
+            if Rng.bool rng then Bad_row (Par.R, (bad, grid ()))
+            else Bad_row (Par.R, (grid (), bad))
+        | 4 -> Bad_sub
+        | 5 | 6 | 7 when !r > 0 && !r + !s >= tuple_cap -> del Par.R r
+        | 8 | 9 | 10 when !s > 0 && !r + !s >= tuple_cap -> del Par.S s
+        | k when k mod 2 = 0 && !r + !s < tuple_cap ->
+            incr r;
+            let a = grid () in
+            Rows (Par.R, [| (a, grid ()) |])
+        | _ when !r + !s < tuple_cap ->
+            incr s;
+            let b = grid () in
+            Rows (Par.S, [| (b, grid ()) |])
+        | _ -> if !r > 0 then del Par.R r else del Par.S s)
+  in
+  { name = "engine"; seed; steps; overload = Config.Block; batch_size = Config.default.batch_size }
 
 (* Alternating quiet/burst phases.  Quiet phases trickle small batches
    and flush often (the drain keeps up); burst phases fire large
    batches back-to-back with no flush, so the per-shard queues fill and
-   the overload machinery — backpressure, rejection, or shedding,
-   depending on policy — must engage. *)
+   the overload machinery must engage.  The queries are narrow windows
+   over the rows' [-10, 10] grid, so matches are dense. *)
 
 let burst_phase_len = 12
 
 let gen_burst ~seed ~n =
+  (* The queries draw from their own stream, so the rows stay the ones
+     the overload benchmark and [cqctl stats --overload] replay. *)
+  let qrng = Rng.create (seed + 0xb5e7) in
+  let subs =
+    Array.init (4 + Rng.int qrng 9) (fun _ -> Sub (gen_query qrng (-15.0, 30.0, 0.5, 6.0)))
+  in
   let rng = Rng.create seed in
   let grid () = float_of_int (Rng.int rng 41 - 20) /. 2.0 in
   let rows count = Array.init count (fun _ -> (grid (), grid ())) in
-  Array.init n (fun i ->
-      let bursting = i / burst_phase_len mod 2 = 1 in
-      if bursting then
-        let count = 64 + Rng.int rng 193 in
-        if Rng.bool rng then Burst_r (rows count) else Burst_s (rows count)
-      else
-        match Rng.int rng 4 with
-        | 0 -> Burst_flush
-        | 1 -> Burst_s (rows (1 + Rng.int rng 8))
-        | _ -> Burst_r (rows (1 + Rng.int rng 8)))
-
-(* ------------------------------------------------------------------ *)
-(* Hotspot-drift streams                                                *)
-(* ------------------------------------------------------------------ *)
-
-module Z = Cq_engine.Zipf_model
-
-type drift_op =
-  | Drift_register of { range : I.t }
-  | Drift_register_select of { range_a : I.t; range_c : I.t }
-  | Drift_deregister
-  | Drift_r of (float * float) array
-  | Drift_s of (float * float) array
-  | Drift_flush
-
-let pp_drift_op fmt = function
-  | Drift_register { range } -> Format.fprintf fmt "drift-register %s" (I.to_string range)
-  | Drift_register_select { range_a; range_c } ->
-      Format.fprintf fmt "drift-register-select %s %s" (I.to_string range_a)
-        (I.to_string range_c)
-  | Drift_deregister -> Format.fprintf fmt "drift-deregister"
-  | Drift_r rows -> Format.fprintf fmt "drift-r[%d]" (Array.length rows)
-  | Drift_s rows -> Format.fprintf fmt "drift-s[%d]" (Array.length rows)
-  | Drift_flush -> Format.fprintf fmt "drift-flush"
+  let ops =
+    Array.init n (fun i ->
+        if i / burst_phase_len mod 2 = 1 then
+          let count = 64 + Rng.int rng 193 in
+          let side = if Rng.bool rng then Par.R else Par.S in
+          Rows (side, rows count)
+        else
+          match Rng.int rng 4 with
+          | 0 -> Flush
+          | 1 -> Rows (Par.S, rows (1 + Rng.int rng 8))
+          | _ -> Rows (Par.R, rows (1 + Rng.int rng 8)))
+  in
+  { name = "burst"; seed; steps = Array.append subs ops; overload = Config.Shed; batch_size = 8 }
 
 (* One strip of Parallel's partition axis is 128 wide; placing the
    drift sites exactly [shards] strips apart parks every Zipf rank on
@@ -210,11 +290,11 @@ let gen_drift ?(shards = 4) ~seed ~n () =
     let rank = if i < d.Z.dr_groups then i else Z.sample_rank d ~u:(Rng.float rng) in
     let c = site rank in
     let w = 4.0 +. (Rng.float rng *. 40.0) in
+    let near = I.make (c -. (w /. 2.0)) (c +. (w /. 2.0)) in
     if Rng.int rng 4 = 0 then
       let a_lo = c -. 500.0 in
-      Drift_register_select
-        { range_a = I.make a_lo (a_lo +. 1000.0); range_c = I.make (c -. (w /. 2.0)) (c +. (w /. 2.0)) }
-    else Drift_register { range = I.make (c -. (w /. 2.0)) (c +. (w /. 2.0)) }
+      Sub (Select (I.make a_lo (a_lo +. 1000.0), near))
+    else Sub (Band near)
   in
   (* Rows aimed at the hot sites: an R row [(u, u + c)] has band value
      [b - a = c], an S row [(u + c, c)] has select attribute [c], so
@@ -227,76 +307,31 @@ let gen_drift ?(shards = 4) ~seed ~n () =
         if Rng.bool rng then (u, u +. c) else (u +. c, c))
   in
   let n_reg = ref 0 and live = ref 0 in
-  Array.init n (fun i ->
-      if i mod drift_flush_every = drift_flush_every - 1 then begin
-        incr step;
-        Drift_flush
-      end
-      else if !live < d.Z.dr_groups then begin
-        let op = register !n_reg in
-        incr n_reg;
-        incr live;
-        op
-      end
-      else
-        match Rng.int rng 10 with
-        | 0 | 1 | 2 ->
-            let op = register !n_reg in
-            incr n_reg;
-            incr live;
-            op
-        | 3 when !live > d.Z.dr_groups + 2 ->
-            decr live;
-            Drift_deregister
-        | _ ->
-            let len = 2 + Rng.int rng 14 in
-            if Rng.bool rng then Drift_r (rows len) else Drift_s (rows len))
-
-let tuple_cap = 400
-let query_cap = 60
-
-let gen_engine ~seed ~n =
-  let rng = Rng.create seed in
-  let grid () = float_of_int (Rng.int rng 21 - 10) in
-  let window () =
-    let lo = grid () in
-    I.make lo (lo +. float_of_int (Rng.int rng 5))
+  let steps =
+    Array.init n (fun i ->
+        if i mod drift_flush_every = drift_flush_every - 1 then begin
+          incr step;
+          Flush
+        end
+        else if !live < d.Z.dr_groups then begin
+          let op = register !n_reg in
+          incr n_reg;
+          incr live;
+          op
+        end
+        else
+          match Rng.int rng 10 with
+          | 0 | 1 | 2 ->
+              let op = register !n_reg in
+              incr n_reg;
+              incr live;
+              op
+          | 3 when !live > d.Z.dr_groups + 2 ->
+              decr live;
+              Unsub 0
+          | _ ->
+              let len = 2 + Rng.int rng 14 in
+              let side = if Rng.bool rng then Par.R else Par.S in
+              Rows (side, rows len))
   in
-  (* Track approximate live counts so the stream stays bounded; exact
-     liveness is the driver's business. *)
-  let r = ref 0 and s = ref 0 and q = ref 0 in
-  Array.init n (fun _ ->
-      match Rng.int rng 24 with
-      | 0 when !q < query_cap ->
-          incr q;
-          Sub_band { range = window () }
-      | 1 when !q < query_cap ->
-          incr q;
-          Sub_select { range_a = window (); range_c = window () }
-      | 2 when !q > 0 ->
-          decr q;
-          Unsub_random
-      | 3 ->
-          let bad = if Rng.bool rng then Float.nan else Float.infinity in
-          if Rng.bool rng then Reject_ins_r { a = bad; b = grid () }
-          else Reject_ins_r { a = grid (); b = bad }
-      | 4 -> Reject_sub_band
-      | 5 | 6 | 7 when !r > 0 && !r + !s >= tuple_cap ->
-          decr r;
-          Del_r_random
-      | 8 | 9 | 10 when !s > 0 && !r + !s >= tuple_cap ->
-          decr s;
-          Del_s_random
-      | n when n mod 2 = 0 && !r + !s < tuple_cap ->
-          incr r;
-          Ins_r { a = grid (); b = grid () }
-      | _ when !r + !s < tuple_cap ->
-          incr s;
-          Ins_s { b = grid (); c = grid () }
-      | _ ->
-          if !r > 0 then (
-            decr r;
-            Del_r_random)
-          else (
-            decr s;
-            Del_s_random))
+  { name = "drift"; seed; steps; overload = Config.Block; batch_size = 8 }

@@ -33,66 +33,76 @@ val gen : seed:int -> n:int -> op array
     a live pair and the live population is capped, so the stream is
     runnable against any of the indexed structures as-is. *)
 
-(** {2 Engine-level streams} *)
+(** {2 Engine-level workloads}
 
-type engine_op =
-  | Sub_band of { range : Cq_interval.Interval.t }
-  | Sub_select of { range_a : Cq_interval.Interval.t; range_c : Cq_interval.Interval.t }
-  | Unsub_random  (** Driver unsubscribes one of its live handles. *)
-  | Ins_r of { a : float; b : float }
-  | Ins_s of { b : float; c : float }
-  | Del_r_random  (** Driver deletes one of its live R tuples. *)
-  | Del_s_random
-  | Reject_ins_r of { a : float; b : float }
-      (** Carries a NaN or infinite attribute: the engine must return
-          [Error _] and leave its state untouched. *)
-  | Reject_sub_band
-      (** Subscribe with an empty window: must be rejected. *)
+    One step vocabulary serves every engine-level differential check
+    ({!Oracle.diff}): each generator below materialises a whole
+    workload from its seed, and every driver replays the same steps. *)
 
-val pp_engine_op : Format.formatter -> engine_op -> unit
+type query =
+  | Band of Cq_interval.Interval.t  (** [s.b - r.b] in the window. *)
+  | Select of Cq_interval.Interval.t * Cq_interval.Interval.t
+      (** [r.a] in the first window, [s.c] in the second, [r.b = s.b]. *)
 
-val gen_engine : seed:int -> n:int -> engine_op array
-(** Engine op stream with bounded live tuple/query populations, mixing
-    subscriptions, churn on both relations, and must-reject inputs. *)
+type step =
+  | Sub of query  (** Subscribe; query index [qi] counts [Sub] steps from 0. *)
+  | Unsub of int
+      (** Unsubscribe the [k]-th live query, counting from the oldest.
+          The generator resolves [k] against the live set it tracks, so
+          every driver removes the same query. *)
+  | Rows of Cq_engine.Parallel.side * (float * float) array
+      (** A batch of finite rows: [(a, b)] for [R], [(b, c)] for [S]. *)
+  | Del of Cq_engine.Parallel.side * int
+      (** Delete the [k]-th live tuple of that side, oldest first. *)
+  | Flush  (** A barrier; sequential drivers treat it as a no-op. *)
+  | Rate of float  (** Keep-rate for the rows that follow. *)
+  | Bad_row of Cq_engine.Parallel.side * (float * float)
+      (** A row with a NaN or infinite attribute: must be refused. *)
+  | Bad_sub  (** A subscription with an empty window: must be refused. *)
 
-(** {2 Overload burst streams} *)
+type workload = {
+  name : string;  (** The generator, for reports. *)
+  seed : int;
+  steps : step array;
+  overload : Cq_engine.Engine.Config.overload;
+      (** The policy every engine replaying the workload runs under. *)
+  batch_size : int;  (** The parallel engine's chunk size. *)
+}
 
-type burst_op =
-  | Burst_r of (float * float) array  (** A batch of R rows to ingest. *)
-  | Burst_s of (float * float) array
-  | Burst_flush  (** Drain: barrier + deliver buffered results. *)
+val pp_step : Format.formatter -> step -> unit
 
-val pp_burst_op : Format.formatter -> burst_op -> unit
+val mixed_rates : float array
+(** [\[|1.0; 1.0; 1.0; 0.25; 0.5; 0.75|\]]: about half the batches
+    exact, the rest shedding — the shape an adaptive controller
+    produces. *)
 
-val gen_burst : seed:int -> n:int -> burst_op array
-(** Seeded overload workload alternating quiet phases (small batches,
-    frequent flushes) with burst phases (large 64–256-row batches,
-    no flush), so ingest repeatedly outruns drain and the configured
-    overload policy must engage.  Pure function of [seed]. *)
+val gen_uniform : ?churn:bool -> ?rates:float array -> seed:int -> n:int -> unit -> workload
+(** 8–24 band/select subscriptions, then [max 2 (n / 40)] batches of
+    1–50 rows uniform over [\[0, 1000)]; the batch size is drawn from
+    [\[1, 64\]].  [churn] (default [false]) follows a third of the
+    batches with a new subscription, so batches stage against a query
+    population that has just changed.  [rates] puts the workload under
+    the [Shed] policy and precedes every batch with a [Rate]: the first
+    batch takes [rates.(0)], later ones a uniform pick. *)
 
-(** {2 Hotspot-drift streams} *)
+val gen_engine : seed:int -> n:int -> workload
+(** [n] steps with bounded live tuple (200) and query (60)
+    populations: one-row inserts on both relations, deletions once the
+    tuple cap is reached, subscriptions, unsubscriptions and the two
+    must-reject inputs. *)
 
-type drift_op =
-  | Drift_register of { range : Cq_interval.Interval.t }
-      (** Register a band query, live, mid-stream. *)
-  | Drift_register_select of {
-      range_a : Cq_interval.Interval.t;
-      range_c : Cq_interval.Interval.t;
-    }
-  | Drift_deregister  (** Deregister the driver's oldest live query. *)
-  | Drift_r of (float * float) array  (** A batch of R rows near the hotspot. *)
-  | Drift_s of (float * float) array
-  | Drift_flush  (** Barrier: deliver, and advance the hotspot walk. *)
+val gen_burst : seed:int -> n:int -> workload
+(** 4–12 narrow-window subscriptions, then [n] steps alternating quiet
+    phases (1–8-row batches, frequent flushes) with burst phases
+    (64–256-row batches, no flush), so ingest repeatedly outruns drain
+    and the [Shed] policy must engage. *)
 
-val pp_drift_op : Format.formatter -> drift_op -> unit
-
-val gen_drift : ?shards:int -> seed:int -> n:int -> unit -> drift_op array
+val gen_drift : ?shards:int -> seed:int -> n:int -> unit -> workload
 (** A {!Cq_engine.Zipf_model.drift} hotspot that walks over the
     parallel engine's partition axis.  The Zipf sites are laid exactly
     [shards] (default 4) strips apart, so every rank shares a home
-    shard: registrations pile onto one shard while the others idle —
-    then the lattice walks (a seeded velocity per flush step) and drags
-    the pile-up across strip boundaries.  The first three registrations
-    take distinct ranks so at least two strips are populated.  Pure
-    function of [seed]; all intervals and rows are materialised in the
-    array, so replays are exact. *)
+    shard: subscriptions pile onto one shard while the others idle —
+    then the lattice walks (a seeded velocity per flush) and drags the
+    pile-up across strip boundaries.  The first three subscriptions
+    take distinct ranks so at least two strips are populated; [Unsub 0]
+    drops the oldest live query; every sixth step is a [Flush]. *)

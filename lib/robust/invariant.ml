@@ -276,3 +276,8 @@ let engine (e : Cq_engine.Engine.t) : report =
   let c = ctx "engine" in
   guard c "internal" (fun () -> Cq_engine.Engine.check_invariants e);
   seal c
+
+let parallel (p : Cq_engine.Parallel.t) : report =
+  let c = ctx "parallel" in
+  guard c "internal" (fun () -> Cq_engine.Parallel.check_invariants p);
+  seal c

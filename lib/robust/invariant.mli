@@ -30,6 +30,10 @@ val engine : Cq_engine.Engine.t -> report
 (** Wraps {!Cq_engine.Engine.check_invariants}: the four trackers'
     (I1)–(I3), aux-structure sync, and forward/mirror lockstep. *)
 
+val parallel : Cq_engine.Parallel.t -> report
+(** Wraps {!Cq_engine.Parallel.check_invariants}: every shard's engine
+    audit plus query placement and delivery-count agreement. *)
+
 module Stab (B : Cq_index.Stab_backend.S) : sig
   val audit : interval:('a -> Cq_interval.Interval.t) -> 'a B.t -> report
   (** Backend-generic audit through the common {!Cq_index.Stab_backend.S}

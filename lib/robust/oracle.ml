@@ -56,13 +56,14 @@ let record_report run = function Ok () -> () | Error vs -> run.viol <- run.viol 
    gauge/counter pair per structure) and the trace ring, so harnesses
    read them out of the shared snapshot instead of each run printing
    its own timings. *)
+let note_elapsed name ~start_ns ~ops =
+  let dur_ns = Int64.sub (Cq_util.Clock.monotonic_ns ()) start_ns in
+  Metrics.set (Metrics.gauge ("oracle." ^ name ^ ".elapsed_ms")) (Int64.to_float dur_ns /. 1e6);
+  Metrics.add (Metrics.counter ("oracle." ^ name ^ ".ops")) ops;
+  Trace.add_span ~cat:"oracle" ~name:("oracle." ^ name) ~ts_ns:start_ns ~dur_ns ()
+
 let finish run ~ops ~final_size =
-  let dur_ns = Int64.sub (Cq_util.Clock.monotonic_ns ()) run.start_ns in
-  Metrics.set
-    (Metrics.gauge ("oracle." ^ run.name ^ ".elapsed_ms"))
-    (Int64.to_float dur_ns /. 1e6);
-  Metrics.add (Metrics.counter ("oracle." ^ run.name ^ ".ops")) ops;
-  Trace.add_span ~cat:"oracle" ~name:("oracle." ^ run.name) ~ts_ns:run.start_ns ~dur_ns ();
+  note_elapsed run.name ~start_ns:run.start_ns ~ops;
   {
     structure = run.name;
     seed = run.seed;
@@ -393,724 +394,537 @@ let run_refined_partition ~seed ~ops =
     ~seed ~ops
 
 (* ------------------------------------------------------------------ *)
-(* Whole-engine differential run                                        *)
+(* Engine-level differential harness: workload x driver x comparator   *)
 (* ------------------------------------------------------------------ *)
 
 module Engine = Cq_engine.Engine
+module Par = Cq_engine.Parallel
 module Tuple = Cq_relation.Tuple
+module Err = Cq_util.Error
+module Netd = Cq_net.Driver
 
-type q_kind = Band of I.t | Select of I.t * I.t
+type pair = { qi : int; sign : int; at : int; r : Tuple.r; s : Tuple.s }
 
-type q_state = {
-  qid : int;
-  kind : q_kind;
-  sub : Engine.subscription;
-  mutable q_live : bool;
-  mutable actual : int; (* deliveries - retractions observed *)
-  mutable expect : int; (* same balance per the naive mirror *)
+type output = {
+  driver : string;
+  workload : string;
+  seed : int;
+  steps : int;
+  queries : int;
+  sessions : int;
+  results : pair list;
+  delivered : int;
+  degraded : Engine.degraded list;
+  min_rate : float;
+  dropped_rows : int;
+  failure : divergence option;
+  violations : Invariant.violation list;
 }
 
-let q_matches q (r : Tuple.r) (s : Tuple.s) =
-  match q.kind with
-  | Band w -> I.stabs w (s.b -. r.b)
-  | Select (ra, rc) -> r.b = s.b && I.stabs ra r.a && I.stabs rc s.c
+type driver =
+  | Reference
+  | Seq_rows
+  | Seq_batch
+  | Par of int
+  | Served of { sessions : int; shards : int }
 
-let run_engine ~seed ~ops () =
-  let run = make_run "engine" seed in
-  let eng = Engine.create ~alpha:0.1 ~seed () in
-  let stream = Fault.gen_engine ~seed ~n:ops in
-  let rng = Rng.create (seed + 0x9e37) in
-  let queries : q_state list ref = ref [] in
-  let r_live : Tuple.r list ref = ref [] in
-  let s_live : Tuple.s list ref = ref [] in
-  let next_qid = ref 0 in
-  let stray = ref None in
-  let gap = checkpoint_gap ops in
-  let subscribe i kind =
-    let qid = !next_qid in
-    incr next_qid;
-    let cell = ref None in
-    let guard delta _ _ =
-      match !cell with
-      | Some q when q.q_live -> q.actual <- q.actual + delta
-      | Some q when Option.is_none !stray -> stray := Some (q.qid, i)
-      | _ -> ()
-    in
-    let sub =
-      match kind with
-      | Band range -> Engine.subscribe_band eng ~on_retract:(guard (-1)) ~range (guard 1)
-      | Select (range_a, range_c) ->
-          Engine.subscribe_select eng ~on_retract:(guard (-1)) ~range_a ~range_c (guard 1)
-    in
-    let q = { qid; kind; sub; q_live = true; actual = 0; expect = 0 } in
-    cell := Some q;
-    queries := q :: !queries
+type comparator = Same | Shed_bounds | Same_stream
+
+let driver_name = function
+  | Reference -> "reference"
+  | Seq_rows -> "seq-rows"
+  | Seq_batch -> "seq-batch"
+  | Par n -> Printf.sprintf "par%d" n
+  | Served { sessions; shards } -> Printf.sprintf "served%dx%d" sessions shards
+
+type cb = Tuple.r -> Tuple.s -> unit
+
+(* What the replay loop needs from one engine.  [sub] returns the
+   query's unsubscribe call; [totals] is (delivered count, degraded
+   reports, minimum applied keep-rate, rows dropped whole). *)
+type ops = {
+  sub : Fault.query -> on_result:cb -> on_retract:cb -> (unit -> bool, Err.t) result;
+  rows : Par.side -> (float * float) array -> (unit, Err.t) result;
+  del : Par.side -> int -> unit;
+  flush : unit -> unit;
+  rate : float -> unit;
+  audit : unit -> Invariant.report;
+  totals : unit -> int * Engine.degraded list * float * int;
+}
+
+(* Remove the [k]-th element of a newest-first list, counting from the
+   oldest: how every driver resolves [Unsub] and [Del] victims. *)
+let pluck k l =
+  let i = List.length l - 1 - k in
+  (List.nth l i, List.filteri (fun j _ -> j <> i) l)
+
+let unsupported ~driver what =
+  Err.raise_ (Err.Invalid_parameter { name = "step"; value = what; expected = "a step " ^ driver ^ " replays" })
+
+let matches q (r : Tuple.r) (s : Tuple.s) =
+  match q with
+  | Fault.Band w -> I.stabs w (s.b -. r.b)
+  | Fault.Select (wa, wc) -> r.b = s.b && I.stabs wa r.a && I.stabs wc s.c
+
+(* The brute-force mirror.  Tuple ids count accepted rows per relation,
+   as the engines' do. *)
+let reference () =
+  let queries = ref [] and rs = ref [] and ss = ref [] in
+  let next_rid = ref 0 and next_sid = ref 0 and delivered = ref 0 in
+  let rec credit r s = function
+    | [] -> ()
+    | (q, on_res, _) :: tl ->
+        if matches q r s then begin
+          incr delivered;
+          on_res r s
+        end;
+        credit r s tl
   in
-  let live_queries () = List.filter (fun q -> q.q_live) !queries in
-  (* Mirror the delivery semantics: completing a pair credits every
-     subscribed query it matches; deleting a tuple debits every
-     subscribed query once per live matching partner. *)
-  let credit_r delta r =
-    List.iter
-      (fun q ->
-        List.iter (fun s -> if q_matches q r s then q.expect <- q.expect + delta) !s_live)
-      (live_queries ())
+  let rec debit r s = function
+    | [] -> ()
+    | (q, _, on_ret) :: tl ->
+        if matches q r s then on_ret r s;
+        debit r s tl
   in
-  let credit_s delta s =
-    List.iter
-      (fun q ->
-        List.iter (fun r -> if q_matches q r s then q.expect <- q.expect + delta) !r_live)
-      (live_queries ())
+  let empty = function
+    | Fault.Band w -> I.is_empty w
+    | Fault.Select (a, c) -> I.is_empty a || I.is_empty c
   in
-  let pick l = match !l with [] -> None | xs -> Some (List.nth xs (Rng.int rng (List.length xs))) in
-  let checkpoint i =
-    List.iter
-      (fun q ->
-        if q.actual <> q.expect then
-          diverge run i "query %d balance %d, oracle says %d" q.qid q.actual q.expect)
-      !queries;
-    (match !stray with
-    | Some (qid, at) -> diverge run i "query %d received a result after unsubscribe (op %d)" qid at
-    | None -> ());
-    let st = Engine.stats eng in
-    let nr = List.length !r_live and ns = List.length !s_live in
-    if st.r_size <> nr then diverge run i "r_size %d, oracle says %d" st.r_size nr;
-    if st.s_size <> ns then diverge run i "s_size %d, oracle says %d" st.s_size ns;
-    record_report run (Invariant.engine eng)
+  {
+    sub =
+      (fun q ~on_result ~on_retract ->
+        if empty q then Error (Err.Empty_range { name = "range" })
+        else
+          let entry = (q, on_result, on_retract) in
+          queries := entry :: !queries;
+          Ok
+            (fun () ->
+              queries := List.filter (fun e -> e != entry) !queries;
+              true));
+    rows =
+      (fun side rows ->
+        match Array.find_opt (fun (x, y) -> not (Float.is_finite x && Float.is_finite y)) rows with
+        | Some (x, y) -> Error (Err.Not_finite { name = "row"; value = x +. y })
+        | None ->
+            Array.iter
+              (fun (x, y) ->
+                match side with
+                | Par.R ->
+                    let r = { Tuple.rid = !next_rid; a = x; b = y } in
+                    incr next_rid;
+                    List.iter (fun s -> credit r s !queries) !ss;
+                    rs := r :: !rs
+                | Par.S ->
+                    let s = { Tuple.sid = !next_sid; b = x; c = y } in
+                    incr next_sid;
+                    List.iter (fun r -> credit r s !queries) !rs;
+                    ss := s :: !ss)
+              rows;
+            Ok ());
+    del =
+      (fun side k ->
+        match side with
+        | Par.R ->
+            let r, rest = pluck k !rs in
+            rs := rest;
+            List.iter (fun s -> debit r s !queries) !ss
+        | Par.S ->
+            let s, rest = pluck k !ss in
+            ss := rest;
+            List.iter (fun r -> debit r s !queries) !rs);
+    flush = ignore;
+    rate = ignore;
+    audit = (fun () -> Ok ());
+    totals = (fun () -> (!delivered, [], 1.0, 0));
+  }
+
+(* The sequential engine.  [staged] ingests each [Rows] step as one
+   batch through the staged descent; otherwise every row is a one-row
+   batch, whose tuple handle is kept for [Del]. *)
+let seq_ops ~staged eng =
+  let rs = ref [] and ss = ref [] in
+  let one_row side acc (x, y) =
+    Result.bind acc (fun () ->
+        match side with
+        | Par.R -> Result.map (fun (r, _) -> rs := r :: !rs) (Engine.try_insert_r eng ~a:x ~b:y)
+        | Par.S -> Result.map (fun (s, _) -> ss := s :: !ss) (Engine.try_insert_s eng ~b:x ~c:y))
   in
+  {
+    sub =
+      (fun q ~on_result ~on_retract ->
+        let sub =
+          match q with
+          | Fault.Band range -> Engine.try_subscribe_band eng ~on_retract ~range on_result
+          | Fault.Select (range_a, range_c) ->
+              Engine.try_subscribe_select eng ~on_retract ~range_a ~range_c on_result
+        in
+        Result.map (fun sub () -> Engine.unsubscribe eng sub) sub);
+    rows =
+      (fun side rows ->
+        if not staged then Array.fold_left (one_row side) (Ok ()) rows
+        else
+          let b = Cq_relation.Batch.of_rows rows in
+          Result.map ignore
+            (match side with
+            | Par.R -> Engine.try_ingest_batch_r eng b
+            | Par.S -> Engine.try_ingest_batch_s eng b));
+    del =
+      (fun side k ->
+        let gone =
+          match side with
+          | Par.R ->
+              let r, rest = pluck k !rs in
+              rs := rest;
+              Engine.delete_r eng r
+          | Par.S ->
+              let s, rest = pluck k !ss in
+              ss := rest;
+              Engine.delete_s eng s
+        in
+        if Option.is_none gone then
+          Err.corrupt ~structure:"engine" "deleting live tuple #%d found nothing" k);
+    flush = ignore;
+    rate = Engine.set_shed_rate eng;
+    audit = (fun () -> Invariant.engine eng);
+    totals =
+      (fun () ->
+        ( (Engine.stats eng).results_delivered,
+          Engine.shed_info eng,
+          (Engine.shed_totals eng).tot_min_rate,
+          0 ));
+  }
+
+(* A parallel engine's keep-rate is fixed at creation: the workload's
+   first [Rate], or exact. *)
+let initial_rate (w : Fault.workload) =
+  Array.fold_right (fun st acc -> match st with Fault.Rate p -> p | _ -> acc) w.steps 1.0
+
+let config (w : Fault.workload) ~shards =
+  {
+    Engine.Config.default with
+    alpha = 0.1;
+    seed = w.seed;
+    shards;
+    batch_size = w.batch_size;
+    overload = w.overload;
+    shed_rate = initial_rate w;
+  }
+
+(* A subscription applies at the current stream position on any shard
+   count; an unsubscription goes through a flush barrier, so the query
+   first receives everything it produced, as on a sequential engine. *)
+let par_ops t ~rate =
+  {
+    sub =
+      (fun q ~on_result ~on_retract:_ ->
+        let sub =
+          match q with
+          | Fault.Band range -> Par.try_subscribe_band t ~range on_result
+          | Fault.Select (range_a, range_c) -> Par.try_subscribe_select t ~range_a ~range_c on_result
+        in
+        Result.map
+          (fun sub () ->
+            ignore (Par.flush t);
+            Par.unsubscribe t sub)
+          sub);
+    rows = Par.try_ingest_batch t;
+    del = (fun _ _ -> unsupported ~driver:"Par" "Del");
+    flush = (fun () -> ignore (Par.flush t));
+    rate =
+      (fun p ->
+        if not (Float.equal p rate) then unsupported ~driver:"Par" (Printf.sprintf "Rate %g" p));
+    audit = (fun () -> Invariant.parallel t);
+    totals =
+      (fun () ->
+        let info = Par.shed_info t and tot = Par.shed_totals t in
+        (Par.results_delivered t, info, tot.par_min_rate, tot.par_dropped_rows));
+  }
+
+(* The checks every driver shares: the engine's delivered count must
+   equal the results its callbacks saw. *)
+let output_of run (w : Fault.workload) ~queries ~sessions results ~delivered ~degraded
+    ~min_rate ~dropped_rows =
+  let seen = List.fold_left (fun n x -> if x.sign > 0 then n + 1 else n) 0 results in
+  if delivered <> seen then
+    diverge run (Array.length w.steps) "engine counts %d results delivered, callbacks saw %d"
+      delivered seen;
+  {
+    driver = run.name;
+    workload = w.name;
+    seed = w.seed;
+    steps = Array.length w.steps;
+    queries;
+    sessions;
+    results;
+    delivered;
+    degraded;
+    min_rate;
+    dropped_rows;
+    failure = run.div;
+    violations = run.viol;
+  }
+
+(* The one replay loop, with the checks oracle.mli lists as shared by
+   every driver. *)
+let replay_with name ops (w : Fault.workload) =
+  let run = make_run name w.seed in
+  let n = Array.length w.steps in
+  let subs = Array.fold_left (fun k st -> match st with Fault.Sub _ -> k + 1 | _ -> k) 0 w.steps in
+  let live = ref [] and alive = Array.make subs false in
+  let results = ref [] and at = ref 0 and queries = ref 0 in
+  let record qi sign r s =
+    if alive.(qi) then results := { qi; sign; at = !at; r; s } :: !results
+    else diverge run !at "query %d received a result after unsubscribe" qi
+  in
+  let step i = function
+    | Fault.Sub q -> (
+        let qi = !queries in
+        match ops.sub q ~on_result:(record qi 1) ~on_retract:(record qi (-1)) with
+        | Ok unsub ->
+            incr queries;
+            alive.(qi) <- true;
+            live := (qi, unsub) :: !live
+        | Error e -> diverge run i "valid subscription refused: %s" (Err.to_string e))
+    | Fault.Unsub k ->
+        let (qi, unsub), rest = pluck k !live in
+        live := rest;
+        if not (unsub ()) then diverge run i "unsubscribe of live query %d returned false" qi;
+        alive.(qi) <- false
+    | Fault.Rows (side, rows) -> (
+        match ops.rows side rows with
+        | Ok () -> ()
+        | Error e ->
+            diverge run i "valid %d-row batch refused: %s" (Array.length rows) (Err.to_string e))
+    | Fault.Bad_row (side, row) -> (
+        match ops.rows side [| row |] with
+        | Error _ -> ()
+        | Ok () -> diverge run i "row with a non-finite attribute was accepted")
+    | Fault.Bad_sub -> (
+        let drop _ _ = () in
+        match ops.sub (Fault.Band I.empty) ~on_result:drop ~on_retract:drop with
+        | Error _ -> ()
+        | Ok _ -> diverge run i "subscription with an empty window was accepted")
+    | Fault.Del (side, k) -> ops.del side k
+    | Fault.Flush -> ops.flush ()
+    | Fault.Rate p -> ops.rate p
+  in
+  let gap = checkpoint_gap n in
   Array.iteri
-    (fun i op ->
-      if Option.is_none run.div then
+    (fun i st ->
+      if Option.is_none run.div then begin
+        at := i;
         try
-          (match op with
-          | Fault.Sub_band { range } -> subscribe i (Band range)
-          | Fault.Sub_select { range_a; range_c } -> subscribe i (Select (range_a, range_c))
-          | Fault.Unsub_random -> (
-              match live_queries () with
-              | [] -> ()
-              | qs ->
-                  let q = List.nth qs (Rng.int rng (List.length qs)) in
-                  if not (Engine.unsubscribe eng q.sub) then
-                    diverge run i "unsubscribe of live query %d returned false" q.qid;
-                  q.q_live <- false)
-          | Fault.Ins_r { a; b } ->
-              let r, _ = Engine.insert_r eng ~a ~b in
-              credit_r 1 r;
-              r_live := r :: !r_live
-          | Fault.Ins_s { b; c } ->
-              let s, _ = Engine.insert_s eng ~b ~c in
-              credit_s 1 s;
-              s_live := s :: !s_live
-          | Fault.Del_r_random -> (
-              match pick r_live with
-              | None -> ()
-              | Some r -> (
-                  match Engine.delete_r eng r with
-                  | None -> diverge run i "delete_r of live tuple %d returned None" r.rid
-                  | Some _ ->
-                      r_live := List.filter (fun r' -> r'.Tuple.rid <> r.rid) !r_live;
-                      credit_r (-1) r))
-          | Fault.Del_s_random -> (
-              match pick s_live with
-              | None -> ()
-              | Some s -> (
-                  match Engine.delete_s eng s with
-                  | None -> diverge run i "delete_s of live tuple %d returned None" s.sid
-                  | Some _ ->
-                      s_live := List.filter (fun s' -> s'.Tuple.sid <> s.sid) !s_live;
-                      credit_s (-1) s))
-          | Fault.Reject_ins_r { a; b } -> (
-              match Engine.try_insert_r eng ~a ~b with
-              | Error _ -> ()
-              | Ok _ -> diverge run i "insert_r with non-finite attribute was accepted")
-          | Fault.Reject_sub_band -> (
-              match Engine.try_subscribe_band eng ~range:I.empty (fun _ _ -> ()) with
-              | Error _ -> ()
-              | Ok _ -> diverge run i "subscription with an empty window was accepted"));
-          if (i + 1) mod gap = 0 then checkpoint i
-        with exn -> diverge run i "uncaught exception: %s" (Printexc.to_string exn))
-    stream;
-  checkpoint (Array.length stream);
-  finish run ~ops ~final_size:(List.length !r_live + List.length !s_live)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel-vs-sequential differential run                              *)
-(* ------------------------------------------------------------------ *)
-
-module Par = Cq_engine.Parallel
-
-(* The verdict shared by the parallel differentials: the (query, rid,
-   sid) multisets and delivery counts of a 1-shard and an N-shard run
-   must agree; the first difference in sorted order is reported. *)
-let compare_shard_runs run ~shards (seq_rs, seq_n) (par_rs, par_n) =
-  if seq_n <> par_n then
-    diverge run 0 "sequential delivered %d results, %d shards delivered %d" seq_n shards par_n
-  else begin
-    let cmp (q1, r1, s1) (q2, r2, s2) =
-      let c = Int.compare q1 q2 in
-      if c <> 0 then c
-      else
-        let c = Int.compare r1 r2 in
-        if c <> 0 then c else Int.compare s1 s2
-    in
-    let rec first_diff i xs ys =
-      match (xs, ys) with
-      | [], [] -> ()
-      | (q, r, s) :: _, [] ->
-          diverge run i "result (q=%d, rid=%d, sid=%d) missing under %d shards" q r s shards
-      | [], (q, r, s) :: _ ->
-          diverge run i "result (q=%d, rid=%d, sid=%d) fabricated under %d shards" q r s shards
-      | x :: xs', y :: ys' ->
-          if cmp x y = 0 then first_diff (i + 1) xs' ys'
-          else
-            let q, r, s = x and q', r', s' = y in
-            diverge run i
-              "multisets differ: sequential has (q=%d, rid=%d, sid=%d), %d shards have (q=%d, \
-               rid=%d, sid=%d)"
-              q r s shards q' r' s'
-    in
-    first_diff 0 (List.sort cmp seq_rs) (List.sort cmp par_rs)
-  end
-
-(* The whole workload — queries, row batches, the engine's batch size —
-   is materialised from the seed first, then replayed verbatim into a
-   1-shard and an N-shard engine, so both runs see bit-identical input
-   and tuple ids line up.  The property under test is the determinism
-   claim of Parallel's merge: the delivered result multiset, keyed by
-   (query, rid, sid), must not depend on the shard count. *)
-let run_parallel ?(shards = 2) ~seed ~ops () =
-  let run = make_run (Printf.sprintf "parallel[%d]" shards) seed in
-  let rng = Rng.create (seed + 0x517c) in
-  let n_q = 8 + Rng.int rng 17 in
-  let mk_iv () =
-    let lo = (Rng.float rng *. 1000.0) -. 200.0 in
-    let w = 1.0 +. (Rng.float rng *. 150.0) in
-    I.make lo (lo +. w)
+          step i st;
+          if (i + 1) mod gap = 0 then record_report run (ops.audit ())
+        with exn -> diverge run i "uncaught exception: %s" (Printexc.to_string exn)
+      end)
+    w.steps;
+  at := n;
+  let delivered, degraded, min_rate, dropped_rows =
+    try
+      ops.flush ();
+      record_report run (ops.audit ());
+      ops.totals ()
+    with exn ->
+      diverge run n "uncaught exception: %s" (Printexc.to_string exn);
+      (0, [], 1.0, 0)
   in
-  let queries =
-    List.init n_q (fun _ ->
-        if Rng.bool rng then `Band (mk_iv ()) else `Select (mk_iv (), mk_iv ()))
+  output_of run w ~queries:!queries ~sessions:1 !results ~delivered ~degraded
+    ~min_rate ~dropped_rows
+
+let replay_par t w = replay_with (driver_name (Par (Par.shards t))) (par_ops t ~rate:(initial_rate w)) w
+
+(* Subscriptions are dealt to sessions in contiguous blocks, so
+   session-major registration keeps step order and the server's qid is
+   [qi + 1]; batches go round-robin. *)
+let served ~sessions ~shards (w : Fault.workload) =
+  let run = make_run (driver_name (Served { sessions; shards })) w.seed in
+  let n = Array.length w.steps in
+  let queries = ref [] and batches = ref [] and results = ref [] and delivered = ref 0 in
+  (try
+     Array.iter
+       (function
+         | Fault.Sub q when List.is_empty !batches -> queries := q :: !queries
+         | Fault.Rows (side, rows) -> batches := (side, rows) :: !batches
+         | Fault.Flush -> ()
+         | st -> unsupported ~driver:"Served" (Format.asprintf "%a" Fault.pp_step st))
+       w.steps;
+     let qs = Array.of_list (List.rev !queries) in
+     let owner qi = qi * sessions / Array.length qs in
+     let spec = function
+       | Fault.Band w -> Netd.Band { lo = I.lo w; hi = I.hi w }
+       | Fault.Select (a, c) -> Netd.Select { a_lo = I.lo a; a_hi = I.hi a; c_lo = I.lo c; c_hi = I.hi c }
+     in
+     let workload =
+       {
+         Netd.seed = w.seed;
+         sessions;
+         queries =
+           Array.init sessions (fun i ->
+               Array.of_list (List.filteri (fun qi _ -> owner qi = i) (List.map spec (Array.to_list qs))));
+         batches =
+           Array.of_list (List.rev !batches)
+           |> Array.mapi (fun i (side, rows) ->
+                  let side = match side with Par.R -> Cq_net.Frame.R | Par.S -> Cq_net.Frame.S in
+                  { Netd.owner = i mod sessions; side; rows });
+       }
+     in
+     match Netd.run_workload ~engine:(config w ~shards) workload with
+     | Error e -> diverge run n "served run failed: %s" (Cq_net.Client.error_to_string e)
+     | Ok oc ->
+         if oc.server.net_results_dropped <> 0 then
+           diverge run n "lockstep run dropped %d result rows; queues were sized not to"
+             oc.server.net_results_dropped;
+         delivered := oc.server.net_results_delivered;
+         let pair qid (a, b, sb, c) =
+           { qi = qid - 1; sign = 1; at = n; r = { Tuple.rid = -1; a; b }; s = { Tuple.sid = -1; b = sb; c } }
+         in
+         let session frames =
+           List.concat_map (fun (qid, rows) -> List.map (pair qid) (Array.to_list rows)) (Array.to_list frames)
+         in
+         results := List.rev (List.concat_map session (Array.to_list oc.results))
+   with exn -> diverge run n "uncaught exception: %s" (Printexc.to_string exn));
+  output_of run w ~queries:(List.length !queries) ~sessions !results ~delivered:!delivered
+    ~degraded:[] ~min_rate:1.0 ~dropped_rows:0
+
+let replay driver (w : Fault.workload) =
+  let name = driver_name driver in
+  let engine () = Engine.create ~alpha:0.1 ~seed:w.seed ~overload:w.overload () in
+  match driver with
+  | Reference -> replay_with name (reference ()) w
+  | Seq_rows -> replay_with name (seq_ops ~staged:false (engine ())) w
+  | Seq_batch -> replay_with name (seq_ops ~staged:true (engine ())) w
+  | Par shards -> Par.with_engine (config w ~shards) (fun t -> replay_par t w)
+  | Served { sessions; shards } -> served ~sessions ~shards w
+
+(* ------------------------------ comparators ----------------------------- *)
+
+let compare_result x y =
+  let c = Int.compare x.qi y.qi in
+  if c <> 0 then c
+  else
+    let c = Int.compare x.r.rid y.r.rid in
+    if c <> 0 then c
+    else
+      let c = Int.compare x.s.sid y.s.sid in
+      if c <> 0 then c else Int.compare x.sign y.sign
+
+let pp_result x =
+  Printf.sprintf "%s(q=%d, rid=%d, sid=%d)" (if x.sign > 0 then "+" else "-") x.qi x.r.rid x.s.sid
+
+(* Signed (query, rid, sid) multisets, then delivered counts; the first
+   difference in sorted order is reported at the step that produced it. *)
+let same a b =
+  let lacks x = Some (x.at, Printf.sprintf "%s lacks %s" b.driver (pp_result x))
+  and extra y = Some (y.at, Printf.sprintf "%s has an extra %s" b.driver (pp_result y)) in
+  let rec walk = function
+    | [], [] -> None
+    | x :: _, [] -> lacks x
+    | [], y :: _ -> extra y
+    | x :: xs, y :: ys ->
+        let c = compare_result x y in
+        if c = 0 then walk (xs, ys) else if c < 0 then lacks x else extra y
   in
-  let n_batches = max 2 (ops / 40) in
-  let batches =
-    List.init n_batches (fun _ ->
-        let side = if Rng.bool rng then Par.R else Par.S in
-        let len = 1 + Rng.int rng 50 in
-        let rows =
-          Array.init len (fun _ -> (Rng.float rng *. 1000.0, Rng.float rng *. 1000.0))
+  match walk (List.sort compare_result a.results, List.sort compare_result b.results) with
+  | Some _ as d -> d
+  | None when a.delivered <> b.delivered ->
+      Some
+        ( b.steps,
+          Printf.sprintf "%s delivered %d results, %s delivered %d" a.driver a.delivered b.driver
+            b.delivered )
+  | None -> None
+
+(* [a] is exact; [b] sheds.  Bounds hold only while no chunk was
+   dropped whole: such rows flip no coin, so no estimator sees them. *)
+let shed_bounds a b =
+  let nq = max a.queries b.queries in
+  let count o =
+    let c = Array.make nq 0 in
+    List.iter (fun x -> c.(x.qi) <- c.(x.qi) + x.sign) o.results;
+    c
+  in
+  let exact = count a and seen = count b in
+  let reported = Hashtbl.create 16 in
+  List.iter (fun (d : Engine.degraded) -> Hashtbl.replace reported d.deg_qid d) b.degraded;
+  let check qi =
+    let n = exact.(qi) and got = seen.(qi) in
+    if got > n then
+      Some (Printf.sprintf "query %d delivered %d results but only %d exist (subsample violated)" qi got n)
+    else if b.dropped_rows > 0 then None
+    else
+      match Hashtbl.find_opt reported qi with
+      | Some d when d.deg_observed <> got ->
+          Some (Printf.sprintf "query %d: engine reports %d observed, callbacks saw %d" qi d.deg_observed got)
+      | Some d ->
+          let err = Float.abs (d.deg_estimate -. float_of_int n) in
+          if err > d.deg_claimed_error +. 1e-6 then
+            Some
+              (Printf.sprintf "query %d: estimate %.2f for exact %d misses the claimed bound %.2f (err %.2f)"
+                 qi d.deg_estimate n d.deg_claimed_error err)
+          else None
+      | None ->
+          if got <> n then
+            Some
+              (Printf.sprintf "query %d never saw a sub-unit coin yet delivered %d of %d exact results"
+                 qi got n)
+          else None
+  in
+  let rec first qi =
+    if qi = nq then None
+    else match check qi with Some d -> Some (b.steps, d) | None -> first (qi + 1)
+  in
+  if b.min_rate <= 0.0 || b.min_rate > 1.0 then
+    Some (b.steps, Printf.sprintf "applied keep-rate %.3f outside (0, 1]" b.min_rate)
+  else first 0
+
+(* Bit-for-bit rows in per-session order.  Sessions own contiguous
+   blocks of query indices, so a stable sort by owner turns a global
+   delivery order into the sessions' streams laid end to end. *)
+let same_stream a b =
+  let k = max a.sessions b.sessions and nq = max 1 (max a.queries b.queries) in
+  let owner x = x.qi * k / nq in
+  let by_session o = List.stable_sort (fun x y -> Int.compare (owner x) (owner y)) (List.rev o.results) in
+  let row x = (x.qi, x.r.a, x.r.b, x.s.b, x.s.c) in
+  let show = function
+    | [] -> "nothing"
+    | x :: _ -> Printf.sprintf "q%d (%.17g, %.17g, %.17g, %.17g)" x.qi x.r.a x.r.b x.s.b x.s.c
+  in
+  let rec walk j = function
+    | [], [] -> None
+    | x :: xs, y :: ys when row x = row y -> walk (j + 1) (xs, ys)
+    | xs, ys ->
+        Some
+          ( b.steps,
+            Printf.sprintf "session-major row %d: %s has %s, %s has %s" j a.driver (show xs)
+              b.driver (show ys) )
+  in
+  walk 0 (by_session a, by_session b)
+
+let verdict cmp a b =
+  let structure = Printf.sprintf "%s[%s/%s]" a.workload a.driver b.driver in
+  let divergence =
+    match (a.failure, b.failure) with
+    | Some d, _ | None, Some d -> Some { d with structure; detail = d.structure ^ ": " ^ d.detail }
+    | None, None ->
+        let judged =
+          match cmp with Same -> same a b | Shed_bounds -> shed_bounds a b | Same_stream -> same_stream a b
         in
-        (side, rows))
+        Option.map (fun (op_index, detail) -> { structure; seed = a.seed; op_index; detail }) judged
   in
-  let batch_size = 1 + Rng.int rng 64 in
-  let collect n_shards =
-    let t = Par.create ~alpha:0.1 ~seed ~shards:n_shards ~batch_size () in
-    let results = ref [] in
-    List.iteri
-      (fun qi q ->
-        let cb (r : Tuple.r) (s : Tuple.s) = results := (qi, r.rid, s.sid) :: !results in
-        match q with
-        | `Band range -> ignore (Par.subscribe_band t ~range cb)
-        | `Select (range_a, range_c) -> ignore (Par.subscribe_select t ~range_a ~range_c cb))
-      queries;
-    List.iter (fun (side, rows) -> Par.ingest_batch t side rows) batches;
-    ignore (Par.flush t);
-    Par.check_invariants t;
-    let delivered = Par.results_delivered t in
-    Par.shutdown t;
-    (!results, delivered)
-  in
-  let total_rows = List.fold_left (fun acc (_, rows) -> acc + Array.length rows) 0 batches in
-  (try
-     let seq = collect 1 in
-     compare_shard_runs run ~shards seq (collect shards)
-   with exn -> diverge run 0 "uncaught exception: %s" (Printexc.to_string exn));
-  finish run ~ops:total_rows ~final_size:total_rows
+  {
+    structure;
+    seed = a.seed;
+    ops = a.steps;
+    final_size = b.delivered;
+    violations = a.violations @ b.violations;
+    divergence;
+  }
 
-let replay_drift t stream cb =
-  let handles = Queue.create () in
-  let next_qi = ref 0 in
-  let reg spec =
-    let qi = !next_qi in
-    incr next_qi;
-    Queue.add (Par.register t spec (cb qi)) handles
-  in
-  Array.iter
-    (fun op ->
-      match op with
-      | Fault.Drift_register { range } -> reg (Par.Band { range })
-      | Fault.Drift_register_select { range_a; range_c } -> reg (Par.Select { range_a; range_c })
-      | Fault.Drift_deregister -> (
-          match Queue.take_opt handles with
-          | Some sub -> ignore (Par.deregister t sub)
-          | None -> ())
-      | Fault.Drift_r rows -> Par.ingest_batch t Par.R rows
-      | Fault.Drift_s rows -> Par.ingest_batch t Par.S rows
-      | Fault.Drift_flush -> ignore (Par.flush t))
-    stream;
-  ignore (Par.flush t)
-
-(* Drift differential run: a {!Fault.gen_drift} walking-hotspot stream
-   — live registration/deregistration mid-ingest, registration mass
-   Zipf-concentrated on one home shard, the concentration walking
-   across strips — is replayed verbatim into a 1-shard engine (no
-   domains) and an N-shard engine.  The delivered (query, rid, sid)
-   multiset must be bit-for-bit independent of the shard count. *)
-let run_drift ?(shards = 4) ~seed ~ops () =
-  let run = make_run (Printf.sprintf "drift[%d]" shards) seed in
-  let stream = Fault.gen_drift ~shards ~seed ~n:(max 60 ops) () in
-  let collect n_shards =
-    let t = Par.create ~alpha:0.1 ~seed ~shards:n_shards ~batch_size:8 () in
-    let results = ref [] in
-    replay_drift t stream (fun qi (r : Tuple.r) (s : Tuple.s) ->
-        results := (qi, r.rid, s.sid) :: !results);
-    Par.check_invariants t;
-    let delivered = Par.results_delivered t in
-    Par.shutdown t;
-    (!results, delivered)
-  in
-  (try
-     let seq = collect 1 in
-     compare_shard_runs run ~shards seq (collect shards)
-   with exn -> diverge run 0 "uncaught exception: %s" (Printexc.to_string exn));
-  finish run ~ops:(Array.length stream) ~final_size:(Array.length stream)
-
-(* Staging differential check: one seeded insert-only workload runs
-   twice through identically configured sequential engines.  Both runs
-   share one event body; they differ in how each batch's scattered
-   candidates are found.  The first ingests every row as a one-row
-   batch (insert_r/insert_s), which skips staging and stabs the
-   scattered index per event; the second ingests each n-row batch
-   whole (ingest_batch_r/_s), which stages all n keys with one batched
-   descent.  The delivered (query, rid, sid) multisets must be
-   identical, tuple-id assignment included (both runs draw rids/sids
-   from the same counter in the same order).  A third of the batches
-   are followed by a fresh subscription, so every batch stages against
-   a query population that churn has just changed.  This is the only
-   engine-level check of multi-key staging. *)
-let run_batch ~seed ~ops () =
-  let run = make_run "batch" seed in
-  let rng = Rng.create (seed + 0xba7c) in
-  let n_q = 8 + Rng.int rng 17 in
-  let mk_iv () =
-    let lo = (Rng.float rng *. 1000.0) -. 200.0 in
-    let w = 1.0 +. (Rng.float rng *. 150.0) in
-    I.make lo (lo +. w)
-  in
-  let mk_query () = if Rng.bool rng then `Band (mk_iv ()) else `Select (mk_iv (), mk_iv ()) in
-  let initial = List.init n_q (fun _ -> mk_query ()) in
-  let n_batches = max 2 (ops / 40) in
-  let batches =
-    List.init n_batches (fun _ ->
-        let side = if Rng.bool rng then `R else `S in
-        let len = 1 + Rng.int rng 50 in
-        let rows =
-          Array.init len (fun _ -> (Rng.float rng *. 1000.0, Rng.float rng *. 1000.0))
-        in
-        let churn = if Rng.int rng 3 = 0 then Some (mk_query ()) else None in
-        (side, rows, churn))
-  in
-  let collect use_batch =
-    let eng = Engine.create ~alpha:0.1 ~seed () in
-    let results = ref [] in
-    let next_q = ref 0 in
-    let subscribe q =
-      let qi = !next_q in
-      incr next_q;
-      let cb (r : Tuple.r) (s : Tuple.s) = results := (qi, r.rid, s.sid) :: !results in
-      match q with
-      | `Band range -> ignore (Engine.subscribe_band eng ~range cb)
-      | `Select (range_a, range_c) ->
-          ignore (Engine.subscribe_select eng ~range_a ~range_c cb)
-    in
-    List.iter subscribe initial;
-    List.iter
-      (fun (side, rows, churn) ->
-        (if use_batch then
-           let b = Cq_relation.Batch.of_rows rows in
-           ignore
-             (match side with
-             | `R -> Engine.ingest_batch_r eng b
-             | `S -> Engine.ingest_batch_s eng b)
-         else
-           Array.iter
-             (fun (x, y) ->
-               match side with
-               | `R -> ignore (Engine.insert_r eng ~a:x ~b:y)
-               | `S -> ignore (Engine.insert_s eng ~b:x ~c:y))
-             rows);
-        match churn with Some q -> subscribe q | None -> ())
-      batches;
-    Engine.check_invariants eng;
-    (!results, (Engine.stats eng).results_delivered)
-  in
-  let total_rows = List.fold_left (fun acc (_, rows, _) -> acc + Array.length rows) 0 batches in
-  (try
-     let seq_rs, seq_n = collect false in
-     let bat_rs, bat_n = collect true in
-     let cmp (q1, r1, s1) (q2, r2, s2) =
-       let c = Int.compare q1 q2 in
-       if c <> 0 then c
-       else
-         let c = Int.compare r1 r2 in
-         if c <> 0 then c else Int.compare s1 s2
-     in
-     if seq_n <> bat_n then
-       diverge run 0 "one-row batches delivered %d results, staged batches delivered %d" seq_n
-         bat_n
-     else begin
-       let a = List.sort cmp seq_rs and b = List.sort cmp bat_rs in
-       let rec first_diff i xs ys =
-         match (xs, ys) with
-         | [], [] -> ()
-         | (q, r, s) :: _, [] ->
-             diverge run i "result (q=%d, rid=%d, sid=%d) missing under staged batches" q r s
-         | [], (q, r, s) :: _ ->
-             diverge run i "result (q=%d, rid=%d, sid=%d) fabricated under staged batches" q r s
-         | x :: xs', y :: ys' ->
-             if cmp x y = 0 then first_diff (i + 1) xs' ys'
-             else
-               let q, r, s = x and q', r', s' = y in
-               diverge run i
-                 "multisets differ: one-row batches have (q=%d, rid=%d, sid=%d), staged \
-                  batches have (q=%d, rid=%d, sid=%d)"
-                 q r s q' r' s'
-       in
-       first_diff 0 a b
-     end
-   with exn -> diverge run 0 "uncaught exception: %s" (Printexc.to_string exn));
-  finish run ~ops:total_rows ~final_size:total_rows
-
-(* Shed-mode differential check: replay a seeded insert-only workload
-   through a Shed-policy engine at a forced keep-rate, compute the
-   exact answer for every query by brute force, and require (a) the
-   delivered subset never exceeds the exact answer, (b) the engine's
-   observed counter matches what the callbacks saw, and (c) every
-   Horvitz-Thompson estimate lands within its own claimed error
-   bound. *)
-let run_shed ?(shards = 1) ?(rate = 0.5) ~seed ~ops () =
-  let run = make_run (Printf.sprintf "shed[%dx%.2f]" shards rate) seed in
-  let rng = Rng.create (seed + 0x53ed) in
-  let n_q = 6 + Rng.int rng 11 in
-  let mk_iv () =
-    let lo = (Rng.float rng *. 1000.0) -. 200.0 in
-    let w = 1.0 +. (Rng.float rng *. 150.0) in
-    I.make lo (lo +. w)
-  in
-  let queries =
-    Array.init n_q (fun _ ->
-        if Rng.bool rng then `Band (mk_iv ()) else `Select (mk_iv (), mk_iv ()))
-  in
-  let n_batches = max 2 (ops / 40) in
-  let batches =
-    List.init n_batches (fun _ ->
-        let side = if Rng.bool rng then Par.R else Par.S in
-        let len = 1 + Rng.int rng 50 in
-        let rows =
-          Array.init len (fun _ -> (Rng.float rng *. 1000.0, Rng.float rng *. 1000.0))
-        in
-        (side, rows))
-  in
-  let batch_size = 1 + Rng.int rng 64 in
-  let total_rows = List.fold_left (fun acc (_, rows) -> acc + Array.length rows) 0 batches in
-  (try
-     let t =
-       Par.create ~alpha:0.1 ~seed ~shards ~batch_size ~overload:Engine.Config.Shed
-         ~shed_rate:rate ()
-     in
-     let observed = Array.make n_q 0 in
-     Array.iteri
-       (fun qi q ->
-         let cb (_ : Tuple.r) (_ : Tuple.s) = observed.(qi) <- observed.(qi) + 1 in
-         match q with
-         | `Band range -> ignore (Par.subscribe_band t ~range cb)
-         | `Select (range_a, range_c) -> ignore (Par.subscribe_select t ~range_a ~range_c cb))
-       queries;
-     List.iter (fun (side, rows) -> Par.ingest_batch t side rows) batches;
-     ignore (Par.flush t);
-     Par.check_invariants t;
-     let info = Par.shed_info t in
-     Par.shutdown t;
-     let rs = ref [] and ss = ref [] in
-     List.iter
-       (fun (side, rows) ->
-         match side with
-         | Par.R -> Array.iter (fun row -> rs := row :: !rs) rows
-         | Par.S -> Array.iter (fun row -> ss := row :: !ss) rows)
-       batches;
-     let exact qi =
-       let n = ref 0 in
-       List.iter
-         (fun (ra, rb) ->
-           List.iter
-             (fun (sb, sc) ->
-               let hit =
-                 match queries.(qi) with
-                 | `Band w -> I.stabs w (sb -. rb)
-                 | `Select (wa, wc) -> rb = sb && I.stabs wa ra && I.stabs wc sc
-               in
-               if hit then incr n)
-             !ss)
-         !rs;
-       !n
-     in
-     let reported = Hashtbl.create 16 in
-     List.iter (fun (d : Engine.degraded) -> Hashtbl.replace reported d.deg_qid d) info;
-     Array.iteri
-       (fun qi _ ->
-         let n = exact qi in
-         match Hashtbl.find_opt reported qi with
-         | Some (d : Engine.degraded) ->
-             if observed.(qi) > n then
-               diverge run qi
-                 "query %d delivered %d results but only %d exist (subsample violated)" qi
-                 observed.(qi) n;
-             if d.deg_observed <> observed.(qi) then
-               diverge run qi "query %d: engine reports %d observed, callbacks saw %d" qi
-                 d.deg_observed observed.(qi);
-             let err = Float.abs (d.deg_estimate -. float_of_int n) in
-             if err > d.deg_claimed_error +. 1e-6 then
-               diverge run qi
-                 "query %d: estimate %.2f for exact %d misses the claimed bound %.2f (err %.2f)"
-                 qi d.deg_estimate n d.deg_claimed_error err
-         | None ->
-             if observed.(qi) <> n then
-               diverge run qi
-                 "query %d never saw a shed coin yet delivered %d of %d exact results" qi
-                 observed.(qi) n)
-       queries
-   with exn -> diverge run 0 "uncaught exception: %s" (Printexc.to_string exn));
-  finish run ~ops:total_rows ~final_size:total_rows
-
-(* Adaptive-schedule differential check: the keep-rate moves between
-   1.0 and sub-unit values per batch — the regime the parallel
-   adaptive controller produces — and every claimed bound must still
-   contain the exact count.  The load-bearing case is an exact phase
-   followed by a shedding one: results delivered at rate 1.0 must fold
-   into the estimate at p = 1, or the estimate omits the whole exact
-   phase while the claimed error only covers shed-phase sampling.
-   Driven through the sequential engine so the schedule is a pure
-   function of the seed (the parallel controller reads live queue
-   depths, which no replay can pin down). *)
-let run_shed_adaptive ~seed ~ops () =
-  let run = make_run "shed-adaptive" seed in
-  let rng = Rng.create (seed + 0xada) in
-  let n_q = 6 + Rng.int rng 11 in
-  let mk_iv () =
-    let lo = (Rng.float rng *. 1000.0) -. 200.0 in
-    let w = 1.0 +. (Rng.float rng *. 150.0) in
-    I.make lo (lo +. w)
-  in
-  let queries =
-    Array.init n_q (fun _ ->
-        if Rng.bool rng then `Band (mk_iv ()) else `Select (mk_iv (), mk_iv ()))
-  in
-  let n_batches = max 4 (ops / 40) in
-  let batches =
-    List.init n_batches (fun i ->
-        let side = if Rng.bool rng then `R else `S in
-        let len = 1 + Rng.int rng 50 in
-        let rows =
-          Array.init len (fun _ -> (Rng.float rng *. 1000.0, Rng.float rng *. 1000.0))
-        in
-        (* Always open with an exact phase (the historical failure
-           shape), then mix freely — about half the batches exact. *)
-        let rate =
-          if i = 0 then 1.0
-          else
-            match Rng.int rng 6 with
-            | 0 | 1 | 2 -> 1.0
-            | 3 -> 0.25
-            | 4 -> 0.5
-            | _ -> 0.75
-        in
-        (side, rate, rows))
-  in
-  let total_rows =
-    List.fold_left (fun acc (_, _, rows) -> acc + Array.length rows) 0 batches
-  in
-  (try
-     let eng = Engine.create ~alpha:0.1 ~seed ~overload:Engine.Config.Shed () in
-     let observed = Array.make n_q 0 in
-     Array.iteri
-       (fun qi q ->
-         let cb (_ : Tuple.r) (_ : Tuple.s) = observed.(qi) <- observed.(qi) + 1 in
-         match q with
-         | `Band range -> ignore (Engine.subscribe_band eng ~range cb)
-         | `Select (range_a, range_c) ->
-             ignore (Engine.subscribe_select eng ~range_a ~range_c cb))
-       queries;
-     List.iter
-       (fun (side, rate, rows) ->
-         Engine.set_shed_rate eng rate;
-         Array.iter
-           (fun (x, y) ->
-             match side with
-             | `R -> ignore (Engine.insert_r eng ~a:x ~b:y)
-             | `S -> ignore (Engine.insert_s eng ~b:x ~c:y))
-           rows)
-       batches;
-     Engine.check_invariants eng;
-     let info = Engine.shed_info eng in
-     let rs = ref [] and ss = ref [] in
-     List.iter
-       (fun (side, _, rows) ->
-         match side with
-         | `R -> Array.iter (fun row -> rs := row :: !rs) rows
-         | `S -> Array.iter (fun row -> ss := row :: !ss) rows)
-       batches;
-     let exact qi =
-       let n = ref 0 in
-       List.iter
-         (fun (ra, rb) ->
-           List.iter
-             (fun (sb, sc) ->
-               let hit =
-                 match queries.(qi) with
-                 | `Band w -> I.stabs w (sb -. rb)
-                 | `Select (wa, wc) -> rb = sb && I.stabs wa ra && I.stabs wc sc
-               in
-               if hit then incr n)
-             !ss)
-         !rs;
-       !n
-     in
-     let reported = Hashtbl.create 16 in
-     List.iter (fun (d : Engine.degraded) -> Hashtbl.replace reported d.deg_qid d) info;
-     Array.iteri
-       (fun qi _ ->
-         let n = exact qi in
-         match Hashtbl.find_opt reported qi with
-         | Some (d : Engine.degraded) ->
-             if observed.(qi) > n then
-               diverge run qi
-                 "query %d delivered %d results but only %d exist (subsample violated)" qi
-                 observed.(qi) n;
-             if d.deg_observed <> observed.(qi) then
-               diverge run qi "query %d: engine reports %d observed, callbacks saw %d" qi
-                 d.deg_observed observed.(qi);
-             let err = Float.abs (d.deg_estimate -. float_of_int n) in
-             if err > d.deg_claimed_error +. 1e-6 then
-               diverge run qi
-                 "query %d: estimate %.2f for exact %d misses the claimed bound %.2f \
-                  (err %.2f) under a mixed-rate schedule"
-                 qi d.deg_estimate n d.deg_claimed_error err
-         | None ->
-             if observed.(qi) <> n then
-               diverge run qi
-                 "query %d never saw a sub-unit coin yet delivered %d of %d exact results"
-                 qi observed.(qi) n)
-       queries
-   with exn -> diverge run 0 "uncaught exception: %s" (Printexc.to_string exn));
-  finish run ~ops:total_rows ~final_size:total_rows
-
-(* Burst replay: the Fault.gen_burst stream (quiet trickle alternating
-   with 64-256-row volleys, no flush inside a volley) goes through an
-   adaptive Shed engine.  Shed's contract is liveness, not exactness:
-   every ingest call must return [Ok] — never a blocking stall, never
-   an [Overload] error — and what does get delivered must remain a
-   subset of the exact answer over everything submitted.  The adaptive
-   rate itself is timing-dependent (it reads live queue depths), so
-   the run is not replayable decision-for-decision — but the bound
-   contract is checked regardless: whenever no whole chunk was dropped
-   past the grace window (the one loss the estimators cannot see),
-   every degraded report must contain the exact count within its
-   claimed error, and every unreported query must be exact. *)
-let run_burst ?(shards = 2) ~seed ~ops () =
-  let run = make_run (Printf.sprintf "burst[%d]" shards) seed in
-  let burst = Fault.gen_burst ~seed ~n:(max 24 (ops / 10)) in
-  let rng = Rng.create (seed + 0xb5e7) in
-  let n_q = 4 + Rng.int rng 9 in
-  let mk_iv () =
-    let lo = (Rng.float rng *. 30.0) -. 15.0 in
-    let w = 0.5 +. (Rng.float rng *. 6.0) in
-    I.make lo (lo +. w)
-  in
-  let queries =
-    Array.init n_q (fun _ ->
-        if Rng.bool rng then `Band (mk_iv ()) else `Select (mk_iv (), mk_iv ()))
-  in
-  let total_rows = ref 0 in
-  (try
-     let t =
-       Par.create ~alpha:0.1 ~seed ~shards ~batch_size:8 ~overload:Engine.Config.Shed ()
-     in
-     let observed = Array.make n_q 0 in
-     Array.iteri
-       (fun qi q ->
-         let cb (_ : Tuple.r) (_ : Tuple.s) = observed.(qi) <- observed.(qi) + 1 in
-         match q with
-         | `Band range -> ignore (Par.subscribe_band t ~range cb)
-         | `Select (range_a, range_c) -> ignore (Par.subscribe_select t ~range_a ~range_c cb))
-       queries;
-     let rs = ref [] and ss = ref [] in
-     let ingest i side rows mirror =
-       total_rows := !total_rows + Array.length rows;
-       match Par.try_ingest_batch t side rows with
-       | Ok () -> Array.iter (fun row -> mirror := row :: !mirror) rows
-       | Error e ->
-           diverge run i "shed-mode ingest must stay non-blocking and Ok, got: %s"
-             (Cq_util.Error.to_string e)
-     in
-     Array.iteri
-       (fun i op ->
-         match op with
-         | Fault.Burst_r rows -> ingest i Par.R rows rs
-         | Fault.Burst_s rows -> ingest i Par.S rows ss
-         | Fault.Burst_flush -> ignore (Par.flush t))
-       burst;
-     ignore (Par.flush t);
-     Par.check_invariants t;
-     let totals : Par.shed_totals = Par.shed_totals t in
-     let info = Par.shed_info t in
-     Par.shutdown t;
-     if totals.par_min_rate <= 0.0 || totals.par_min_rate > 1.0 then
-       diverge run 0 "applied shed rate %.3f outside (0, 1]" totals.par_min_rate;
-     let reported = Hashtbl.create 16 in
-     List.iter (fun (d : Engine.degraded) -> Hashtbl.replace reported d.deg_qid d) info;
-     (* Qids are issued in subscription order, so query index = qid. *)
-     Array.iteri
-       (fun qi q ->
-         let n = ref 0 in
-         List.iter
-           (fun (ra, rb) ->
-             List.iter
-               (fun (sb, sc) ->
-                 let hit =
-                   match q with
-                   | `Band w -> I.stabs w (sb -. rb)
-                   | `Select (wa, wc) -> rb = sb && I.stabs wa ra && I.stabs wc sc
-                 in
-                 if hit then incr n)
-               !ss)
-           !rs;
-         if observed.(qi) > !n then
-           diverge run qi "query %d delivered %d results but only %d exist under burst" qi
-             observed.(qi) !n;
-         (* Whole-chunk drops at admission are the one loss the
-            per-query estimators never see (no coin is flipped for a
-            row that reaches no shard), so the claimed bounds are only
-            asserted on runs where none occurred. *)
-         if totals.par_dropped_rows = 0 then
-           match Hashtbl.find_opt reported qi with
-           | Some (d : Engine.degraded) ->
-               if d.deg_observed <> observed.(qi) then
-                 diverge run qi "query %d: engine reports %d observed, callbacks saw %d" qi
-                   d.deg_observed observed.(qi);
-               let err = Float.abs (d.deg_estimate -. float_of_int !n) in
-               if err > d.deg_claimed_error +. 1e-6 then
-                 diverge run qi
-                   "query %d: adaptive estimate %.2f for exact %d misses the claimed \
-                    bound %.2f (err %.2f)"
-                   qi d.deg_estimate !n d.deg_claimed_error err
-           | None ->
-               if observed.(qi) <> !n then
-                 diverge run qi
-                   "query %d never saw a sub-unit coin yet delivered %d of %d exact \
-                    results under burst"
-                   qi observed.(qi) !n)
-       queries
-   with exn -> diverge run 0 "uncaught exception: %s" (Printexc.to_string exn));
-  finish run ~ops:!total_rows ~final_size:!total_rows
+let diff w a b cmp =
+  let start_ns = Cq_util.Clock.monotonic_ns () in
+  let o = verdict cmp (replay a w) (replay b w) in
+  note_elapsed o.structure ~start_ns ~ops:o.ops;
+  o
 
 (* ------------------------------------------------------------------ *)
 (* The full battery                                                     *)
@@ -1130,7 +944,6 @@ let index_drivers : (module STAB_INDEX) list =
 let audit_workload ~seed ~n () =
   let audit_start = Cq_util.Clock.monotonic_ns () in
   let stream = Fault.gen ~seed ~n in
-  let mirror : (int, I.t) Hashtbl.t = Hashtbl.create 1024 in
   let live = Hashtbl.create 1024 in
   let apply ~add ~del =
     Array.iter
@@ -1146,19 +959,17 @@ let audit_workload ~seed ~n () =
       stream;
     Hashtbl.reset live
   in
+  let entries =
+    let mirror : (int, I.t) Hashtbl.t = Hashtbl.create 1024 in
+    apply ~add:(Hashtbl.replace mirror) ~del:(fun id _ -> Hashtbl.remove mirror id);
+    mirror_entries mirror
+  in
   let index_reports =
     List.map
       (fun (module S : STAB_INDEX) ->
         let t = S.create ~seed in
         apply ~add:(S.add t) ~del:(fun id iv -> ignore (S.remove t id iv));
-        Hashtbl.reset mirror;
-        Array.iter
-          (function
-            | Fault.Add { id; iv } -> Hashtbl.replace mirror id iv
-            | Fault.Remove { id; _ } -> Hashtbl.remove mirror id
-            | _ -> ())
-          stream;
-        (S.name, S.audit t ~entries:(mirror_entries mirror)))
+        (S.name, S.audit t ~entries))
       index_drivers
   in
   let bt : int Fbt.t = Fbt.create () in
@@ -1171,39 +982,15 @@ let audit_workload ~seed ~n () =
   apply ~add:(fun id iv -> Lazy_p.insert lp (id, iv)) ~del:(fun id iv -> ignore (Lazy_p.delete lp (id, iv)));
   let rp = Refined_p.create ~seed () in
   apply ~add:(fun id iv -> Refined_p.insert rp (id, iv)) ~del:(fun id iv -> ignore (Refined_p.delete rp (id, iv)));
-  let eng = Engine.create ~alpha:0.1 ~seed () in
-  let rng = Rng.create (seed + 0x9e37) in
-  let subs = ref [] and rs = ref [] and ss = ref [] in
-  let pick l = match !l with [] -> None | xs -> Some (List.nth xs (Rng.int rng (List.length xs))) in
-  Array.iter
-    (fun op ->
-      match op with
-      | Fault.Sub_band { range } ->
-          subs := Engine.subscribe_band eng ~range (fun _ _ -> ()) :: !subs
-      | Fault.Sub_select { range_a; range_c } ->
-          subs := Engine.subscribe_select eng ~range_a ~range_c (fun _ _ -> ()) :: !subs
-      | Fault.Unsub_random -> (
-          match pick subs with
-          | None -> ()
-          | Some sub ->
-              ignore (Engine.unsubscribe eng sub);
-              subs := List.filter (fun s -> s != sub) !subs)
-      | Fault.Ins_r { a; b } -> rs := fst (Engine.insert_r eng ~a ~b) :: !rs
-      | Fault.Ins_s { b; c } -> ss := fst (Engine.insert_s eng ~b ~c) :: !ss
-      | Fault.Del_r_random -> (
-          match pick rs with
-          | None -> ()
-          | Some r ->
-              ignore (Engine.delete_r eng r);
-              rs := List.filter (fun r' -> r'.Tuple.rid <> r.rid) !rs)
-      | Fault.Del_s_random -> (
-          match pick ss with
-          | None -> ()
-          | Some s ->
-              ignore (Engine.delete_s eng s);
-              ss := List.filter (fun s' -> s'.Tuple.sid <> s.sid) !ss)
-      | Fault.Reject_ins_r _ | Fault.Reject_sub_band -> ())
-    (Fault.gen_engine ~seed ~n:(max 100 (n / 10)));
+  let engine_report =
+    let o = replay Seq_rows (Fault.gen_engine ~seed ~n:(max 100 (n / 10))) in
+    let replay_failure (d : divergence) =
+      { Invariant.structure = "engine"; check = "replay"; detail = d.detail }
+    in
+    match Option.to_list (Option.map replay_failure o.failure) @ o.violations with
+    | [] -> Ok ()
+    | vs -> Error vs
+  in
   let reports =
     index_reports
     @ [
@@ -1211,129 +998,23 @@ let audit_workload ~seed ~n () =
         ("hotspot_tracker", Tracker_audit.audit tr);
         ("lazy_partition", Lazy_audit.audit ~name:"lazy_partition" lp);
         ("refined_partition", Refined_audit.audit ~name:"refined_partition" rp);
-        ("engine", Invariant.engine eng);
+        ("engine", engine_report);
       ]
   in
-  let dur_ns = Int64.sub (Cq_util.Clock.monotonic_ns ()) audit_start in
-  Metrics.set (Metrics.gauge "oracle.audit.elapsed_ms") (Int64.to_float dur_ns /. 1e6);
-  Metrics.add (Metrics.counter "oracle.audit.ops") n;
+  note_elapsed "audit" ~start_ns:audit_start ~ops:n;
   Metrics.add (Metrics.counter "oracle.audit.structures") (List.length reports);
-  Trace.add_span ~cat:"oracle" ~name:"oracle.audit_workload" ~ts_ns:audit_start ~dur_ns ();
   reports
 
 let fuzz_all ?(shards = 2) ~seed ~ops () =
-  let engine_ops = max 200 (ops / 10) in
+  let n = max 200 (ops / 10) in
   List.map (fun d -> run_index d ~seed ~ops) index_drivers
   @ [
       run_btree ~seed ~ops;
       run_tracker ~seed ~ops ();
       run_lazy_partition ~seed ~ops;
       run_refined_partition ~seed ~ops;
-      run_engine ~seed ~ops:engine_ops ();
-      run_batch ~seed ~ops:engine_ops ();
-      run_parallel ~shards ~seed ~ops:engine_ops ();
-      run_shed_adaptive ~seed ~ops:engine_ops ();
+      diff (Fault.gen_engine ~seed ~n) Reference Seq_rows Same;
+      diff (Fault.gen_uniform ~churn:true ~seed ~n ()) Seq_rows Seq_batch Same;
+      diff (Fault.gen_uniform ~seed ~n ()) (Par 1) (Par shards) Same;
+      diff (Fault.gen_uniform ~rates:Fault.mixed_rates ~seed ~n ()) Reference Seq_rows Shed_bounds;
     ]
-
-(* Served-vs-direct differential check: the same seeded workload runs
-   once through the network front-end (Cq_net.Driver's lockstep
-   loopback harness — real sockets, real frames, a real multi-session
-   server) and once straight into an identically configured parallel
-   engine, and every session's result stream must match bit-for-bit:
-   same qid assignment, same rows, same order.  Lockstep driving plus
-   the server's read/flush/write tick make the served order
-   deterministic, so this is an equality check, not a multiset one. *)
-module Netd = Cq_net.Driver
-
-let run_serve ?(sessions = 4) ?(shards = 2) ~seed ~ops () =
-  let run = make_run (Printf.sprintf "serve[%d]" sessions) seed in
-  let n_batches = max 2 (ops / 20) in
-  let w =
-    Netd.gen_workload ~seed ~sessions ~queries_per_session:2 ~batches:n_batches
-      ~rows_per_batch:8
-  in
-  let cfg = { Cq_engine.Engine.Config.default with shards; seed } in
-  let total_rows =
-    Array.fold_left (fun acc (b : Netd.batch_spec) -> acc + Array.length b.rows) 0 w.batches
-  in
-  (try
-     match Netd.run_workload ~engine:cfg w with
-     | Error e -> diverge run 0 "served run failed: %s" (Cq_net.Client.error_to_string e)
-     | Ok oc ->
-         if oc.server.net_results_dropped <> 0 then
-           diverge run 0 "lockstep run dropped %d result rows — queues were sized not to"
-             oc.server.net_results_dropped
-         else begin
-           (* Direct replay: same config, same flat-batch path, same
-              session-major registration order, one flush per batch
-              (the server flushes every ingest tick under lockstep). *)
-           let par = Cq_util.Error.ok_exn (Par.try_create_cfg cfg) in
-           let recording = ref true in
-           let direct = Array.make sessions [] in
-           let next_qid = ref 1 in
-           let expect_qids =
-             Array.mapi
-               (fun i specs ->
-                 Array.map
-                   (fun spec ->
-                     let qid = !next_qid in
-                     incr next_qid;
-                     let cb (r : Tuple.r) (s : Tuple.s) =
-                       if !recording then
-                         direct.(i) <- (qid, (r.a, r.b, s.b, s.c)) :: direct.(i)
-                     in
-                     (match spec with
-                     | Netd.Band { lo; hi } ->
-                         ignore (Par.subscribe_band par ~range:(I.make lo hi) cb)
-                     | Netd.Select { a_lo; a_hi; c_lo; c_hi } ->
-                         ignore
-                           (Par.subscribe_select par ~range_a:(I.make a_lo a_hi)
-                              ~range_c:(I.make c_lo c_hi) cb));
-                     qid)
-                   specs)
-               w.queries
-           in
-           Array.iter
-             (fun (b : Netd.batch_spec) ->
-               let side = match b.side with Cq_net.Frame.R -> Par.R | Cq_net.Frame.S -> Par.S in
-               (match Par.try_ingest_batch_flat par side (Netd.batch_of_rows b.rows) with
-               | Ok () -> ()
-               | Error e -> diverge run 0 "direct ingest failed: %s" (Cq_util.Error.to_string e));
-               ignore (Par.flush par))
-             w.batches;
-           ignore (Par.flush par);
-           recording := false;
-           Par.shutdown par;
-           if not (Array.for_all2 (fun a b -> a = b) expect_qids oc.qids) then
-             diverge run 0 "qid assignment differs between served and direct runs"
-           else
-             Array.iteri
-               (fun i frames ->
-                 if Option.is_none run.div then begin
-                   let served =
-                     List.concat_map
-                       (fun (qid, rows) ->
-                         List.map (fun row -> (qid, row)) (Array.to_list rows))
-                       (Array.to_list frames)
-                   in
-                   let expect = List.rev direct.(i) in
-                   let ns = List.length served and ne = List.length expect in
-                   if ns <> ne then
-                     diverge run i "session %d: served %d result rows, direct run has %d" i
-                       ns ne
-                   else
-                     List.iteri
-                       (fun k ((q1, r1), (q2, r2)) ->
-                         if Option.is_none run.div && not (q1 = q2 && r1 = r2) then
-                           let p1 (a, b, c, d) =
-                             Printf.sprintf "(%.17g, %.17g, %.17g, %.17g)" a b c d
-                           in
-                           diverge run k
-                             "session %d row %d: served q%d %s, direct q%d %s" i k q1
-                             (p1 r1) q2 (p1 r2))
-                       (List.combine served expect)
-                 end)
-               oc.results
-         end
-   with exn -> diverge run 0 "uncaught exception: %s" (Printexc.to_string exn));
-  finish run ~ops:total_rows ~final_size:total_rows

@@ -7,7 +7,8 @@
     operation index, so any failure replays exactly:
     [run_index d ~seed ~ops] with the printed seed reproduces it
     bit-for-bit (the op stream, the treap priorities and the driver's
-    own choices are all derived from [seed]).  Invariant audits from
+    own choices are all derived from [seed]).  Engine-level runs go
+    through the one harness below ({!diff}).  Invariant audits from
     {!Invariant} run at checkpoints throughout and their violations are
     collected alongside. *)
 
@@ -71,114 +72,128 @@ val run_tracker : ?alpha:float -> seed:int -> ops:int -> unit -> outcome
 val run_lazy_partition : seed:int -> ops:int -> outcome
 val run_refined_partition : seed:int -> ops:int -> outcome
 
-val run_engine : seed:int -> ops:int -> unit -> outcome
-(** Whole-engine differential run: per-query delivery/retraction
-    balances against a brute-force join mirror, must-reject inputs
-    (NaN attributes, empty windows) asserted to return [Error],
-    callbacks after unsubscribe flagged, engine invariants audited at
-    checkpoints. *)
+(** {2 Engine-level differential harness}
 
-val run_batch : seed:int -> ops:int -> unit -> outcome
-(** Staging differential run: one seeded insert-only workload
-    (band/select subscriptions plus batched rows) is replayed into two
-    identically configured sequential engines — once as n one-row
-    batches through {!Cq_engine.Engine.insert_r}/[insert_s] (no
-    staging: each event stabs the scattered index directly), once as
-    one n-row batch through {!Cq_engine.Engine.ingest_batch_r}/[_s]
-    (one staged, batched descent) — and the delivered result
-    multisets, keyed by [(query, rid, sid)], must be identical
-    (tuple-id assignment included).  A third of the batches are
-    followed by a subscription, so batches stage against a query
-    population churn has just changed. *)
+    One harness checks the continuous band and equality joins end to
+    end, built from three parts:
 
-val run_parallel : ?shards:int -> seed:int -> ops:int -> unit -> outcome
-(** Parallel-vs-sequential differential run: one seeded workload
-    (band/select subscriptions plus [~ops] rows of batched ingest) is
-    replayed verbatim into {!Cq_engine.Parallel} at [shards = 1] and at
-    [shards] (default 2), and the delivered result multisets — keyed by
-    [(query, rid, sid)] — must be identical, as must the delivery
-    counts.  [Parallel.check_invariants] runs on both engines before
-    comparison.  Exercises the determinism argument in
-    [Parallel]'s docs; deletions are out of scope (the parallel API is
-    insert-only for now). *)
+    - a {e workload}: a seeded {!Fault.workload}, whose
+      {!Fault.step} array every driver replays verbatim (victims of
+      [Unsub] and [Del] are resolved by the generator, so all drivers
+      remove the same query or tuple);
+    - a {e driver}: replays those steps into one engine and records an
+      {!output};
+    - a {e comparator}: turns two drivers' outputs into an {!outcome}.
 
-val replay_drift :
-  Cq_engine.Parallel.t ->
-  Fault.drift_op array ->
-  (int -> Cq_relation.Tuple.r -> Cq_relation.Tuple.s -> unit) ->
-  unit
-(** [replay_drift t stream cb] applies a {!Fault.gen_drift} stream to
-    [t] through {!Cq_engine.Parallel.register} / [deregister] (which
-    drops the oldest live query), [ingest_batch] and [flush], then
-    flushes once more.  [cb i] is the result callback of the [i]-th
-    registration. *)
+    Checks that hold for every driver live in the one replay loop: a
+    callback after unsubscribe, an [Error] on a valid batch or
+    subscription, an accepted [Bad_row] or [Bad_sub], and a delivered
+    count that differs from what the callbacks saw are divergences,
+    reported at the step that caused them; invariants are audited every
+    [max 50 (steps / 20)] steps and at the end.
 
-val run_drift : ?shards:int -> seed:int -> ops:int -> unit -> outcome
-(** Hotspot-drift differential run: replays a {!Fault.gen_drift}
-    walking-hotspot stream — online {!Cq_engine.Parallel.register} /
-    [deregister] mid-ingest, registration mass Zipf-piled on one home
-    shard, the pile walking across strips — into a 1-shard engine and
-    an N-shard engine (default 4).  Asserts that the delivered
-    [(query, rid, sid)] multiset and delivery counts are bit-for-bit
-    independent of the shard count.  Invariants are checked on both
-    engines. *)
+    {b Which pairing checks what.}  Every sweep in [test_robust] and
+    [test_net] is one {!diff} line:
 
-val run_shed : ?shards:int -> ?rate:float -> seed:int -> ops:int -> unit -> outcome
-(** Shed-mode differential check.  A seeded insert-only workload runs
-    through a [Shed]-policy parallel engine at the forced keep-rate
-    [rate] (default 0.5, [shards] default 1); the exact answer for each
-    query is then computed by brute force over the full workload.
-    Divergences: a query delivering more results than exist (the
-    delivered set must be a subsample), the engine's per-query observed
-    counter disagreeing with what the callbacks saw, or a
-    Horvitz-Thompson estimate falling outside its own claimed error
-    bound.  Queries never touched by a shed coin must be exact.  Both
-    the shed decisions and the claimed bounds are pure functions of the
-    seed, so the outcome is identical across shard counts. *)
+    - [Seq_rows] vs [Seq_batch], [Same], on {!Fault.gen_uniform} with
+      churn: batch ≡ per-tuple, the only engine-level check of
+      multi-key staging;
+    - [Par 1] vs [Par n], [Same], on {!Fault.gen_uniform} and
+      {!Fault.gen_drift}: parallel ≡ sequential, including online
+      subscription churn under a walking hotspot;
+    - [Reference] vs [Seq_rows], [Same], on {!Fault.gen_engine}: the
+      sequential engine against the brute-force mirror, with deletions,
+      retractions and must-reject inputs;
+    - [Reference] vs a shedding driver, [Shed_bounds]: [Par n] on
+      {!Fault.gen_uniform} at a forced rate and on {!Fault.gen_burst}
+      (adaptive), [Seq_rows] on the {!Fault.mixed_rates} schedule;
+    - [Served] vs [Par n], [Same_stream], on {!Fault.gen_uniform}:
+      served ≡ direct.
 
-val run_shed_adaptive : seed:int -> ops:int -> unit -> outcome
-(** Mixed-rate-schedule differential check through the {e sequential}
-    engine in [Shed] mode: the keep-rate moves between 1.0 and forced
-    sub-unit values per batch — the shape the parallel adaptive
-    controller produces, made deterministic by pinning the schedule to
-    the seed.  Asserts the same contract as {!run_shed} (subsample,
-    observed-counter agreement, every estimate within its claimed
-    bound, untouched queries exact); in particular, results delivered
-    during exact phases must fold into the estimates at p = 1, so a
-    rate-1.0 phase followed by a shedding one cannot push the exact
-    count outside the claimed bound. *)
+    The reference stays off the parallel, batch and drift sweeps: over
+    those sweeps it takes about as long as the engines themselves
+    (14.4 s against 16.4 s on a 2-core host), and pairing two engines
+    already pins the contract each sweep is about. *)
 
-val run_burst : ?shards:int -> seed:int -> ops:int -> unit -> outcome
-(** Replays {!Fault.gen_burst} (quiet trickle alternating with
-    64–256-row volleys) through an adaptive [Shed] engine ([shards]
-    default 2).  Asserts the liveness contract — every
-    [try_ingest_batch] returns [Ok], never blocking, never [Overload] —
-    plus the subsample property per query, engine invariants, and that
-    the minimum applied keep-rate stays in (0, 1].  The adaptive rates
-    themselves are timing-dependent, but on runs where no whole chunk
-    was dropped past the grace window
-    ({!Cq_engine.Parallel.shed_totals}[.par_dropped_rows] = 0) the
-    degraded-answer contract is asserted too: every estimate within
-    its claimed bound, every unreported query exact. *)
+type pair = {
+  qi : int;  (** Query index: the number of [Sub] steps before its own. *)
+  sign : int;  (** [1] for a delivery, [-1] for a retraction. *)
+  at : int;  (** Step whose replay produced it; the step count if the final flush did. *)
+  r : Cq_relation.Tuple.r;
+  s : Cq_relation.Tuple.s;
+}
 
-val run_serve : ?sessions:int -> ?shards:int -> seed:int -> ops:int -> unit -> outcome
-(** Served-vs-direct differential check.  One seeded workload
-    ({!Cq_net.Driver.gen_workload}) is run through the network
-    front-end — a real {!Cq_net.Server} on a loopback socket, one
-    client per session, lockstep batch streaming — and replayed
-    directly into an identically configured {!Cq_engine.Parallel} with
-    session-major registration and one flush per batch.  Every
-    session's result stream must match {e bit-for-bit}: same qid
-    assignment, same [(r.a, r.b, s.b, s.c)] rows, same order.  The
-    lockstep discipline plus the server's read/flush/write tick order
-    make the served side deterministic, so equality (not multiset
-    equality) is the contract.  [sessions] defaults to 4, [shards] to
-    2. *)
+type output = {
+  driver : string;
+  workload : string;
+  seed : int;
+  steps : int;  (** Workload length: the op index of end-of-run checks. *)
+  queries : int;  (** Subscriptions accepted. *)
+  sessions : int;  (** 1, or the served driver's session count. *)
+  results : pair list;
+      (** Every callback, newest first; the served driver lists its
+          sessions' streams one after the other (session 0 last), with
+          tuple ids [-1] (they do not cross the wire). *)
+  delivered : int;  (** The engine's own delivered count. *)
+  degraded : Cq_engine.Engine.degraded list;  (** Keyed by query index. *)
+  min_rate : float;  (** Minimum keep-rate applied; 1.0 when exact. *)
+  dropped_rows : int;  (** Rows dropped whole at shed admission. *)
+  failure : divergence option;  (** A check of the replay loop that failed. *)
+  violations : Invariant.violation list;
+}
+
+type driver =
+  | Reference
+      (** The brute-force mirror: every completed pair credits each
+          live matching query, every deletion debits each live query
+          once per live matching partner. *)
+  | Seq_rows  (** The sequential engine, each row a one-row batch. *)
+  | Seq_batch
+      (** The sequential engine, each [Rows] step one staged batch
+          through {!Cq_engine.Engine.try_ingest_batch_r}/[_s]; replays
+          no [Del]. *)
+  | Par of int
+      (** {!Cq_engine.Parallel} at that many shards, under the
+          workload's overload policy; its keep-rate is the workload's
+          first [Rate].  [Unsub] goes through a flush barrier, so the
+          query first receives everything it produced.  Replays no
+          [Del]. *)
+  | Served of { sessions : int; shards : int }
+      (** {!Cq_net.Driver.run_workload}: a real server on loopback,
+          one client per session.  Replays leading [Sub]s, then [Rows]
+          and [Flush] only. *)
+
+type comparator =
+  | Same
+      (** The signed [(qi, rid, sid)] multisets and the delivered
+          counts agree; the first difference in sorted order is
+          reported. *)
+  | Shed_bounds
+      (** The first output is exact, the second sheds.  Each query's
+          delivered count is at most the exact one, and the minimum
+          applied keep-rate lies in (0, 1].  When no row was dropped
+          whole, also: each degraded report's observed count equals
+          what the callbacks saw, its estimate lies within its claimed
+          bound, and every query no sub-unit coin touched is exact. *)
+  | Same_stream
+      (** The same rows, bit for bit, in the same per-session order.
+          Sessions own contiguous blocks of query indices. *)
+
+val replay_par : Cq_engine.Parallel.t -> Fault.workload -> output
+(** The [Par] driver's replay into a caller-made engine, which is left
+    running (so it can still be inspected, then shut down). *)
+
+val verdict : comparator -> output -> output -> outcome
+(** A failure recorded by either replay wins; otherwise the
+    comparator's first divergence, with the outputs' seed. *)
+
+val diff : Fault.workload -> driver -> driver -> comparator -> outcome
+(** Replay [w] through both drivers, then {!verdict}. *)
 
 val fuzz_all : ?shards:int -> seed:int -> ops:int -> unit -> outcome list
-(** The full battery (the engine and parallel runs use [ops/10]
-    operations, each one being a full event cascade; [shards] — default
-    2 — feeds {!run_parallel}). *)
+(** The full battery: every structure, then the engine, batch,
+    parallel (at [shards], default 2) and mixed-rate shed pairings of
+    {!diff} on [max 200 (ops / 10)]-step workloads. *)
 
 val audit_workload : seed:int -> n:int -> unit -> (string * Invariant.report) list
 (** Build every structure from the same seeded adversarial stream and

@@ -478,15 +478,16 @@ let prop_parallel_matches_sequential =
    immediately re-registering the same definition is a semantic no-op —
    delivery is driven by incoming events joining against the fully
    replicated tables, so the churned query must deliver exactly what a
-   statically subscribed one does.  Exercises register/deregister's
-   barrier discipline on a live, mid-stream engine. *)
+   statically subscribed one does.  Exercises the flush-barrier
+   membership changes on a live, mid-stream engine. *)
 let run_rereg_scenario ~shards ~churn_at (band_ranges, select_ranges, events) =
   let t = Par.create ~alpha:0.3 ~shards ~batch_size:8 () in
   let delivered = ref [] in
   let handle0 = ref None in
   let reg_band i range =
+    ignore (Par.flush t);
     let sub =
-      Par.register t (Par.Band { range }) (fun r s ->
+      Par.subscribe_band t ~range (fun r s ->
           delivered :=
             (`Band, i, r.Cq_relation.Tuple.rid, s.Cq_relation.Tuple.sid) :: !delivered)
     in
@@ -495,8 +496,9 @@ let run_rereg_scenario ~shards ~churn_at (band_ranges, select_ranges, events) =
   List.iteri (fun i range -> reg_band i (I.shift range (-5.0))) band_ranges;
   List.iteri
     (fun i (range_a, range_c) ->
+      ignore (Par.flush t);
       ignore
-        (Par.register t (Par.Select { range_a; range_c }) (fun r s ->
+        (Par.subscribe_select t ~range_a ~range_c (fun r s ->
              delivered :=
                (`Select, i, r.Cq_relation.Tuple.rid, s.Cq_relation.Tuple.sid) :: !delivered)))
     select_ranges;
@@ -505,7 +507,8 @@ let run_rereg_scenario ~shards ~churn_at (band_ranges, select_ranges, events) =
       (if j = churn_at then
          match !handle0 with
          | Some (sub, range) ->
-             ignore (Par.deregister t sub);
+             ignore (Par.flush t);
+             ignore (Par.unsubscribe t sub);
              reg_band 0 range
          | None -> ());
       match ev with
@@ -552,9 +555,10 @@ let test_static_placement_under_ingest () =
     let delivered = ref [] in
     List.iteri
       (fun i c ->
+        ignore (Par.flush t);
         ignore
-          (Par.register t
-             (Par.Band { range = I.make (c -. 8.0) (c +. 8.0) })
+          (Par.subscribe_band t
+             ~range:(I.make (c -. 8.0) (c +. 8.0))
              (fun r s ->
                delivered :=
                  (i, r.Cq_relation.Tuple.rid, s.Cq_relation.Tuple.sid) :: !delivered)))
@@ -598,6 +602,29 @@ let test_parallel_shutdown_discipline () =
   | Error (Cq_util.Error.Invalid_parameter _) -> ()
   | Error e -> Alcotest.failf "unexpected error %s" (Cq_util.Error.to_string e)
   | Ok () -> Alcotest.fail "ingest after shutdown accepted")
+
+(* Results a query produced before it was unsubscribed, but that were
+   still buffered on its shard, are discarded at the next flush: no
+   callback runs, and no delivery counter may include them. *)
+let test_unsubscribed_results_not_counted () =
+  List.iter
+    (fun shards ->
+      let t = Par.create ~shards () in
+      let hits = ref 0 in
+      let sub = Par.subscribe_band t ~range:(I.make (-1.0) 1.0) (fun _ _ -> incr hits) in
+      Par.ingest_batch t Par.S [| (0.0, 0.0) |];
+      Par.ingest_batch t Par.R [| (0.0, 0.0) |];
+      Alcotest.(check bool) "unsubscribed" true (Par.unsubscribe t sub);
+      let flushed = Par.flush t in
+      let what = Printf.sprintf "shards=%d: " shards in
+      Alcotest.(check int) (what ^ "callbacks") 0 !hits;
+      Alcotest.(check int) (what ^ "flush return") 0 flushed;
+      Alcotest.(check int) (what ^ "results_delivered") 0 (Par.results_delivered t);
+      Alcotest.(check int) (what ^ "shard_result_counts") 0
+        (Array.fold_left ( + ) 0 (Par.shard_result_counts t));
+      Par.check_invariants t;
+      Par.shutdown t)
+    [ 1; 2 ]
 
 (* Regression for the error-payload naming unification: every
    validation failure names the exact configuration field or tuple
@@ -1022,6 +1049,8 @@ let () =
           Alcotest.test_case "static placement under ingest" `Quick
             test_static_placement_under_ingest;
           Alcotest.test_case "shutdown discipline" `Quick test_parallel_shutdown_discipline;
+          Alcotest.test_case "unsubscribed results are not counted" `Quick
+            test_unsubscribed_results_not_counted;
           Alcotest.test_case "error payload field names" `Quick
             test_error_payload_field_names;
         ] );

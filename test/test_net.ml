@@ -17,6 +17,7 @@ module Server = Cq_net.Server
 module Driver = Cq_net.Driver
 module Batch = Cq_relation.Batch
 module Oracle = Cq_robust.Oracle
+module Fault = Cq_robust.Fault
 module Engine = Cq_engine.Engine
 
 (* ----------------------------- frame codec ----------------------------- *)
@@ -231,13 +232,6 @@ let test_gen_workload_deterministic () =
       ~rows_per_batch:8
   in
   Alcotest.(check bool) "different seed differs" true (mk () <> other)
-
-let test_percentile () =
-  let xs = Array.init 100 (fun i -> float_of_int (i + 1)) in
-  Alcotest.(check (float 0.0)) "p50" 50.0 (Driver.percentile xs 50.0);
-  Alcotest.(check (float 0.0)) "p99" 99.0 (Driver.percentile xs 99.0);
-  Alcotest.(check (float 0.0)) "p100" 100.0 (Driver.percentile xs 100.0);
-  Alcotest.(check (float 0.0)) "empty" 0.0 (Driver.percentile [||] 50.0)
 
 (* ----------------------------- live server ----------------------------- *)
 
@@ -542,18 +536,18 @@ let test_serve_oracle_sweep () =
      covered.  Bulk of the sweep at shards=1 (this box has one core);
      the tail re-checks the multi-shard merge path. *)
   let failures = ref [] in
-  for seed = 1 to 96 do
+  let serve ~sessions ~shards ~n seed =
     let o =
-      Oracle.run_serve ~sessions:(1 + (seed mod 6)) ~shards:1 ~seed ~ops:60 ()
+      Oracle.diff (Fault.gen_uniform ~seed ~n ()) (Served { sessions; shards }) (Par shards)
+        Same_stream
     in
     if not (Oracle.passed o) then failures := o :: !failures
+  in
+  for seed = 1 to 96 do
+    serve ~sessions:(1 + (seed mod 6)) ~shards:1 ~n:60 seed
   done;
   for seed = 97 to 108 do
-    let o =
-      Oracle.run_serve ~sessions:(1 + (seed mod 4)) ~shards:(2 + (seed mod 2)) ~seed
-        ~ops:40 ()
-    in
-    if not (Oracle.passed o) then failures := o :: !failures
+    serve ~sessions:(1 + (seed mod 4)) ~shards:(2 + (seed mod 2)) ~n:40 seed
   done;
   match !failures with
   | [] -> ()
@@ -579,7 +573,6 @@ let () =
         [
           Alcotest.test_case "workload deterministic" `Quick
             test_gen_workload_deterministic;
-          Alcotest.test_case "percentile" `Quick test_percentile;
         ] );
       ( "live",
         [

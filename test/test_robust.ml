@@ -14,17 +14,16 @@ let fuzz_ops = 3_000
 
 (* ------------------------- determinism -------------------------------- *)
 
+let dump (w : Fault.workload) =
+  String.concat "; " (Array.to_list (Array.map (Format.asprintf "%a" Fault.pp_step) w.steps))
+
 let test_fault_gen_deterministic () =
   let a = Fault.gen ~seed:5 ~n:500 and b = Fault.gen ~seed:5 ~n:500 in
   Alcotest.(check bool) "same seed, same stream" true (a = b);
   let c = Fault.gen ~seed:6 ~n:500 in
   Alcotest.(check bool) "different seed, different stream" true (a <> c);
-  (* Compare printed forms: Reject_ins_r ops carry NaN attributes, and
+  (* Compare printed forms: Bad_row steps carry NaN attributes, and
      NaN <> NaN under structural equality. *)
-  let dump ops =
-    String.concat "; "
-      (Array.to_list (Array.map (Format.asprintf "%a" Fault.pp_engine_op) ops))
-  in
   Alcotest.(check string) "engine stream deterministic"
     (dump (Fault.gen_engine ~seed:5 ~n:500))
     (dump (Fault.gen_engine ~seed:5 ~n:500))
@@ -50,41 +49,44 @@ let test_fuzz_partitions () =
   check_outcome (Oracle.run_lazy_partition ~seed:3 ~ops:fuzz_ops);
   check_outcome (Oracle.run_refined_partition ~seed:3 ~ops:fuzz_ops)
 
-let test_fuzz_engine () = check_outcome (Oracle.run_engine ~seed:3 ~ops:400 ())
+let seeds n = List.init n (fun i -> i + 1)
+
+let test_fuzz_engine () =
+  check_outcome (Oracle.diff (Fault.gen_engine ~seed:3 ~n:400) Reference Seq_rows Same)
 
 let test_fuzz_batch () =
-  (* The flat-batch-vs-per-tuple multiset property over 100+ seeds. *)
-  List.iter
-    (fun seed -> check_outcome (Oracle.run_batch ~seed ~ops:200 ()))
-    (List.init 110 (fun i -> i + 1))
-
-let test_fuzz_parallel () =
-  (* The parallel-vs-sequential multiset property across many seeds and
-     both interesting shard counts (2 = minimal fan-out, 4 = more
-     strips than the striping period wraps around). *)
+  (* Staged batches against one-row batches over 100+ seeds. *)
   List.iter
     (fun seed ->
-      check_outcome (Oracle.run_parallel ~shards:2 ~seed ~ops:300 ());
-      check_outcome (Oracle.run_parallel ~shards:4 ~seed ~ops:300 ()))
-    (List.init 10 (fun i -> i + 1))
+      check_outcome
+        (Oracle.diff (Fault.gen_uniform ~churn:true ~seed ~n:200 ()) Seq_rows Seq_batch Same))
+    (seeds 110)
+
+let test_fuzz_parallel () =
+  (* Both interesting shard counts: 2 = minimal fan-out, 4 = more
+     strips than the striping period wraps around. *)
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun shards ->
+          check_outcome
+            (Oracle.diff (Fault.gen_uniform ~seed ~n:300 ()) (Par 1) (Par shards) Same))
+        [ 2; 4 ])
+    (seeds 10)
 
 let test_fuzz_drift () =
   (* The elastic-registration sweep: 110 seeds of the walking-hotspot
-     stream, online register/deregister piled on one home shard, each
+     stream, online subscribe/unsubscribe piled on one home shard, each
      run bit-for-bit multiset-identical to the 1-shard run.  A smaller
      shards = 2 sweep covers the minimal fan-out. *)
-  List.iter
-    (fun seed -> check_outcome (Oracle.run_drift ~shards:4 ~seed ~ops:240 ()))
-    (List.init 110 (fun i -> i + 1));
-  List.iter
-    (fun seed -> check_outcome (Oracle.run_drift ~shards:2 ~seed ~ops:240 ()))
-    (List.init 10 (fun i -> i + 1))
+  let drift shards seed =
+    check_outcome
+      (Oracle.diff (Fault.gen_drift ~shards ~seed ~n:240 ()) (Par 1) (Par shards) Same)
+  in
+  List.iter (drift 4) (seeds 110);
+  List.iter (drift 2) (seeds 10)
 
 let test_drift_gen_deterministic () =
-  let dump ops =
-    String.concat "; "
-      (Array.to_list (Array.map (Format.asprintf "%a" Fault.pp_drift_op) ops))
-  in
   Alcotest.(check string) "same seed, same drift stream"
     (dump (Fault.gen_drift ~shards:4 ~seed:5 ~n:200 ()))
     (dump (Fault.gen_drift ~shards:4 ~seed:5 ~n:200 ()));
@@ -93,10 +95,6 @@ let test_drift_gen_deterministic () =
     <> dump (Fault.gen_drift ~shards:4 ~seed:6 ~n:200 ()))
 
 let test_burst_gen_deterministic () =
-  let dump ops =
-    String.concat "; "
-      (Array.to_list (Array.map (Format.asprintf "%a" Fault.pp_burst_op) ops))
-  in
   Alcotest.(check string) "same seed, same burst stream"
     (dump (Fault.gen_burst ~seed:5 ~n:300))
     (dump (Fault.gen_burst ~seed:5 ~n:300));
@@ -104,36 +102,119 @@ let test_burst_gen_deterministic () =
     (dump (Fault.gen_burst ~seed:5 ~n:300) <> dump (Fault.gen_burst ~seed:6 ~n:300))
 
 let test_fuzz_shed () =
-  (* The shed-mode differential check over many seeds: the degraded
-     answers' claimed relative-error bounds must always contain the
-     true cardinality.  shards = 1 covers the estimator math cheaply;
-     a smaller shards = 4 sweep covers the cross-shard merge. *)
-  List.iter
-    (fun seed ->
-      check_outcome (Oracle.run_shed ~shards:1 ~rate:0.5 ~seed ~ops:150 ()))
-    (List.init 100 (fun i -> i + 1));
-  List.iter
-    (fun seed ->
-      check_outcome (Oracle.run_shed ~shards:4 ~rate:0.25 ~seed ~ops:150 ());
-      check_outcome (Oracle.run_shed ~shards:4 ~rate:0.75 ~seed ~ops:150 ()))
-    (List.init 10 (fun i -> i + 1))
+  (* The degraded answers' claimed error bounds must always contain
+     the true cardinality.  shards = 1 covers the estimator math
+     cheaply; a smaller shards = 4 sweep covers the cross-shard merge. *)
+  let shed shards rate seed =
+    check_outcome
+      (Oracle.diff (Fault.gen_uniform ~rates:[| rate |] ~seed ~n:150 ()) Reference (Par shards)
+         Shed_bounds)
+  in
+  List.iter (shed 1 0.5) (seeds 100);
+  List.iter (fun seed -> shed 4 0.25 seed; shed 4 0.75 seed) (seeds 10)
 
 let test_fuzz_shed_adaptive () =
-  (* The mixed-rate schedule (exact phases at 1.0 interleaved with
-     forced sub-unit phases) over many seeds: results delivered during
-     exact phases must fold into the estimates at p = 1, so the claimed
-     bounds cover the whole stream, not just the shedding phases. *)
+  (* Exact phases at 1.0 interleaved with forced sub-unit phases:
+     results delivered during exact phases must fold into the estimates
+     at p = 1, so the claimed bounds cover the whole stream. *)
   List.iter
-    (fun seed -> check_outcome (Oracle.run_shed_adaptive ~seed ~ops:150 ()))
-    (List.init 100 (fun i -> i + 1))
+    (fun seed ->
+      check_outcome
+        (Oracle.diff (Fault.gen_uniform ~rates:Fault.mixed_rates ~seed ~n:150 ()) Reference Seq_rows
+           Shed_bounds))
+    (seeds 100)
 
 let test_fuzz_burst () =
-  (* Seeded burst replay through Shed admission: ingest must never
+  (* Burst replay through adaptive Shed admission: ingest must never
      block or error, and the degraded answers must stay within their
      claimed bounds. *)
   List.iter
-    (fun seed -> check_outcome (Oracle.run_burst ~shards:2 ~seed ~ops:400 ()))
-    (List.init 5 (fun i -> i + 1))
+    (fun seed ->
+      check_outcome (Oracle.diff (Fault.gen_burst ~seed ~n:40) Reference (Par 2) Shed_bounds))
+    (seeds 5)
+
+(* ------------------- comparators catch divergences -------------------- *)
+
+(* Hand-made outputs: a comparator must name the seed and the step of
+   the first divergence. *)
+let pair ?(sign = 1) ~at qi rid sid =
+  {
+    Oracle.qi;
+    sign;
+    at;
+    r = { Cq_relation.Tuple.rid; a = float_of_int rid; b = 0.0 };
+    s = { Cq_relation.Tuple.sid; b = 0.0; c = float_of_int sid };
+  }
+
+let output ?(degraded = []) ?(min_rate = 1.0) ?(sessions = 1) ~queries results =
+  {
+    Oracle.driver = "hand";
+    workload = "hand";
+    seed = 42;
+    steps = 9;
+    queries;
+    sessions;
+    results;
+    delivered = List.length (List.filter (fun (x : Oracle.pair) -> x.sign > 0) results);
+    degraded;
+    min_rate;
+    dropped_rows = 0;
+    failure = None;
+    violations = [];
+  }
+
+let expect_divergence what ~op_index cmp a b =
+  match (Oracle.verdict cmp a b).divergence with
+  | None -> Alcotest.failf "%s went undetected" what
+  | Some d ->
+      Alcotest.(check int) (what ^ ": seed") 42 d.seed;
+      Alcotest.(check int) (what ^ ": op index") op_index d.op_index
+
+let expect_pass what cmp a b =
+  let o = Oracle.verdict cmp a b in
+  if not (Oracle.passed o) then
+    Alcotest.failf "%s: %s" what (Format.asprintf "@[<v>%a@]" Oracle.pp_outcome o)
+
+let test_same_catches () =
+  let base = [ pair ~at:2 0 0 0; pair ~at:5 1 0 1; pair ~at:7 0 1 1; pair ~sign:(-1) ~at:8 0 1 1 ] in
+  let a = output ~queries:2 base in
+  expect_pass "identical multisets" Same a (output ~queries:2 (List.rev base));
+  expect_divergence "one dropped result" ~op_index:5 Same a
+    (output ~queries:2 (List.filter (fun (x : Oracle.pair) -> x.at <> 5) base));
+  expect_divergence "one extra result" ~op_index:6 Same a
+    (output ~queries:2 (base @ [ pair ~at:6 1 1 1 ]));
+  expect_divergence "a wrong delivered count" ~op_index:9 Same a { a with delivered = 4 }
+
+let degraded qi ~observed ~estimate ~claimed =
+  {
+    Cq_engine.Engine.deg_qid = qi;
+    deg_observed = observed;
+    deg_estimate = estimate;
+    deg_claimed_error = claimed;
+    deg_rate = 0.5;
+  }
+
+let test_shed_bounds_catch () =
+  let exact = output ~queries:2 (List.init 10 (fun i -> pair ~at:i 0 i 0) @ [ pair ~at:3 1 0 1 ]) in
+  let shed ~estimate ~q1 =
+    output ~queries:2 ~min_rate:0.5
+      ~degraded:[ degraded 0 ~observed:5 ~estimate ~claimed:2.0 ]
+      (List.init 5 (fun i -> pair ~at:i 0 (2 * i) 0) @ List.init q1 (fun _ -> pair ~at:3 1 0 1))
+  in
+  expect_pass "estimate on its claimed bound" Shed_bounds exact (shed ~estimate:12.0 ~q1:1);
+  expect_divergence "an estimate one past its claimed bound" ~op_index:9 Shed_bounds exact
+    (shed ~estimate:13.0 ~q1:1);
+  expect_divergence "a shed-untouched query short by one" ~op_index:9 Shed_bounds exact
+    (shed ~estimate:12.0 ~q1:0)
+
+let test_same_stream_catches () =
+  (* Two sessions: q0 belongs to session 0, q1 to session 1. *)
+  let served = output ~sessions:2 ~queries:2 [ pair ~at:9 0 1 1; pair ~at:9 0 2 2; pair ~at:9 1 3 3 ] in
+  let direct rows = output ~queries:2 rows in
+  expect_pass "sessions interleaved in global order" Same_stream served
+    (direct [ pair ~at:2 0 1 1; pair ~at:3 1 3 3; pair ~at:4 0 2 2 ]);
+  expect_divergence "two served rows swapped" ~op_index:9 Same_stream served
+    (direct [ pair ~at:2 0 2 2; pair ~at:3 1 3 3; pair ~at:4 0 1 1 ])
 
 let test_audit_workload_clean () =
   List.iter
@@ -288,6 +369,9 @@ let () =
             test_fuzz_shed_adaptive;
           Alcotest.test_case "burst replay stays non-blocking" `Quick test_fuzz_burst;
           Alcotest.test_case "workload audit clean" `Quick test_audit_workload_clean;
+          Alcotest.test_case "same catches divergences" `Quick test_same_catches;
+          Alcotest.test_case "shed bounds catch divergences" `Quick test_shed_bounds_catch;
+          Alcotest.test_case "same stream catches divergences" `Quick test_same_stream_catches;
         ] );
       ( "corruption",
         [
