@@ -172,7 +172,7 @@ let gen_uniform ?(churn = false) ?rates ~seed ~n () =
     let sub = if churn && Rng.int rng 3 = 0 then [ Sub (query ()) ] else [] in
     rate @ (Rows (side, rows) :: sub)
   in
-  let steps = Array.of_list (subs @ List.concat (List.init (max 2 (n / 40)) batch)) in
+  let steps = Array.of_list (subs @ List.concat (List.init (max 4 (n / 40)) batch)) in
   {
     name = ((if churn then "uniform+churn" else "uniform") ^ if Option.is_some rates then "+rates" else "");
     seed;

@@ -77,7 +77,7 @@ val mixed_rates : float array
     produces. *)
 
 val gen_uniform : ?churn:bool -> ?rates:float array -> seed:int -> n:int -> unit -> workload
-(** 8–24 band/select subscriptions, then [max 2 (n / 40)] batches of
+(** 8–24 band/select subscriptions, then [max 4 (n / 40)] batches of
     1–50 rows uniform over [\[0, 1000)]; the batch size is drawn from
     [\[1, 64\]].  [churn] (default [false]) follows a third of the
     batches with a new subscription, so batches stage against a query

@@ -410,8 +410,8 @@ type output = {
   workload : string;
   seed : int;
   steps : int;
-  queries : int;
   sessions : int;
+  counts : int array;
   results : pair list;
   delivered : int;
   degraded : Engine.degraded list;
@@ -471,25 +471,10 @@ let matches q (r : Tuple.r) (s : Tuple.s) =
 let reference () =
   let queries = ref [] and rs = ref [] and ss = ref [] in
   let next_rid = ref 0 and next_sid = ref 0 and delivered = ref 0 in
-  let rec credit r s = function
-    | [] -> ()
-    | (q, on_res, _) :: tl ->
-        if matches q r s then begin
-          incr delivered;
-          on_res r s
-        end;
-        credit r s tl
-  in
-  let rec debit r s = function
-    | [] -> ()
-    | (q, _, on_ret) :: tl ->
-        if matches q r s then on_ret r s;
-        debit r s tl
-  in
-  let empty = function
-    | Fault.Band w -> I.is_empty w
-    | Fault.Select (a, c) -> I.is_empty a || I.is_empty c
-  in
+  let credit r s =
+    List.iter (fun (q, on_res, _) -> if matches q r s then (incr delivered; on_res r s)) !queries
+  and debit r s = List.iter (fun (q, _, on_ret) -> if matches q r s then on_ret r s) !queries in
+  let empty = function Fault.Band w -> I.is_empty w | Fault.Select (a, c) -> I.is_empty a || I.is_empty c in
   {
     sub =
       (fun q ~on_result ~on_retract ->
@@ -512,12 +497,12 @@ let reference () =
                 | Par.R ->
                     let r = { Tuple.rid = !next_rid; a = x; b = y } in
                     incr next_rid;
-                    List.iter (fun s -> credit r s !queries) !ss;
+                    List.iter (credit r) !ss;
                     rs := r :: !rs
                 | Par.S ->
                     let s = { Tuple.sid = !next_sid; b = x; c = y } in
                     incr next_sid;
-                    List.iter (fun r -> credit r s !queries) !rs;
+                    List.iter (fun r -> credit r s) !rs;
                     ss := s :: !ss)
               rows;
             Ok ());
@@ -527,11 +512,11 @@ let reference () =
         | Par.R ->
             let r, rest = pluck k !rs in
             rs := rest;
-            List.iter (fun s -> debit r s !queries) !ss
+            List.iter (debit r) !ss
         | Par.S ->
             let s, rest = pluck k !ss in
             ss := rest;
-            List.iter (fun r -> debit r s !queries) !rs);
+            List.iter (fun r -> debit r s) !rs);
     flush = ignore;
     rate = ignore;
     audit = (fun () -> Ok ());
@@ -540,15 +525,17 @@ let reference () =
 
 (* The sequential engine.  [staged] ingests each [Rows] step as one
    batch through the staged descent; otherwise every row is a one-row
-   batch, whose tuple handle is kept for [Del]. *)
+   batch, whose tuple handle is kept for [Del].  Either way the live
+   counts are kept, and every audit holds the engine's sizes to them. *)
 let seq_ops ~staged eng =
-  let rs = ref [] and ss = ref [] in
+  let rs = ref [] and ss = ref [] and nr = ref 0 and ns = ref 0 in
   let one_row side acc (x, y) =
     Result.bind acc (fun () ->
         match side with
-        | Par.R -> Result.map (fun (r, _) -> rs := r :: !rs) (Engine.try_insert_r eng ~a:x ~b:y)
-        | Par.S -> Result.map (fun (s, _) -> ss := s :: !ss) (Engine.try_insert_s eng ~b:x ~c:y))
+        | Par.R -> Result.map (fun (r, _) -> rs := r :: !rs; incr nr) (Engine.try_insert_r eng ~a:x ~b:y)
+        | Par.S -> Result.map (fun (s, _) -> ss := s :: !ss; incr ns) (Engine.try_insert_s eng ~b:x ~c:y))
   in
+  let live = function Par.R -> nr | Par.S -> ns in
   {
     sub =
       (fun q ~on_result ~on_retract ->
@@ -564,12 +551,14 @@ let seq_ops ~staged eng =
         if not staged then Array.fold_left (one_row side) (Ok ()) rows
         else
           let b = Cq_relation.Batch.of_rows rows in
-          Result.map ignore
+          Result.map
+            (fun _ -> live side := !(live side) + Array.length rows)
             (match side with
             | Par.R -> Engine.try_ingest_batch_r eng b
             | Par.S -> Engine.try_ingest_batch_s eng b));
     del =
       (fun side k ->
+        decr (live side);
         let gone =
           match side with
           | Par.R ->
@@ -585,7 +574,14 @@ let seq_ops ~staged eng =
           Err.corrupt ~structure:"engine" "deleting live tuple #%d found nothing" k);
     flush = ignore;
     rate = Engine.set_shed_rate eng;
-    audit = (fun () -> Invariant.engine eng);
+    audit =
+      (fun () ->
+        let st = Engine.stats eng in
+        if st.r_size = !nr && st.s_size = !ns then Invariant.engine eng
+        else
+          let detail = Printf.sprintf "|R| %d, |S| %d; %d and %d live" st.r_size st.s_size !nr !ns in
+          Invariant.merge
+            [ Invariant.engine eng; Error [ { structure = "engine"; check = "size"; detail } ] ]);
     totals =
       (fun () ->
         ( (Engine.stats eng).results_delivered,
@@ -641,10 +637,9 @@ let par_ops t ~rate =
   }
 
 (* The checks every driver shares: the engine's delivered count must
-   equal the results its callbacks saw. *)
-let output_of run (w : Fault.workload) ~queries ~sessions results ~delivered ~degraded
+   equal the deliveries its callbacks saw. *)
+let output_of run (w : Fault.workload) ~sessions ~counts ~seen results ~delivered ~degraded
     ~min_rate ~dropped_rows =
-  let seen = List.fold_left (fun n x -> if x.sign > 0 then n + 1 else n) 0 results in
   if delivered <> seen then
     diverge run (Array.length w.steps) "engine counts %d results delivered, callbacks saw %d"
       delivered seen;
@@ -653,8 +648,8 @@ let output_of run (w : Fault.workload) ~queries ~sessions results ~delivered ~de
     workload = w.name;
     seed = w.seed;
     steps = Array.length w.steps;
-    queries;
     sessions;
+    counts;
     results;
     delivered;
     degraded;
@@ -665,15 +660,20 @@ let output_of run (w : Fault.workload) ~queries ~sessions results ~delivered ~de
   }
 
 (* The one replay loop, with the checks oracle.mli lists as shared by
-   every driver. *)
-let replay_with name ops (w : Fault.workload) =
+   every driver.  Without [keep] only counts are kept: a burst replay
+   delivers millions of results, and the shed bounds need no list. *)
+let replay_with ~keep name ops (w : Fault.workload) =
   let run = make_run name w.seed in
   let n = Array.length w.steps in
   let subs = Array.fold_left (fun k st -> match st with Fault.Sub _ -> k + 1 | _ -> k) 0 w.steps in
-  let live = ref [] and alive = Array.make subs false in
-  let results = ref [] and at = ref 0 and queries = ref 0 in
+  let live = ref [] and alive = Array.make subs false and counts = Array.make subs 0 in
+  let results = ref [] and seen = ref 0 and at = ref 0 and queries = ref 0 in
   let record qi sign r s =
-    if alive.(qi) then results := { qi; sign; at = !at; r; s } :: !results
+    if alive.(qi) then begin
+      counts.(qi) <- counts.(qi) + sign;
+      if sign > 0 then incr seen;
+      if keep then results := { qi; sign; at = !at; r; s } :: !results
+    end
     else diverge run !at "query %d received a result after unsubscribe" qi
   in
   let step i = function
@@ -729,18 +729,24 @@ let replay_with name ops (w : Fault.workload) =
       diverge run n "uncaught exception: %s" (Printexc.to_string exn);
       (0, [], 1.0, 0)
   in
-  output_of run w ~queries:!queries ~sessions:1 !results ~delivered ~degraded
-    ~min_rate ~dropped_rows
+  output_of run w ~sessions:1 ~counts ~seen:!seen !results ~delivered ~degraded ~min_rate
+    ~dropped_rows
 
-let replay_par t w = replay_with (driver_name (Par (Par.shards t))) (par_ops t ~rate:(initial_rate w)) w
+let par_replay ~keep t w =
+  replay_with ~keep (driver_name (Par (Par.shards t))) (par_ops t ~rate:(initial_rate w)) w
+
+let replay_par = par_replay ~keep:true
 
 (* Subscriptions are dealt to sessions in contiguous blocks, so
    session-major registration keeps step order and the server's qid is
    [qi + 1]; batches go round-robin. *)
+let owner ~sessions ~queries qi = qi * sessions / max 1 queries
+
 let served ~sessions ~shards (w : Fault.workload) =
   let run = make_run (driver_name (Served { sessions; shards })) w.seed in
   let n = Array.length w.steps in
   let queries = ref [] and batches = ref [] and results = ref [] and delivered = ref 0 in
+  let counts = ref [||] in
   (try
      Array.iter
        (function
@@ -750,7 +756,9 @@ let served ~sessions ~shards (w : Fault.workload) =
          | st -> unsupported ~driver:"Served" (Format.asprintf "%a" Fault.pp_step st))
        w.steps;
      let qs = Array.of_list (List.rev !queries) in
-     let owner qi = qi * sessions / Array.length qs in
+     let nq = Array.length qs in
+     let owner qi = owner ~sessions ~queries:nq qi in
+     let blocks = List.init sessions (fun i -> List.filter (fun qi -> owner qi = i) (List.init nq Fun.id)) in
      let spec = function
        | Fault.Band w -> Netd.Band { lo = I.lo w; hi = I.hi w }
        | Fault.Select (a, c) -> Netd.Select { a_lo = I.lo a; a_hi = I.hi a; c_lo = I.lo c; c_hi = I.hi c }
@@ -760,8 +768,7 @@ let served ~sessions ~shards (w : Fault.workload) =
          Netd.seed = w.seed;
          sessions;
          queries =
-           Array.init sessions (fun i ->
-               Array.of_list (List.filteri (fun qi _ -> owner qi = i) (List.map spec (Array.to_list qs))));
+           Array.of_list (List.map (fun b -> Array.of_list (List.map (fun qi -> spec qs.(qi)) b)) blocks);
          batches =
            Array.of_list (List.rev !batches)
            |> Array.mapi (fun i (side, rows) ->
@@ -775,6 +782,11 @@ let served ~sessions ~shards (w : Fault.workload) =
          if oc.server.net_results_dropped <> 0 then
            diverge run n "lockstep run dropped %d result rows; queues were sized not to"
              oc.server.net_results_dropped;
+         let qids = List.map Array.to_list (Array.to_list oc.qids) in
+         if not (List.equal (List.equal Int.equal) qids (List.map (List.map succ) blocks)) then
+           diverge run n "server's qids [%s] are not query index + 1 in session blocks"
+             (String.concat "; "
+                (List.map (fun q -> String.concat " " (List.map string_of_int q)) qids));
          delivered := oc.server.net_results_delivered;
          let pair qid (a, b, sb, c) =
            { qi = qid - 1; sign = 1; at = n; r = { Tuple.rid = -1; a; b }; s = { Tuple.sid = -1; b = sb; c } }
@@ -782,32 +794,30 @@ let served ~sessions ~shards (w : Fault.workload) =
          let session frames =
            List.concat_map (fun (qid, rows) -> List.map (pair qid) (Array.to_list rows)) (Array.to_list frames)
          in
-         results := List.rev (List.concat_map session (Array.to_list oc.results))
+         results := List.rev (List.concat_map session (Array.to_list oc.results));
+         counts := Array.make nq 0;
+         List.iter (fun x -> !counts.(x.qi) <- !counts.(x.qi) + 1) !results
    with exn -> diverge run n "uncaught exception: %s" (Printexc.to_string exn));
-  output_of run w ~queries:(List.length !queries) ~sessions !results ~delivered:!delivered
-    ~degraded:[] ~min_rate:1.0 ~dropped_rows:0
+  output_of run w ~sessions ~counts:!counts ~seen:(List.length !results) !results
+    ~delivered:!delivered ~degraded:[] ~min_rate:1.0 ~dropped_rows:0
 
-let replay driver (w : Fault.workload) =
+let replay ~keep driver (w : Fault.workload) =
   let name = driver_name driver in
   let engine () = Engine.create ~alpha:0.1 ~seed:w.seed ~overload:w.overload () in
   match driver with
-  | Reference -> replay_with name (reference ()) w
-  | Seq_rows -> replay_with name (seq_ops ~staged:false (engine ())) w
-  | Seq_batch -> replay_with name (seq_ops ~staged:true (engine ())) w
-  | Par shards -> Par.with_engine (config w ~shards) (fun t -> replay_par t w)
+  | Reference -> replay_with ~keep name (reference ()) w
+  | Seq_rows -> replay_with ~keep name (seq_ops ~staged:false (engine ())) w
+  | Seq_batch -> replay_with ~keep name (seq_ops ~staged:true (engine ())) w
+  | Par shards -> Par.with_engine (config w ~shards) (fun t -> par_replay ~keep t w)
   | Served { sessions; shards } -> served ~sessions ~shards w
 
 (* ------------------------------ comparators ----------------------------- *)
 
 let compare_result x y =
   let c = Int.compare x.qi y.qi in
-  if c <> 0 then c
-  else
-    let c = Int.compare x.r.rid y.r.rid in
-    if c <> 0 then c
-    else
-      let c = Int.compare x.s.sid y.s.sid in
-      if c <> 0 then c else Int.compare x.sign y.sign
+  let c = if c <> 0 then c else Int.compare x.r.rid y.r.rid in
+  let c = if c <> 0 then c else Int.compare x.s.sid y.s.sid in
+  if c <> 0 then c else Int.compare x.sign y.sign
 
 let pp_result x =
   Printf.sprintf "%s(q=%d, rid=%d, sid=%d)" (if x.sign > 0 then "+" else "-") x.qi x.r.rid x.s.sid
@@ -837,22 +847,15 @@ let same a b =
 (* [a] is exact; [b] sheds.  Bounds hold only while no chunk was
    dropped whole: such rows flip no coin, so no estimator sees them. *)
 let shed_bounds a b =
-  let nq = max a.queries b.queries in
-  let count o =
-    let c = Array.make nq 0 in
-    List.iter (fun x -> c.(x.qi) <- c.(x.qi) + x.sign) o.results;
-    c
-  in
-  let exact = count a and seen = count b in
-  let reported = Hashtbl.create 16 in
-  List.iter (fun (d : Engine.degraded) -> Hashtbl.replace reported d.deg_qid d) b.degraded;
+  let nq = max (Array.length a.counts) (Array.length b.counts) in
+  let count o qi = if qi < Array.length o.counts then o.counts.(qi) else 0 in
   let check qi =
-    let n = exact.(qi) and got = seen.(qi) in
+    let n = count a qi and got = count b qi in
     if got > n then
       Some (Printf.sprintf "query %d delivered %d results but only %d exist (subsample violated)" qi got n)
     else if b.dropped_rows > 0 then None
     else
-      match Hashtbl.find_opt reported qi with
+      match List.find_opt (fun (d : Engine.degraded) -> d.deg_qid = qi) b.degraded with
       | Some d when d.deg_observed <> got ->
           Some (Printf.sprintf "query %d: engine reports %d observed, callbacks saw %d" qi d.deg_observed got)
       | Some d ->
@@ -869,20 +872,16 @@ let shed_bounds a b =
                  qi got n)
           else None
   in
-  let rec first qi =
-    if qi = nq then None
-    else match check qi with Some d -> Some (b.steps, d) | None -> first (qi + 1)
-  in
   if b.min_rate <= 0.0 || b.min_rate > 1.0 then
     Some (b.steps, Printf.sprintf "applied keep-rate %.3f outside (0, 1]" b.min_rate)
-  else first 0
+  else Option.map (fun d -> (b.steps, d)) (List.find_map check (List.init nq Fun.id))
 
 (* Bit-for-bit rows in per-session order.  Sessions own contiguous
    blocks of query indices, so a stable sort by owner turns a global
    delivery order into the sessions' streams laid end to end. *)
 let same_stream a b =
-  let k = max a.sessions b.sessions and nq = max 1 (max a.queries b.queries) in
-  let owner x = x.qi * k / nq in
+  let queries = max (Array.length a.counts) (Array.length b.counts) in
+  let owner x = owner ~sessions:(max a.sessions b.sessions) ~queries x.qi in
   let by_session o = List.stable_sort (fun x y -> Int.compare (owner x) (owner y)) (List.rev o.results) in
   let row x = (x.qi, x.r.a, x.r.b, x.s.b, x.s.c) in
   let show = function
@@ -922,7 +921,8 @@ let verdict cmp a b =
 
 let diff w a b cmp =
   let start_ns = Cq_util.Clock.monotonic_ns () in
-  let o = verdict cmp (replay a w) (replay b w) in
+  let keep = match cmp with Shed_bounds -> false | Same | Same_stream -> true in
+  let o = verdict cmp (replay ~keep a w) (replay ~keep b w) in
   note_elapsed o.structure ~start_ns ~ops:o.ops;
   o
 
@@ -983,7 +983,7 @@ let audit_workload ~seed ~n () =
   let rp = Refined_p.create ~seed () in
   apply ~add:(fun id iv -> Refined_p.insert rp (id, iv)) ~del:(fun id iv -> ignore (Refined_p.delete rp (id, iv)));
   let engine_report =
-    let o = replay Seq_rows (Fault.gen_engine ~seed ~n:(max 100 (n / 10))) in
+    let o = replay ~keep:false Seq_rows (Fault.gen_engine ~seed ~n:(max 100 (n / 10))) in
     let replay_failure (d : divergence) =
       { Invariant.structure = "engine"; check = "replay"; detail = d.detail }
     in

@@ -128,12 +128,13 @@ type output = {
   workload : string;
   seed : int;
   steps : int;  (** Workload length: the op index of end-of-run checks. *)
-  queries : int;  (** Subscriptions accepted. *)
   sessions : int;  (** 1, or the served driver's session count. *)
+  counts : int array;  (** Per query index: deliveries minus retractions. *)
   results : pair list;
       (** Every callback, newest first; the served driver lists its
           sessions' streams one after the other (session 0 last), with
-          tuple ids [-1] (they do not cross the wire). *)
+          tuple ids [-1] (they do not cross the wire).  {!diff} keeps
+          none for [Shed_bounds], which reads only [counts]. *)
   delivered : int;  (** The engine's own delivered count. *)
   degraded : Cq_engine.Engine.degraded list;  (** Keyed by query index. *)
   min_rate : float;  (** Minimum keep-rate applied; 1.0 when exact. *)
@@ -147,7 +148,9 @@ type driver =
       (** The brute-force mirror: every completed pair credits each
           live matching query, every deletion debits each live query
           once per live matching partner. *)
-  | Seq_rows  (** The sequential engine, each row a one-row batch. *)
+  | Seq_rows
+      (** The sequential engine, each row a one-row batch.  Its audits
+          (as [Seq_batch]'s) also hold [|R|] and [|S|] to the live counts. *)
   | Seq_batch
       (** The sequential engine, each [Rows] step one staged batch
           through {!Cq_engine.Engine.try_ingest_batch_r}/[_s]; replays

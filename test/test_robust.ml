@@ -147,13 +147,15 @@ let pair ?(sign = 1) ~at qi rid sid =
   }
 
 let output ?(degraded = []) ?(min_rate = 1.0) ?(sessions = 1) ~queries results =
+  let counts = Array.make queries 0 in
+  List.iter (fun (x : Oracle.pair) -> counts.(x.qi) <- counts.(x.qi) + x.sign) results;
   {
     Oracle.driver = "hand";
     workload = "hand";
     seed = 42;
     steps = 9;
-    queries;
     sessions;
+    counts;
     results;
     delivered = List.length (List.filter (fun (x : Oracle.pair) -> x.sign > 0) results);
     degraded;
