@@ -59,33 +59,34 @@ let with_metrics enabled f =
 
 (* Shared demo workload for $(b,stats) and $(b,trace): a band-join
    engine under a clustered query population hot enough that the
-   trackers promote (and, after the unsubscribe wave, demote) groups. *)
-let run_demo ~queries ~events ~alpha ~seed ~strategy =
+   trackers promote (and, after the unsubscribe wave, demote) groups.
+   A bad knob (say --alpha 2) comes back as an [Error]. *)
+let run_demo ~queries ~events ~alpha ~seed =
   let module E = Cq_engine.Engine in
   let rng = Cq_util.Rng.create seed in
-  let eng = E.create ~alpha ~seed ~strategy () in
-  let ranges =
-    Cq_relation.Workload.gen_clustered_ranges ~scattered_len:(10.0, 4.0) rng ~n:queries
-      ~n_clusters:8 ~clustered_frac:0.9 ~domain:(-500.0, 500.0) ~cluster_halfwidth:15.0
-      ~len_mu:40.0 ~len_sigma:10.0
-  in
-  let subs =
-    Array.map (fun range -> E.subscribe_band eng ~range (fun _ _ -> ())) ranges
-  in
-  let r_tuples = ref [] in
-  for _ = 1 to events do
-    let b = 1000.0 *. Cq_util.Rng.float rng in
-    if Cq_util.Rng.bool rng then begin
-      let r, _ = E.insert_r eng ~a:(100.0 *. Cq_util.Rng.float rng) ~b in
-      r_tuples := r :: !r_tuples
-    end
-    else ignore (E.insert_s eng ~b ~c:(100.0 *. Cq_util.Rng.float rng))
-  done;
-  (* A deletion and unsubscribe wave: exercises the retract path and
-     drives hotspot groups below the demotion threshold. *)
-  List.iteri (fun i r -> if i mod 4 = 0 then ignore (E.delete_r eng r)) !r_tuples;
-  Array.iteri (fun i sub -> if i mod 2 = 0 then ignore (E.unsubscribe eng sub)) subs;
-  eng
+  match E.try_create ~alpha ~seed () with
+  | Error _ as e -> e
+  | Ok eng ->
+      let ranges =
+        Cq_relation.Workload.gen_clustered_ranges ~scattered_len:(10.0, 4.0) rng ~n:queries
+          ~n_clusters:8 ~clustered_frac:0.9 ~domain:(-500.0, 500.0) ~cluster_halfwidth:15.0
+          ~len_mu:40.0 ~len_sigma:10.0
+      in
+      let subs = Array.map (fun range -> E.subscribe_band eng ~range (fun _ _ -> ())) ranges in
+      let r_tuples = ref [] in
+      for _ = 1 to events do
+        let b = 1000.0 *. Cq_util.Rng.float rng in
+        if Cq_util.Rng.bool rng then begin
+          let r, _ = E.insert_r eng ~a:(100.0 *. Cq_util.Rng.float rng) ~b in
+          r_tuples := r :: !r_tuples
+        end
+        else ignore (E.insert_s eng ~b ~c:(100.0 *. Cq_util.Rng.float rng))
+      done;
+      (* A deletion and unsubscribe wave: exercises the retract path and
+         drives hotspot groups below the demotion threshold. *)
+      List.iteri (fun i r -> if i mod 4 = 0 then ignore (E.delete_r eng r)) !r_tuples;
+      Array.iteri (fun i sub -> if i mod 2 = 0 then ignore (E.unsubscribe eng sub)) subs;
+      Ok eng
 
 (* ------------------------------ bench --------------------------------- *)
 
@@ -258,7 +259,7 @@ let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"RNG seed
 
 (* Unknown enum-ish flag values get their own exit code and a one-line
    hint, not cmdliner's generic usage dump (124) and not a raw
-   exception: scripts can tell a mistyped --strategy/--format apart
+   exception: scripts can tell a mistyped --format apart
    from a real failure.  Validation therefore happens in the command
    bodies (below), not in a cmdliner conv. *)
 let bad_flag_exit = 64
@@ -266,18 +267,6 @@ let bad_flag_exit = 64
 let bad_flag_value ~flag ~given ~valid =
   Printf.eprintf "cqctl: unknown %s %s (valid: %s)\n%!" flag given valid;
   Stdlib.exit bad_flag_exit
-
-let strategy_arg =
-  Arg.(
-    value
-    & opt string "hotspot"
-    & info [ "strategy" ] ~docv:"STRATEGY"
-        ~doc:"Event-processing strategy: $(b,hotspot) or $(b,ssi).")
-
-let strategy_of s =
-  match Hotspot_core.Processor.strategy_of_string s with
-  | Ok k -> k
-  | Error _ -> bad_flag_value ~flag:"--strategy" ~given:s ~valid:"hotspot, ssi"
 
 let fuzz_cmd =
   let ops =
@@ -447,21 +436,28 @@ let stats_cmd =
              drift stream and print per-shard load gauges instead of the sequential stats \
              block.")
   in
-  let run seed queries events alpha strategy overload shards =
-    let strategy = strategy_of strategy in
+  let run seed queries events alpha overload shards =
     Cq_obs.Metrics.set_enabled true;
     Cq_obs.Trace.set_enabled true;
-    (match (shards, overload) with
-    | Some shards, _ -> run_shard_demo ~seed ~shards ~events
-    | None, Cq_engine.Engine.Config.Block ->
-        let eng = run_demo ~queries ~events ~alpha ~seed ~strategy in
-        Format.printf "@[<v>%a@]@." Cq_engine.Engine.pp_stats (Cq_engine.Engine.stats eng)
-    | None, ((Cq_engine.Engine.Config.Reject | Cq_engine.Engine.Config.Shed) as overload) ->
-        run_overload_demo ~seed ~overload ~events);
-    Format.printf "@.-- metrics ---------------------------------------------------@.%a"
-      Cq_obs.Metrics.pp ();
-    Format.printf "@.-- trace tail ------------------------------------------------@.%a"
-      (Cq_obs.Trace.pp_tail ~limit:20) ()
+    let demo =
+      match (shards, overload) with
+      | Some shards, _ -> Ok (run_shard_demo ~seed ~shards ~events)
+      | None, Cq_engine.Engine.Config.Block ->
+          Result.map
+            (fun eng ->
+              Format.printf "@[<v>%a@]@." Cq_engine.Engine.pp_stats (Cq_engine.Engine.stats eng))
+            (run_demo ~queries ~events ~alpha ~seed)
+      | None, ((Cq_engine.Engine.Config.Reject | Cq_engine.Engine.Config.Shed) as overload) ->
+          Ok (run_overload_demo ~seed ~overload ~events)
+    in
+    match demo with
+    | Error e -> `Error (false, Cq_util.Error.to_string e)
+    | Ok () ->
+        Format.printf "@.-- metrics ---------------------------------------------------@.%a"
+          Cq_obs.Metrics.pp ();
+        Format.printf "@.-- trace tail ------------------------------------------------@.%a"
+          (Cq_obs.Trace.pp_tail ~limit:20) ();
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "stats"
@@ -472,8 +468,7 @@ let stats_cmd =
           With $(b,--shards N), a walking-hotspot drift demo prints per-shard load \
           gauges.")
     Term.(
-      const run $ seed_arg $ demo_queries $ demo_events $ demo_alpha $ strategy_arg
-      $ overload_arg $ shards)
+      ret (const run $ seed_arg $ demo_queries $ demo_events $ demo_alpha $ overload_arg $ shards))
 
 let trace_cmd =
   let out =
@@ -482,24 +477,24 @@ let trace_cmd =
       & opt string "trace.json"
       & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the Chrome trace_event JSON.")
   in
-  let run seed queries events alpha strategy out =
-    let strategy = strategy_of strategy in
+  let run seed queries events alpha out =
     Cq_obs.Metrics.set_enabled true;
     Cq_obs.Trace.set_enabled true;
-    ignore (run_demo ~queries ~events ~alpha ~seed ~strategy);
-    Cq_obs.Trace.write_chrome ~path:out;
-    Printf.printf "wrote %d trace events to %s (%d dropped by the ring)\n"
-      (Cq_obs.Trace.length ()) out
-      (Cq_obs.Trace.dropped ())
+    match run_demo ~queries ~events ~alpha ~seed with
+    | Error e -> `Error (false, Cq_util.Error.to_string e)
+    | Ok _ ->
+        Cq_obs.Trace.write_chrome ~path:out;
+        Printf.printf "wrote %d trace events to %s (%d dropped by the ring)\n"
+          (Cq_obs.Trace.length ()) out
+          (Cq_obs.Trace.dropped ());
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
          "Run the instrumented demo workload and export the trace ring as Chrome \
           trace_event JSON (load in chrome://tracing or Perfetto).")
-    Term.(
-      const run $ seed_arg $ demo_queries $ demo_events $ demo_alpha $ strategy_arg
-      $ out)
+    Term.(ret (const run $ seed_arg $ demo_queries $ demo_events $ demo_alpha $ out))
 
 (* --------------------------- serve / client ----------------------------- *)
 
@@ -545,8 +540,7 @@ let serve_cmd =
   let alpha =
     Arg.(value & opt float 0.01 & info [ "alpha" ] ~doc:"Hotspot threshold.")
   in
-  let run seed host port max_sessions session_queue shards alpha strategy metrics =
-    let strategy = strategy_of strategy in
+  let run seed host port max_sessions session_queue shards alpha metrics =
     with_metrics metrics @@ fun () ->
     match resolve_addr host port with
     | Error msg -> `Error (false, msg)
@@ -556,7 +550,6 @@ let serve_cmd =
             Cq_engine.Engine.Config.default with
             Cq_engine.Engine.Config.alpha;
             seed;
-            strategy;
             shards;
           }
         in
@@ -569,10 +562,8 @@ let serve_cmd =
             let stop _ = Cq_net.Server.stop srv in
             Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
             Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-            Printf.printf "cqctl serve: listening on %s:%d (strategy %s, %d shard%s)\n%!"
-              host (Cq_net.Server.port srv)
-              (Hotspot_core.Processor.strategy_to_string strategy)
-              shards
+            Printf.printf "cqctl serve: listening on %s:%d (%d shard%s)\n%!" host
+              (Cq_net.Server.port srv) shards
               (if shards = 1 then "" else "s");
             Cq_net.Server.serve srv;
             Format.printf "@[<v>%a@]@." Cq_net.Server.pp_stats (Cq_net.Server.stats srv);
@@ -587,7 +578,7 @@ let serve_cmd =
     Term.(
       ret
         (const run $ seed_arg $ host_arg $ port $ max_sessions $ session_queue $ shards
-        $ alpha $ strategy_arg $ metrics_term))
+        $ alpha $ metrics_term))
 
 let client_cmd =
   let port =

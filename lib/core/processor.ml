@@ -127,7 +127,8 @@ let merge_snapshot a b =
 module type PROCESSOR = sig
   include STRATEGY
 
-  val create_cfg : ?alpha:float -> ?epsilon:float -> ?seed:int -> store -> query array -> t
+  val create_alpha :
+    alpha:float -> ?epsilon:float -> ?seed:int -> store -> query array -> t
   val num_hotspots : t -> int
   val coverage : t -> float
   val telemetry : t -> telemetry
@@ -138,18 +139,6 @@ module type PROCESSOR = sig
   val stage_batch : t -> event array -> int -> unit
   val process_staged : t -> idx:int -> event -> (query -> result -> unit) -> unit
 end
-
-type strategy = Hotspot | Ssi
-
-let strategies = [ Hotspot; Ssi ]
-
-let strategy_to_string = function Hotspot -> "hotspot" | Ssi -> "ssi"
-
-let strategy_of_string = function
-  | "hotspot" -> Ok Hotspot
-  | "ssi" -> Ok Ssi
-  | s -> Error (Printf.sprintf "unknown strategy %S (hotspot|ssi)" s)
-
 
 module Make (Q : QUERY) = struct
   module Vec = Cq_util.Vec
@@ -172,12 +161,12 @@ module Make (Q : QUERY) = struct
   let m_fanout = Metrics.histogram ("proc." ^ Q.label ^ ".fanout")
   let m_dedupe_marks = Metrics.histogram ("proc." ^ Q.label ^ ".dedupe_marks")
 
-  (* The per-event walk state both strategies share: the dedupe epoch,
-     the shed predicate, and the preallocated [mark]/[visit] closures,
-     parameterised through the [ev]/[sink] cells so a walk builds no
-     closure per event.  [cands] counts the candidates the walk offers
-     (group members reaching [mark], scattered queries) and [marked]
-     the ones surviving dedupe, for the fanout metrics. *)
+  (* The per-event walk state both processors share: the dedupe epoch,
+     the shed predicate (only [Hotspot] installs one), and the
+     preallocated [mark]/[visit] closures, parameterised through the
+     [ev]/[sink] cells so a walk builds no closure per event.  [cands]
+     counts the candidates the walk offers (group members reaching
+     [mark], scattered queries) and [marked] those surviving dedupe. *)
   type walker = {
     store : Q.store;
     dedupe : Dedupe.t;
@@ -281,7 +270,7 @@ module Make (Q : QUERY) = struct
       | None -> Q.scan_probe t.scan q w.sink
       | Some pred -> if Q.scan_hit t.scan q && pred (Q.qid q) then Q.scan_probe t.scan q w.sink
 
-    let create_cfg ?(alpha = 0.001) ?epsilon ?seed store queries =
+    let create_alpha ~alpha ?epsilon ?seed store queries =
       let hot = Hashtbl.create 16 in
       let scattered = B.create ~seed:0 in
       let on_event = function
@@ -318,7 +307,7 @@ module Make (Q : QUERY) = struct
       t.c_stage <- (fun ~idx q -> Vec.push (Vec.get t.stage_cand idx) q);
       t
 
-    let create store queries = create_cfg store queries
+    let create store queries = create_alpha ~alpha:0.001 store queries
 
     (* Scattered queries are served individually; when the event
        projects to a point on the scatter axis the interval tree prunes the
@@ -473,7 +462,6 @@ module Make (Q : QUERY) = struct
       queries : (int, Q.t) Hashtbl.t;
       mutable index : Index.t;
       mutable dirty : bool;
-      mutable rebuilds : int;
       w : walker;
     }
 
@@ -482,7 +470,6 @@ module Make (Q : QUERY) = struct
     (* The lazy rebuild is the sanctioned slow path: churn-triggered,
        amortised over the batch — [@cq.cold] cuts CQL008 propagation. *)
     let[@cq.cold] rebuild t =
-      t.rebuilds <- t.rebuilds + 1;
       Trace.with_span ~cat:"ssi" (Q.label ^ ".ssi_rebuild") (fun () ->
           let qs = Hashtbl.fold (fun _ q acc -> q :: acc) t.queries [] in
           t.index <- Index.build (Array.of_list qs);
@@ -497,11 +484,8 @@ module Make (Q : QUERY) = struct
         queries = h;
         index = Index.build queries;
         dirty = false;
-        rebuilds = 0;
         w = create_walker store;
       }
-
-    let create_cfg ?alpha:_ ?epsilon:_ ?seed:_ store queries = create store queries
 
     (* The same walk with no scattered remainder: every canonical group
        the event stabs. *)
@@ -511,19 +495,12 @@ module Make (Q : QUERY) = struct
       Index.iter t.index t.w.visit;
       end_event t.w
 
-    (* SSI has no scattered index, so there is nothing to stage beyond
-       hoisting the lazy rebuild out of the per-event loop. *)
-    let[@cq.hot] stage_batch t _ n = if n > 0 then refresh t
-    let process_staged t ~idx:_ ev sink = process_r t ev sink
-
     let affected t ev report =
       refresh t;
       let { store; dedupe; _ } = t.w in
       Dedupe.fresh dedupe;
       let mark q = Dedupe.mark dedupe (Q.qid q) in
       Index.iter t.index (fun ~stab g -> Q.Group.identify store g ~stab ev ~mark report)
-
-    let set_shed t pred = t.w.shed <- pred
 
     let insert_query t q =
       Hashtbl.replace t.queries (Q.qid q) q;
@@ -539,20 +516,6 @@ module Make (Q : QUERY) = struct
       else false
 
     let query_count t = Hashtbl.length t.queries
-    let num_hotspots _ = 0
-    let coverage _ = 0.0
-
-    (* The only structural reorganisation SSI performs is the lazy
-       full rebuild. *)
-    let telemetry t = { empty_telemetry with restructures = t.rebuilds }
-
-    let snapshot t =
-      {
-        snap_queries = query_count t;
-        snap_hotspots = 0;
-        snap_coverage = 0.0;
-        snap_telemetry = telemetry t;
-      }
 
     let check_invariants t =
       refresh t;

@@ -20,10 +20,9 @@
     treap-based priority search tree winning nothing beyond noise.
 
     Per event, the two-step walk costs O(h log m + k) over the hotspot
-    groups (h ≤ 2/α of them, Theorems 3 and 4) plus the scattered
-    fallback — a per-query probe under the [Hotspot] strategy, another
-    group walk under plain [Ssi]; query insert/delete is O(log n)
-    amortised through the tracker and partition maintainers.  The
+    groups (h ≤ 2/α of them, Theorems 3 and 4) plus a per-query probe
+    of each scattered query; query insert/delete is O(log n) amortised
+    through the tracker and partition maintainers.  The
     scattered probes of one event share a [QUERY.scan]: a band join
     sweeps them through S.B with one forward finger, at
     O(|scattered| + k) plus an O(log n) seek only where a window's
@@ -171,12 +170,10 @@ end
 type telemetry = {
   restructures : int;
       (** Every structural reorganisation: hotspot promotions +
-          demotions + scattered-partition reconstructions (Hotspot), or
-          lazy index rebuilds (SSI). *)
-  groups_split : int;  (** Hotspot promotions; 0 for SSI. *)
-  groups_merged : int;  (** Hotspot demotions; 0 for SSI. *)
-  max_group_size : int;
-      (** High-water mark of hotspot-group cardinality; 0 for SSI. *)
+          demotions + scattered-partition reconstructions. *)
+  groups_split : int;  (** Hotspot promotions. *)
+  groups_merged : int;  (** Hotspot demotions. *)
+  max_group_size : int;  (** High-water mark of hotspot-group cardinality. *)
 }
 
 val empty_telemetry : telemetry
@@ -204,22 +201,24 @@ val merge_snapshot : snapshot -> snapshot -> snapshot
     mean, so the merged value is again "fraction of all queries inside
     hotspots". *)
 
-(** A strategy produced by {!Make}, with configuration knobs and
-    invariant auditing. *)
+(** The hotspot processor produced by {!Make}: a {!STRATEGY} with its
+    configuration knobs, the hooks the engine drives (batch staging,
+    load shedding, statistics) and invariant auditing. *)
 module type PROCESSOR = sig
   include STRATEGY
 
-  val create_cfg : ?alpha:float -> ?epsilon:float -> ?seed:int -> store -> query array -> t
-  (** [alpha] is the hotspot threshold (default 0.001), [epsilon] the
-      scattered-partition slack, [seed] the randomization seed; the
-      SSI processor ignores all three.
+  val create_alpha :
+    alpha:float -> ?epsilon:float -> ?seed:int -> store -> query array -> t
+  (** [alpha] is the hotspot threshold ({!create} uses 0.001),
+      [epsilon] the scattered-partition slack, [seed] the tracker's
+      treap priorities; fixing [seed] makes a run reproducible bit for
+      bit.
       @raise Cq_util.Error.Cq_error on a bad [alpha] or [epsilon]. *)
 
   val num_hotspots : t -> int
-  (** 0 for the SSI processor. *)
 
   val coverage : t -> float
-  (** Fraction of queries inside hotspots; 0 for the SSI processor. *)
+  (** Fraction of queries inside hotspots. *)
 
   val telemetry : t -> telemetry
 
@@ -250,13 +249,12 @@ module type PROCESSOR = sig
   (** [stage_batch t evs n] precomputes per-event scattered-index
       candidates for the events [evs.(0 .. n-1)] with a single batched
       index descent ({!Cq_index.Flat_interval_tree.stab_batch}), when
-      [n >= 2], the processor keeps a scattered index and the events
-      project to fixed stabbing points; otherwise it only hoists lazy
-      maintenance (the SSI rebuild) out of the per-event loop.  A
-      single row is never staged: its walk stabs the index directly,
-      which yields the same candidates in the same order.  Staged
-      candidates are invalidated by any query insertion or deletion,
-      after which {!process_staged} stabs the index live. *)
+      [n >= 2], scattered queries exist and the events project to
+      fixed stabbing points; otherwise it stages nothing.  A single
+      row is never staged: its walk stabs the index directly, which
+      yields the same candidates in the same order.  Staged candidates
+      are invalidated by any query insertion or deletion, after which
+      {!process_staged} stabs the index live. *)
 
   val process_staged : t -> idx:int -> event -> (query -> result -> unit) -> unit
   (** [process_staged t ~idx ev sink] is the processor's one event
@@ -268,16 +266,6 @@ module type PROCESSOR = sig
       position [idx] of that batch.  Results for a given event are
       identical, in identical order, either way. *)
 end
-
-(** {2 Runtime strategy selection} *)
-
-type strategy = Hotspot | Ssi
-
-val strategies : strategy list
-val strategy_to_string : strategy -> string
-(** ["hotspot" | "ssi"] — the [cqctl] flag spellings. *)
-
-val strategy_of_string : string -> (strategy, string) result
 
 module Make (Q : QUERY) : sig
   module Tracker : module type of Hotspot_tracker.Make (struct
@@ -299,14 +287,18 @@ module Make (Q : QUERY) : sig
        and type result = Q.result
 
   (** SSI over a static canonical partition of the whole query set,
-      rebuilt lazily after churn. *)
+      rebuilt lazily after churn — the paper's plain BJ-SSI / SJ-SSI
+      baseline. *)
   module Ssi : sig
     include
-      PROCESSOR
+      STRATEGY
         with type query = Q.t
          and type event = Q.event
          and type store = Q.store
          and type result = Q.result
+
+    val check_invariants : t -> unit
+    (** @raise Failure on violation. *)
 
     val num_groups : t -> int
     (** τ(I) of the current query set (refreshes the index first). *)

@@ -3,9 +3,9 @@ module Table = Cq_relation.Table
 module Tuple = Cq_relation.Tuple
 module Batch = Cq_relation.Batch
 module BQ = Cq_joins.Band_query
-module BJ = Cq_joins.Band_join
+module BP = Cq_joins.Band_join.Hotspot
 module SQ = Cq_joins.Select_query
-module SJ = Cq_joins.Select_join
+module SP = Cq_joins.Select_join.Hotspot
 module Err = Cq_util.Error
 module Metrics = Cq_obs.Metrics
 module Trace = Cq_obs.Trace
@@ -35,7 +35,6 @@ module Config = struct
     alpha : float;
     epsilon : float;
     seed : int;
-    strategy : Hotspot_core.Processor.strategy;
     shards : int;
     batch_size : int;
     overload : overload;
@@ -47,7 +46,6 @@ module Config = struct
       alpha = 0.01;
       epsilon = 1.0;
       seed = 0x40757;
-      strategy = Hotspot_core.Processor.Hotspot;
       shards = 1;
       batch_size = 256;
       overload = Block;
@@ -79,20 +77,14 @@ type subscription =
   | Band of { fwd : BQ.t; bwd : BQ.t }
   | Select of { fwd : SQ.t; bwd : SQ.t }
 
-(* The configured processors are chosen at engine creation time, so
-   each lives behind its module: an existential package pairing the
-   processor module with its state. *)
-type band_proc = Bproc : (module BJ.PROCESSOR with type t = 'a) * 'a -> band_proc
-type select_proc = Sproc : (module SJ.PROCESSOR with type t = 'a) * 'a -> select_proc
-
 (* One side of the symmetric engine.  A side processes the events for
    which its tuples play the R role: its processors probe the {e other}
    side's table, and [home] is where its own tuples are stored (always
    in S shape — B stays the join key, the side-local attribute rides in
    the other slot). *)
 type side = {
-  band : band_proc;
-  select : select_proc;
+  band : BP.t;
+  select : SP.t;
   home : Table.s_table;
 }
 
@@ -165,30 +157,6 @@ type t = {
   mutable sbuf : Tuple.s array;
   one : Batch.t;
 }
-
-(* Dispatch helpers over the existential packages. *)
-let band_process (Bproc ((module P), p)) r sink = P.process_r p r sink
-let band_stage (Bproc ((module P), p)) evs n = P.stage_batch p evs n
-let band_process_staged (Bproc ((module P), p)) ~idx r sink = P.process_staged p ~idx r sink
-let band_insert (Bproc ((module P), p)) q = P.insert_query p q
-let band_delete (Bproc ((module P), p)) q = P.delete_query p q
-let band_count (Bproc ((module P), p)) = P.query_count p
-let band_check (Bproc ((module P), p)) = P.check_invariants p
-let band_hotspots (Bproc ((module P), p)) = P.num_hotspots p
-let band_coverage (Bproc ((module P), p)) = P.coverage p
-let band_telemetry (Bproc ((module P), p)) = P.telemetry p
-let band_set_shed (Bproc ((module P), p)) pred = P.set_shed p pred
-let select_process (Sproc ((module P), p)) r sink = P.process_r p r sink
-let select_stage (Sproc ((module P), p)) evs n = P.stage_batch p evs n
-let select_process_staged (Sproc ((module P), p)) ~idx r sink = P.process_staged p ~idx r sink
-let select_set_shed (Sproc ((module P), p)) pred = P.set_shed p pred
-let select_insert (Sproc ((module P), p)) q = P.insert_query p q
-let select_delete (Sproc ((module P), p)) q = P.delete_query p q
-let select_count (Sproc ((module P), p)) = P.query_count p
-let select_check (Sproc ((module P), p)) = P.check_invariants p
-let select_hotspots (Sproc ((module P), p)) = P.num_hotspots p
-let select_coverage (Sproc ((module P), p)) = P.coverage p
-let select_telemetry (Sproc ((module P), p)) = P.telemetry p
 
 (* {2 Load shedding}
 
@@ -349,10 +317,10 @@ let shed_info t =
    Block mode is byte-for-byte the pre-shedding engine. *)
 let install_shed t =
   let pred = if t.shed_rate < 1.0 then Some (fun qid -> shed_pred t qid) else None in
-  band_set_shed t.r_side.band pred;
-  band_set_shed t.s_side.band pred;
-  select_set_shed t.r_side.select pred;
-  select_set_shed t.s_side.select pred
+  BP.set_shed t.r_side.band pred;
+  BP.set_shed t.s_side.band pred;
+  SP.set_shed t.r_side.select pred;
+  SP.set_shed t.s_side.select pred
 
 let set_shed_rate t rate =
   let was_shedding = t.shed_rate < 1.0 in
@@ -400,18 +368,10 @@ let dummy_r = { Tuple.rid = -1; a = 0.0; b = 0.0 }
 let dummy_s = { Tuple.sid = -1; b = 0.0; c = 0.0 }
 
 let make_side (cfg : Config.t) ~probe ~home ~seed_base =
-  let (module BP : BJ.PROCESSOR) = BJ.processor cfg.strategy in
-  let (module SP : SJ.PROCESSOR) = SJ.processor cfg.strategy in
+  let { Config.alpha; epsilon; _ } = cfg in
   {
-    band =
-      Bproc
-        ( (module BP),
-          BP.create_cfg ~alpha:cfg.alpha ~epsilon:cfg.epsilon ~seed:seed_base probe [||] );
-    select =
-      Sproc
-        ( (module SP),
-          SP.create_cfg ~alpha:cfg.alpha ~epsilon:cfg.epsilon ~seed:(seed_base + 2) probe
-            [||] );
+    band = BP.create_alpha ~alpha ~epsilon ~seed:seed_base probe [||];
+    select = SP.create_alpha ~alpha ~epsilon ~seed:(seed_base + 2) probe [||];
     home;
   }
 
@@ -477,26 +437,21 @@ let try_create_cfg (cfg : Config.t) =
 
 let create_cfg cfg = Err.ok_exn (try_create_cfg cfg)
 
-let try_create ?alpha ?epsilon ?seed ?strategy ?shards ?batch_size ?overload
-    ?shed_rate () =
+let try_create ?alpha ?epsilon ?seed ?shards ?batch_size ?overload ?shed_rate () =
   let d = Config.default in
   try_create_cfg
     {
       alpha = Option.value alpha ~default:d.alpha;
       epsilon = Option.value epsilon ~default:d.epsilon;
       seed = Option.value seed ~default:d.seed;
-      strategy = Option.value strategy ~default:d.strategy;
       shards = Option.value shards ~default:d.shards;
       batch_size = Option.value batch_size ~default:d.batch_size;
       overload = Option.value overload ~default:d.overload;
       shed_rate = Option.value shed_rate ~default:d.shed_rate;
     }
 
-let create ?alpha ?epsilon ?seed ?strategy ?shards ?batch_size ?overload ?shed_rate
-    () =
-  Err.ok_exn
-    (try_create ?alpha ?epsilon ?seed ?strategy ?shards ?batch_size ?overload
-       ?shed_rate ())
+let create ?alpha ?epsilon ?seed ?shards ?batch_size ?overload ?shed_rate () =
+  Err.ok_exn (try_create ?alpha ?epsilon ?seed ?shards ?batch_size ?overload ?shed_rate ())
 
 let fresh_qid t =
   let q = t.next_qid in
@@ -529,8 +484,8 @@ let try_subscribe_band t ?qid ?on_retract ~range cb =
     | Ok qid ->
         let fwd = BQ.make ~qid ~range in
         let bwd = BQ.make ~qid ~range:(negate_range range) in
-        band_insert t.r_side.band fwd;
-        band_insert t.s_side.band bwd;
+        BP.insert_query t.r_side.band fwd;
+        BP.insert_query t.s_side.band bwd;
         Hashtbl.replace t.band_cbs qid cb;
         (match on_retract with
         | Some f -> Hashtbl.replace t.band_retracts qid f
@@ -550,8 +505,8 @@ let try_subscribe_select t ?qid ?on_retract ~range_a ~range_c cb =
         let fwd = SQ.make ~qid ~range_a ~range_c in
         (* Mirror swaps the roles of the two selection axes. *)
         let bwd = SQ.make ~qid ~range_a:range_c ~range_c:range_a in
-        select_insert t.r_side.select fwd;
-        select_insert t.s_side.select bwd;
+        SP.insert_query t.r_side.select fwd;
+        SP.insert_query t.s_side.select bwd;
         Hashtbl.replace t.select_cbs qid cb;
         (match on_retract with
         | Some f -> Hashtbl.replace t.select_retracts qid f
@@ -563,24 +518,24 @@ let subscribe_select t ?qid ?on_retract ~range_a ~range_c cb =
 
 let unsubscribe t = function
   | Band { fwd; bwd } ->
-      let ok = band_delete t.r_side.band fwd in
+      let ok = BP.delete_query t.r_side.band fwd in
       if ok then begin
-        ignore (band_delete t.s_side.band bwd);
+        ignore (BP.delete_query t.s_side.band bwd);
         Hashtbl.remove t.band_cbs fwd.BQ.qid;
         Hashtbl.remove t.band_retracts fwd.BQ.qid
       end;
       ok
   | Select { fwd; bwd } ->
-      let ok = select_delete t.r_side.select fwd in
+      let ok = SP.delete_query t.r_side.select fwd in
       if ok then begin
-        ignore (select_delete t.s_side.select bwd);
+        ignore (SP.delete_query t.s_side.select bwd);
         Hashtbl.remove t.select_cbs fwd.SQ.qid;
         Hashtbl.remove t.select_retracts fwd.SQ.qid
       end;
       ok
 
-let band_query_count t = band_count t.r_side.band
-let select_query_count t = select_count t.r_side.select
+let band_query_count t = BP.query_count t.r_side.band
+let select_query_count t = SP.query_count t.r_side.select
 
 (* Deletion: the tuple leaves the home table first (it must not join
    with itself), then the very processors that produced its result
@@ -613,10 +568,10 @@ let retract t side pseudo ~on_band ~on_select =
     let t0 = Metrics.stamp () in
     (* [shed_guard] has already excluded shed-mode engines, so the rate
        is 1.0 here and the recomputation is exact. *)
-    band_process side.band pseudo (fun q s ->
+    BP.process_r side.band pseudo (fun q s ->
         incr count;
         on_band q s);
-    select_process side.select pseudo (fun q s ->
+    SP.process_r side.select pseudo (fun q s ->
         incr count;
         on_select q s);
     Metrics.observe_since m_retract_ns t0;
@@ -664,12 +619,12 @@ let[@cq.hot] ingest_staged t side ~idx pseudo ~home ~on_band ~on_select =
       Table.s_size (if side == t.r_side then t.s_side.home else t.r_side.home);
   Metrics.incr m_events;
   let t0 = Metrics.stamp () in
-  band_process_staged side.band ~idx pseudo on_band;
-  select_process_staged side.select ~idx pseudo on_select;
+  BP.process_staged side.band ~idx pseudo on_band;
+  SP.process_staged side.select ~idx pseudo on_select;
   Table.insert_s side.home home;
   Metrics.observe_since m_ingest_ns t0
 
-(* Whole-batch validation, mirroring [validate_rows]: a bad row fails
+(* Whole-batch validation, shared with the bulk loads: a bad row fails
    the batch before any state changes.  Attribute values must be
    finite — a NaN join key admitted into the B-trees breaks their total
    order silently.  Tracks the first bad index, not a materialised
@@ -709,8 +664,8 @@ let[@cq.hot] try_ingest_batch_r t ?on_event batch =
         if writable then Batch.set_id batch i rid;
         t.evbuf.(i) <- { Tuple.rid; a = Batch.unsafe_x batch i; b = Batch.unsafe_y batch i }
       done;
-      band_stage t.r_side.band t.evbuf n;
-      select_stage t.r_side.select t.evbuf n;
+      BP.stage_batch t.r_side.band t.evbuf n;
+      SP.stage_batch t.r_side.select t.evbuf n;
       for i = 0 to n - 1 do
         let r = t.evbuf.(i) in
         t.cur_r <- Some r;
@@ -738,8 +693,8 @@ let[@cq.hot] try_ingest_batch_s t ?on_event batch =
         (* The S-tuple plays the R role against the mirror. *)
         t.evbuf.(i) <- of_row s
       done;
-      band_stage t.s_side.band t.evbuf n;
-      select_stage t.s_side.select t.evbuf n;
+      BP.stage_batch t.s_side.band t.evbuf n;
+      SP.stage_batch t.s_side.select t.evbuf n;
       for i = 0 to n - 1 do
         t.cur_s <- Some t.sbuf.(i);
         ingest_staged t t.s_side ~idx:i t.evbuf.(i) ~home:t.sbuf.(i) ~on_band:t.ob_s
@@ -775,25 +730,12 @@ let try_insert_s t ~b ~c =
 
 let insert_s t ~b ~c = Err.ok_exn (try_insert_s t ~b ~c)
 
-(* Bulk loads validate every row before touching the tables, so a bad
-   row cannot leave a half-applied load behind.  The Cq_error payload
-   names the actual attribute ("b"/"c" for S rows, "a"/"b" for R rows),
-   matching what try_insert_r/try_insert_s report for the same value —
-   not the tuple position. *)
-let validate_rows ~fst_name ~snd_name rows =
-  let bad = ref None in
-  Array.iter
-    (fun (x, y) ->
-      if Option.is_none !bad then
-        if not (Float.is_finite x) then
-          bad := Some (Err.Not_finite { name = fst_name; value = x })
-        else if not (Float.is_finite y) then
-          bad := Some (Err.Not_finite { name = snd_name; value = y }))
-    rows;
-  match !bad with None -> Ok () | Some e -> Error e
-
+(* Bulk loads validate every row with the ingest validator before
+   touching the tables, so a bad row cannot leave a half-applied load
+   behind, and the error names the same attribute ("b"/"c" for S rows,
+   "a"/"b" for R rows) that try_insert_r/try_insert_s report. *)
 let try_load_s t rows =
-  match validate_rows ~fst_name:"b" ~snd_name:"c" rows with
+  match validate_batch ~x_name:"b" ~y_name:"c" (Batch.of_rows rows) with
   | Error e -> Error e
   | Ok () ->
       Array.iter
@@ -807,7 +749,7 @@ let try_load_s t rows =
 let load_s t rows = Err.ok_exn (try_load_s t rows)
 
 let try_load_r t rows =
-  match validate_rows ~fst_name:"a" ~snd_name:"b" rows with
+  match validate_batch ~x_name:"a" ~y_name:"b" (Batch.of_rows rows) with
   | Error e -> Error e
   | Ok () ->
       Array.iter
@@ -848,22 +790,21 @@ let delete_s t (s : Tuple.s) =
 
 let check_invariants t =
   let fail fmt = Cq_util.Error.corrupt ~structure:"engine" fmt in
-  band_check t.r_side.band;
-  band_check t.s_side.band;
-  select_check t.r_side.select;
-  select_check t.s_side.select;
+  BP.check_invariants t.r_side.band;
+  BP.check_invariants t.s_side.band;
+  SP.check_invariants t.r_side.select;
+  SP.check_invariants t.s_side.select;
   (* Forward and mirrored query sets are registered/cancelled in
      lockstep. *)
-  if band_count t.r_side.band <> band_count t.s_side.band then
-    fail "engine: %d forward band queries but %d mirrored"
-      (band_count t.r_side.band) (band_count t.s_side.band);
-  if select_count t.r_side.select <> select_count t.s_side.select then
-    fail "engine: %d forward select queries but %d mirrored"
-      (select_count t.r_side.select)
-      (select_count t.s_side.select);
-  if Hashtbl.length t.band_cbs <> band_count t.r_side.band then
+  let nb = BP.query_count t.r_side.band and ns = SP.query_count t.r_side.select in
+  if nb <> BP.query_count t.s_side.band then
+    fail "engine: %d forward band queries but %d mirrored" nb (BP.query_count t.s_side.band);
+  if ns <> SP.query_count t.s_side.select then
+    fail "engine: %d forward select queries but %d mirrored" ns
+      (SP.query_count t.s_side.select);
+  if Hashtbl.length t.band_cbs <> nb then
     fail "engine: band callback table out of sync with query set";
-  if Hashtbl.length t.select_cbs <> select_count t.r_side.select then
+  if Hashtbl.length t.select_cbs <> ns then
     fail "engine: select callback table out of sync with query set";
   if Table.s_size t.s_table > t.next_sid then fail "engine: |S| exceeds issued sids";
   if Table.s_size t.r_mirror > t.next_rid then fail "engine: |R| exceeds issued rids"
@@ -889,10 +830,10 @@ let telemetry t =
   let module P = Hotspot_core.Processor in
   List.fold_left P.add_telemetry P.empty_telemetry
     [
-      band_telemetry t.r_side.band;
-      band_telemetry t.s_side.band;
-      select_telemetry t.r_side.select;
-      select_telemetry t.s_side.select;
+      BP.telemetry t.r_side.band;
+      BP.telemetry t.s_side.band;
+      SP.telemetry t.r_side.select;
+      SP.telemetry t.s_side.select;
     ]
 
 let stats t =
@@ -902,10 +843,10 @@ let stats t =
     s_size = Table.s_size t.s_table;
     events_processed = t.events;
     results_delivered = t.results;
-    band_hotspots = band_hotspots t.r_side.band;
-    band_coverage = band_coverage t.r_side.band;
-    select_hotspots = select_hotspots t.r_side.select;
-    select_coverage = select_coverage t.r_side.select;
+    band_hotspots = BP.num_hotspots t.r_side.band;
+    band_coverage = BP.coverage t.r_side.band;
+    select_hotspots = SP.num_hotspots t.r_side.select;
+    select_coverage = SP.coverage t.r_side.select;
     restructures = tel.Hotspot_core.Processor.restructures;
     groups_split = tel.Hotspot_core.Processor.groups_split;
     groups_merged = tel.Hotspot_core.Processor.groups_merged;
@@ -915,13 +856,8 @@ let stats t =
 (* Cross-shard merge hooks: forward-side snapshots only, matching the
    hotspot/coverage fields of [stats] (the mirror side tracks the same
    query population). *)
-let band_snapshot t =
-  let (Bproc ((module P), p)) = t.r_side.band in
-  P.snapshot p
-
-let select_snapshot t =
-  let (Sproc ((module P), p)) = t.r_side.select in
-  P.snapshot p
+let band_snapshot t = BP.snapshot t.r_side.band
+let select_snapshot t = SP.snapshot t.r_side.select
 
 let pp_stats fmt s =
   Format.fprintf fmt

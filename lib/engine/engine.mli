@@ -10,13 +10,10 @@
     mirrored queries (band windows negated, rangeA/rangeC swapped), so
     a new S-tuple is processed by the very same SSI machinery with the
     roles of the relations exchanged.  Internally both directions are
-    one code path: a [side] value packages the processors that probe
-    the other side's table, and the R and S sides drive it with the
-    roles swapped.
-
-    The processors themselves are chosen per engine through
-    {!Config}: any {!Hotspot_core.Processor.strategy} (hotspot-tracked
-    or plain SSI), with scattered queries in the flat interval tree.
+    one code path: a [side] value holds the hotspot processors
+    ({!Cq_joins.Band_join.Hotspot}, {!Cq_joins.Select_join.Hotspot})
+    that probe the other side's table, and the R and S sides drive it
+    with the roles swapped.
 
     Cost model (Sections 3.1/3.2, Theorems 3 and 4): each insertion
     pays O(log m) to store the tuple in its home table plus the
@@ -57,10 +54,6 @@ module Config : sig
             gets a distinct derived seed): two engines built with the
             same seed and fed the same event sequence evolve
             identically, bit for bit.  Default [0x40757]. *)
-    strategy : Hotspot_core.Processor.strategy;
-        (** [Hotspot] (SSI on α-hotspots + per-query probing on the
-            scattered remainder, the default) or [Ssi] (one static
-            stabbing partition over all queries). *)
     shards : int;
         (** Worker shards for the {!Parallel} engine; must be >= 1.
             The sequential engine accepts and ignores it (so one
@@ -117,7 +110,6 @@ val try_create :
   ?alpha:float ->
   ?epsilon:float ->
   ?seed:int ->
-  ?strategy:Hotspot_core.Processor.strategy ->
   ?shards:int ->
   ?batch_size:int ->
   ?overload:Config.overload ->
@@ -134,7 +126,6 @@ val create :
   ?alpha:float ->
   ?epsilon:float ->
   ?seed:int ->
-  ?strategy:Hotspot_core.Processor.strategy ->
   ?shards:int ->
   ?batch_size:int ->
   ?overload:Config.overload ->
@@ -377,9 +368,9 @@ type stats = {
   restructures : int;
       (** Structural reorganisations across all four processors:
           hotspot promotions + demotions + scattered-partition
-          reconstructions (SSI strategy: lazy index rebuilds). *)
-  groups_split : int;  (** Hotspot promotions; 0 under the SSI strategy. *)
-  groups_merged : int;  (** Hotspot demotions; 0 under the SSI strategy. *)
+          reconstructions. *)
+  groups_split : int;  (** Hotspot promotions. *)
+  groups_merged : int;  (** Hotspot demotions. *)
   max_group_size : int;
       (** High-water mark of hotspot-group cardinality across the four
           processors. *)

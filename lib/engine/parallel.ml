@@ -311,26 +311,21 @@ let try_create_cfg (cfg : E.Config.t) =
           stopped = false;
         }
 
-let try_create ?alpha ?epsilon ?seed ?strategy ?shards ?batch_size ?overload
-    ?shed_rate () =
+let try_create ?alpha ?epsilon ?seed ?shards ?batch_size ?overload ?shed_rate () =
   let d = E.Config.default in
   try_create_cfg
     {
       alpha = Option.value alpha ~default:d.alpha;
       epsilon = Option.value epsilon ~default:d.epsilon;
       seed = Option.value seed ~default:d.seed;
-      strategy = Option.value strategy ~default:d.strategy;
       shards = Option.value shards ~default:d.shards;
       batch_size = Option.value batch_size ~default:d.batch_size;
       overload = Option.value overload ~default:d.overload;
       shed_rate = Option.value shed_rate ~default:d.shed_rate;
     }
 
-let create ?alpha ?epsilon ?seed ?strategy ?shards ?batch_size ?overload ?shed_rate
-    () =
-  Err.ok_exn
-    (try_create ?alpha ?epsilon ?seed ?strategy ?shards ?batch_size ?overload
-       ?shed_rate ())
+let create ?alpha ?epsilon ?seed ?shards ?batch_size ?overload ?shed_rate () =
+  Err.ok_exn (try_create ?alpha ?epsilon ?seed ?shards ?batch_size ?overload ?shed_rate ())
 
 let shards t = t.cfg.shards
 

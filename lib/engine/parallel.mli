@@ -78,7 +78,6 @@ val try_create :
   ?alpha:float ->
   ?epsilon:float ->
   ?seed:int ->
-  ?strategy:Hotspot_core.Processor.strategy ->
   ?shards:int ->
   ?batch_size:int ->
   ?overload:Engine.Config.overload ->
@@ -90,7 +89,6 @@ val create :
   ?alpha:float ->
   ?epsilon:float ->
   ?seed:int ->
-  ?strategy:Hotspot_core.Processor.strategy ->
   ?shards:int ->
   ?batch_size:int ->
   ?overload:Engine.Config.overload ->

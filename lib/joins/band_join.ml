@@ -16,13 +16,6 @@ module type STRATEGY =
      and type store := Table.s_table
      and type result := Tuple.s
 
-module type PROCESSOR =
-  Processor.PROCESSOR
-    with type query = Band_query.t
-     and type event = Tuple.r
-     and type store = Table.s_table
-     and type result = Tuple.s
-
 let window_nonempty = Band_axis.window_nonempty
 
 (* --------------------------------------------------------------------- *)
@@ -360,15 +353,7 @@ end
 module Core = Processor.Make (Core_query)
 module Ssi = Core.Ssi
 
-module Hotspot = struct
-  include Core.Hotspot
-
-  let create_alpha ~alpha ?seed table queries = create_cfg ~alpha ?seed table queries
-end
-
-let processor : Processor.strategy -> (module PROCESSOR) = function
-  | Processor.Hotspot -> (module Hotspot)
-  | Processor.Ssi -> (module Ssi)
+module Hotspot = Core.Hotspot
 
 (* --------------------------------------------------------------------- *)
 (* BJ-SSI over the dynamically maintained partition (Appendix B)           *)

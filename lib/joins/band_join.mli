@@ -21,7 +21,7 @@
 
     {!Ssi} and {!Hotspot} are instantiations of the shared
     {!Hotspot_core.Processor.Make} core with this module's band-axis
-    group walk; {!processor} selects one per strategy. *)
+    group walk; the engine runs {!Hotspot}. *)
 
 type sink = Band_query.t -> Cq_relation.Tuple.s -> unit
 (** Called once per new result tuple (the R side is the event itself). *)
@@ -33,20 +33,14 @@ module type STRATEGY =
      and type store := Cq_relation.Table.s_table
      and type result := Cq_relation.Tuple.s
 
-module type PROCESSOR =
-  Hotspot_core.Processor.PROCESSOR
-    with type query = Band_query.t
-     and type event = Cq_relation.Tuple.r
-     and type store = Cq_relation.Table.s_table
-     and type result = Cq_relation.Tuple.s
-
 module Qouter : STRATEGY
 module Douter : STRATEGY
 module Merge : STRATEGY
 
 module Ssi : sig
-  include PROCESSOR
+  include STRATEGY
 
+  val check_invariants : t -> unit
   val num_groups : t -> int
   (** τ(I) of the current query set. *)
 end
@@ -69,17 +63,12 @@ module Ssi_dynamic : sig
   val reconstructions : t -> int
 end
 
-module Hotspot : sig
-  include PROCESSOR
-
-  val create_alpha :
-    alpha:float -> ?seed:int -> Cq_relation.Table.s_table -> Band_query.t array -> t
-  (** [seed] drives the tracker's scattered-partition treap priorities;
-      fixing it makes a run reproducible bit-for-bit. *)
-end
-
-val processor : Hotspot_core.Processor.strategy -> (module PROCESSOR)
-(** {!Hotspot} or {!Ssi}, for runtime strategy selection. *)
+module Hotspot :
+  Hotspot_core.Processor.PROCESSOR
+    with type query = Band_query.t
+     and type event = Cq_relation.Tuple.r
+     and type store = Cq_relation.Table.s_table
+     and type result = Cq_relation.Tuple.s
 
 val reference : Cq_relation.Table.s_table -> Band_query.t array -> Cq_relation.Tuple.r ->
   (int * int) list

@@ -16,13 +16,6 @@ module type STRATEGY =
      and type store := Table.s_table
      and type result := Tuple.s
 
-module type PROCESSOR =
-  Processor.PROCESSOR
-    with type query = CQ.t
-     and type event = Tuple.r
-     and type store = Table.s_table
-     and type result = Tuple.s
-
 (* Emit results of one query against the event: scan the instantiated
    band window on the S.B index, filtering by the C selection.  With
    [stop_after_first], stops at the first hit (existence probing for
@@ -184,15 +177,7 @@ end
 module Core = Processor.Make (Core_query)
 module Ssi = Core.Ssi
 
-module Hotspot = struct
-  include Core.Hotspot
-
-  let create_alpha ~alpha ?seed table queries = create_cfg ~alpha ?seed table queries
-end
-
-let processor : Processor.strategy -> (module PROCESSOR) = function
-  | Processor.Hotspot -> (module Hotspot)
-  | Processor.Ssi -> (module Ssi)
+module Hotspot = Core.Hotspot
 
 (* --------------------------------------------------------------------- *)
 

@@ -16,7 +16,7 @@
     {!Ssi} and {!Hotspot} are instantiations of the shared
     {!Hotspot_core.Processor.Make} core — the hotspot tracker partitions
     the band windows, and scattered queries are indexed (and pruned) by
-    their rangeA selections; {!processor} selects one per strategy. *)
+    their rangeA selections. *)
 
 type sink = Composite_query.t -> Cq_relation.Tuple.s -> unit
 
@@ -26,13 +26,6 @@ module type STRATEGY =
      and type event := Cq_relation.Tuple.r
      and type store := Cq_relation.Table.s_table
      and type result := Cq_relation.Tuple.s
-
-module type PROCESSOR =
-  Hotspot_core.Processor.PROCESSOR
-    with type query = Composite_query.t
-     and type event = Cq_relation.Tuple.r
-     and type store = Cq_relation.Table.s_table
-     and type result = Cq_relation.Tuple.s
 
 module Naive : STRATEGY
 (** Scan every query; O(n (log m + window)). *)
@@ -44,21 +37,16 @@ module Afirst : STRATEGY
 module Ssi : STRATEGY
 (** SSI over the band windows with inline selection filtering. *)
 
-module Hotspot : sig
-  include PROCESSOR
-
-  val create_alpha :
-    alpha:float -> ?seed:int -> Cq_relation.Table.s_table -> Composite_query.t array -> t
-  (** [seed] drives the tracker's scattered-partition treap priorities;
-      fixing it makes a run reproducible bit-for-bit. *)
-end
+module Hotspot :
+  Hotspot_core.Processor.PROCESSOR
+    with type query = Composite_query.t
+     and type event = Cq_relation.Tuple.r
+     and type store = Cq_relation.Table.s_table
+     and type result = Cq_relation.Tuple.s
 (** SSI on α-hotspots of the band windows; scattered queries sit in a
     stabbing index on their rangeA selections (the {!Afirst} idea), so
     an event only ever touches scattered queries whose A-selection it
     satisfies. *)
-
-val processor : Hotspot_core.Processor.strategy -> (module PROCESSOR)
-(** {!Hotspot} or {!Ssi}, for runtime strategy selection. *)
 
 val reference :
   Cq_relation.Table.s_table ->

@@ -17,13 +17,6 @@ module type STRATEGY =
      and type store := Table.s_table
      and type result := Tuple.s
 
-module type PROCESSOR =
-  Processor.PROCESSOR
-    with type query = Select_query.t
-     and type event = Tuple.r
-     and type store = Table.s_table
-     and type result = Tuple.s
-
 (* Visit the S-tuples joining with the event (same B), in C order. *)
 let iter_joining table ~b f =
   Pbt.iter_range (Table.s_by_bc table) ~lo:(b, neg_infinity) ~hi:(b, infinity)
@@ -321,15 +314,7 @@ end
 module Core = Processor.Make (Core_query)
 module Ssi = Core.Ssi
 
-module Hotspot = struct
-  include Core.Hotspot
-
-  let create_alpha ~alpha ?seed table queries = create_cfg ~alpha ?seed table queries
-end
-
-let processor : Processor.strategy -> (module PROCESSOR) = function
-  | Processor.Hotspot -> (module Hotspot)
-  | Processor.Ssi -> (module Ssi)
+module Hotspot = Core.Hotspot
 
 (* --------------------------------------------------------------------- *)
 (* Adaptive per-event strategy choice (Section 6)                          *)

@@ -16,7 +16,7 @@
 
     {!Ssi} and {!Hotspot} are instantiations of the shared
     {!Hotspot_core.Processor.Make} core with this module's R-tree
-    group probe; {!processor} selects one per strategy. *)
+    group probe; the engine runs {!Hotspot}. *)
 
 type sink = Select_query.t -> Cq_relation.Tuple.s -> unit
 
@@ -27,35 +27,23 @@ module type STRATEGY =
      and type store := Cq_relation.Table.s_table
      and type result := Cq_relation.Tuple.s
 
-module type PROCESSOR =
-  Hotspot_core.Processor.PROCESSOR
-    with type query = Select_query.t
-     and type event = Cq_relation.Tuple.r
-     and type store = Cq_relation.Table.s_table
-     and type result = Cq_relation.Tuple.s
-
 module Naive : STRATEGY
 module Join_first : STRATEGY
 module Select_first : STRATEGY
 
 module Ssi : sig
-  include PROCESSOR
+  include STRATEGY
 
   val num_groups : t -> int
   (** τ(I) of the current query set. *)
 end
 
-module Hotspot : sig
-  include PROCESSOR
-
-  val create_alpha :
-    alpha:float -> ?seed:int -> Cq_relation.Table.s_table -> Select_query.t array -> t
-  (** [seed] drives the tracker's scattered-partition treap priorities;
-      fixing it makes a run reproducible bit-for-bit. *)
-end
-
-val processor : Hotspot_core.Processor.strategy -> (module PROCESSOR)
-(** {!Hotspot} or {!Ssi}, for runtime strategy selection. *)
+module Hotspot :
+  Hotspot_core.Processor.PROCESSOR
+    with type query = Select_query.t
+     and type event = Cq_relation.Tuple.r
+     and type store = Cq_relation.Table.s_table
+     and type result = Cq_relation.Tuple.s
 
 module Adaptive : sig
   include STRATEGY

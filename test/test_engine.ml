@@ -86,61 +86,57 @@ let prop_engine_matches_oracle =
    swapping the roles of R and S must be invisible: run a stream on engine
    A and its mirror image on engine B (R-inserts become S-inserts with
    a <-> c, band windows negated, select windows swapped) and demand the
-   delivery multisets coincide under the mirror, for every strategy. *)
+   delivery multisets coincide under the mirror. *)
 let prop_engine_rs_symmetry =
   QCheck2.Test.make ~name:"engine: mirrored streams give mirrored deliveries" ~count:60
     scenario_gen
     (fun (band_ranges, select_ranges, events) ->
-      List.for_all
-        (fun strategy ->
-          let ea = Engine.create ~alpha:0.3 ~strategy () in
-          let eb = Engine.create ~alpha:0.3 ~strategy () in
-          (* Deliveries keyed by attributes (ids differ across roles):
-             (kind, query, r.a, r.b, s.b, s.c) with B's read back through
-             the mirror. *)
-          let da = ref [] and db = ref [] in
-          let neg w = I.make (-.I.hi w) (-.I.lo w) in
-          List.iteri
-            (fun i range ->
-              let w = I.shift range (-5.0) in
-              ignore
-                (Engine.subscribe_band ea ~range:w (fun r s ->
-                     da := (`Band, i, r.Cq_relation.Tuple.a, r.b, s.Cq_relation.Tuple.b, s.c) :: !da));
-              ignore
-                (Engine.subscribe_band eb ~range:(neg w) (fun r s ->
-                     db := (`Band, i, s.Cq_relation.Tuple.c, s.b, r.Cq_relation.Tuple.b, r.a) :: !db)))
-            band_ranges;
-          List.iteri
-            (fun i (range_a, range_c) ->
-              ignore
-                (Engine.subscribe_select ea ~range_a ~range_c (fun r s ->
-                     da := (`Select, i, r.Cq_relation.Tuple.a, r.b, s.Cq_relation.Tuple.b, s.c) :: !da));
-              ignore
-                (Engine.subscribe_select eb ~range_a:range_c ~range_c:range_a (fun r s ->
-                     db := (`Select, i, s.Cq_relation.Tuple.c, s.b, r.Cq_relation.Tuple.b, r.a) :: !db)))
-            select_ranges;
-          List.iter
-            (fun ev ->
-              let ka, kb =
-                match ev with
-                | InsR (a, b) ->
-                    let _, ka = Engine.insert_r ea ~a ~b in
-                    let _, kb = Engine.insert_s eb ~b ~c:a in
-                    (ka, kb)
-                | InsS (b, c) ->
-                    let _, ka = Engine.insert_s ea ~b ~c in
-                    let _, kb = Engine.insert_r eb ~a:c ~b in
-                    (ka, kb)
-              in
-              if ka <> kb then
-                QCheck2.Test.fail_reportf "per-event counts differ: %d vs %d" ka kb)
-            events;
-          let norm l = List.sort compare l in
-          norm !da = norm !db
-          || QCheck2.Test.fail_reportf "asymmetry under %s: %d vs %d deliveries"
-               (Hotspot_core.Processor.strategy_to_string strategy)
-               (List.length !da) (List.length !db))
-        Hotspot_core.Processor.strategies)
+      let ea = Engine.create ~alpha:0.3 () in
+      let eb = Engine.create ~alpha:0.3 () in
+      (* Deliveries keyed by attributes (ids differ across roles):
+         (kind, query, r.a, r.b, s.b, s.c) with B's read back through
+         the mirror. *)
+      let da = ref [] and db = ref [] in
+      let neg w = I.make (-.I.hi w) (-.I.lo w) in
+      List.iteri
+        (fun i range ->
+          let w = I.shift range (-5.0) in
+          ignore
+            (Engine.subscribe_band ea ~range:w (fun r s ->
+                 da := (`Band, i, r.Cq_relation.Tuple.a, r.b, s.Cq_relation.Tuple.b, s.c) :: !da));
+          ignore
+            (Engine.subscribe_band eb ~range:(neg w) (fun r s ->
+                 db := (`Band, i, s.Cq_relation.Tuple.c, s.b, r.Cq_relation.Tuple.b, r.a) :: !db)))
+        band_ranges;
+      List.iteri
+        (fun i (range_a, range_c) ->
+          ignore
+            (Engine.subscribe_select ea ~range_a ~range_c (fun r s ->
+                 da := (`Select, i, r.Cq_relation.Tuple.a, r.b, s.Cq_relation.Tuple.b, s.c) :: !da));
+          ignore
+            (Engine.subscribe_select eb ~range_a:range_c ~range_c:range_a (fun r s ->
+                 db := (`Select, i, s.Cq_relation.Tuple.c, s.b, r.Cq_relation.Tuple.b, r.a) :: !db)))
+        select_ranges;
+      List.iter
+        (fun ev ->
+          let ka, kb =
+            match ev with
+            | InsR (a, b) ->
+                let _, ka = Engine.insert_r ea ~a ~b in
+                let _, kb = Engine.insert_s eb ~b ~c:a in
+                (ka, kb)
+            | InsS (b, c) ->
+                let _, ka = Engine.insert_s ea ~b ~c in
+                let _, kb = Engine.insert_r eb ~a:c ~b in
+                (ka, kb)
+          in
+          if ka <> kb then
+            QCheck2.Test.fail_reportf "per-event counts differ: %d vs %d" ka kb)
+        events;
+      let norm l = List.sort compare l in
+      norm !da = norm !db
+      || QCheck2.Test.fail_reportf "asymmetry: %d vs %d deliveries" (List.length !da)
+           (List.length !db))
 
 let test_engine_unsubscribe () =
   let eng = Engine.create () in

@@ -526,13 +526,30 @@ let test_composite_churn () =
       Alcotest.(check int) (S.name ^ " count") 1 (S.query_count st))
     composite_strategies
 
-(* ------------------------ Runtime-selected processors ------------------ *)
+(* ------------------------ Shared-core processors ----------------------- *)
 
-(* Every strategy out of the shared processor core, selected through
-   [processor], must produce the exact result stream of the brute-force
-   oracle, including under churn. *)
+(* Both processors out of the shared processor core — Hotspot at
+   α = 0.3, so these small query sets form hotspots, and plain SSI —
+   must produce the exact result stream of the brute-force oracle,
+   including under churn. *)
 
-let strategies = Hotspot_core.Processor.strategies
+module Hot (P : Hotspot_core.Processor.PROCESSOR) = struct
+  include P
+
+  let create s qs = create_alpha ~alpha:0.3 ~seed:42 s qs
+end
+
+module type BAND_AUDITED = sig
+  include BJ.STRATEGY
+
+  val check_invariants : t -> unit
+end
+
+let band_processors : (module BAND_AUDITED) list = [ (module Hot (BJ.Hotspot)); (module BJ.Ssi) ]
+let select_processors : (module SJ.STRATEGY) list = [ (module Hot (SJ.Hotspot)); (module SJ.Ssi) ]
+
+let composite_processors : (module CJ.STRATEGY) list =
+  [ (module Hot (CJ.Hotspot)); (module CJ.Ssi) ]
 
 let prop_band_processors_match =
   QCheck2.Test.make ~name:"band processors: match brute force" ~count:100
@@ -541,9 +558,8 @@ let prop_band_processors_match =
       let queries = BQ.of_ranges (Array.of_list (List.map (fun iv -> I.shift iv (-5.0)) ranges)) in
       let events = make_r_events events in
       List.for_all
-        (fun strategy ->
-          let (module P : BJ.PROCESSOR) = BJ.processor strategy in
-          let st = P.create_cfg ~alpha:0.3 ~seed:42 table queries in
+        (fun (module P : BAND_AUDITED) ->
+          let st = P.create table queries in
           List.for_all
             (fun r ->
               let acc = ref [] in
@@ -551,7 +567,7 @@ let prop_band_processors_match =
               List.sort compare !acc = BJ.reference table queries r
               || QCheck2.Test.fail_reportf "%s diverges from the oracle" P.name)
             events)
-        strategies)
+        band_processors)
 
 let prop_select_processors_match =
   QCheck2.Test.make ~name:"select processors: match brute force" ~count:100
@@ -561,9 +577,8 @@ let prop_select_processors_match =
       let queries = SQ.of_ranges (Array.of_list ranges) in
       let events = make_r_events events in
       List.for_all
-        (fun strategy ->
-          let (module P : SJ.PROCESSOR) = SJ.processor strategy in
-          let st = P.create_cfg ~alpha:0.3 ~seed:42 table queries in
+        (fun (module P : SJ.STRATEGY) ->
+          let st = P.create table queries in
           List.for_all
             (fun r ->
               let acc = ref [] in
@@ -571,7 +586,7 @@ let prop_select_processors_match =
               List.sort compare !acc = SJ.reference table queries r
               || QCheck2.Test.fail_reportf "%s diverges from the oracle" P.name)
             events)
-        strategies)
+        select_processors)
 
 let prop_composite_processors_match =
   QCheck2.Test.make ~name:"composite processors: match brute force" ~count:100 composite_gen
@@ -580,9 +595,8 @@ let prop_composite_processors_match =
       let queries = make_composites specs in
       let events = make_r_events events in
       List.for_all
-        (fun strategy ->
-          let (module P : CJ.PROCESSOR) = CJ.processor strategy in
-          let st = P.create_cfg ~alpha:0.3 ~seed:42 table queries in
+        (fun (module P : CJ.STRATEGY) ->
+          let st = P.create table queries in
           List.for_all
             (fun r ->
               let acc = ref [] in
@@ -590,7 +604,7 @@ let prop_composite_processors_match =
               List.sort compare !acc = CJ.reference table queries r
               || QCheck2.Test.fail_reportf "%s diverges from the oracle" P.name)
             events)
-        strategies)
+        composite_processors)
 
 let prop_band_processors_churn =
   (* Query churn exercises the remove paths: delete every other query
@@ -606,9 +620,8 @@ let prop_band_processors_churn =
       in
       let events = make_r_events events in
       List.for_all
-        (fun strategy ->
-          let (module P : BJ.PROCESSOR) = BJ.processor strategy in
-          let st = P.create_cfg ~alpha:0.3 ~seed:42 table all in
+        (fun (module P : BAND_AUDITED) ->
+          let st = P.create table all in
           let matches queries r =
             let acc = ref [] in
             P.process_r st r (fun q s -> acc := (q.BQ.qid, s.Tuple.sid) :: !acc);
@@ -631,7 +644,7 @@ let prop_band_processors_churn =
                    matches keep r || QCheck2.Test.fail_reportf "%s diverges after churn" P.name)
                  events
              end)
-        strategies)
+        band_processors)
 
 (* With every query scattered, a band event is one forward sweep of the
    S.B finger over the windows in scattered-index order: ascending
@@ -656,7 +669,7 @@ let prop_band_scattered_sweep =
             compare (I.lo a.range, I.hi a.range) (I.lo b.range, I.hi b.range))
           (Array.to_list queries)
       in
-      let st = BJ.Hotspot.create_cfg ~alpha:1.0 ~seed:42 table queries in
+      let st = BJ.Hotspot.create_alpha ~alpha:1.0 ~seed:42 table queries in
       let arrivals = ref (List.mapi (fun i (b, c) -> { Tuple.sid = 5000 + i; b; c }) arrivals) in
       List.for_all
         (fun (r : Tuple.r) ->

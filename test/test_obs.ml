@@ -395,15 +395,14 @@ let test_band_join_acceptance () =
 (* The metrics switch only observes: one seeded band+select workload,
    run with metrics off and then on, must deliver the identical
    (qid, rid, sid) sequence, and with metrics on every ingested row
-   must leave exactly one fanout sample per join processor — under
-   both strategies, through single-tuple inserts and staged batches
-   alike. *)
+   must leave exactly one fanout sample per join processor, through
+   single-tuple inserts and staged batches alike. *)
 let test_metrics_on_matches_off () =
   let module E = Cq_engine.Engine in
   let module Rng = Cq_util.Rng in
-  let run strategy =
+  let run () =
     let rng = Rng.create 11 in
-    let eng = E.create ~alpha:0.05 ~seed:11 ~strategy () in
+    let eng = E.create ~alpha:0.05 ~seed:11 () in
     let out = ref [] in
     let cb qid (r : Cq_relation.Tuple.r) (s : Cq_relation.Tuple.s) =
       out := (qid, r.rid, s.sid) :: !out
@@ -435,21 +434,17 @@ let test_metrics_on_matches_off () =
     done;
     (List.rev !out, !rows)
   in
-  List.iter
-    (fun strategy ->
-      let name = Hotspot_core.Processor.strategy_to_string strategy in
-      M.set_enabled false;
-      let off, rows = run strategy in
-      with_obs @@ fun () ->
-      M.reset ();
-      let on, _ = run strategy in
-      Alcotest.(check bool) (name ^ ": workload delivers results") true (off <> []);
-      Alcotest.(check (list (triple int int int))) (name ^ ": same deliveries") off on;
-      Alcotest.(check int) (name ^ ": one BJ fanout sample per row") rows
-        (M.hist_count (M.histogram "proc.BJ.fanout"));
-      Alcotest.(check int) (name ^ ": one SJ fanout sample per row") rows
-        (M.hist_count (M.histogram "proc.SJ.fanout")))
-    Hotspot_core.Processor.strategies
+  M.set_enabled false;
+  let off, rows = run () in
+  with_obs @@ fun () ->
+  M.reset ();
+  let on, _ = run () in
+  Alcotest.(check bool) "workload delivers results" true (off <> []);
+  Alcotest.(check (list (triple int int int))) "same deliveries" off on;
+  Alcotest.(check int) "one BJ fanout sample per row" rows
+    (M.hist_count (M.histogram "proc.BJ.fanout"));
+  Alcotest.(check int) "one SJ fanout sample per row" rows
+    (M.hist_count (M.histogram "proc.SJ.fanout"))
 
 let () =
   Alcotest.run "cq_obs"
