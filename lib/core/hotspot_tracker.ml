@@ -26,6 +26,7 @@ module Make (E : Partition_intf.ELEMENT) = struct
   type hgrp = {
     gid : int;
     mutable members : ESet.t;
+    mutable size : int; (* ESet.cardinal members, kept in step *)
     (* Always contained in every member; may be narrower than the true
        common intersection after deletions (never widened back). *)
     mutable isect : I.t;
@@ -44,6 +45,10 @@ module Make (E : Partition_intf.ELEMENT) = struct
     mutable promote_count : int;
     mutable demote_count : int;
     mutable max_group : int;
+    (* Work done by insert/delete/stabilize: one per group scanned
+       (hot or scattered), one per member a promotion or demotion
+       moves. *)
+    mutable visits : int;
   }
 
   let try_create ?(alpha = 0.01) ?(epsilon = 1.0) ?(seed = 0x40757) ?(on_event = fun _ -> ())
@@ -69,6 +74,7 @@ module Make (E : Partition_intf.ELEMENT) = struct
             promote_count = 0;
             demote_count = 0;
             max_group = 0;
+            visits = 0;
           }
 
   let create ?alpha ?epsilon ?seed ?on_event () =
@@ -84,6 +90,7 @@ module Make (E : Partition_intf.ELEMENT) = struct
   let promotions t = t.promote_count
   let demotions t = t.demote_count
   let max_group_size t = t.max_group
+  let visits t = t.visits
 
   (* Every structural reorganisation the instance has performed:
      promotions and demotions of hotspot groups plus reconstructions of
@@ -116,8 +123,7 @@ module Make (E : Partition_intf.ELEMENT) = struct
   (* Promotion / demotion                                                 *)
   (* ------------------------------------------------------------------ *)
 
-  let promote t gid_s =
-    let members = Spart.group_members t.spart gid_s in
+  let promote t members =
     List.iter
       (fun e ->
         ignore (Spart.delete t.spart e);
@@ -130,11 +136,12 @@ module Make (E : Partition_intf.ELEMENT) = struct
     in
     assert (not (I.is_empty isect));
     let gid = fresh_gid t in
-    let g = { gid; members = ESet.of_list members; isect } in
+    let sz = List.length members in
+    let g = { gid; members = ESet.of_list members; size = sz; isect } in
     Hashtbl.replace t.hot gid g;
     List.iter (fun e -> t.where_hot <- EMap.add e g t.where_hot) members;
     t.promote_count <- t.promote_count + 1;
-    let sz = ESet.cardinal g.members in
+    t.visits <- t.visits + sz;
     if sz > t.max_group then t.max_group <- sz;
     Metrics.incr m_promotions;
     Metrics.add m_moves sz;
@@ -147,8 +154,9 @@ module Make (E : Partition_intf.ELEMENT) = struct
     let members = ESet.elements g.members in
     List.iter (fun e -> t.where_hot <- EMap.remove e t.where_hot) members;
     t.demote_count <- t.demote_count + 1;
+    t.visits <- t.visits + g.size;
     Metrics.incr m_demotions;
-    Metrics.add m_moves (List.length members);
+    Metrics.add m_moves g.size;
     Trace.instant ~cat:"tracker" "tracker.demote";
     t.on_event (Hotspot_destroyed (g.gid, members));
     List.iter
@@ -161,7 +169,11 @@ module Make (E : Partition_intf.ELEMENT) = struct
   (* Promote every α-hotspot out of I_S and demote every I_H group
      that is no longer an (α/2)-hotspot, repeating until stable: a
      demotion re-inserts intervals into S, which can create fresh
-     α-hotspots (Section 2.2's cascading case). *)
+     α-hotspots (Section 2.2's cascading case).  A round costs O(1/α)
+     for the hot groups (cached sizes).  The scattered groups are
+     scanned only when the largest has reached α·n: the scan visits
+     |P_S| ≤ n groups and promotes at least α·n intervals, so it costs
+     at most 1/α per interval moved, and (I3) bounds the moves. *)
   let stabilize t =
     let changed = ref true in
     let rounds = ref 0 in
@@ -171,27 +183,29 @@ module Make (E : Partition_intf.ELEMENT) = struct
       changed := false;
       let nf = float_of_int t.n in
       (* Promotions. *)
-      let to_promote = ref [] in
-      Spart.iter_group_sizes t.spart (fun gid sz ->
-          if float_of_int sz >= t.alpha *. nf then to_promote := gid :: !to_promote);
-      List.iter
-        (fun gid ->
-          (* The group may have vanished if an earlier promotion this
-             round triggered a reconstruction of the scattered
-             partition; re-check by id. *)
-          match Spart.group_members t.spart gid with
-          | exception Not_found -> ()
-          | members when float_of_int (List.length members) >= t.alpha *. nf ->
-              promote t gid;
-              changed := true
-          | _ -> ())
-        !to_promote;
+      if float_of_int (Spart.max_group_size t.spart) >= t.alpha *. nf then begin
+        let to_promote = ref [] in
+        Spart.iter_group_sizes t.spart (fun gid sz ->
+            t.visits <- t.visits + 1;
+            if float_of_int sz >= t.alpha *. nf then to_promote := gid :: !to_promote);
+        List.iter
+          (fun gid ->
+            (* The group may have vanished if an earlier promotion this
+               round triggered a reconstruction of the scattered
+               partition; re-check by id. *)
+            match Spart.group_members t.spart gid with
+            | exception Not_found -> ()
+            | members when float_of_int (List.length members) >= t.alpha *. nf ->
+                promote t members;
+                changed := true
+            | _ -> ())
+          !to_promote
+      end;
       (* Demotions. *)
       let to_demote = ref [] in
+      t.visits <- t.visits + Hashtbl.length t.hot;
       Hashtbl.iter
-        (fun _ g ->
-          if float_of_int (ESet.cardinal g.members) < t.alpha /. 2.0 *. nf then
-            to_demote := g :: !to_demote)
+        (fun _ g -> if float_of_int g.size < t.alpha /. 2.0 *. nf then to_demote := g :: !to_demote)
         t.hot;
       List.iter
         (fun g ->
@@ -213,6 +227,7 @@ module Make (E : Partition_intf.ELEMENT) = struct
     t.n <- t.n + 1;
     (* First try to absorb into an existing hotspot (O(1/α) scan of the
        maintained common intersections). *)
+    t.visits <- t.visits + Hashtbl.length t.hot;
     let target =
       Hashtbl.fold
         (fun _ g acc ->
@@ -225,9 +240,9 @@ module Make (E : Partition_intf.ELEMENT) = struct
     | Some g ->
         g.isect <- I.inter g.isect iv;
         g.members <- ESet.add e g.members;
+        g.size <- g.size + 1;
         t.where_hot <- EMap.add e g t.where_hot;
-        let sz = ESet.cardinal g.members in
-        if sz > t.max_group then t.max_group <- sz;
+        if g.size > t.max_group then t.max_group <- g.size;
         t.on_event (Hotspot_added (g.gid, e))
     | None ->
         Spart.insert t.spart e;
@@ -240,9 +255,10 @@ module Make (E : Partition_intf.ELEMENT) = struct
         t.update_count <- t.update_count + 1;
         t.n <- t.n - 1;
         g.members <- ESet.remove e g.members;
+        g.size <- g.size - 1;
         t.where_hot <- EMap.remove e t.where_hot;
         t.on_event (Hotspot_removed (g.gid, e));
-        if ESet.is_empty g.members then begin
+        if g.size = 0 then begin
           Hashtbl.remove t.hot g.gid;
           t.on_event (Hotspot_destroyed (g.gid, []))
         end;
@@ -271,6 +287,8 @@ module Make (E : Partition_intf.ELEMENT) = struct
       (fun gid g ->
         if gid <> g.gid then fail "hotspot id mismatch";
         if ESet.is_empty g.members then fail "empty hotspot retained";
+        if g.size <> ESet.cardinal g.members then
+          fail "hotspot %d caches size %d but has %d members" gid g.size (ESet.cardinal g.members);
         if I.is_empty g.isect then fail "hotspot with empty intersection";
         ESet.iter
           (fun e ->
@@ -288,7 +306,7 @@ module Make (E : Partition_intf.ELEMENT) = struct
        α-hotspot. *)
     Hashtbl.iter
       (fun gid g ->
-        if float_of_int (ESet.cardinal g.members) < (t.alpha /. 2.0 *. nf) -. 1e-9 then
+        if float_of_int g.size < (t.alpha /. 2.0 *. nf) -. 1e-9 then
           fail "hotspot %d below the alpha/2 threshold" gid)
       t.hot;
     Spart.iter_group_sizes t.spart (fun gid sz ->
@@ -319,6 +337,13 @@ module Make (E : Partition_intf.ELEMENT) = struct
           t.where_hot <- EMap.remove (ESet.min_elt g.members) t.where_hot;
           true
       | _ -> false
+
+    let corrupt_size t =
+      match some_hot_group t with
+      | Some g ->
+          g.size <- g.size + 1;
+          true
+      | None -> false
 
     let corrupt_isect t =
       match some_hot_group t with

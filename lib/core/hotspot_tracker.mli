@@ -14,10 +14,18 @@
 
     Consumers that keep auxiliary per-group structures (the SSI band
     join and select-join processors) subscribe via [on_event] and
-    receive every membership change.  Updates cost O(log n) amortised
-    (the scattered partition's maintainer bound) plus O(log(1/α)) for
-    the hotspot-membership check; the O(1) amortised move bound (I3)
-    caps the consumer-visible event rate. *)
+    receive every membership change.
+
+    An update costs O(log n) amortised (the scattered partition's
+    maintainer bound) plus O(1/α) for the hot groups: an insert scans
+    the at most 2/α maintained intersections for one that absorbs it,
+    and every stabilisation round checks each hot group's size against
+    (α/2)·n.  Each hot group caches its size, and the scattered
+    partition keeps its largest group's size, so neither check walks
+    members; the scattered groups are scanned only when a promotion is
+    due, and that scan is paid for by the ≥ α·n moves it triggers,
+    which (I3) bounds at 5 per update.  The same bound caps the
+    consumer-visible event rate.  {!visits} counts this work. *)
 
 module Make (E : Partition_intf.ELEMENT) : sig
   type t
@@ -100,6 +108,11 @@ module Make (E : Partition_intf.ELEMENT) : sig
   val max_group_size : t -> int
   (** High-water mark of hotspot-group cardinality. *)
 
+  val visits : t -> int
+  (** Work done by every update so far: one per hot or scattered group
+      scanned, one per member a promotion or demotion moves.  Theorem 1
+      bounds it by O(1/α + log n) per update, amortised. *)
+
   val check_invariants : t -> unit
   (** Verify (I1), (I2), (I3) and structural consistency.
       @raise Failure on violation. *)
@@ -115,5 +128,9 @@ module Make (E : Partition_intf.ELEMENT) : sig
     val corrupt_isect : t -> bool
     (** Widen one hot group's maintained intersection past its members'
         true common intersection. *)
+
+    val corrupt_size : t -> bool
+    (** Make one hot group's cached size stale by one; [false] when
+        there is no hotspot. *)
   end
 end

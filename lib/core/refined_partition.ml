@@ -39,6 +39,12 @@ module Make (E : Partition_intf.ELEMENT) = struct
     mutable updates : int; (* updates since last reconstruction *)
     mutable dels_since : int; (* deletions since last reconstruction *)
     mutable recon_count : int;
+    (* [by_size.(k)] counts the groups (old or singleton) holding [k]
+       members, for [k >= 1]; [max_size] is the largest [k] with a
+       nonzero count (0 when there are no groups).  An update changes
+       one group's size by one, so the maximum moves by at most one. *)
+    mutable by_size : int array;
+    mutable max_size : int;
   }
 
   let try_create ?(epsilon = 1.0) ?(seed = 0x5eed) () =
@@ -59,6 +65,8 @@ module Make (E : Partition_intf.ELEMENT) = struct
             updates = 0;
             dels_since = 0;
             recon_count = 0;
+            by_size = Array.make 16 0;
+            max_size = 0;
           }
 
   let create ?epsilon ?seed () = Cq_util.Error.ok_exn (try_create ?epsilon ?seed ())
@@ -66,12 +74,34 @@ module Make (E : Partition_intf.ELEMENT) = struct
   let size t = t.n
   let num_groups t = t.nonempty_olds + Hashtbl.length t.sing_by_gid
   let reconstructions t = t.recon_count
+  let max_group_size t = t.max_size
   let updates_since_reconstruction t = t.updates
 
   let fresh_gid t =
     let g = t.next_gid in
     t.next_gid <- g + 1;
     g
+
+  (* One group's size moves from [s] to [s'] (0 standing for no
+     group).  Within an epoch [s'] is [s ± 1], so when the last group
+     of the maximum size shrinks, the maximum is [s']. *)
+  let resize t s s' =
+    if s' >= Array.length t.by_size then begin
+      let a = Array.make (2 * s') 0 in
+      Array.blit t.by_size 0 a 0 (Array.length t.by_size);
+      t.by_size <- a
+    end;
+    if s > 0 then t.by_size.(s) <- t.by_size.(s) - 1;
+    if s' > 0 then t.by_size.(s') <- t.by_size.(s') + 1;
+    if s' > t.max_size then t.max_size <- s'
+    else if s = t.max_size && t.by_size.(s) = 0 then t.max_size <- s'
+
+  (* Old groups carry consecutive gids from the reconstruction that
+     made them, so a gid indexes [olds] directly. *)
+  let old_of_gid t gid =
+    let n = Array.length t.olds in
+    let i = if n = 0 then -1 else gid - t.olds.(0).gid in
+    if i >= 0 && i < n then Some t.olds.(i) else None
 
   (* Rightmost old group whose boundary <= the element's left endpoint:
      the only old group that can hold it. *)
@@ -119,6 +149,12 @@ module Make (E : Partition_intf.ELEMENT) = struct
   let full_line = I.make neg_infinity infinity
 
   let reconstruct_impl t =
+    (* Every counted size belongs to a nonempty old group or a
+       singleton, so clearing those entries empties [by_size] in
+       O(|P|) without touching the rest of the array. *)
+    Array.iter (fun g -> t.by_size.(T.size g.treap) <- 0) t.olds;
+    t.by_size.(1) <- 0;
+    t.max_size <- 0;
     (* Unprocessed inputs: old groups in (⋆) order, singletons in
        left-endpoint order; both consumed from the head. *)
     let olds = ref (List.filter (fun g -> not (T.is_empty g.treap)) (Array.to_list t.olds)) in
@@ -222,6 +258,7 @@ module Make (E : Partition_intf.ELEMENT) = struct
           { gid = fresh_gid t; boundary; point = I.hi (T.isect treap); treap })
         groups;
     t.nonempty_olds <- Array.length t.olds;
+    Array.iter (fun g -> resize t 0 (T.size g.treap)) t.olds;
     t.sing_gids <- EMap.empty;
     Hashtbl.reset t.sing_by_gid;
     t.tau0 <- Array.length t.olds;
@@ -249,13 +286,15 @@ module Make (E : Partition_intf.ELEMENT) = struct
     (match refine_candidate t e with
     | Some g ->
         if T.is_empty g.treap then t.nonempty_olds <- t.nonempty_olds + 1;
+        resize t (T.size g.treap) (T.size g.treap + 1);
         g.treap <- T.add t.rng e g.treap;
         let lo = I.lo (E.interval e) in
         if lo < g.boundary then g.boundary <- lo
     | None ->
         let gid = fresh_gid t in
         t.sing_gids <- EMap.add e gid t.sing_gids;
-        Hashtbl.replace t.sing_by_gid gid e);
+        Hashtbl.replace t.sing_by_gid gid e;
+        resize t 0 1);
     t.n <- t.n + 1;
     t.updates <- t.updates + 1;
     maybe_reconstruct t
@@ -265,6 +304,7 @@ module Make (E : Partition_intf.ELEMENT) = struct
     | Some gid ->
         t.sing_gids <- EMap.remove e t.sing_gids;
         Hashtbl.remove t.sing_by_gid gid;
+        resize t 1 0;
         t.n <- t.n - 1;
         t.updates <- t.updates + 1;
         t.dels_since <- t.dels_since + 1;
@@ -277,6 +317,7 @@ module Make (E : Partition_intf.ELEMENT) = struct
             match T.remove e g.treap with
             | None -> false
             | Some treap ->
+                resize t (T.size g.treap) (T.size treap);
                 g.treap <- treap;
                 if T.is_empty treap then t.nonempty_olds <- t.nonempty_olds - 1;
                 t.n <- t.n - 1;
@@ -309,9 +350,9 @@ module Make (E : Partition_intf.ELEMENT) = struct
     match Hashtbl.find_opt t.sing_by_gid gid with
     | Some e -> [ e ]
     | None -> (
-        match Array.find_opt (fun g -> g.gid = gid && not (T.is_empty g.treap)) t.olds with
-        | Some g -> T.to_list g.treap
-        | None -> raise Not_found)
+        match old_of_gid t gid with
+        | Some g when not (T.is_empty g.treap) -> T.to_list g.treap
+        | _ -> raise Not_found)
 
   let group_of t e =
     match EMap.find_opt e t.sing_gids with
@@ -354,6 +395,21 @@ module Make (E : Partition_intf.ELEMENT) = struct
     if member_total <> t.n then fail "size mismatch";
     if Hashtbl.length t.sing_by_gid <> EMap.cardinal t.sing_gids then
       fail "singleton maps out of sync";
+    Array.iteri
+      (fun i g -> if g.gid <> t.olds.(0).gid + i then fail "old group gids not consecutive")
+      t.olds;
+    (* The size census against a recount. *)
+    let recount = Array.make (Array.length t.by_size) 0 and max_size = ref 0 in
+    iter_group_sizes t (fun _ sz ->
+        if sz >= Array.length recount then fail "group size %d past the size census" sz;
+        recount.(sz) <- recount.(sz) + 1;
+        max_size := max !max_size sz);
+    if !max_size <> t.max_size then fail "stale max_size %d (recount %d)" t.max_size !max_size;
+    Array.iteri
+      (fun sz c ->
+        if sz > 0 && c <> t.by_size.(sz) then
+          fail "by_size.(%d) = %d but %d groups have that size" sz t.by_size.(sz) c)
+      recount;
     (* Theorem 2 size bound against a freshly computed optimum. *)
     let tau = Stabbing.tau E.interval (Array.of_list (elements t)) in
     let p = num_groups t in

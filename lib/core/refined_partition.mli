@@ -15,12 +15,18 @@
     invariant (⋆): left endpoints never interleave across groups.
 
     The partition size is at most [(1 + epsilon) * tau(I)] at all
-    times; amortised update cost is O((1 + 1/epsilon) log n). *)
+    times; amortised update cost is O((1 + 1/epsilon) log n).
+    {!group_members} resolves a gid in O(1) plus the members listed. *)
 
 module Make (E : Partition_intf.ELEMENT) : sig
   include Partition_intf.S with type elt = E.t
 
   val updates_since_reconstruction : t -> int
+
+  val max_group_size : t -> int
+  (** Members in the largest group (0 when empty).  O(1): a census of
+      groups per size is kept in step with every update and recounted
+      by each reconstruction in O(|P|). *)
 
   val groups_in_order : t -> (float * elt list) list
   (** Like [groups] but old groups first in invariant-(⋆) order,

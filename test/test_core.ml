@@ -430,6 +430,57 @@ let test_tracker_lookup_errors () =
     (Invalid_argument "Hotspot_tracker.insert: element already present") (fun () ->
       Tracker.insert t e)
 
+(* Theorem 1 caps a tracker update at O(log n) amortised plus O(1/α)
+   for the hot groups.  [Tracker.visits] counts the groups each update
+   scans and the members promotions and demotions move; the test holds
+   it to c·(1/α + log₂ n) per update over a build of n inserts followed
+   by delete+insert churn, on two populations at α = 0.005 and
+   n = 10k: micro's clustered ranges (80% in 30 clusters, ~30
+   hotspots), and a scattered-heavy one shaped like cqbench's
+   scattered-band (10% in 16 clusters, narrow windows, ~9k scattered
+   groups).  Walking a hot group's members or every scattered group on
+   each update costs thousands of visits per update on these inputs.
+   c = 4: an insert scans up to 2/α hot groups for one to absorb it and
+   a stabilisation round checks them again. *)
+let work_bound_c = 4.0
+
+let tracker_work ~name ranges =
+  let n = 10_000 and alpha = 0.005 in
+  let elem i = { E.iv = ranges.(i); id = i } in
+  let t = Tracker.create ~alpha () in
+  for i = 0 to n - 1 do
+    Tracker.insert t (elem i)
+  done;
+  (* Churn: each step deletes a seeded-random live element and inserts
+     the next fresh one in its slot. *)
+  let rng = Rng.create 7 and live = Array.init n Fun.id in
+  for i = n to Array.length ranges - 1 do
+    let slot = Rng.int rng n in
+    if not (Tracker.delete t (elem live.(slot))) then Alcotest.fail "churn delete failed";
+    Tracker.insert t (elem i);
+    live.(slot) <- i
+  done;
+  Tracker.check_invariants t;
+  let updates = Tracker.updates t in
+  let per_update = float_of_int (Tracker.visits t) /. float_of_int updates in
+  let bound = work_bound_c *. ((1.0 /. alpha) +. Float.log2 (float_of_int n)) in
+  if per_update > bound then
+    Alcotest.failf "%s: %.1f visits per update over %d updates, past %.0f" name per_update
+      updates bound
+
+let test_tracker_work_bound () =
+  let churn = 2_000 in
+  let gen ~n_clusters ~clustered_frac ~domain ~cluster_halfwidth ~len_mu ~len_sigma =
+    Cq_relation.Workload.gen_clustered_ranges (Rng.create 1) ~n:(10_000 + churn) ~n_clusters
+      ~clustered_frac ~domain ~cluster_halfwidth ~len_mu ~len_sigma
+  in
+  tracker_work ~name:"clustered"
+    (gen ~n_clusters:30 ~clustered_frac:0.8 ~domain:(0.0, 10_000.0) ~cluster_halfwidth:80.0
+       ~len_mu:400.0 ~len_sigma:150.0);
+  tracker_work ~name:"scattered-heavy"
+    (gen ~n_clusters:16 ~clustered_frac:0.1 ~domain:(-1500.0, 1500.0) ~cluster_halfwidth:0.02
+       ~len_mu:0.02 ~len_sigma:0.005)
+
 let test_refined_groups_in_order () =
   let t = Refined_p.create ~epsilon:1.0 () in
   let es =
@@ -584,6 +635,7 @@ let () =
             test_tracker_isect_narrow_after_delete;
           Alcotest.test_case "alpha validation" `Quick test_tracker_alpha_validation;
           Alcotest.test_case "lookup errors" `Quick test_tracker_lookup_errors;
+          Alcotest.test_case "work per update within Theorem 1" `Quick test_tracker_work_bound;
         ] );
       ("ssi", [ qc prop_ssi_covers_all; qc prop_ssi_points_sorted ]);
       ( "stabbing2d",

@@ -251,18 +251,12 @@ let hot_tracker () =
   | Error vs -> Alcotest.failf "clean tracker failed its audit (%d violations)" (List.length vs));
   t
 
-let test_corrupt_where_hot_caught () =
+(* Each test-only corruption hook must be caught by the tracker audit. *)
+let corruption_caught corrupt what () =
   let t = hot_tracker () in
-  Alcotest.(check bool) "corruption applied" true (Tracker.Testing.corrupt_where_hot t);
+  Alcotest.(check bool) "corruption applied" true (corrupt t);
   match Tracker_audit.audit t with
-  | Ok () -> Alcotest.fail "corrupted where_hot map went undetected"
-  | Error vs -> Alcotest.(check bool) "non-empty violation report" true (vs <> [])
-
-let test_corrupt_isect_caught () =
-  let t = hot_tracker () in
-  Alcotest.(check bool) "corruption applied" true (Tracker.Testing.corrupt_isect t);
-  match Tracker_audit.audit t with
-  | Ok () -> Alcotest.fail "corrupted group intersection went undetected"
+  | Ok () -> Alcotest.failf "%s went undetected" what
   | Error vs -> Alcotest.(check bool) "non-empty violation report" true (vs <> [])
 
 let test_merge_reports () =
@@ -377,8 +371,12 @@ let () =
         ] );
       ( "corruption",
         [
-          Alcotest.test_case "where_hot caught" `Quick test_corrupt_where_hot_caught;
-          Alcotest.test_case "isect caught" `Quick test_corrupt_isect_caught;
+          Alcotest.test_case "where_hot caught" `Quick
+            (corruption_caught Tracker.Testing.corrupt_where_hot "corrupted where_hot map");
+          Alcotest.test_case "isect caught" `Quick
+            (corruption_caught Tracker.Testing.corrupt_isect "corrupted group intersection");
+          Alcotest.test_case "size caught" `Quick
+            (corruption_caught Tracker.Testing.corrupt_size "stale cached group size");
           Alcotest.test_case "merge keeps violations" `Quick test_merge_reports;
         ] );
       ( "validation",
