@@ -25,7 +25,6 @@ module Dedupe = struct
         true
 
   let forget d qid = Hashtbl.remove d.seen qid
-  let length d = Hashtbl.length d.seen
 end
 
 module type QUERY = sig
@@ -54,13 +53,14 @@ module type QUERY = sig
     val add : g -> t -> unit
     val remove : g -> t -> unit
     val size : g -> int
+    val iter : g -> (t -> unit) -> unit
     val check_invariants : g -> unit
 
     val process :
-      store -> g -> stab:float -> event -> mark:(t -> bool) -> (t -> result -> unit) -> unit
+      scan -> g -> stab:float -> event -> mark:(t -> bool) -> (t -> result -> unit) -> unit
 
     val identify :
-      store -> g -> stab:float -> event -> mark:(t -> bool) -> (t -> unit) -> unit
+      scan -> g -> stab:float -> event -> mark:(t -> bool) -> (t -> unit) -> unit
   end
 end
 
@@ -138,6 +138,11 @@ module type PROCESSOR = sig
   val set_shed : t -> (int -> bool) option -> unit
   val stage_batch : t -> event array -> int -> unit
   val process_staged : t -> idx:int -> event -> (query -> result -> unit) -> unit
+
+  module Testing : sig
+    val plant_in_two_groups : t -> bool
+    val plant_in_group_and_scattered : t -> bool
+  end
 end
 
 module Make (Q : QUERY) = struct
@@ -155,40 +160,46 @@ module Make (Q : QUERY) = struct
 
   let dummy_sink : Q.t -> Q.result -> unit = fun _ _ -> ()
 
-  (* Per-event candidate fanout (queries visited by the group walk and
-     scattered probes) and the number surviving dedupe — shared cells
-     for every instance built from this QUERY. *)
-  let m_fanout = Metrics.histogram ("proc." ^ Q.label ^ ".fanout")
-  let m_dedupe_marks = Metrics.histogram ("proc." ^ Q.label ^ ".dedupe_marks")
+  let accept_all : Q.t -> bool = fun _ -> true
 
-  (* The per-event walk state both processors share: the dedupe epoch,
-     the shed predicate (only [Hotspot] installs one), and the
-     preallocated [mark]/[visit] closures, parameterised through the
-     [ev]/[sink] cells so a walk builds no closure per event.  [cands]
-     counts the candidates the walk offers (group members reaching
-     [mark], scattered queries) and [marked] those surviving dedupe. *)
+  (* Per-event candidate fanout (queries visited by the group walk and
+     scattered probes) and the number the shed predicate accepts —
+     shared cells for every instance built from this QUERY. *)
+  let m_fanout = Metrics.histogram ("proc." ^ Q.label ^ ".fanout")
+  let m_accepted = Metrics.histogram ("proc." ^ Q.label ^ ".accepted")
+
+  (* The per-event walk state both processors share: the scan the
+     group walks and scattered probes run on, the shed predicate (only
+     [Hotspot] installs one), and the preallocated [mark]/[visit]
+     closures, parameterised through the [ev]/[sink] cells so a walk
+     builds no closure per event.  The groups are pairwise disjoint and
+     a group's STEP 1 offers each member at most once, so [mark] needs
+     no dedupe: it counts the candidates the walk offers ([cands]) and
+     those the shed predicate accepts ([accepted]). *)
   type walker = {
-    store : Q.store;
-    dedupe : Dedupe.t;
+    scan : Q.scan;
     mutable shed : (int -> bool) option;
     mutable ev : Q.event option;
     mutable sink : Q.t -> Q.result -> unit;
     mutable cands : int;
-    mutable marked : int;
+    mutable accepted : int;
     mutable mark : Q.t -> bool;
     mutable visit : stab:float -> Q.Group.g -> unit;
   }
 
+  let[@cq.hot] accept w =
+    w.accepted <- w.accepted + 1;
+    true
+
   let create_walker store =
     let w =
       {
-        store;
-        dedupe = Dedupe.create ();
+        scan = Q.scan_create store;
         shed = None;
         ev = None;
         sink = dummy_sink;
         cands = 0;
-        marked = 0;
+        accepted = 0;
         mark = (fun _ -> false);
         visit = (fun ~stab:_ _ -> ());
       }
@@ -196,22 +207,18 @@ module Make (Q : QUERY) = struct
     w.mark <-
       (fun q ->
         w.cands <- w.cands + 1;
-        Dedupe.mark w.dedupe (Q.qid q)
-        && begin
-             w.marked <- w.marked + 1;
-             match w.shed with None -> true | Some pred -> pred (Q.qid q)
-           end);
+        match w.shed with None -> accept w | Some pred -> pred (Q.qid q) && accept w);
     w.visit <-
       (fun ~stab g ->
         match w.ev with
-        | Some ev -> Q.Group.process w.store g ~stab ev ~mark:w.mark w.sink
+        | Some ev -> Q.Group.process w.scan g ~stab ev ~mark:w.mark w.sink
         | None -> ());
     w
 
   let[@cq.hot] begin_event w ev sink =
-    Dedupe.fresh w.dedupe;
+    Q.scan_begin w.scan ev;
     w.cands <- 0;
-    w.marked <- 0;
+    w.accepted <- 0;
     w.ev <- Some ev;
     w.sink <- sink
 
@@ -220,16 +227,8 @@ module Make (Q : QUERY) = struct
     w.sink <- dummy_sink;
     if Metrics.enabled () then begin
       Metrics.observe m_fanout (float_of_int w.cands);
-      Metrics.observe m_dedupe_marks (float_of_int w.marked)
+      Metrics.observe m_accepted (float_of_int w.accepted)
     end
-
-  (* Deleted queries leave the dedupe table, so it never holds more
-     entries than there are registered queries. *)
-  let check_dedupe ~name w queries =
-    let n = Dedupe.length w.dedupe in
-    if n > queries then
-      Cq_util.Error.corrupt ~structure:name "%s: dedupe table holds %d entries for %d queries"
-        name n queries
 
   module Hotspot = struct
     type query = Q.t
@@ -242,7 +241,6 @@ module Make (Q : QUERY) = struct
       hot : (int, Q.Group.g) Hashtbl.t;
       scattered : Q.t B.t;
       w : walker;
-      scan : Q.scan;
       (* Preallocated walk closures over [w] (set after creation, they
          capture [t]). *)
       mutable c_group : int -> Q.Group.g -> unit;
@@ -260,15 +258,17 @@ module Make (Q : QUERY) = struct
     let name = Q.label ^ "-Hotspot"
 
     (* Hotspot and scattered sets are disjoint, so a scattered
-       candidate needs no dedupe mark; under shedding it is confirmed
-       with [scan_hit] before the predicate is asked. *)
+       candidate is offered once; under shedding it is confirmed with
+       [scan_hit] before the predicate is asked. *)
     let[@cq.hot] visit_scattered t q =
       let w = t.w in
       w.cands <- w.cands + 1;
-      w.marked <- w.marked + 1;
       match w.shed with
-      | None -> Q.scan_probe t.scan q w.sink
-      | Some pred -> if Q.scan_hit t.scan q && pred (Q.qid q) then Q.scan_probe t.scan q w.sink
+      | None ->
+          w.accepted <- w.accepted + 1;
+          Q.scan_probe w.scan q w.sink
+      | Some pred ->
+          if Q.scan_hit w.scan q && pred (Q.qid q) && accept w then Q.scan_probe w.scan q w.sink
 
     let create_alpha ~alpha ?epsilon ?seed store queries =
       let hot = Hashtbl.create 16 in
@@ -293,7 +293,6 @@ module Make (Q : QUERY) = struct
           hot;
           scattered;
           w = create_walker store;
-          scan = Q.scan_create store;
           c_group = (fun _ _ -> ());
           c_scat = (fun _ -> ());
           stage_keys = [||];
@@ -325,7 +324,6 @@ module Make (Q : QUERY) = struct
        of the scattered index. *)
     let[@cq.hot] walk t ~idx ev sink =
       begin_event t.w ev sink;
-      Q.scan_begin t.scan ev;
       Hashtbl.iter t.c_group t.hot;
       if 0 <= idx && idx < t.staged_n then Vec.iter t.c_scat (Vec.get t.stage_cand idx)
       else iter_scattered t ev t.c_scat;
@@ -369,16 +367,14 @@ module Make (Q : QUERY) = struct
       end
 
     let affected t ev report =
-      let { store; dedupe; _ } = t.w in
-      Dedupe.fresh dedupe;
-      let mark q = Dedupe.mark dedupe (Q.qid q) in
+      let scan = t.w.scan in
+      Q.scan_begin scan ev;
       Hashtbl.iter
         (fun gid g ->
           let stab = Tracker.hotspot_stab t.tracker gid in
-          Q.Group.identify store g ~stab ev ~mark report)
+          Q.Group.identify scan g ~stab ev ~mark:accept_all report)
         t.hot;
-      Q.scan_begin t.scan ev;
-      iter_scattered t ev (fun q -> if Q.scan_hit t.scan q then report q)
+      iter_scattered t ev (fun q -> if Q.scan_hit scan q then report q)
 
     let set_shed t pred = t.w.shed <- pred
 
@@ -390,7 +386,6 @@ module Make (Q : QUERY) = struct
 
     let delete_query t q =
       t.staged_n <- -1;
-      Dedupe.forget t.w.dedupe (Q.qid q);
       Tracker.delete t.tracker q
     let query_count t = Tracker.size t.tracker
     let num_hotspots t = Tracker.num_hotspots t.tracker
@@ -414,7 +409,10 @@ module Make (Q : QUERY) = struct
 
     (* The aux groups and the scattered index are maintained purely
        from the tracker's event stream; verify they never drift from
-       the tracker's own view. *)
+       the tracker's own view.  The walk offers each candidate once
+       only because every query sits in exactly one place (one aux
+       group, or the scattered index), so that is checked member by
+       member, not only by counts. *)
     let check_invariants t =
       Tracker.check_invariants t.tracker;
       let fail fmt = Cq_util.Error.corrupt ~structure:name fmt in
@@ -437,7 +435,54 @@ module Make (Q : QUERY) = struct
       if B.size t.scattered <> List.length scattered then
         fail "%s: scattered index holds %d of %d queries" name (B.size t.scattered)
           (List.length scattered);
-      check_dedupe ~name t.w (query_count t)
+      (* [home] maps each qid to where the tracker puts it (a gid, or
+         -1 for scattered); [seen] to where the aux side was found. *)
+      let home = Hashtbl.create 64 and seen = Hashtbl.create 64 in
+      List.iter
+        (fun (gid, _, members) -> List.iter (fun q -> Hashtbl.replace home (Q.qid q) gid) members)
+        hotspots;
+      List.iter (fun q -> Hashtbl.replace home (Q.qid q) (-1)) scattered;
+      let where gid = if gid < 0 then "the scattered index" else Printf.sprintf "aux group %d" gid in
+      let place gid q =
+        let qid = Q.qid q in
+        (match Hashtbl.find_opt seen qid with
+        | Some g -> fail "%s: query %d sits in %s and in %s" name qid (where g) (where gid)
+        | None -> Hashtbl.replace seen qid gid);
+        match Hashtbl.find_opt home qid with
+        | Some g when g = gid -> ()
+        | _ -> fail "%s: query %d sits in %s, not where the tracker puts it" name qid (where gid)
+      in
+      Hashtbl.iter (fun gid g -> Q.Group.iter g (place gid)) t.hot;
+      B.iter t.scattered (place (-1))
+
+    (* Plant one query in a second place while keeping every count, so
+       only the member-by-member check above can see it. *)
+    module Testing = struct
+      let first iter x =
+        let r = ref None in
+        iter x (fun q -> if Option.is_none !r then r := Some q);
+        !r
+
+      (* The first member of each aux group, with the group. *)
+      let firsts t = Hashtbl.fold (fun _ g acc -> (first Q.Group.iter g, g) :: acc) t.hot []
+
+      let plant_in_two_groups t =
+        match firsts t with
+        | (Some q, _) :: (Some victim, gb) :: _ ->
+            Q.Group.remove gb victim;
+            Q.Group.add gb q;
+            true
+        | _ -> false
+
+      let plant_in_group_and_scattered t =
+        match (firsts t, first B.iter t.scattered) with
+        | (Some q, _) :: _, Some victim ->
+            let same p = Q.qid p = Q.qid victim in
+            ignore (B.remove t.scattered (Q.scatter_interval victim) same);
+            B.add t.scattered (Q.scatter_interval q) q;
+            true
+        | _ -> false
+    end
   end
 
   module Ssi = struct
@@ -497,10 +542,9 @@ module Make (Q : QUERY) = struct
 
     let affected t ev report =
       refresh t;
-      let { store; dedupe; _ } = t.w in
-      Dedupe.fresh dedupe;
-      let mark q = Dedupe.mark dedupe (Q.qid q) in
-      Index.iter t.index (fun ~stab g -> Q.Group.identify store g ~stab ev ~mark report)
+      let scan = t.w.scan in
+      Q.scan_begin scan ev;
+      Index.iter t.index (fun ~stab g -> Q.Group.identify scan g ~stab ev ~mark:accept_all report)
 
     let insert_query t q =
       Hashtbl.replace t.queries (Q.qid q) q;
@@ -509,7 +553,6 @@ module Make (Q : QUERY) = struct
     let delete_query t q =
       if Hashtbl.mem t.queries (Q.qid q) then begin
         Hashtbl.remove t.queries (Q.qid q);
-        Dedupe.forget t.w.dedupe (Q.qid q);
         t.dirty <- true;
         true
       end
@@ -521,8 +564,7 @@ module Make (Q : QUERY) = struct
       refresh t;
       if Index.size t.index <> Hashtbl.length t.queries then
         Cq_util.Error.corrupt ~structure:name "index holds %d of %d queries"
-          (Index.size t.index) (Hashtbl.length t.queries);
-      check_dedupe ~name t.w (query_count t)
+          (Index.size t.index) (Hashtbl.length t.queries)
 
     (* Extras used by the adaptive dispatcher. *)
     let num_groups t =

@@ -6,7 +6,7 @@
     interval per query, maintain a stabbing partition (or only its
     hotspots) over those intervals, keep a per-group auxiliary
     structure, and process each event with the two-step group walk.
-    [Make] owns everything that scheme shares — per-event dedupe, the
+    [Make] owns everything that scheme shares — the per-event walk, the
     hotspot-tracker subscription, SSI rebuild bookkeeping, query
     insert/delete plumbing, invariant auditing — so each join module
     only supplies its query geometry ({!QUERY}) and the processors fall
@@ -27,10 +27,16 @@
     sweeps them through S.B with one forward finger, at
     O(|scattered| + k) plus an O(log n) seek only where a window's
     shifted lower end passes the finger by more than a leaf, instead
-    of the paper's O(|scattered| log n). *)
+    of the paper's O(|scattered| log n).
 
-(** Per-event deduplication of affected queries: a query reachable
-    from both boundary scans of a group must be reported once. *)
+    The walk needs no per-event dedupe: the groups are pairwise
+    disjoint and disjoint from the scattered set (the hotspot
+    processor's {!PROCESSOR.check_invariants} audits this member by
+    member), and a group's STEP 1 offers each member at most once. *)
+
+(** Per-event deduplication of affected queries, for the baselines that
+    stab the query index once per opposite-relation tuple, where one
+    query really can be found twice in an event. *)
 module Dedupe : sig
   type t
 
@@ -46,9 +52,6 @@ module Dedupe : sig
   (** Drop [qid]'s entry.  Every [delete_query] that owns a table
       calls it, so the table never outgrows the registered queries
       under subscribe/unsubscribe churn. *)
-
-  val length : t -> int
-  (** Number of qids holding an entry. *)
 end
 
 (** What a join application must provide: its query geometry and its
@@ -98,12 +101,18 @@ module type QUERY = sig
       to [scan_probe].  The store is not mutated between [scan_begin]
       and the event's last probe; the engine's non-reentrancy rule
       guarantees this.  A band join uses both facts to sweep one
-      forward finger through S.B for the whole event. *)
+      forward finger through S.B for the whole event.
+
+      The scan also carries the finger the group walk runs on
+      ({!Group.process}, {!Group.identify}): [scan_begin] makes it
+      valid for the event, and every group's STEP 1 seeks it to that
+      group's anchors. *)
 
   val scan_create : store -> scan
 
   val scan_begin : scan -> event -> unit
-  (** Start probing for a new event. *)
+  (** Start probing for a new event; called before the event's first
+      group walk. *)
 
   val scan_probe : scan -> t -> (t -> result -> unit) -> unit
   (** [scan_probe s q sink] calls [sink q res] for every result of the
@@ -123,16 +132,22 @@ module type QUERY = sig
     val add : g -> t -> unit
     val remove : g -> t -> unit
     val size : g -> int
+
+    val iter : g -> (t -> unit) -> unit
+    (** Every member, once (for audits). *)
+
     val check_invariants : g -> unit
 
     val process :
-      store -> g -> stab:float -> event -> mark:(t -> bool) -> (t -> result -> unit) -> unit
-    (** Emit every (member query, result) pair the event produces.
-        [mark] is the per-event dedupe: a member is considered
-        affected only when [mark] accepts it. *)
+      scan -> g -> stab:float -> event -> mark:(t -> bool) -> (t -> result -> unit) -> unit
+    (** Emit every (member query, result) pair the event produces,
+        walking from the scan's group finger.  STEP 1 offers each
+        affected member to [mark] exactly once; a member is processed
+        only when [mark] accepts it (the shed predicate and the walk's
+        counters live there). *)
 
     val identify :
-      store -> g -> stab:float -> event -> mark:(t -> bool) -> (t -> unit) -> unit
+      scan -> g -> stab:float -> event -> mark:(t -> bool) -> (t -> unit) -> unit
     (** STEP 1 only: report affected members without enumerating
         results. *)
   end
@@ -227,13 +242,16 @@ module type PROCESSOR = sig
       cross-shard merging. *)
 
   val check_invariants : t -> unit
-  (** @raise Failure on violation. *)
+  (** Audits the tracker, every aux group and the scattered index, and
+      that each query sits in exactly one of them: the aux group of
+      the hotspot the tracker puts it in, or the scattered index.
+      @raise Failure on violation. *)
 
   val set_shed : t -> (int -> bool) option -> unit
   (** Install ([Some]) or clear ([None], the default) a load-shedding
       predicate for degraded (approximate) processing.  During
       {!process_r} the predicate is consulted at most once per (event,
-      candidate qid) — after per-event dedupe — and {e only} for pairs
+      candidate qid) and {e only} for pairs
       that definitely produce at least one result: group
       identification is anchor-exact, and the scattered fallback
       confirms with [scan_hit] before asking.  The consultation set
@@ -265,6 +283,21 @@ module type PROCESSOR = sig
       same walk with [idx = -1].  [ev] must be the event passed at
       position [idx] of that batch.  Results for a given event are
       identical, in identical order, either way. *)
+
+  (** Deliberate corruption, for showing that {!check_invariants}
+      catches a query held in two places.  Each hook keeps every count
+      (aux group sizes, scattered index size) unchanged and returns
+      [false] when the processor lacks what it needs.  {b Test
+      harnesses only.} *)
+  module Testing : sig
+    val plant_in_two_groups : t -> bool
+    (** Replace a member of one aux group with a member of another
+        (needs two hotspots). *)
+
+    val plant_in_group_and_scattered : t -> bool
+    (** Replace a scattered query in the scattered index with an aux
+        group member (needs a hotspot and a scattered query). *)
+  end
 end
 
 module Make (Q : QUERY) : sig

@@ -494,6 +494,18 @@ module Make (K : ORDERED) = struct
 
   let[@cq.hot] finger_iter_le f hi x g = iter_le_from f.fleaf f.fidx hi x g
 
+  (* The mirror loop: slot [i] of [l] and leftwards, while key >= [lo]. *)
+  let[@cq.hot] rec iter_back_ge_from l i lo x g =
+    if i >= 0 then begin
+      if K.compare_at l.lkeys i lo >= 0 then begin
+        g x l.lvals.(i);
+        iter_back_ge_from l (i - 1) lo x g
+      end
+    end
+    else match l.lprev with Some p -> iter_back_ge_from p (p.lcount - 1) lo x g | None -> ()
+
+  let[@cq.hot] finger_iter_back_ge f lo x g = iter_back_ge_from f.fleaf (f.fidx - 1) lo x g
+
   let rec rightmost_leaf = function
     | Leaf l -> l
     | Internal nd -> rightmost_leaf nd.kids.(Array.length nd.kids - 1)

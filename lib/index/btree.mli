@@ -127,6 +127,13 @@ module Make (K : ORDERED) : sig
       not move.  After [finger_seek f lo] this visits exactly what
       [iter_range ~lo ~hi] visits. *)
 
+  val finger_iter_back_ge : 'a finger -> K.t -> 'x -> ('x -> 'a -> unit) -> unit
+  (** [finger_iter_back_ge f lo x g] is the mirror of {!finger_iter_le}:
+      it calls [g x v] for each entry before the finger, in descending
+      order, while its key is >= [lo].  The finger does not move.
+      After [finger_seek f k] this visits exactly what [walk_lt t k]
+      visits while the key is >= [lo]. *)
+
   val iter : 'a t -> (K.t -> 'a -> unit) -> unit
   (** In-order iteration over all entries. *)
 

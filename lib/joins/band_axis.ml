@@ -39,6 +39,7 @@ struct
     ignore (Fbt.remove_first g.by_hi (I.hi (X.axis q)) (fun p -> X.qid p = X.qid q))
 
   let size g = Fbt.length g.by_lo
+  let iter g k = Fbt.iter g.by_lo (fun _ q -> k q)
 
   let check_invariants g =
     Fbt.check_invariants g.by_lo;
@@ -54,42 +55,39 @@ struct
   (* Members in decreasing right-endpoint order. *)
   let iter_hi g k = Fbt.walk_lt g.by_hi infinity (fun _ q -> k q)
 
-  let step1 table (r : Tuple.r) g ~stab ~mark =
+  (* The finger's missing anchors read as NaN: every comparison with
+     NaN is false, so a scan from a missing anchor takes no member and
+     the right scan skips none on its account. *)
+  let step1 f (r : Tuple.r) g ~stab ~mark =
     let b = r.b in
     let key = stab +. b in
-    let sb = Table.s_by_b table in
     let affected = g.scratch in
     Vec.clear affected;
     (* Anchors around the stabbing point offset: s2 = leftmost entry
-       >= key; s1 = rightmost entry < key.  On an exact match the key's
-       duplicates all sit on the forward side, so the two scans never
-       meet. *)
-    let s2 = ref 0.0 and has2 = ref false in
-    Fbt.walk_ge sb key (fun k _ ->
-        s2 := k;
-        has2 := true;
-        false);
-    let exact = !has2 && !s2 = key in
+       >= key (the finger stays on it for STEP 2); s1 = rightmost entry
+       < key.  On an exact match the key's duplicates all sit on the
+       forward side, so the two scans never meet. *)
+    Fbt.finger_seek f key;
+    let s2 = Fbt.finger_key f ~default:nan in
     let consider q = if mark q then Vec.push affected q in
-    if exact then
+    if s2 = key then
       (* The S-tuple at the stabbing point joins with every member. *)
       iter_lo g (fun q ->
           consider q;
           true)
     else begin
-      let s1 = ref 0.0 and has1 = ref false in
-      Fbt.walk_lt sb key (fun k _ ->
-          s1 := k;
-          has1 := true;
-          false);
-      if !has1 then begin
-        let s1_shift = !s1 -. b in
-        iter_lo g (fun q -> if I.lo (X.axis q) <= s1_shift then (consider q; true) else false)
-      end;
-      if !has2 then begin
-        let s2_shift = !s2 -. b in
-        iter_hi g (fun q -> if I.hi (X.axis q) >= s2_shift then (consider q; true) else false)
-      end
+      let s1_shift = Fbt.finger_prev_key f ~default:nan -. b in
+      let s2_shift = s2 -. b in
+      iter_lo g (fun q -> if I.lo (X.axis q) <= s1_shift then (consider q; true) else false);
+      (* A member the left scan took (lo <= s1 - b) reaches both
+         anchors: skip it, so each member is offered once. *)
+      iter_hi g (fun q ->
+          let a = X.axis q in
+          if I.hi a >= s2_shift then begin
+            if not (I.lo a <= s1_shift) then consider q;
+            true
+          end
+          else false)
     end;
     affected
 end

@@ -27,21 +27,29 @@ end) : sig
   val remove : g -> X.q -> unit
   val size : g -> int
 
+  val iter : g -> (X.q -> unit) -> unit
+  (** Every member once, in increasing left-endpoint order. *)
+
   val check_invariants : g -> unit
   (** @raise Failure on violation. *)
 
   val step1 :
-    Cq_relation.Table.s_table ->
+    Cq_relation.Tuple.s Cq_relation.Table.Fbt.finger ->
     Cq_relation.Tuple.r ->
     g ->
     stab:float ->
     mark:(X.q -> bool) ->
     X.q Cq_util.Vec.t
-  (** Affected members (those accepted by [mark]).  The returned vector
-      is the group's own scratch buffer, cleared and refilled on every
-      call: read it before the next [step1] on the same group and do
-      not retain it.  Callers needing the STEP-2 anchors recompute them
-      from [stab +. r.b] with {!Cq_relation.Table.Fbt.walk_lt} /
-      [walk_ge] (rightmost entry below the shifted stabbing point and
-      leftmost at or above it, respectively). *)
+  (** [step1 f r g ~stab ~mark] is STEP 1 for the group: the affected
+      members that [mark] accepts, each offered to [mark] at most once.
+      [f] is a valid finger on the S.B index; [step1] seeks it to the
+      shifted stabbing point [stab +. r.b] and leaves it there, on the
+      anchor s2 (the leftmost entry at or above that point), with the
+      anchor s1 just before it.  STEP 2 walks outward from the finger:
+      {!Cq_relation.Table.Fbt.finger_iter_back_ge} from s1 and
+      [finger_iter_le] from s2.
+
+      The returned vector is the group's own scratch buffer, cleared
+      and refilled on every call: read it before the next [step1] on
+      the same group and do not retain it. *)
 end

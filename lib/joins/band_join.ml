@@ -255,26 +255,20 @@ module G = Band_axis.Make (struct
   let axis (q : Band_query.t) = q.range
 end)
 
-let process_group table g ~stab (r : Tuple.r) ~mark (sink : sink) =
-  let affected = G.step1 table r g ~stab ~mark in
+(* STEP 2 from the finger STEP 1 left on the anchor s2: for each
+   affected query, walk S.B back from s1 while the key reaches the
+   instantiated window's lower end, then forward from s2 up to its
+   upper end.  The window ends are read as fields of the private
+   record (a call to [I.lo] would box), and neither walk allocates per
+   emitted result. *)
+let process_group f g ~stab (r : Tuple.r) ~mark (sink : sink) =
+  let affected = G.step1 f r g ~stab ~mark in
   let b = r.b in
-  let key = stab +. b in
-  let sb = Table.s_by_b table in
-  (* STEP 2: for each affected query, walk the leaves outward from the
-     anchors (rightmost entry below the shifted stabbing point, then
-     leftmost at or above it), emitting until the instantiated window
-     ends.  Leaf walks rather than cursor chains: no allocation per
-     emitted result. *)
-  Vec.iter
-    (fun (q : Band_query.t) ->
-      let lo_b = I.lo q.range +. b and hi_b = I.hi q.range +. b in
-      Fbt.walk_lt sb key (fun k s -> if k >= lo_b then (sink q s; true) else false);
-      Fbt.walk_ge sb key (fun k s -> if k <= hi_b then (sink q s; true) else false))
-    affected
-
-let identify_group table g ~stab r ~mark report =
-  let affected = G.step1 table r g ~stab ~mark in
-  Vec.iter report affected
+  for i = 0 to Vec.length affected - 1 do
+    let q : Band_query.t = Vec.get affected i in
+    Fbt.finger_iter_back_ge f (q.range.I.lo +. b) q sink;
+    Fbt.finger_iter_le f (q.range.I.hi +. b) q sink
+  done
 
 module Core_query = struct
   type t = Band_query.t
@@ -299,19 +293,23 @@ module Core_query = struct
      (+inf at the end) and the key before it (-inf at the start), so a
      window whose shifted [lo] lies in (before, at] — most of them,
      since the windows outnumber the S rows they span — needs two
-     float compares and no seek. *)
+     float compares and no seek.  [group] is the second finger, which
+     each group's STEP 1 seeks to its anchors. *)
   type scan = {
     finger : Tuple.s Fbt.finger;
     cells : float array;
+    group : Tuple.s Fbt.finger;
   }
 
   let scan_create table =
-    { finger = Fbt.finger (Table.s_by_b table); cells = [| 0.0; neg_infinity; infinity |] }
+    let sb = Table.s_by_b table in
+    { finger = Fbt.finger sb; cells = [| 0.0; neg_infinity; infinity |]; group = Fbt.finger sb }
 
   (* An empty (before, at] makes the event's first window seek, so an
      event with no scattered window reads no key (and boxes none). *)
   let[@cq.hot] scan_begin s (r : Tuple.r) =
     Fbt.finger_reset s.finger;
+    Fbt.finger_reset s.group;
     s.cells.(0) <- r.b;
     s.cells.(1) <- neg_infinity;
     s.cells.(2) <- infinity
@@ -344,9 +342,10 @@ module Core_query = struct
     let add = G.add
     let remove = G.remove
     let size = G.size
+    let iter = G.iter
     let check_invariants = G.check_invariants
-    let process store g ~stab ev ~mark sink = process_group store g ~stab ev ~mark sink
-    let identify store g ~stab ev ~mark report = identify_group store g ~stab ev ~mark report
+    let process s g ~stab ev ~mark sink = process_group s.group g ~stab ev ~mark sink
+    let identify s g ~stab ev ~mark report = Vec.iter report (G.step1 s.group ev g ~stab ~mark)
   end
 end
 
@@ -368,14 +367,15 @@ module Ssi_dynamic = struct
   }
 
   type t = {
-    table : Table.s_table;
     part : P.t;
     (* Per-group sequences, rebuilt lazily after the group changes.
        Updates touch at most one group (Theorem 2), so invalidation is
        surgical; reconstructions retire every group id at once. *)
     cache : (int, aux) Hashtbl.t;
     mutable last_recon : int;
-    dedupe : Dedupe.t;
+    (* The groups of a partition are disjoint, so the walk needs no
+       dedupe; [scan] carries the group finger. *)
+    scan : Core_query.scan;
   }
 
   let name = "BJ-SSI(dyn)"
@@ -391,11 +391,10 @@ module Ssi_dynamic = struct
     let part = P.create ~epsilon ~seed:0xb57 () in
     Array.iter (fun q -> P.insert part q) queries;
     {
-      table;
       part;
       cache = Hashtbl.create 64;
       last_recon = P.reconstructions part;
-      dedupe = Dedupe.create ();
+      scan = Core_query.scan_create table;
     }
 
   let create table queries = create_eps ~epsilon:3.0 table queries
@@ -415,21 +414,21 @@ module Ssi_dynamic = struct
         Hashtbl.replace t.cache gid a;
         a
 
+  let mark (_ : Band_query.t) = true
+
   let process_r t r sink =
     sync t;
-    Dedupe.fresh t.dedupe;
-    let mark (q : Band_query.t) = Dedupe.mark t.dedupe q.qid in
+    Core_query.scan_begin t.scan r;
     P.iter_group_sizes t.part (fun gid _size ->
         let a = aux_of t gid in
-        process_group t.table a.g ~stab:a.stab r ~mark sink)
+        Core_query.Group.process t.scan a.g ~stab:a.stab r ~mark sink)
 
   let affected t r report =
     sync t;
-    Dedupe.fresh t.dedupe;
-    let mark (q : Band_query.t) = Dedupe.mark t.dedupe q.qid in
+    Core_query.scan_begin t.scan r;
     P.iter_group_sizes t.part (fun gid _size ->
         let a = aux_of t gid in
-        identify_group t.table a.g ~stab:a.stab r ~mark report)
+        Core_query.Group.identify t.scan a.g ~stab:a.stab r ~mark report)
 
   let insert_query t q =
     P.insert t.part q;
@@ -447,7 +446,6 @@ module Ssi_dynamic = struct
         ignore (P.delete t.part q);
         sync t;
         Hashtbl.remove t.cache gid;
-        Dedupe.forget t.dedupe q.Band_query.qid;
         true
 
   let query_count t = P.size t.part

@@ -133,14 +133,20 @@ module Core_query = struct
   let scatter_point (r : Tuple.r) = Some r.a
 
   (* Candidates are already pruned by the rangeA stab, so each one is
-     probed on its own: the scan only remembers the event. *)
+     probed on its own: the scan remembers the event, plus the finger
+     on S.B each group's STEP 1 seeks to its anchors. *)
   type scan = {
     table : Table.s_table;
     mutable ev : Tuple.r;
+    group : Tuple.s Fbt.finger;
   }
 
-  let scan_create table = { table; ev = { rid = -1; a = 0.0; b = 0.0 } }
-  let scan_begin s r = s.ev <- r
+  let scan_create table =
+    { table; ev = { rid = -1; a = 0.0; b = 0.0 }; group = Fbt.finger (Table.s_by_b table) }
+
+  let scan_begin s r =
+    s.ev <- r;
+    Fbt.finger_reset s.group
 
   let scan_probe s q sink =
     ignore (probe_query s.table q ~b:s.ev.b ~stop_after_first:false sink)
@@ -154,23 +160,26 @@ module Core_query = struct
     let add = G.add
     let remove = G.remove
     let size = G.size
+    let iter = G.iter
     let check_invariants = G.check_invariants
 
-    let candidates table g ~stab (r : Tuple.r) ~mark =
+    (* STEP 1 on the group finger; STEP 2 keeps the per-candidate
+       ascending window scan, which the C filter needs anyway. *)
+    let candidates s g ~stab (r : Tuple.r) ~mark =
       let mark' (q : CQ.t) = I.stabs q.range_a r.a && mark q in
-      G.step1 table r g ~stab ~mark:mark'
+      G.step1 s.group r g ~stab ~mark:mark'
 
-    let process table g ~stab (r : Tuple.r) ~mark sink =
+    let process s g ~stab (r : Tuple.r) ~mark sink =
       Vec.iter
         (fun (q : CQ.t) ->
-          ignore (probe_query table q ~b:r.b ~stop_after_first:false (fun q s -> sink q s)))
-        (candidates table g ~stab r ~mark)
+          ignore (probe_query s.table q ~b:r.b ~stop_after_first:false (fun q s -> sink q s)))
+        (candidates s g ~stab r ~mark)
 
-    let identify table g ~stab (r : Tuple.r) ~mark report =
+    let identify s g ~stab (r : Tuple.r) ~mark report =
       Vec.iter
         (fun (q : CQ.t) ->
-          if probe_query table q ~b:r.b ~stop_after_first:true (fun _ _ -> ()) then report q)
-        (candidates table g ~stab r ~mark)
+          if probe_query s.table q ~b:r.b ~stop_after_first:true (fun _ _ -> ()) then report q)
+        (candidates s g ~stab r ~mark)
   end
 end
 

@@ -199,59 +199,46 @@ type group = {
   scratch : Select_query.t Vec.t;
 }
 
+(* A missing anchor: its B never equals an event's. *)
+let absent = (nan, nan)
+
 (* STEP 1 for one stabbing group (on the rangeC projections) with
    stabbing point [stab]: find the affected queries.  The anchors are
    the joining S-tuples whose C values surround the stabbing point —
    the rightmost entry < (b, stab) and the leftmost >= (b, stab), each
-   usable only while it stays within the event's B value. *)
-let group_step1 table (r : Tuple.r) ~stab ~g ~mark =
+   usable only while it stays within the event's B value.  One seek of
+   the finger [f] finds both, and leaves [f] on the second for
+   STEP 2. *)
+let group_step1 f (r : Tuple.r) ~stab ~g ~mark =
   let b = r.b in
-  let bc = Table.s_by_bc table in
-  let key = (b, stab) in
   let affected = g.scratch in
   Vec.clear affected;
+  Pbt.finger_seek f (b, stab);
+  let b1, q1 = Pbt.finger_prev_key f ~default:absent in
+  let b2, q2 = Pbt.finger_key f ~default:absent in
   (* The two join result points closest to (stab, r.a) probe the
-     group's rectangle index. *)
-  let q1 = ref 0.0 and has1 = ref false in
-  Pbt.walk_lt bc key (fun k _ ->
-      if fst k = b then begin
-        q1 := snd k;
-        has1 := true
-      end;
-      false);
-  if !has1 then Rtree.stab g.rtree ~x:!q1 ~y:r.a (fun _ q -> if mark q then Vec.push affected q);
-  let q2 = ref 0.0 and has2 = ref false in
-  Pbt.walk_ge bc key (fun k _ ->
-      if fst k = b then begin
-        q2 := snd k;
-        has2 := true
-      end;
-      false);
-  if !has2 then Rtree.stab g.rtree ~x:!q2 ~y:r.a (fun _ q -> if mark q then Vec.push affected q);
+     group's rectangle index.  A rectangle the first probe found holds
+     q1 in its rangeC: the second probe skips it, so each member is
+     offered once. *)
+  let has1 = b1 = b in
+  if has1 then Rtree.stab g.rtree ~x:q1 ~y:r.a (fun _ q -> if mark q then Vec.push affected q);
+  if b2 = b then
+    Rtree.stab g.rtree ~x:q2 ~y:r.a (fun _ (q : Select_query.t) ->
+        if not (has1 && I.stabs q.range_c q1) && mark q then Vec.push affected q);
   affected
 
-let process_group table g ~stab (r : Tuple.r) ~mark (sink : sink) =
+(* STEP 2: each affected rectangle covers a consecutive C-run of join
+   result points including an anchor; walk back from the first anchor
+   and forward from the second, both from the finger STEP 1 left.  No
+   allocation per emitted result. *)
+let process_group f g ~stab (r : Tuple.r) ~mark (sink : sink) =
   let b = r.b in
-  let bc = Table.s_by_bc table in
-  let key = (b, stab) in
-  let affected = group_step1 table r ~stab ~g ~mark in
-  (* STEP 2: each affected rectangle covers a consecutive C-run of
-     join result points including an anchor; walk the leaves outward.
-     No allocation per emitted result. *)
-  Vec.iter
-    (fun (q : Select_query.t) ->
-      let lo_c = I.lo q.range_c and hi_c = I.hi q.range_c in
-      Pbt.walk_lt bc key (fun k s ->
-          let kb, kc = k in
-          if kb = b && kc >= lo_c then (sink q s; true) else false);
-      Pbt.walk_ge bc key (fun k s ->
-          let kb, kc = k in
-          if kb = b && kc <= hi_c then (sink q s; true) else false))
-    affected
-
-let identify_group table g ~stab r ~mark report =
-  let affected = group_step1 table r ~stab ~g ~mark in
-  Vec.iter report affected
+  let affected = group_step1 f r ~stab ~g ~mark in
+  for i = 0 to Vec.length affected - 1 do
+    let q : Select_query.t = Vec.get affected i in
+    Pbt.finger_iter_back_ge f (b, I.lo q.range_c) q sink;
+    Pbt.finger_iter_le f (b, I.hi q.range_c) q sink
+  done
 
 module Core_query = struct
   type t = Select_query.t
@@ -271,14 +258,20 @@ module Core_query = struct
   let scatter_point (r : Tuple.r) = Some r.a
 
   (* Candidates are already pruned by the rangeA stab, so each one is
-     probed on its own: the scan only remembers the event. *)
+     probed on its own: the scan remembers the event, plus the finger
+     on S(B,C) each group's STEP 1 seeks to its anchors. *)
   type scan = {
     table : Table.s_table;
     mutable ev : Tuple.r;
+    group : Tuple.s Pbt.finger;
   }
 
-  let scan_create table = { table; ev = { rid = -1; a = 0.0; b = 0.0 } }
-  let scan_begin s r = s.ev <- r
+  let scan_create table =
+    { table; ev = { rid = -1; a = 0.0; b = 0.0 }; group = Pbt.finger (Table.s_by_bc table) }
+
+  let scan_begin s r =
+    s.ev <- r;
+    Pbt.finger_reset s.group
 
   let scan_probe s (q : Select_query.t) sink =
     let b = s.ev.b in
@@ -305,9 +298,12 @@ module Core_query = struct
       ignore (Rtree.remove g.rtree (Select_query.rect q) (fun p -> p.Select_query.qid = q.qid))
 
     let size g = Rtree.size g.rtree
+    let iter g k = Rtree.iter g.rtree (fun _ q -> k q)
     let check_invariants g = Rtree.check_invariants g.rtree
-    let process store g ~stab ev ~mark sink = process_group store g ~stab ev ~mark sink
-    let identify store g ~stab ev ~mark report = identify_group store g ~stab ev ~mark report
+    let process s g ~stab ev ~mark sink = process_group s.group g ~stab ev ~mark sink
+
+    let identify s g ~stab ev ~mark report =
+      Vec.iter report (group_step1 s.group ev ~stab ~g ~mark)
   end
 end
 

@@ -218,6 +218,38 @@ let prop_btree_finger =
       Fbt.finger_reset f;
       rising && List.for_all check targets)
 
+(* The backward walk from a finger is [walk_lt] from the same key cut
+   at [lo].  Targets on the key grid land on runs of duplicates (which
+   straddle leaves at order 2), targets past the top leave the finger
+   at the end, and an all-deleted op list leaves the tree empty; [lo]
+   ranges from below every key to above the target. *)
+let prop_btree_finger_back =
+  QCheck2.Test.make ~name:"btree: finger_iter_back_ge matches walk_lt" ~count:300
+    QCheck2.Gen.(
+      quad (oneofl [ 2; 16 ]) ops_gen
+        (list_size (int_range 1 40) target_gen)
+        (map (fun i -> float_of_int i -. 1.0) (int_bound 8)))
+    (fun (order, ops, targets, depth) ->
+      let t = fbt_of_ops ~order ops in
+      let f = Fbt.finger t in
+      List.for_all
+        (fun k ->
+          Fbt.finger_seek f k;
+          List.for_all
+            (fun lo ->
+              let walked = ref [] in
+              Fbt.finger_iter_back_ge f lo () (fun () v -> walked := v :: !walked);
+              let expected = ref [] in
+              Fbt.walk_lt t k (fun k' v ->
+                  k' >= lo
+                  && begin
+                       expected := v :: !expected;
+                       true
+                     end);
+              !walked = !expected)
+            [ k -. depth; neg_infinity ])
+        targets)
+
 let test_btree_finger_empty () =
   let t = Fbt.create ~order:2 () in
   let f = Fbt.finger t in
@@ -228,7 +260,8 @@ let test_btree_finger_empty () =
       Alcotest.(check (float 0.0))
         "nothing before" neg_infinity
         (Fbt.finger_prev_key f ~default:neg_infinity);
-      Fbt.finger_iter_le f infinity () (fun () _ -> Alcotest.fail "visited an entry"))
+      Fbt.finger_iter_le f infinity () (fun () _ -> Alcotest.fail "visited an entry");
+      Fbt.finger_iter_back_ge f neg_infinity () (fun () _ -> Alcotest.fail "visited an entry"))
     [ 1.0; neg_infinity; infinity; 0.0 ]
 
 let test_btree_walk_early_stop () =
@@ -655,6 +688,7 @@ let () =
           qc prop_btree_cursor_walk;
           qc prop_btree_walks;
           qc prop_btree_finger;
+          qc prop_btree_finger_back;
           Alcotest.test_case "walk early stop" `Quick test_btree_walk_early_stop;
           Alcotest.test_case "neighbours" `Quick test_btree_neighbours;
           Alcotest.test_case "duplicates" `Quick test_btree_find_all_duplicates;

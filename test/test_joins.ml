@@ -627,8 +627,8 @@ let prop_band_processors_churn =
             P.process_r st r (fun q s -> acc := (q.BQ.qid, s.Tuple.sid) :: !acc);
             List.sort compare !acc = BJ.reference table queries r
           in
-          (* Events before the deletes leave the dropped queries marked
-             in the per-event dedupe, which must forget them. *)
+          (* The dropped queries are processed before the deletes, so
+             the deletes run on processors with per-event state. *)
           List.for_all
             (fun r -> matches all r || QCheck2.Test.fail_reportf "%s diverges before churn" P.name)
             events
@@ -712,6 +712,57 @@ let prop_band_scattered_sweep =
                (List.rev !kept = List.filter (fun (qid, _) -> qid mod 2 = 0) want))
         (make_r_events events))
 
+(* One group {q0, q1, q2} whose rangeC / band windows meet in [5, 6],
+   so its stabbing point is 6.  Around it the anchors are s1 = 4 and
+   s2 = 8: q1 reaches only s1, q2 only s2, and q0 both, so STEP 1 finds
+   q0 from both anchors.  Every (q, s) pair must still arrive exactly
+   once, and [affected] must report q0 once. *)
+let both_anchor_ranges = [| I.make 0.0 10.0; I.make 2.0 6.0; I.make 5.0 9.0 |]
+
+let check_once name ~want ~emitted ~affected =
+  Alcotest.(check (list (pair int int))) (name ^ " pairs") want (List.sort compare emitted);
+  Alcotest.(check int) (name ^ " pairs delivered once") (List.length want) (List.length emitted);
+  Alcotest.(check (list int)) (name ^ " affected once") [ 0; 1; 2 ] (List.sort compare affected)
+
+let test_band_both_anchors () =
+  (* S.B keys 4 and 8 inside q0's window, -20 and 20 outside. *)
+  let table, _ = make_s_table [ (4.0, 0.0); (8.0, 0.0); (-20.0, 0.0); (20.0, 0.0) ] in
+  let queries = BQ.of_ranges both_anchor_ranges in
+  let r = { Tuple.rid = 0; a = 0.0; b = 0.0 } in
+  let want = BJ.reference table queries r in
+  Alcotest.(check (list (pair int int))) "q0 joins both anchors" [ (0, 0); (0, 1); (1, 0); (2, 1) ]
+    want;
+  let hot = BJ.Hotspot.create_alpha ~alpha:0.5 ~seed:42 table queries in
+  Alcotest.(check (float 0.0)) "one hotspot holds every window" 1.0 (BJ.Hotspot.coverage hot);
+  List.iter
+    (fun (module S : BJ.STRATEGY) ->
+      let st = S.create table queries in
+      let emitted = ref [] and affected = ref [] in
+      S.process_r st r (fun q s -> emitted := (q.BQ.qid, s.Tuple.sid) :: !emitted);
+      S.affected st r (fun q -> affected := q.BQ.qid :: !affected);
+      check_once S.name ~want ~emitted:!emitted ~affected:!affected)
+    [ (module Hot (BJ.Hotspot)); (module BJ.Ssi); (module BJ.Ssi_dynamic) ]
+
+let test_select_both_anchors () =
+  (* Joining C values 4 and 8 at B = 1; the rows at B = 0 and 2 sit on
+     either side of the event's run in S(B,C). *)
+  let table, _ = make_s_table [ (1.0, 4.0); (1.0, 8.0); (0.0, 5.0); (2.0, 6.0) ] in
+  let queries = SQ.of_ranges (Array.map (fun c -> (I.make 0.0 10.0, c)) both_anchor_ranges) in
+  let r = { Tuple.rid = 0; a = 5.0; b = 1.0 } in
+  let want = SJ.reference table queries r in
+  Alcotest.(check (list (pair int int))) "q0 joins both anchors" [ (0, 0); (0, 1); (1, 0); (2, 1) ]
+    want;
+  let hot = SJ.Hotspot.create_alpha ~alpha:0.5 ~seed:42 table queries in
+  Alcotest.(check (float 0.0)) "one hotspot holds every rectangle" 1.0 (SJ.Hotspot.coverage hot);
+  List.iter
+    (fun (module S : SJ.STRATEGY) ->
+      let st = S.create table queries in
+      let emitted = ref [] and affected = ref [] in
+      S.process_r st r (fun q s -> emitted := (q.SQ.qid, s.Tuple.sid) :: !emitted);
+      S.affected st r (fun q -> affected := q.SQ.qid :: !affected);
+      check_once S.name ~want ~emitted:!emitted ~affected:!affected)
+    select_processors
+
 (* ---------------------------------------------------------------------- *)
 
 let qc = QCheck_alcotest.to_alcotest
@@ -757,5 +808,9 @@ let () =
           qc prop_composite_processors_match;
           qc prop_band_processors_churn;
           qc prop_band_scattered_sweep;
+          Alcotest.test_case "band window reached from both anchors" `Quick
+            test_band_both_anchors;
+          Alcotest.test_case "select rectangle reached from both anchors" `Quick
+            test_select_both_anchors;
         ] );
     ]

@@ -259,6 +259,30 @@ let corruption_caught corrupt what () =
   | Ok () -> Alcotest.failf "%s went undetected" what
   | Error vs -> Alcotest.(check bool) "non-empty violation report" true (vs <> [])
 
+(* The hotspot walk offers each candidate once only because every query
+   sits in one place: one aux group, or the scattered index.  Two
+   clusters of five windows form two hotspots at α = 0.3 and one far
+   window stays scattered; each hook plants a query in a second place
+   with every count unchanged, and the processor's audit must see it. *)
+module BJ = Cq_joins.Band_join
+
+let planted_duplicate_caught plant what () =
+  let table = Cq_relation.Table.of_s_tuples [| { Cq_relation.Tuple.sid = 0; b = 0.5; c = 0.0 } |] in
+  let windows =
+    List.init 5 (fun i -> I.make (float_of_int i *. 0.1) 1.0)
+    @ List.init 5 (fun i -> I.make (50.0 +. (float_of_int i *. 0.1)) 51.0)
+    @ [ I.make 100.0 101.0 ]
+  in
+  let st =
+    BJ.Hotspot.create_alpha ~alpha:0.3 ~seed:1 table (Cq_joins.Band_query.of_ranges (Array.of_list windows))
+  in
+  Alcotest.(check int) "two hotspots" 2 (BJ.Hotspot.num_hotspots st);
+  BJ.Hotspot.check_invariants st;
+  Alcotest.(check bool) "duplicate planted" true (plant st);
+  match BJ.Hotspot.check_invariants st with
+  | () -> Alcotest.failf "%s went undetected" what
+  | exception Err.Cq_error (Err.Corrupt _) -> ()
+
 let test_merge_reports () =
   let v = { Invariant.structure = "x"; check = "c"; detail = "d" } in
   (match Invariant.merge [ Ok (); Ok () ] with
@@ -377,6 +401,12 @@ let () =
             (corruption_caught Tracker.Testing.corrupt_isect "corrupted group intersection");
           Alcotest.test_case "size caught" `Quick
             (corruption_caught Tracker.Testing.corrupt_size "stale cached group size");
+          Alcotest.test_case "query in two aux groups caught" `Quick
+            (planted_duplicate_caught BJ.Hotspot.Testing.plant_in_two_groups
+               "a query in two aux groups");
+          Alcotest.test_case "query in an aux group and the scattered index caught" `Quick
+            (planted_duplicate_caught BJ.Hotspot.Testing.plant_in_group_and_scattered
+               "a query in an aux group and the scattered index");
           Alcotest.test_case "merge keeps violations" `Quick test_merge_reports;
         ] );
       ( "validation",
