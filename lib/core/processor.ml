@@ -27,6 +27,18 @@ module Dedupe = struct
   let forget d qid = Hashtbl.remove d.seen qid
 end
 
+type ('scan, 'q, 'event, 'result) scattered =
+  | Stab of {
+      point : 'event -> float;
+      probe : 'scan -> 'q -> ('q -> 'result -> unit) -> unit;
+      hit : 'scan -> 'q -> bool;
+    }
+  | Sweep of {
+      cells : 'scan -> float array;
+      seek : 'scan -> unit -> unit;
+      emit : 'scan -> 'q -> ('q -> 'result -> unit) -> unit;
+    }
+
 module type QUERY = sig
   type t
   type event
@@ -38,13 +50,11 @@ module type QUERY = sig
   val compare : t -> t -> int
   val interval : t -> I.t
   val scatter_interval : t -> I.t
-  val scatter_point : event -> float option
   type scan
 
   val scan_create : store -> scan
   val scan_begin : scan -> event -> unit
-  val scan_probe : scan -> t -> (t -> result -> unit) -> unit
-  val scan_hit : scan -> t -> bool
+  val scattered : (scan, t, event, result) scattered
 
   module Group : sig
     type g
@@ -258,17 +268,22 @@ module Make (Q : QUERY) = struct
     let name = Q.label ^ "-Hotspot"
 
     (* Hotspot and scattered sets are disjoint, so a scattered
-       candidate is offered once; under shedding it is confirmed with
-       [scan_hit] before the predicate is asked. *)
-    let[@cq.hot] visit_scattered t q =
-      let w = t.w in
+       candidate is offered once.  A stabbed candidate is counted here
+       and, under shedding, confirmed with [hit] before the predicate
+       is asked; the sweep counts its windows in one step ([walk]) and
+       calls back only on hits, so its predicate sees hits alone. *)
+    let[@cq.hot] visit_stabbed probe hit w q =
       w.cands <- w.cands + 1;
       match w.shed with
       | None ->
           w.accepted <- w.accepted + 1;
-          Q.scan_probe w.scan q w.sink
-      | Some pred ->
-          if Q.scan_hit w.scan q && pred (Q.qid q) && accept w then Q.scan_probe w.scan q w.sink
+          probe w.scan q w.sink
+      | Some pred -> if hit w.scan q && pred (Q.qid q) && accept w then probe w.scan q w.sink
+
+    let[@cq.hot] visit_swept emit w q =
+      match w.shed with
+      | None -> emit w.scan q w.sink
+      | Some pred -> if pred (Q.qid q) && accept w then emit w.scan q w.sink
 
     let create_alpha ~alpha ?epsilon ?seed store queries =
       let hot = Hashtbl.create 16 in
@@ -302,41 +317,47 @@ module Make (Q : QUERY) = struct
         }
       in
       t.c_group <- (fun gid g -> t.w.visit ~stab:(Tracker.hotspot_stab t.tracker gid) g);
-      t.c_scat <- (fun q -> visit_scattered t q);
+      (t.c_scat <-
+         match Q.scattered with
+         | Stab { probe; hit; _ } -> fun q -> visit_stabbed probe hit t.w q
+         | Sweep { emit; _ } -> fun q -> visit_swept emit t.w q);
       t.c_stage <- (fun ~idx q -> Vec.push (Vec.get t.stage_cand idx) q);
       t
 
     let create store queries = create_alpha ~alpha:0.001 store queries
 
-    (* Scattered queries are served individually; when the event
-       projects to a point on the scatter axis the interval tree prunes the
-       candidates with a stabbing query, otherwise every scattered
-       query is probed (band windows shift with the event, so no fixed
-       stabbing point exists). *)
-    let[@cq.hot] iter_scattered t ev f =
-      match Q.scatter_point ev with
-      | Some x -> B.stab t.scattered x f
-      | None -> B.iter t.scattered f
-
     (* The one event body (Section 3.1's two-step walk): every hotspot
-       group, then the scattered candidates — those staged for event
-       [idx] when the last [stage_batch] covered it, else a live stab
-       of the scattered index. *)
+       group, then the scattered queries.  A class with a scatter point
+       visits the candidates staged for event [idx] when the last
+       [stage_batch] covered it, else those of a live stab; a band
+       event has no fixed point (its windows shift with r.b), so one
+       pruned sweep of the scattered index against the scan's finger
+       reports the windows that hit.  Every scattered window counts as
+       offered, as when each was probed, so the fanout and accepted
+       samples keep their meaning. *)
     let[@cq.hot] walk t ~idx ev sink =
-      begin_event t.w ev sink;
+      let w = t.w in
+      begin_event w ev sink;
       Hashtbl.iter t.c_group t.hot;
-      if 0 <= idx && idx < t.staged_n then Vec.iter t.c_scat (Vec.get t.stage_cand idx)
-      else iter_scattered t ev t.c_scat;
-      end_event t.w
+      (match Q.scattered with
+      | Stab { point; _ } ->
+          if 0 <= idx && idx < t.staged_n then Vec.iter t.c_scat (Vec.get t.stage_cand idx)
+          else B.stab t.scattered (point ev) t.c_scat
+      | Sweep { cells; seek; _ } ->
+          let n = B.size t.scattered in
+          w.cands <- w.cands + n;
+          (match w.shed with None -> w.accepted <- w.accepted + n | Some _ -> ());
+          B.sweep t.scattered ~cells:(cells w.scan) ~seek:(seek w.scan) t.c_scat);
+      end_event w
 
     let process_r t ev sink = walk t ~idx:(-1) ev sink
     let process_staged = walk
 
     (* Stage the scattered-index candidates for a whole batch with one
-       batched descent.  Only possible when every event projects to a
-       point on the scatter axis; band-style queries (no fixed stabbing
-       point) keep the per-event stab, and so does a single row, whose
-       live stab yields the same candidates in the same order.  The
+       batched descent.  Only possible when the events project to a
+       point on the scatter axis; band events (no fixed stabbing point)
+       sweep instead, and a single row keeps the live stab, which
+       yields the same candidates in the same order.  The
        staged buckets stay valid for the rest of the batch because
        event processing never moves queries between the hotspot and
        scattered partitions — only query churn does, and that
@@ -344,26 +365,21 @@ module Make (Q : QUERY) = struct
     let[@cq.hot] stage_batch t evs n =
       t.staged_n <- -1;
       if n >= 2 && B.size t.scattered > 0 then begin
-        match Q.scatter_point evs.(0) with
-        | None -> ()
-        | Some _ ->
+        match Q.scattered with
+        | Sweep _ -> ()
+        | Stab { point; _ } ->
             if Array.length t.stage_keys <> n then t.stage_keys <- Array.make n 0.0;
-            let ok = ref true in
             for i = 0 to n - 1 do
-              match Q.scatter_point evs.(i) with
-              | Some x -> t.stage_keys.(i) <- x
-              | None -> ok := false
+              t.stage_keys.(i) <- point evs.(i)
             done;
-            if !ok then begin
-              while Vec.length t.stage_cand < n do
-                Vec.push t.stage_cand (Vec.create ())
-              done;
-              for i = 0 to n - 1 do
-                Vec.clear (Vec.get t.stage_cand i)
-              done;
-              B.stab_batch t.scattered ~keys:t.stage_keys ~f:t.c_stage;
-              t.staged_n <- n
-            end
+            while Vec.length t.stage_cand < n do
+              Vec.push t.stage_cand (Vec.create ())
+            done;
+            for i = 0 to n - 1 do
+              Vec.clear (Vec.get t.stage_cand i)
+            done;
+            B.stab_batch t.scattered ~keys:t.stage_keys ~f:t.c_stage;
+            t.staged_n <- n
       end
 
     let affected t ev report =
@@ -374,7 +390,9 @@ module Make (Q : QUERY) = struct
           let stab = Tracker.hotspot_stab t.tracker gid in
           Q.Group.identify scan g ~stab ev ~mark:accept_all report)
         t.hot;
-      iter_scattered t ev (fun q -> if Q.scan_hit scan q then report q)
+      match Q.scattered with
+      | Stab { point; hit; _ } -> B.stab t.scattered (point ev) (fun q -> if hit scan q then report q)
+      | Sweep { cells; seek; _ } -> B.sweep t.scattered ~cells:(cells scan) ~seek:(seek scan) report
 
     let set_shed t pred = t.w.shed <- pred
 

@@ -20,14 +20,15 @@
     treap-based priority search tree winning nothing beyond noise.
 
     Per event, the two-step walk costs O(h log m + k) over the hotspot
-    groups (h ≤ 2/α of them, Theorems 3 and 4) plus a per-query probe
-    of each scattered query; query insert/delete is O(log n) amortised
-    through the tracker and partition maintainers.  The
-    scattered probes of one event share a [QUERY.scan]: a band join
-    sweeps them through S.B with one forward finger, at
-    O(|scattered| + k) plus an O(log n) seek only where a window's
-    shifted lower end passes the finger by more than a leaf, instead
-    of the paper's O(|scattered| log n).
+    groups (h ≤ 2/α of them, Theorems 3 and 4) plus the scattered
+    walk; query insert/delete is O(log n) amortised through the
+    tracker and partition maintainers.  A select or composite event
+    stabs the scattered index at its rangeA point and probes each
+    candidate.  A band event sweeps the scattered windows once,
+    against one forward finger through S.B: O(v + k) for the v ≤
+    |scattered| index nodes its maxhi pruning leaves, plus a seek only
+    where a window's shifted lower end passes the finger, instead of
+    the paper's O(|scattered| log n).
 
     The walk needs no per-event dedupe: the groups are pairwise
     disjoint and disjoint from the scattered set (the hotspot
@@ -53,6 +54,42 @@ module Dedupe : sig
       calls it, so the table never outgrows the registered queries
       under subscribe/unsubscribe churn. *)
 end
+
+(** How a query class finds the results of its scattered queries for
+    one event: the two ways Section 3.1's per-query processing of the
+    scattered remainder is run here.  Each class implements one of
+    them, never the other's hooks. *)
+type ('scan, 'q, 'event, 'result) scattered =
+  | Stab of {
+      point : 'event -> float;
+          (** Where the event stabs the scatter axis: the scattered
+              index is stabbed there and only the candidates it
+              reports are probed (select and composite joins prune on
+              rangeA). *)
+      probe : 'scan -> 'q -> ('q -> 'result -> unit) -> unit;
+          (** [probe s q sink] calls [sink q res] for every result of
+              the candidate [q] on the current event. *)
+      hit : 'scan -> 'q -> bool;  (** Whether [probe] would emit a result. *)
+    }
+  | Sweep of {
+      cells : 'scan -> float array;
+          (** The scan's [\[| shift; at; before; key |\]] cells, reset
+              by [scan_begin] to the event's shift and an empty
+              (before, at]. *)
+      seek : 'scan -> unit -> unit;
+          (** The scan's preallocated seek closure (returned, not
+              built): it moves the scan's finger to the first store
+              key at or above [cells.(3)] and writes [at] and [before]. *)
+      emit : 'scan -> 'q -> ('q -> 'result -> unit) -> unit;
+          (** [emit s q sink] emits the results of a window the sweep
+              just reported as a hit, walking from the finger. *)
+    }
+      (** The event has no fixed point on the scatter axis (band
+          windows shift with r.b), so the scattered index is swept
+          once against the store: {!Cq_index.Flat_interval_tree.sweep}
+          walks the windows in order, skips every subtree whose
+          windows all end before the finger, and calls back only for
+          the windows that reach a store key. *)
 
 (** What a join application must provide: its query geometry and its
     per-group structure. *)
@@ -83,25 +120,20 @@ module type QUERY = sig
       may differ from {!interval} (SJ scatters on rangeA but
       partitions on rangeC). *)
 
-  val scatter_point : event -> float option
-  (** Where the event stabs the scatter axis; [None] when the scatter
-      windows shift with the event (band joins), in which case every
-      scattered query is probed. *)
-
   type scan
-  (** Per-processor state for probing the scattered queries of one
-      event, one query at a time (the traditional per-query
-      processing).  It is created once with the processor and begun
-      once per event, so a probe builds no closure.
+  (** Per-processor state for one event's walk over the store.  It is
+      created once with the processor and begun once per event, so
+      neither the scattered walk nor a group walk builds a closure.
 
-      Contract: after {!scan_begin}, the candidates reach {!scan_probe}
-      and {!scan_hit} in the scattered index's in-order sequence
-      (ascending [scatter_interval] lower end), possibly a sub-sequence
-      of it and possibly with a query offered to [scan_hit] and then
-      to [scan_probe].  The store is not mutated between [scan_begin]
-      and the event's last probe; the engine's non-reentrancy rule
-      guarantees this.  A band join uses both facts to sweep one
-      forward finger through S.B for the whole event.
+      Contract: after {!scan_begin}, the scattered queries reach the
+      {!scattered} hooks in the scattered index's in-order sequence
+      (ascending [scatter_interval] lower end), possibly a
+      sub-sequence of it and, for [Stab], possibly with a query
+      offered to [hit] and then to [probe].  The store is not mutated
+      between [scan_begin] and the event's last result; the engine's
+      non-reentrancy rule guarantees this.  A band join's [Sweep] uses
+      both facts to run one forward finger through S.B for the whole
+      event.
 
       The scan also carries the finger the group walk runs on
       ({!Group.process}, {!Group.identify}): [scan_begin] makes it
@@ -111,16 +143,10 @@ module type QUERY = sig
   val scan_create : store -> scan
 
   val scan_begin : scan -> event -> unit
-  (** Start probing for a new event; called before the event's first
-      group walk. *)
+  (** Start a new event; called before the event's first group walk. *)
 
-  val scan_probe : scan -> t -> (t -> result -> unit) -> unit
-  (** [scan_probe s q sink] calls [sink q res] for every result of the
-      scattered query [q] on the current event, in the order the
-      per-query probe would emit them. *)
-
-  val scan_hit : scan -> t -> bool
-  (** Whether {!scan_probe} would emit at least one result. *)
+  val scattered : (scan, t, event, result) scattered
+  (** Which scattered walk the class uses, with its hooks. *)
 
   (** The per-group auxiliary structure (sorted sequences for band
       windows, an R-tree for select rectangles) with the group walk of
@@ -253,8 +279,9 @@ module type PROCESSOR = sig
       {!process_r} the predicate is consulted at most once per (event,
       candidate qid) and {e only} for pairs
       that definitely produce at least one result: group
-      identification is anchor-exact, and the scattered fallback
-      confirms with [scan_hit] before asking.  The consultation set
+      identification is anchor-exact, the band sweep reports only the
+      windows that hit, and a stabbed candidate is confirmed with its
+      [hit] hook before asking.  The consultation set
       is therefore a pure function of the query population and the
       event stream, independent of internal structure (hotspot
       grouping, scatter layout, seeds), which makes drop-side
@@ -308,9 +335,9 @@ module Make (Q : QUERY) : sig
     let interval = Q.interval
   end)
 
-  (** SSI on the α-hotspots, per-query probing (pruned through the
-      scattered interval tree) on
-      the scattered remainder — Section 2.2 + the closing remark of
+  (** SSI on the α-hotspots and the {!QUERY.scattered} walk over the
+      scattered remainder (a stab of the scattered interval tree, or a
+      band event's sweep) — Section 2.2 + the closing remark of
       Section 3.1. *)
   module Hotspot :
     PROCESSOR

@@ -3,6 +3,8 @@ module type ORDERED = sig
 
   val compare : t -> t -> int
   val compare_at : t array -> int -> t -> int
+  val lower_bound : t array -> int -> int -> t -> int
+  val upper_bound : t array -> int -> int -> t -> int
 end
 
 (* Leaves hold slack arrays: fixed capacity 2*order+1 with an explicit
@@ -75,50 +77,25 @@ module Make (K : ORDERED) = struct
     let cap = leaf_capacity t.order in
     { lkeys = Array.make cap key; lvals = Array.make cap v; lcount = count; lnext; lprev }
 
+  (* Every node search is one call into the key module, which runs the
+     binary search with its own monomorphic compares. *)
+
   (* Number of separators <= key: the child index used for inserts
      (duplicates go right) and for seek_le descents. *)
-  let child_right seps key =
-    let n = Array.length seps in
-    let lo = ref 0 and hi = ref n in
-    (* invariant: seps.(i) <= key for i < lo; seps.(i) > key for i >= hi *)
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if K.compare_at seps mid key <= 0 then lo := mid + 1 else hi := mid
-    done;
-    !lo
+  let child_right seps key = K.upper_bound seps 0 (Array.length seps) key
 
   (* First child index i such that seps.(i) >= key (else the last
      child): the descent for seek_ge. *)
-  let child_left seps key =
-    let n = Array.length seps in
-    let lo = ref 0 and hi = ref n in
-    (* invariant: seps.(i) < key for i < lo; seps.(i) >= key for i >= hi *)
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if K.compare_at seps mid key < 0 then lo := mid + 1 else hi := mid
-    done;
-    !lo
+  let child_left seps key = K.lower_bound seps 0 (Array.length seps) key
 
   (* Position of the first key > [key] among the live prefix of a leaf
      (insert point keeping duplicates contiguous, new duplicate
      rightmost). *)
-  let leaf_upper_bound keys count key =
-    let lo = ref 0 and hi = ref count in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if K.compare_at keys mid key <= 0 then lo := mid + 1 else hi := mid
-    done;
-    !lo
+  let leaf_upper_bound keys count key = K.upper_bound keys 0 count key
 
   (* Position of the first key >= [key] among the slots [from, count)
      of a leaf, all of whose slots before [from] hold keys < [key]. *)
-  let lower_bound_from keys from count key =
-    let lo = ref from and hi = ref count in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if K.compare_at keys mid key < 0 then lo := mid + 1 else hi := mid
-    done;
-    !lo
+  let lower_bound_from keys from count key = K.lower_bound keys from count key
 
   (* Position of the first key >= [key] among the live prefix. *)
   let leaf_lower_bound keys count key = lower_bound_from keys 0 count key

@@ -22,6 +22,30 @@ module type ORDERED = sig
       element on every comparison — the dominant allocation of an
       insert-heavy workload.  Non-float keys just use the generic
       default [fun a i k -> compare a.(i) k]. *)
+
+  val lower_bound : t array -> int -> int -> t -> int
+  (** [lower_bound a from count k] is the first index [i] in
+      [\[from, count)] with [compare_at a i k >= 0], or [count] when
+      there is none.  The tree calls it only on a sub-range sorted by
+      [compare], and there it must return exactly what this binary
+      search returns:
+      {[
+        let lo = ref from and hi = ref count in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if compare_at a mid k < 0 then lo := mid + 1 else hi := mid
+        done;
+        !lo
+      ]}
+      Every node search of a descent and of a finger seek is one call
+      to this hook or {!upper_bound}, so a key module runs the whole
+      search with its own monomorphic compares instead of the tree
+      calling {!compare_at} out of line once per step. *)
+
+  val upper_bound : t array -> int -> int -> t -> int
+  (** [upper_bound a from count k] is the first index [i] in
+      [\[from, count)] with [compare_at a i k > 0], or [count]: the
+      loop of {!lower_bound} with [<= 0] for [< 0]. *)
 end
 
 module Make (K : ORDERED) : sig

@@ -46,6 +46,13 @@ module type S = sig
       with a batched descent ({!Interval_tree}) answer the whole array
       per index walk; the others fall back to a loop of scalar stabs. *)
 
+  val sweep : 'a t -> cells:float array -> seek:(unit -> unit) -> ('a -> unit) -> unit
+  (** Report every stored window whose shifted copy holds a key of the
+      caller's sorted key sequence, in ascending (lo, hi) order, under
+      {!Flat_interval_tree.sweep}'s cell and [seek] protocol.
+      {!Interval_tree} prunes subtrees on their largest right
+      endpoint; {!Treap} checks every window in one in-order loop. *)
+
   val iter : 'a t -> ('a -> unit) -> unit
   (** Visit every stored payload exactly once. *)
 
@@ -68,7 +75,8 @@ module Instrumented (B : S) : S
     into the {!Cq_obs.Metrics} registry under the backend's name:
     [stab.<name>.stab_ns], [stab.<name>.stab_batch_ns],
     [stab.<name>.add_ns], [stab.<name>.remove_ns], and the per-stab
-    result fanout [stab.<name>.stab_hits].  While metrics are disabled the wrapper
+    result fanout [stab.<name>.stab_hits]; [sweep] and [iter] pass
+    through untimed.  While metrics are disabled the wrapper
     costs one branch per call, so instrumented backends can be used
     unconditionally. *)
 

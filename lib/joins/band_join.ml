@@ -283,27 +283,34 @@ module Core_query = struct
   let scatter_interval = interval
 
   (* Band windows shift with the event's B value, so scattered queries
-     have no fixed stabbing point: every one is probed. *)
-  let scatter_point _ = None
-
-  (* The scattered windows arrive in ascending [lo], so their shifted
-     lower ends [lo + r.b] only rise: one forward finger through S.B
-     answers every window of the event (BJ-MJ's merge, applied to the
-     scattered remainder).  [cells] holds r.b, the key at the finger
-     (+inf at the end) and the key before it (-inf at the start), so a
-     window whose shifted [lo] lies in (before, at] — most of them,
-     since the windows outnumber the S rows they span — needs two
-     float compares and no seek.  [group] is the second finger, which
-     each group's STEP 1 seeks to its anchors. *)
+     have no fixed stabbing point.  The scattered index yields them in
+     ascending [lo], so their shifted lower ends [lo + r.b] only rise:
+     one pruned sweep of the index against one forward finger through
+     S.B answers every window of the event (BJ-MJ's merge, applied to
+     the scattered remainder).  [cells] is the sweep's
+     [| r.b; at; before; key |]: the key at the finger (+inf at the
+     end), the key before it (-inf at the start) and the next target,
+     so a window whose shifted [lo] lies in (before, at] — most of
+     them, since the windows outnumber the S rows they span — needs no
+     seek.  [seek] is the sweep's preallocated closure over the finger
+     and the cells.  [group] is the second finger, which each group's
+     STEP 1 seeks to its anchors. *)
   type scan = {
     finger : Tuple.s Fbt.finger;
     cells : float array;
+    seek : unit -> unit;
     group : Tuple.s Fbt.finger;
   }
 
   let scan_create table =
     let sb = Table.s_by_b table in
-    { finger = Fbt.finger sb; cells = [| 0.0; neg_infinity; infinity |]; group = Fbt.finger sb }
+    let finger = Fbt.finger sb and cells = [| 0.0; neg_infinity; infinity; 0.0 |] in
+    let seek () =
+      Fbt.finger_seek finger cells.(3);
+      cells.(1) <- Fbt.finger_key finger ~default:infinity;
+      cells.(2) <- Fbt.finger_prev_key finger ~default:neg_infinity
+    in
+    { finger; cells; seek; group = Fbt.finger sb }
 
   (* An empty (before, at] makes the event's first window seek, so an
      event with no scattered window reads no key (and boxes none). *)
@@ -314,26 +321,13 @@ module Core_query = struct
     s.cells.(1) <- neg_infinity;
     s.cells.(2) <- infinity
 
-  (* Put the finger on the leftmost S row with B >= lo + r.b.  The
-     window ends are read as fields of the private record: a call to
-     [I.lo] in another module would return a boxed float per window. *)
-  let[@cq.hot] scan_seek s (q : Band_query.t) =
-    let c = s.cells in
-    let lo = q.range.I.lo +. c.(0) in
-    if not (c.(2) < lo && lo <= c.(1)) then begin
-      Fbt.finger_seek s.finger lo;
-      c.(1) <- Fbt.finger_key s.finger ~default:infinity;
-      c.(2) <- Fbt.finger_prev_key s.finger ~default:neg_infinity
-    end
+  (* A hit's rows, from the finger the sweep left on its first one.
+     The window end is read as a field of the private record: a call
+     to [I.hi] in another module would return a boxed float. *)
+  let[@cq.hot] emit s (q : Band_query.t) sink =
+    Fbt.finger_iter_le s.finger (q.range.I.hi +. s.cells.(0)) q sink
 
-  let[@cq.hot] scan_hit s (q : Band_query.t) =
-    scan_seek s q;
-    s.cells.(1) <= q.range.I.hi +. s.cells.(0)
-
-  let[@cq.hot] scan_probe s (q : Band_query.t) sink =
-    scan_seek s q;
-    let hi = q.range.I.hi +. s.cells.(0) in
-    if s.cells.(1) <= hi then Fbt.finger_iter_le s.finger hi q sink
+  let scattered = Processor.Sweep { cells = (fun s -> s.cells); seek = (fun s -> s.seek); emit }
 
   module Group = struct
     type g = G.g

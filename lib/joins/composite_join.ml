@@ -130,7 +130,6 @@ module Core_query = struct
      their rangeA selection first (the Afirst idea). *)
   let interval (q : CQ.t) = q.band
   let scatter_interval (q : CQ.t) = q.range_a
-  let scatter_point (r : Tuple.r) = Some r.a
 
   (* Candidates are already pruned by the rangeA stab, so each one is
      probed on its own: the scan remembers the event, plus the finger
@@ -148,10 +147,9 @@ module Core_query = struct
     s.ev <- r;
     Fbt.finger_reset s.group
 
-  let scan_probe s q sink =
-    ignore (probe_query s.table q ~b:s.ev.b ~stop_after_first:false sink)
-
-  let scan_hit s q = probe_query s.table q ~b:s.ev.b ~stop_after_first:true (fun _ _ -> ())
+  let probe s q sink = ignore (probe_query s.table q ~b:s.ev.b ~stop_after_first:false sink)
+  let hit s q = probe_query s.table q ~b:s.ev.b ~stop_after_first:true (fun _ _ -> ())
+  let scattered = Processor.Stab { point = (fun (r : Tuple.r) -> r.a); probe; hit }
 
   module Group = struct
     type g = G.g

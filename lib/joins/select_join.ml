@@ -255,7 +255,6 @@ module Core_query = struct
      A value. *)
   let interval (q : Select_query.t) = q.range_c
   let scatter_interval (q : Select_query.t) = q.range_a
-  let scatter_point (r : Tuple.r) = Some r.a
 
   (* Candidates are already pruned by the rangeA stab, so each one is
      probed on its own: the scan remembers the event, plus the finger
@@ -273,20 +272,22 @@ module Core_query = struct
     s.ev <- r;
     Pbt.finger_reset s.group
 
-  let scan_probe s (q : Select_query.t) sink =
+  let probe s (q : Select_query.t) sink =
     let b = s.ev.b in
     Pbt.iter_range (Table.s_by_bc s.table)
       ~lo:(b, I.lo q.range_c)
       ~hi:(b, I.hi q.range_c)
       (fun _ res -> sink q res)
 
-  let scan_hit s (q : Select_query.t) =
+  let hit s (q : Select_query.t) =
     let b = s.ev.b in
     match Pbt.seek_ge (Table.s_by_bc s.table) (b, I.lo q.range_c) with
     | Some c ->
         let kb, kc = Pbt.key c in
         kb = b && kc <= I.hi q.range_c
     | None -> false
+
+  let scattered = Processor.Stab { point = (fun (r : Tuple.r) -> r.a); probe; hit }
 
   module Group = struct
     type g = group

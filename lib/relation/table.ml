@@ -6,6 +6,26 @@ module Fkey = struct
   (* Monomorphic read: the key arrays are flat float arrays, so the
      generic [a.(i)] would box on every comparison of every descent. *)
   let[@cq.hot] compare_at (a : float array) i k = Float.compare (Array.unsafe_get a i) k
+
+  (* The node searches, with the compares unboxed and inline: a seek
+     makes one call here per node instead of one [compare_at] call per
+     binary-search step.  The tree passes [0 <= from <= count <=
+     Array.length a]. *)
+  let[@cq.hot] lower_bound (a : float array) from count (k : float) =
+    let lo = ref from and hi = ref count in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if Float.compare (Array.unsafe_get a mid) k < 0 then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  let[@cq.hot] upper_bound (a : float array) from count (k : float) =
+    let lo = ref from and hi = ref count in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if Float.compare (Array.unsafe_get a mid) k <= 0 then lo := mid + 1 else hi := mid
+    done;
+    !lo
 end
 
 module Pkey = struct
@@ -16,6 +36,23 @@ module Pkey = struct
     if c <> 0 then c else Float.compare a2 b2
 
   let[@cq.hot] compare_at a i k = compare (Array.unsafe_get a i) k
+
+  (* The same searches with the lexicographic compare written out, so
+     no step calls [compare] out of line: [lower_bound] moves past the
+     keys < k, [upper_bound] also past the keys = k. *)
+  let[@cq.hot] bound ~past_equal (a : t array) from count ((k1, k2) : t) =
+    let lo = ref from and hi = ref count in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      let x1, x2 = Array.unsafe_get a mid in
+      let c = Float.compare x1 k1 in
+      let c = if c <> 0 then c else Float.compare x2 k2 in
+      if c < 0 || (past_equal && c = 0) then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  let[@cq.hot] lower_bound a from count k = bound ~past_equal:false a from count k
+  let[@cq.hot] upper_bound a from count k = bound ~past_equal:true a from count k
 end
 
 module Fbt = Cq_index.Btree.Make (Fkey)

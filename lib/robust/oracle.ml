@@ -102,9 +102,20 @@ module type STAB_INDEX = sig
   val add : t -> int -> I.t -> unit
   val remove : t -> int -> I.t -> bool
   val stab_ids : t -> float -> int list
+  val sweep_ids : t -> keys:float array -> shift:float -> int list option
   val size : t -> int
   val audit : t -> entries:(int * I.t) list -> Invariant.report
 end
+
+(* The keys a probe at [x] sweeps against: sorted, one on the grid the
+   intervals sit on and the others off it, spread over a few windows'
+   width; the shift moves every window a quarter step left. *)
+let sweep_keys x =
+  let keys = [| x -. 2.5; Float.round x; x; x +. 4.0 |] in
+  Array.sort Float.compare keys;
+  keys
+
+let sweep_shift = -0.25
 
 let run_index (module S : STAB_INDEX) ~seed ~ops =
   let run = make_run S.name seed in
@@ -137,7 +148,24 @@ let run_index (module S : STAB_INDEX) ~seed ~ops =
               let got = List.sort Int.compare (S.stab_ids t x) in
               if not (List.equal Int.equal got want) then
                 diverge run i "stab %g returned %d ids, oracle says %d" x (List.length got)
-                  (List.length want));
+                  (List.length want);
+              let keys = sweep_keys x in
+              let holds iv =
+                Array.exists
+                  (fun k -> I.lo iv +. sweep_shift <= k && k <= I.hi iv +. sweep_shift)
+                  keys
+              in
+              Option.iter
+                (fun got ->
+                  let got = List.sort Int.compare got in
+                  let want =
+                    List.sort Int.compare
+                      (Hashtbl.fold (fun id iv acc -> if holds iv then id :: acc else acc) mirror [])
+                  in
+                  if not (List.equal Int.equal got want) then
+                    diverge run i "sweep at %g returned %d ids, oracle says %d" x
+                      (List.length got) (List.length want))
+                (S.sweep_ids t ~keys ~shift:sweep_shift));
           let n = S.size t and m = Hashtbl.length mirror in
           if n <> m then diverge run i "size %d, oracle says %d" n m;
           if (i + 1) mod gap = 0 then
@@ -165,6 +193,23 @@ module Stab_driver (B : Cq_index.Stab_backend.S) : STAB_INDEX = struct
     B.stab t x (fun (id, _) -> acc := id :: !acc);
     !acc
 
+  (* The sweep against a sorted key array, with a linear seek: the
+     protocol a band event runs against S.B. *)
+  let sweep_ids t ~keys ~shift =
+    let n = Array.length keys in
+    let cells = [| shift; neg_infinity; infinity; 0.0 |] in
+    let seek () =
+      let i = ref 0 in
+      while !i < n && keys.(!i) < cells.(3) do
+        incr i
+      done;
+      cells.(1) <- (if !i < n then keys.(!i) else infinity);
+      cells.(2) <- (if !i > 0 then keys.(!i - 1) else neg_infinity)
+    in
+    let acc = ref [] in
+    B.sweep t ~cells ~seek (fun (id, _) -> acc := id :: !acc);
+    Some !acc
+
   let size = B.size
   let audit t ~entries:_ = A.audit ~interval:snd t
 end
@@ -190,6 +235,8 @@ module Rtree_driver : STAB_INDEX = struct
     let acc = ref [] in
     R.stab t ~x ~y:0.5 (fun _ id -> acc := id :: !acc);
     !acc
+
+  let sweep_ids _ ~keys:_ ~shift:_ = None
 
   let size = R.size
   let audit t ~entries:_ = Invariant.rtree t
@@ -231,6 +278,8 @@ module Treap_driver : STAB_INDEX = struct
     t.tr <- Tr.join l r;
     Tr.fold (fun acc (id, iv) -> if I.stabs iv x then id :: acc else acc) [] t.tr
 
+  let sweep_ids _ ~keys:_ ~shift:_ = None
+
   let size t = Tr.size t.tr
   let audit t ~entries:_ = Tr_audit.audit t.tr
 end
@@ -239,14 +288,8 @@ end
 (* B+-tree (keyed on interval left endpoints)                           *)
 (* ------------------------------------------------------------------ *)
 
-module Fkey = struct
-  type t = float
-
-  let compare = Float.compare
-  let compare_at (a : float array) i k = Float.compare (Array.unsafe_get a i) k
-end
-
-module Fbt = Cq_index.Btree.Make (Fkey)
+module Fkey = Cq_relation.Table.Fkey
+module Fbt = Cq_relation.Table.Fbt
 module Fbt_audit = Invariant.Btree (Fkey) (Fbt)
 
 let run_btree ~seed ~ops =

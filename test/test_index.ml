@@ -9,12 +9,7 @@ module Rect = Cq_index.Rect
 module Rtree = Cq_index.Rtree
 module Rng = Cq_util.Rng
 
-module FB = Btree.Make (struct
-  type t = float
-
-  let compare = Float.compare
-  let compare_at (a : float array) i k = Float.compare (Array.unsafe_get a i) k
-end)
+module FB = Cq_relation.Table.Fbt
 
 (* Values come from a small grid so duplicates are common — the hard
    case for ordered-index seek semantics. *)
@@ -249,6 +244,53 @@ let prop_btree_finger_back =
               !walked = !expected)
             [ k -. depth; neg_infinity ])
         targets)
+
+(* The key modules' node searches against the [compare_at] binary
+   search they replace ([Btree.ORDERED]'s contract), on sorted arrays
+   with duplicates, over every [from, count) sub-range, for keys equal
+   to an element, between elements, below the minimum and above the
+   maximum. *)
+let bound_loop compare_at ~past_equal a from count k =
+  let lo = ref from and hi = ref count in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let c = compare_at a mid k in
+    if c < 0 || (past_equal && c = 0) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let bounds_agree (type k) (module K : Btree.ORDERED with type t = k) (a : k array) (ks : k list) =
+  let n = Array.length a in
+  List.for_all
+    (fun k ->
+      let ok = ref true in
+      for from = 0 to n do
+        for count = from to n do
+          if
+            K.lower_bound a from count k <> bound_loop K.compare_at ~past_equal:false a from count k
+            || K.upper_bound a from count k <> bound_loop K.compare_at ~past_equal:true a from count k
+          then ok := false
+        done
+      done;
+      !ok)
+    ks
+
+(* Grid keys with duplicates; probes add half-steps and both ends. *)
+let sorted_grid_gen = QCheck2.Gen.(map (List.sort Float.compare) (list_size (int_range 0 24) key_gen))
+let probe_keys a = (-1.0 :: 21.0 :: Array.to_list a) @ List.map (fun k -> k +. 0.25) (Array.to_list a)
+
+let prop_key_bounds =
+  QCheck2.Test.make ~name:"btree keys: lower_bound/upper_bound match the compare_at loop" ~count:200
+    QCheck2.Gen.(pair sorted_grid_gen (list_size (int_range 0 24) (pair key_gen key_gen)))
+    (fun (fl, pl) ->
+      let fa = Array.of_list fl in
+      let pa = Array.of_list (List.sort Cq_relation.Table.Pkey.compare pl) in
+      let pprobes =
+        ((-1.0, 0.0) :: (21.0, 0.0) :: Array.to_list pa)
+        @ List.concat_map (fun (x, y) -> [ (x, y +. 0.25); (x, y -. 0.25) ]) (Array.to_list pa)
+      in
+      bounds_agree (module Cq_relation.Table.Fkey) fa (probe_keys fa)
+      && bounds_agree (module Cq_relation.Table.Pkey) pa pprobes)
 
 let test_btree_finger_empty () =
   let t = Fbt.create ~order:2 () in
@@ -672,6 +714,92 @@ let prop_stab_batch_matches_stab_loop =
         keys;
       !ok)
 
+(* [sweep] driven the way a band event drives it: a forward finger over
+   a sorted key array, the seek protocol on [cells].  Returns the hit
+   payloads in order and the number of seeks; every hit also checks
+   that the finger sits on the first key at or above its shifted lo. *)
+let sweep_keys sweep t keys shift =
+  let n = Array.length keys in
+  let cells = [| shift; neg_infinity; infinity; 0.0 |] in
+  let seeks = ref 0 and hits = ref [] and placed = ref true in
+  let first_ge x =
+    let i = ref 0 in
+    while !i < n && keys.(!i) < x do
+      incr i
+    done;
+    !i
+  in
+  let seek () =
+    incr seeks;
+    let i = first_ge cells.(3) in
+    cells.(1) <- (if i < n then keys.(i) else infinity);
+    cells.(2) <- (if i > 0 then keys.(i - 1) else neg_infinity)
+  in
+  sweep t ~cells ~seek (fun ((lo, _, _) as p) ->
+      if cells.(1) <> keys.(first_ge (lo +. shift)) then placed := false;
+      hits := p :: !hits);
+  (List.rev !hits, !seeks, !placed)
+
+(* Windows on a coarse grid, so duplicate, nested and zero-width
+   windows are common; keys on the same grid with duplicates. *)
+let window_gen =
+  QCheck2.Gen.(
+    map2
+      (fun a w -> I.make (float_of_int a) (float_of_int (a + w)))
+      (int_bound 30)
+      (frequencyl [ (1, 0); (3, 1); (3, 3); (1, 12) ]))
+
+let reference_sweep ft keys shift =
+  List.filter_map
+    (fun (lo, hi, p) ->
+      if Array.exists (fun k -> lo +. shift <= k && k <= hi +. shift) keys then Some p else None)
+    (Flat.to_list ft)
+
+let prop_sweep_matches_filter =
+  QCheck2.Test.make ~name:"flat itree: sweep = in-order windows holding a shifted key" ~count:300
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 80) window_gen)
+        (list_size (int_range 0 12) (int_range (-5) 40))
+        (int_range (-10) 10))
+    (fun (ivs, key_list, shift) ->
+      let keys = Array.of_list (List.sort Float.compare (List.map float_of_int key_list)) in
+      let shift = float_of_int shift in
+      let ft = Flat.create () in
+      List.iteri (fun i iv -> Flat.add ft iv (I.lo iv, I.hi iv, i)) ivs;
+      let got, _, placed = sweep_keys Flat.sweep ft keys shift in
+      let pst = Cq_index.Stab_backend.Treap.create ~seed:3 in
+      List.iteri (fun i iv -> Cq_index.Stab_backend.Treap.add pst iv (I.lo iv, I.hi iv, i)) ivs;
+      let pst_got, _, pst_placed = sweep_keys Cq_index.Stab_backend.Treap.sweep pst keys shift in
+      let want = reference_sweep ft keys shift in
+      got = want && placed && pst_placed && List.sort compare pst_got = List.sort compare want)
+
+(* Pruning, where its effect is visible from outside: once the first
+   window's seek shows every key lies beyond (or before) every shifted
+   window, nothing else seeks or hits. *)
+let test_sweep_pruned_cases () =
+  let ft = Flat.create () in
+  List.iter
+    (fun (lo, hi) -> Flat.add ft (I.make lo hi) (lo, hi, 0))
+    [ (0., 10.); (2., 3.); (2., 3.); (4., 4.); (5., 30.); (8., 9.); (20., 25.) ];
+  let check name keys shift ~seeks ~hits =
+    let got, n, placed = sweep_keys Flat.sweep ft keys shift in
+    Alcotest.(check int) (name ^ ": seeks") seeks n;
+    Alcotest.(check int) (name ^ ": hits") hits (List.length got);
+    Alcotest.(check bool) (name ^ ": finger placed") true placed
+  in
+  check "keys beyond every window" [| 100.; 200. |] 0.0 ~seeks:1 ~hits:0;
+  check "keys beyond after the shift" [| 10.; 20. |] (-50.0) ~seeks:1 ~hits:0;
+  check "keys before every window" [| -50.; -40. |] 0.0 ~seeks:1 ~hits:0;
+  check "no keys" [||] 3.0 ~seeks:1 ~hits:0;
+  (* [0,10] and both [2,3] hold 2.5 without a second seek; [4,4] seeks
+     past the last key, and the rest is pruned. *)
+  check "one key, three windows" [| 2.5 |] 0.0 ~seeks:2 ~hits:3;
+  let empty = Flat.create () in
+  let got, n, _ = sweep_keys Flat.sweep empty [| 1. |] 0.0 in
+  Alcotest.(check int) "empty tree: no seek" 0 n;
+  Alcotest.(check int) "empty tree: no hit" 0 (List.length got)
+
 (* --------------------------------------------------------------------- *)
 
 let qc = QCheck_alcotest.to_alcotest
@@ -689,6 +817,7 @@ let () =
           qc prop_btree_walks;
           qc prop_btree_finger;
           qc prop_btree_finger_back;
+          qc prop_key_bounds;
           Alcotest.test_case "walk early stop" `Quick test_btree_walk_early_stop;
           Alcotest.test_case "neighbours" `Quick test_btree_neighbours;
           Alcotest.test_case "duplicates" `Quick test_btree_find_all_duplicates;
@@ -715,6 +844,8 @@ let () =
         [
           qc prop_flat_matches_list_model_under_churn;
           qc prop_stab_batch_matches_stab_loop;
+          qc prop_sweep_matches_filter;
+          Alcotest.test_case "sweep: pruned and empty cases" `Quick test_sweep_pruned_cases;
         ] );
       ( "priority_search_tree",
         [
