@@ -241,15 +241,53 @@ module Make (Q : QUERY) = struct
     end
 
   module Hotspot = struct
+    module Store = Cq_index.Sweep_store
+
     type query = Q.t
     type event = Q.event
     type store = Q.store
     type result = Q.result
 
+    (* The scattered queries' container, with the class's hooks: a
+       stabbed class keeps them in the instrumented flat interval tree,
+       a swept class in the lo-ordered sweep store.  One substrate per
+       role, picked once from [Q.scattered]. *)
+    type scattered =
+      | Stabbed of {
+          tree : Q.t B.t;
+          point : Q.event -> float;
+          hit : Q.scan -> Q.t -> bool;
+        }
+      | Swept of {
+          store : Q.t Store.t;
+          cells : Q.scan -> float array;
+          seek : Q.scan -> unit -> unit;
+        }
+
+    let scattered_size = function Stabbed s -> B.size s.tree | Swept s -> Store.size s.store
+
+    let scattered_add sc q =
+      match sc with
+      | Stabbed s -> B.add s.tree (Q.scatter_interval q) q
+      | Swept s -> Store.add s.store (Q.scatter_interval q) q
+
+    let scattered_remove sc q =
+      let same p = Q.qid p = Q.qid q in
+      match sc with
+      | Stabbed s -> B.remove s.tree (Q.scatter_interval q) same
+      | Swept s -> Store.remove s.store (Q.scatter_interval q) same
+
+    let scattered_iter sc f =
+      match sc with Stabbed s -> B.iter s.tree f | Swept s -> Store.iter s.store f
+
+    let scattered_check = function
+      | Stabbed s -> B.check_invariants s.tree
+      | Swept s -> Store.check_invariants s.store
+
     type t = {
       tracker : Tracker.t;
       hot : (int, Q.Group.g) Hashtbl.t;
-      scattered : Q.t B.t;
+      scattered : scattered;
       w : walker;
       (* Preallocated walk closures over [w] (set after creation, they
          capture [t]). *)
@@ -287,7 +325,11 @@ module Make (Q : QUERY) = struct
 
     let create_alpha ~alpha ?epsilon ?seed store queries =
       let hot = Hashtbl.create 16 in
-      let scattered = B.create ~seed:0 in
+      let scattered =
+        match Q.scattered with
+        | Stab { point; hit; _ } -> Stabbed { tree = B.create ~seed:0; point; hit }
+        | Sweep { cells; seek; _ } -> Swept { store = Store.create (); cells; seek }
+      in
       let on_event = function
         | Tracker.Hotspot_created (gid, members) ->
             let g = Q.Group.create () in
@@ -296,9 +338,8 @@ module Make (Q : QUERY) = struct
         | Tracker.Hotspot_destroyed (gid, _members) -> Hashtbl.remove hot gid
         | Tracker.Hotspot_added (gid, q) -> Q.Group.add (Hashtbl.find hot gid) q
         | Tracker.Hotspot_removed (gid, q) -> Q.Group.remove (Hashtbl.find hot gid) q
-        | Tracker.Scattered_added q -> B.add scattered (Q.scatter_interval q) q
-        | Tracker.Scattered_removed q ->
-            ignore (B.remove scattered (Q.scatter_interval q) (fun p -> Q.qid p = Q.qid q))
+        | Tracker.Scattered_added q -> scattered_add scattered q
+        | Tracker.Scattered_removed q -> ignore (scattered_remove scattered q)
       in
       let tracker = Tracker.create ~alpha ?epsilon ?seed ~on_event () in
       Array.iter (fun q -> Tracker.insert tracker q) queries;
@@ -331,23 +372,23 @@ module Make (Q : QUERY) = struct
        visits the candidates staged for event [idx] when the last
        [stage_batch] covered it, else those of a live stab; a band
        event has no fixed point (its windows shift with r.b), so one
-       pruned sweep of the scattered index against the scan's finger
-       reports the windows that hit.  Every scattered window counts as
-       offered, as when each was probed, so the fanout and accepted
-       samples keep their meaning. *)
+       pruned sweep of the store against the scan's finger reports the
+       windows that hit.  Every scattered window counts as offered, as
+       when each was probed, so the fanout and accepted samples keep
+       their meaning. *)
     let[@cq.hot] walk t ~idx ev sink =
       let w = t.w in
       begin_event w ev sink;
       Hashtbl.iter t.c_group t.hot;
-      (match Q.scattered with
-      | Stab { point; _ } ->
+      (match t.scattered with
+      | Stabbed { tree; point; _ } ->
           if 0 <= idx && idx < t.staged_n then Vec.iter t.c_scat (Vec.get t.stage_cand idx)
-          else B.stab t.scattered (point ev) t.c_scat
-      | Sweep { cells; seek; _ } ->
-          let n = B.size t.scattered in
+          else B.stab tree (point ev) t.c_scat
+      | Swept { store; cells; seek } ->
+          let n = Store.size store in
           w.cands <- w.cands + n;
           (match w.shed with None -> w.accepted <- w.accepted + n | Some _ -> ());
-          B.sweep t.scattered ~cells:(cells w.scan) ~seek:(seek w.scan) t.c_scat);
+          Store.sweep store ~cells:(cells w.scan) ~seek:(seek w.scan) t.c_scat);
       end_event w
 
     let process_r t ev sink = walk t ~idx:(-1) ev sink
@@ -364,10 +405,10 @@ module Make (Q : QUERY) = struct
        invalidates below. *)
     let[@cq.hot] stage_batch t evs n =
       t.staged_n <- -1;
-      if n >= 2 && B.size t.scattered > 0 then begin
-        match Q.scattered with
-        | Sweep _ -> ()
-        | Stab { point; _ } ->
+      match t.scattered with
+      | Swept _ -> ()
+      | Stabbed { tree; point; _ } ->
+          if n >= 2 && B.size tree > 0 then begin
             if Array.length t.stage_keys <> n then t.stage_keys <- Array.make n 0.0;
             for i = 0 to n - 1 do
               t.stage_keys.(i) <- point evs.(i)
@@ -378,9 +419,9 @@ module Make (Q : QUERY) = struct
             for i = 0 to n - 1 do
               Vec.clear (Vec.get t.stage_cand i)
             done;
-            B.stab_batch t.scattered ~keys:t.stage_keys ~f:t.c_stage;
+            B.stab_batch tree ~keys:t.stage_keys ~f:t.c_stage;
             t.staged_n <- n
-      end
+          end
 
     let affected t ev report =
       let scan = t.w.scan in
@@ -390,9 +431,9 @@ module Make (Q : QUERY) = struct
           let stab = Tracker.hotspot_stab t.tracker gid in
           Q.Group.identify scan g ~stab ev ~mark:accept_all report)
         t.hot;
-      match Q.scattered with
-      | Stab { point; hit; _ } -> B.stab t.scattered (point ev) (fun q -> if hit scan q then report q)
-      | Sweep { cells; seek; _ } -> B.sweep t.scattered ~cells:(cells scan) ~seek:(seek scan) report
+      match t.scattered with
+      | Stabbed { tree; point; hit } -> B.stab tree (point ev) (fun q -> if hit scan q then report q)
+      | Swept { store; cells; seek } -> Store.sweep store ~cells:(cells scan) ~seek:(seek scan) report
 
     let set_shed t pred = t.w.shed <- pred
 
@@ -449,9 +490,9 @@ module Make (Q : QUERY) = struct
                   (Q.Group.size g) (List.length members))
         hotspots;
       let scattered = Tracker.scattered t.tracker in
-      B.check_invariants t.scattered;
-      if B.size t.scattered <> List.length scattered then
-        fail "%s: scattered index holds %d of %d queries" name (B.size t.scattered)
+      scattered_check t.scattered;
+      if scattered_size t.scattered <> List.length scattered then
+        fail "%s: scattered index holds %d of %d queries" name (scattered_size t.scattered)
           (List.length scattered);
       (* [home] maps each qid to where the tracker puts it (a gid, or
          -1 for scattered); [seen] to where the aux side was found. *)
@@ -471,7 +512,7 @@ module Make (Q : QUERY) = struct
         | _ -> fail "%s: query %d sits in %s, not where the tracker puts it" name qid (where gid)
       in
       Hashtbl.iter (fun gid g -> Q.Group.iter g (place gid)) t.hot;
-      B.iter t.scattered (place (-1))
+      scattered_iter t.scattered (place (-1))
 
     (* Plant one query in a second place while keeping every count, so
        only the member-by-member check above can see it. *)
@@ -493,11 +534,10 @@ module Make (Q : QUERY) = struct
         | _ -> false
 
       let plant_in_group_and_scattered t =
-        match (firsts t, first B.iter t.scattered) with
+        match (firsts t, first scattered_iter t.scattered) with
         | (Some q, _) :: _, Some victim ->
-            let same p = Q.qid p = Q.qid victim in
-            ignore (B.remove t.scattered (Q.scatter_interval victim) same);
-            B.add t.scattered (Q.scatter_interval q) q;
+            ignore (scattered_remove t.scattered victim);
+            scattered_add t.scattered q;
             true
         | _ -> false
     end

@@ -12,23 +12,26 @@
     only supplies its query geometry ({!QUERY}) and the processors fall
     out as thin instantiations.
 
-    The stabbing index holding the scattered queries is the flat
-    interval tree behind its metrics decorator
-    ({!Cq_index.Stab_backend.Instrumented_interval_tree}).  The paper
-    leaves that index open (interval tree or priority search tree); it
-    is fixed because repeated [ablation-backend] captures showed the
-    treap-based priority search tree winning nothing beyond noise.
+    The scattered queries live in one container per role, picked once
+    from the class's {!QUERY.scattered}.  A class that stabs them keeps
+    them in the flat interval tree behind its metrics decorator
+    ({!Cq_index.Stab_backend.Instrumented_interval_tree}); the paper
+    leaves that index open (interval tree or priority search tree), and
+    it is fixed because repeated [ablation-backend] captures showed the
+    treap-based priority search tree winning nothing beyond noise.  A
+    class that sweeps them (band joins) keeps them in
+    {!Cq_index.Sweep_store}, the sorted window list in float columns.
 
     Per event, the two-step walk costs O(h log m + k) over the hotspot
     groups (h ≤ 2/α of them, Theorems 3 and 4) plus the scattered
     walk; query insert/delete is O(log n) amortised through the
     tracker and partition maintainers.  A select or composite event
     stabs the scattered index at its rangeA point and probes each
-    candidate.  A band event sweeps the scattered windows once,
-    against one forward finger through S.B: O(v + k) for the v ≤
-    |scattered| index nodes its maxhi pruning leaves, plus a seek only
-    where a window's shifted lower end passes the finger, instead of
-    the paper's O(|scattered| log n).
+    candidate.  A band event sweeps the scattered windows once, in
+    (lo, hi) order, against one forward finger through S.B: O(v + k)
+    for the v ≤ |scattered| windows its block maxima leave, plus a
+    forward seek only where a window's shifted lower end passes the
+    finger, instead of the paper's O(|scattered| log n).
 
     The walk needs no per-event dedupe: the groups are pairwise
     disjoint and disjoint from the scattered set (the hotspot
@@ -78,18 +81,20 @@ type ('scan, 'q, 'event, 'result) scattered =
               (before, at]. *)
       seek : 'scan -> unit -> unit;
           (** The scan's preallocated seek closure (returned, not
-              built): it moves the scan's finger to the first store
-              key at or above [cells.(3)] and writes [at] and [before]. *)
+              built): it moves the scan's finger forward to the first
+              store key at or above [cells.(3)] and writes [at] and
+              [before] ([Cq_index.Btree.Make.finger_advance]). *)
       emit : 'scan -> 'q -> ('q -> 'result -> unit) -> unit;
           (** [emit s q sink] emits the results of a window the sweep
               just reported as a hit, walking from the finger. *)
     }
       (** The event has no fixed point on the scatter axis (band
-          windows shift with r.b), so the scattered index is swept
-          once against the store: {!Cq_index.Flat_interval_tree.sweep}
-          walks the windows in order, skips every subtree whose
-          windows all end before the finger, and calls back only for
-          the windows that reach a store key. *)
+          windows shift with r.b), so the scattered windows are swept
+          once against the store: {!Cq_index.Sweep_store.sweep} scans
+          them in order, skips every block whose windows all end
+          before the finger, stops when the finger runs off the end,
+          and calls back only for the windows that reach a store
+          key. *)
 
 (** What a join application must provide: its query geometry and its
     per-group structure. *)
@@ -126,7 +131,7 @@ module type QUERY = sig
       neither the scattered walk nor a group walk builds a closure.
 
       Contract: after {!scan_begin}, the scattered queries reach the
-      {!scattered} hooks in the scattered index's in-order sequence
+      {!scattered} hooks in the scattered container's order
       (ascending [scatter_interval] lower end), possibly a
       sub-sequence of it and, for [Stab], possibly with a query
       offered to [hit] and then to [probe].  The store is not mutated
@@ -337,7 +342,7 @@ module Make (Q : QUERY) : sig
 
   (** SSI on the α-hotspots and the {!QUERY.scattered} walk over the
       scattered remainder (a stab of the scattered interval tree, or a
-      band event's sweep) — Section 2.2 + the closing remark of
+      band event's sweep of the sweep store) — Section 2.2 + the closing remark of
       Section 3.1. *)
   module Hotspot :
     PROCESSOR

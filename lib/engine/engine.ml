@@ -342,17 +342,17 @@ let protected cb r s =
     Log.warn (fun m -> m "subscriber callback raised %s" (Printexc.to_string exn))
 
 let deliver_band t (q : BQ.t) r s =
-  (match Hashtbl.find_opt t.band_cbs q.qid with
-  | Some cb -> protected cb r s
-  | None -> ());
+  (match Hashtbl.find t.band_cbs q.qid with (* [find]: no [Some] per result *)
+  | cb -> protected cb r s
+  | exception Not_found -> ());
   t.results <- t.results + 1;
   shed_note_result t q.qid;
   Metrics.incr m_results
 
 let deliver_select t (q : SQ.t) r s =
-  (match Hashtbl.find_opt t.select_cbs q.qid with
-  | Some cb -> protected cb r s
-  | None -> ());
+  (match Hashtbl.find t.select_cbs q.qid with (* [find]: no [Some] per result *)
+  | cb -> protected cb r s
+  | exception Not_found -> ());
   t.results <- t.results + 1;
   shed_note_result t q.qid;
   Metrics.incr m_results

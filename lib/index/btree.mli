@@ -46,6 +46,39 @@ module type ORDERED = sig
   (** [upper_bound a from count k] is the first index [i] in
       [\[from, count)] with [compare_at a i k > 0], or [count]: the
       loop of {!lower_bound} with [<= 0] for [< 0]. *)
+
+  (** {3 Float cells}
+
+      The two hooks [Make.finger_advance] searches and reports
+      through.  They place each key on a float axis, at a position
+      [pos k] that never decreases along [compare] (for a float key,
+      the key itself; for a pair, its first component), and exchange
+      positions through a caller's [float array] so that no float
+      crosses the functor boundary, where it would be boxed. *)
+
+  val key_to_cell : t array -> int -> float array -> int -> unit
+  (** [key_to_cell a i cells j] stores [pos a.(i)] in [cells.(j)]. *)
+
+  val lower_bound_cell : t array -> int -> int -> float array -> int -> int
+  (** [lower_bound_cell a from count cells j] is the first index [i]
+      in [\[from, count)] with [pos a.(i) >= cells.(j)], or [count]
+      when there is none.  The tree calls it only on a sub-range
+      sorted by [compare], and there it must return exactly what this
+      loop returns (with [scratch] a one-cell float array):
+      {[
+        let i = ref from in
+        while
+          !i < count
+          && (key_to_cell a !i scratch 0;
+              scratch.(0) < cells.(j))
+        do
+          incr i
+        done;
+        !i
+      ]}
+      How it searches is the key module's choice; a finger's target is
+      usually a few slots ahead of [from], so a gallop from [from] pays
+      O(log distance) compares there. *)
 end
 
 module Make (K : ORDERED) : sig
@@ -108,6 +141,11 @@ module Make (K : ORDERED) : sig
       the rightmost entry with key < [k] (strictly), for as long as
       [f] returns [true].  Allocation-free. *)
 
+  val walk_le : 'a t -> K.t -> (K.t -> 'a -> bool) -> unit
+  (** [walk_le t k f] is {!walk_lt} starting at the rightmost entry
+      with key <= [k]: with a float key, [walk_le t infinity] walks
+      every entry, those at [infinity] included. *)
+
   (** {2 Fingers}
 
       A finger is a reusable position in one tree, for many seeks
@@ -137,6 +175,24 @@ module Make (K : ORDERED) : sig
       the finger's leaf or the next one, the seek searches from the
       finger and costs O(log order); any other target, including one
       that goes backwards, re-descends from the root. *)
+
+  val finger_advance : 'a finger -> float array -> target:int -> at:int -> before:int -> unit
+  (** [finger_advance f cells ~target ~at ~before] moves [f] forward to
+      the leftmost entry whose position ([K.key_to_cell]) is
+      [>= cells.(target)], or to the end when there is none, and
+      writes the position of the entry at the finger into
+      [cells.(at)] ([infinity] at the end) and that of the entry just
+      before it into [cells.(before)] ([neg_infinity] at the start).
+      Nothing is boxed: the target and both positions stay in the
+      float cells.
+
+      It only searches forward: it requires every entry before the
+      finger to lie below the target, which holds after
+      {!finger_reset} and after an advance to a target no greater than
+      this one — the rising targets of a band sweep.  The search
+      gallops in the finger's leaf when the target lies there, tries
+      the next leaf once, and otherwise re-descends from the root.
+      For targets that may go backwards use {!finger_seek}. *)
 
   val finger_key : 'a finger -> default:K.t -> K.t
   (** The key at the finger, or [default] at the end. *)

@@ -24,7 +24,7 @@ module I = Cq_interval.Interval
    Emission order is part of the contract: duplicates of an equal
    (lo, hi) key are inserted to the right and rotations preserve the
    in-order sequence, so it is always the live entries sorted stably
-   by (lo, hi) in insertion order.  [stab], [stab_batch], [sweep] and
+   by (lo, hi) in insertion order.  [stab], [stab_batch] and
    [first_overlap] report in that sequence; staged-vs-live processor
    walks and the lazy partition's group choice rely on it. *)
 
@@ -354,32 +354,6 @@ let[@cq.hot] stab_batch t ~keys ~f =
     in
     go t.root 0 n
   end
-
-(* ------------------------------------------------------------------ *)
-(* Sweep against a sorted key sequence                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The in-order walk of [sweep]: [cells] is [| shift; at; before; key |]
-   and [seek] moves the caller's finger to [cells.(3)], refreshing
-   [at] and [before].  A window whose shifted lo lies in (before, at]
-   needs no seek: [at] is already the first key at or above it.
-   Shifted lo ends only rise along the walk, so every key the finger
-   passed is below every window still to come, and a subtree whose
-   maxhi + shift is below [at] holds no window that reaches a key. *)
-let[@cq.hot] rec sweep_at t i cells seek hit =
-  if i <> nil && t.maxhi.(i) +. cells.(0) >= cells.(1) then begin
-    sweep_at t t.left.(i) cells seek hit;
-    let shift = cells.(0) in
-    let lo = t.lo.(i) +. shift in
-    if not (cells.(2) < lo && lo <= cells.(1)) then begin
-      cells.(3) <- lo;
-      seek ()
-    end;
-    if cells.(1) <= t.hi.(i) +. shift then hit (payload_exn t i);
-    sweep_at t t.right.(i) cells seek hit
-  end
-
-let[@cq.hot] sweep t ~cells ~seek hit = sweep_at t t.root cells seek hit
 
 (* ------------------------------------------------------------------ *)
 (* Overlap lookup                                                       *)

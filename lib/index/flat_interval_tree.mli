@@ -7,15 +7,18 @@
     [float array] / [int array] columns, so a node occupies no heap
     object of its own and endpoint floats stay unboxed.  [stab]
     allocates nothing and chases no pointers beyond the payloads it
-    reports.  It is every processor's scattered-query index (through
+    reports.  It is the select and composite processors'
+    scattered-query index (through
     {!Stab_backend.Instrumented_interval_tree}), the baseline joins'
     per-query stabbing index and the lazy partition's group index.
+    Band processors sweep their scattered windows instead, and keep
+    them in {!Sweep_store}.
 
     Emission order is a contract: duplicates of an equal key coexist
     (inserted right), so the in-order sequence is always the live
     entries sorted stably by (lo, hi) in insertion order, and [stab],
-    [stab_batch], [sweep], [first_overlap], [iter] and [to_list] all
-    follow it.  Staged-vs-live processor walks and the lazy
+    [stab_batch], [first_overlap], [iter] and [to_list] all follow
+    it.  Staged-vs-live processor walks and the lazy
     partition's group choice rely on it. *)
 
 type 'a t
@@ -52,32 +55,6 @@ val stab_batch : 'a t -> keys:float array -> f:(idx:int -> 'a -> unit) -> unit
     not modified.  Cost is one sort of the key indices plus a single
     maxhi-pruned traversal — o(k log n + output) shared work instead
     of k independent descents. *)
-
-val sweep : 'a t -> cells:float array -> seek:(unit -> unit) -> ('a -> unit) -> unit
-(** [sweep t ~cells ~seek hit] reports, in the in-order sequence, the
-    payload of every stored window [\[lo, hi\]] whose shifted copy
-    [\[lo + shift, hi + shift\]] (closed) holds a key of the caller's
-    sorted key sequence — a band event's scattered windows against
-    S.B.  The caller owns a finger on that sequence and describes it in
-    [cells = [| shift; at; before; key |]]: [at] is the key at the
-    finger ([infinity] past the end), [before] the key just before it
-    ([neg_infinity] at the start).  Start each sweep with an empty
-    (before, at] ([at = neg_infinity], [before = infinity]) so the
-    first window seeks.
-
-    [seek ()] must move the finger to the first key [>= cells.(3)] and
-    store that key and its predecessor in [cells.(1)] and [cells.(2)].
-    The sweep calls it only for a window whose shifted [lo] lies
-    outside (before, at].  Windows arrive in ascending [lo], so the
-    targets only rise and a forward finger serves the whole walk.  A window hits iff
-    [at <= hi + shift] once the finger is on its [lo], and [hit] is
-    called right then, with the finger on the window's first key; it
-    must not move the finger or write [cells].
-
-    A subtree whose largest [hi] plus [shift] is below [at] is skipped
-    whole: its windows start at or after the last key sought, so none
-    reaches a key.  Bounds are read from the arena's float columns;
-    only a hit reads its payload.  Allocation-free. *)
 
 val first_overlap : 'a t -> Cq_interval.Interval.t -> 'a option
 (** [first_overlap t q] is the payload of the first entry, in the

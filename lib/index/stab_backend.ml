@@ -10,7 +10,6 @@ module type S = sig
   val remove : 'a t -> I.t -> ('a -> bool) -> bool
   val stab : 'a t -> float -> ('a -> unit) -> unit
   val stab_batch : 'a t -> keys:float array -> f:(idx:int -> 'a -> unit) -> unit
-  val sweep : 'a t -> cells:float array -> seek:(unit -> unit) -> ('a -> unit) -> unit
   val iter : 'a t -> ('a -> unit) -> unit
   val check_invariants : 'a t -> unit
 end
@@ -32,7 +31,6 @@ module Interval_tree : S = struct
   let remove = M.remove
   let stab = M.stab
   let stab_batch = M.stab_batch
-  let sweep = M.sweep
   let iter = M.iter
   let check_invariants = M.check_invariants
 end
@@ -49,20 +47,6 @@ module Treap : S = struct
   let remove = M.remove
   let stab t x f = M.stab t x (fun _ p -> f p)
   let stab_batch t ~keys ~f = loop_stab_batch stab t ~keys ~f
-
-  (* The sweep protocol as a plain in-order loop: every window is
-     checked, none pruned. *)
-  let sweep t ~cells ~seek hit =
-    Priority_search_tree.iter
-      (fun iv p ->
-        let shift = cells.(0) in
-        let lo = I.lo iv +. shift in
-        if not (cells.(2) < lo && lo <= cells.(1)) then begin
-          cells.(3) <- lo;
-          seek ()
-        end;
-        if cells.(1) <= I.hi iv +. shift then hit p)
-      (M.snapshot t)
 
   let iter t f = Priority_search_tree.iter (fun _ p -> f p) (M.snapshot t)
   let check_invariants t = Priority_search_tree.check_invariants (M.snapshot t)
@@ -126,7 +110,6 @@ module Instrumented (B : S) : S = struct
     end
     else B.stab_batch t ~keys ~f
 
-  let sweep = B.sweep
   let iter = B.iter
   let check_invariants = B.check_invariants
 end

@@ -5,11 +5,12 @@
     imperative signature, so the differential oracle and the invariant
     audits drive both through the same code.
 
-    The processors use only {!Instrumented_interval_tree}: repeated
-    [ablation-backend] and [ablation-stab-index] captures showed the
-    priority search tree winning nothing beyond noise end to end and
-    losing every raw column.  {!Treap} is the adapter for its oracle
-    driver. *)
+    The stabbing processors use only {!Instrumented_interval_tree}:
+    repeated [ablation-backend] and [ablation-stab-index] captures
+    showed the priority search tree winning nothing beyond noise end
+    to end and losing every raw column.  {!Treap} is the adapter for
+    its oracle driver.  Sweeping is not a backend operation: band
+    windows are swept from their own store ({!Sweep_store}). *)
 
 (** The backend contract: a mutable multiset of (interval, payload)
     entries supporting stabbing queries and full iteration. *)
@@ -46,13 +47,6 @@ module type S = sig
       with a batched descent ({!Interval_tree}) answer the whole array
       per index walk; the others fall back to a loop of scalar stabs. *)
 
-  val sweep : 'a t -> cells:float array -> seek:(unit -> unit) -> ('a -> unit) -> unit
-  (** Report every stored window whose shifted copy holds a key of the
-      caller's sorted key sequence, in ascending (lo, hi) order, under
-      {!Flat_interval_tree.sweep}'s cell and [seek] protocol.
-      {!Interval_tree} prunes subtrees on their largest right
-      endpoint; {!Treap} checks every window in one in-order loop. *)
-
   val iter : 'a t -> ('a -> unit) -> unit
   (** Visit every stored payload exactly once. *)
 
@@ -75,11 +69,13 @@ module Instrumented (B : S) : S
     into the {!Cq_obs.Metrics} registry under the backend's name:
     [stab.<name>.stab_ns], [stab.<name>.stab_batch_ns],
     [stab.<name>.add_ns], [stab.<name>.remove_ns], and the per-stab
-    result fanout [stab.<name>.stab_hits]; [sweep] and [iter] pass
-    through untimed.  While metrics are disabled the wrapper
+    result fanout [stab.<name>.stab_hits]; [iter] passes through
+    untimed.  While metrics are disabled the wrapper
     costs one branch per call, so instrumented backends can be used
     unconditionally. *)
 
 module Instrumented_interval_tree : S
-(** [Instrumented (Interval_tree)]: the scattered-query index of
-    every {!Hotspot_core.Processor.Make} instance. *)
+(** [Instrumented (Interval_tree)]: the scattered-query index of every
+    {!Hotspot_core.Processor.Make} instance whose class stabs it
+    (select and composite joins).  Band classes sweep their scattered
+    windows, which live in a {!Sweep_store} instead. *)

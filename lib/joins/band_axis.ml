@@ -52,8 +52,9 @@ struct
      Leaf walks, not cursor chains: no allocation per member. *)
   let iter_lo g k = Fbt.walk_ge g.by_lo neg_infinity (fun _ q -> k q)
 
-  (* Members in decreasing right-endpoint order. *)
-  let iter_hi g k = Fbt.walk_lt g.by_hi infinity (fun _ q -> k q)
+  (* Members in decreasing right-endpoint order, from the top: a window
+     that never ends (hi = +inf) is a member too. *)
+  let iter_hi g k = Fbt.walk_le g.by_hi infinity (fun _ q -> k q)
 
   (* The finger's missing anchors read as NaN: every comparison with
      NaN is false, so a scan from a missing anchor takes no member and

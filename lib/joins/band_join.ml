@@ -283,18 +283,19 @@ module Core_query = struct
   let scatter_interval = interval
 
   (* Band windows shift with the event's B value, so scattered queries
-     have no fixed stabbing point.  The scattered index yields them in
+     have no fixed stabbing point.  The sweep store yields them in
      ascending [lo], so their shifted lower ends [lo + r.b] only rise:
-     one pruned sweep of the index against one forward finger through
+     one pruned sweep of the store against one forward finger through
      S.B answers every window of the event (BJ-MJ's merge, applied to
      the scattered remainder).  [cells] is the sweep's
      [| r.b; at; before; key |]: the key at the finger (+inf at the
      end), the key before it (-inf at the start) and the next target,
      so a window whose shifted [lo] lies in (before, at] — most of
      them, since the windows outnumber the S rows they span — needs no
-     seek.  [seek] is the sweep's preallocated closure over the finger
-     and the cells.  [group] is the second finger, which each group's
-     STEP 1 seeks to its anchors. *)
+     seek.  [seek] is the sweep's preallocated closure: it advances the
+     finger to the target and writes both keys back, all in the cells,
+     so a seek boxes nothing.  [group] is the second finger, which each
+     group's STEP 1 seeks to its anchors. *)
   type scan = {
     finger : Tuple.s Fbt.finger;
     cells : float array;
@@ -305,15 +306,11 @@ module Core_query = struct
   let scan_create table =
     let sb = Table.s_by_b table in
     let finger = Fbt.finger sb and cells = [| 0.0; neg_infinity; infinity; 0.0 |] in
-    let seek () =
-      Fbt.finger_seek finger cells.(3);
-      cells.(1) <- Fbt.finger_key finger ~default:infinity;
-      cells.(2) <- Fbt.finger_prev_key finger ~default:neg_infinity
-    in
+    let seek () = Fbt.finger_advance finger cells ~target:3 ~at:1 ~before:2 in
     { finger; cells; seek; group = Fbt.finger sb }
 
   (* An empty (before, at] makes the event's first window seek, so an
-     event with no scattered window reads no key (and boxes none). *)
+     event with no scattered window reads no key. *)
   let[@cq.hot] scan_begin s (r : Tuple.r) =
     Fbt.finger_reset s.finger;
     Fbt.finger_reset s.group;

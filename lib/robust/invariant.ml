@@ -102,6 +102,28 @@ let rtree (t : 'a Rtree.t) : report =
   seal c
 
 (* ------------------------------------------------------------------ *)
+(* Sweep store                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let sweep_store (t : 'a Cq_index.Sweep_store.t) : report =
+  let module S = Cq_index.Sweep_store in
+  let c = ctx "sweep_store" in
+  guard c "internal" (fun () -> S.check_invariants t);
+  let entries = S.to_list t in
+  let n = List.length entries in
+  if n <> S.size t then pushf c "size" "size reports %d but %d entries listed" (S.size t) n;
+  let rec ordered = function
+    | (lo1, hi1, _) :: ((lo2, hi2, _) :: _ as rest) ->
+        let r = Float.compare lo1 lo2 in
+        if r > 0 || (r = 0 && Float.compare hi1 hi2 > 0) then
+          pushf c "order" "[%g, %g] listed before [%g, %g]" lo1 hi1 lo2 hi2
+        else ordered rest
+    | _ -> ()
+  in
+  ordered entries;
+  seal c
+
+(* ------------------------------------------------------------------ *)
 (* B+-tree                                                              *)
 (* ------------------------------------------------------------------ *)
 

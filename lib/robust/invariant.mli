@@ -26,6 +26,10 @@ val merge : report list -> report
 val rtree : 'a Cq_index.Rtree.t -> report
 (** MBR containment down every path plus sampled center-point stabs. *)
 
+val sweep_store : 'a Cq_index.Sweep_store.t -> report
+(** The store's own structural check, size/listing agreement, and
+    (lo, hi) order of the listing. *)
+
 val engine : Cq_engine.Engine.t -> report
 (** Wraps {!Cq_engine.Engine.check_invariants}: the four trackers'
     (I1)–(I3), aux-structure sync, and forward/mirror lockstep. *)

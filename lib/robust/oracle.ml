@@ -102,20 +102,9 @@ module type STAB_INDEX = sig
   val add : t -> int -> I.t -> unit
   val remove : t -> int -> I.t -> bool
   val stab_ids : t -> float -> int list
-  val sweep_ids : t -> keys:float array -> shift:float -> int list option
   val size : t -> int
   val audit : t -> entries:(int * I.t) list -> Invariant.report
 end
-
-(* The keys a probe at [x] sweeps against: sorted, one on the grid the
-   intervals sit on and the others off it, spread over a few windows'
-   width; the shift moves every window a quarter step left. *)
-let sweep_keys x =
-  let keys = [| x -. 2.5; Float.round x; x; x +. 4.0 |] in
-  Array.sort Float.compare keys;
-  keys
-
-let sweep_shift = -0.25
 
 let run_index (module S : STAB_INDEX) ~seed ~ops =
   let run = make_run S.name seed in
@@ -148,24 +137,7 @@ let run_index (module S : STAB_INDEX) ~seed ~ops =
               let got = List.sort Int.compare (S.stab_ids t x) in
               if not (List.equal Int.equal got want) then
                 diverge run i "stab %g returned %d ids, oracle says %d" x (List.length got)
-                  (List.length want);
-              let keys = sweep_keys x in
-              let holds iv =
-                Array.exists
-                  (fun k -> I.lo iv +. sweep_shift <= k && k <= I.hi iv +. sweep_shift)
-                  keys
-              in
-              Option.iter
-                (fun got ->
-                  let got = List.sort Int.compare got in
-                  let want =
-                    List.sort Int.compare
-                      (Hashtbl.fold (fun id iv acc -> if holds iv then id :: acc else acc) mirror [])
-                  in
-                  if not (List.equal Int.equal got want) then
-                    diverge run i "sweep at %g returned %d ids, oracle says %d" x
-                      (List.length got) (List.length want))
-                (S.sweep_ids t ~keys ~shift:sweep_shift));
+                  (List.length want));
           let n = S.size t and m = Hashtbl.length mirror in
           if n <> m then diverge run i "size %d, oracle says %d" n m;
           if (i + 1) mod gap = 0 then
@@ -193,23 +165,6 @@ module Stab_driver (B : Cq_index.Stab_backend.S) : STAB_INDEX = struct
     B.stab t x (fun (id, _) -> acc := id :: !acc);
     !acc
 
-  (* The sweep against a sorted key array, with a linear seek: the
-     protocol a band event runs against S.B. *)
-  let sweep_ids t ~keys ~shift =
-    let n = Array.length keys in
-    let cells = [| shift; neg_infinity; infinity; 0.0 |] in
-    let seek () =
-      let i = ref 0 in
-      while !i < n && keys.(!i) < cells.(3) do
-        incr i
-      done;
-      cells.(1) <- (if !i < n then keys.(!i) else infinity);
-      cells.(2) <- (if !i > 0 then keys.(!i - 1) else neg_infinity)
-    in
-    let acc = ref [] in
-    B.sweep t ~cells ~seek (fun (id, _) -> acc := id :: !acc);
-    Some !acc
-
   let size = B.size
   let audit t ~entries:_ = A.audit ~interval:snd t
 end
@@ -235,8 +190,6 @@ module Rtree_driver : STAB_INDEX = struct
     let acc = ref [] in
     R.stab t ~x ~y:0.5 (fun _ id -> acc := id :: !acc);
     !acc
-
-  let sweep_ids _ ~keys:_ ~shift:_ = None
 
   let size = R.size
   let audit t ~entries:_ = Invariant.rtree t
@@ -278,11 +231,103 @@ module Treap_driver : STAB_INDEX = struct
     t.tr <- Tr.join l r;
     Tr.fold (fun acc (id, iv) -> if I.stabs iv x then id :: acc else acc) [] t.tr
 
-  let sweep_ids _ ~keys:_ ~shift:_ = None
-
   let size t = Tr.size t.tr
   let audit t ~entries:_ = Tr_audit.audit t.tr
 end
+
+(* ------------------------------------------------------------------ *)
+(* Sweep store                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The keys a probe at [x] sweeps against: sorted, one on the grid the
+   intervals sit on and the others off it, spread over a few windows'
+   width; the shift moves every window a quarter step left. *)
+let sweep_keys x =
+  let keys = [| x -. 2.5; Float.round x; x; x +. 4.0 |] in
+  Array.sort Float.compare keys;
+  keys
+
+let sweep_shift = -0.25
+
+(* The sweep against a sorted key array, with a linear seek: the
+   protocol a band event runs against S.B. *)
+let sweep_ids st ~keys ~shift =
+  let n = Array.length keys in
+  let cells = [| shift; neg_infinity; infinity; 0.0 |] in
+  let seek () =
+    let i = ref 0 in
+    while !i < n && keys.(!i) < cells.(3) do
+      incr i
+    done;
+    cells.(1) <- (if !i < n then keys.(!i) else infinity);
+    cells.(2) <- (if !i > 0 then keys.(!i - 1) else neg_infinity)
+  in
+  let acc = ref [] in
+  Cq_index.Sweep_store.sweep st ~cells ~seek (fun id -> acc := id :: !acc);
+  List.rev !acc
+
+(* The mirror is the sorted window list itself: (id, interval) in
+   (lo, hi) order, equal keys in insertion order.  An add goes after
+   its equal keys and a remove takes the first match, as the store's
+   contract says, so listing and sweep are compared in order. *)
+let run_sweep_store ~seed ~ops =
+  let module S = Cq_index.Sweep_store in
+  let run = make_run "sweep_store" seed in
+  let t = S.create () in
+  let stream = Fault.gen ~seed ~n:ops in
+  let mirror = ref [] in
+  let key iv = (I.lo iv, I.hi iv) in
+  let before_or_equal a b = Cq_util.Order.float_pair (key a) (key b) <= 0 in
+  let rec insert id iv = function
+    | (_, iv') :: _ as rest when not (before_or_equal iv' iv) -> (id, iv) :: rest
+    | e :: rest -> e :: insert id iv rest
+    | [] -> [ (id, iv) ]
+  in
+  let rec drop id iv = function
+    | (id', iv') :: rest when id' = id && I.equal iv' iv -> Some rest
+    | e :: rest -> Option.map (List.cons e) (drop id iv rest)
+    | [] -> None
+  in
+  let gap = checkpoint_gap ops in
+  Array.iteri
+    (fun i op ->
+      if Option.is_none run.div then
+        try
+          (match op with
+          | Fault.Add { id; iv } | Fault.Re_add { id; iv } ->
+              S.add t iv id;
+              mirror := insert id iv !mirror
+          | Fault.Remove { id; iv } | Fault.Remove_absent { id; iv } -> (
+              let got = S.remove t iv (fun id' -> id' = id) in
+              match drop id iv !mirror with
+              | Some rest when got -> mirror := rest
+              | None when not got -> ()
+              | expect ->
+                  diverge run i "remove %d %s returned %b, oracle says %b" id (I.to_string iv)
+                    got (Option.is_some expect))
+          | Fault.Probe x ->
+              let listed = List.map (fun (_, _, id) -> id) (S.to_list t) in
+              if not (List.equal Int.equal listed (List.map fst !mirror)) then
+                diverge run i "listing differs from the sorted mirror (%d entries, oracle %d)"
+                  (List.length listed) (List.length !mirror);
+              let keys = sweep_keys x in
+              let holds iv =
+                Array.exists
+                  (fun k -> I.lo iv +. sweep_shift <= k && k <= I.hi iv +. sweep_shift)
+                  keys
+              in
+              let want = List.filter_map (fun (id, iv) -> if holds iv then Some id else None) !mirror in
+              let got = sweep_ids t ~keys ~shift:sweep_shift in
+              if not (List.equal Int.equal got want) then
+                diverge run i "sweep at %g returned %d ids, oracle says %d" x (List.length got)
+                  (List.length want));
+          let n = S.size t and m = List.length !mirror in
+          if n <> m then diverge run i "size %d, oracle says %d" n m;
+          if (i + 1) mod gap = 0 then record_report run (Invariant.sweep_store t)
+        with exn -> diverge run i "uncaught exception: %s" (Printexc.to_string exn))
+    stream;
+  record_report run (Invariant.sweep_store t);
+  finish run ~ops ~final_size:(S.size t)
 
 (* ------------------------------------------------------------------ *)
 (* B+-tree (keyed on interval left endpoints)                           *)
@@ -1015,6 +1060,10 @@ let audit_workload ~seed ~n () =
         (S.name, S.audit t ~entries))
       index_drivers
   in
+  let ss = Cq_index.Sweep_store.create () in
+  apply
+    ~add:(fun id iv -> Cq_index.Sweep_store.add ss iv id)
+    ~del:(fun id iv -> ignore (Cq_index.Sweep_store.remove ss iv (fun id' -> id' = id)));
   let bt : int Fbt.t = Fbt.create () in
   apply
     ~add:(fun id iv -> Fbt.insert bt (I.lo iv) id)
@@ -1037,6 +1086,7 @@ let audit_workload ~seed ~n () =
   let reports =
     index_reports
     @ [
+        ("sweep_store", Invariant.sweep_store ss);
         ("btree", Fbt_audit.audit bt);
         ("hotspot_tracker", Tracker_audit.audit tr);
         ("lazy_partition", Lazy_audit.audit ~name:"lazy_partition" lp);
@@ -1052,6 +1102,7 @@ let fuzz_all ?(shards = 2) ~seed ~ops () =
   let n = max 200 (ops / 10) in
   List.map (fun d -> run_index d ~seed ~ops) index_drivers
   @ [
+      run_sweep_store ~seed ~ops;
       run_btree ~seed ~ops;
       run_tracker ~seed ~ops ();
       run_lazy_partition ~seed ~ops;

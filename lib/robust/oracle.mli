@@ -29,9 +29,8 @@ val pp_outcome : Format.formatter -> outcome -> unit
 (** {2 Stabbing-index drivers}
 
     The four 1-D-stabbing-capable indexes behind one interface; the
-    treap driver additionally split/joins at every probe, the R-tree
-    driver embeds intervals as [iv × \[0,1\]] rectangles, and the two
-    {!Cq_index.Stab_backend.S} drivers also sweep at every probe. *)
+    treap driver additionally split/joins at every probe, and the
+    R-tree driver embeds intervals as [iv × \[0,1\]] rectangles. *)
 
 module type STAB_INDEX = sig
   type t
@@ -41,13 +40,6 @@ module type STAB_INDEX = sig
   val add : t -> int -> Cq_interval.Interval.t -> unit
   val remove : t -> int -> Cq_interval.Interval.t -> bool
   val stab_ids : t -> float -> int list
-
-  val sweep_ids : t -> keys:float array -> shift:float -> int list option
-  (** The windows whose copy shifted by [shift] holds one of the
-      sorted [keys] ({!Cq_index.Stab_backend.S.sweep}); [None] for a
-      structure without a sweep.  {!run_index} checks it at every
-      probe against the mirror. *)
-
   val size : t -> int
   val audit : t -> entries:(int * Cq_interval.Interval.t) list -> Invariant.report
 end
@@ -67,6 +59,12 @@ val index_drivers : (module STAB_INDEX) list
 val run_index : (module STAB_INDEX) -> seed:int -> ops:int -> outcome
 
 (** {2 Other structures} *)
+
+val run_sweep_store : seed:int -> ops:int -> outcome
+(** {!Cq_index.Sweep_store} against a sorted-list mirror: every listing
+    in order, and at every probe the windows whose copy shifted a
+    quarter step left holds one of a few sorted keys around the probe,
+    swept with a linear seek, in order. *)
 
 val run_btree : seed:int -> ops:int -> outcome
 (** B+-tree keyed on interval left endpoints: [count_range] and

@@ -154,10 +154,15 @@ let prop_btree_walks =
           FB.walk_lt t k (fun k' v ->
               desc := (k', v) :: !desc;
               true);
+          let desc_le = ref [] in
+          FB.walk_le t k (fun k' v ->
+              desc_le := (k', v) :: !desc_le;
+              true);
           let ge_model = List.filter (fun (k', _) -> k' >= k) model in
           let lt_model = List.filter (fun (k', _) -> k' < k) model in
-          List.rev !asc = ge_model && !desc = lt_model)
-        probes)
+          let le_model = List.filter (fun (k', _) -> k' <= k) model in
+          List.rev !asc = ge_model && !desc = lt_model && !desc_le = le_model)
+        (infinity :: probes))
 
 (* The finger runs on the production S.B tree, at the smallest order
    (duplicates straddle many leaves) and the default one. *)
@@ -291,6 +296,91 @@ let prop_key_bounds =
       in
       bounds_agree (module Cq_relation.Table.Fkey) fa (probe_keys fa)
       && bounds_agree (module Cq_relation.Table.Pkey) pa pprobes)
+
+(* The float-cell hooks against the loops their contract states: the
+   position [key_to_cell] writes is the key for [Fkey] and the first
+   component for [Pkey], and [lower_bound_cell] is the linear scan for
+   the first position at or above the target, over every [from, count)
+   sub-range, for targets on, between, below and above the keys. *)
+let cell_hooks_agree (type k) (module K : Btree.ORDERED with type t = k) ~pos (a : k array) targets
+    =
+  let n = Array.length a and cells = [| 0.0; 0.0 |] in
+  let written =
+    List.for_all
+      (fun i ->
+        K.key_to_cell a i cells 1;
+        Float.equal cells.(1) (pos a.(i)))
+      (List.init n Fun.id)
+  in
+  written
+  && List.for_all
+       (fun x ->
+         cells.(0) <- x;
+         let ok = ref true in
+         for from = 0 to n do
+           for count = from to n do
+             let i = ref from in
+             while
+               !i < count
+               && (K.key_to_cell a !i cells 1;
+                   cells.(1) < cells.(0))
+             do
+               incr i
+             done;
+             if K.lower_bound_cell a from count cells 0 <> !i then ok := false
+           done
+         done;
+         !ok)
+       targets
+
+let prop_key_cell_hooks =
+  QCheck2.Test.make ~name:"btree keys: cell hooks match their loops" ~count:200
+    QCheck2.Gen.(pair sorted_grid_gen (list_size (int_range 0 24) (pair key_gen key_gen)))
+    (fun (fl, pl) ->
+      let fa = Array.of_list fl in
+      let pa = Array.of_list (List.sort Cq_relation.Table.Pkey.compare pl) in
+      cell_hooks_agree (module Cq_relation.Table.Fkey) ~pos:Fun.id fa
+        (neg_infinity :: infinity :: probe_keys fa)
+      && cell_hooks_agree (module Cq_relation.Table.Pkey) ~pos:fst pa
+           (neg_infinity :: infinity :: probe_keys (Array.map fst pa)))
+
+(* [finger_advance] over rising targets, from a reset finger: the
+   finger must land where [seek_ge] does and the cells must hold the
+   keys at and before it ([infinity] / [neg_infinity] at the ends).
+   Targets repeat, jump over many leaves at order 2 and run past the
+   top, where the finger stays at the end.  The composite tree
+   advances on the first component. *)
+let prop_btree_finger_advance =
+  QCheck2.Test.make ~name:"btree: finger_advance matches seek_ge over rising targets" ~count:300
+    QCheck2.Gen.(
+      triple (oneofl [ 2; 16 ]) ops_gen
+        (map (List.sort Float.compare) (list_size (int_range 1 40) target_gen)))
+    (fun (order, ops, targets) ->
+      let t = fbt_of_ops ~order ops in
+      let f = Fbt.finger t and cells = [| 0.0; nan; nan; nan |] in
+      let module Pbt = Cq_relation.Table.Pbt in
+      let p = Pbt.create ~order () in
+      Fbt.iter t (fun k v -> Pbt.insert p (k, float_of_int (v mod 3)) v);
+      let pf = Pbt.finger p and pcells = [| nan; nan; 0.0 |] in
+      List.for_all
+        (fun k ->
+          cells.(3) <- k;
+          Fbt.finger_advance f cells ~target:3 ~at:1 ~before:2;
+          pcells.(2) <- k;
+          Pbt.finger_advance pf pcells ~target:2 ~at:0 ~before:1;
+          let ge = Fbt.seek_ge t k in
+          let at = Option.fold ~none:infinity ~some:Fbt.key ge in
+          let before =
+            match ge with
+            | Some c -> Option.fold ~none:neg_infinity ~some:Fbt.key (Fbt.prev c)
+            | None -> Option.fold ~none:neg_infinity ~some:fst (Fbt.max_entry t)
+          in
+          Float.equal cells.(1) at
+          && Float.equal cells.(2) before
+          && Float.equal (Fbt.finger_key f ~default:infinity) at
+          && Float.equal pcells.(0) at
+          && Float.equal pcells.(1) before)
+        targets)
 
 let test_btree_finger_empty () =
   let t = Fbt.create ~order:2 () in
@@ -714,11 +804,135 @@ let prop_stab_batch_matches_stab_loop =
         keys;
       !ok)
 
-(* [sweep] driven the way a band event drives it: a forward finger over
-   a sorted key array, the seek protocol on [cells].  Returns the hit
-   payloads in order and the number of seeks; every hit also checks
-   that the finger sits on the first key at or above its shifted lo. *)
-let sweep_keys sweep t keys shift =
+(* ---------------------------- Sweep store ----------------------------- *)
+
+module Store = Cq_index.Sweep_store
+
+(* Windows on a coarse grid, so duplicate, nested and zero-width
+   windows are common; one in eight is unbounded on one side. *)
+let window_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 6,
+          map2
+            (fun a w -> I.make (float_of_int a) (float_of_int (a + w)))
+            (int_bound 30)
+            (frequencyl [ (1, 0); (3, 1); (3, 3); (1, 12) ]) );
+        (1, map (fun a -> I.make neg_infinity (float_of_int a)) (int_bound 30));
+        (1, map (fun a -> I.make (float_of_int a) infinity) (int_bound 30));
+      ])
+
+type store_op = Add of I.t | Remove_nth of int | Remove_absent of I.t
+
+(* Adds outweigh removes, so runs grow past several 64-window chunks;
+   long runs of removes then drain chunks under 16 and merge them. *)
+let store_ops_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 600)
+      (frequency
+         [
+           (5, map (fun iv -> Add iv) window_gen);
+           (3, map (fun k -> Remove_nth k) (int_bound 1000));
+           (1, map (fun iv -> Remove_absent iv) window_gen);
+         ]))
+
+(* The model: (interval, id) sorted stably by (lo, hi); an add goes
+   after its equal keys and a remove takes the first match. *)
+let store_key (iv, _) = (I.lo iv, I.hi iv)
+
+let store_model_add model iv id =
+  let before (iv', _) = Cq_util.Order.float_pair (store_key (iv', ())) (store_key (iv, ())) <= 0 in
+  let rec go = function e :: rest when before e -> e :: go rest | rest -> (iv, id) :: rest in
+  go model
+
+let prop_store_models_sorted_list =
+  QCheck2.Test.make ~name:"sweep store: add/remove match a sorted-list model" ~count:200
+    store_ops_gen (fun ops ->
+      let t = Store.create () and flat = Flat.create () in
+      let model = ref [] and ok = ref true in
+      List.iteri
+        (fun id op ->
+          (match op with
+          | Add iv ->
+              Store.add t iv id;
+              Flat.add flat iv id;
+              model := store_model_add !model iv id
+          | Remove_nth k -> (
+              match List.nth_opt !model (if !model = [] then 0 else k mod List.length !model) with
+              | None -> if Store.remove t (I.make 0.0 0.0) (fun _ -> true) then ok := false
+              | Some (iv, victim) ->
+                  if not (Store.remove t iv (fun p -> p = victim)) then ok := false;
+                  ignore (Flat.remove flat iv (fun p -> p = victim));
+                  model := List.filter (fun (_, p) -> p <> victim) !model)
+          | Remove_absent iv -> if Store.remove t iv (fun p -> p < 0) then ok := false);
+          Store.check_invariants t;
+          let listed = Store.to_list t in
+          if
+            List.map (fun (lo, hi, p) -> (I.make lo hi, p)) listed <> !model
+            || Store.size t <> List.length !model
+          then ok := false)
+        ops;
+      (* Same adds and removes, same order as the flat interval tree. *)
+      let in_order iter x =
+        let acc = ref [] in
+        iter x (fun p -> acc := p :: !acc);
+        List.rev !acc
+      in
+      !ok && in_order Store.iter t = in_order Flat.iter flat)
+
+(* Chunk boundaries, driven to each case: ascending adds fill a chunk
+   to 64 and split it on the 65th, leaving [0..31] and [32..86] after
+   87 adds.  Draining the first chunk under 16 evens the pair out
+   (15 + 55 > 64); draining the second merges it back into the first
+   (32 + 15 <= 64); draining everything empties the store.  Every step
+   is checked against the listing the adds and removes imply. *)
+let test_store_chunk_boundaries () =
+  let window i = I.make (float_of_int i) (float_of_int i +. 0.5) in
+  let check what t live =
+    Store.check_invariants t;
+    Alcotest.(check (list int)) what live (List.map (fun (_, _, p) -> p) (Store.to_list t))
+  in
+  let fill n =
+    let t = Store.create () in
+    for i = 0 to n - 1 do
+      Store.add t (window i) i
+    done;
+    t
+  in
+  let drop t live ids =
+    List.iter
+      (fun i -> Alcotest.(check bool) "removed" true (Store.remove t (window i) (Int.equal i)))
+      ids;
+    List.filter (fun i -> not (List.mem i ids)) live
+  in
+  let t = fill 64 in
+  check "one full chunk" t (List.init 64 Fun.id);
+  Store.add t (window 64) 64;
+  check "split on the 65th" t (List.init 65 Fun.id);
+  let all = List.init 87 Fun.id in
+  let t = fill 87 in
+  let live = drop t all (List.init 17 Fun.id) in
+  check "first chunk drained under 16: evened out" t live;
+  let t = fill 87 in
+  let live = drop t all (List.init 40 (fun i -> 86 - i)) in
+  check "second chunk drained under 16: merged" t live;
+  let live = drop t live live in
+  check "drained" t live;
+  Alcotest.(check int) "empty" 0 (Store.size t);
+  Alcotest.(check bool) "remove from empty" false (Store.remove t (window 0) (fun _ -> true));
+  (* Infinite ends sort to the two ends of the listing. *)
+  Store.add t (I.make 1.0 infinity) 1;
+  Store.add t (I.make neg_infinity 5.0) 0;
+  Store.add t (I.make 1.0 2.0) 2;
+  check "infinite ends" t [ 0; 2; 1 ]
+
+(* The sweep driven the way a band event drives it: a forward finger
+   over a sorted key array, the seek protocol on [cells].  Returns the
+   hit payloads in order and the number of seeks; every hit also
+   checks that the finger sits on the first key at or above its
+   shifted lo. *)
+let sweep_keys t keys shift =
   let n = Array.length keys in
   let cells = [| shift; neg_infinity; infinity; 0.0 |] in
   let seeks = ref 0 and hits = ref [] and placed = ref true in
@@ -735,70 +949,86 @@ let sweep_keys sweep t keys shift =
     cells.(1) <- (if i < n then keys.(i) else infinity);
     cells.(2) <- (if i > 0 then keys.(i - 1) else neg_infinity)
   in
-  sweep t ~cells ~seek (fun ((lo, _, _) as p) ->
-      if cells.(1) <> keys.(first_ge (lo +. shift)) then placed := false;
+  Store.sweep t ~cells ~seek (fun ((lo, _, _) as p) ->
+      let i = first_ge (lo +. shift) in
+      if i >= n || cells.(1) <> keys.(i) then placed := false;
       hits := p :: !hits);
   (List.rev !hits, !seeks, !placed)
 
-(* Windows on a coarse grid, so duplicate, nested and zero-width
-   windows are common; keys on the same grid with duplicates. *)
-let window_gen =
-  QCheck2.Gen.(
-    map2
-      (fun a w -> I.make (float_of_int a) (float_of_int (a + w)))
-      (int_bound 30)
-      (frequencyl [ (1, 0); (3, 1); (3, 3); (1, 12) ]))
-
-let reference_sweep ft keys shift =
+let reference_sweep t keys shift =
   List.filter_map
     (fun (lo, hi, p) ->
       if Array.exists (fun k -> lo +. shift <= k && k <= hi +. shift) keys then Some p else None)
-    (Flat.to_list ft)
+    (Store.to_list t)
 
-let prop_sweep_matches_filter =
-  QCheck2.Test.make ~name:"flat itree: sweep = in-order windows holding a shifted key" ~count:300
+let prop_store_sweep_matches_filter =
+  QCheck2.Test.make ~name:"sweep store: sweep = in-order windows holding a shifted key" ~count:300
     QCheck2.Gen.(
       triple
-        (list_size (int_range 0 80) window_gen)
+        (list_size (int_range 0 300) window_gen)
         (list_size (int_range 0 12) (int_range (-5) 40))
         (int_range (-10) 10))
     (fun (ivs, key_list, shift) ->
       let keys = Array.of_list (List.sort Float.compare (List.map float_of_int key_list)) in
       let shift = float_of_int shift in
-      let ft = Flat.create () in
-      List.iteri (fun i iv -> Flat.add ft iv (I.lo iv, I.hi iv, i)) ivs;
-      let got, _, placed = sweep_keys Flat.sweep ft keys shift in
-      let pst = Cq_index.Stab_backend.Treap.create ~seed:3 in
-      List.iteri (fun i iv -> Cq_index.Stab_backend.Treap.add pst iv (I.lo iv, I.hi iv, i)) ivs;
-      let pst_got, _, pst_placed = sweep_keys Cq_index.Stab_backend.Treap.sweep pst keys shift in
-      let want = reference_sweep ft keys shift in
-      got = want && placed && pst_placed && List.sort compare pst_got = List.sort compare want)
+      let t = Store.create () in
+      List.iteri (fun i iv -> Store.add t iv (I.lo iv, I.hi iv, i)) ivs;
+      let got, _, placed = sweep_keys t keys shift in
+      got = reference_sweep t keys shift && placed)
 
 (* Pruning, where its effect is visible from outside: once the first
    window's seek shows every key lies beyond (or before) every shifted
-   window, nothing else seeks or hits. *)
-let test_sweep_pruned_cases () =
-  let ft = Flat.create () in
+   window, nothing else seeks or hits; a finger past the last key ends
+   the sweep, even for a window that never ends. *)
+let test_store_sweep_pruned_cases () =
+  let t = Store.create () in
   List.iter
-    (fun (lo, hi) -> Flat.add ft (I.make lo hi) (lo, hi, 0))
-    [ (0., 10.); (2., 3.); (2., 3.); (4., 4.); (5., 30.); (8., 9.); (20., 25.) ];
+    (fun (lo, hi) -> Store.add t (I.make lo hi) (lo, hi, 0))
+    [ (0., 10.); (2., 3.); (2., 3.); (4., 4.); (5., 30.); (8., 9.); (20., 25.); (22., infinity) ];
   let check name keys shift ~seeks ~hits =
-    let got, n, placed = sweep_keys Flat.sweep ft keys shift in
+    let got, n, placed = sweep_keys t keys shift in
     Alcotest.(check int) (name ^ ": seeks") seeks n;
     Alcotest.(check int) (name ^ ": hits") hits (List.length got);
     Alcotest.(check bool) (name ^ ": finger placed") true placed
   in
-  check "keys beyond every window" [| 100.; 200. |] 0.0 ~seeks:1 ~hits:0;
-  check "keys beyond after the shift" [| 10.; 20. |] (-50.0) ~seeks:1 ~hits:0;
+  check "keys beyond every finite window" [| 100.; 200. |] 0.0 ~seeks:1 ~hits:1;
+  check "keys beyond after the shift" [| 10.; 20. |] (-50.0) ~seeks:1 ~hits:1;
   check "keys before every window" [| -50.; -40. |] 0.0 ~seeks:1 ~hits:0;
   check "no keys" [||] 3.0 ~seeks:1 ~hits:0;
   (* [0,10] and both [2,3] hold 2.5 without a second seek; [4,4] seeks
-     past the last key, and the rest is pruned. *)
+     past the last key, which ends the sweep before [22, inf]. *)
   check "one key, three windows" [| 2.5 |] 0.0 ~seeks:2 ~hits:3;
-  let empty = Flat.create () in
-  let got, n, _ = sweep_keys Flat.sweep empty [| 1. |] 0.0 in
-  Alcotest.(check int) "empty tree: no seek" 0 n;
-  Alcotest.(check int) "empty tree: no hit" 0 (List.length got)
+  let got, n, _ = sweep_keys (Store.create ()) [| 1. |] 0.0 in
+  Alcotest.(check int) "empty store: no seek" 0 n;
+  Alcotest.(check int) "empty store: no hit" 0 (List.length got);
+  (* 200 windows [10i, 10i + 1] against one key at 1005.5, between
+     two of them: one seek reaches it, one more runs past it and ends
+     the sweep, and nothing hits. *)
+  let wide = Store.create () in
+  for i = 0 to 199 do
+    let lo = 10.0 *. float_of_int i in
+    Store.add wide (I.make lo (lo +. 1.0)) (lo, lo +. 1.0, i)
+  done;
+  let got, n, _ = sweep_keys wide [| 1005.5 |] 0.0 in
+  Alcotest.(check int) "key between windows: seeks" 2 n;
+  Alcotest.(check int) "key between windows: hits" 0 (List.length got)
+
+(* A stale block maximum would let the sweep skip windows that reach a
+   key: [check_invariants] must see it. *)
+let test_store_corruption_caught () =
+  let t = Store.create () in
+  for i = 0 to 99 do
+    Store.add t (I.make (float_of_int i) (float_of_int (i + 5))) i
+  done;
+  Store.check_invariants t;
+  Alcotest.(check bool) "corrupted" true (Store.Testing.lower_block_max t);
+  Alcotest.(check bool)
+    "stale block max caught" true
+    (match Store.check_invariants t with
+    | () -> false
+    | exception Cq_util.Error.Cq_error _ -> true);
+  Alcotest.(check bool) "empty store: nothing to corrupt" false
+    (Store.Testing.lower_block_max (Store.create ()))
 
 (* --------------------------------------------------------------------- *)
 
@@ -818,6 +1048,8 @@ let () =
           qc prop_btree_finger;
           qc prop_btree_finger_back;
           qc prop_key_bounds;
+          qc prop_key_cell_hooks;
+          qc prop_btree_finger_advance;
           Alcotest.test_case "walk early stop" `Quick test_btree_walk_early_stop;
           Alcotest.test_case "neighbours" `Quick test_btree_neighbours;
           Alcotest.test_case "duplicates" `Quick test_btree_find_all_duplicates;
@@ -844,8 +1076,14 @@ let () =
         [
           qc prop_flat_matches_list_model_under_churn;
           qc prop_stab_batch_matches_stab_loop;
-          qc prop_sweep_matches_filter;
-          Alcotest.test_case "sweep: pruned and empty cases" `Quick test_sweep_pruned_cases;
+        ] );
+      ( "sweep_store",
+        [
+          qc prop_store_models_sorted_list;
+          Alcotest.test_case "chunk split and merge boundaries" `Quick test_store_chunk_boundaries;
+          qc prop_store_sweep_matches_filter;
+          Alcotest.test_case "sweep: pruned and empty cases" `Quick test_store_sweep_pruned_cases;
+          Alcotest.test_case "stale block max caught" `Quick test_store_corruption_caught;
         ] );
       ( "priority_search_tree",
         [

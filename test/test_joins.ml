@@ -712,6 +712,83 @@ let prop_band_scattered_sweep =
                (List.rev !kept = List.filter (fun (qid, _) -> qid mod 2 = 0) want))
         (make_r_events events))
 
+(* Windows with an infinite end.  Once the sweep's S.B finger runs off
+   the end of the keys, the key at the finger reads +inf, and a window
+   ending at +inf must not count as reaching it.  Both engine sides are
+   checked against BJ-QOuter: R events against S with the windows as
+   given, and S events against R (stored in S shape) with the mirrored
+   windows, as the engine registers them. *)
+let unbounded_window_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map (fun iv -> I.shift iv (-5.0)) (interval_gen 10));
+        (1, map (fun a -> I.make neg_infinity (a -. 5.0)) (fgen 10));
+        (1, map (fun a -> I.make (a -. 5.0) infinity) (fgen 10));
+        (1, return (I.make neg_infinity infinity));
+      ])
+
+let hotspot_matches_qouter ~alpha table queries events =
+  let hs = BJ.Hotspot.create_alpha ~alpha ~seed:7 table queries in
+  let qo = BJ.Qouter.create table queries in
+  let affected f st r =
+    let acc = ref [] in
+    f st r (fun (q : BQ.t) -> acc := q.qid :: !acc);
+    List.sort Int.compare !acc
+  in
+  List.for_all
+    (fun r ->
+      (affected BJ.Hotspot.affected hs r = affected BJ.Qouter.affected qo r
+      || QCheck2.Test.fail_reportf "alpha %g, b=%g: affected differs" alpha r.Tuple.b)
+      && (band_results (module BJ.Hotspot) hs r = band_results (module BJ.Qouter) qo r
+         || QCheck2.Test.fail_reportf "alpha %g, b=%g: results differ" alpha r.Tuple.b))
+    events
+
+let prop_band_unbounded_windows =
+  QCheck2.Test.make ~name:"band processors: unbounded windows on both sides" ~count:150
+    QCheck2.Gen.(
+      triple s_tuples_gen (list_size (int_range 0 60) unbounded_window_gen) r_events_gen)
+    (fun (s_rows, ranges, r_rows) ->
+      let s_table, s_arr = make_s_table s_rows in
+      let r_events = make_r_events r_rows in
+      let forward = BQ.of_ranges (Array.of_list ranges) in
+      let mirrored =
+        BQ.of_ranges (Array.of_list (List.map (fun iv -> I.make (-.I.hi iv) (-.I.lo iv)) ranges))
+      in
+      let r_table =
+        Table.of_s_tuples
+          (Array.of_list (List.map (fun (r : Tuple.r) -> { Tuple.sid = r.rid; b = r.b; c = r.a }) r_events))
+      in
+      let s_events =
+        List.map (fun (s : Tuple.s) -> { Tuple.rid = s.sid; a = s.c; b = s.b }) (Array.to_list s_arr)
+      in
+      List.for_all
+        (fun alpha ->
+          hotspot_matches_qouter ~alpha s_table forward r_events
+          && hotspot_matches_qouter ~alpha r_table mirrored s_events)
+        [ 0.01; 1.0 ])
+
+(* 200 short windows [10i, 10i + 1] and one unbounded [5000, +inf]
+   against a single S row at 1000.5: only q100 = [1000, 1001] reaches
+   it.  The window [5000, +inf] starts past the only key, so it must
+   not be reported, although +inf <= +inf. *)
+let test_band_unbounded_past_the_end () =
+  let table, _ = make_s_table [ (1000.5, 0.0) ] in
+  let ranges =
+    Array.append
+      (Array.init 200 (fun i -> I.make (10.0 *. float_of_int i) ((10.0 *. float_of_int i) +. 1.0)))
+      [| I.make 5000.0 infinity |]
+  in
+  let queries = BQ.of_ranges ranges in
+  let hs = BJ.Hotspot.create_alpha ~alpha:0.01 ~seed:7 table queries in
+  let r = { Tuple.rid = 0; a = 0.0; b = 0.0 } in
+  let affected = ref [] in
+  BJ.Hotspot.affected hs r (fun q -> affected := q.BQ.qid :: !affected);
+  Alcotest.(check (list int)) "affected" [ 100 ] !affected;
+  Alcotest.(check (list (pair int int)))
+    "results" [ (100, 0) ]
+    (band_results (module BJ.Hotspot) hs r)
+
 (* One group {q0, q1, q2} whose rangeC / band windows meet in [5, 6],
    so its stabbing point is 6.  Around it the anchors are s1 = 4 and
    s2 = 8: q1 reaches only s1, q2 only s2, and q0 both, so STEP 1 finds
@@ -808,6 +885,9 @@ let () =
           qc prop_composite_processors_match;
           qc prop_band_processors_churn;
           qc prop_band_scattered_sweep;
+          qc prop_band_unbounded_windows;
+          Alcotest.test_case "unbounded window past the last key" `Quick
+            test_band_unbounded_past_the_end;
           Alcotest.test_case "band window reached from both anchors" `Quick
             test_band_both_anchors;
           Alcotest.test_case "select rectangle reached from both anchors" `Quick
