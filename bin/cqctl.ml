@@ -149,12 +149,12 @@ let zipf_cmd =
     Arg.(value & opt float 0.7 & info [ "target" ] ~doc:"Coverage target in [0,1].")
   in
   let run groups beta target =
-    let k = Cq_engine.Zipf_model.groups_needed ~n_groups:groups ~beta ~target in
+    let k = Cq_util.Zipf_model.groups_needed ~n_groups:groups ~beta ~target in
     Printf.printf
       "with %d groups and beta = %g, the top %d groups (%.1f%% of groups) cover %.1f%% of queries\n"
       groups beta k
       (100.0 *. float_of_int k /. float_of_int groups)
-      (100.0 *. Cq_engine.Zipf_model.coverage ~n_groups:groups ~beta ~top_k:k)
+      (100.0 *. Cq_util.Zipf_model.coverage ~n_groups:groups ~beta ~top_k:k)
   in
   Cmd.v
     (Cmd.info "zipf" ~doc:"Figure 2's hotspot-coverage model: groups needed for a coverage target.")

@@ -147,51 +147,6 @@ let ab_purist (scale : Setup.scale) =
     ~header:[ "clustered frac"; "hotspot coverage"; "SJ-SSI (all groups)"; "SJ-Hotspot" ]
     ~rows
 
-let ab_stab_index (scale : Setup.scale) =
-  Report.section "ablation-stab-index" "Interval tree vs priority search tree";
-  Report.note "the paper offers either structure for the per-query stabbing index";
-  Report.note "(BJ-DOuter, SJ-SelectFirst); both give O(log n + k) stabs and O(log n)";
-  Report.note "updates — this measures the constants.";
-  let n = scale.queries in
-  let queries = churn_trace ~seed:23 ~n in
-  let probes =
-    let rng = Rng.create 31 in
-    Array.init 20_000 (fun _ -> Cq_util.Dist.uniform rng ~lo:0.0 ~hi:10_000.0)
-  in
-  (* Interval tree. *)
-  let module It = Cq_index.Flat_interval_tree in
-  let it = It.create () in
-  let it_ins = Report.time_per_op ~n (fun i -> It.add it queries.(i).BQ.range i) in
-  let hits = ref 0 in
-  let it_stab =
-    Report.time_per_op ~n:(Array.length probes) (fun i ->
-        It.stab it probes.(i) (fun _ -> incr hits))
-  in
-  let it_del =
-    Report.time_per_op ~n (fun i -> ignore (It.remove it queries.(i).BQ.range (fun p -> p = i)))
-  in
-  Report.note "avg stab output: %.1f intervals"
-    (float_of_int !hits /. float_of_int (Array.length probes));
-  (* Priority search tree. *)
-  let module Pst = Cq_index.Priority_search_tree in
-  let pst = Pst.Mutable.create ~seed:5 () in
-  let pst_ins = Report.time_per_op ~n (fun i -> Pst.Mutable.add pst queries.(i).BQ.range i) in
-  let pst_stab =
-    Report.time_per_op ~n:(Array.length probes) (fun i ->
-        Pst.Mutable.stab pst probes.(i) (fun _ _ -> incr hits))
-  in
-  let pst_del =
-    Report.time_per_op ~n (fun i ->
-        ignore (Pst.Mutable.remove pst queries.(i).BQ.range (fun p -> p = i)))
-  in
-  Report.table
-    ~header:[ "structure"; "insert"; "stab"; "delete" ]
-    ~rows:
-      [
-        [ "interval tree (AVL)"; Report.fmt_ns it_ins; Report.fmt_ns it_stab; Report.fmt_ns it_del ];
-        [ "priority search tree"; Report.fmt_ns pst_ins; Report.fmt_ns pst_stab; Report.fmt_ns pst_del ];
-      ]
-
 let ab_adaptive (scale : Setup.scale) =
   Report.section "ablation-adaptive" "Per-event cost-based strategy choice (Section 6)";
   Report.note "the dispatcher estimates n' from an SSI histogram over the rangeA";

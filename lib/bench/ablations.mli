@@ -12,8 +12,5 @@ val ab_alpha : Setup.scale -> unit
 val ab_purist : Setup.scale -> unit
 (** SSI on every group vs hotspots-only (§4's closing comparison). *)
 
-val ab_stab_index : Setup.scale -> unit
-(** Interval tree vs priority search tree. *)
-
 val ab_adaptive : Setup.scale -> unit
 (** §6's per-event cost-based strategy routing. *)

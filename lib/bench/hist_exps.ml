@@ -78,7 +78,7 @@ let fig2 (_scale : Setup.scale) =
         :: List.map
              (fun beta ->
                Printf.sprintf "%.1f%%"
-                 (100.0 *. Cq_engine.Zipf_model.coverage ~n_groups:5000 ~beta ~top_k:k))
+                 (100.0 *. Cq_util.Zipf_model.coverage ~n_groups:5000 ~beta ~top_k:k))
              betas)
       ks
   in

@@ -39,8 +39,6 @@ let tests () =
         (Cq_index.Rect.make ~x:r ~y:(I.of_midpoint ~mid:(I.midpoint r) ~len:(I.length r)))
         i)
     rs;
-  let pst = Cq_index.Priority_search_tree.Mutable.create ~seed:7 () in
-  Array.iteri (fun i r -> Cq_index.Priority_search_tree.Mutable.add pst r i) rs;
   (* The scattered band path's sweep: the 10k windows in their sweep
      store, shifted by a random offset, against a finger on 64 sparse
      S keys. *)
@@ -67,9 +65,6 @@ let tests () =
     Test.make ~name:"rtree.point_stab"
       (Staged.stage (fun () ->
            ignore (Cq_index.Rtree.stab_count rt ~x:(probe ()) ~y:(probe ()))));
-    Test.make ~name:"pst.stab_any"
-      (Staged.stage (fun () ->
-           ignore (Cq_index.Priority_search_tree.Mutable.stab_any pst (probe ()))));
     Test.make ~name:"btree.seek_ge" (Staged.stage (fun () -> ignore (Fbt.seek_ge bt (probe ()))));
     Test.make ~name:"btree.insert+delete"
       (Staged.stage (fun () ->

@@ -44,11 +44,6 @@ let ablation_exps =
     };
     { id = "ablation-purist"; title = "SSI everywhere vs hotspots only"; run = Ablations.ab_purist };
     {
-      id = "ablation-stab-index";
-      title = "Interval tree vs priority search tree";
-      run = Ablations.ab_stab_index;
-    };
-    {
       id = "ablation-adaptive";
       title = "Cost-based per-event strategy choice";
       run = Ablations.ab_adaptive;

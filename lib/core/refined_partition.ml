@@ -371,12 +371,13 @@ module Make (E : Partition_intf.ELEMENT) = struct
   let check_invariants t =
     let fail fmt = Cq_util.Error.corrupt ~structure:"refined_partition" fmt in
     (* Old groups: treap invariants, nonempty intersection, (⋆) order. *)
-    let last_boundary = ref neg_infinity in
-    Array.iter
-      (fun g ->
+    Array.iteri
+      (fun i g ->
         T.check_invariants g.treap;
-        if g.boundary <= !last_boundary then fail "boundaries not strictly increasing";
-        last_boundary := g.boundary;
+        (* A boundary may be −∞, so each group is compared with its
+           predecessor only. *)
+        if i > 0 && g.boundary <= t.olds.(i - 1).boundary then
+          fail "boundaries not strictly increasing";
         if not (T.is_empty g.treap) then begin
           if I.is_empty (T.isect g.treap) then fail "old group with empty intersection";
           T.iter

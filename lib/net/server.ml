@@ -285,7 +285,9 @@ let accept_loop t =
 
 (* ---------------------------- frame handling --------------------------- *)
 
-let finite_range lo hi = Float.is_finite lo && Float.is_finite hi && lo <= hi
+(* The engine accepts windows with infinite ends; [lo <= hi] is false
+   when either end is NaN, so it also turns those away. *)
+let valid_range lo hi = lo <= hi
 
 let register t s ~subscribe =
   let qid = t.next_qid in
@@ -326,19 +328,19 @@ let handle_frame t s (frame : Frame.client_frame) =
          anything before the handshake pins what we are speaking. *)
       proto_violation t s "expected HELLO as the first frame"
   | Frame.Register_band { lo; hi } ->
-      if not (finite_range lo hi) then
+      if not (valid_range lo hi) then
         send_ctrl t s
-          (Frame.Err { code = Frame.Err_bad_request; message = "band range must be finite with lo <= hi" })
+          (Frame.Err { code = Frame.Err_bad_request; message = "band range needs lo <= hi, no NaN" })
       else
         register t s ~subscribe:(fun qid ->
             Par.try_subscribe_band t.par ~range:(I.make lo hi) (fun r sv ->
                 Session.record_result s ~qid ~ra:r.Cq_relation.Tuple.a ~rb:r.Cq_relation.Tuple.b
                   ~sb:sv.Cq_relation.Tuple.b ~sc:sv.Cq_relation.Tuple.c))
   | Frame.Register_select { a_lo; a_hi; c_lo; c_hi } ->
-      if not (finite_range a_lo a_hi && finite_range c_lo c_hi) then
+      if not (valid_range a_lo a_hi && valid_range c_lo c_hi) then
         send_ctrl t s
           (Frame.Err
-             { code = Frame.Err_bad_request; message = "select ranges must be finite with lo <= hi" })
+             { code = Frame.Err_bad_request; message = "select ranges need lo <= hi, no NaN" })
       else
         register t s ~subscribe:(fun qid ->
             Par.try_subscribe_select t.par ~range_a:(I.make a_lo a_hi)

@@ -18,9 +18,9 @@ let pp_op fmt = function
 (* The generator is adversarial on purpose: intervals cluster around a
    handful of hub points (so hotspot groups form, then churn), land on
    an integer-ish grid (so endpoints collide exactly), include
-   zero-width points and huge spans, and the add/remove mix oscillates
-   in phases so group populations repeatedly cross the αn hotness
-   threshold in both directions. *)
+   zero-width points, huge spans and windows unbounded on one side,
+   and the add/remove mix oscillates in phases so group populations
+   repeatedly cross the αn hotness threshold in both directions. *)
 
 let hub_count = 5
 let live_cap = 3000
@@ -28,7 +28,7 @@ let phase_len = 300
 
 let gen_interval rng hubs =
   let hub = hubs.(Rng.int rng hub_count) in
-  match Rng.int rng 10 with
+  match Rng.int rng 11 with
   | 0 ->
       (* zero-width point interval, exactly on the hub *)
       I.make hub hub
@@ -43,6 +43,9 @@ let gen_interval rng hubs =
       (* touching endpoints: [hub-k, hub] or [hub, hub+k] *)
       let k = 1. +. float_of_int (Rng.int rng 4) in
       if Rng.bool rng then I.make (hub -. k) hub else I.make hub (hub +. k)
+  | 10 ->
+      (* unbounded on one side, ending exactly on the hub *)
+      if Rng.bool rng then I.make hub infinity else I.make neg_infinity hub
   | _ ->
       (* generic grid interval near the hub *)
       let lo = hub +. float_of_int (Rng.int rng 9 - 4) in
@@ -102,7 +105,7 @@ let gen ~seed ~n =
 
 module Par = Cq_engine.Parallel
 module Config = Cq_engine.Engine.Config
-module Z = Cq_engine.Zipf_model
+module Z = Cq_util.Zipf_model
 
 type query = Band of I.t | Select of I.t * I.t
 
@@ -140,11 +143,16 @@ let pp_step fmt = function
   | Bad_sub -> Format.fprintf fmt "bad-sub"
 
 (* A band or select query whose windows are [lo, lo + w] with [lo]
-   uniform in [lo0, lo0 + span) and [w] in [w0, w0 + dw). *)
+   uniform in [lo0, lo0 + span) and [w] in [w0, w0 + dw); one window in
+   sixteen loses its upper or its lower end to ±∞. *)
 let gen_query rng (lo0, span, w0, dw) =
   let window () =
     let lo = lo0 +. (Rng.float rng *. span) in
-    I.make lo (lo +. w0 +. (Rng.float rng *. dw))
+    let hi = lo +. w0 +. (Rng.float rng *. dw) in
+    match Rng.int rng 32 with
+    | 0 -> I.make lo infinity
+    | 1 -> I.make neg_infinity hi
+    | _ -> I.make lo hi
   in
   if Rng.bool rng then Band (window ())
   else

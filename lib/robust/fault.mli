@@ -4,6 +4,7 @@
     The streams deliberately exercise the paths where the paper's
     structures are most fragile: interval endpoints colliding exactly
     on a grid, zero-width point intervals, spans engulfing everything,
+    windows unbounded on one side,
     clusters around a few hub points so α-hotspots form, and phased
     add/remove oscillation so group populations repeatedly cross the
     αn hotness threshold in both directions (the promote/demote
@@ -77,9 +78,9 @@ val mixed_rates : float array
     produces. *)
 
 val gen_uniform : ?churn:bool -> ?rates:float array -> seed:int -> n:int -> unit -> workload
-(** 8–24 band/select subscriptions, then [max 4 (n / 40)] batches of
-    1–50 rows uniform over [\[0, 1000)]; the batch size is drawn from
-    [\[1, 64\]].  [churn] (default [false]) follows a third of the
+(** 8–24 band/select subscriptions (one window in sixteen unbounded on
+    one side), then [max 4 (n / 40)] batches of 1–50 rows uniform over
+    [\[0, 1000)]; the batch size is drawn from [\[1, 64\]].  [churn] (default [false]) follows a third of the
     batches with a new subscription, so batches stage against a query
     population that has just changed.  [rates] puts the workload under
     the [Shed] policy and precedes every batch with a [Rate]: the first
@@ -92,13 +93,14 @@ val gen_engine : seed:int -> n:int -> workload
     must-reject inputs. *)
 
 val gen_burst : seed:int -> n:int -> workload
-(** 4–12 narrow-window subscriptions, then [n] steps alternating quiet
-    phases (1–8-row batches, frequent flushes) with burst phases
-    (64–256-row batches, no flush), so ingest repeatedly outruns drain
-    and the [Shed] policy must engage. *)
+(** 4–12 narrow-window subscriptions (one window in sixteen unbounded
+    on one side), then [n] steps alternating quiet phases (1–8-row
+    batches, frequent flushes) with burst phases (64–256-row batches,
+    no flush), so ingest repeatedly outruns drain and the [Shed] policy
+    must engage. *)
 
 val gen_drift : ?shards:int -> seed:int -> n:int -> unit -> workload
-(** A {!Cq_engine.Zipf_model.drift} hotspot that walks over the
+(** A {!Cq_util.Zipf_model.drift} hotspot that walks over the
     parallel engine's partition axis.  The Zipf sites are laid exactly
     [shards] (default 4) strips apart, so every rank shares a home
     shard: subscriptions pile onto one shard while the others idle —

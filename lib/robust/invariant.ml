@@ -48,32 +48,31 @@ let sample limit xs =
 let stab_probes entries = sample 24 (List.concat_map (fun iv -> [ I.lo iv; I.hi iv ]) entries)
 
 (* ------------------------------------------------------------------ *)
-(* Any stabbing backend, audited through the common S signature        *)
+(* Interval tree                                                        *)
 (* ------------------------------------------------------------------ *)
 
-module Stab (B : Cq_index.Stab_backend.S) = struct
-  let audit ~(interval : 'a -> I.t) (t : 'a B.t) : report =
-    let c = ctx ("stab:" ^ B.name) in
-    guard c "internal" (fun () -> B.check_invariants t);
-    let entries = ref [] in
-    B.iter t (fun p -> entries := interval p :: !entries);
-    let entries = !entries in
-    let n = List.length entries in
-    if n <> B.size t then pushf c "size" "size reports %d but %d entries listed" (B.size t) n;
-    List.iter (fun iv -> if I.is_empty iv then push c "entries" "stored interval is empty") entries;
-    List.iter
-      (fun x ->
-        let want = List.length (List.filter (fun iv -> I.stabs iv x) entries) in
-        let got = ref 0 in
-        B.stab t x (fun p ->
-            incr got;
-            if not (I.stabs (interval p) x) then
-              pushf c "stab" "reported interval %s misses %g" (I.to_string (interval p)) x);
-        if !got <> want then
-          pushf c "stab" "stab at %g visits %d entries, expected %d" x !got want)
-      (stab_probes entries);
-    seal c
-end
+let interval_tree ~(interval : 'a -> I.t) (t : 'a Cq_index.Flat_interval_tree.t) : report =
+  let module T = Cq_index.Flat_interval_tree in
+  let c = ctx "stab:interval_tree" in
+  guard c "internal" (fun () -> T.check_invariants t);
+  let entries = ref [] in
+  T.iter t (fun p -> entries := interval p :: !entries);
+  let entries = !entries in
+  let n = List.length entries in
+  if n <> T.size t then pushf c "size" "size reports %d but %d entries listed" (T.size t) n;
+  List.iter (fun iv -> if I.is_empty iv then push c "entries" "stored interval is empty") entries;
+  List.iter
+    (fun x ->
+      let want = List.length (List.filter (fun iv -> I.stabs iv x) entries) in
+      let got = ref 0 in
+      T.stab t x (fun p ->
+          incr got;
+          if not (I.stabs (interval p) x) then
+            pushf c "stab" "reported interval %s misses %g" (I.to_string (interval p)) x);
+      if !got <> want then
+        pushf c "stab" "stab at %g visits %d entries, expected %d" x !got want)
+    (stab_probes entries);
+  seal c
 
 (* ------------------------------------------------------------------ *)
 (* R-tree                                                               *)

@@ -23,6 +23,12 @@ val merge : report list -> report
 
 (** {2 Per-structure auditors} *)
 
+val interval_tree :
+  interval:('a -> Cq_interval.Interval.t) -> 'a Cq_index.Flat_interval_tree.t -> report
+(** The tree's own structural check, size/iteration agreement, and
+    sampled stab queries versus a naive filter.  [interval] recovers
+    each payload's stored interval (the tree iterates payloads only). *)
+
 val rtree : 'a Cq_index.Rtree.t -> report
 (** MBR containment down every path plus sampled center-point stabs. *)
 
@@ -37,15 +43,6 @@ val engine : Cq_engine.Engine.t -> report
 val parallel : Cq_engine.Parallel.t -> report
 (** Wraps {!Cq_engine.Parallel.check_invariants}: every shard's engine
     audit plus query placement and delivery-count agreement. *)
-
-module Stab (B : Cq_index.Stab_backend.S) : sig
-  val audit : interval:('a -> Cq_interval.Interval.t) -> 'a B.t -> report
-  (** Backend-generic audit through the common {!Cq_index.Stab_backend.S}
-      signature: the backend's own structural check, size/iteration
-      agreement, and sampled stab queries versus a naive filter.
-      [interval] recovers each payload's stored interval (the backends
-      iterate payloads only). *)
-end
 
 module Btree (K : Cq_index.Btree.ORDERED) (B : module type of Cq_index.Btree.Make (K)) : sig
   val audit : 'a B.t -> report

@@ -147,30 +147,25 @@ let run_index (module S : STAB_INDEX) ~seed ~ops =
   record_report run (S.audit t ~entries:(mirror_entries mirror));
   finish run ~ops ~final_size:(S.size t)
 
-(* Any backend behind the common Stab_backend.S signature gets a
-   driver for free: payloads carry their interval along so the generic
-   audit can recover it. *)
-module Stab_driver (B : Cq_index.Stab_backend.S) : STAB_INDEX = struct
-  module A = Invariant.Stab (B)
+(* Payloads carry their interval along so the audit can recover it. *)
+module Itree_driver : STAB_INDEX = struct
+  module T = Cq_index.Flat_interval_tree
 
-  type t = (int * I.t) B.t
+  type t = (int * I.t) T.t
 
-  let name = B.name
-  let create ~seed = B.create ~seed
-  let add t id iv = B.add t iv (id, iv)
-  let remove t id iv = B.remove t iv (fun (id', _) -> id' = id)
+  let name = "interval_tree"
+  let create ~seed:_ = T.create ()
+  let add t id iv = T.add t iv (id, iv)
+  let remove t id iv = T.remove t iv (fun (id', _) -> id' = id)
 
   let stab_ids t x =
     let acc = ref [] in
-    B.stab t x (fun (id, _) -> acc := id :: !acc);
+    T.stab t x (fun (id, _) -> acc := id :: !acc);
     !acc
 
-  let size = B.size
-  let audit t ~entries:_ = A.audit ~interval:snd t
+  let size = T.size
+  let audit t ~entries:_ = Invariant.interval_tree ~interval:snd t
 end
-
-module Itree_driver = Stab_driver (Cq_index.Stab_backend.Interval_tree)
-module Pst_driver = Stab_driver (Cq_index.Stab_backend.Treap)
 
 (* Intervals embed into the R-tree as zero-height-free rectangles
    [iv × [0,1]]; stabbing at y = 0.5 recovers 1-D stabbing. *)
@@ -1021,7 +1016,6 @@ let diff w a b cmp =
 let index_drivers : (module STAB_INDEX) list =
   [
     (module Itree_driver);
-    (module Pst_driver);
     (module Rtree_driver);
     (module Treap_driver);
   ]

@@ -28,7 +28,7 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 (** {2 Stabbing-index drivers}
 
-    The four 1-D-stabbing-capable indexes behind one interface; the
+    The three 1-D-stabbing-capable indexes behind one interface; the
     treap driver additionally split/joins at every probe, and the
     R-tree driver embeds intervals as [iv × \[0,1\]] rectangles. *)
 
@@ -44,13 +44,7 @@ module type STAB_INDEX = sig
   val audit : t -> entries:(int * Cq_interval.Interval.t) list -> Invariant.report
 end
 
-module Stab_driver (B : Cq_index.Stab_backend.S) : STAB_INDEX
-(** A driver for any structure behind the common
-    {!Cq_index.Stab_backend.S} signature — {!Itree_driver} and
-    {!Pst_driver} are its instances. *)
-
 module Itree_driver : STAB_INDEX
-module Pst_driver : STAB_INDEX
 module Rtree_driver : STAB_INDEX
 module Treap_driver : STAB_INDEX
 

@@ -501,6 +501,20 @@ let test_refined_groups_in_order () =
   in
   Alcotest.(check int) "covers all" 5 total
 
+let test_refined_unbounded_first_group () =
+  (* A window [−∞, 0] makes the first old group's boundary −∞; the
+     audit must accept that partition. *)
+  let t = Refined_p.create ~epsilon:1.0 () in
+  let finite = List.init 20 (fun i -> I.of_midpoint ~mid:(float_of_int (10 * i) +. 5.5) ~len:1.0) in
+  List.iter (Refined_p.insert t) (elems_of (I.make neg_infinity 0.0 :: finite));
+  Alcotest.(check bool) "reconstructed" true (Refined_p.reconstructions t > 0);
+  (match Refined_p.groups_in_order t with
+  | (_, first) :: _ ->
+      Alcotest.(check bool) "first old group holds [-inf, 0]" true
+        (List.exists (fun e -> I.lo e.E.iv = neg_infinity) first)
+  | [] -> Alcotest.fail "no groups");
+  Refined_p.check_invariants t
+
 (* ------------------------------- SSI ---------------------------------- *)
 
 module Count_group = struct
@@ -543,54 +557,6 @@ let prop_ssi_points_sorted =
       !ok)
 
 
-(* ---------------------------- 2-D partitions --------------------------- *)
-
-module Rect = Cq_index.Rect
-module S2 = Hotspot_core.Stabbing2d
-
-let rect_gen =
-  QCheck2.Gen.(
-    map2 (fun x y -> Rect.make ~x ~y)
-      (map2 (fun a b -> if a <= b then I.make a b else I.make b a)
-         (map float_of_int (int_bound 50)) (map float_of_int (int_bound 50)))
-      (map2 (fun a b -> if a <= b then I.make a b else I.make b a)
-         (map float_of_int (int_bound 50)) (map float_of_int (int_bound 50))))
-
-let prop_2d_partition_valid =
-  QCheck2.Test.make ~name:"2d partition: valid, covering, bounded by tau_x * tau_y" ~count:300
-    QCheck2.Gen.(list_size (int_range 0 150) rect_gen)
-    (fun rects ->
-      let elems = Array.of_list rects in
-      let groups = S2.partition Fun.id elems in
-      let total = Array.fold_left (fun acc g -> acc + Array.length g.S2.members) 0 groups in
-      let tau_x = Stabbing.tau (fun (r : Rect.t) -> r.Rect.x) elems in
-      let tau_y = Stabbing.tau (fun (r : Rect.t) -> r.Rect.y) elems in
-      S2.is_valid Fun.id groups
-      && total = Array.length elems
-      && Array.length groups <= max 1 (tau_x * tau_y)
-      && Array.length groups >= max tau_x tau_y)
-
-let test_2d_clustered_exact () =
-  (* Three axis-aligned clusters of overlapping rectangles -> exactly
-     three groups. *)
-  let cluster cx cy =
-    Array.init 20 (fun i ->
-        let j = float_of_int i in
-        Rect.of_bounds ~x0:(cx -. 10.0 -. j) ~x1:(cx +. 10.0 +. j) ~y0:(cy -. 5.0)
-          ~y1:(cy +. 5.0 +. j))
-  in
-  let elems = Array.concat [ cluster 100.0 100.0; cluster 500.0 200.0; cluster 900.0 50.0 ] in
-  let groups = S2.partition Fun.id elems in
-  Alcotest.(check int) "three groups" 3 (Array.length groups);
-  Alcotest.(check bool) "valid" true (S2.is_valid Fun.id groups);
-  Alcotest.(check (float 1e-9)) "top-1 coverage" (1.0 /. 3.0)
-    (S2.coverage_of_top Fun.id elems ~top:1)
-
-let test_2d_empty () =
-  Alcotest.(check int) "empty" 0 (Array.length (S2.partition Fun.id ([||] : Rect.t array)));
-  Alcotest.(check (float 0.0)) "coverage of empty" 0.0
-    (S2.coverage_of_top Fun.id ([||] : Rect.t array) ~top:5)
-
 (* ---------------------------------------------------------------------- *)
 
 let qc = QCheck_alcotest.to_alcotest
@@ -623,6 +589,8 @@ let () =
           Alcotest.test_case "duplicate rejected" `Quick test_refined_duplicate_insert_rejected;
           Alcotest.test_case "group lookup" `Quick test_refined_group_lookup;
           Alcotest.test_case "groups in order" `Quick test_refined_groups_in_order;
+          Alcotest.test_case "unbounded first group audits clean" `Quick
+            test_refined_unbounded_first_group;
         ] );
       ( "hotspot_tracker",
         [
@@ -638,10 +606,4 @@ let () =
           Alcotest.test_case "work per update within Theorem 1" `Quick test_tracker_work_bound;
         ] );
       ("ssi", [ qc prop_ssi_covers_all; qc prop_ssi_points_sorted ]);
-      ( "stabbing2d",
-        [
-          qc prop_2d_partition_valid;
-          Alcotest.test_case "clustered exact" `Quick test_2d_clustered_exact;
-          Alcotest.test_case "empty" `Quick test_2d_empty;
-        ] );
     ]

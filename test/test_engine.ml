@@ -1,10 +1,8 @@
 (* End-to-end engine tests: symmetric R/S event processing against an
-   incrementally maintained brute-force oracle, plus the Figure-2 Zipf
-   coverage model. *)
+   incrementally maintained brute-force oracle. *)
 
 module I = Cq_interval.Interval
 module Engine = Cq_engine.Engine
-module Zipf = Cq_engine.Zipf_model
 
 let fgen hi = QCheck2.Gen.(map float_of_int (int_bound hi))
 
@@ -975,43 +973,6 @@ let test_shed_mode_rejects_deletes () =
   | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "delete_r accepted after mid-stream shed engagement")
 
-(* ------------------------------ Zipf model ---------------------------- *)
-
-let test_zipf_figure2_anchor () =
-  (* The paper: with 5000 groups and beta = 1, the top 500 groups cover
-     about 70% of all queries. *)
-  let c = Zipf.coverage ~n_groups:5000 ~beta:1.0 ~top_k:500 in
-  if c < 0.68 || c > 0.78 then Alcotest.failf "coverage %.3f outside [0.68, 0.78]" c;
-  (* Coverage increases with beta. *)
-  let c11 = Zipf.coverage ~n_groups:5000 ~beta:1.1 ~top_k:500 in
-  let c12 = Zipf.coverage ~n_groups:5000 ~beta:1.2 ~top_k:500 in
-  Alcotest.(check bool) "beta=1.1 above beta=1.0" true (c11 > c);
-  Alcotest.(check bool) "beta=1.2 above beta=1.1" true (c12 > c11)
-
-let test_zipf_bounds () =
-  Alcotest.(check (float 1e-9)) "k=0" 0.0 (Zipf.coverage ~n_groups:100 ~beta:1.0 ~top_k:0);
-  Alcotest.(check (float 1e-9)) "k=n" 1.0 (Zipf.coverage ~n_groups:100 ~beta:1.0 ~top_k:100);
-  Alcotest.(check (float 1e-9)) "k>n clamps" 1.0 (Zipf.coverage ~n_groups:100 ~beta:1.0 ~top_k:1000)
-
-let prop_zipf_monotone =
-  QCheck2.Test.make ~name:"zipf: coverage monotone in k" ~count:100
-    QCheck2.Gen.(pair (int_range 1 200) (map (fun b -> 0.5 +. (float_of_int b /. 10.0)) (int_bound 10)))
-    (fun (n, beta) ->
-      let prev = ref (-1.0) in
-      List.for_all
-        (fun k ->
-          let c = Zipf.coverage ~n_groups:n ~beta ~top_k:k in
-          let ok = c >= !prev in
-          prev := c;
-          ok)
-        (List.init (min n 20) (fun i -> i + 1)))
-
-let test_zipf_groups_needed () =
-  let k = Zipf.groups_needed ~n_groups:5000 ~beta:1.0 ~target:0.70 in
-  Alcotest.(check bool) "around 500" true (k > 300 && k < 700);
-  Alcotest.(check (float 0.02)) "reaches target" 0.70
-    (Zipf.coverage ~n_groups:5000 ~beta:1.0 ~top_k:k)
-
 (* ---------------------------------------------------------------------- *)
 
 let qc = QCheck_alcotest.to_alcotest
@@ -1072,12 +1033,5 @@ let () =
           Alcotest.test_case "exact phase folds into estimate" `Quick
             test_shed_exact_phase_folds_into_estimate;
           Alcotest.test_case "shed mode rejects deletes" `Quick test_shed_mode_rejects_deletes;
-        ] );
-      ( "zipf_model",
-        [
-          Alcotest.test_case "figure 2 anchor" `Quick test_zipf_figure2_anchor;
-          Alcotest.test_case "bounds" `Quick test_zipf_bounds;
-          qc prop_zipf_monotone;
-          Alcotest.test_case "groups needed" `Quick test_zipf_groups_needed;
         ] );
     ]

@@ -378,69 +378,6 @@ let test_adaptive_routes_both_ways () =
   Alcotest.(check (pair int int)) "decision counters" (0, 1) (sf, ssi)
 
 
-(* ----------------------- 2-D bidirectional SSI ------------------------- *)
-
-module SJ2 = Cq_joins.Select_join2d
-
-let make_r_table tuples =
-  Table.of_r_tuples (Array.of_list (List.mapi (fun rid (a, b) -> { Tuple.rid; a; b }) tuples))
-
-let prop_ssi2d_r_events_match =
-  QCheck2.Test.make ~name:"2d ssi: R events match brute force" ~count:120
-    QCheck2.Gen.(triple s_tuples_gen select_queries_gen r_events_gen)
-    (fun (s_tuples, ranges, events) ->
-      let table, _ = make_s_table s_tuples in
-      let r_table = Table.create_r () in
-      let queries = SQ.of_ranges (Array.of_list ranges) in
-      let st = SJ2.create table r_table queries in
-      List.for_all
-        (fun r ->
-          let got = ref [] in
-          SJ2.process_r st r (fun q s -> got := (q.SQ.qid, s.Tuple.sid) :: !got);
-          List.sort compare !got = SJ.reference table queries r)
-        (make_r_events events))
-
-let prop_ssi2d_s_events_match =
-  QCheck2.Test.make ~name:"2d ssi: S events match brute force" ~count:120
-    QCheck2.Gen.(triple
-                   (list_size (int_range 0 100) (pair (fgen 20) (fgen 10)))
-                   select_queries_gen
-                   (list_size (int_range 1 10) (pair (fgen 10) (fgen 20))))
-    (fun (r_tuples, ranges, s_events) ->
-      let s_table = Table.create_s () in
-      let r_table = make_r_table r_tuples in
-      let queries = SQ.of_ranges (Array.of_list ranges) in
-      let st = SJ2.create s_table r_table queries in
-      List.for_all
-        (fun (b, c) ->
-          let s = { Tuple.sid = 999; b; c } in
-          let got = ref [] in
-          SJ2.process_s st s (fun q r -> got := (q.SQ.qid, r.Tuple.rid) :: !got);
-          List.sort compare !got = SJ2.reference_s r_table queries s)
-        s_events)
-
-let test_ssi2d_churn_and_groups () =
-  let table, _ = make_s_table [ (1.0, 5.0); (1.0, 15.0) ] in
-  let r_table = make_r_table [ (5.0, 1.0); (12.0, 1.0) ] in
-  let q0 = SQ.make ~qid:0 ~range_a:(I.make 0.0 10.0) ~range_c:(I.make 0.0 10.0) in
-  let q1 = SQ.make ~qid:1 ~range_a:(I.make 8.0 20.0) ~range_c:(I.make 10.0 20.0) in
-  let st = SJ2.create table r_table [| q0 |] in
-  Alcotest.(check int) "one group" 1 (SJ2.num_groups st);
-  SJ2.insert_query st q1;
-  Alcotest.(check int) "two queries" 2 (SJ2.query_count st);
-  (* Both directions after churn. *)
-  let got_r = ref [] in
-  SJ2.process_r st { Tuple.rid = 9; a = 9.0; b = 1.0 }
-    (fun q s -> got_r := (q.SQ.qid, s.Tuple.sid) :: !got_r);
-  Alcotest.(check (list (pair int int))) "r event" [ (0, 0); (1, 1) ]
-    (List.sort compare !got_r);
-  let got_s = ref [] in
-  SJ2.process_s st { Tuple.sid = 9; b = 1.0; c = 12.0 }
-    (fun q r -> got_s := (q.SQ.qid, r.Tuple.rid) :: !got_s);
-  Alcotest.(check (list (pair int int))) "s event" [ (1, 1) ] (List.sort compare !got_s);
-  Alcotest.(check bool) "delete" true (SJ2.delete_query st q0);
-  Alcotest.(check int) "one query left" 1 (SJ2.query_count st)
-
 (* ---------------------------- Composite joins -------------------------- *)
 
 module CQ = Cq_joins.Composite_query
@@ -871,12 +808,6 @@ let () =
           qc prop_composite_strategies_agree;
           qc prop_composite_affected;
           Alcotest.test_case "query churn" `Quick test_composite_churn;
-        ] );
-      ( "ssi2d",
-        [
-          qc prop_ssi2d_r_events_match;
-          qc prop_ssi2d_s_events_match;
-          Alcotest.test_case "churn + both directions" `Quick test_ssi2d_churn_and_groups;
         ] );
       ( "processor",
         [

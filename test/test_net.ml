@@ -19,6 +19,7 @@ module Batch = Cq_relation.Batch
 module Oracle = Cq_robust.Oracle
 module Fault = Cq_robust.Fault
 module Engine = Cq_engine.Engine
+module I = Cq_interval.Interval
 
 (* ----------------------------- frame codec ----------------------------- *)
 
@@ -527,6 +528,92 @@ let test_abrupt_disconnect_survival () =
     | Frame.Pong { token = 5 } -> true
     | _ -> false)
 
+(* --------------------------- range validation --------------------------- *)
+
+(* The engine takes windows with infinite ends, so the server must too:
+   only a NaN end or lo > hi is a bad request.  The unbounded queries
+   then deliver exactly what a direct engine delivers. *)
+let test_unbounded_ranges () =
+  let srv = Server.create ~addr:(loopback 0) () in
+  Fun.protect ~finally:(fun () -> Server.teardown srv) @@ fun () ->
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
+  @@ fun () ->
+  Unix.connect fd (loopback (Server.port srv));
+  Unix.set_nonblock fd;
+  let dec = Frame.Decoder.create () in
+  let got = ref [] in
+  rsend fd (Frame.Hello { version = Frame.protocol_version });
+  step_until srv fd dec got ~what:"Welcome" (function
+    | Frame.Welcome _ -> true
+    | _ -> false);
+  let register frame ~what =
+    rsend fd frame;
+    let qid = ref (-1) in
+    step_until srv fd dec got ~what (function
+      | Frame.Registered { qid = q } ->
+          qid := q;
+          true
+      | Frame.Err { message; _ } -> Alcotest.failf "%s refused: %s" what message
+      | _ -> false);
+    !qid
+  in
+  let refused frame ~what =
+    rsend fd frame;
+    step_until srv fd dec got ~what (function
+      | Frame.Err { code = Frame.Err_bad_request; _ } -> true
+      | Frame.Registered _ -> Alcotest.failf "%s accepted" what
+      | _ -> false)
+  in
+  let band_range = I.make 0.0 infinity
+  and range_a = I.make neg_infinity 5.0
+  and range_c = I.make 1.0 4.0 in
+  let band = register (Frame.Register_band { lo = 0.0; hi = infinity }) ~what:"band [0, +inf]" in
+  let select =
+    register
+      (Frame.Register_select { a_lo = neg_infinity; a_hi = 5.0; c_lo = 1.0; c_hi = 4.0 })
+      ~what:"select [-inf, 5]"
+  in
+  refused (Frame.Register_band { lo = Float.nan; hi = 1.0 }) ~what:"NaN band";
+  refused (Frame.Register_band { lo = 2.0; hi = 1.0 }) ~what:"inverted band";
+  refused
+    (Frame.Register_select { a_lo = 0.0; a_hi = 1.0; c_lo = 0.0; c_hi = Float.nan })
+    ~what:"NaN select";
+  refused
+    (Frame.Register_select { a_lo = 1.0; a_hi = 0.0; c_lo = 0.0; c_hi = 1.0 })
+    ~what:"inverted select";
+  let r_rows = Array.init 12 (fun i -> (float_of_int (i - 3), float_of_int (i mod 4))) in
+  let s_rows = Array.init 12 (fun i -> (float_of_int (i mod 5), float_of_int (i mod 6))) in
+  rsend fd (Frame.Batch { side = Frame.R; rows = Batch.of_rows r_rows });
+  rsend fd (Frame.Batch { side = Frame.S; rows = Batch.of_rows s_rows });
+  rsend fd Frame.Flush;
+  step_until srv fd dec got ~what:"Flushed ack" (function
+    | Frame.Flushed _ -> true
+    | _ -> false);
+  let served qid =
+    List.concat_map
+      (function Frame.Results { qid = q; rows } when q = qid -> Array.to_list rows | _ -> [])
+      !got
+    |> List.sort compare
+  in
+  let e = Engine.create () in
+  let direct = Array.make 2 [] in
+  let record i (r : Cq_relation.Tuple.r) (s : Cq_relation.Tuple.s) =
+    direct.(i) <- (r.a, r.b, s.b, s.c) :: direct.(i)
+  in
+  ignore (Engine.subscribe_band e ~range:band_range (record 0));
+  ignore (Engine.subscribe_select e ~range_a ~range_c (record 1));
+  ignore (Engine.ingest_batch_r e (Batch.of_rows r_rows));
+  ignore (Engine.ingest_batch_s e (Batch.of_rows s_rows));
+  List.iteri
+    (fun i (what, qid) ->
+      let want = List.sort compare direct.(i) in
+      Alcotest.(check bool) (what ^ " delivers") true (want <> []);
+      Alcotest.(check int) (what ^ " result count") (List.length want) (List.length (served qid));
+      Alcotest.(check bool) (what ^ " rows match the direct engine") true (served qid = want))
+    [ ("band", band); ("select", select) ]
+
 (* ------------------------------- oracle -------------------------------- *)
 
 let test_serve_oracle_sweep () =
@@ -587,6 +674,8 @@ let () =
             test_max_sessions_fd_budget;
           Alcotest.test_case "abrupt client death: one session, no SIGPIPE" `Quick
             test_abrupt_disconnect_survival;
+          Alcotest.test_case "unbounded ranges served, NaN and lo > hi refused" `Quick
+            test_unbounded_ranges;
         ] );
       ( "oracle",
         [

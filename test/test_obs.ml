@@ -446,6 +446,40 @@ let test_metrics_on_matches_off () =
   Alcotest.(check int) "one SJ fanout sample per row" rows
     (M.hist_count (M.histogram "proc.SJ.fanout"))
 
+(* The select processor's scattered index is the instrumented interval
+   tree: with metrics on, every single-row R event stabs it once and
+   leaves one [stab.interval_tree.stab_ns] sample; with metrics off it
+   records nothing. *)
+let test_instrumented_interval_tree () =
+  let module E = Cq_engine.Engine in
+  let events = 10 in
+  let run () =
+    (* Twenty disjoint rangeA windows at alpha = 0.5: no group is hot,
+       so every select query sits in the scattered index. *)
+    let eng = E.create ~alpha:0.5 ~seed:3 () in
+    for i = 0 to 19 do
+      let lo = 10.0 *. float_of_int i in
+      ignore
+        (E.subscribe_select eng
+           ~range_a:(Cq_interval.Interval.make lo (lo +. 5.0))
+           ~range_c:(Cq_interval.Interval.make 0.0 100.0)
+           (fun _ _ -> ()))
+    done;
+    for i = 1 to events do
+      ignore (E.insert_r eng ~a:(float_of_int (17 * i mod 200)) ~b:1.0)
+    done;
+    M.hist_count (M.histogram "stab.interval_tree.stab_ns")
+  in
+  M.set_enabled false;
+  M.reset ();
+  Alcotest.(check int) "no samples with metrics off" 0 (run ());
+  with_obs @@ fun () ->
+  M.reset ();
+  Alcotest.(check int) "one stab sample per R event" events (run ());
+  (* Tracker moves may add a query more than once. *)
+  Alcotest.(check bool) "an add sample per subscription" true
+    (M.hist_count (M.histogram "stab.interval_tree.add_ns") >= 20)
+
 let () =
   Alcotest.run "cq_obs"
     [
@@ -474,5 +508,6 @@ let () =
         [
           Alcotest.test_case "instrumented band join" `Quick test_band_join_acceptance;
           Alcotest.test_case "metrics on matches off" `Quick test_metrics_on_matches_off;
+          Alcotest.test_case "instrumented interval tree" `Quick test_instrumented_interval_tree;
         ] );
     ]
