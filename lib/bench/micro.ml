@@ -40,26 +40,26 @@ let tests () =
         i)
     rs;
   (* The scattered band path's sweep: the 10k windows in their sweep
-     store, shifted by a random offset, against a finger on 64 sparse
-     S keys. *)
+     store, shifted by a random offset, against a cursor on 64 sparse S
+     keys. *)
   let srng = Cq_util.Rng.create 98 in
   let sprobe () = Cq_util.Dist.uniform srng ~lo:0.0 ~hi:10_000.0 in
   let sb = Fbt.create () in
   for i = 0 to 63 do
     Fbt.insert sb (sprobe ()) i
   done;
-  let store = Cq_index.Sweep_store.create () in
-  Array.iteri (fun i r -> Cq_index.Sweep_store.add store r i) rs;
-  let finger = Fbt.finger sb and cells = [| 0.0; neg_infinity; infinity; 0.0 |] in
-  let seek () = Fbt.finger_advance finger cells ~target:3 ~at:1 ~before:2 in
+  let module Store = Cq_index.Sweep_store in
+  let store = Store.create () in
+  Array.iteri (fun i r -> Store.add store r i) rs;
+  let finger = Fbt.finger sb in
+  let cursor = Cq_relation.Table.cursor_on finger in
   let hits = ref 0 in
   let hit _ = incr hits in
   let sweep () =
     Fbt.finger_reset finger;
-    cells.(0) <- sprobe () -. 5_000.0;
-    cells.(1) <- neg_infinity;
-    cells.(2) <- infinity;
-    Cq_index.Sweep_store.sweep store ~cells ~seek hit
+    cursor.shift.(0) <- sprobe () -. 5_000.0;
+    Cq_relation.Table.load_cursor cursor finger;
+    Store.sweep store cursor hit
   in
   [
     Test.make ~name:"rtree.point_stab"
@@ -73,7 +73,7 @@ let tests () =
            ignore (Fbt.remove_first bt k (fun v -> v = -1))));
     Test.make ~name:"interval_tree.stab"
       (Staged.stage (fun () -> ignore (Itree.stab_count it (probe ()))));
-    Test.make ~name:"sweep_store.sweep" (Staged.stage sweep);
+    Test.make ~name:"sweep_store.cursor_sweep" (Staged.stage sweep);
     Test.make ~name:"interval_tree.add+remove"
       (Staged.stage (fun () ->
            let iv = I.of_midpoint ~mid:(probe ()) ~len:300.0 in

@@ -34,8 +34,7 @@ type ('scan, 'q, 'event, 'result) scattered =
       hit : 'scan -> 'q -> bool;
     }
   | Sweep of {
-      cells : 'scan -> float array;
-      seek : 'scan -> unit -> unit;
+      cursor : 'scan -> Cq_index.Sweep_store.cursor;
       emit : 'scan -> 'q -> ('q -> 'result -> unit) -> unit;
     }
 
@@ -260,8 +259,7 @@ module Make (Q : QUERY) = struct
         }
       | Swept of {
           store : Q.t Store.t;
-          cells : Q.scan -> float array;
-          seek : Q.scan -> unit -> unit;
+          cursor : Q.scan -> Store.cursor;
         }
 
     let scattered_size = function Stabbed s -> B.size s.tree | Swept s -> Store.size s.store
@@ -328,7 +326,7 @@ module Make (Q : QUERY) = struct
       let scattered =
         match Q.scattered with
         | Stab { point; hit; _ } -> Stabbed { tree = B.create ~seed:0; point; hit }
-        | Sweep { cells; seek; _ } -> Swept { store = Store.create (); cells; seek }
+        | Sweep { cursor; _ } -> Swept { store = Store.create (); cursor }
       in
       let on_event = function
         | Tracker.Hotspot_created (gid, members) ->
@@ -372,7 +370,7 @@ module Make (Q : QUERY) = struct
        visits the candidates staged for event [idx] when the last
        [stage_batch] covered it, else those of a live stab; a band
        event has no fixed point (its windows shift with r.b), so one
-       pruned sweep of the store against the scan's finger reports the
+       pruned sweep of the store against the scan's cursor reports the
        windows that hit.  Every scattered window counts as offered, as
        when each was probed, so the fanout and accepted samples keep
        their meaning. *)
@@ -384,11 +382,11 @@ module Make (Q : QUERY) = struct
       | Stabbed { tree; point; _ } ->
           if 0 <= idx && idx < t.staged_n then Vec.iter t.c_scat (Vec.get t.stage_cand idx)
           else B.stab tree (point ev) t.c_scat
-      | Swept { store; cells; seek } ->
+      | Swept { store; cursor } ->
           let n = Store.size store in
           w.cands <- w.cands + n;
           (match w.shed with None -> w.accepted <- w.accepted + n | Some _ -> ());
-          Store.sweep store ~cells:(cells w.scan) ~seek:(seek w.scan) t.c_scat);
+          Store.sweep store (cursor w.scan) t.c_scat);
       end_event w
 
     let process_r t ev sink = walk t ~idx:(-1) ev sink
@@ -433,9 +431,10 @@ module Make (Q : QUERY) = struct
         t.hot;
       match t.scattered with
       | Stabbed { tree; point; hit } -> B.stab tree (point ev) (fun q -> if hit scan q then report q)
-      | Swept { store; cells; seek } -> Store.sweep store ~cells:(cells scan) ~seek:(seek scan) report
+      | Swept { store; cursor } -> Store.sweep store (cursor scan) report
 
     let set_shed t pred = t.w.shed <- pred
+    let iter_groups t f = Hashtbl.iter (fun _ g -> f g) t.hot
 
     (* Query churn can move queries between the hotspot and scattered
        partitions, so any staged batch candidates are stale. *)

@@ -28,10 +28,12 @@
     tracker and partition maintainers.  A select or composite event
     stabs the scattered index at its rangeA point and probes each
     candidate.  A band event sweeps the scattered windows once, in
-    (lo, hi) order, against one forward finger through S.B: O(v + k)
-    for the v ≤ |scattered| windows its block maxima leave, plus a
-    forward seek only where a window's shifted lower end passes the
-    finger, instead of the paper's O(|scattered| log n).
+    (lo, hi) order, against one forward cursor over S.B's leaves:
+    O(v + k) for the v ≤ |scattered| windows its block maxima leave,
+    plus a short scan or gallop in the cursor's leaf where a window's
+    shifted lower end passes the cursor, instead of the paper's
+    O(|scattered| log n).  A band group's STEP 1 is one anchored pass
+    over the group's own sweep store.
 
     The walk needs no per-event dedupe: the groups are pairwise
     disjoint and disjoint from the scattered set (the hotspot
@@ -75,24 +77,21 @@ type ('scan, 'q, 'event, 'result) scattered =
       hit : 'scan -> 'q -> bool;  (** Whether [probe] would emit a result. *)
     }
   | Sweep of {
-      cells : 'scan -> float array;
-          (** The scan's [\[| shift; at; before; key |\]] cells, reset
-              by [scan_begin] to the event's shift and an empty
-              (before, at]. *)
-      seek : 'scan -> unit -> unit;
-          (** The scan's preallocated seek closure (returned, not
-              built): it moves the scan's finger forward to the first
-              store key at or above [cells.(3)] and writes [at] and
-              [before] ([Cq_index.Btree.Make.finger_advance]). *)
+      cursor : 'scan -> Cq_index.Sweep_store.cursor;
+          (** The scan's cursor over the store (returned, not built),
+              loaded by [scan_begin] with the event's shift and the
+              store's first leaf, its closures made once with the
+              scan. *)
       emit : 'scan -> 'q -> ('q -> 'result -> unit) -> unit;
           (** [emit s q sink] emits the results of a window the sweep
-              just reported as a hit, walking from the finger. *)
+              just reported as a hit, walking from the finger the
+              cursor's [sync] left on the window's first key. *)
     }
       (** The event has no fixed point on the scatter axis (band
           windows shift with r.b), so the scattered windows are swept
           once against the store: {!Cq_index.Sweep_store.sweep} scans
           them in order, skips every block whose windows all end
-          before the finger, stops when the finger runs off the end,
+          before the cursor, stops when the cursor runs off the end,
           and calls back only for the windows that reach a store
           key. *)
 
@@ -137,7 +136,7 @@ module type QUERY = sig
       offered to [hit] and then to [probe].  The store is not mutated
       between [scan_begin] and the event's last result; the engine's
       non-reentrancy rule guarantees this.  A band join's [Sweep] uses
-      both facts to run one forward finger through S.B for the whole
+      both facts to run one forward cursor through S.B for the whole
       event.
 
       The scan also carries the finger the group walk runs on
@@ -344,12 +343,17 @@ module Make (Q : QUERY) : sig
       scattered remainder (a stab of the scattered interval tree, or a
       band event's sweep of the sweep store) — Section 2.2 + the closing remark of
       Section 3.1. *)
-  module Hotspot :
-    PROCESSOR
-      with type query = Q.t
-       and type event = Q.event
-       and type store = Q.store
-       and type result = Q.result
+  module Hotspot : sig
+    include
+      PROCESSOR
+        with type query = Q.t
+         and type event = Q.event
+         and type store = Q.store
+         and type result = Q.result
+
+    val iter_groups : t -> (Q.Group.g -> unit) -> unit
+    (** Every hotspot's aux group once, for audits. *)
+  end
 
   (** SSI over a static canonical partition of the whole query set,
       rebuilt lazily after churn — the paper's plain BJ-SSI / SJ-SSI

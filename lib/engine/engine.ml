@@ -112,8 +112,13 @@ type t = {
   r_mirror : Table.s_table;
   r_side : side;
   s_side : side;
-  band_cbs : (int, Tuple.r -> Tuple.s -> unit) Hashtbl.t;
-  select_cbs : (int, Tuple.r -> Tuple.s -> unit) Hashtbl.t;
+  (* Subscriber callbacks by qid, [no_cb] in every slot without a live
+     subscription of that kind.  Qids are dense (the engine numbers
+     them, and a coordinator's global counter numbers its shards'), so
+     a delivery reads its callback with one array load; the arrays
+     grow geometrically. *)
+  mutable band_cbs : (Tuple.r -> Tuple.s -> unit) array;
+  mutable select_cbs : (Tuple.r -> Tuple.s -> unit) array;
   band_retracts : (int, Tuple.r -> Tuple.s -> unit) Hashtbl.t;
   select_retracts : (int, Tuple.r -> Tuple.s -> unit) Hashtbl.t;
   mutable next_qid : int;
@@ -341,18 +346,36 @@ let protected cb r s =
   with exn ->
     Log.warn (fun m -> m "subscriber callback raised %s" (Printexc.to_string exn))
 
+let no_cb (_ : Tuple.r) (_ : Tuple.s) = ()
+
+(* The callback of [qid] in [cbs]: [no_cb] past the end.  A result
+   whose query is gone is still counted. *)
+let cb_of cbs qid = if qid < Array.length cbs then cbs.(qid) else no_cb
+
+(* [cbs] with [cb] in slot [qid], grown to twice the needed length
+   when it is too short. *)
+let set_cb cbs qid cb =
+  let cbs =
+    if qid < Array.length cbs then cbs
+    else begin
+      let grown = Array.make (2 * (qid + 1)) no_cb in
+      Array.blit cbs 0 grown 0 (Array.length cbs);
+      grown
+    end
+  in
+  cbs.(qid) <- cb;
+  cbs
+
+let live_cbs cbs = Array.fold_left (fun n cb -> if cb == no_cb then n else n + 1) 0 cbs
+
 let deliver_band t (q : BQ.t) r s =
-  (match Hashtbl.find t.band_cbs q.qid with (* [find]: no [Some] per result *)
-  | cb -> protected cb r s
-  | exception Not_found -> ());
+  protected (cb_of t.band_cbs q.qid) r s;
   t.results <- t.results + 1;
   shed_note_result t q.qid;
   Metrics.incr m_results
 
 let deliver_select t (q : SQ.t) r s =
-  (match Hashtbl.find t.select_cbs q.qid with (* [find]: no [Some] per result *)
-  | cb -> protected cb r s
-  | exception Not_found -> ());
+  protected (cb_of t.select_cbs q.qid) r s;
   t.results <- t.results + 1;
   shed_note_result t q.qid;
   Metrics.incr m_results
@@ -390,8 +413,8 @@ let try_create_cfg (cfg : Config.t) =
           r_mirror;
           r_side = make_side cfg ~probe:s_table ~home:r_mirror ~seed_base:cfg.seed;
           s_side = make_side cfg ~probe:r_mirror ~home:s_table ~seed_base:(cfg.seed + 1);
-          band_cbs = Hashtbl.create 64;
-          select_cbs = Hashtbl.create 64;
+          band_cbs = [||];
+          select_cbs = [||];
           band_retracts = Hashtbl.create 64;
           select_retracts = Hashtbl.create 64;
           next_qid = 0;
@@ -465,7 +488,10 @@ let fresh_qid t =
 let claim_qid t = function
   | None -> Ok (fresh_qid t)
   | Some q ->
-      if Hashtbl.mem t.band_cbs q || Hashtbl.mem t.select_cbs q then
+      if q < 0 then
+        Error
+          (Err.Invalid_parameter { name = "qid"; value = string_of_int q; expected = "a qid >= 0" })
+      else if cb_of t.band_cbs q != no_cb || cb_of t.select_cbs q != no_cb then
         Error (Err.Duplicate { what = Printf.sprintf "qid %d" q })
       else begin
         t.next_qid <- max t.next_qid (q + 1);
@@ -486,7 +512,7 @@ let try_subscribe_band t ?qid ?on_retract ~range cb =
         let bwd = BQ.make ~qid ~range:(negate_range range) in
         BP.insert_query t.r_side.band fwd;
         BP.insert_query t.s_side.band bwd;
-        Hashtbl.replace t.band_cbs qid cb;
+        t.band_cbs <- set_cb t.band_cbs qid cb;
         (match on_retract with
         | Some f -> Hashtbl.replace t.band_retracts qid f
         | None -> ());
@@ -507,7 +533,7 @@ let try_subscribe_select t ?qid ?on_retract ~range_a ~range_c cb =
         let bwd = SQ.make ~qid ~range_a:range_c ~range_c:range_a in
         SP.insert_query t.r_side.select fwd;
         SP.insert_query t.s_side.select bwd;
-        Hashtbl.replace t.select_cbs qid cb;
+        t.select_cbs <- set_cb t.select_cbs qid cb;
         (match on_retract with
         | Some f -> Hashtbl.replace t.select_retracts qid f
         | None -> ());
@@ -521,7 +547,7 @@ let unsubscribe t = function
       let ok = BP.delete_query t.r_side.band fwd in
       if ok then begin
         ignore (BP.delete_query t.s_side.band bwd);
-        Hashtbl.remove t.band_cbs fwd.BQ.qid;
+        t.band_cbs.(fwd.BQ.qid) <- no_cb;
         Hashtbl.remove t.band_retracts fwd.BQ.qid
       end;
       ok
@@ -529,7 +555,7 @@ let unsubscribe t = function
       let ok = SP.delete_query t.r_side.select fwd in
       if ok then begin
         ignore (SP.delete_query t.s_side.select bwd);
-        Hashtbl.remove t.select_cbs fwd.SQ.qid;
+        t.select_cbs.(fwd.SQ.qid) <- no_cb;
         Hashtbl.remove t.select_retracts fwd.SQ.qid
       end;
       ok
@@ -802,9 +828,9 @@ let check_invariants t =
   if ns <> SP.query_count t.s_side.select then
     fail "engine: %d forward select queries but %d mirrored" ns
       (SP.query_count t.s_side.select);
-  if Hashtbl.length t.band_cbs <> nb then
+  if live_cbs t.band_cbs <> nb then
     fail "engine: band callback table out of sync with query set";
-  if Hashtbl.length t.select_cbs <> ns then
+  if live_cbs t.select_cbs <> ns then
     fail "engine: select callback table out of sync with query set";
   if Table.s_size t.s_table > t.next_sid then fail "engine: |S| exceeds issued sids";
   if Table.s_size t.r_mirror > t.next_rid then fail "engine: |R| exceeds issued rids"

@@ -151,7 +151,12 @@ val try_subscribe_band :
     [qid] overrides the engine's sequential numbering — the hook
     {!Parallel} uses to impose one global numbering on every shard, so
     shed-coin outcomes are shard-invariant.  A [qid] already held by a
-    live subscription is rejected with {!Cq_util.Error.Duplicate}. *)
+    live subscription is rejected with {!Cq_util.Error.Duplicate}, a
+    negative one with {!Cq_util.Error.Invalid_parameter}.  Callbacks
+    sit in an array indexed by qid, so a result finds its callback
+    with one load: qids should stay dense, as the engine's own
+    numbering and {!Parallel}'s global counter keep them (a qid costs
+    a slot for every smaller one). *)
 
 val subscribe_band :
   t ->

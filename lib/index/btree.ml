@@ -5,8 +5,6 @@ module type ORDERED = sig
   val compare_at : t array -> int -> t -> int
   val lower_bound : t array -> int -> int -> t -> int
   val upper_bound : t array -> int -> int -> t -> int
-  val key_to_cell : t array -> int -> float array -> int -> unit
-  val lower_bound_cell : t array -> int -> int -> float array -> int -> int
 end
 
 (* Leaves hold slack arrays: fixed capacity 2*order+1 with an explicit
@@ -362,40 +360,6 @@ module Make (K : ORDERED) = struct
     let pack = Option.map (fun c -> (key c, value c)) in
     (pack (seek_le t k), pack (seek_ge t k))
 
-  (* Allocation-free bounded walks: the hot-path replacement for
-     cursor chains (each cursor hop allocates an option + record;
-     these walk the leaf chain with tail calls and ints only). *)
-
-  let walk_ge t k0 f =
-    let rec walk l i =
-      if i < l.lcount then begin
-        if f l.lkeys.(i) l.lvals.(i) then walk l (i + 1)
-      end
-      else match l.lnext with Some nx -> walk nx 0 | None -> ()
-    in
-    let l = descend_ge t.root k0 in
-    walk l (leaf_lower_bound l.lkeys l.lcount k0)
-
-  let walk_lt t k0 f =
-    let rec walk l i =
-      if i >= 0 then begin
-        if f l.lkeys.(i) l.lvals.(i) then walk l (i - 1)
-      end
-      else match l.lprev with Some pv -> walk pv (pv.lcount - 1) | None -> ()
-    in
-    let l = descend_ge t.root k0 in
-    walk l (leaf_lower_bound l.lkeys l.lcount k0 - 1)
-
-  let walk_le t k0 f =
-    let rec walk l i =
-      if i >= 0 then begin
-        if f l.lkeys.(i) l.lvals.(i) then walk l (i - 1)
-      end
-      else match l.lprev with Some pv -> walk pv (pv.lcount - 1) | None -> ()
-    in
-    let l = descend_le t.root k0 in
-    walk l (leaf_upper_bound l.lkeys l.lcount k0 - 1)
-
   let rec leftmost_leaf = function
     | Leaf l -> l
     | Internal nd -> leftmost_leaf nd.kids.(0)
@@ -461,52 +425,29 @@ module Make (K : ORDERED) = struct
     end
     else finger_descend f k
 
-  let[@cq.hot] rec descend_cell node cells target =
-    match node with
-    | Leaf l -> l
-    | Internal nd ->
-        descend_cell nd.kids.(K.lower_bound_cell nd.seps 0 (Array.length nd.seps) cells target)
-          cells target
+  (* The leaf accessors a caller's own loop reads the finger's leaf
+     through.  The finger keeps designating its entry: only
+     [finger_set_index] and [finger_next_leaf] move it. *)
+  let finger_keys f = f.fleaf.lkeys
+  let finger_count f = f.fleaf.lcount
+  let finger_index f = f.fidx
+  let finger_set_index f i = f.fidx <- i
 
-  (* Whether the last entry of the non-empty leaf [l] reaches the
-     target. *)
-  let[@cq.hot] last_reaches l cells target =
-    let n = l.lcount in
-    K.lower_bound_cell l.lkeys (n - 1) n cells target < n
+  let finger_next_leaf f =
+    match f.fleaf.lnext with
+    | Some nx ->
+        f.fleaf <- nx;
+        f.fidx <- 0;
+        true
+    | None -> false
 
-  (* Forward only: every entry before the finger is below the target,
-     so it lies at or after the finger — in its leaf when the leaf's
-     last entry reaches it, else in the next leaf when that one's does,
-     else somewhere a descent from the root finds.  A finger at the end
-     stays there. *)
-  let[@cq.hot] finger_advance f cells ~target ~at ~before =
-    let l = f.fleaf and i = f.fidx in
-    (if i < l.lcount then
-       if last_reaches l cells target then
-         f.fidx <- K.lower_bound_cell l.lkeys i l.lcount cells target
-       else
-         match l.lnext with
-         | Some nx when last_reaches nx cells target ->
-             f.fleaf <- nx;
-             f.fidx <- K.lower_bound_cell nx.lkeys 0 nx.lcount cells target
-         | None -> f.fidx <- l.lcount
-         | Some _ -> (
-             let d = descend_cell f.ftree.root cells target in
-             let j = K.lower_bound_cell d.lkeys 0 d.lcount cells target in
-             match d.lnext with
-             | Some nx when j = d.lcount ->
-                 f.fleaf <- nx;
-                 f.fidx <- 0
-             | _ ->
-                 f.fleaf <- d;
-                 f.fidx <- j));
-    let l = f.fleaf and i = f.fidx in
-    if i < l.lcount then K.key_to_cell l.lkeys i cells at else cells.(at) <- infinity;
-    if i > 0 then K.key_to_cell l.lkeys (i - 1) cells before
-    else
-      match l.lprev with
-      | Some p -> K.key_to_cell p.lkeys (p.lcount - 1) cells before
-      | None -> cells.(before) <- neg_infinity
+  let finger_back_keys f =
+    if f.fidx > 0 then f.fleaf.lkeys
+    else match f.fleaf.lprev with Some p -> p.lkeys | None -> f.fleaf.lkeys
+
+  let finger_back_index f =
+    if f.fidx > 0 then f.fidx - 1
+    else match f.fleaf.lprev with Some p -> p.lcount - 1 | None -> -1
 
   let finger_key f ~default =
     let l = f.fleaf in
@@ -565,13 +506,21 @@ module Make (K : ORDERED) = struct
     in
     walk (leftmost_leaf t.root)
 
+  (* From the leftmost entry >= [lo] along the leaf chain, while the
+     key is <= [hi]. *)
   let iter_range t ~lo ~hi f =
-    walk_ge t lo (fun k v ->
+    let rec walk l i =
+      if i < l.lcount then begin
+        let k = l.lkeys.(i) in
         if K.compare k hi <= 0 then begin
-          f k v;
-          true
+          f k l.lvals.(i);
+          walk l (i + 1)
         end
-        else false)
+      end
+      else match l.lnext with Some nx -> walk nx 0 | None -> ()
+    in
+    let l = descend_ge t.root lo in
+    walk l (leaf_lower_bound l.lkeys l.lcount lo)
 
   let fold_range t ~lo ~hi f acc =
     let acc = ref acc in

@@ -46,39 +46,6 @@ module type ORDERED = sig
   (** [upper_bound a from count k] is the first index [i] in
       [\[from, count)] with [compare_at a i k > 0], or [count]: the
       loop of {!lower_bound} with [<= 0] for [< 0]. *)
-
-  (** {3 Float cells}
-
-      The two hooks [Make.finger_advance] searches and reports
-      through.  They place each key on a float axis, at a position
-      [pos k] that never decreases along [compare] (for a float key,
-      the key itself; for a pair, its first component), and exchange
-      positions through a caller's [float array] so that no float
-      crosses the functor boundary, where it would be boxed. *)
-
-  val key_to_cell : t array -> int -> float array -> int -> unit
-  (** [key_to_cell a i cells j] stores [pos a.(i)] in [cells.(j)]. *)
-
-  val lower_bound_cell : t array -> int -> int -> float array -> int -> int
-  (** [lower_bound_cell a from count cells j] is the first index [i]
-      in [\[from, count)] with [pos a.(i) >= cells.(j)], or [count]
-      when there is none.  The tree calls it only on a sub-range
-      sorted by [compare], and there it must return exactly what this
-      loop returns (with [scratch] a one-cell float array):
-      {[
-        let i = ref from in
-        while
-          !i < count
-          && (key_to_cell a !i scratch 0;
-              scratch.(0) < cells.(j))
-        do
-          incr i
-        done;
-        !i
-      ]}
-      How it searches is the key module's choice; a finger's target is
-      usually a few slots ahead of [from], so a gallop from [from] pays
-      O(log distance) compares there. *)
 end
 
 module Make (K : ORDERED) : sig
@@ -130,22 +97,6 @@ module Make (K : ORDERED) : sig
       the pair (s1, s2) of the paper's STEP 1.  When an entry equals
       [k] it appears on both sides. *)
 
-  val walk_ge : 'a t -> K.t -> (K.t -> 'a -> bool) -> unit
-  (** [walk_ge t k f] visits entries in ascending order starting at the
-      leftmost entry with key >= [k], for as long as [f] returns
-      [true].  Unlike a cursor chain this allocates nothing — the
-      hot-path form of a bounded ascending scan. *)
-
-  val walk_lt : 'a t -> K.t -> (K.t -> 'a -> bool) -> unit
-  (** [walk_lt t k f] visits entries in descending order starting at
-      the rightmost entry with key < [k] (strictly), for as long as
-      [f] returns [true].  Allocation-free. *)
-
-  val walk_le : 'a t -> K.t -> (K.t -> 'a -> bool) -> unit
-  (** [walk_le t k f] is {!walk_lt} starting at the rightmost entry
-      with key <= [k]: with a float key, [walk_le t infinity] walks
-      every entry, those at [infinity] included. *)
-
   (** {2 Fingers}
 
       A finger is a reusable position in one tree, for many seeks
@@ -176,23 +127,45 @@ module Make (K : ORDERED) : sig
       finger and costs O(log order); any other target, including one
       that goes backwards, re-descends from the root. *)
 
-  val finger_advance : 'a finger -> float array -> target:int -> at:int -> before:int -> unit
-  (** [finger_advance f cells ~target ~at ~before] moves [f] forward to
-      the leftmost entry whose position ([K.key_to_cell]) is
-      [>= cells.(target)], or to the end when there is none, and
-      writes the position of the entry at the finger into
-      [cells.(at)] ([infinity] at the end) and that of the entry just
-      before it into [cells.(before)] ([neg_infinity] at the start).
-      Nothing is boxed: the target and both positions stay in the
-      float cells.
+  (** {3 Leaf access}
 
-      It only searches forward: it requires every entry before the
-      finger to lie below the target, which holds after
-      {!finger_reset} and after an advance to a target no greater than
-      this one — the rising targets of a band sweep.  The search
-      gallops in the finger's leaf when the target lies there, tries
-      the next leaf once, and otherwise re-descends from the root.
-      For targets that may go backwards use {!finger_seek}. *)
+      A caller that runs its own loop over the keys — a band sweep
+      walks S.B's float keys from a cache of the finger's leaf — reads
+      the leaf through these.  For a float key ([K.t = float]) the key
+      array is a flat float array, so the caller's reads box nothing.
+      The arrays are the tree's own: read them, never write them, and
+      drop them at the next update. *)
+
+  val finger_keys : 'a finger -> K.t array
+  (** The key array of the finger's leaf; its live slots are
+      [\[0, finger_count f)]. *)
+
+  val finger_count : 'a finger -> int
+  (** The number of entries in the finger's leaf ([0] only in an empty
+      tree). *)
+
+  val finger_index : 'a finger -> int
+  (** The finger's slot in its leaf; [finger_count f] at the end of the
+      tree. *)
+
+  val finger_set_index : 'a finger -> int -> unit
+  (** [finger_set_index f i] moves the finger to slot [i] of its leaf,
+      [0 <= i < finger_count f] (or [i = finger_count f] in the last
+      leaf, the end of the tree). *)
+
+  val finger_next_leaf : 'a finger -> bool
+  (** Move the finger to the first slot of the next leaf and return
+      [true], or return [false] and leave it where it is in the last
+      leaf. *)
+
+  val finger_back_keys : 'a finger -> K.t array
+  (** The key array holding the entry just before the finger: the
+      finger's leaf, or the leaf before it when the finger is on its
+      leaf's first slot. *)
+
+  val finger_back_index : 'a finger -> int
+  (** That entry's slot in {!finger_back_keys}, or [-1] when the finger
+      is at the leftmost entry (or the tree is empty). *)
 
   val finger_key : 'a finger -> default:K.t -> K.t
   (** The key at the finger, or [default] at the end. *)
@@ -211,8 +184,8 @@ module Make (K : ORDERED) : sig
   (** [finger_iter_back_ge f lo x g] is the mirror of {!finger_iter_le}:
       it calls [g x v] for each entry before the finger, in descending
       order, while its key is >= [lo].  The finger does not move.
-      After [finger_seek f k] this visits exactly what [walk_lt t k]
-      visits while the key is >= [lo]. *)
+      After [finger_seek f k] this visits exactly the entries with
+      [lo <= key < k], from the largest down. *)
 
   val iter : 'a t -> (K.t -> 'a -> unit) -> unit
   (** In-order iteration over all entries. *)

@@ -231,51 +231,168 @@ let remove t (iv : Cq_interval.Interval.t) pred =
 (* Sweep against a sorted key sequence                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* [cells] is [| shift; at; before; key |] and [seek] moves the
-   caller's finger to [cells.(3)], refreshing [at] and [before].  A
-   window whose shifted lo lies in (before, at] needs no seek: [at] is
-   already the first key at or above it.  Shifted lo ends only rise
-   along the scan, so every key the finger passed is below every
-   window still to come: a block whose max hi + shift is below [at]
-   holds no window that reaches a key, and once [at] is past the last
-   key ([infinity]) nothing does.  Each loop returns [false] once the
-   finger has run off the end, which ends the sweep. *)
+type cursor = {
+  shift : float array;
+  mutable keys : float array;
+  mutable nkeys : int;
+  mutable idx : int;
+  mutable synced : int;
+  hop : cursor -> bool;
+  descend : cursor -> float array -> int -> unit;
+  sync : cursor -> unit;
+}
 
-(* Windows [i, stop) of chunk [c]. *)
-let[@cq.hot] rec sweep_windows c i stop cells seek hit =
-  if i >= stop then true
+let cursor ~hop ~descend ~sync =
+  { shift = [| 0.0 |]; keys = [||]; nkeys = 0; idx = 0; synced = 0; hop; descend; sync }
+
+(* The cursor sits on the first key at or above the last target, so
+   every key before it is below every target still to come: shifted lo
+   ends only rise along the scan.  A block whose max hi + shift is below
+   the cursor's key holds no window that reaches a key, and once the
+   cursor is past the last key ([idx = count], only ever in the last
+   leaf) nothing does.  Targets are read as [lo.(i) + shift] where they
+   are used: a float passed to a function that is not inlined is
+   boxed. *)
+
+let scan = 8
+
+(* The first slot in [from, n) of [keys] at or above the target
+   [lo.(i) + shift], given that [keys.(n - 1)] is: a scan of up to
+   [scan] slots, then a gallop from the last one scanned — probe 1, 2,
+   4, ... slots on and binary-search the last gap. *)
+let[@cq.hot] slot_ge (keys : float array) from n (lo : float array) i (shift : float array) =
+  let x = Array.unsafe_get lo i +. Array.unsafe_get shift 0 in
+  let stop = Int.min (n - 1) (from + scan) in
+  let j = ref from in
+  while !j < stop && Array.unsafe_get keys !j < x do
+    incr j
+  done;
+  if !j < stop || Array.unsafe_get keys !j >= x then !j
   else begin
-    let shift = cells.(0) in
-    let lo = c.lo.(i) +. shift in
-    if not (cells.(2) < lo && lo <= cells.(1)) then begin
-      cells.(3) <- lo;
-      seek ()
-    end;
-    let at = cells.(1) in
-    if at < infinity then begin
-      if at <= c.hi.(i) +. shift then hit c.pay.(i);
-      sweep_windows c (i + 1) stop cells seek hit
-    end
-    else false
+    (* Every slot up to [a - 1] is below the target, [b] is not. *)
+    let a = ref (!j + 1) and b = ref (n - 1) and step = ref 1 in
+    while !a + !step - 1 < !b && Array.unsafe_get keys (!a + !step - 1) < x do
+      a := !a + !step;
+      step := 2 * !step
+    done;
+    if !a + !step - 1 < !b then b := !a + !step - 1;
+    while !a < !b do
+      let m = (!a + !b) / 2 in
+      if Array.unsafe_get keys m < x then a := m + 1 else b := m
+    done;
+    !a
   end
+
+(* Move the cursor to the first key at or above [lo.(i) + shift]: in
+   its leaf when the leaf's last key reaches the target, else in the
+   next leaf when that one's does, else wherever a descent from the
+   root lands.  [false] when no key reaches the target. *)
+let[@cq.hot] advance cur (lo : float array) i =
+  let n = cur.nkeys in
+  if n > 0 && Array.unsafe_get cur.keys (n - 1) >= Array.unsafe_get lo i +. cur.shift.(0) then begin
+    cur.idx <- slot_ge cur.keys cur.idx n lo i cur.shift;
+    true
+  end
+  else if cur.hop cur then begin
+    let n = cur.nkeys in
+    if Array.unsafe_get cur.keys (n - 1) >= Array.unsafe_get lo i +. cur.shift.(0) then
+      cur.idx <- slot_ge cur.keys 0 n lo i cur.shift
+    else cur.descend cur lo i;
+    cur.idx < cur.nkeys
+  end
+  else begin
+    cur.idx <- n;
+    false
+  end
+
+(* Windows [i, stop) of chunk [c]; [false] once the cursor has run off
+   the end, which ends the sweep.  A window whose target is at or below
+   the cursor's key leaves the cursor where it is, with no call. *)
+let[@cq.hot] rec sweep_windows c i stop cur hit =
+  if i >= stop then true
+  else if
+    Array.unsafe_get cur.keys cur.idx >= Array.unsafe_get c.lo i +. cur.shift.(0)
+    || advance cur c.lo i
+  then begin
+    if Array.unsafe_get cur.keys cur.idx <= c.hi.(i) +. cur.shift.(0) then begin
+      if cur.synced <> cur.idx then begin
+        cur.sync cur;
+        cur.synced <- cur.idx
+      end;
+      hit c.pay.(i)
+    end;
+    sweep_windows c (i + 1) stop cur hit
+  end
+  else false
 
 (* Blocks [b, ..) of chunk [c]. *)
-let[@cq.hot] rec sweep_blocks c b cells seek hit =
+let[@cq.hot] rec sweep_blocks c b cur hit =
   let start = b * block in
   if start >= c.count then true
-  else if c.bmax.(b) +. cells.(0) < cells.(1) then sweep_blocks c (b + 1) cells seek hit
+  else if c.bmax.(b) +. cur.shift.(0) < Array.unsafe_get cur.keys cur.idx then
+    sweep_blocks c (b + 1) cur hit
   else
-    sweep_windows c start (Int.min c.count (start + block)) cells seek hit
-    && sweep_blocks c (b + 1) cells seek hit
+    sweep_windows c start (Int.min c.count (start + block)) cur hit
+    && sweep_blocks c (b + 1) cur hit
 
-let[@cq.hot] rec sweep_chunks dir k cells seek hit =
+let[@cq.hot] rec sweep_chunks dir k cur hit =
   if k < Array.length dir then begin
     let c = dir.(k) in
-    if c.cmax +. cells.(0) < cells.(1) || sweep_blocks c 0 cells seek hit then
-      sweep_chunks dir (k + 1) cells seek hit
+    if
+      c.cmax +. cur.shift.(0) < Array.unsafe_get cur.keys cur.idx
+      || sweep_blocks c 0 cur hit
+    then sweep_chunks dir (k + 1) cur hit
   end
 
-let[@cq.hot] sweep t ~cells ~seek hit = sweep_chunks t.dir 0 cells seek hit
+let[@cq.hot] sweep t cur hit = if cur.idx < cur.nkeys then sweep_chunks t.dir 0 cur hit
+
+(* ------------------------------------------------------------------ *)
+(* The anchored walk                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [anchors] is [| a1; a2 |].  The prefix runs while lo <= a1; from the
+   first window past it on, a window is taken when hi >= a2, and a
+   block or chunk whose max hi is below a2 is skipped whole.  Every
+   comparison with NaN is false, so a NaN a1 takes no prefix; a NaN a2
+   would skip every chunk, and is caught first so the tail is not
+   walked at all. *)
+
+(* Slots [i, stop) of chunk [c]. *)
+let[@cq.hot] rec reach_slots c i stop anchors take =
+  if i < stop then begin
+    if c.hi.(i) >= anchors.(1) then take c.pay.(i);
+    reach_slots c (i + 1) stop anchors take
+  end
+
+(* Chunk [c] from slot [i] on, block by block. *)
+let[@cq.hot] rec reach_blocks c i anchors take =
+  if i < c.count then begin
+    let b = i / block in
+    let stop = Int.min c.count ((b + 1) * block) in
+    if c.bmax.(b) >= anchors.(1) then reach_slots c i stop anchors take;
+    reach_blocks c stop anchors take
+  end
+
+(* Chunks [k, ..), the first from slot [i]. *)
+let[@cq.hot] rec reach_chunks dir k i anchors take =
+  if k < Array.length dir then begin
+    let c = dir.(k) in
+    if c.cmax >= anchors.(1) then reach_blocks c i anchors take;
+    reach_chunks dir (k + 1) 0 anchors take
+  end
+
+let[@cq.hot] rec prefix_chunks dir k i anchors take =
+  if k < Array.length dir then begin
+    let c = dir.(k) in
+    if i >= c.count then prefix_chunks dir (k + 1) 0 anchors take
+    else if c.lo.(i) <= anchors.(0) then begin
+      take c.pay.(i);
+      prefix_chunks dir k (i + 1) anchors take
+    end
+    else if anchors.(1) = anchors.(1) (* not NaN *) then reach_chunks dir k i anchors take
+  end
+
+let[@cq.hot] walk_anchored t anchors take = prefix_chunks t.dir 0 0 anchors take
 
 (* ------------------------------------------------------------------ *)
 (* Iteration and invariants                                             *)

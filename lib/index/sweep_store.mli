@@ -2,14 +2,17 @@
     order, equal keys in insertion order, stored as chunked float
     columns with a max right endpoint per block of windows.
 
-    This is the scattered-window container of every band processor
-    (the classes whose [Hotspot_core.Processor.QUERY.scattered] is
-    [Sweep]), and the same sorted list BJ-MJ merges S.B against.  A
+    It holds every band window the engine walks per event: the
+    scattered windows of every band processor (the classes whose
+    [Hotspot_core.Processor.QUERY.scattered] is [Sweep]) and the
+    members of every band stabbing group ([Cq_joins.Band_axis]).  A
     band event has no fixed stabbing point, so it never stabs these
-    windows: it reads them once, in order, against a forward finger on
-    S.B ({!sweep}).  That read is a linear scan of contiguous float
-    columns, skipping every block whose windows all end before the
-    finger, where a pointer-linked tree pays a dependent load per node.
+    windows: it reads the scattered ones once, in order, against a
+    forward cursor on S.B ({!sweep}), and each group's members in one
+    anchored pass ({!walk_anchored}).  Both are linear scans of
+    contiguous float columns, skipping every block whose windows all
+    end too early, where a pointer-linked tree pays a dependent load
+    per node.
 
     Windows live in chunks of at most 64; an add that finds its chunk
     full splits it in two, and a remove that leaves a chunk under 16
@@ -21,8 +24,8 @@
     sorted stably by (lo, hi) in insertion order — exactly
     {!Flat_interval_tree.iter}'s sequence for the same adds and for
     removes whose predicate matches one entry (a processor's removes
-    match by query id) — and {!sweep}, {!iter} and {!to_list} follow
-    it. *)
+    match by query id) — and {!sweep}, {!walk_anchored}, {!iter} and
+    {!to_list} follow it. *)
 
 type 'a t
 
@@ -45,35 +48,84 @@ val remove : 'a t -> Cq_interval.Interval.t -> ('a -> bool) -> bool
     keys passed over; a merge copies the directory as a split does.
     The removed payload is released at once. *)
 
-val sweep : 'a t -> cells:float array -> seek:(unit -> unit) -> ('a -> unit) -> unit
-(** [sweep t ~cells ~seek hit] reports, in order, the payload of every
-    stored window [\[lo, hi\]] whose shifted copy
-    [\[lo + shift, hi + shift\]] (closed) holds a key of the caller's
-    sorted sequence of finite keys — a band event's scattered windows
-    against S.B.  The caller owns a forward finger on that sequence and
-    describes it in [cells = [| shift; at; before; key |]]: [at] is the
-    key at the finger ([infinity] past the end), [before] the key just
-    before it ([neg_infinity] at the start).  Start each sweep with an
-    empty (before, at] ([at = neg_infinity], [before = infinity]) so
-    the first window seeks.
+(** {2 The sweep against a sorted key sequence} *)
 
-    [seek ()] must move the finger to the first key [>= cells.(3)] and
-    store that key and its predecessor in [cells.(1)] and [cells.(2)].
-    The sweep calls it only for a window whose shifted [lo] lies
-    outside (before, at]; windows arrive in ascending [lo], so the
-    targets only rise and a forward-only finger
-    ([Btree.Make.finger_advance]) serves the whole walk.  A window
-    hits iff [at <= hi + shift] once the finger is on its [lo], and
-    [hit] is called right then, with the finger on the window's first
-    key; it must not move the finger or write [cells].
+type cursor = {
+  shift : float array;
+      (** [\[| shift |\]]: the offset every window is moved by. *)
+  mutable keys : float array;
+      (** The key array of the leaf the caller's finger is on... *)
+  mutable nkeys : int;  (** ...its live slots [\[0, nkeys)]... *)
+  mutable idx : int;
+      (** ...and the cursor's slot in it: [nkeys] only past the last
+          key. *)
+  mutable synced : int;
+      (** The finger's slot in that leaf: set with [idx] whenever a
+          leaf is loaded, so a hit calls [sync] only when the cursor
+          has moved within the leaf since. *)
+  hop : cursor -> bool;
+      (** Load the next leaf at slot 0 and return [true], or return
+          [false] in the last leaf. *)
+  descend : cursor -> float array -> int -> unit;
+      (** [descend c lo i] loads the leaf and slot of the first key at
+          or above [lo.(i) +. c.shift.(0)], from the root. *)
+  sync : cursor -> unit;
+      (** Move the caller's finger to the cursor's slot. *)
+}
+(** A forward cursor over the caller's sorted sequence of finite keys,
+    held as leaves of keys — S.B's B-tree leaves for a band event.  The
+    sweep reads the keys straight from [keys] and calls back only to
+    leave a leaf ([hop], [descend]) and on a hit ([sync]).  The caller
+    owns the leaves and the closures, made once per scan so a sweep
+    builds none; they must keep [keys]/[nkeys]/[idx] describing the
+    slot they move to, with [synced = idx].  Before each sweep the
+    caller sets [shift] and loads its finger's leaf at its first key
+    (for S.B: [Cq_relation.Table.cursor_on] makes the cursor, and
+    [Table.load_cursor] after a finger reset loads it). *)
 
-    A block (or chunk) whose largest [hi] plus [shift] is below [at] is
-    skipped whole: its windows start at or after the last key sought,
-    so none reaches a key.  Once a seek leaves the finger past the last
-    key ([at = infinity]) the sweep stops: no later window can reach a
-    key, not even one that ends at [infinity].  Bounds are read from
-    the float columns; only a hit reads its payload.
-    Allocation-free. *)
+val cursor :
+  hop:(cursor -> bool) ->
+  descend:(cursor -> float array -> int -> unit) ->
+  sync:(cursor -> unit) ->
+  cursor
+(** A cursor with no leaf loaded: a sweep over it reads nothing until
+    the caller loads one. *)
+
+val sweep : 'a t -> cursor -> ('a -> unit) -> unit
+(** [sweep t c hit] reports, in order, the payload of every stored
+    window [\[lo, hi\]] whose shifted copy [\[lo + shift, hi + shift\]]
+    (closed) holds a key of the cursor's sequence — a band event's
+    scattered windows against S.B.  Windows arrive in ascending [lo],
+    so their targets [lo + shift] only rise and the cursor only moves
+    forward: for each window it scans at most 8 slots of the leaf and
+    then gallops, and leaves the leaf only past its last key (a [hop]
+    when the next leaf reaches the target, else a [descend]).  A
+    window hits iff the key the cursor lands on is [<= hi + shift];
+    the sweep then calls [hit], with the caller's finger on the
+    window's first key ([sync] first when [synced] is not [idx]).
+    [hit] must not move the cursor.
+
+    A block (or chunk) whose largest [hi] plus [shift] is below the
+    cursor's key is skipped whole: its windows start at or after every
+    key passed, so none reaches a key.  Once the cursor is past the
+    last key the sweep stops: no later window can reach a key, not
+    even one that ends at [infinity].  Bounds are read from the float
+    columns; only a hit reads its payload.  Allocation-free: a window
+    reaches [descend] as (column, slot), never as a boxed float. *)
+
+(** {2 The anchored walk} *)
+
+val walk_anchored : 'a t -> float array -> ('a -> unit) -> unit
+(** [walk_anchored t anchors take] with [anchors = \[| a1; a2 |\]]
+    calls [take], in order, on every window with [lo <= a1] (a prefix
+    of the order), then on every later window with [hi >= a2].  The
+    two parts are disjoint, so each window is taken at most once.  It
+    stops the prefix at the first [lo > a1], skips each block or chunk
+    of the rest whose largest [hi] is below [a2], and skips the rest
+    whole when [a2] is NaN; a NaN [a1] takes no prefix, and
+    [a1 = infinity] takes every window.  This is a band group's
+    STEP 1: the members that reach the left anchor, then those that
+    reach the right one ({!Cq_joins.Band_axis}).  Allocation-free. *)
 
 val iter : 'a t -> ('a -> unit) -> unit
 (** Every stored payload once, in order. *)

@@ -5,9 +5,10 @@
     An incoming R-tuple shifts every member window by its B value; the
     two S-tuples closest to the shifted stabbing point certify which
     members are affected: a member whose window reaches the left
-    anchor (scanned in increasing left-endpoint order) or the right
-    anchor (scanned in decreasing right-endpoint order) has at least
-    one joining S-tuple. *)
+    anchor or the right anchor has at least one joining S-tuple.  The
+    members sit in one lo-ordered {!Cq_index.Sweep_store}, so STEP 1 is
+    one pass over its float columns: the prefix that reaches the left
+    anchor, then the rest of the members that reach the right one. *)
 
 val window_nonempty : Cq_relation.Table.s_table -> Cq_interval.Interval.t -> bool
 (** Does the S.B index hold any value inside the window? *)
@@ -19,8 +20,8 @@ module Make (X : sig
   val axis : q -> Cq_interval.Interval.t
 end) : sig
   type g
-  (** A group's members in two sorted endpoint sequences, plus a
-      reusable STEP-1 scratch buffer. *)
+  (** A group's members in a lo-ordered sweep store, plus the STEP-1
+      anchors, take step and scratch buffer, made once per group. *)
 
   val create : unit -> g
   val add : g -> X.q -> unit
@@ -30,8 +31,11 @@ end) : sig
   val iter : g -> (X.q -> unit) -> unit
   (** Every member once, in increasing left-endpoint order. *)
 
+  val store : g -> X.q Cq_index.Sweep_store.t
+  (** The members' store, for audits. *)
+
   val check_invariants : g -> unit
-  (** @raise Failure on violation. *)
+  (** @raise Cq_util.Error.Cq_error on violation. *)
 
   val step1 :
     Cq_relation.Tuple.s Cq_relation.Table.Fbt.finger ->
@@ -41,13 +45,18 @@ end) : sig
     mark:(X.q -> bool) ->
     X.q Cq_util.Vec.t
   (** [step1 f r g ~stab ~mark] is STEP 1 for the group: the affected
-      members that [mark] accepts, each offered to [mark] at most once.
-      [f] is a valid finger on the S.B index; [step1] seeks it to the
-      shifted stabbing point [stab +. r.b] and leaves it there, on the
-      anchor s2 (the leftmost entry at or above that point), with the
-      anchor s1 just before it.  STEP 2 walks outward from the finger:
+      members that [mark] accepts, each offered to [mark] at most once,
+      in store order — first every member whose lower end reaches the
+      left anchor s1 ([lo <= s1 - r.b]), then every later member whose
+      upper end reaches the right anchor s2 ([hi >= s2 - r.b]); every
+      member when s2 equals the shifted stabbing point.  [f] is a valid
+      finger on the S.B index; [step1] seeks it to the shifted stabbing
+      point [stab +. r.b] and leaves it there, on s2 (the leftmost
+      entry at or above that point), with s1 just before it.  STEP 2
+      walks outward from the finger:
       {!Cq_relation.Table.Fbt.finger_iter_back_ge} from s1 and
-      [finger_iter_le] from s2.
+      [finger_iter_le] from s2.  Beyond the seek it builds no closure
+      and boxes no float.
 
       The returned vector is the group's own scratch buffer, cleared
       and refilled on every call: read it before the next [step1] on

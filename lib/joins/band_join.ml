@@ -285,46 +285,40 @@ module Core_query = struct
   (* Band windows shift with the event's B value, so scattered queries
      have no fixed stabbing point.  The sweep store yields them in
      ascending [lo], so their shifted lower ends [lo + r.b] only rise:
-     one pruned sweep of the store against one forward finger through
+     one pruned sweep of the store against one forward cursor through
      S.B answers every window of the event (BJ-MJ's merge, applied to
-     the scattered remainder).  [cells] is the sweep's
-     [| r.b; at; before; key |]: the key at the finger (+inf at the
-     end), the key before it (-inf at the start) and the next target,
-     so a window whose shifted [lo] lies in (before, at] — most of
-     them, since the windows outnumber the S rows they span — needs no
-     seek.  [seek] is the sweep's preallocated closure: it advances the
-     finger to the target and writes both keys back, all in the cells,
-     so a seek boxes nothing.  [group] is the second finger, which each
-     group's STEP 1 seeks to its anchors. *)
+     the scattered remainder).  The cursor caches the leaf [finger] is
+     on and reads its keys itself; its closures, made once here, move
+     [finger] to the next leaf ([hop]) or seek it from the root
+     ([descend]) and reload the cache, and on a hit set [finger]'s slot
+     ([sync]) so [emit] walks the rows from it.  [group] is the second
+     finger, which each group's STEP 1 seeks to its anchors. *)
   type scan = {
     finger : Tuple.s Fbt.finger;
-    cells : float array;
-    seek : unit -> unit;
+    cursor : Cq_index.Sweep_store.cursor;
     group : Tuple.s Fbt.finger;
   }
 
   let scan_create table =
     let sb = Table.s_by_b table in
-    let finger = Fbt.finger sb and cells = [| 0.0; neg_infinity; infinity; 0.0 |] in
-    let seek () = Fbt.finger_advance finger cells ~target:3 ~at:1 ~before:2 in
-    { finger; cells; seek; group = Fbt.finger sb }
+    let finger = Fbt.finger sb in
+    { finger; cursor = Table.cursor_on finger; group = Fbt.finger sb }
 
-  (* An empty (before, at] makes the event's first window seek, so an
-     event with no scattered window reads no key. *)
+  (* The cursor starts on S.B's first key, so every window's target is
+     at or after it. *)
   let[@cq.hot] scan_begin s (r : Tuple.r) =
     Fbt.finger_reset s.finger;
     Fbt.finger_reset s.group;
-    s.cells.(0) <- r.b;
-    s.cells.(1) <- neg_infinity;
-    s.cells.(2) <- infinity
+    s.cursor.shift.(0) <- r.b;
+    Table.load_cursor s.cursor s.finger
 
   (* A hit's rows, from the finger the sweep left on its first one.
      The window end is read as a field of the private record: a call
      to [I.hi] in another module would return a boxed float. *)
   let[@cq.hot] emit s (q : Band_query.t) sink =
-    Fbt.finger_iter_le s.finger (q.range.I.hi +. s.cells.(0)) q sink
+    Fbt.finger_iter_le s.finger (q.range.I.hi +. s.cursor.shift.(0)) q sink
 
-  let scattered = Processor.Sweep { cells = (fun s -> s.cells); seek = (fun s -> s.seek); emit }
+  let scattered = Processor.Sweep { cursor = (fun s -> s.cursor); emit }
 
   module Group = struct
     type g = G.g
@@ -343,7 +337,11 @@ end
 module Core = Processor.Make (Core_query)
 module Ssi = Core.Ssi
 
-module Hotspot = Core.Hotspot
+module Hotspot = struct
+  include Core.Hotspot
+
+  let iter_group_stores t f = iter_groups t (fun g -> f (G.store g))
+end
 
 (* --------------------------------------------------------------------- *)
 (* BJ-SSI over the dynamically maintained partition (Appendix B)           *)

@@ -63,12 +63,17 @@ module Ssi_dynamic : sig
   val reconstructions : t -> int
 end
 
-module Hotspot :
-  Hotspot_core.Processor.PROCESSOR
-    with type query = Band_query.t
-     and type event = Cq_relation.Tuple.r
-     and type store = Cq_relation.Table.s_table
-     and type result = Cq_relation.Tuple.s
+module Hotspot : sig
+  include
+    Hotspot_core.Processor.PROCESSOR
+      with type query = Band_query.t
+       and type event = Cq_relation.Tuple.r
+       and type store = Cq_relation.Table.s_table
+       and type result = Cq_relation.Tuple.s
+
+  val iter_group_stores : t -> (Band_query.t Cq_index.Sweep_store.t -> unit) -> unit
+  (** The sweep store of every hotspot group once, for audits. *)
+end
 
 val reference : Cq_relation.Table.s_table -> Band_query.t array -> Cq_relation.Tuple.r ->
   (int * int) list

@@ -26,32 +26,6 @@ module Fkey = struct
       if Float.compare (Array.unsafe_get a mid) k <= 0 then lo := mid + 1 else hi := mid
     done;
     !lo
-
-  (* A key's float position is the key. *)
-  let[@cq.hot] key_to_cell (a : float array) i (cells : float array) j =
-    Array.unsafe_set cells j (Array.unsafe_get a i)
-
-  (* A gallop from [from]: probe slots from + 1, + 2, + 4, ... until one
-     reaches the target, then binary-search the last gap, so a target
-     d slots ahead costs O(log d) compares. *)
-  let[@cq.hot] lower_bound_cell (a : float array) from count (cells : float array) j =
-    let x = Array.unsafe_get cells j in
-    if from >= count || Float.compare (Array.unsafe_get a from) x >= 0 then from
-    else begin
-      (* Every slot below [lo] is below the target. *)
-      let lo = ref (from + 1) and p = ref (from + 1) and step = ref 1 in
-      while !p < count && Float.compare (Array.unsafe_get a !p) x < 0 do
-        lo := !p + 1;
-        p := !p + !step;
-        step := 2 * !step
-      done;
-      let hi = ref (Int.min !p count) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if Float.compare (Array.unsafe_get a mid) x < 0 then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    end
 end
 
 module Pkey = struct
@@ -79,28 +53,34 @@ module Pkey = struct
 
   let[@cq.hot] lower_bound a from count k = bound ~past_equal:false a from count k
   let[@cq.hot] upper_bound a from count k = bound ~past_equal:true a from count k
-
-  (* A pair's float position is its first component: the order's
-     primary key. *)
-  let[@cq.hot] key_to_cell (a : t array) i (cells : float array) j =
-    let k1, _ = Array.unsafe_get a i in
-    Array.unsafe_set cells j k1
-
-  (* The first pair whose first component reaches the target, by binary
-     search: no composite-key finger advances, so nothing gallops. *)
-  let[@cq.hot] lower_bound_cell (a : t array) from count (cells : float array) j =
-    let x = Array.unsafe_get cells j in
-    let lo = ref from and hi = ref count in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      let k1, _ = Array.unsafe_get a mid in
-      if Float.compare k1 x < 0 then lo := mid + 1 else hi := mid
-    done;
-    !lo
 end
 
 module Fbt = Cq_index.Btree.Make (Fkey)
 module Pbt = Cq_index.Btree.Make (Pkey)
+module Store = Cq_index.Sweep_store
+
+let[@cq.hot] load_cursor (c : Store.cursor) finger =
+  c.keys <- Fbt.finger_keys finger;
+  c.nkeys <- Fbt.finger_count finger;
+  c.idx <- Fbt.finger_index finger;
+  c.synced <- c.idx
+
+(* The cursor's three closures, made once: each moves [finger] and
+   reloads the cursor from it, so the two stay on one leaf. *)
+let cursor_on finger =
+  let hop c =
+    Fbt.finger_next_leaf finger
+    && begin
+         load_cursor c finger;
+         true
+       end
+  in
+  let descend (c : Store.cursor) lo i =
+    Fbt.finger_seek finger (lo.(i) +. c.shift.(0));
+    load_cursor c finger
+  in
+  let sync (c : Store.cursor) = Fbt.finger_set_index finger c.idx in
+  Store.cursor ~hop ~descend ~sync
 
 type s_table = {
   s_b : Tuple.s Fbt.t;

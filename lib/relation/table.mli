@@ -13,6 +13,22 @@ module Pkey : Cq_index.Btree.ORDERED with type t = float * float
 module Fbt : module type of Cq_index.Btree.Make (Fkey)
 module Pbt : module type of Cq_index.Btree.Make (Pkey)
 
+(** {2 Sweeping a B-tree}
+
+    A {!Cq_index.Sweep_store.cursor} running over the leaves of an
+    {!Fbt}: how a band event sweeps its scattered windows against
+    S.B. *)
+
+val cursor_on : 'a Fbt.finger -> Cq_index.Sweep_store.cursor
+(** A cursor whose [hop], [descend] and [sync] move the finger (to the
+    next leaf, by a {!Fbt.finger_seek} from the root, to the cursor's
+    slot) and reload the cursor from it.  Made once per scan. *)
+
+val load_cursor : Cq_index.Sweep_store.cursor -> 'a Fbt.finger -> unit
+(** Load the finger's leaf and slot into the cursor.  Before a sweep:
+    {!Fbt.finger_reset} the finger, set the cursor's [shift], then
+    load. *)
+
 (** {2 S(B,C)} *)
 
 type s_table

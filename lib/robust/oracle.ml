@@ -244,22 +244,64 @@ let sweep_keys x =
 
 let sweep_shift = -0.25
 
-(* The sweep against a sorted key array, with a linear seek: the
-   protocol a band event runs against S.B. *)
+(* The sweep against a sorted key array cut into leaves of three keys,
+   so windows hop between leaves and descend past several: the protocol
+   a band event runs against S.B's leaves, with a linear descent. *)
+let sweep_leaf = 3
+
 let sweep_ids st ~keys ~shift =
+  let module S = Cq_index.Sweep_store in
   let n = Array.length keys in
-  let cells = [| shift; neg_infinity; infinity; 0.0 |] in
-  let seek () =
-    let i = ref 0 in
-    while !i < n && keys.(!i) < cells.(3) do
-      incr i
-    done;
-    cells.(1) <- (if !i < n then keys.(!i) else infinity);
-    cells.(2) <- (if !i > 0 then keys.(!i - 1) else neg_infinity)
+  let start = ref 0 in
+  let load (c : S.cursor) from idx =
+    start := from;
+    c.keys <- Array.sub keys from (Int.min sweep_leaf (n - from));
+    c.nkeys <- Array.length c.keys;
+    c.idx <- idx;
+    c.synced <- idx
   in
+  let hop c =
+    !start + sweep_leaf < n
+    && begin
+         load c (!start + sweep_leaf) 0;
+         true
+       end
+  in
+  let descend (c : S.cursor) lo i =
+    let x = lo.(i) +. c.shift.(0) in
+    let j = ref 0 in
+    while !j < n && keys.(!j) < x do
+      incr j
+    done;
+    if !j < n then load c (!j / sweep_leaf * sweep_leaf) (!j mod sweep_leaf)
+    else
+      let last = (n - 1) / sweep_leaf * sweep_leaf in
+      load c last (n - last)
+  in
+  let c = S.cursor ~hop ~descend ~sync:(fun _ -> ()) in
+  c.shift.(0) <- shift;
+  if n > 0 then load c 0 0;
   let acc = ref [] in
-  Cq_index.Sweep_store.sweep st ~cells ~seek (fun id -> acc := id :: !acc);
+  S.sweep st c (fun id -> acc := id :: !acc);
   List.rev !acc
+
+(* The anchors a probe at [x] walks with, cycling through a finite
+   pair, a missing left or right anchor, and the exact hit. *)
+let anchors_at i x =
+  match i mod 4 with
+  | 0 -> [| x -. 1.0; x +. 0.5 |]
+  | 1 -> [| nan; x +. 0.5 |]
+  | 2 -> [| x -. 1.0; nan |]
+  | _ -> [| infinity; nan |]
+
+(* The anchored walk's contract on the sorted mirror: the longest
+   prefix with lo <= a1, then the later windows with hi >= a2. *)
+let anchored_model mirror anchors =
+  let rec prefix acc = function
+    | (id, iv) :: rest when I.lo iv <= anchors.(0) -> prefix (id :: acc) rest
+    | rest -> List.rev_append acc (List.filter_map (fun (id, iv) -> if I.hi iv >= anchors.(1) then Some id else None) rest)
+  in
+  prefix [] mirror
 
 (* The mirror is the sorted window list itself: (id, interval) in
    (lo, hi) order, equal keys in insertion order.  An add goes after
@@ -315,7 +357,14 @@ let run_sweep_store ~seed ~ops =
               let got = sweep_ids t ~keys ~shift:sweep_shift in
               if not (List.equal Int.equal got want) then
                 diverge run i "sweep at %g returned %d ids, oracle says %d" x (List.length got)
-                  (List.length want));
+                  (List.length want);
+              let anchors = anchors_at i x in
+              let walked = ref [] in
+              S.walk_anchored t anchors (fun id -> walked := id :: !walked);
+              let want = anchored_model !mirror anchors in
+              if not (List.equal Int.equal (List.rev !walked) want) then
+                diverge run i "anchored walk at [%g, %g] returned %d ids, oracle says %d"
+                  anchors.(0) anchors.(1) (List.length !walked) (List.length want));
           let n = S.size t and m = List.length !mirror in
           if n <> m then diverge run i "size %d, oracle says %d" n m;
           if (i + 1) mod gap = 0 then record_report run (Invariant.sweep_store t)
@@ -1068,6 +1117,32 @@ let audit_workload ~seed ~n () =
   apply ~add:(fun id iv -> Lazy_p.insert lp (id, iv)) ~del:(fun id iv -> ignore (Lazy_p.delete lp (id, iv)));
   let rp = Refined_p.create ~seed () in
   apply ~add:(fun id iv -> Refined_p.insert rp (id, iv)) ~del:(fun id iv -> ignore (Refined_p.delete rp (id, iv)));
+  (* A band hotspot processor over the same windows: every hot group's
+     member store, beside the processor's own audit. *)
+  let band_groups_report =
+    let module BH = Cq_joins.Band_join.Hotspot in
+    let bh = BH.create_alpha ~alpha:0.05 ~seed (Cq_relation.Table.create_s ()) [||] in
+    let q id iv = Cq_joins.Band_query.make ~qid:id ~range:iv in
+    apply
+      ~add:(fun id iv -> BH.insert_query bh (q id iv))
+      ~del:(fun id iv -> ignore (BH.delete_query bh (q id iv)));
+    let fail check detail = Error [ { Invariant.structure = "band_hot_groups"; check; detail } ] in
+    let own =
+      match BH.check_invariants bh with
+      | () -> Ok ()
+      | exception exn -> fail "processor" (Printexc.to_string exn)
+    in
+    let stores = ref [] in
+    BH.iter_group_stores bh (fun st -> stores := Invariant.sweep_store st :: !stores);
+    let count =
+      if List.length !stores = BH.num_hotspots bh then Ok ()
+      else
+        fail "groups"
+          (Printf.sprintf "%d group stores for %d hotspots" (List.length !stores)
+             (BH.num_hotspots bh))
+    in
+    Invariant.merge (own :: count :: !stores)
+  in
   let engine_report =
     let o = replay ~keep:false Seq_rows (Fault.gen_engine ~seed ~n:(max 100 (n / 10))) in
     let replay_failure (d : divergence) =
@@ -1081,6 +1156,7 @@ let audit_workload ~seed ~n () =
     index_reports
     @ [
         ("sweep_store", Invariant.sweep_store ss);
+        ("band_hot_groups", band_groups_report);
         ("btree", Fbt_audit.audit bt);
         ("hotspot_tracker", Tracker_audit.audit tr);
         ("lazy_partition", Lazy_audit.audit ~name:"lazy_partition" lp);

@@ -57,8 +57,10 @@ val run_index : (module STAB_INDEX) -> seed:int -> ops:int -> outcome
 val run_sweep_store : seed:int -> ops:int -> outcome
 (** {!Cq_index.Sweep_store} against a sorted-list mirror: every listing
     in order, and at every probe the windows whose copy shifted a
-    quarter step left holds one of a few sorted keys around the probe,
-    swept with a linear seek, in order. *)
+    quarter step left holds one of a few sorted keys around the probe
+    (the cursor sweep over leaves of three keys, in order), and the
+    anchored walk for anchors around the probe — finite, a missing
+    left or right anchor, or the exact hit — in order. *)
 
 val run_btree : seed:int -> ops:int -> outcome
 (** B+-tree keyed on interval left endpoints: [count_range] and
@@ -201,4 +203,7 @@ val fuzz_all : ?shards:int -> seed:int -> ops:int -> unit -> outcome list
 val audit_workload : seed:int -> n:int -> unit -> (string * Invariant.report) list
 (** Build every structure from the same seeded adversarial stream and
     run each deep audit once — no differential mirror, just the
-    invariant reports.  Powers [cqctl audit]. *)
+    invariant reports.  The stream's windows also feed a band hotspot
+    processor, and every hot group's member store is audited with
+    {!Invariant.sweep_store} ([band_hot_groups]).  Powers
+    [cqctl audit]. *)

@@ -334,7 +334,61 @@ let test_engine_isolates_failing_callback () =
   Engine.load_s eng [| (5.0, 0.0) |];
   let _, k = Engine.insert_r eng ~a:0.0 ~b:5.0 in
   Alcotest.(check int) "both results delivered" 2 k;
-  Alcotest.(check int) "good subscriber saw the result" 1 !good
+  Alcotest.(check int) "good subscriber saw the result" 1 !good;
+  (* The same for select callbacks, on either side's events. *)
+  let unit = I.make (-1.0) 1.0 in
+  ignore (Engine.subscribe_select eng ~range_a:unit ~range_c:unit (fun _ _ -> failwith "boom"));
+  ignore (Engine.subscribe_select eng ~range_a:unit ~range_c:unit (fun _ _ -> incr good));
+  let _, k = Engine.insert_r eng ~a:0.0 ~b:5.0 in
+  Alcotest.(check int) "band and select results delivered" 4 k;
+  let _, k = Engine.insert_s eng ~b:5.0 ~c:0.0 in
+  Alcotest.(check int) "S event: band and select results" 8 k;
+  Alcotest.(check int) "good subscribers saw every result" 7 !good;
+  Alcotest.(check int) "all counted" 14 (Engine.stats eng).results_delivered
+
+(* Callbacks sit in a qid-indexed array: an unsubscribed qid's slot
+   calls nothing while the results still counted stay as they were, a
+   freed qid can be claimed again explicitly, a qid far past the others
+   grows the array, and a negative qid is refused. *)
+let test_engine_qid_slots () =
+  let eng = Engine.create () in
+  let hits = Array.make 3 0 in
+  let band i = Engine.subscribe_band eng ~range:(I.make (-1.0) 1.0) (fun _ _ -> hits.(i) <- hits.(i) + 1) in
+  let q0 = band 0 in
+  ignore (band 1);
+  Engine.load_s eng [| (5.0, 0.0) |];
+  ignore (Engine.insert_r eng ~a:0.0 ~b:5.0);
+  Alcotest.(check bool) "unsubscribed" true (Engine.unsubscribe eng q0);
+  ignore (Engine.insert_r eng ~a:0.0 ~b:5.0);
+  Alcotest.(check (array int)) "no callback after unsubscribe" [| 1; 2; 0 |] hits;
+  Alcotest.(check int) "results counted" 3 (Engine.stats eng).results_delivered;
+  let reuse =
+    Engine.subscribe_band eng ~qid:0 ~range:(I.make (-1.0) 1.0) (fun _ _ -> hits.(2) <- hits.(2) + 1)
+  in
+  let far = ref 0 in
+  ignore
+    (Engine.subscribe_select eng ~qid:1000 ~range_a:(I.make (-1.0) 1.0) ~range_c:(I.make (-1.0) 1.0)
+       (fun _ _ -> incr far));
+  ignore (Engine.insert_r eng ~a:0.0 ~b:5.0);
+  Alcotest.(check (array int)) "freed qid claimed again" [| 1; 3; 1 |] hits;
+  Alcotest.(check int) "far qid delivered" 1 !far;
+  Alcotest.(check int) "results counted" 6 (Engine.stats eng).results_delivered;
+  (match Engine.try_subscribe_band eng ~qid:0 ~range:(I.make 0.0 1.0) (fun _ _ -> ()) with
+  | Error (Cq_util.Error.Duplicate _) -> ()
+  | _ -> Alcotest.fail "a live qid must be refused");
+  (match Engine.try_subscribe_band eng ~qid:(-1) ~range:(I.make 0.0 1.0) (fun _ _ -> ()) with
+  | Error (Cq_util.Error.Invalid_parameter { name = "qid"; _ }) -> ()
+  | _ -> Alcotest.fail "a negative band qid must be refused");
+  (match
+     Engine.try_subscribe_select eng ~qid:(-7) ~range_a:(I.make 0.0 1.0) ~range_c:(I.make 0.0 1.0)
+       (fun _ _ -> ())
+   with
+  | Error (Cq_util.Error.Invalid_parameter { name = "qid"; _ }) -> ()
+  | _ -> Alcotest.fail "a negative select qid must be refused");
+  Alcotest.(check int) "nothing registered by the refusals" 3
+    (Engine.band_query_count eng + Engine.select_query_count eng);
+  ignore (Engine.unsubscribe eng reuse);
+  Engine.check_invariants eng
 
 (* ---------------------------- parallel engine -------------------------- *)
 
@@ -619,6 +673,62 @@ let test_unsubscribed_results_not_counted () =
       Par.check_invariants t;
       Par.shutdown t)
     [ 1; 2 ]
+
+(* Two shards each hold the queries of their strips, so each shard
+   engine's callback array is indexed by a sparse subset of the global
+   qids.  Through churn (some
+   queries leave, new ones arrive with higher qids) the sharded engine
+   must deliver exactly what one direct engine delivers for the same
+   subscriptions and rows. *)
+let test_sparse_shard_qids_match_direct () =
+  let par = Par.create ~alpha:0.3 ~shards:2 ~batch_size:8 () in
+  let eng = Engine.create ~alpha:0.3 () in
+  let got = ref [] and want = ref [] in
+  let note acc tag i (r : Cq_relation.Tuple.r) (s : Cq_relation.Tuple.s) =
+    acc := (tag, i, r.rid, s.sid) :: !acc
+  in
+  let band i =
+    let range = I.make (float_of_int (i mod 7) -. 6.0) (float_of_int (i mod 5)) in
+    ( Par.subscribe_band par ~range (note got `Band i),
+      Engine.subscribe_band eng ~range (note want `Band i) )
+  in
+  let select i =
+    let range_a = I.make (float_of_int (i mod 6)) (float_of_int ((i mod 6) + 4)) in
+    let range_c = I.make (float_of_int (i mod 4)) 9.0 in
+    ( Par.subscribe_select par ~range_a ~range_c (note got `Select i),
+      Engine.subscribe_select eng ~range_a ~range_c (note want `Select i) )
+  in
+  let subs = Array.init 24 (fun i -> if i mod 3 = 0 then select i else band i) in
+  let rows k = Array.init 12 (fun j -> (float_of_int ((k + j) mod 10), float_of_int ((k * j) mod 9))) in
+  let ingest k =
+    let rs = rows k and ss = rows (k + 5) in
+    Par.ingest_batch par Par.S ss;
+    Array.iter (fun (b, c) -> ignore (Engine.insert_s eng ~b ~c)) ss;
+    Par.ingest_batch par Par.R rs;
+    Array.iter (fun (a, b) -> ignore (Engine.insert_r eng ~a ~b)) rs
+  in
+  ingest 0;
+  ignore (Par.flush par);
+  Array.iteri
+    (fun i (p, e) ->
+      if i mod 4 = 1 then begin
+        Alcotest.(check bool) "parallel unsubscribe" true (Par.unsubscribe par p);
+        Alcotest.(check bool) "direct unsubscribe" true (Engine.unsubscribe eng e)
+      end)
+    subs;
+  for i = 24 to 35 do
+    ignore (if i mod 3 = 0 then select i else band i)
+  done;
+  ingest 1;
+  ingest 2;
+  ignore (Par.flush par);
+  Par.check_invariants par;
+  let per_shard = Par.shard_result_counts par in
+  Par.shutdown par;
+  Alcotest.(check bool) "both shards deliver" true (Array.for_all (fun n -> n > 0) per_shard);
+  let norm l = List.sort compare l in
+  Alcotest.(check bool) "some results" true (List.length !want > 100);
+  Alcotest.(check bool) "parallel = direct" true (norm !got = norm !want)
 
 (* Regression for the error-payload naming unification: every
    validation failure names the exact configuration field or tuple
@@ -994,6 +1104,8 @@ let () =
           qc prop_engine_deletions_retract;
           Alcotest.test_case "failing callback isolated" `Quick
             test_engine_isolates_failing_callback;
+          Alcotest.test_case "qid slots: unsubscribed, reused, far, negative" `Quick
+            test_engine_qid_slots;
         ] );
       ( "batch",
         [
@@ -1010,6 +1122,8 @@ let () =
             test_unsubscribed_results_not_counted;
           Alcotest.test_case "error payload field names" `Quick
             test_error_payload_field_names;
+          Alcotest.test_case "sparse shard qids match a direct engine" `Quick
+            test_sparse_shard_qids_match_direct;
         ] );
       ( "bounded_queue",
         [

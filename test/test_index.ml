@@ -138,32 +138,6 @@ let prop_btree_cursor_walk =
       in
       forward = model && backward = model)
 
-let prop_btree_walks =
-  QCheck2.Test.make ~name:"btree: walk_ge/walk_lt match model splits" ~count:200
-    QCheck2.Gen.(pair ops_gen (list_size (int_range 1 20) key_gen))
-    (fun (ops, probes) ->
-      let t, model = apply_ops ops in
-      List.for_all
-        (fun k ->
-          (* Unbounded walks must reproduce the model split at k. *)
-          let asc = ref [] in
-          FB.walk_ge t k (fun k' v ->
-              asc := (k', v) :: !asc;
-              true);
-          let desc = ref [] in
-          FB.walk_lt t k (fun k' v ->
-              desc := (k', v) :: !desc;
-              true);
-          let desc_le = ref [] in
-          FB.walk_le t k (fun k' v ->
-              desc_le := (k', v) :: !desc_le;
-              true);
-          let ge_model = List.filter (fun (k', _) -> k' >= k) model in
-          let lt_model = List.filter (fun (k', _) -> k' < k) model in
-          let le_model = List.filter (fun (k', _) -> k' <= k) model in
-          List.rev !asc = ge_model && !desc = lt_model && !desc_le = le_model)
-        (infinity :: probes))
-
 (* The finger runs on the production S.B tree, at the smallest order
    (duplicates straddle many leaves) and the default one. *)
 module Fbt = Cq_relation.Table.Fbt
@@ -218,13 +192,13 @@ let prop_btree_finger =
       Fbt.finger_reset f;
       rising && List.for_all check targets)
 
-(* The backward walk from a finger is [walk_lt] from the same key cut
-   at [lo].  Targets on the key grid land on runs of duplicates (which
+(* The backward walk from a finger is the tree's listing below the
+   same key, cut at [lo], from the largest down.  Targets on the key grid land on runs of duplicates (which
    straddle leaves at order 2), targets past the top leave the finger
    at the end, and an all-deleted op list leaves the tree empty; [lo]
    ranges from below every key to above the target. *)
 let prop_btree_finger_back =
-  QCheck2.Test.make ~name:"btree: finger_iter_back_ge matches walk_lt" ~count:300
+  QCheck2.Test.make ~name:"btree: finger_iter_back_ge matches the listing below the key" ~count:300
     QCheck2.Gen.(
       quad (oneofl [ 2; 16 ]) ops_gen
         (list_size (int_range 1 40) target_gen)
@@ -239,14 +213,10 @@ let prop_btree_finger_back =
             (fun lo ->
               let walked = ref [] in
               Fbt.finger_iter_back_ge f lo () (fun () v -> walked := v :: !walked);
-              let expected = ref [] in
-              Fbt.walk_lt t k (fun k' v ->
-                  k' >= lo
-                  && begin
-                       expected := v :: !expected;
-                       true
-                     end);
-              !walked = !expected)
+              let expected =
+                List.filter_map (fun (k', v) -> if lo <= k' && k' < k then Some v else None) (Fbt.to_list t)
+              in
+              !walked = expected)
             [ k -. depth; neg_infinity ])
         targets)
 
@@ -297,90 +267,39 @@ let prop_key_bounds =
       bounds_agree (module Cq_relation.Table.Fkey) fa (probe_keys fa)
       && bounds_agree (module Cq_relation.Table.Pkey) pa pprobes)
 
-(* The float-cell hooks against the loops their contract states: the
-   position [key_to_cell] writes is the key for [Fkey] and the first
-   component for [Pkey], and [lower_bound_cell] is the linear scan for
-   the first position at or above the target, over every [from, count)
-   sub-range, for targets on, between, below and above the keys. *)
-let cell_hooks_agree (type k) (module K : Btree.ORDERED with type t = k) ~pos (a : k array) targets
-    =
-  let n = Array.length a and cells = [| 0.0; 0.0 |] in
-  let written =
-    List.for_all
-      (fun i ->
-        K.key_to_cell a i cells 1;
-        Float.equal cells.(1) (pos a.(i)))
-      (List.init n Fun.id)
-  in
-  written
-  && List.for_all
-       (fun x ->
-         cells.(0) <- x;
-         let ok = ref true in
-         for from = 0 to n do
-           for count = from to n do
-             let i = ref from in
-             while
-               !i < count
-               && (K.key_to_cell a !i cells 1;
-                   cells.(1) < cells.(0))
-             do
-               incr i
-             done;
-             if K.lower_bound_cell a from count cells 0 <> !i then ok := false
-           done
-         done;
-         !ok)
-       targets
-
-let prop_key_cell_hooks =
-  QCheck2.Test.make ~name:"btree keys: cell hooks match their loops" ~count:200
-    QCheck2.Gen.(pair sorted_grid_gen (list_size (int_range 0 24) (pair key_gen key_gen)))
-    (fun (fl, pl) ->
-      let fa = Array.of_list fl in
-      let pa = Array.of_list (List.sort Cq_relation.Table.Pkey.compare pl) in
-      cell_hooks_agree (module Cq_relation.Table.Fkey) ~pos:Fun.id fa
-        (neg_infinity :: infinity :: probe_keys fa)
-      && cell_hooks_agree (module Cq_relation.Table.Pkey) ~pos:fst pa
-           (neg_infinity :: infinity :: probe_keys (Array.map fst pa)))
-
-(* [finger_advance] over rising targets, from a reset finger: the
-   finger must land where [seek_ge] does and the cells must hold the
-   keys at and before it ([infinity] / [neg_infinity] at the ends).
-   Targets repeat, jump over many leaves at order 2 and run past the
-   top, where the finger stays at the end.  The composite tree
-   advances on the first component. *)
-let prop_btree_finger_advance =
-  QCheck2.Test.make ~name:"btree: finger_advance matches seek_ge over rising targets" ~count:300
-    QCheck2.Gen.(
-      triple (oneofl [ 2; 16 ]) ops_gen
-        (map (List.sort Float.compare) (list_size (int_range 1 40) target_gen)))
+(* The leaf accessors against [seek_ge] and the listing: after each
+   seek the key at the finger's slot is the entry [seek_ge] finds (the
+   slot is the leaf's count at the end) and the back slot holds the key
+   before it (-1 at the start), and from a reset finger the leaves
+   chained by [finger_next_leaf] list every key in order.  Orders 2
+   and 16, targets past both ends, empty trees included. *)
+let prop_btree_leaf_access =
+  QCheck2.Test.make ~name:"btree: leaf accessors match seek_ge and the leaf chain" ~count:300
+    QCheck2.Gen.(triple (oneofl [ 2; 16 ]) ops_gen (list_size (int_range 1 40) target_gen))
     (fun (order, ops, targets) ->
       let t = fbt_of_ops ~order ops in
-      let f = Fbt.finger t and cells = [| 0.0; nan; nan; nan |] in
-      let module Pbt = Cq_relation.Table.Pbt in
-      let p = Pbt.create ~order () in
-      Fbt.iter t (fun k v -> Pbt.insert p (k, float_of_int (v mod 3)) v);
-      let pf = Pbt.finger p and pcells = [| nan; nan; 0.0 |] in
-      List.for_all
-        (fun k ->
-          cells.(3) <- k;
-          Fbt.finger_advance f cells ~target:3 ~at:1 ~before:2;
-          pcells.(2) <- k;
-          Pbt.finger_advance pf pcells ~target:2 ~at:0 ~before:1;
-          let ge = Fbt.seek_ge t k in
-          let at = Option.fold ~none:infinity ~some:Fbt.key ge in
-          let before =
-            match ge with
-            | Some c -> Option.fold ~none:neg_infinity ~some:Fbt.key (Fbt.prev c)
-            | None -> Option.fold ~none:neg_infinity ~some:fst (Fbt.max_entry t)
-          in
-          Float.equal cells.(1) at
-          && Float.equal cells.(2) before
-          && Float.equal (Fbt.finger_key f ~default:infinity) at
-          && Float.equal pcells.(0) at
-          && Float.equal pcells.(1) before)
-        targets)
+      let f = Fbt.finger t in
+      let placed k =
+        Fbt.finger_seek f k;
+        let i = Fbt.finger_index f and n = Fbt.finger_count f in
+        let at = if i < n then Some (Fbt.finger_keys f).(i) else None in
+        let j = Fbt.finger_back_index f in
+        let back = if j >= 0 then Some (Fbt.finger_back_keys f).(j) else None in
+        let ge = Fbt.seek_ge t k in
+        let before =
+          match ge with
+          | Some c -> Option.map Fbt.key (Fbt.prev c)
+          | None -> Option.map fst (Fbt.max_entry t)
+        in
+        at = Option.map Fbt.key ge && back = before
+      in
+      let listed = List.map fst (Fbt.to_list t) in
+      Fbt.finger_reset f;
+      let rec chain acc =
+        let leaf = Array.to_list (Array.sub (Fbt.finger_keys f) 0 (Fbt.finger_count f)) in
+        if Fbt.finger_next_leaf f then chain (List.rev_append leaf acc) else List.rev_append acc leaf
+      in
+      chain [] = listed && List.for_all placed targets)
 
 let test_btree_finger_empty () =
   let t = Fbt.create ~order:2 () in
@@ -395,22 +314,6 @@ let test_btree_finger_empty () =
       Fbt.finger_iter_le f infinity () (fun () _ -> Alcotest.fail "visited an entry");
       Fbt.finger_iter_back_ge f neg_infinity () (fun () _ -> Alcotest.fail "visited an entry"))
     [ 1.0; neg_infinity; infinity; 0.0 ]
-
-let test_btree_walk_early_stop () =
-  let t = FB.create ~order:2 () in
-  List.iter (fun k -> FB.insert t k (int_of_float k)) [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 ];
-  let seen = ref 0 in
-  FB.walk_ge t 2.0 (fun k _ ->
-      incr seen;
-      k < 4.0);
-  (* Visits 2, 3, then 4 (which stops the walk). *)
-  Alcotest.(check int) "bounded ascending" 3 !seen;
-  let seen = ref 0 in
-  FB.walk_lt t 5.0 (fun k _ ->
-      incr seen;
-      k > 2.0);
-  (* Visits 4, 3, then 2 (which stops the walk). *)
-  Alcotest.(check int) "bounded descending" 3 !seen
 
 let test_btree_neighbours () =
   let t = FB.create ~order:2 () in
@@ -875,15 +778,23 @@ let test_store_chunk_boundaries () =
   Store.add t (I.make 1.0 2.0) 2;
   check "infinite ends" t [ 0; 2; 1 ]
 
-(* The sweep driven the way a band event drives it: a forward finger
-   over a sorted key array, the seek protocol on [cells].  Returns the
-   hit payloads in order and the number of seeks; every hit also
-   checks that the finger sits on the first key at or above its
-   shifted lo. *)
-let sweep_keys t keys shift =
+(* The sweep driven the way a band event drives it: a cursor over a
+   sorted key array cut into leaves of [leaf] keys, moved by [hop] and
+   a linear [descend].  Returns the hit payloads in order and the
+   number of leaf moves; every hit also checks that the finger (moved
+   by a load or by [sync]) is on the first key at or above its shifted
+   lo. *)
+let sweep_keys ?(leaf = 1) t keys shift =
   let n = Array.length keys in
-  let cells = [| shift; neg_infinity; infinity; 0.0 |] in
-  let seeks = ref 0 and hits = ref [] and placed = ref true in
+  let start = ref 0 and moves = ref 0 and synced = ref (-1) in
+  let load (c : Store.cursor) from idx =
+    start := from;
+    c.keys <- Array.sub keys from (Int.min leaf (n - from));
+    c.nkeys <- Array.length c.keys;
+    c.idx <- idx;
+    c.synced <- idx;
+    synced := from + idx
+  in
   let first_ge x =
     let i = ref 0 in
     while !i < n && keys.(!i) < x do
@@ -891,17 +802,30 @@ let sweep_keys t keys shift =
     done;
     !i
   in
-  let seek () =
-    incr seeks;
-    let i = first_ge cells.(3) in
-    cells.(1) <- (if i < n then keys.(i) else infinity);
-    cells.(2) <- (if i > 0 then keys.(i - 1) else neg_infinity)
+  let hop c =
+    incr moves;
+    !start + leaf < n
+    && begin
+         load c (!start + leaf) 0;
+         true
+       end
   in
-  Store.sweep t ~cells ~seek (fun ((lo, _, _) as p) ->
-      let i = first_ge (lo +. shift) in
-      if i >= n || cells.(1) <> keys.(i) then placed := false;
+  let descend (c : Store.cursor) lo i =
+    incr moves;
+    let j = first_ge (lo.(i) +. c.shift.(0)) in
+    if j < n then load c (j / leaf * leaf) (j mod leaf)
+    else
+      let last = (n - 1) / leaf * leaf in
+      load c last (n - last)
+  in
+  let c = Store.cursor ~hop ~descend ~sync:(fun c -> synced := !start + c.idx) in
+  c.shift.(0) <- shift;
+  if n > 0 then load c 0 0;
+  let hits = ref [] and placed = ref true in
+  Store.sweep t c (fun ((lo, _, _) as p) ->
+      if !synced <> first_ge (lo +. shift) then placed := false;
       hits := p :: !hits);
-  (List.rev !hits, !seeks, !placed)
+  (List.rev !hits, !moves, !placed)
 
 let reference_sweep t keys shift =
   List.filter_map
@@ -912,54 +836,123 @@ let reference_sweep t keys shift =
 let prop_store_sweep_matches_filter =
   QCheck2.Test.make ~name:"sweep store: sweep = in-order windows holding a shifted key" ~count:300
     QCheck2.Gen.(
-      triple
+      quad
         (list_size (int_range 0 300) window_gen)
         (list_size (int_range 0 12) (int_range (-5) 40))
-        (int_range (-10) 10))
-    (fun (ivs, key_list, shift) ->
+        (int_range (-10) 10) (int_range 1 4))
+    (fun (ivs, key_list, shift, leaf) ->
       let keys = Array.of_list (List.sort Float.compare (List.map float_of_int key_list)) in
       let shift = float_of_int shift in
       let t = Store.create () in
       List.iteri (fun i iv -> Store.add t iv (I.lo iv, I.hi iv, i)) ivs;
-      let got, _, placed = sweep_keys t keys shift in
+      let got, _, placed = sweep_keys ~leaf t keys shift in
       got = reference_sweep t keys shift && placed)
 
-(* Pruning, where its effect is visible from outside: once the first
-   window's seek shows every key lies beyond (or before) every shifted
-   window, nothing else seeks or hits; a finger past the last key ends
-   the sweep, even for a window that never ends. *)
+(* Edge cases, one key per leaf so every move past a key is a hop or a
+   descent: a cursor that starts at or beyond every target never
+   moves; a target past a leaf's last key hops when the next leaf
+   reaches it and descends when not; a cursor past the last key ends
+   the sweep, even before a window that never ends.  Block pruning is
+   invisible here (a pruned window's target is never past the cursor);
+   the property above checks that it drops no hit. *)
 let test_store_sweep_pruned_cases () =
   let t = Store.create () in
   List.iter
     (fun (lo, hi) -> Store.add t (I.make lo hi) (lo, hi, 0))
     [ (0., 10.); (2., 3.); (2., 3.); (4., 4.); (5., 30.); (8., 9.); (20., 25.); (22., infinity) ];
-  let check name keys shift ~seeks ~hits =
+  let check name keys shift ~moves ~hits =
     let got, n, placed = sweep_keys t keys shift in
-    Alcotest.(check int) (name ^ ": seeks") seeks n;
+    Alcotest.(check int) (name ^ ": moves") moves n;
     Alcotest.(check int) (name ^ ": hits") hits (List.length got);
     Alcotest.(check bool) (name ^ ": finger placed") true placed
   in
-  check "keys beyond every finite window" [| 100.; 200. |] 0.0 ~seeks:1 ~hits:1;
-  check "keys beyond after the shift" [| 10.; 20. |] (-50.0) ~seeks:1 ~hits:1;
-  check "keys before every window" [| -50.; -40. |] 0.0 ~seeks:1 ~hits:0;
-  check "no keys" [||] 3.0 ~seeks:1 ~hits:0;
-  (* [0,10] and both [2,3] hold 2.5 without a second seek; [4,4] seeks
-     past the last key, which ends the sweep before [22, inf]. *)
-  check "one key, three windows" [| 2.5 |] 0.0 ~seeks:2 ~hits:3;
+  check "keys beyond every finite window" [| 100.; 200. |] 0.0 ~moves:0 ~hits:1;
+  check "keys beyond after the shift" [| 10.; 20. |] (-50.0) ~moves:0 ~hits:1;
+  (* The first window hops to -40, which is still short, then
+     descends past the end. *)
+  check "keys before every window" [| -50.; -40. |] 0.0 ~moves:2 ~hits:0;
+  check "no keys" [||] 3.0 ~moves:0 ~hits:0;
+  (* [0,10] and both [2,3] hold 2.5 from the start; [4,4] finds no
+     next leaf, which ends the sweep before [22, inf]. *)
+  check "one key, three windows" [| 2.5 |] 0.0 ~moves:1 ~hits:3;
+  (* Keys 1, 2, 3, 9: [2,3] hops from 1 to 2; [4,4] hops to 3, still
+     short, descends to 9 and misses; [5,30] and [8,9] hold 9; [20,25]
+     finds no next leaf. *)
+  check "hop, then descend" [| 1.; 2.; 3.; 9. |] 0.0 ~moves:4 ~hits:5;
   let got, n, _ = sweep_keys (Store.create ()) [| 1. |] 0.0 in
-  Alcotest.(check int) "empty store: no seek" 0 n;
+  Alcotest.(check int) "empty store: no move" 0 n;
   Alcotest.(check int) "empty store: no hit" 0 (List.length got);
   (* 200 windows [10i, 10i + 1] against one key at 1005.5, between
-     two of them: one seek reaches it, one more runs past it and ends
-     the sweep, and nothing hits. *)
+     two of them: the windows below it never move the cursor, the
+     first above it runs past the end, and nothing hits. *)
   let wide = Store.create () in
   for i = 0 to 199 do
     let lo = 10.0 *. float_of_int i in
     Store.add wide (I.make lo (lo +. 1.0)) (lo, lo +. 1.0, i)
   done;
   let got, n, _ = sweep_keys wide [| 1005.5 |] 0.0 in
-  Alcotest.(check int) "key between windows: seeks" 2 n;
+  Alcotest.(check int) "key between windows: moves" 1 n;
   Alcotest.(check int) "key between windows: hits" 0 (List.length got)
+
+(* The cursor on S.B itself ([Table.cursor_on]): B-trees of order 2
+   (many leaves, duplicates straddling them) and 16 built by inserts
+   and deletes, windows whose shifted lo ends jump over many leaves or
+   stay in one, keys on and off the window grid, an emptied tree and
+   targets past the last key.  The sweep must report what the model
+   reports, in order, and on every hit the finger must sit on the
+   first entry at or above the window's shifted lo. *)
+let prop_store_sweep_on_btree =
+  QCheck2.Test.make ~name:"sweep store: cursor sweep over B-tree leaves = the model" ~count:300
+    QCheck2.Gen.(
+      quad (oneofl [ 2; 16 ])
+        (list_size (int_range 0 200) window_gen)
+        ops_gen (int_range (-10) 10))
+    (fun (order, ivs, ops, shift) ->
+      let tree = fbt_of_ops ~order ops in
+      let keys = Array.of_list (List.map fst (Fbt.to_list tree)) in
+      let shift = float_of_int shift in
+      let t = Store.create () in
+      List.iteri (fun i iv -> Store.add t iv (I.lo iv, I.hi iv, i)) ivs;
+      let finger = Fbt.finger tree in
+      let c = Cq_relation.Table.cursor_on finger in
+      Fbt.finger_reset finger;
+      c.shift.(0) <- shift;
+      Cq_relation.Table.load_cursor c finger;
+      let got = ref [] and placed = ref true in
+      Store.sweep t c (fun ((lo, _, _) as p) ->
+          let at = ref None in
+          Fbt.finger_iter_le finger infinity () (fun () v -> if !at = None then at := Some v);
+          if !at <> Option.map Fbt.value (Fbt.seek_ge tree (lo +. shift)) then placed := false;
+          got := p :: !got);
+      List.rev !got = reference_sweep t keys shift && !placed)
+
+(* The anchored walk against its contract on the store's own listing:
+   the longest prefix with lo <= a1, then the later windows with
+   hi >= a2.  Anchors fall on the window grid (equal keys), between
+   it, at both infinities and at NaN, together and apart; up to 300
+   windows cross block and chunk boundaries. *)
+let anchor_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map (fun i -> float_of_int i /. 2.0) (int_range (-4) 90));
+        (1, oneofl [ neg_infinity; infinity; nan ]);
+      ])
+
+let prop_store_walk_anchored =
+  QCheck2.Test.make ~name:"sweep store: anchored walk = the prefix, then the reaching tail"
+    ~count:300
+    QCheck2.Gen.(triple (list_size (int_range 0 300) window_gen) anchor_gen anchor_gen)
+    (fun (ivs, a1, a2) ->
+      let t = Store.create () in
+      List.iteri (fun i iv -> Store.add t iv i) ivs;
+      let walked = ref [] in
+      Store.walk_anchored t [| a1; a2 |] (fun p -> walked := p :: !walked);
+      let rec prefix = function
+        | (lo, _, p) :: rest when lo <= a1 -> p :: prefix rest
+        | rest -> List.filter_map (fun (_, hi, p) -> if hi >= a2 then Some p else None) rest
+      in
+      List.rev !walked = prefix (Store.to_list t))
 
 (* A stale block maximum would let the sweep skip windows that reach a
    key: [check_invariants] must see it. *)
@@ -1073,13 +1066,10 @@ let () =
           qc prop_btree_range;
           qc prop_btree_bulk_load;
           qc prop_btree_cursor_walk;
-          qc prop_btree_walks;
           qc prop_btree_finger;
           qc prop_btree_finger_back;
           qc prop_key_bounds;
-          qc prop_key_cell_hooks;
-          qc prop_btree_finger_advance;
-          Alcotest.test_case "walk early stop" `Quick test_btree_walk_early_stop;
+          qc prop_btree_leaf_access;
           Alcotest.test_case "neighbours" `Quick test_btree_neighbours;
           Alcotest.test_case "duplicates" `Quick test_btree_find_all_duplicates;
           Alcotest.test_case "empty tree" `Quick test_btree_empty;
@@ -1112,6 +1102,8 @@ let () =
           Alcotest.test_case "chunk split and merge boundaries" `Quick test_store_chunk_boundaries;
           qc prop_store_sweep_matches_filter;
           Alcotest.test_case "sweep: pruned and empty cases" `Quick test_store_sweep_pruned_cases;
+          qc prop_store_sweep_on_btree;
+          qc prop_store_walk_anchored;
           Alcotest.test_case "stale block max caught" `Quick test_store_corruption_caught;
         ] );
       ( "rtree",
