@@ -145,8 +145,6 @@ module type PROCESSOR = sig
   val check_invariants : t -> unit
 
   val set_shed : t -> (int -> bool) option -> unit
-  val stage_batch : t -> event array -> int -> unit
-  val process_staged : t -> idx:int -> event -> (query -> result -> unit) -> unit
 
   module Testing : sig
     val plant_in_two_groups : t -> bool
@@ -155,7 +153,6 @@ module type PROCESSOR = sig
 end
 
 module Make (Q : QUERY) = struct
-  module Vec = Cq_util.Vec
   module B = Cq_index.Stab_backend.Instrumented_interval_tree
 
   module Elem = struct
@@ -291,14 +288,6 @@ module Make (Q : QUERY) = struct
          capture [t]). *)
       mutable c_group : int -> Q.Group.g -> unit;
       mutable c_scat : Q.t -> unit;
-      (* Batch staging: one scattered-index descent answers a whole
-         batch of events; [stage_cand] holds one reusable candidate
-         bucket per event position.  [staged_n] < 0 means nothing
-         staged (or staged state invalidated by query churn). *)
-      mutable stage_keys : float array;
-      stage_cand : Q.t Vec.t Vec.t;
-      mutable c_stage : idx:int -> Q.t -> unit;
-      mutable staged_n : int;
     }
 
     let name = Q.label ^ "-Hotspot"
@@ -349,10 +338,6 @@ module Make (Q : QUERY) = struct
           w = create_walker store;
           c_group = (fun _ _ -> ());
           c_scat = (fun _ -> ());
-          stage_keys = [||];
-          stage_cand = Vec.create ();
-          c_stage = (fun ~idx:_ _ -> ());
-          staged_n = -1;
         }
       in
       t.c_group <- (fun gid g -> t.w.visit ~stab:(Tracker.hotspot_stab t.tracker gid) g);
@@ -360,66 +345,30 @@ module Make (Q : QUERY) = struct
          match Q.scattered with
          | Stab { probe; hit; _ } -> fun q -> visit_stabbed probe hit t.w q
          | Sweep { emit; _ } -> fun q -> visit_swept emit t.w q);
-      t.c_stage <- (fun ~idx q -> Vec.push (Vec.get t.stage_cand idx) q);
       t
 
     let create store queries = create_alpha ~alpha:0.001 store queries
 
     (* The one event body (Section 3.1's two-step walk): every hotspot
        group, then the scattered queries.  A class with a scatter point
-       visits the candidates staged for event [idx] when the last
-       [stage_batch] covered it, else those of a live stab; a band
-       event has no fixed point (its windows shift with r.b), so one
-       pruned sweep of the store against the scan's cursor reports the
-       windows that hit.  Every scattered window counts as offered, as
-       when each was probed, so the fanout and accepted samples keep
+       stabs the scattered index there and visits the candidates; a
+       band event has no fixed point (its windows shift with r.b), so
+       one pruned sweep of the store against the scan's cursor reports
+       the windows that hit.  Every scattered window counts as offered,
+       as when each was probed, so the fanout and accepted samples keep
        their meaning. *)
-    let[@cq.hot] walk t ~idx ev sink =
+    let[@cq.hot] process_r t ev sink =
       let w = t.w in
       begin_event w ev sink;
       Hashtbl.iter t.c_group t.hot;
       (match t.scattered with
-      | Stabbed { tree; point; _ } ->
-          if 0 <= idx && idx < t.staged_n then Vec.iter t.c_scat (Vec.get t.stage_cand idx)
-          else B.stab tree (point ev) t.c_scat
+      | Stabbed { tree; point; _ } -> B.stab tree (point ev) t.c_scat
       | Swept { store; cursor } ->
           let n = Store.size store in
           w.cands <- w.cands + n;
           (match w.shed with None -> w.accepted <- w.accepted + n | Some _ -> ());
           Store.sweep store (cursor w.scan) t.c_scat);
       end_event w
-
-    let process_r t ev sink = walk t ~idx:(-1) ev sink
-    let process_staged = walk
-
-    (* Stage the scattered-index candidates for a whole batch with one
-       batched descent.  Only possible when the events project to a
-       point on the scatter axis; band events (no fixed stabbing point)
-       sweep instead, and a single row keeps the live stab, which
-       yields the same candidates in the same order.  The
-       staged buckets stay valid for the rest of the batch because
-       event processing never moves queries between the hotspot and
-       scattered partitions — only query churn does, and that
-       invalidates below. *)
-    let[@cq.hot] stage_batch t evs n =
-      t.staged_n <- -1;
-      match t.scattered with
-      | Swept _ -> ()
-      | Stabbed { tree; point; _ } ->
-          if n >= 2 && B.size tree > 0 then begin
-            if Array.length t.stage_keys <> n then t.stage_keys <- Array.make n 0.0;
-            for i = 0 to n - 1 do
-              t.stage_keys.(i) <- point evs.(i)
-            done;
-            while Vec.length t.stage_cand < n do
-              Vec.push t.stage_cand (Vec.create ())
-            done;
-            for i = 0 to n - 1 do
-              Vec.clear (Vec.get t.stage_cand i)
-            done;
-            B.stab_batch tree ~keys:t.stage_keys ~f:t.c_stage;
-            t.staged_n <- n
-          end
 
     let affected t ev report =
       let scan = t.w.scan in
@@ -436,15 +385,8 @@ module Make (Q : QUERY) = struct
     let set_shed t pred = t.w.shed <- pred
     let iter_groups t f = Hashtbl.iter (fun _ g -> f g) t.hot
 
-    (* Query churn can move queries between the hotspot and scattered
-       partitions, so any staged batch candidates are stale. *)
-    let insert_query t q =
-      t.staged_n <- -1;
-      Tracker.insert t.tracker q
-
-    let delete_query t q =
-      t.staged_n <- -1;
-      Tracker.delete t.tracker q
+    let insert_query t q = Tracker.insert t.tracker q
+    let delete_query t q = Tracker.delete t.tracker q
     let query_count t = Tracker.size t.tracker
     let num_hotspots t = Tracker.num_hotspots t.tracker
     let coverage t = Tracker.coverage t.tracker

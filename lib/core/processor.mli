@@ -1,11 +1,11 @@
 (** The unified continuous-query processor core.
 
-    The paper's three applications — band joins (Section 3.1),
-    equality joins with local selections (Section 3.2), composite
-    queries (Section 6) — are all instances of one scheme: derive an
-    interval per query, maintain a stabbing partition (or only its
-    hotspots) over those intervals, keep a per-group auxiliary
-    structure, and process each event with the two-step group walk.
+    The paper's two applications — band joins (Section 3.1) and
+    equality joins with local selections (Section 3.2) — are both
+    instances of one scheme: derive an interval per query, maintain a
+    stabbing partition (or only its hotspots) over those intervals,
+    keep a per-group auxiliary structure, and process each event with
+    the two-step group walk.
     [Make] owns everything that scheme shares — the per-event walk, the
     hotspot-tracker subscription, SSI rebuild bookkeeping, query
     insert/delete plumbing, invariant auditing — so each join module
@@ -25,9 +25,9 @@
     Per event, the two-step walk costs O(h log m + k) over the hotspot
     groups (h ≤ 2/α of them, Theorems 3 and 4) plus the scattered
     walk; query insert/delete is O(log n) amortised through the
-    tracker and partition maintainers.  A select or composite event
-    stabs the scattered index at its rangeA point and probes each
-    candidate.  A band event sweeps the scattered windows once, in
+    tracker and partition maintainers.  A select event stabs the
+    scattered index at its rangeA point (SJ-SelectFirst) and probes
+    each candidate.  A band event sweeps the scattered windows once, in
     (lo, hi) order, against one forward cursor over S.B's leaves:
     O(v + k) for the v ≤ |scattered| windows its block maxima leave,
     plus a short scan or gallop in the cursor's leaf where a window's
@@ -69,8 +69,7 @@ type ('scan, 'q, 'event, 'result) scattered =
       point : 'event -> float;
           (** Where the event stabs the scatter axis: the scattered
               index is stabbed there and only the candidates it
-              reports are probed (select and composite joins prune on
-              rangeA). *)
+              reports are probed (select joins prune on rangeA). *)
       probe : 'scan -> 'q -> ('q -> 'result -> unit) -> unit;
           (** [probe s q sink] calls [sink q res] for every result of
               the candidate [q] on the current event. *)
@@ -111,7 +110,7 @@ module type QUERY = sig
   (** A matched opposite-relation tuple. *)
 
   val label : string
-  (** Short processor-name prefix ("BJ", "SJ", "CJ"). *)
+  (** Short processor-name prefix ("BJ", "SJ"). *)
 
   val qid : t -> int
   val compare : t -> t -> int
@@ -247,8 +246,8 @@ val merge_snapshot : snapshot -> snapshot -> snapshot
     hotspots". *)
 
 (** The hotspot processor produced by {!Make}: a {!STRATEGY} with its
-    configuration knobs, the hooks the engine drives (batch staging,
-    load shedding, statistics) and invariant auditing. *)
+    configuration knobs, the hooks the engine drives (load shedding,
+    statistics) and invariant auditing. *)
 module type PROCESSOR = sig
   include STRATEGY
 
@@ -293,27 +292,6 @@ module type PROCESSOR = sig
       that query's probes for this event.  {!affected}, query
       maintenance, and invariant audits remain exact.  With [None]
       there is no per-candidate overhead. *)
-
-  val stage_batch : t -> event array -> int -> unit
-  (** [stage_batch t evs n] precomputes per-event scattered-index
-      candidates for the events [evs.(0 .. n-1)] with a single batched
-      index descent ({!Cq_index.Flat_interval_tree.stab_batch}), when
-      [n >= 2], scattered queries exist and the events project to
-      fixed stabbing points; otherwise it stages nothing.  A single
-      row is never staged: its walk stabs the index directly, which
-      yields the same candidates in the same order.  Staged candidates
-      are invalidated by any query insertion or deletion, after which
-      {!process_staged} stabs the index live. *)
-
-  val process_staged : t -> idx:int -> event -> (query -> result -> unit) -> unit
-  (** [process_staged t ~idx ev sink] is the processor's one event
-      walk — every hotspot group, then the scattered candidates.  The
-      candidates are the ones the last {!stage_batch} staged for
-      position [idx] when [0 <= idx < n] of a still-valid staging, and
-      a live stab of the scattered index otherwise; {!process_r} is the
-      same walk with [idx = -1].  [ev] must be the event passed at
-      position [idx] of that batch.  Results for a given event are
-      identical, in identical order, either way. *)
 
   (** Deliberate corruption, for showing that {!check_invariants}
       catches a query held in two places.  Each hook keeps every count

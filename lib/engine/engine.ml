@@ -25,12 +25,6 @@ module Config = struct
 
   let overload_to_string = function Block -> "block" | Reject -> "reject" | Shed -> "shed"
 
-  let overload_of_string = function
-    | "block" -> Ok Block
-    | "reject" -> Ok Reject
-    | "shed" -> Ok Shed
-    | s -> Error (Printf.sprintf "unknown overload policy %S (block|reject|shed)" s)
-
   type t = {
     alpha : float;
     epsilon : float;
@@ -149,17 +143,14 @@ type t = {
   shed_ests : (int, shed_est) Hashtbl.t;
   (* Hot-path delivery closures, allocated once at creation and
      parameterised through the [cur_r]/[cur_s] cells, so per-event
-     ingest builds no sink closures.  [evbuf]/[sbuf] are the reusable
-     pseudo-event buffers of the flat-batch path, and [one] the
-     one-row batch a single-tuple insert rides in. *)
+     ingest builds no sink closures.  [one] is the one-row batch a
+     single-tuple insert rides in. *)
   mutable cur_r : Tuple.r option;
   mutable cur_s : Tuple.s option;
   mutable ob_r : BQ.t -> Tuple.s -> unit;
   mutable os_r : SQ.t -> Tuple.s -> unit;
   mutable ob_s : BQ.t -> Tuple.s -> unit;
   mutable os_s : SQ.t -> Tuple.s -> unit;
-  mutable evbuf : Tuple.r array;
-  mutable sbuf : Tuple.s array;
   one : Batch.t;
 }
 
@@ -387,9 +378,6 @@ let deliver_select t (q : SQ.t) r s =
 let to_row (r : Tuple.r) = { Tuple.sid = r.rid; b = r.b; c = r.a }
 let of_row (s : Tuple.s) = { Tuple.rid = s.sid; a = s.c; b = s.b }
 
-let dummy_r = { Tuple.rid = -1; a = 0.0; b = 0.0 }
-let dummy_s = { Tuple.sid = -1; b = 0.0; c = 0.0 }
-
 let make_side (cfg : Config.t) ~probe ~home ~seed_base =
   let { Config.alpha; epsilon; _ } = cfg in
   {
@@ -437,8 +425,6 @@ let try_create_cfg (cfg : Config.t) =
           os_r = (fun _ _ -> ());
           ob_s = (fun _ _ -> ());
           os_s = (fun _ _ -> ());
-          evbuf = [||];
-          sbuf = [||];
           one = Batch.create ~capacity:1 ();
         }
       in
@@ -607,22 +593,16 @@ let retract t side pseudo ~on_band ~on_select =
 (* {2 Ingest}
 
    Every insertion is a flat batch — a single tuple is a batch of one.
-   The batch is validated as a whole, its events staged through the
-   processors' batched scattered-index descent, then processed event
-   by event through the preallocated sinks — no per-event closures, no
-   intermediate per-tuple lists.  Each event is processed before its
-   row reaches the home table (a tuple never joins with itself),
-   ordinals advance once per row, and same-side events never join with
-   each other, so staging the whole batch up front observes the same
-   index state per event as a row-by-row replay.  Subscriber callbacks
-   must not re-enter the engine (ingest, subscribe, unsubscribe) during
-   a batch: the staged candidates and scratch buffers assume the
-   structure is quiescent until the batch returns. *)
-
-let ensure_evbuf t n =
-  if Array.length t.evbuf < n then t.evbuf <- Array.make n dummy_r
-
-let ensure_sbuf t n = if Array.length t.sbuf < n then t.sbuf <- Array.make n dummy_s
+   The batch is validated as a whole, then each row is run, in order,
+   through the event body below: build the tuple, run it through the
+   side's processors with the preallocated sinks (no per-event
+   closures), store it in the home table.  Each event is processed
+   before its row reaches the home table (a tuple never joins with
+   itself), so the batch is exactly a row-by-row replay.  Subscriber
+   callbacks must not re-enter the engine (ingest, subscribe,
+   unsubscribe) during a batch: the sinks' [cur_r]/[cur_s] cells and
+   the processors' scan state assume the structure is quiescent until
+   the batch returns. *)
 
 (* The symmetric event body, written once and driven by both sides:
    the event — encoded in the R role for [side]'s processors — is run
@@ -630,7 +610,7 @@ let ensure_sbuf t n = if Array.length t.sbuf < n then t.sbuf <- Array.make n dum
    side's home table so future events on the other side can see it.
    [home] is that stored row — structurally [to_row pseudo], passed in
    so the S side can reuse the row it already built. *)
-let[@cq.hot] ingest_staged t side ~idx pseudo ~home ~on_band ~on_select =
+let[@cq.hot] ingest_event t side pseudo ~home ~on_band ~on_select =
   t.events <- t.events + 1;
   (* Ordinals advance on ingests only (never on retractions), so a
      broadcast stream assigns the same ordinal to the same event on
@@ -645,8 +625,8 @@ let[@cq.hot] ingest_staged t side ~idx pseudo ~home ~on_band ~on_select =
       Table.s_size (if side == t.r_side then t.s_side.home else t.r_side.home);
   Metrics.incr m_events;
   let t0 = Metrics.stamp () in
-  BP.process_staged side.band ~idx pseudo on_band;
-  SP.process_staged side.select ~idx pseudo on_select;
+  BP.process_r side.band pseudo on_band;
+  SP.process_r side.select pseudo on_select;
   Table.insert_s side.home home;
   Metrics.observe_since m_ingest_ns t0
 
@@ -680,22 +660,15 @@ let[@cq.hot] try_ingest_batch_r t ?on_event batch =
   match validate_batch ~x_name:"a" ~y_name:"b" batch with
   | Error e -> Error e
   | Ok () ->
-      let n = Batch.length batch in
       let before = t.results in
-      ensure_evbuf t n;
       let writable = not (Batch.is_view batch || Batch.sealed batch) in
-      for i = 0 to n - 1 do
+      for i = 0 to Batch.length batch - 1 do
         let rid = t.next_rid in
         t.next_rid <- rid + 1;
         if writable then Batch.set_id batch i rid;
-        t.evbuf.(i) <- { Tuple.rid; a = Batch.unsafe_x batch i; b = Batch.unsafe_y batch i }
-      done;
-      BP.stage_batch t.r_side.band t.evbuf n;
-      SP.stage_batch t.r_side.select t.evbuf n;
-      for i = 0 to n - 1 do
-        let r = t.evbuf.(i) in
+        let r = { Tuple.rid; a = Batch.unsafe_x batch i; b = Batch.unsafe_y batch i } in
         t.cur_r <- Some r;
-        ingest_staged t t.r_side ~idx:i r ~home:(to_row r) ~on_band:t.ob_r ~on_select:t.os_r;
+        ingest_event t t.r_side r ~home:(to_row r) ~on_band:t.ob_r ~on_select:t.os_r;
         match on_event with Some f -> f i | None -> ()
       done;
       t.cur_r <- None;
@@ -705,26 +678,16 @@ let[@cq.hot] try_ingest_batch_s t ?on_event batch =
   match validate_batch ~x_name:"b" ~y_name:"c" batch with
   | Error e -> Error e
   | Ok () ->
-      let n = Batch.length batch in
       let before = t.results in
-      ensure_evbuf t n;
-      ensure_sbuf t n;
       let writable = not (Batch.is_view batch || Batch.sealed batch) in
-      for i = 0 to n - 1 do
+      for i = 0 to Batch.length batch - 1 do
         let sid = t.next_sid in
         t.next_sid <- sid + 1;
         if writable then Batch.set_id batch i sid;
         let s = { Tuple.sid; b = Batch.unsafe_x batch i; c = Batch.unsafe_y batch i } in
-        t.sbuf.(i) <- s;
+        t.cur_s <- Some s;
         (* The S-tuple plays the R role against the mirror. *)
-        t.evbuf.(i) <- of_row s
-      done;
-      BP.stage_batch t.s_side.band t.evbuf n;
-      SP.stage_batch t.s_side.select t.evbuf n;
-      for i = 0 to n - 1 do
-        t.cur_s <- Some t.sbuf.(i);
-        ingest_staged t t.s_side ~idx:i t.evbuf.(i) ~home:t.sbuf.(i) ~on_band:t.ob_s
-          ~on_select:t.os_s;
+        ingest_event t t.s_side (of_row s) ~home:s ~on_band:t.ob_s ~on_select:t.os_s;
         match on_event with Some f -> f i | None -> ()
       done;
       t.cur_s <- None;
@@ -734,9 +697,8 @@ let ingest_batch_r t ?on_event batch = Err.ok_exn (try_ingest_batch_r t ?on_even
 let ingest_batch_s t ?on_event batch = Err.ok_exn (try_ingest_batch_s t ?on_event batch)
 
 (* A single tuple is a batch of one: it rides in the engine-owned
-   one-row batch through the same validation and event body, and
-   [stage_batch] skips staging for it, so the processors stab their
-   indexes directly. *)
+   one-row batch through the same validation and event body.  The
+   returned tuple carries the id the batch wrote back into its row. *)
 let push_one t ~x ~y =
   Batch.clear t.one;
   Batch.push t.one ~x ~y;
@@ -745,14 +707,14 @@ let push_one t ~x ~y =
 let try_insert_r t ~a ~b =
   match try_ingest_batch_r t (push_one t ~x:a ~y:b) with
   | Error e -> Error e
-  | Ok n -> Ok (t.evbuf.(0), n)
+  | Ok n -> Ok ({ Tuple.rid = Batch.id t.one 0; a; b }, n)
 
 let insert_r t ~a ~b = Err.ok_exn (try_insert_r t ~a ~b)
 
 let try_insert_s t ~b ~c =
   match try_ingest_batch_s t (push_one t ~x:b ~y:c) with
   | Error e -> Error e
-  | Ok n -> Ok (t.sbuf.(0), n)
+  | Ok n -> Ok ({ Tuple.sid = Batch.id t.one 0; b; c }, n)
 
 let insert_s t ~b ~c = Err.ok_exn (try_insert_s t ~b ~c)
 

@@ -39,8 +39,6 @@ module Config : sig
   val overload_to_string : overload -> string
   (** ["block" | "reject" | "shed"] — the [cqctl] flag spellings. *)
 
-  val overload_of_string : string -> (overload, string) result
-
   type t = {
     alpha : float;
         (** Hotspot threshold passed to the trackers; must lie in
@@ -206,10 +204,9 @@ val try_insert_r :
 
     A single tuple is a batch of one: the row rides in an engine-owned
     one-row {!Cq_relation.Batch} through {!try_ingest_batch_r}, so it
-    shares the batch path's validation, event body and results.  A
-    one-row batch skips the batched index descent; the processors stab
-    their indexes directly.  The same non-reentrancy rule applies:
-    callbacks must not re-enter the engine. *)
+    shares the batch path's validation, event body and results.  The
+    same non-reentrancy rule applies: callbacks must not re-enter the
+    engine. *)
 
 val insert_r : t -> a:float -> b:float -> Cq_relation.Tuple.r * int
 
@@ -219,12 +216,13 @@ val try_insert_s :
 
 val insert_s : t -> b:float -> c:float -> Cq_relation.Tuple.s * int
 
-(** {2 Flat-batch ingest}
+(** {2 Batch ingest}
 
-    The zero-allocation hot path: a whole {!Cq_relation.Batch} of rows
-    is validated up front, staged through the processors' batched
-    scattered-index descent, and processed event by event through
-    preallocated delivery closures — no per-event closures and no
+    The one ingest path: a whole {!Cq_relation.Batch} of rows is
+    validated up front, then each row in turn becomes a tuple, runs
+    through the side's band and select processors (their group walks
+    and one scattered walk each) with preallocated delivery closures,
+    and is stored in its home table — no per-event closures and no
     intermediate per-tuple lists.  Results, callback invocations,
     ordinals and shed coins are identical, event for event, to a loop
     of the corresponding [insert_*] calls (which are one-row batches
@@ -232,10 +230,9 @@ val insert_s : t -> b:float -> c:float -> Cq_relation.Tuple.s * int
 
     {b Non-reentrancy.}  Subscriber callbacks must not re-enter the
     engine (ingest, subscribe, unsubscribe, delete) while a batch is
-    in flight: the staged candidates and reused scratch buffers assume
-    the structures are quiescent until the call returns.  (Query
-    churn {e between} batches is fine and invalidates staged state
-    automatically.) *)
+    in flight: the delivery cells and the processors' scan state
+    assume the structures are quiescent until the call returns.
+    (Query churn {e between} batches is fine.) *)
 
 val try_ingest_batch_r :
   t -> ?on_event:(int -> unit) -> Cq_relation.Batch.t -> (int, Cq_util.Error.t) result

@@ -156,9 +156,8 @@ val try_ingest_batch_flat :
     [batch_size]-row {e zero-copy slice views}
     ({!Cq_relation.Batch.slice}) and broadcast each view to every
     shard's queue as a single command; shards run it through
-    {!Engine.try_ingest_batch_r} / [_s], so the whole chunk costs one
-    scattered-index descent per processor instead of one per event.
-    Returns once the chunks are {e enqueued}; results surface at the
+    {!Engine.try_ingest_batch_r} / [_s], one command per chunk
+    instead of one per event.  Returns once the chunks are {e enqueued}; results surface at the
     next {!flush}.
 
     Because the queued chunks alias the caller's batch, the root is

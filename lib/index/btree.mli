@@ -193,8 +193,6 @@ module Make (K : ORDERED) : sig
   val iter_range : 'a t -> lo:K.t -> hi:K.t -> (K.t -> 'a -> unit) -> unit
   (** All entries with lo <= key <= hi, in order. *)
 
-  val fold_range : 'a t -> lo:K.t -> hi:K.t -> ('acc -> K.t -> 'a -> 'acc) -> 'acc -> 'acc
-
   val count_range : 'a t -> lo:K.t -> hi:K.t -> int
 
   val to_list : 'a t -> (K.t * 'a) list

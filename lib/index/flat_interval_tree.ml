@@ -25,8 +25,8 @@ module I = Cq_interval.Interval
    (lo, hi) key are inserted to the right and rotations preserve the
    in-order sequence, so it is always the live entries sorted stably
    by (lo, hi) in insertion order.  [stab], [stab_batch] and
-   [first_overlap] report in that sequence; staged-vs-live processor
-   walks and the lazy partition's group choice rely on it. *)
+   [first_overlap] report in that sequence; the select processors'
+   delivery order and the lazy partition's group choice rely on it. *)
 
 let nil = -1
 

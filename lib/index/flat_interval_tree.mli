@@ -18,7 +18,7 @@
     (inserted right), so the in-order sequence is always the live
     entries sorted stably by (lo, hi) in insertion order, and [stab],
     [stab_batch], [first_overlap], [iter] and [to_list] all follow
-    it.  Staged-vs-live processor walks and the lazy
+    it.  The select processors' delivery order and the lazy
     partition's group choice rely on it. *)
 
 type 'a t

@@ -4,8 +4,6 @@ type t = { x : I.t; y : I.t }
 
 let make ~x ~y = { x; y }
 
-let of_bounds ~x0 ~x1 ~y0 ~y1 = { x = I.make x0 x1; y = I.make y0 y1 }
-
 let empty = { x = I.empty; y = I.empty }
 
 let is_empty r = I.is_empty r.x || I.is_empty r.y
@@ -23,8 +21,6 @@ let union a b =
   else { x = I.hull a.x b.x; y = I.hull a.y b.y }
 
 let area r = if is_empty r then 0.0 else I.length r.x *. I.length r.y
-
-let margin r = if is_empty r then 0.0 else I.length r.x +. I.length r.y
 
 let enlargement mbr r = area (union mbr r) -. area mbr
 

@@ -7,7 +7,6 @@
 type t = { x : Cq_interval.Interval.t; y : Cq_interval.Interval.t }
 
 val make : x:Cq_interval.Interval.t -> y:Cq_interval.Interval.t -> t
-val of_bounds : x0:float -> x1:float -> y0:float -> y1:float -> t
 
 val empty : t
 val is_empty : t -> bool
@@ -24,9 +23,6 @@ val union : t -> t -> t
 (** Minimum bounding rectangle of both. *)
 
 val area : t -> float
-
-val margin : t -> float
-(** Half perimeter — used by split heuristics. *)
 
 val enlargement : t -> t -> float
 (** [enlargement mbr r]: area growth of [mbr] needed to absorb [r]. *)

@@ -35,7 +35,6 @@ module Instrumented_interval_tree = struct
   module M = Cq_obs.Metrics
 
   let stab_ns = M.histogram "stab.interval_tree.stab_ns"
-  let stab_batch_ns = M.histogram "stab.interval_tree.stab_batch_ns"
   let add_ns = M.histogram "stab.interval_tree.add_ns"
   let remove_ns = M.histogram "stab.interval_tree.remove_ns"
   let stab_hits = M.histogram "stab.interval_tree.stab_hits"
@@ -64,18 +63,4 @@ module Instrumented_interval_tree = struct
       M.observe stab_hits (float_of_int !hits)
     end
     else F.stab t x f
-
-  let stab_batch t ~keys ~f =
-    if M.enabled () then begin
-      let hits = ref 0 in
-      let (), dt =
-        Cq_util.Clock.time_ns (fun () ->
-            F.stab_batch t ~keys ~f:(fun ~idx p ->
-                Stdlib.incr hits;
-                f ~idx p))
-      in
-      M.observe stab_batch_ns (Int64.to_float dt);
-      M.observe stab_hits (float_of_int !hits)
-    end
-    else F.stab_batch t ~keys ~f
 end

@@ -5,9 +5,11 @@
     ([ablation-backend], [ablation-stab-index]; EXPERIMENTS.md) and won
     nothing beyond noise, so it was deleted.
 
-    The stabbing processors use {!Instrumented_interval_tree}; the
-    differential oracle and the invariant audit drive
-    {!Flat_interval_tree} directly.  Sweeping is not a stabbing
+    The select processors stab {!Instrumented_interval_tree} live, once
+    per event at r.a (SJ-SelectFirst); the differential oracle and the
+    invariant audit drive {!Flat_interval_tree} directly, and
+    {!Interval_tree}'s [stab_batch] is timed by the end-to-end
+    benchmark's per-layer replay.  Sweeping is not a stabbing
     operation: band windows are swept from their own store
     ({!Sweep_store}). *)
 
@@ -51,10 +53,9 @@ module Interval_tree : S
 module Instrumented_interval_tree : S
 (** The same tree with per-operation monotonic timings recorded into
     the {!Cq_obs.Metrics} registry: [stab.interval_tree.stab_ns],
-    [stab.interval_tree.stab_batch_ns], [stab.interval_tree.add_ns],
-    [stab.interval_tree.remove_ns], and the per-stab result fanout
-    [stab.interval_tree.stab_hits]; the other operations pass through
-    untimed.  While metrics are disabled it costs one branch per call.
-    It is the scattered-query index of every
-    {!Hotspot_core.Processor.Make} instance whose class stabs it
-    (select and composite joins). *)
+    [stab.interval_tree.add_ns], [stab.interval_tree.remove_ns], and
+    the per-stab result fanout [stab.interval_tree.stab_hits]; the
+    other operations, [stab_batch] among them, pass through untimed.
+    While metrics are disabled it costs one branch per call.  It is
+    the scattered-query index of every {!Hotspot_core.Processor.Make}
+    instance whose class stabs it (select joins). *)

@@ -5,7 +5,7 @@
     It holds every band window the engine walks per event: the
     scattered windows of every band processor (the classes whose
     [Hotspot_core.Processor.QUERY.scattered] is [Sweep]) and the
-    members of every band stabbing group ([Cq_joins.Band_axis]).  A
+    members of every band stabbing group ([Cq_joins.Band_join]).  A
     band event has no fixed stabbing point, so it never stabs these
     windows: it reads the scattered ones once, in order, against a
     forward cursor on S.B ({!sweep}), and each group's members in one
@@ -125,7 +125,7 @@ val walk_anchored : 'a t -> float array -> ('a -> unit) -> unit
     whole when [a2] is NaN; a NaN [a1] takes no prefix, and
     [a1 = infinity] takes every window.  This is a band group's
     STEP 1: the members that reach the left anchor, then those that
-    reach the right one ({!Cq_joins.Band_axis}).  Allocation-free. *)
+    reach the right one ({!Cq_joins.Band_join}).  Allocation-free. *)
 
 val iter : 'a t -> ('a -> unit) -> unit
 (** Every stored payload once, in order. *)

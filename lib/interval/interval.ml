@@ -43,10 +43,6 @@ let compare_lo a b =
   let c = Float.compare a.lo b.lo in
   if c <> 0 then c else Float.compare a.hi b.hi
 
-let compare_hi_desc a b =
-  let c = Float.compare b.hi a.hi in
-  if c <> 0 then c else Float.compare b.lo a.lo
-
 let equal a b = (is_empty a && is_empty b) || (a.lo = b.lo && a.hi = b.hi)
 
 let pp fmt iv =

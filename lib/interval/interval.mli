@@ -55,10 +55,6 @@ val compare_lo : t -> t -> int
 (** Order by left endpoint, ties by right endpoint — the sort order of
     the canonical greedy algorithm (Lemma 1). *)
 
-val compare_hi_desc : t -> t -> int
-(** Order by decreasing right endpoint, ties by decreasing left — the
-    order of the [Ir_j] sequences in BJ-SSI. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

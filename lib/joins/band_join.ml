@@ -3,6 +3,7 @@ module Table = Cq_relation.Table
 module Tuple = Cq_relation.Tuple
 module Fbt = Table.Fbt
 module Itree = Cq_index.Flat_interval_tree
+module Store = Cq_index.Sweep_store
 module Vec = Cq_util.Vec
 module Processor = Hotspot_core.Processor
 module Dedupe = Processor.Dedupe
@@ -16,7 +17,11 @@ module type STRATEGY =
      and type store := Table.s_table
      and type result := Tuple.s
 
-let window_nonempty = Band_axis.window_nonempty
+(* Does the S.B index hold any value inside the window? *)
+let[@cq.hot] window_nonempty table w =
+  match Fbt.seek_ge (Table.s_by_b table) (I.lo w) with
+  | Some c -> Fbt.key c <= I.hi w
+  | None -> false
 
 (* --------------------------------------------------------------------- *)
 (* BJ-QOuter: queries as the outer relation                                *)
@@ -164,96 +169,82 @@ module Merge = struct
 end
 
 (* --------------------------------------------------------------------- *)
-(* BJ-Shared: NiagaraCQ-style sharing of identical join conditions        *)
-(* --------------------------------------------------------------------- *)
-
-module Shared = struct
-  (* The related-work contrast (Section 5): NiagaraCQ shares work only
-     across queries with IDENTICAL join conditions.  Queries are binned
-     by their exact window; each distinct window is probed once and the
-     results fanned out.  With all-distinct windows this degenerates to
-     BJ-QOuter — exactly the limitation the SSI overcomes by exploiting
-     overlap instead of equality. *)
-  type t = {
-    table : Table.s_table;
-    bins : (float * float, (int, Band_query.t) Hashtbl.t) Hashtbl.t;
-    mutable count : int;
-  }
-
-  let name = "BJ-Shared"
-
-  let key (q : Band_query.t) = (I.lo q.range, I.hi q.range)
-
-  let create table queries =
-    let t = { table; bins = Hashtbl.create 64; count = 0 } in
-    Array.iter
-      (fun (q : Band_query.t) ->
-        let bin =
-          match Hashtbl.find_opt t.bins (key q) with
-          | Some b -> b
-          | None ->
-              let b = Hashtbl.create 4 in
-              Hashtbl.replace t.bins (key q) b;
-              b
-        in
-        Hashtbl.replace bin q.qid q;
-        t.count <- t.count + 1)
-      queries;
-    t
-
-  let process_r t (r : Tuple.r) sink =
-    let sb = Table.s_by_b t.table in
-    Hashtbl.iter
-      (fun (lo, hi) bin ->
-        Fbt.iter_range sb ~lo:(lo +. r.b) ~hi:(hi +. r.b) (fun _ s ->
-            Hashtbl.iter (fun _ q -> sink q s) bin))
-      t.bins
-
-  let affected t (r : Tuple.r) report =
-    Hashtbl.iter
-      (fun (lo, hi) bin ->
-        if window_nonempty t.table (I.shift (I.make lo hi) r.b) then
-          Hashtbl.iter (fun _ q -> report q) bin)
-      t.bins
-
-  let insert_query t (q : Band_query.t) =
-    let bin =
-      match Hashtbl.find_opt t.bins (key q) with
-      | Some b -> b
-      | None ->
-          let b = Hashtbl.create 4 in
-          Hashtbl.replace t.bins (key q) b;
-          b
-    in
-    Hashtbl.replace bin q.qid q;
-    t.count <- t.count + 1
-
-  let delete_query t (q : Band_query.t) =
-    match Hashtbl.find_opt t.bins (key q) with
-    | None -> false
-    | Some bin ->
-        if Hashtbl.mem bin q.qid then begin
-          Hashtbl.remove bin q.qid;
-          if Hashtbl.length bin = 0 then Hashtbl.remove t.bins (key q);
-          t.count <- t.count - 1;
-          true
-        end
-        else false
-
-  let query_count t = t.count
-end
-
-(* --------------------------------------------------------------------- *)
 (* The shared processor core: groups on the band axis, STEP 2 walking     *)
 (* the S.B leaves outward from the anchors (Section 3.1)                  *)
 (* --------------------------------------------------------------------- *)
 
-module G = Band_axis.Make (struct
-  type q = Band_query.t
+(* A stabbing group on the band (S.B − R.B) axis.  An incoming R-tuple
+   shifts every member window by its B value; the two S-tuples closest
+   to the shifted stabbing point certify which members are affected: a
+   member whose window reaches the left anchor or the right anchor has
+   at least one joining S-tuple.  The members sit in one lo-ordered
+   sweep store, so a membership change moves slots in one chunk and
+   STEP 1 is one pass over float columns: the prefix that reaches the
+   left anchor, then the later members that reach the right one.
+   [anchors] holds the shifted anchors [| s1 - b; s2 - b |] of the
+   current STEP 1, [mark] its acceptance test and [take] the
+   preallocated step that offers a member to [mark] and keeps it in
+   [scratch], the reusable STEP-1 output: its contents are only valid
+   until the next [step1] on the same group (no re-entrant processing
+   of one group — the batch-ingest non-reentrancy contract). *)
+module G = struct
+  type g = {
+    store : Band_query.t Store.t;
+    anchors : float array;
+    scratch : Band_query.t Vec.t;
+    mutable mark : Band_query.t -> bool;
+    take : Band_query.t -> unit;
+  }
 
-  let qid (q : Band_query.t) = q.qid
-  let axis (q : Band_query.t) = q.range
-end)
+  let create () =
+    let rec g =
+      {
+        store = Store.create ();
+        anchors = [| nan; nan |];
+        scratch = Vec.create ();
+        mark = (fun _ -> false);
+        take = (fun q -> if g.mark q then Vec.push g.scratch q);
+      }
+    in
+    g
+
+  let add g (q : Band_query.t) = Store.add g.store q.range q
+
+  let remove g (q : Band_query.t) =
+    ignore (Store.remove g.store q.range (fun (p : Band_query.t) -> p.qid = q.qid))
+
+  let size g = Store.size g.store
+  let iter g k = Store.iter g.store k
+  let check_invariants g = Store.check_invariants g.store
+
+  (* STEP 1: the affected members that [mark] accepts, each offered at
+     most once, in store order.  The anchors around the shifted
+     stabbing point [key]: s2 is the leftmost entry >= key (the finger
+     [f] stays on it for STEP 2) and s1 the entry just before it.  A
+     missing anchor reads as NaN, which takes no member on its side.
+     On an exact match the S-tuple at the stabbing point joins with
+     every member: [infinity] as the left anchor takes them all in the
+     prefix.  Keys are read from the finger's leaf arrays, so no anchor
+     is boxed, and beyond the seek nothing allocates.  The result is
+     the group's [scratch]. *)
+  let[@cq.hot] step1 f (r : Tuple.r) g ~stab ~mark =
+    let b = r.b in
+    let key = stab +. b in
+    Vec.clear g.scratch;
+    Fbt.finger_seek f key;
+    let i = Fbt.finger_index f in
+    let s2 = if i < Fbt.finger_count f then Array.unsafe_get (Fbt.finger_keys f) i else nan in
+    if s2 = key then g.anchors.(0) <- infinity
+    else begin
+      let j = Fbt.finger_back_index f in
+      let s1 = if j >= 0 then Array.unsafe_get (Fbt.finger_back_keys f) j else nan in
+      g.anchors.(0) <- s1 -. b;
+      g.anchors.(1) <- s2 -. b
+    end;
+    g.mark <- mark;
+    Store.walk_anchored g.store g.anchors g.take;
+    g.scratch
+end
 
 (* STEP 2 from the finger STEP 1 left on the anchor s2: for each
    affected query, walk S.B back from s1 while the key reaches the
@@ -321,14 +312,8 @@ module Core_query = struct
   let scattered = Processor.Sweep { cursor = (fun s -> s.cursor); emit }
 
   module Group = struct
-    type g = G.g
+    include G
 
-    let create = G.create
-    let add = G.add
-    let remove = G.remove
-    let size = G.size
-    let iter = G.iter
-    let check_invariants = G.check_invariants
     let process s g ~stab ev ~mark sink = process_group s.group g ~stab ev ~mark sink
     let identify s g ~stab ev ~mark report = Vec.iter report (G.step1 s.group ev g ~stab ~mark)
   end
@@ -340,7 +325,7 @@ module Ssi = Core.Ssi
 module Hotspot = struct
   include Core.Hotspot
 
-  let iter_group_stores t f = iter_groups t (fun g -> f (G.store g))
+  let iter_group_stores t f = iter_groups t (fun (g : G.g) -> f g.store)
 end
 
 (* --------------------------------------------------------------------- *)

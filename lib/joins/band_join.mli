@@ -13,11 +13,10 @@
     - {!Ssi_dynamic}: BJ-SSI over a dynamically maintained
       (1+ε)-approximate stabbing partition (Appendix B, the
       configuration measured in Figure 11)
-    - {!Hotspot}: BJ-SSI restricted to α-hotspots, per-query index
-      probing (BJ-QOuter style) on the scattered remainder — the
-      SSI + hotspot-tracking combination of Section 3.1's closing
-      remark, with the traditional method that is cheapest when the
-      scattered set is small.
+    - {!Hotspot}: BJ-SSI restricted to α-hotspots, with one sweep of
+      the scattered remainder against a forward cursor over S.B
+      (BJ-MJ's merge applied to the scattered windows) — the SSI +
+      hotspot-tracking combination of Section 3.1's closing remark.
 
     {!Ssi} and {!Hotspot} are instantiations of the shared
     {!Hotspot_core.Processor.Make} core with this module's band-axis
@@ -44,13 +43,6 @@ module Ssi : sig
   val num_groups : t -> int
   (** τ(I) of the current query set. *)
 end
-
-module Shared : STRATEGY
-(** NiagaraCQ-style sharing of {e identical} join conditions (the
-    Section 5 related-work contrast): queries binned by exact window,
-    one probe per distinct window.  Degenerates to {!Qouter} when all
-    windows differ — the limitation SSI lifts by sharing across merely
-    {e overlapping} windows. *)
 
 module Ssi_dynamic : sig
   include STRATEGY

@@ -324,7 +324,6 @@ module Adaptive = struct
     table : Table.s_table;
     sf : Select_first.t;
     ssi : Ssi.t;
-    threshold : float;
     (* n' estimator: an SSI histogram over the rangeA intervals,
        rebuilt lazily after query churn. *)
     mutable estimator : Cq_histogram.Ssi_hist.t option;
@@ -335,19 +334,20 @@ module Adaptive = struct
 
   let name = "SJ-ADAPT"
 
-  let create_tuned ~threshold table queries =
+  (* The dispatch rule's scale: SJ-SelectFirst is chosen when the
+     estimated n' is below [threshold * tau]. *)
+  let threshold = 2.0
+
+  let create table queries =
     {
       table;
       sf = Select_first.create table queries;
       ssi = Ssi.create table queries;
-      threshold;
       estimator = None;
       churn = 0;
       sf_events = 0;
       ssi_events = 0;
     }
-
-  let create table queries = create_tuned ~threshold:2.0 table queries
 
   let estimator t =
     match t.estimator with
@@ -365,7 +365,7 @@ module Adaptive = struct
   let choose t (r : Tuple.r) =
     let est_n' = Cq_histogram.Ssi_hist.estimate (estimator t) r.a in
     let tau = float_of_int (Ssi.num_groups t.ssi) in
-    if est_n' < t.threshold *. tau then Use_select_first else Use_ssi
+    if est_n' < threshold *. tau then Use_select_first else Use_ssi
 
   let process_r t r sink =
     match choose t r with

@@ -50,10 +50,6 @@ module Adaptive : sig
 
   type choice = Use_select_first | Use_ssi
 
-  val create_tuned : threshold:float -> Cq_relation.Table.s_table -> Select_query.t array -> t
-  (** [threshold] scales the dispatch rule (default 2.0): SJ-SelectFirst
-      is chosen when the estimated n' is below [threshold * tau]. *)
-
   val choose : t -> Cq_relation.Tuple.r -> choice
   (** The decision the dispatcher would make for this event. *)
 

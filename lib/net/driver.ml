@@ -209,22 +209,13 @@ let run_workload ?(engine = Engine.Config.default) ?(session_queue = 4096) (w : 
             let dt = Int64.to_float (Int64.sub (Clock.monotonic_ns ()) t0) in
             latencies.(i) <- dt;
             Metrics.observe m_rtt dt;
-            (* Idle sessions still receive fan-out: drain their kernel
-               buffers each round so no window ever fills (see
-               {!Client.pump}). *)
-            Array.iter (fun c -> ignore (Client.pump c)) cs)
+            (* FLUSHED rides the result FIFO, so it is the drain
+               barrier: once every session's arrives, each RESULTS
+               frame of this batch has been stashed and the session
+               queues are empty before the next batch is sent. *)
+            Array.iter (fun c -> ignore (ok_or_bail (Client.flush c))) cs)
           w.batches;
-        (* FLUSHED rides the result FIFO, so it is the drain barrier:
-           once it arrives, every surviving RESULTS frame for batches
-           acked above has been stashed. *)
-        let results =
-          Array.map
-            (fun c ->
-              ignore (ok_or_bail (Client.flush c));
-              Array.iter (fun c' -> ignore (Client.pump c')) cs;
-              Array.of_list (Client.take_results c))
-            cs
-        in
+        let results = Array.map (fun c -> Array.of_list (Client.take_results c)) cs in
         Array.iter
           (fun c ->
             List.iter (fun o -> overloads := o :: !overloads) (Client.take_overloads c);

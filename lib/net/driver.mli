@@ -7,8 +7,9 @@
     seed.  {!run_workload} then stands a server up on an ephemeral
     loopback port (in a forked child process when possible — see
     below), connects one client per session, registers the queries
-    session-major, and streams the batches in {e lockstep}: each batch waits for its ack before the
-    next batch is sent anywhere.  Lockstep pins the server's ingest
+    session-major, and streams the batches in {e lockstep}: each batch
+    waits for its ack, and then for a flush barrier on every session,
+    before the next batch is sent anywhere.  Lockstep pins the server's ingest
     order to the workload order, which — with the server's
     read/flush/write tick discipline — makes every session's result
     stream deterministic and bit-comparable against a direct
@@ -60,9 +61,14 @@ val run_workload :
   ?session_queue:int ->
   workload ->
   (outcome, Client.error) result
-(** Run the whole workload as described above.  [session_queue]
-    defaults to 4096 frames — deep enough that a lockstep reader never
-    drops, which is what the differential check needs.
+(** Run the whole workload as described above.  The flush barrier
+    after each batch drains every session's queue, so a session drops
+    only when one batch's RESULTS frames overflow [session_queue]
+    (default 4096 frames).  A batch sends a session one frame per run
+    of consecutive same-query result rows, split at 512 rows, so the
+    bound is on the frames of one batch, not of the whole run: 20
+    queries per session over 100 batches still overflow a 128-frame
+    queue.  The differential check needs a run that never drops.
 
     The server runs in a {e forked child process}, not a domain: two
     busy domains in one process interact badly with the stop-the-world

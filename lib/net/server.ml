@@ -554,8 +554,3 @@ let serve t =
     ignore (step t ~timeout:0.25)
   done;
   teardown t
-
-let with_server ?config ~addr f =
-  match try_create ?config ~addr () with
-  | Error e -> Error.raise_ e
-  | Ok t -> Fun.protect ~finally:(fun () -> teardown t) (fun () -> f t)

@@ -76,9 +76,6 @@ val teardown : t -> unit
 (** Release everything without going through {!serve} — for tests that
     drive {!step} directly.  Idempotent. *)
 
-val with_server : ?config:config -> addr:Unix.sockaddr -> (t -> 'a) -> 'a
-(** [try_create], run the function, always {!teardown}. *)
-
 type stats = {
   net_accepts : int;
   net_active : int;

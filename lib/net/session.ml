@@ -73,7 +73,6 @@ let decoder t = t.decoder
 let closing t = t.closing
 let closed t = t.closed
 let mark_closing t = t.closing <- true
-let mark_closed t = t.closed <- true
 let greeted t = t.greeted
 let mark_greeted t = t.greeted <- true
 let frames_in t = t.frames_in
@@ -82,7 +81,6 @@ let results_sent t = t.results_sent
 
 let qids t = t.qids
 let add_qid t qid = t.qids <- qid :: t.qids
-let owns_qid t qid = List.exists (fun q -> q = qid) t.qids
 let remove_qid t qid = t.qids <- List.filter (fun q -> q <> qid) t.qids
 
 let out_depth t = BQ.length t.out
@@ -148,8 +146,6 @@ let try_send_flush_ack t =
 
 let record_result t ~qid ~ra ~rb ~sb ~sc =
   if not t.closed then t.pending <- (qid, ra, rb, sb, sc) :: t.pending
-
-let has_pending t = not (List.is_empty t.pending)
 
 (* Group the chronological pending rows into per-query frames: runs of
    consecutive same-qid rows become one RESULTS frame (split at

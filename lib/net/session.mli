@@ -33,7 +33,6 @@ val closing : t -> bool
 
 val closed : t -> bool
 val mark_closing : t -> unit
-val mark_closed : t -> unit
 
 val greeted : t -> bool
 (** A [Hello] with the right version has been accepted; until then
@@ -49,7 +48,6 @@ val results_sent : t -> int
 
 val qids : t -> int list
 val add_qid : t -> int -> unit
-val owns_qid : t -> int -> bool
 val remove_qid : t -> int -> unit
 
 (** {2 Outbound buffering} *)
@@ -107,8 +105,6 @@ val count_results_sent : t -> int -> unit
 val record_result : t -> qid:int -> ra:float -> rb:float -> sb:float -> sc:float -> unit
 (** Called by the engine subscription callbacks during a flush, in
     merge order. *)
-
-val has_pending : t -> bool
 
 val take_pending : t -> (int * (float * float * float * float) array) list
 (** Drain the staged rows as RESULTS-frame payloads: runs of

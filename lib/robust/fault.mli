@@ -81,7 +81,7 @@ val gen_uniform : ?churn:bool -> ?rates:float array -> seed:int -> n:int -> unit
 (** 8–24 band/select subscriptions (one window in sixteen unbounded on
     one side), then [max 4 (n / 40)] batches of 1–50 rows uniform over
     [\[0, 1000)]; the batch size is drawn from [\[1, 64\]].  [churn] (default [false]) follows a third of the
-    batches with a new subscription, so batches stage against a query
+    batches with a new subscription, so batches run against a query
     population that has just changed.  [rates] puts the workload under
     the [Shed] policy and precedes every batch with a [Rate]: the first
     batch takes [rates.(0)], later ones a uniform pick. *)

@@ -655,11 +655,11 @@ let reference () =
     totals = (fun () -> (!delivered, [], 1.0, 0));
   }
 
-(* The sequential engine.  [staged] ingests each [Rows] step as one
-   batch through the staged descent; otherwise every row is a one-row
-   batch, whose tuple handle is kept for [Del].  Either way the live
-   counts are kept, and every audit holds the engine's sizes to them. *)
-let seq_ops ~staged eng =
+(* The sequential engine.  [batched] ingests each [Rows] step as one
+   batch; otherwise every row is a one-row batch, whose tuple handle
+   is kept for [Del].  Either way the live counts are kept, and every
+   audit holds the engine's sizes to them. *)
+let seq_ops ~batched eng =
   let rs = ref [] and ss = ref [] and nr = ref 0 and ns = ref 0 in
   let one_row side acc (x, y) =
     Result.bind acc (fun () ->
@@ -680,7 +680,7 @@ let seq_ops ~staged eng =
         Result.map (fun sub () -> Engine.unsubscribe eng sub) sub);
     rows =
       (fun side rows ->
-        if not staged then Array.fold_left (one_row side) (Ok ()) rows
+        if not batched then Array.fold_left (one_row side) (Ok ()) rows
         else
           let b = Cq_relation.Batch.of_rows rows in
           Result.map
@@ -938,8 +938,8 @@ let replay ~keep driver (w : Fault.workload) =
   let engine () = Engine.create ~alpha:0.1 ~seed:w.seed ~overload:w.overload () in
   match driver with
   | Reference -> replay_with ~keep name (reference ()) w
-  | Seq_rows -> replay_with ~keep name (seq_ops ~staged:false (engine ())) w
-  | Seq_batch -> replay_with ~keep name (seq_ops ~staged:true (engine ())) w
+  | Seq_rows -> replay_with ~keep name (seq_ops ~batched:false (engine ())) w
+  | Seq_batch -> replay_with ~keep name (seq_ops ~batched:true (engine ())) w
   | Par shards -> Par.with_engine (config w ~shards) (fun t -> par_replay ~keep t w)
   | Served { sessions; shards } -> served ~sessions ~shards w
 
@@ -1170,6 +1170,7 @@ let audit_workload ~seed ~n () =
 
 let fuzz_all ?(shards = 2) ~seed ~ops () =
   let n = max 200 (ops / 10) in
+  let churned = Fault.gen_uniform ~churn:true ~seed ~n () in
   List.map (fun d -> run_index d ~seed ~ops) index_drivers
   @ [
       run_sweep_store ~seed ~ops;
@@ -1178,7 +1179,8 @@ let fuzz_all ?(shards = 2) ~seed ~ops () =
       run_lazy_partition ~seed ~ops;
       run_refined_partition ~seed ~ops;
       diff (Fault.gen_engine ~seed ~n) Reference Seq_rows Same;
-      diff (Fault.gen_uniform ~churn:true ~seed ~n ()) Seq_rows Seq_batch Same;
+      diff churned Seq_rows Seq_batch Same;
+      diff churned Seq_rows Seq_batch Same_stream;
       diff (Fault.gen_uniform ~seed ~n ()) (Par 1) (Par shards) Same;
       diff (Fault.gen_uniform ~rates:Fault.mixed_rates ~seed ~n ()) Reference Seq_rows Shed_bounds;
     ]

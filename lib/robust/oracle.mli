@@ -97,9 +97,9 @@ val run_refined_partition : seed:int -> ops:int -> outcome
     {b Which pairing checks what.}  Every sweep in [test_robust] and
     [test_net] is one {!diff} line:
 
-    - [Seq_rows] vs [Seq_batch], [Same], on {!Fault.gen_uniform} with
-      churn: batch ≡ per-tuple, the only engine-level check of
-      multi-key staging;
+    - [Seq_rows] vs [Seq_batch], [Same] and [Same_stream], on
+      {!Fault.gen_uniform} with churn: batch ≡ per-tuple, as multisets
+      and (one session) in global delivery order row by row;
     - [Par 1] vs [Par n], [Same], on {!Fault.gen_uniform} and
       {!Fault.gen_drift}: parallel ≡ sequential, including online
       subscription churn under a walking hotspot;
@@ -154,7 +154,7 @@ type driver =
       (** The sequential engine, each row a one-row batch.  Its audits
           (as [Seq_batch]'s) also hold [|R|] and [|S|] to the live counts. *)
   | Seq_batch
-      (** The sequential engine, each [Rows] step one staged batch
+      (** The sequential engine, each [Rows] step one whole batch
           through {!Cq_engine.Engine.try_ingest_batch_r}/[_s]; replays
           no [Del]. *)
   | Par of int
@@ -196,9 +196,10 @@ val diff : Fault.workload -> driver -> driver -> comparator -> outcome
 (** Replay [w] through both drivers, then {!verdict}. *)
 
 val fuzz_all : ?shards:int -> seed:int -> ops:int -> unit -> outcome list
-(** The full battery: every structure, then the engine, batch,
-    parallel (at [shards], default 2) and mixed-rate shed pairings of
-    {!diff} on [max 200 (ops / 10)]-step workloads. *)
+(** The full battery: every structure, then the engine, batch (as
+    multisets and in delivery order), parallel (at [shards], default
+    2) and mixed-rate shed pairings of {!diff} on
+    [max 200 (ops / 10)]-step workloads. *)
 
 val audit_workload : seed:int -> n:int -> unit -> (string * Invariant.report) list
 (** Build every structure from the same seeded adversarial stream and

@@ -75,11 +75,6 @@ let of_list l =
   List.iter (push t) l;
   t
 
-let of_array a =
-  let t = create () in
-  Array.iter (push t) a;
-  t
-
 let sort cmp t =
   let a = to_array t in
   Array.sort cmp a;

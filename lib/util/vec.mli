@@ -29,5 +29,4 @@ val exists : ('a -> bool) -> 'a t -> bool
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t
-val of_array : 'a array -> 'a t
 val sort : ('a -> 'a -> int) -> 'a t -> unit

@@ -11,8 +11,6 @@ let coverage ~n_groups ~beta ~top_k =
   done;
   !acc
 
-let series ~n_groups ~beta ~ks = List.map (fun k -> (k, coverage ~n_groups ~beta ~top_k:k)) ks
-
 type drift = {
   dr_groups : int;
   dr_beta : float;

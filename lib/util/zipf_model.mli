@@ -11,9 +11,6 @@ val coverage : n_groups:int -> beta:float -> top_k:int -> float
     among [n_groups] Zipf-distributed groups.
     @raise Invalid_argument if [n_groups <= 0] or [top_k < 0]. *)
 
-val series : n_groups:int -> beta:float -> ks:int list -> (int * float) list
-(** [(k, coverage)] rows for Figure 2's curves. *)
-
 val groups_needed : n_groups:int -> beta:float -> target:float -> int
 (** Smallest k whose top-k coverage reaches [target] (in [0,1]). *)
 

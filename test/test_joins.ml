@@ -52,7 +52,6 @@ let band_strategies :
     (module BJ.Ssi);
     (module BJ.Ssi_dynamic);
     (module BJ.Hotspot);
-    (module BJ.Shared);
   ]
 
 let band_case_gen =
@@ -378,91 +377,6 @@ let test_adaptive_routes_both_ways () =
   Alcotest.(check (pair int int)) "decision counters" (0, 1) (sf, ssi)
 
 
-(* ---------------------------- Composite joins -------------------------- *)
-
-module CQ = Cq_joins.Composite_query
-module CJ = Cq_joins.Composite_join
-
-let composite_results (type s) (module S : CJ.STRATEGY with type t = s) (st : s) r =
-  let acc = ref [] in
-  S.process_r st r (fun q s -> acc := (q.CQ.qid, s.Tuple.sid) :: !acc);
-  List.sort compare !acc
-
-let composite_strategies : (module CJ.STRATEGY) list =
-  [ (module CJ.Naive); (module CJ.Afirst); (module CJ.Ssi); (module CJ.Hotspot) ]
-
-let composite_gen =
-  QCheck2.Gen.(
-    triple s_tuples_gen
-      (list_size (int_range 0 40)
-         (triple (interval_gen 10) (interval_gen 20) (interval_gen 20)))
-      r_events_gen)
-
-let make_composites specs =
-  Array.of_list
-    (List.mapi
-       (fun qid (band, ra, rc) ->
-         CQ.make ~qid ~band:(I.shift band (-5.0)) ~range_a:ra ~range_c:rc)
-       specs)
-
-let prop_composite_strategies_agree =
-  QCheck2.Test.make ~name:"composite joins: all strategies match brute force" ~count:150
-    composite_gen (fun (s_tuples, specs, events) ->
-      let table, _ = make_s_table s_tuples in
-      let queries = make_composites specs in
-      let events = make_r_events events in
-      List.for_all
-        (fun (module S : CJ.STRATEGY) ->
-          let st = S.create table queries in
-          List.for_all
-            (fun r ->
-              let got = composite_results (module S) st r in
-              let want = CJ.reference table queries r in
-              got = want
-              || QCheck2.Test.fail_reportf "%s diverges: got %d, want %d" S.name
-                   (List.length got) (List.length want))
-            events)
-        composite_strategies)
-
-let prop_composite_affected =
-  QCheck2.Test.make ~name:"composite joins: affected = distinct queries" ~count:120
-    composite_gen (fun (s_tuples, specs, events) ->
-      let table, _ = make_s_table s_tuples in
-      let queries = make_composites specs in
-      let events = make_r_events events in
-      List.for_all
-        (fun (module S : CJ.STRATEGY) ->
-          let st = S.create table queries in
-          List.for_all
-            (fun r ->
-              let got = ref [] in
-              S.affected st r (fun q -> got := q.CQ.qid :: !got);
-              let want =
-                CJ.reference table queries r |> List.map fst |> List.sort_uniq compare
-              in
-              List.sort compare !got = want)
-            events)
-        composite_strategies)
-
-let test_composite_churn () =
-  let table, _ = make_s_table [ (1.0, 5.0); (3.0, 12.0); (5.0, 5.0) ] in
-  let q0 = CQ.make ~qid:0 ~band:(I.make (-2.0) 2.0) ~range_a:(I.make 0.0 10.0) ~range_c:(I.make 0.0 10.0) in
-  let q1 = CQ.make ~qid:1 ~band:(I.make (-1.0) 1.0) ~range_a:(I.make 5.0 15.0) ~range_c:(I.make 10.0 20.0) in
-  List.iter
-    (fun (module S : CJ.STRATEGY) ->
-      let st = S.create table [| q0 |] in
-      S.insert_query st q1;
-      let r = { Tuple.rid = 0; a = 7.0; b = 3.0 } in
-      let want = CJ.reference table [| q0; q1 |] r in
-      Alcotest.(check (list (pair int int))) (S.name ^ " after insert") want
-        (composite_results (module S) st r);
-      Alcotest.(check bool) (S.name ^ " delete") true (S.delete_query st q0);
-      let want = CJ.reference table [| q1 |] r in
-      Alcotest.(check (list (pair int int))) (S.name ^ " after delete") want
-        (composite_results (module S) st r);
-      Alcotest.(check int) (S.name ^ " count") 1 (S.query_count st))
-    composite_strategies
-
 (* ------------------------ Shared-core processors ----------------------- *)
 
 (* Both processors out of the shared processor core — Hotspot at
@@ -484,9 +398,6 @@ end
 
 let band_processors : (module BAND_AUDITED) list = [ (module Hot (BJ.Hotspot)); (module BJ.Ssi) ]
 let select_processors : (module SJ.STRATEGY) list = [ (module Hot (SJ.Hotspot)); (module SJ.Ssi) ]
-
-let composite_processors : (module CJ.STRATEGY) list =
-  [ (module Hot (CJ.Hotspot)); (module CJ.Ssi) ]
 
 let prop_band_processors_match =
   QCheck2.Test.make ~name:"band processors: match brute force" ~count:100
@@ -524,24 +435,6 @@ let prop_select_processors_match =
               || QCheck2.Test.fail_reportf "%s diverges from the oracle" P.name)
             events)
         select_processors)
-
-let prop_composite_processors_match =
-  QCheck2.Test.make ~name:"composite processors: match brute force" ~count:100 composite_gen
-    (fun (s_tuples, specs, events) ->
-      let table, _ = make_s_table s_tuples in
-      let queries = make_composites specs in
-      let events = make_r_events events in
-      List.for_all
-        (fun (module P : CJ.STRATEGY) ->
-          let st = P.create table queries in
-          List.for_all
-            (fun r ->
-              let acc = ref [] in
-              P.process_r st r (fun q s -> acc := (q.CQ.qid, s.Tuple.sid) :: !acc);
-              List.sort compare !acc = CJ.reference table queries r
-              || QCheck2.Test.fail_reportf "%s diverges from the oracle" P.name)
-            events)
-        composite_processors)
 
 let prop_band_processors_churn =
   (* Query churn exercises the remove paths: delete every other query
@@ -803,17 +696,10 @@ let () =
           Alcotest.test_case "anchor duplicates" `Quick test_select_rect_contains_anchor_line;
           Alcotest.test_case "adaptive routing" `Quick test_adaptive_routes_both_ways;
         ] );
-      ( "composite",
-        [
-          qc prop_composite_strategies_agree;
-          qc prop_composite_affected;
-          Alcotest.test_case "query churn" `Quick test_composite_churn;
-        ] );
       ( "processor",
         [
           qc prop_band_processors_match;
           qc prop_select_processors_match;
-          qc prop_composite_processors_match;
           qc prop_band_processors_churn;
           qc prop_band_scattered_sweep;
           qc prop_band_unbounded_windows;

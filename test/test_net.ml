@@ -266,6 +266,31 @@ let test_sixty_four_sessions () =
       Alcotest.(check int) "latency sample per batch" 96
         (Array.length o.Driver.latencies_ns)
 
+(* Lockstep drains each batch before the next is sent, so a queue that
+   holds one batch's RESULTS frames never overflows, however many
+   batches the run has: 2 sessions x 30 queries over 100 batches of 16
+   rows stay within a 256-frame queue.  Without the per-batch drain the
+   frames of several batches pile up and this drops rows, a different
+   number each run. *)
+let test_lockstep_never_drops () =
+  let w =
+    Driver.gen_workload ~seed:1 ~sessions:2 ~queries_per_session:30 ~batches:100
+      ~rows_per_batch:16
+  in
+  let run () =
+    match Driver.run_workload ~session_queue:256 w with
+    | Error e -> Alcotest.failf "run failed: %s" (Client.error_to_string e)
+    | Ok o ->
+        Alcotest.(check int) "no overload notices" 0 (List.length o.Driver.overloads);
+        Alcotest.(check int) "no overload frames" 0 o.Driver.server.Server.net_overloads;
+        Alcotest.(check int) "no rows dropped" 0 o.Driver.server.Server.net_results_dropped;
+        o.Driver.results
+  in
+  let first = run () in
+  Alcotest.(check bool) "results flowed" true
+    (Array.exists (fun frames -> Array.length frames > 0) first);
+  Alcotest.(check bool) "identical streams over two runs" true (first = run ())
+
 (* ------------------------- slow-reader backpressure --------------------- *)
 
 (* Step-driven: the server runs in THIS domain via [Server.step], the
@@ -666,6 +691,8 @@ let () =
           Alcotest.test_case "fuzz: garbage never hangs the server" `Quick
             test_fuzz_live_server;
           Alcotest.test_case "64 concurrent sessions" `Quick test_sixty_four_sessions;
+          Alcotest.test_case "lockstep: no drops at a 256-frame queue" `Quick
+            test_lockstep_never_drops;
           Alcotest.test_case "slow reader: bounded queues + OVERLOAD" `Quick
             test_slow_reader_bounded;
           Alcotest.test_case "handshake: HELLO first, exactly once" `Quick

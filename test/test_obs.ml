@@ -396,7 +396,7 @@ let test_band_join_acceptance () =
    run with metrics off and then on, must deliver the identical
    (qid, rid, sid) sequence, and with metrics on every ingested row
    must leave exactly one fanout sample per join processor, through
-   single-tuple inserts and staged batches alike. *)
+   single-tuple inserts and 8-row batches alike. *)
 let test_metrics_on_matches_off () =
   let module E = Cq_engine.Engine in
   let module Rng = Cq_util.Rng in

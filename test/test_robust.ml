@@ -55,11 +55,14 @@ let test_fuzz_engine () =
   check_outcome (Oracle.diff (Fault.gen_engine ~seed:3 ~n:400) Reference Seq_rows Same)
 
 let test_fuzz_batch () =
-  (* Staged batches against one-row batches over 100+ seeds. *)
+  (* Whole batches against one-row batches over 100+ seeds: the same
+     multisets and delivered counts, and with one session [Same_stream]
+     also holds the global delivery order row by row. *)
   List.iter
     (fun seed ->
-      check_outcome
-        (Oracle.diff (Fault.gen_uniform ~churn:true ~seed ~n:200 ()) Seq_rows Seq_batch Same))
+      let w = Fault.gen_uniform ~churn:true ~seed ~n:200 () in
+      check_outcome (Oracle.diff w Seq_rows Seq_batch Same);
+      check_outcome (Oracle.diff w Seq_rows Seq_batch Same_stream))
     (seeds 110)
 
 let test_fuzz_parallel () =
