@@ -341,9 +341,82 @@ let ingest_run () =
     ~header:[ "scenario"; "path"; "minor w/op"; "promoted w/op"; "p50"; "p99" ]
     ~rows
 
+(* ------------------------------------------------------------------ *)
+(* Served fan-out allocation                                           *)
+(*                                                                     *)
+(* Minor words per result row for a session's output path: encoding    *)
+(* rows in place ([record_result]), closing the flush ([end_flush])    *)
+(* and writing ([write_step]) into a socketpair that is drained        *)
+(* between rounds, outside the measurement.  Runs of 1-3 rows per qid  *)
+(* give the served workload's short RESULTS frames.                    *)
+(* ------------------------------------------------------------------ *)
+
+module Session = Cq_net.Session
+
+let fanout_rows = 1024
+
+let serve_fanout_allocs_per_result () =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+  @@ fun () ->
+  Unix.set_nonblock a;
+  Unix.set_nonblock b;
+  let s = Session.create ~sid:1 ~fd:a ~queue_cap:4096 ~max_frame:Cq_net.Frame.default_max_frame in
+  let rng = Cq_util.Rng.create 5 in
+  let qids = Array.make fanout_rows 0 in
+  let i = ref 0 and q = ref 0 in
+  while !i < fanout_rows do
+    let run = 1 + Cq_util.Rng.int rng 3 in
+    for j = !i to min fanout_rows (!i + run) - 1 do
+      qids.(j) <- !q
+    done;
+    i := !i + run;
+    q := (!q + 1) mod 64
+  done;
+  let rs = Array.init fanout_rows (fun i -> { Cq_relation.Tuple.rid = i; a = float_of_int i; b = 0.5 }) in
+  let ss = Array.init fanout_rows (fun i -> { Cq_relation.Tuple.sid = i; b = 1.5; c = float_of_int (-i) }) in
+  let rbuf = Bytes.create 65536 in
+  let rec drain () =
+    match Unix.read b rbuf 0 (Bytes.length rbuf) with
+    | 0 -> ()
+    | _ -> drain ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  let words = ref 0.0 in
+  let round ~measure =
+    let w0 = Gc.minor_words () in
+    for i = 0 to fanout_rows - 1 do
+      Session.record_result s ~qid:qids.(i) rs.(i) ss.(i)
+    done;
+    ignore (Session.end_flush s);
+    ignore (Session.write_step s);
+    if measure then words := !words +. (Gc.minor_words () -. w0);
+    while Session.wants_write s do
+      drain ();
+      ignore (Session.write_step s)
+    done;
+    drain ()
+  in
+  for _ = 1 to 8 do
+    round ~measure:false
+  done;
+  let rounds = 64 in
+  for _ = 1 to rounds do
+    round ~measure:true
+  done;
+  !words /. float_of_int (rounds * fanout_rows)
+
+let fanout_run () =
+  let w = serve_fanout_allocs_per_result () in
+  Report.record_metric "serve_fanout_allocs_per_result" w "minor_words_per_result";
+  Report.note "served fan-out (record_result + end_flush + write_step): %.3f minor words/result" w
+
 let run () =
   Report.section "micro" "Bechamel micro-benchmarks (ns per op, OLS on monotonic clock)";
   ingest_run ();
+  fanout_run ();
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instance = Toolkit.Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in

@@ -51,7 +51,9 @@ type spec =
   | Select of { range_a : I.t; range_c : I.t }
 
 type subscription = { sub_qid : int }
-type reg = { rg_spec : spec; rg_cb : Tuple.r -> Tuple.s -> unit }
+
+(* The callback slot of a qid that has none. *)
+let no_cb : Tuple.r -> Tuple.s -> unit = fun _ _ -> ()
 
 (* What a shard reports at every barrier: its drained result buffer
    plus the stats/snapshot block, captured on the shard's own domain
@@ -133,7 +135,10 @@ type impl = Seq of shard_eng | Par of par
 type t = {
   cfg : E.Config.t;
   impl : impl;
-  regs : (int, reg) Hashtbl.t;  (* qid -> full query definition *)
+  regs : (int, spec) Hashtbl.t;  (* qid -> full query definition *)
+  (* qid -> callback, [no_cb] once unsubscribed: delivery looks results
+     up here without allocating. *)
+  mutable cbs : (Tuple.r -> Tuple.s -> unit) array;
   mutable next_qid : int;
   mutable next_seq : int;
   mutable total_delivered : int;
@@ -302,6 +307,7 @@ let try_create_cfg (cfg : E.Config.t) =
           cfg;
           impl;
           regs = Hashtbl.create 64;
+          cbs = [||];
           next_qid = 0;
           next_seq = 0;
           total_delivered = 0;
@@ -392,16 +398,23 @@ let send t spec cmd =
    strip's shard.  O(1) beyond the engine's own subscribe. *)
 let add_query t spec cb =
   let qid = fresh_qid t in
-  Hashtbl.replace t.regs qid { rg_spec = spec; rg_cb = cb };
+  Hashtbl.replace t.regs qid spec;
+  if qid >= Array.length t.cbs then begin
+    let grown = Array.make (2 * (qid + 1)) no_cb in
+    Array.blit t.cbs 0 grown 0 (Array.length t.cbs);
+    t.cbs <- grown
+  end;
+  t.cbs.(qid) <- cb;
   send t spec (sub_cmd qid spec);
   { sub_qid = qid }
 
 let remove_query t qid =
   match Hashtbl.find_opt t.regs qid with
   | None -> false
-  | Some rg ->
+  | Some spec ->
       Hashtbl.remove t.regs qid;
-      send t rg.rg_spec (Unsub { qid });
+      t.cbs.(qid) <- no_cb;
+      send t spec (Unsub { qid });
       true
 
 let try_subscribe_band t ~range cb =
@@ -429,12 +442,12 @@ let unsubscribe t sub =
 
 let band_query_count t =
   Hashtbl.fold
-    (fun _ rg acc -> match rg.rg_spec with Band _ -> acc + 1 | Select _ -> acc)
+    (fun _ spec acc -> match spec with Band _ -> acc + 1 | Select _ -> acc)
     t.regs 0
 
 let select_query_count t =
   Hashtbl.fold
-    (fun _ rg acc -> match rg.rg_spec with Select _ -> acc + 1 | Band _ -> acc)
+    (fun _ spec acc -> match spec with Select _ -> acc + 1 | Band _ -> acc)
     t.regs 0
 
 (* ------------------------------ ingest --------------------------------- *)
@@ -606,25 +619,33 @@ let protected cb r s =
   with exn ->
     Log.warn (fun m -> m "subscriber callback raised %s" (Printexc.to_string exn))
 
-(* Results of a query unsubscribed since its shard produced them are
-   discarded here, before anything counts them as delivered. *)
+(* Deliver [results] in list order.  Results of a query unsubscribed
+   since its shard produced them are discarded here, before anything
+   counts them as delivered. *)
 let deliver t results =
   let n = ref 0 in
   List.iter
     (fun tg ->
-      match Hashtbl.find_opt t.regs tg.qid with
-      | Some rg ->
-          protected rg.rg_cb tg.r tg.s;
-          incr n;
-          (match t.impl with
-          | Par p ->
-              let st = p.shard_states.(tg.shard) in
-              st.delivered <- st.delivered + 1
-          | Seq _ -> ())
-      | None -> ())
-    (List.sort compare_tagged results);
+      let cb = t.cbs.(tg.qid) in
+      if cb != no_cb then begin
+        protected cb tg.r tg.s;
+        incr n;
+        match t.impl with
+        | Par p ->
+            let st = p.shard_states.(tg.shard) in
+            st.delivered <- st.delivered + 1
+        | Seq _ -> ()
+      end)
+    results;
   t.total_delivered <- t.total_delivered + !n;
   !n
+
+(* A one-shard buffer is newest first in (seq, idx) order, so its
+   reverse is the merge order. *)
+let deliver_seq t se =
+  let results = se.buf in
+  se.buf <- [];
+  deliver t (List.rev results)
 
 (* Run one barrier command (Flush or Check) through every shard and
    wait for all acks before looking at any error — a poisoned shard
@@ -664,7 +685,7 @@ let sync ?(cmd = Flush) t =
   | Seq se ->
       apply se cmd;
       let ack = take_ack se in
-      ([ ack ], deliver t ack.a_results)
+      ([ ack ], deliver t (List.rev ack.a_results))
   | Par p ->
       let acks = barrier p cmd in
       (* Every shard has drained its queue past our Ingest commands
@@ -678,7 +699,7 @@ let sync ?(cmd = Flush) t =
             match ack with Some a -> List.rev_append a.a_results acc | None -> acc)
           [] acks
       in
-      let n = deliver t all in
+      let n = deliver t (List.sort compare_tagged all) in
       Array.iter
         (fun (st, ack, _) ->
           match ack with
@@ -704,10 +725,11 @@ let sync ?(cmd = Flush) t =
       end;
       (Array.to_list (Array.map (fun (_, ack, _) -> ack) acks) |> List.filter_map Fun.id, n)
 
+(* A one-shard flush skips the barrier ack: nothing reads its stats. *)
 let flush t =
   ensure_live t;
   let t0 = Metrics.stamp () in
-  let _, n = sync t in
+  let n = match t.impl with Seq se -> deliver_seq t se | Par _ -> snd (sync t) in
   Metrics.observe_since m_merge_ns t0;
   if t.cfg.overload = E.Config.Shed then Metrics.observe_since m_degraded_flush_ns t0;
   n
@@ -827,8 +849,8 @@ let check_invariants t =
      to it. *)
   let expected = Array.make t.cfg.shards 0 in
   Hashtbl.iter
-    (fun _ rg ->
-      let sh = shard_of t rg.rg_spec in
+    (fun _ spec ->
+      let sh = shard_of t spec in
       expected.(sh) <- expected.(sh) + 1)
     t.regs;
   List.iteri

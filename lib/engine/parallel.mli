@@ -48,9 +48,12 @@
     {2 Fallback and caveats}
 
     With [shards = 1] no domains are spawned: commands execute inline
-    on a sequential {!Engine.t}, through the same command handler and
-    barrier ack a shard worker uses, so delivery is buffered exactly as
-    with shards.  Deletions and retraction callbacks are not yet routed
+    on a sequential {!Engine.t}, through the same command handler a
+    shard worker uses, so delivery is buffered exactly as with shards.
+    One shard's buffer is already in [(seq, idx)] order, so {!flush}
+    delivers it reversed, with no sort, and builds no barrier ack (the
+    stats and snapshot block); {!stats}, {!shard_loads}, the shed
+    reports and {!check_invariants} still build one.  Deletions and retraction callbacks are not yet routed
     through the parallel API (use the sequential engine); observability
     recording from worker domains is best-effort (concurrent counter
     increments may be lost — the switches are off by default).

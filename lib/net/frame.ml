@@ -199,6 +199,24 @@ let encode_server buf = function
       Buffer.add_string buf msg
   | Goodbye -> add_header buf tag_goodbye 0
 
+let frame_bytes buf pos = 5 + Int32.to_int (Bytes.get_int32_be buf (pos + 1))
+
+(* In-place RESULTS encoding: the same bytes [encode_server] writes. *)
+let results_header_bytes = 13
+let results_row_bytes = 32
+
+let put_results_header buf pos ~qid ~rows =
+  Bytes.set_uint8 buf pos tag_results;
+  Bytes.set_int32_be buf (pos + 1) (Int32.of_int (8 + (results_row_bytes * rows)));
+  Bytes.set_int32_be buf (pos + 5) (Int32.of_int qid);
+  Bytes.set_int32_be buf (pos + 9) (Int32.of_int rows)
+
+let put_results_row buf pos (r : Cq_relation.Tuple.r) (s : Cq_relation.Tuple.s) =
+  Bytes.set_int64_be buf pos (Int64.bits_of_float r.a);
+  Bytes.set_int64_be buf (pos + 8) (Int64.bits_of_float r.b);
+  Bytes.set_int64_be buf (pos + 16) (Int64.bits_of_float s.b);
+  Bytes.set_int64_be buf (pos + 24) (Int64.bits_of_float s.c)
+
 (* ------------------------------ decoding ------------------------------- *)
 
 module Decoder = struct

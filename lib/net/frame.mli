@@ -104,6 +104,27 @@ val encode_client : Buffer.t -> client_frame -> unit
 
 val encode_server : Buffer.t -> server_frame -> unit
 
+val frame_bytes : bytes -> int -> int
+(** [frame_bytes b pos] is the whole wire length (header + body) of
+    the frame whose header starts at [pos]. *)
+
+(** {2 In-place RESULTS encoding}
+
+    For a writer that encodes result rows straight into its output
+    buffer: a [Results] frame of [n] rows is a
+    {!results_header_bytes}-byte header followed by [n] rows of
+    {!results_row_bytes} bytes, byte for byte what {!encode_server}
+    writes. *)
+
+val results_header_bytes : int
+val results_row_bytes : int
+
+val put_results_header : bytes -> int -> qid:int -> rows:int -> unit
+(** Write the header of a [Results] frame of [rows] rows at [pos]. *)
+
+val put_results_row : bytes -> int -> Cq_relation.Tuple.r -> Cq_relation.Tuple.s -> unit
+(** Write one row [(r.a, r.b, s.b, s.c)] at [pos]. *)
+
 (** Incremental frame decoder over a growable internal buffer.  One
     decoder per direction per connection; a decode failure is sticky —
     after a [Broken] answer every further [next_*] repeats it, because

@@ -15,6 +15,12 @@ let m_results_dropped = Metrics.counter "net.results.dropped"
 let m_overloads = Metrics.counter "net.overload.frames"
 let m_proto_errors = Metrics.counter "net.proto_errors"
 
+(* Served-batch stages 8 and 9, one sample per step: closing every
+   session's flush (frames, counts, OVERLOAD and FLUSHED), and the
+   session writes. *)
+let m_fanout_ns = Metrics.histogram "net.fanout_ns"
+let m_write_ns = Metrics.histogram "net.write_ns"
+
 (* Fixed kernel socket-buffer size (bytes) for accepted connections;
    see the rationale at the [accept_loop] call site. *)
 let sock_buf_bytes = 256 * 1024
@@ -62,7 +68,8 @@ type t = {
   stop_w : Unix.file_descr;
   mutable stopping : bool;
   mutable torn_down : bool;
-  sessions : (int, Session.t) Hashtbl.t;
+  (* Live sessions in sid order: accept appends, close removes. *)
+  mutable sessions : Session.t list;
   mutable next_sid : int;
   mutable next_qid : int;
   subs : (int, sub_entry) Hashtbl.t;
@@ -77,6 +84,10 @@ type t = {
   mutable overloads_sent : int;
   mutable proto_errors : int;
   mutable flushes : int;
+  (* Write and frame counts of closed sessions; [stats] adds the live
+     ones. *)
+  mutable retired_writes : int;
+  mutable retired_frames_out : int;
 }
 
 type stats = {
@@ -87,29 +98,34 @@ type stats = {
   net_overloads : int;
   net_proto_errors : int;
   net_flushes : int;
+  net_writes : int;
+  net_frames_out : int;
 }
 
 let stats t =
+  let live f = List.fold_left (fun n s -> n + f s) 0 t.sessions in
   {
     net_accepts = t.accepts;
-    net_active = Hashtbl.length t.sessions;
+    net_active = List.length t.sessions;
     net_results_delivered = t.results_delivered;
     net_results_dropped = t.results_dropped;
     net_overloads = t.overloads_sent;
     net_proto_errors = t.proto_errors;
     net_flushes = t.flushes;
+    net_writes = t.retired_writes + live Session.writes;
+    net_frames_out = t.retired_frames_out + live Session.frames_out;
   }
 
 let pp_stats fmt s =
   Format.fprintf fmt
     "@[<v>accepts              %d@,active sessions      %d@,results delivered    %d@,results \
      dropped      %d@,overload frames      %d@,protocol errors      %d@,flushes              \
-     %d@]"
+     %d@,frames out           %d@,writes               %d@]"
     s.net_accepts s.net_active s.net_results_delivered s.net_results_dropped s.net_overloads
-    s.net_proto_errors s.net_flushes
+    s.net_proto_errors s.net_flushes s.net_frames_out s.net_writes
 
 let port t = t.port
-let active_sessions t = Hashtbl.length t.sessions
+let active_sessions t = List.length t.sessions
 
 let try_create ?(config = default_config) ~addr () =
   let ( let* ) = Result.bind in
@@ -170,7 +186,7 @@ let try_create ?(config = default_config) ~addr () =
           stop_w;
           stopping = false;
           torn_down = false;
-          sessions = Hashtbl.create 64;
+          sessions = [];
           next_sid = 1;
           next_qid = 1;
           subs = Hashtbl.create 64;
@@ -183,11 +199,18 @@ let try_create ?(config = default_config) ~addr () =
           overloads_sent = 0;
           proto_errors = 0;
           flushes = 0;
+          retired_writes = 0;
+          retired_frames_out = 0;
         }
 
 let create ?config ~addr () = Error.ok_exn (try_create ?config ~addr ())
 
 (* ------------------------- session lifecycle --------------------------- *)
+
+let retire t s =
+  Session.close_fd s;
+  t.retired_writes <- t.retired_writes + Session.writes s;
+  t.retired_frames_out <- t.retired_frames_out + Session.frames_out s
 
 let close_session t s =
   if not (Session.closed s) then begin
@@ -199,14 +222,10 @@ let close_session t s =
             Hashtbl.remove t.subs qid
         | None -> ())
       (Session.qids s);
-    Session.close_fd s;
-    Hashtbl.remove t.sessions (Session.sid s);
-    Metrics.set m_active (float_of_int (Hashtbl.length t.sessions))
+    retire t s;
+    t.sessions <- List.filter (fun o -> o != s) t.sessions;
+    Metrics.set m_active (float_of_int (List.length t.sessions))
   end
-
-let sorted_sessions t =
-  let all = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
-  List.sort (fun a b -> Int.compare (Session.sid a) (Session.sid b)) all
 
 let send_ctrl t s frame =
   if not (Session.enqueue_ctrl s frame) then
@@ -258,7 +277,7 @@ let accept_loop t =
            Unix.setsockopt_int fd Unix.SO_SNDBUF sock_buf_bytes;
            Unix.setsockopt_int fd Unix.SO_RCVBUF sock_buf_bytes
          with Unix.Unix_error (_, _, _) -> ());
-        if Hashtbl.length t.sessions >= t.cfg.max_sessions then begin
+        if List.length t.sessions >= t.cfg.max_sessions then begin
           (* Best-effort refusal; the fd is non-blocking, a lost byte
              just looks like a reset to the peer. *)
           let buf = Buffer.create 64 in
@@ -278,8 +297,9 @@ let accept_loop t =
             Session.create ~sid ~fd ~queue_cap:t.cfg.session_queue
               ~max_frame:t.cfg.max_frame
           in
-          Hashtbl.replace t.sessions sid s;
-          Metrics.set m_active (float_of_int (Hashtbl.length t.sessions))
+          (* Sids grow, so appending keeps the list in sid order. *)
+          t.sessions <- t.sessions @ [ s ];
+          Metrics.set m_active (float_of_int (List.length t.sessions))
         end
   done
 
@@ -333,9 +353,7 @@ let handle_frame t s (frame : Frame.client_frame) =
           (Frame.Err { code = Frame.Err_bad_request; message = "band range needs lo <= hi, no NaN" })
       else
         register t s ~subscribe:(fun qid ->
-            Par.try_subscribe_band t.par ~range:(I.make lo hi) (fun r sv ->
-                Session.record_result s ~qid ~ra:r.Cq_relation.Tuple.a ~rb:r.Cq_relation.Tuple.b
-                  ~sb:sv.Cq_relation.Tuple.b ~sc:sv.Cq_relation.Tuple.c))
+            Par.try_subscribe_band t.par ~range:(I.make lo hi) (Session.record_result s ~qid))
   | Frame.Register_select { a_lo; a_hi; c_lo; c_hi } ->
       if not (valid_range a_lo a_hi && valid_range c_lo c_hi) then
         send_ctrl t s
@@ -344,9 +362,7 @@ let handle_frame t s (frame : Frame.client_frame) =
       else
         register t s ~subscribe:(fun qid ->
             Par.try_subscribe_select t.par ~range_a:(I.make a_lo a_hi)
-              ~range_c:(I.make c_lo c_hi) (fun r sv ->
-                Session.record_result s ~qid ~ra:r.Cq_relation.Tuple.a ~rb:r.Cq_relation.Tuple.b
-                  ~sb:sv.Cq_relation.Tuple.b ~sc:sv.Cq_relation.Tuple.c))
+              ~range_c:(I.make c_lo c_hi) (Session.record_result s ~qid))
   | Frame.Drop { qid } -> (
       match Hashtbl.find_opt t.subs qid with
       | Some { sub; owner } when owner = Session.sid s ->
@@ -420,47 +436,43 @@ let handle_readable t s =
 
 (* ------------------------------- flush --------------------------------- *)
 
+(* The flush's callbacks encode each result row into its session's
+   result FIFO ([Session.record_result]); closing the flush per session
+   then accounts the rows and queues the OVERLOAD and FLUSHED notices. *)
 let do_flush t =
   ignore (Par.flush t.par);
   t.flushes <- t.flushes + 1;
   (* The barrier unsealed the decode-buffer roots; release them. *)
   t.inflight <- [];
   t.dirty <- false;
+  let t0 = Metrics.stamp () in
   List.iter
     (fun s ->
       if not (Session.closed s) then begin
-        let delivered = ref 0 in
-        List.iter
-          (fun (qid, rows) ->
-            let n = Array.length rows in
-            if Session.enqueue_result_frame s (Frame.Results { qid; rows }) then begin
-              delivered := !delivered + n;
-              t.results_delivered <- t.results_delivered + n;
-              Metrics.add m_results_delivered n;
-              Session.count_results_sent s n
-            end
-            else begin
-              Session.note_dropped s n;
-              t.results_dropped <- t.results_dropped + n;
-              Metrics.add m_results_dropped n
-            end)
-          (Session.take_pending s);
+        let before = Session.dropped_rows s in
+        let delivered = Session.end_flush s in
+        let dropped = Session.dropped_rows s - before in
+        t.results_delivered <- t.results_delivered + delivered;
+        Metrics.add m_results_delivered delivered;
+        t.results_dropped <- t.results_dropped + dropped;
+        Metrics.add m_results_dropped dropped;
         maybe_notify_overload t s;
         if Session.flush_requested s then begin
           Session.clear_flush_request s;
-          Session.set_flush_ack s !delivered
+          Session.set_flush_ack s delivered
         end;
         ignore (Session.try_send_flush_ack s)
       end)
-    (sorted_sessions t)
+    t.sessions;
+  Metrics.observe_since m_fanout_ns t0
 
 (* ------------------------------- the tick ------------------------------ *)
 
 let step t ~timeout =
-  let sessions = sorted_sessions t in
+  let sessions = t.sessions in
   let reads =
     t.stop_r
-    :: (if t.stopping || Hashtbl.length t.sessions >= t.cfg.max_sessions + 8 then [] else [ t.listen_fd ])
+    :: (if t.stopping || List.length t.sessions >= t.cfg.max_sessions + 8 then [] else [ t.listen_fd ])
     @ List.filter_map
         (fun s ->
           if Session.closing s || Session.closed s || Session.throttled s then None
@@ -496,11 +508,11 @@ let step t ~timeout =
         handled := !handled + (Session.frames_in s - before)
       end)
     sessions;
-  if t.dirty || List.exists (fun s -> Session.flush_requested s) (sorted_sessions t) then
-    do_flush t;
+  if t.dirty || List.exists (fun s -> Session.flush_requested s) t.sessions then do_flush t;
   (* Opportunistic writes: sockets are non-blocking, so attempting
      every session with queued output costs at most one EWOULDBLOCK;
      the select write-set exists to wake the loop, not to gate this. *)
+  let t0 = Metrics.stamp () in
   List.iter
     (fun s ->
       if not (Session.closed s) then begin
@@ -514,12 +526,13 @@ let step t ~timeout =
           if Session.closing s && not (Session.wants_write s) then close_session t s
         end
       end)
-    (sorted_sessions t);
+    t.sessions;
+  Metrics.observe_since m_write_ns t0;
   !handled
 
 let debug_dump t =
   let b = Buffer.create 256 in
-  Buffer.add_string b (Printf.sprintf "sessions=%d dirty=%b\n" (Hashtbl.length t.sessions) t.dirty);
+  Buffer.add_string b (Printf.sprintf "sessions=%d dirty=%b\n" (List.length t.sessions) t.dirty);
   List.iter
     (fun s ->
       Buffer.add_string b
@@ -528,7 +541,7 @@ let debug_dump t =
            (Session.sid s) (Session.throttled s) (Session.out_depth s)
            (Session.wants_write s) (Session.closing s) (Session.flush_requested s)
            (Session.flush_ack_due s) (Session.dropped_rows s) (Session.results_sent s)))
-    (sorted_sessions t);
+    t.sessions;
   Buffer.contents b
 
 let stop t =
@@ -540,8 +553,8 @@ let stop t =
 let teardown t =
   if not t.torn_down then begin
     t.torn_down <- true;
-    List.iter (fun s -> Session.close_fd s) (sorted_sessions t);
-    Hashtbl.reset t.sessions;
+    List.iter (retire t) t.sessions;
+    t.sessions <- [];
     Hashtbl.reset t.subs;
     (try Unix.close t.listen_fd with Unix.Unix_error (_, _, _) -> ());
     (try Unix.close t.stop_r with Unix.Unix_error (_, _, _) -> ());

@@ -28,7 +28,9 @@ type config = {
           At most 1000: [Unix.select] cannot watch fds past FD_SETSIZE
           (1024), so {!try_create} refuses configs whose sessions could
           push a watched fd over it. *)
-  session_queue : int;  (** Bounded result-queue capacity per session, in frames. *)
+  session_queue : int;
+      (** Bounded result-queue capacity per session, in frames not yet
+          wholly written. *)
   max_frame : int;  (** Per-session decoder body cap, bytes. *)
 }
 
@@ -84,6 +86,8 @@ type stats = {
   net_overloads : int;  (** OVERLOAD frames sent (both sources). *)
   net_proto_errors : int;
   net_flushes : int;
+  net_writes : int;  (** Socket write calls that moved bytes, all sessions. *)
+  net_frames_out : int;  (** Frames queued for the wire, all sessions. *)
 }
 
 val stats : t -> stats
