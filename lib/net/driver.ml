@@ -10,7 +10,12 @@ type query_spec =
   | Band of { lo : float; hi : float }
   | Select of { a_lo : float; a_hi : float; c_lo : float; c_hi : float }
 
-type batch_spec = { owner : int; side : Frame.side; rows : (float * float) array }
+type batch_spec = {
+  owner : int;
+  side : Frame.side;
+  rows : (float * float) array;
+  joins : (int * query_spec) list;
+}
 
 type workload = {
   seed : int;
@@ -45,7 +50,7 @@ let gen_workload ~seed ~sessions ~queries_per_session ~batches ~rows_per_batch =
           Array.init rows_per_batch (fun _ ->
               (Rng.float rng *. 1000.0, Rng.float rng *. 1000.0))
         in
-        { owner; side; rows })
+        { owner; side; rows; joins = [] })
   in
   { seed; sessions; queries; batches }
 
@@ -168,18 +173,9 @@ let stop_backend = function
       Server.stop srv;
       Some (Domain.join d)
 
-let register_queries clients (w : workload) =
-  Array.mapi
-    (fun i specs ->
-      let c = clients.(i) in
-      Array.map
-        (fun spec ->
-          match spec with
-          | Band { lo; hi } -> ok_or_bail (Client.register_band c ~lo ~hi)
-          | Select { a_lo; a_hi; c_lo; c_hi } ->
-              ok_or_bail (Client.register_select c ~a_lo ~a_hi ~c_lo ~c_hi))
-        specs)
-    w.queries
+let register c = function
+  | Band { lo; hi } -> ok_or_bail (Client.register_band c ~lo ~hi)
+  | Select { a_lo; a_hi; c_lo; c_hi } -> ok_or_bail (Client.register_select c ~a_lo ~a_hi ~c_lo ~c_hi)
 
 let run_workload ?(engine = Engine.Config.default) ?(session_queue = 4096) (w : workload) =
   let config = { Server.default_config with engine; session_queue } in
@@ -195,7 +191,8 @@ let run_workload ?(engine = Engine.Config.default) ?(session_queue = 4096) (w : 
               clients := c :: !clients;
               c)
         in
-        let qids = register_queries cs w in
+        let qids = Array.mapi (fun i specs -> Array.map (register cs.(i)) specs) w.queries in
+        let joined = Array.make w.sessions [] in
         let latencies = Array.make (Array.length w.batches) 0.0 in
         let overloads = ref [] in
         Array.iteri
@@ -213,8 +210,10 @@ let run_workload ?(engine = Engine.Config.default) ?(session_queue = 4096) (w : 
                barrier: once every session's arrives, each RESULTS
                frame of this batch has been stashed and the session
                queues are empty before the next batch is sent. *)
-            Array.iter (fun c -> ignore (ok_or_bail (Client.flush c))) cs)
+            Array.iter (fun c -> ignore (ok_or_bail (Client.flush c))) cs;
+            List.iter (fun (s, spec) -> joined.(s) <- register cs.(s) spec :: joined.(s)) b.joins)
           w.batches;
+        let qids = Array.mapi (fun i q -> Array.append q (Array.of_list (List.rev joined.(i)))) qids in
         let results = Array.map (fun c -> Array.of_list (Client.take_results c)) cs in
         Array.iter
           (fun c ->

@@ -936,12 +936,14 @@ let test_serve_oracle_sweep () =
      which [run_workload]'s fork attempt permanently fails and every
      later server runs on the domain fallback — both backends get
      covered.  Bulk of the sweep at shards=1 (this box has one core);
-     the tail re-checks the multi-shard merge path. *)
+     the tail re-checks the multi-shard merge path.  Even seeds churn:
+     their late subscriptions join the served run between batches. *)
   let failures = ref [] in
   let serve ~sessions ~shards ~n seed =
     let o =
-      Oracle.diff (Fault.gen_uniform ~seed ~n ()) (Served { sessions; shards }) (Par shards)
-        Same_stream
+      Oracle.diff
+        (Fault.gen_uniform ~churn:(seed mod 2 = 0) ~seed ~n ())
+        (Served { sessions; shards }) (Par shards) Same_stream
     in
     if not (Oracle.passed o) then failures := o :: !failures
   in
