@@ -73,9 +73,6 @@ type t = {
   mutable next_sid : int;
   mutable next_qid : int;
   subs : (int, sub_entry) Hashtbl.t;
-  (* Batches queued to the engine alias their decode buffers until the
-     next flush barrier unseals them; hold the roots until then. *)
-  mutable inflight : Cq_relation.Batch.t list;
   mutable dirty : bool;
   rbuf : Bytes.t;
   mutable accepts : int;
@@ -190,7 +187,6 @@ let try_create ?(config = default_config) ~addr () =
           next_sid = 1;
           next_qid = 1;
           subs = Hashtbl.create 64;
-          inflight = [];
           dirty = false;
           rbuf = Bytes.create 65536;
           accepts = 0;
@@ -383,7 +379,6 @@ let handle_frame t s (frame : Frame.client_frame) =
         match Par.try_ingest_batch_flat t.par engine_side rows with
         | Ok () ->
             t.dirty <- true;
-            t.inflight <- rows :: t.inflight;
             Metrics.add m_rows_in n;
             send_ctrl t s (Frame.Batch_ok { rows = n })
         | Error (Error.Overload { retry_after_ms; _ }) ->
@@ -442,8 +437,6 @@ let handle_readable t s =
 let do_flush t =
   ignore (Par.flush t.par);
   t.flushes <- t.flushes + 1;
-  (* The barrier unsealed the decode-buffer roots; release them. *)
-  t.inflight <- [];
   t.dirty <- false;
   let t0 = Metrics.stamp () in
   List.iter

@@ -115,35 +115,15 @@ let s_by_b t = t.s_b
 let s_by_bc t = t.s_bc
 let iter_s t f = Fbt.iter t.s_b (fun _ s -> f s)
 
-type r_table = {
-  r_b : Tuple.r Fbt.t;
-  r_ba : Tuple.r Pbt.t;
-}
+type r_table = { r_b : Tuple.r Fbt.t }
 
-let create_r () = { r_b = Fbt.create (); r_ba = Pbt.create () }
-
-let insert_r t (r : Tuple.r) =
-  Fbt.insert t.r_b r.b r;
-  Pbt.insert t.r_ba (r.b, r.a) r
-
-let delete_r t (r : Tuple.r) =
-  let hit = Fbt.remove_first t.r_b r.b (fun x -> Tuple.equal_r x r) in
-  if hit then ignore (Pbt.remove_first t.r_ba (r.b, r.a) (fun x -> Tuple.equal_r x r));
-  hit
+let create_r () = { r_b = Fbt.create () }
+let insert_r t (r : Tuple.r) = Fbt.insert t.r_b r.b r
+let delete_r t (r : Tuple.r) = Fbt.remove_first t.r_b r.b (fun x -> Tuple.equal_r x r)
 
 let of_r_tuples tuples =
   let by_b = Array.copy tuples in
   Array.sort (fun (a : Tuple.r) b -> Float.compare a.b b.b) by_b;
-  let by_ba = Array.copy tuples in
-  Array.sort (fun (a : Tuple.r) b -> Pkey.compare (a.b, a.a) (b.b, b.a)) by_ba;
-  {
-    r_b = Fbt.of_sorted (Array.map (fun (r : Tuple.r) -> (r.b, r)) by_b);
-    r_ba = Pbt.of_sorted (Array.map (fun (r : Tuple.r) -> ((r.b, r.a), r)) by_ba);
-  }
-
-let of_r_batch b = of_r_tuples (Batch.to_r_tuples b)
+  { r_b = Fbt.of_sorted (Array.map (fun (r : Tuple.r) -> (r.b, r)) by_b) }
 
 let r_size t = Fbt.length t.r_b
-let r_by_b t = t.r_b
-let r_by_ba t = t.r_ba
-let iter_r t f = Fbt.iter t.r_b (fun _ r -> f r)

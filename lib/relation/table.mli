@@ -1,9 +1,11 @@
 (** The database relations, indexed as the paper assumes.
 
     S(B,C) carries a B-tree on B (for band joins) and a composite
-    B-tree on (B,C) (for equality joins with local selections); R(A,B)
-    symmetrically carries B and (B,A) indexes so that S-side events can
-    be processed the same way R-side events are. *)
+    B-tree on (B,C) (for equality joins with local selections).  The
+    engine keeps R in an [s_table] too, as an S-shaped mirror (a row
+    [(a, b)] stored as [(b, c = a)]), so S-side events walk the same
+    index shapes R-side events do.  {!r_table} is a plain R(A,B) store with
+    one B-tree on B. *)
 
 module Fkey : Cq_index.Btree.ORDERED with type t = float
 
@@ -59,16 +61,6 @@ type r_table
 
 val create_r : unit -> r_table
 val of_r_tuples : Tuple.r array -> r_table
-
-val of_r_batch : Batch.t -> r_table
-(** Bulk-load from a flat batch ([x = a, y = b], ids as [rid]). *)
-
 val insert_r : r_table -> Tuple.r -> unit
 val delete_r : r_table -> Tuple.r -> bool
 val r_size : r_table -> int
-
-val r_by_b : r_table -> Tuple.r Fbt.t
-val r_by_ba : r_table -> Tuple.r Pbt.t
-(** B-tree keyed on (R.B, R.A). *)
-
-val iter_r : r_table -> (Tuple.r -> unit) -> unit
