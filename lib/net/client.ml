@@ -25,7 +25,6 @@ let error_to_string = function
   | Unexpected what -> Printf.sprintf "unexpected reply: %s" what
   | Io msg -> Printf.sprintf "io error: %s" msg
 
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 
 let close t =
   if not t.closed then begin

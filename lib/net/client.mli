@@ -21,7 +21,6 @@ type error =
   | Io of string  (** Connection-level [Unix] failure. *)
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val connect :
   ?recv_timeout:float -> ?max_frame:int -> addr:Unix.sockaddr -> unit -> (t, error) result

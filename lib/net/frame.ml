@@ -43,7 +43,6 @@ let proto_error_to_string = function
   | Truncated { buffered } ->
       Printf.sprintf "stream closed mid-frame (%d bytes buffered)" buffered
 
-let pp_proto_error fmt e = Format.pp_print_string fmt (proto_error_to_string e)
 
 let err_code_to_int = function
   | Err_proto -> 1
@@ -61,20 +60,6 @@ let err_code_of_int = function
 let overload_source_to_string = function
   | Engine_admission -> "engine"
   | Slow_session -> "session"
-
-let side_to_string = function R -> "R" | S -> "S"
-
-let pp_client_frame fmt = function
-  | Hello { version } -> Format.fprintf fmt "HELLO v%d" version
-  | Register_band { lo; hi } -> Format.fprintf fmt "REGISTER band [%g, %g]" lo hi
-  | Register_select { a_lo; a_hi; c_lo; c_hi } ->
-      Format.fprintf fmt "REGISTER select A:[%g, %g] C:[%g, %g]" a_lo a_hi c_lo c_hi
-  | Drop { qid } -> Format.fprintf fmt "DROP q%d" qid
-  | Batch { side; rows } ->
-      Format.fprintf fmt "BATCH %s %d rows" (side_to_string side) (Cq_relation.Batch.length rows)
-  | Flush -> Format.pp_print_string fmt "FLUSH"
-  | Ping { token } -> Format.fprintf fmt "PING %d" token
-  | Bye -> Format.pp_print_string fmt "BYE"
 
 let pp_server_frame fmt = function
   | Welcome { version; session_id } -> Format.fprintf fmt "WELCOME v%d sid=%d" version session_id

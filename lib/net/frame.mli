@@ -91,12 +91,10 @@ type proto_error =
 val protocol_version : int
 
 val proto_error_to_string : proto_error -> string
-val pp_proto_error : Format.formatter -> proto_error -> unit
 
 val err_code_to_int : err_code -> int
 val overload_source_to_string : overload_source -> string
 
-val pp_client_frame : Format.formatter -> client_frame -> unit
 val pp_server_frame : Format.formatter -> server_frame -> unit
 
 val encode_client : Buffer.t -> client_frame -> unit

@@ -8,13 +8,6 @@ type op =
   | Re_add of { id : int; iv : I.t }
   | Probe of float
 
-let pp_op fmt = function
-  | Add { id; iv } -> Format.fprintf fmt "add %d %s" id (I.to_string iv)
-  | Remove { id; iv } -> Format.fprintf fmt "remove %d %s" id (I.to_string iv)
-  | Remove_absent { id; iv } -> Format.fprintf fmt "remove-absent %d %s" id (I.to_string iv)
-  | Re_add { id; iv } -> Format.fprintf fmt "re-add %d %s" id (I.to_string iv)
-  | Probe x -> Format.fprintf fmt "probe %g" x
-
 (* The generator is adversarial on purpose: intervals cluster around a
    handful of hub points (so hotspot groups form, then churn), land on
    an integer-ish grid (so endpoints collide exactly), include

@@ -27,8 +27,6 @@ type op =
           a typed rejection or handle the duplicate coherently. *)
   | Probe of float  (** Compare stabbing answers against the oracle. *)
 
-val pp_op : Format.formatter -> op -> unit
-
 val gen : seed:int -> n:int -> op array
 (** [gen ~seed ~n] returns [n] operations.  [Remove] ops always target
     a live pair and the live population is capped, so the stream is
