@@ -447,12 +447,11 @@ let run_shard_demo ~seed ~shards ~events =
   let loads = Par.shard_loads t in
   Format.printf "@[<v>-- shard loads (drift demo, %d events) ----------------------@]@."
     (Array.length w.steps);
-  Format.printf "  %-6s %8s %8s %10s %7s %10s@." "shard" "queries" "groups" "max group"
-    "queue" "delivered";
+  Format.printf "  %-6s %8s %8s %10s %10s@." "shard" "queries" "groups" "max group" "delivered";
   Array.iter
     (fun (l : Par.shard_load) ->
-      Format.printf "  %-6d %8d %8d %10d %7d %10d@." l.Par.sl_shard l.Par.sl_queries
-        l.Par.sl_groups l.Par.sl_max_group l.Par.sl_queue_depth l.Par.sl_delivered)
+      Format.printf "  %-6d %8d %8d %10d %10d@." l.Par.sl_shard l.Par.sl_queries l.Par.sl_groups
+        l.Par.sl_max_group l.Par.sl_delivered)
     loads;
   Par.shutdown t
 

@@ -6,7 +6,7 @@
 open Bechamel
 module I = Cq_interval.Interval
 module BQ = Cq_joins.Band_query
-module Fbt = Cq_relation.Table.Fbt
+module Bt = Cq_index.Btree
 module Itree = Cq_index.Flat_interval_tree
 module P = Hotspot_core.Refined_partition.Make (BQ.Elem)
 module T = Hotspot_core.Hotspot_tracker.Make (BQ.Elem)
@@ -21,8 +21,8 @@ let tests () =
   let rs = ranges n 1 in
   let queries = Array.mapi (fun qid range -> BQ.make ~qid ~range) rs in
   (* Pre-built structures probed by the benchmarks. *)
-  let bt = Fbt.create () in
-  Array.iteri (fun i r -> Fbt.insert bt (I.midpoint r) i) rs;
+  let bt = Bt.create () in
+  Array.iteri (fun i r -> Bt.insert bt (I.midpoint r) 0.0 i) rs;
   let it = Itree.create () in
   Array.iteri (fun i r -> Itree.add it r i) rs;
   let part = P.create ~epsilon:1.0 () in
@@ -44,19 +44,19 @@ let tests () =
      keys. *)
   let srng = Cq_util.Rng.create 98 in
   let sprobe () = Cq_util.Dist.uniform srng ~lo:0.0 ~hi:10_000.0 in
-  let sb = Fbt.create () in
+  let sb = Bt.create () in
   for i = 0 to 63 do
-    Fbt.insert sb (sprobe ()) i
+    Bt.insert sb (sprobe ()) 0.0 i
   done;
   let module Store = Cq_index.Sweep_store in
   let store = Store.create () in
   Array.iteri (fun i r -> Store.add store r i) rs;
-  let finger = Fbt.finger sb in
+  let finger = Bt.finger sb in
   let cursor = Cq_relation.Table.cursor_on finger in
   let hits = ref 0 in
   let hit _ = incr hits in
   let sweep () =
-    Fbt.finger_reset finger;
+    Bt.finger_reset finger;
     cursor.shift.(0) <- sprobe () -. 5_000.0;
     Cq_relation.Table.load_cursor cursor finger;
     Store.sweep store cursor hit
@@ -65,12 +65,12 @@ let tests () =
     Test.make ~name:"rtree.point_stab"
       (Staged.stage (fun () ->
            ignore (Cq_index.Rtree.stab_count rt ~x:(probe ()) ~y:(probe ()))));
-    Test.make ~name:"btree.seek_ge" (Staged.stage (fun () -> ignore (Fbt.seek_ge bt (probe ()))));
+    Test.make ~name:"btree.seek_ge" (Staged.stage (fun () -> ignore (Bt.seek_ge bt (probe ()) 0.0)));
     Test.make ~name:"btree.insert+delete"
       (Staged.stage (fun () ->
            let k = probe () in
-           Fbt.insert bt k (-1);
-           ignore (Fbt.remove_first bt k (fun v -> v = -1))));
+           Bt.insert bt k 0.0 (-1);
+           ignore (Bt.remove_first bt k 0.0 (fun v -> v = -1))));
     Test.make ~name:"interval_tree.stab"
       (Staged.stage (fun () -> ignore (Itree.stab_count it (probe ()))));
     Test.make ~name:"sweep_store.cursor_sweep" (Staged.stage sweep);

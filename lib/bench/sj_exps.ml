@@ -162,7 +162,7 @@ let fig8iv (scale : Setup.scale) =
           (fun (r : Tuple.r) ->
             joined :=
               !joined
-              + Table.Fbt.count_range (Table.s_by_b table) ~lo:r.b ~hi:r.b)
+              + Cq_index.Btree.count_range (Table.s_by_b table) r.b neg_infinity r.b infinity)
           events;
         let m' = float_of_int !joined /. float_of_int (Array.length events) in
         Printf.sprintf "%.0f" m'

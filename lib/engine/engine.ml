@@ -107,14 +107,13 @@ type t = {
   r_side : side;
   s_side : side;
   (* Subscriber callbacks by qid, [no_cb] in every slot without a live
-     subscription of that kind.  Qids are dense (the engine numbers
+     subscription.  Band and select queries share one qid space, so
+     one table serves both kinds.  Qids are dense (the engine numbers
      them, and a coordinator's global counter numbers its shards'), so
-     a delivery reads its callback with one array load; the arrays
-     grow geometrically. *)
-  mutable band_cbs : (Tuple.r -> Tuple.s -> unit) array;
-  mutable select_cbs : (Tuple.r -> Tuple.s -> unit) array;
-  band_retracts : (int, Tuple.r -> Tuple.s -> unit) Hashtbl.t;
-  select_retracts : (int, Tuple.r -> Tuple.s -> unit) Hashtbl.t;
+     a delivery reads its callback with one array load; the array
+     grows geometrically. *)
+  mutable cbs : (Tuple.r -> Tuple.s -> unit) array;
+  retracts : (int, Tuple.r -> Tuple.s -> unit) Hashtbl.t;
   mutable next_qid : int;
   mutable next_rid : int;
   mutable next_sid : int;
@@ -359,16 +358,10 @@ let set_cb cbs qid cb =
 
 let live_cbs cbs = Array.fold_left (fun n cb -> if cb == no_cb then n else n + 1) 0 cbs
 
-let deliver_band t (q : BQ.t) r s =
-  protected (cb_of t.band_cbs q.qid) r s;
+let deliver t qid r s =
+  protected (cb_of t.cbs qid) r s;
   t.results <- t.results + 1;
-  shed_note_result t q.qid;
-  Metrics.incr m_results
-
-let deliver_select t (q : SQ.t) r s =
-  protected (cb_of t.select_cbs q.qid) r s;
-  t.results <- t.results + 1;
-  shed_note_result t q.qid;
+  shed_note_result t qid;
   Metrics.incr m_results
 
 (* Both encodings are one and the same transposition: the join key B
@@ -401,10 +394,8 @@ let try_create_cfg (cfg : Config.t) =
           r_mirror;
           r_side = make_side cfg ~probe:s_table ~home:r_mirror ~seed_base:cfg.seed;
           s_side = make_side cfg ~probe:r_mirror ~home:s_table ~seed_base:(cfg.seed + 1);
-          band_cbs = [||];
-          select_cbs = [||];
-          band_retracts = Hashtbl.create 64;
-          select_retracts = Hashtbl.create 64;
+          cbs = [||];
+          retracts = Hashtbl.create 64;
           next_qid = 0;
           next_rid = 0;
           next_sid = 0;
@@ -432,15 +423,15 @@ let try_create_cfg (cfg : Config.t) =
          tuple from [cur_r]/[cur_s] instead of capturing it, so the
          same closures serve every event. *)
       t.ob_r <-
-        (fun q s -> match t.cur_r with Some r -> deliver_band t q r s | None -> ());
+        (fun q s -> match t.cur_r with Some r -> deliver t q.BQ.qid r s | None -> ());
       t.os_r <-
-        (fun q s -> match t.cur_r with Some r -> deliver_select t q r s | None -> ());
+        (fun q s -> match t.cur_r with Some r -> deliver t q.SQ.qid r s | None -> ());
       t.ob_s <-
         (fun q mirror ->
-          match t.cur_s with Some s -> deliver_band t q (of_row mirror) s | None -> ());
+          match t.cur_s with Some s -> deliver t q.BQ.qid (of_row mirror) s | None -> ());
       t.os_s <-
         (fun q mirror ->
-          match t.cur_s with Some s -> deliver_select t q (of_row mirror) s | None -> ());
+          match t.cur_s with Some s -> deliver t q.SQ.qid (of_row mirror) s | None -> ());
       install_shed t;
       Ok t
 
@@ -477,7 +468,7 @@ let claim_qid t = function
       if q < 0 then
         Error
           (Err.Invalid_parameter { name = "qid"; value = string_of_int q; expected = "a qid >= 0" })
-      else if cb_of t.band_cbs q != no_cb || cb_of t.select_cbs q != no_cb then
+      else if cb_of t.cbs q != no_cb then
         Error (Err.Duplicate { what = Printf.sprintf "qid %d" q })
       else begin
         t.next_qid <- max t.next_qid (q + 1);
@@ -498,10 +489,8 @@ let try_subscribe_band t ?qid ?on_retract ~range cb =
         let bwd = BQ.make ~qid ~range:(negate_range range) in
         BP.insert_query t.r_side.band fwd;
         BP.insert_query t.s_side.band bwd;
-        t.band_cbs <- set_cb t.band_cbs qid cb;
-        (match on_retract with
-        | Some f -> Hashtbl.replace t.band_retracts qid f
-        | None -> ());
+        t.cbs <- set_cb t.cbs qid cb;
+        Option.iter (Hashtbl.replace t.retracts qid) on_retract;
         Ok (Band { fwd; bwd })
 
 let subscribe_band t ?qid ?on_retract ~range cb =
@@ -519,30 +508,30 @@ let try_subscribe_select t ?qid ?on_retract ~range_a ~range_c cb =
         let bwd = SQ.make ~qid ~range_a:range_c ~range_c:range_a in
         SP.insert_query t.r_side.select fwd;
         SP.insert_query t.s_side.select bwd;
-        t.select_cbs <- set_cb t.select_cbs qid cb;
-        (match on_retract with
-        | Some f -> Hashtbl.replace t.select_retracts qid f
-        | None -> ());
+        t.cbs <- set_cb t.cbs qid cb;
+        Option.iter (Hashtbl.replace t.retracts qid) on_retract;
         Ok (Select { fwd; bwd })
 
 let subscribe_select t ?qid ?on_retract ~range_a ~range_c cb =
   Err.ok_exn (try_subscribe_select t ?qid ?on_retract ~range_a ~range_c cb)
+
+let drop_cb t qid =
+  t.cbs.(qid) <- no_cb;
+  Hashtbl.remove t.retracts qid
 
 let unsubscribe t = function
   | Band { fwd; bwd } ->
       let ok = BP.delete_query t.r_side.band fwd in
       if ok then begin
         ignore (BP.delete_query t.s_side.band bwd);
-        t.band_cbs.(fwd.BQ.qid) <- no_cb;
-        Hashtbl.remove t.band_retracts fwd.BQ.qid
+        drop_cb t fwd.BQ.qid
       end;
       ok
   | Select { fwd; bwd } ->
       let ok = SP.delete_query t.r_side.select fwd in
       if ok then begin
         ignore (SP.delete_query t.s_side.select bwd);
-        t.select_cbs.(fwd.SQ.qid) <- no_cb;
-        Hashtbl.remove t.select_retracts fwd.SQ.qid
+        drop_cb t fwd.SQ.qid
       end;
       ok
 
@@ -571,7 +560,7 @@ let shed_guard t what =
               Block or Reject for workloads with deletions)";
          })
 
-let retract t side pseudo ~on_band ~on_select =
+let retract t side pseudo ~on_result =
   if not (Table.delete_s side.home (to_row pseudo)) then None
   else begin
     t.events <- t.events + 1;
@@ -582,10 +571,10 @@ let retract t side pseudo ~on_band ~on_select =
        is 1.0 here and the recomputation is exact. *)
     BP.process_r side.band pseudo (fun q s ->
         incr count;
-        on_band q s);
+        on_result q.BQ.qid s);
     SP.process_r side.select pseudo (fun q s ->
         incr count;
-        on_select q s);
+        on_result q.SQ.qid s);
     Metrics.observe_since m_retract_ns t0;
     Some !count
   end
@@ -750,31 +739,16 @@ let try_load_r t rows =
 
 let load_r t rows = Err.ok_exn (try_load_r t rows)
 
-let find_retract tbl qid = Hashtbl.find_opt tbl qid
+let retract_to t qid r s =
+  match Hashtbl.find_opt t.retracts qid with Some f -> protected f r s | None -> ()
 
 let delete_r t (r : Tuple.r) =
   shed_guard t "delete_r";
-  retract t t.r_side r
-    ~on_band:(fun (q : BQ.t) s ->
-      match find_retract t.band_retracts q.qid with
-      | Some f -> protected f r s
-      | None -> ())
-    ~on_select:(fun (q : SQ.t) s ->
-      match find_retract t.select_retracts q.qid with
-      | Some f -> protected f r s
-      | None -> ())
+  retract t t.r_side r ~on_result:(fun qid s -> retract_to t qid r s)
 
 let delete_s t (s : Tuple.s) =
   shed_guard t "delete_s";
-  retract t t.s_side (of_row s)
-    ~on_band:(fun (q : BQ.t) mirror ->
-      match find_retract t.band_retracts q.qid with
-      | Some f -> protected f (of_row mirror) s
-      | None -> ())
-    ~on_select:(fun (q : SQ.t) mirror ->
-      match find_retract t.select_retracts q.qid with
-      | Some f -> protected f (of_row mirror) s
-      | None -> ())
+  retract t t.s_side (of_row s) ~on_result:(fun qid mirror -> retract_to t qid (of_row mirror) s)
 
 let check_invariants t =
   let fail fmt = Cq_util.Error.corrupt ~structure:"engine" fmt in
@@ -790,10 +764,8 @@ let check_invariants t =
   if ns <> SP.query_count t.s_side.select then
     fail "engine: %d forward select queries but %d mirrored" ns
       (SP.query_count t.s_side.select);
-  if live_cbs t.band_cbs <> nb then
-    fail "engine: band callback table out of sync with query set";
-  if live_cbs t.select_cbs <> ns then
-    fail "engine: select callback table out of sync with query set";
+  if live_cbs t.cbs <> nb + ns then
+    fail "engine: %d live callbacks for %d band and %d select queries" (live_cbs t.cbs) nb ns;
   if Table.s_size t.s_table > t.next_sid then fail "engine: |S| exceeds issued sids";
   if Table.s_size t.r_mirror > t.next_rid then fail "engine: |R| exceeds issued rids"
 

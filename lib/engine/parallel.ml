@@ -725,7 +725,6 @@ type shard_load = {
   sl_queries : int;
   sl_groups : int;
   sl_max_group : int;
-  sl_queue_depth : int;
   sl_delivered : int;
 }
 
@@ -740,8 +739,6 @@ let shard_loads t =
            sl_queries = queries a;
            sl_groups = groups a;
            sl_max_group = a.a_stats.E.max_group_size;
-           (* The barrier has just drained every queue. *)
-           sl_queue_depth = 0;
            sl_delivered = t.delivered.(i);
          })
        acks)

@@ -245,18 +245,17 @@ val shard_result_counts : t -> int array
 
 (** One shard's load figures, as of the most recent flush barrier.
     The same values are exported through [Cq_obs.Metrics] as
-    [parallel.shard<i>.{queue_depth,queries,groups,max_group,delivered}]
-    gauges (coordinator-owned cells; recording obeys the global
-    metrics switch). *)
+    [parallel.shard<i>.{queries,groups,max_group,delivered}] gauges
+    (coordinator-owned cells; recording obeys the global metrics
+    switch).  The barrier drains every queue, so a shard's backlog is
+    not here: read the [parallel.shard<i>.queue_depth] gauge, set at
+    each push. *)
 type shard_load = {
   sl_shard : int;
   sl_queries : int;  (** Live queries hosted on the shard. *)
   sl_groups : int;
       (** Stabbing groups (hotspot groups, band + select trackers). *)
   sl_max_group : int;  (** Largest single stabbing group. *)
-  sl_queue_depth : int;
-      (** Commands waiting in the shard's queue: 0, since the flush
-          barrier has just drained it. *)
   sl_delivered : int;  (** Results delivered by the shard so far. *)
 }
 

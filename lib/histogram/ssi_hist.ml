@@ -68,8 +68,25 @@ let segments_of_breaks pieces ~stop =
   xs.(n) <- stop;
   (xs, ys)
 
+(* Segment weights are widths, so an infinite end would make every
+   k-means sum NaN: clip -∞ to one below the finite endpoints' span and
+   +∞ to one above it. *)
+let clip_infinite intervals =
+  let lo = ref infinity and hi = ref neg_infinity in
+  let widen x =
+    if Float.is_finite x then begin
+      lo := Float.min !lo x;
+      hi := Float.max !hi x
+    end
+  in
+  Array.iter (fun iv -> widen (I.lo iv); widen (I.hi iv)) intervals;
+  if !lo > !hi then (lo := 0.0; hi := 0.0);
+  let clip x = if x = neg_infinity then !lo -. 1.0 else if x = infinity then !hi +. 1.0 else x in
+  Array.map (fun iv -> I.make (clip (I.lo iv)) (clip (I.hi iv))) intervals
+
 let build ?(use_exact_kmeans = false) intervals ~buckets =
   if buckets <= 0 then invalid_arg "Ssi_hist.build: buckets must be positive";
+  let intervals = clip_infinite intervals in
   let partition = Hotspot_core.Stabbing.canonical Fun.id intervals in
   let global = Step_fn.of_intervals intervals in
   let n_total = Array.length intervals in

@@ -23,7 +23,10 @@ val build :
   t
 (** [use_exact_kmeans] switches the per-side clustering from iterative
     Lloyd (the paper's choice, default) to the optimal DP — an
-    accuracy ablation.  @raise Invalid_argument if [buckets <= 0]. *)
+    accuracy ablation.  An infinite end is clipped to one past the
+    span of the finite endpoints, so the estimate beyond that span
+    counts none of the intervals reaching it.
+    @raise Invalid_argument if [buckets <= 0]. *)
 
 val estimate : t -> float -> float
 (** h(x): the estimated number of intervals stabbed by x. *)

@@ -1,7 +1,7 @@
 module I = Cq_interval.Interval
 module Table = Cq_relation.Table
 module Tuple = Cq_relation.Tuple
-module Fbt = Table.Fbt
+module Bt = Cq_index.Btree
 module Itree = Cq_index.Flat_interval_tree
 module Store = Cq_index.Sweep_store
 module Vec = Cq_util.Vec
@@ -19,8 +19,8 @@ module type STRATEGY =
 
 (* Does the S.B index hold any value inside the window? *)
 let[@cq.hot] window_nonempty table w =
-  match Fbt.seek_ge (Table.s_by_b table) (I.lo w) with
-  | Some c -> Fbt.key c <= I.hi w
+  match Table.Fbt.seek_ge (Table.s_by_b table) (I.lo w) with
+  | Some c -> Bt.key c <= I.hi w
   | None -> false
 
 (* --------------------------------------------------------------------- *)
@@ -45,7 +45,7 @@ module Qouter = struct
     Hashtbl.iter
       (fun _ (q : Band_query.t) ->
         let w = Band_query.instantiated q ~b:r.b in
-        Fbt.iter_range sb ~lo:(I.lo w) ~hi:(I.hi w) (fun _ s -> sink q s))
+        Bt.iter_range sb (I.lo w) neg_infinity (I.hi w) infinity (fun s -> sink q s))
       t.queries
 
   let affected t (r : Tuple.r) report =
@@ -108,64 +108,64 @@ end
 module Merge = struct
   type t = {
     table : Table.s_table;
-    (* Band windows in increasing left-endpoint order (a B-tree doubles
-       as the "sorted list" with O(log n) maintenance). *)
-    by_lo : Band_query.t Fbt.t;
+    (* Band windows in increasing (lo, hi) order (a B-tree doubles as
+       the "sorted list" with O(log n) maintenance). *)
+    by_lo : Band_query.t Bt.t;
   }
 
   let name = "BJ-MJ"
 
   let create table queries =
-    let by_lo = Fbt.create () in
-    Array.iter (fun (q : Band_query.t) -> Fbt.insert by_lo (I.lo q.range) q) queries;
+    let by_lo = Bt.create () in
+    Array.iter (fun (q : Band_query.t) -> Bt.insert by_lo (I.lo q.range) (I.hi q.range) q) queries;
     { table; by_lo }
 
   let process_r t (r : Tuple.r) sink =
     let sb = Table.s_by_b t.table in
     (* The frontier cursor only ever moves right: total cost
        O(n + m + k) per event. *)
-    let frontier = ref (Fbt.seek_ge sb neg_infinity) in
-    Fbt.iter t.by_lo (fun _ q ->
+    let frontier = ref (Table.Fbt.seek_ge sb neg_infinity) in
+    Bt.iter t.by_lo (fun q ->
         let w = Band_query.instantiated q ~b:r.b in
         let rec advance () =
           match !frontier with
-          | Some c when Fbt.key c < I.lo w ->
-              frontier := Fbt.next c;
+          | Some c when Bt.key c < I.lo w ->
+              frontier := Bt.next c;
               advance ()
           | _ -> ()
         in
         advance ();
         let rec emit = function
-          | Some c when Fbt.key c <= I.hi w ->
-              sink q (Fbt.value c);
-              emit (Fbt.next c)
+          | Some c when Bt.key c <= I.hi w ->
+              sink q (Bt.value c);
+              emit (Bt.next c)
           | _ -> ()
         in
         emit !frontier)
 
   let affected t (r : Tuple.r) report =
     let sb = Table.s_by_b t.table in
-    let frontier = ref (Fbt.seek_ge sb neg_infinity) in
-    Fbt.iter t.by_lo (fun _ q ->
+    let frontier = ref (Table.Fbt.seek_ge sb neg_infinity) in
+    Bt.iter t.by_lo (fun q ->
         let w = Band_query.instantiated q ~b:r.b in
         let rec advance () =
           match !frontier with
-          | Some c when Fbt.key c < I.lo w ->
-              frontier := Fbt.next c;
+          | Some c when Bt.key c < I.lo w ->
+              frontier := Bt.next c;
               advance ()
           | _ -> ()
         in
         advance ();
         match !frontier with
-        | Some c when Fbt.key c <= I.hi w -> report q
+        | Some c when Bt.key c <= I.hi w -> report q
         | _ -> ())
 
-  let insert_query t (q : Band_query.t) = Fbt.insert t.by_lo (I.lo q.range) q
+  let insert_query t (q : Band_query.t) = Bt.insert t.by_lo (I.lo q.range) (I.hi q.range) q
 
   let delete_query t (q : Band_query.t) =
-    Fbt.remove_first t.by_lo (I.lo q.range) (fun p -> p.Band_query.qid = q.qid)
+    Bt.remove_first t.by_lo (I.lo q.range) (I.hi q.range) (fun p -> p.Band_query.qid = q.qid)
 
-  let query_count t = Fbt.length t.by_lo
+  let query_count t = Bt.length t.by_lo
 end
 
 (* --------------------------------------------------------------------- *)
@@ -231,13 +231,13 @@ module G = struct
     let b = r.b in
     let key = stab +. b in
     Vec.clear g.scratch;
-    Fbt.finger_seek f key;
-    let i = Fbt.finger_index f in
-    let s2 = if i < Fbt.finger_count f then Array.unsafe_get (Fbt.finger_keys f) i else nan in
+    Bt.finger_seek f key neg_infinity;
+    let i = Bt.finger_index f in
+    let s2 = if i < Bt.finger_count f then Array.unsafe_get (Bt.finger_keys f) i else nan in
     if s2 = key then g.anchors.(0) <- infinity
     else begin
-      let j = Fbt.finger_back_index f in
-      let s1 = if j >= 0 then Array.unsafe_get (Fbt.finger_back_keys f) j else nan in
+      let j = Bt.finger_back_index f in
+      let s1 = if j >= 0 then Array.unsafe_get (Bt.finger_back_keys f) j else nan in
       g.anchors.(0) <- s1 -. b;
       g.anchors.(1) <- s2 -. b
     end;
@@ -257,8 +257,8 @@ let process_group f g ~stab (r : Tuple.r) ~mark (sink : sink) =
   let b = r.b in
   for i = 0 to Vec.length affected - 1 do
     let q : Band_query.t = Vec.get affected i in
-    Fbt.finger_iter_back_ge f (q.range.I.lo +. b) q sink;
-    Fbt.finger_iter_le f (q.range.I.hi +. b) q sink
+    Bt.finger_iter_back_ge f (q.range.I.lo +. b) neg_infinity q sink;
+    Bt.finger_iter_le f (q.range.I.hi +. b) infinity q sink
   done
 
 module Core_query = struct
@@ -285,21 +285,21 @@ module Core_query = struct
      ([sync]) so [emit] walks the rows from it.  [group] is the second
      finger, which each group's STEP 1 seeks to its anchors. *)
   type scan = {
-    finger : Tuple.s Fbt.finger;
+    finger : Tuple.s Bt.finger;
     cursor : Cq_index.Sweep_store.cursor;
-    group : Tuple.s Fbt.finger;
+    group : Tuple.s Bt.finger;
   }
 
   let scan_create table =
     let sb = Table.s_by_b table in
-    let finger = Fbt.finger sb in
-    { finger; cursor = Table.cursor_on finger; group = Fbt.finger sb }
+    let finger = Bt.finger sb in
+    { finger; cursor = Table.cursor_on finger; group = Bt.finger sb }
 
   (* The cursor starts on S.B's first key, so every window's target is
      at or after it. *)
   let[@cq.hot] scan_begin s (r : Tuple.r) =
-    Fbt.finger_reset s.finger;
-    Fbt.finger_reset s.group;
+    Bt.finger_reset s.finger;
+    Bt.finger_reset s.group;
     s.cursor.shift.(0) <- r.b;
     Table.load_cursor s.cursor s.finger
 
@@ -307,7 +307,7 @@ module Core_query = struct
      The window end is read as a field of the private record: a call
      to [I.hi] in another module would return a boxed float. *)
   let[@cq.hot] emit s (q : Band_query.t) sink =
-    Fbt.finger_iter_le s.finger (q.range.I.hi +. s.cursor.shift.(0)) q sink
+    Bt.finger_iter_le s.finger (q.range.I.hi +. s.cursor.shift.(0)) infinity q sink
 
   let scattered = Processor.Sweep { cursor = (fun s -> s.cursor); emit }
 

@@ -1,7 +1,7 @@
 module I = Cq_interval.Interval
 module Table = Cq_relation.Table
 module Tuple = Cq_relation.Tuple
-module Pbt = Table.Pbt
+module Bt = Cq_index.Btree
 module Itree = Cq_index.Flat_interval_tree
 module Rtree = Cq_index.Rtree
 module Vec = Cq_util.Vec
@@ -18,9 +18,20 @@ module type STRATEGY =
      and type result := Tuple.s
 
 (* Visit the S-tuples joining with the event (same B), in C order. *)
-let iter_joining table ~b f =
-  Pbt.iter_range (Table.s_by_bc table) ~lo:(b, neg_infinity) ~hi:(b, infinity)
-    (fun _ s -> f s)
+let iter_joining table ~b f = Bt.iter_range (Table.s_by_b table) b neg_infinity b infinity f
+
+(* The S-tuples with B = [b] and C in [[lo, hi]], in C order, from one
+   seek of the finger [f]: [sink q] gets each. *)
+let iter_selected f ~b ~lo ~hi q sink =
+  Bt.finger_seek f b lo;
+  Bt.finger_iter_le f b hi q sink
+
+(* Whether S holds a tuple with B = [b] and C in [[lo, hi]]: one seek
+   of [f] to (b, lo), then a look at the entry it lands on. *)
+let holds f ~b ~lo ~hi =
+  Bt.finger_seek f b lo;
+  let i = Bt.finger_index f in
+  i < Bt.finger_count f && (Bt.finger_keys f).(i) = b && (Bt.finger_keys2 f).(i) <= hi
 
 (* --------------------------------------------------------------------- *)
 (* NAIVE: join, then evaluate every query on the intermediate result       *)
@@ -149,8 +160,9 @@ end
 
 module Select_first = struct
   type t = {
-    table : Table.s_table;
     a_index : Select_query.t Itree.t;
+    (* On S(B,C), reset at each event. *)
+    finger : Tuple.s Bt.finger;
   }
 
   let name = "SJ-S"
@@ -158,23 +170,17 @@ module Select_first = struct
   let create table queries =
     let a_index = Itree.create () in
     Array.iter (fun (q : Select_query.t) -> Itree.add a_index q.range_a q) queries;
-    { table; a_index }
+    { a_index; finger = Bt.finger (Table.s_by_b table) }
 
   let process_r t (r : Tuple.r) sink =
+    Bt.finger_reset t.finger;
     Itree.stab t.a_index r.a (fun (q : Select_query.t) ->
-        Pbt.iter_range (Table.s_by_bc t.table)
-          ~lo:(r.b, I.lo q.range_c)
-          ~hi:(r.b, I.hi q.range_c)
-          (fun _ s -> sink q s))
+        iter_selected t.finger ~b:r.b ~lo:q.range_c.I.lo ~hi:q.range_c.I.hi q sink)
 
   let affected t (r : Tuple.r) report =
-    let bc = Table.s_by_bc t.table in
+    Bt.finger_reset t.finger;
     Itree.stab t.a_index r.a (fun (q : Select_query.t) ->
-        match Pbt.seek_ge bc (r.b, I.lo q.range_c) with
-        | Some c ->
-            let kb, kc = Pbt.key c in
-            if kb = r.b && kc <= I.hi q.range_c then report q
-        | None -> ())
+        if holds t.finger ~b:r.b ~lo:q.range_c.I.lo ~hi:q.range_c.I.hi then report q)
 
   let insert_query t (q : Select_query.t) = Itree.add t.a_index q.range_a q
 
@@ -199,31 +205,30 @@ type group = {
   scratch : Select_query.t Vec.t;
 }
 
-(* A missing anchor: its B never equals an event's. *)
-let absent = (nan, nan)
-
 (* STEP 1 for one stabbing group (on the rangeC projections) with
    stabbing point [stab]: find the affected queries.  The anchors are
    the joining S-tuples whose C values surround the stabbing point —
    the rightmost entry < (b, stab) and the leftmost >= (b, stab), each
    usable only while it stays within the event's B value.  One seek of
-   the finger [f] finds both, and leaves [f] on the second for
-   STEP 2. *)
+   the finger [f] finds both, and leaves [f] on the second for STEP 2;
+   their C values are read from the leaves' secondary column, as band
+   STEP 1 reads B from the primary one. *)
 let group_step1 f (r : Tuple.r) ~stab ~g ~mark =
   let b = r.b in
   let affected = g.scratch in
   Vec.clear affected;
-  Pbt.finger_seek f (b, stab);
-  let b1, q1 = Pbt.finger_prev_key f ~default:absent in
-  let b2, q2 = Pbt.finger_key f ~default:absent in
+  Bt.finger_seek f b stab;
+  let j = Bt.finger_back_index f in
+  let has1 = j >= 0 && (Bt.finger_back_keys f).(j) = b in
+  let q1 = if has1 then (Bt.finger_back_keys2 f).(j) else nan in
   (* The two join result points closest to (stab, r.a) probe the
      group's rectangle index.  A rectangle the first probe found holds
      q1 in its rangeC: the second probe skips it, so each member is
      offered once. *)
-  let has1 = b1 = b in
   if has1 then Rtree.stab g.rtree ~x:q1 ~y:r.a (fun _ q -> if mark q then Vec.push affected q);
-  if b2 = b then
-    Rtree.stab g.rtree ~x:q2 ~y:r.a (fun _ (q : Select_query.t) ->
+  let i = Bt.finger_index f in
+  if i < Bt.finger_count f && (Bt.finger_keys f).(i) = b then
+    Rtree.stab g.rtree ~x:(Bt.finger_keys2 f).(i) ~y:r.a (fun _ (q : Select_query.t) ->
         if not (has1 && I.stabs q.range_c q1) && mark q then Vec.push affected q);
   affected
 
@@ -236,8 +241,8 @@ let process_group f g ~stab (r : Tuple.r) ~mark (sink : sink) =
   let affected = group_step1 f r ~stab ~g ~mark in
   for i = 0 to Vec.length affected - 1 do
     let q : Select_query.t = Vec.get affected i in
-    Pbt.finger_iter_back_ge f (b, I.lo q.range_c) q sink;
-    Pbt.finger_iter_le f (b, I.hi q.range_c) q sink
+    Bt.finger_iter_back_ge f b q.range_c.I.lo q sink;
+    Bt.finger_iter_le f b q.range_c.I.hi q sink
   done
 
 module Core_query = struct
@@ -258,34 +263,24 @@ module Core_query = struct
 
   (* Candidates are already pruned by the rangeA stab, so each one is
      probed on its own: the scan remembers the event, plus the finger
-     on S(B,C) each group's STEP 1 seeks to its anchors. *)
+     on S(B,C) that each candidate's probe and each group's STEP 1
+     seek. *)
   type scan = {
-    table : Table.s_table;
     mutable ev : Tuple.r;
-    group : Tuple.s Pbt.finger;
+    finger : Tuple.s Bt.finger;
   }
 
   let scan_create table =
-    { table; ev = { rid = -1; a = 0.0; b = 0.0 }; group = Pbt.finger (Table.s_by_bc table) }
+    { ev = { rid = -1; a = 0.0; b = 0.0 }; finger = Bt.finger (Table.s_by_b table) }
 
   let scan_begin s r =
     s.ev <- r;
-    Pbt.finger_reset s.group
+    Bt.finger_reset s.finger
 
   let probe s (q : Select_query.t) sink =
-    let b = s.ev.b in
-    Pbt.iter_range (Table.s_by_bc s.table)
-      ~lo:(b, I.lo q.range_c)
-      ~hi:(b, I.hi q.range_c)
-      (fun _ res -> sink q res)
+    iter_selected s.finger ~b:s.ev.b ~lo:q.range_c.I.lo ~hi:q.range_c.I.hi q sink
 
-  let hit s (q : Select_query.t) =
-    let b = s.ev.b in
-    match Pbt.seek_ge (Table.s_by_bc s.table) (b, I.lo q.range_c) with
-    | Some c ->
-        let kb, kc = Pbt.key c in
-        kb = b && kc <= I.hi q.range_c
-    | None -> false
+  let hit s (q : Select_query.t) = holds s.finger ~b:s.ev.b ~lo:q.range_c.I.lo ~hi:q.range_c.I.hi
 
   let scattered = Processor.Stab { point = (fun (r : Tuple.r) -> r.a); probe; hit }
 
@@ -301,10 +296,10 @@ module Core_query = struct
     let size g = Rtree.size g.rtree
     let iter g k = Rtree.iter g.rtree (fun _ q -> k q)
     let check_invariants g = Rtree.check_invariants g.rtree
-    let process s g ~stab ev ~mark sink = process_group s.group g ~stab ev ~mark sink
+    let process s g ~stab ev ~mark sink = process_group s.finger g ~stab ev ~mark sink
 
     let identify s g ~stab ev ~mark report =
-      Vec.iter report (group_step1 s.group ev ~stab ~g ~mark)
+      Vec.iter report (group_step1 s.finger ev ~stab ~g ~mark)
   end
 end
 

@@ -1,35 +1,37 @@
 (** The database relations, indexed as the paper assumes.
 
-    S(B,C) carries a B-tree on B (for band joins) and a composite
-    B-tree on (B,C) (for equality joins with local selections).  The
-    engine keeps R in an [s_table] too, as an S-shaped mirror (a row
-    [(a, b)] stored as [(b, c = a)]), so S-side events walk the same
-    index shapes R-side events do.  {!r_table} is a plain R(A,B) store with
-    one B-tree on B. *)
+    S(B,C) is one {!Cq_index.Btree} keyed by (B, C): rows with equal B
+    sit together in C order, and rows with equal (B, C) in insertion
+    order.  Band joins probe it on B alone (a seek passes C = -∞, an
+    upper bound C = +∞) and walk B through the leaves' primary
+    column; equality joins with local selections seek (b, c) and read
+    C from the secondary column.  The engine keeps R in an [s_table]
+    too, as an S-shaped mirror (a row [(a, b)] stored as
+    [(b, c = a)]), so S-side events walk the same index R-side events
+    do.  {!r_table} is a plain R(A,B) store, keyed by (B, A). *)
 
-module Fkey : Cq_index.Btree.ORDERED with type t = float
-
-module Pkey : Cq_index.Btree.ORDERED with type t = float * float
-(** Lexicographic order on (primary, secondary). *)
-
-module Fbt : module type of Cq_index.Btree.Make (Fkey)
-module Pbt : module type of Cq_index.Btree.Make (Pkey)
+module Fbt : sig
+  val seek_ge : 'a Cq_index.Btree.t -> float -> 'a Cq_index.Btree.cursor option
+  (** [seek_ge t b] is the first row with B >= b:
+      [Btree.seek_ge t b neg_infinity]. *)
+end
 
 (** {2 Sweeping a B-tree}
 
-    A {!Cq_index.Sweep_store.cursor} running over the leaves of an
-    {!Fbt}: how a band event sweeps its scattered windows against
-    S.B. *)
+    A {!Cq_index.Sweep_store.cursor} running over the primary keys of
+    a tree's leaves: how a band event sweeps its scattered windows
+    against S.B. *)
 
-val cursor_on : 'a Fbt.finger -> Cq_index.Sweep_store.cursor
+val cursor_on : 'a Cq_index.Btree.finger -> Cq_index.Sweep_store.cursor
 (** A cursor whose [hop], [descend] and [sync] move the finger (to the
-    next leaf, by a {!Fbt.finger_seek} from the root, to the cursor's
-    slot) and reload the cursor from it.  Made once per scan. *)
+    next leaf, by a {!Cq_index.Btree.finger_seek} from the root, to
+    the cursor's slot) and reload the cursor from it.  Made once per
+    scan. *)
 
-val load_cursor : Cq_index.Sweep_store.cursor -> 'a Fbt.finger -> unit
+val load_cursor : Cq_index.Sweep_store.cursor -> 'a Cq_index.Btree.finger -> unit
 (** Load the finger's leaf and slot into the cursor.  Before a sweep:
-    {!Fbt.finger_reset} the finger, set the cursor's [shift], then
-    load. *)
+    {!Cq_index.Btree.finger_reset} the finger, set the cursor's
+    [shift], then load. *)
 
 (** {2 S(B,C)} *)
 
@@ -38,7 +40,7 @@ type s_table
 val create_s : unit -> s_table
 
 val of_s_tuples : Tuple.s array -> s_table
-(** Bulk-load; input order is free. *)
+(** Bulk-load; input order is free (rows with equal (B, C) keep it). *)
 
 val of_s_batch : Batch.t -> s_table
 (** Bulk-load from a flat batch ([x = b, y = c], ids as [sid]). *)
@@ -46,14 +48,12 @@ val of_s_batch : Batch.t -> s_table
 val insert_s : s_table -> Tuple.s -> unit
 val delete_s : s_table -> Tuple.s -> bool
 val s_size : s_table -> int
-val s_by_b : s_table -> Tuple.s Fbt.t
-(** B-tree keyed on S.B. *)
 
-val s_by_bc : s_table -> Tuple.s Pbt.t
-(** B-tree keyed on (S.B, S.C). *)
+val s_by_b : s_table -> Tuple.s Cq_index.Btree.t
+(** The table's one B-tree, keyed by (S.B, S.C). *)
 
 val iter_s : s_table -> (Tuple.s -> unit) -> unit
-(** In increasing S.B order. *)
+(** In increasing (S.B, S.C) order. *)
 
 (** {2 R(A,B)} *)
 

@@ -126,53 +126,37 @@ let sweep_store (t : 'a Cq_index.Sweep_store.t) : report =
 (* B+-tree                                                              *)
 (* ------------------------------------------------------------------ *)
 
-module Btree (K : Cq_index.Btree.ORDERED) (B : module type of Cq_index.Btree.Make (K)) =
-struct
-  let audit (t : 'a B.t) : report =
-    let c = ctx "btree" in
-    guard c "structure" (fun () -> B.check_invariants t);
-    let entries = B.to_list t in
-    let keys = List.map fst entries in
-    let n = List.length entries in
-    if n <> B.length t then pushf c "size" "length reports %d but %d entries listed" (B.length t) n;
-    let rec sorted = function
-      | k1 :: (k2 :: _ as tl) -> K.compare k1 k2 <= 0 && sorted tl
-      | _ -> true
-    in
-    if not (sorted keys) then push c "order" "to_list is not in key order";
-    (match (B.min_entry t, keys) with
-    | Some (k, _), k0 :: _ ->
-        if K.compare k k0 <> 0 then push c "min" "min_entry disagrees with to_list"
-    | None, [] -> ()
-    | _ -> push c "min" "min_entry presence disagrees with to_list");
-    (match (B.max_entry t, List.rev keys) with
-    | Some (k, _), kn :: _ ->
-        if K.compare k kn <> 0 then push c "max" "max_entry disagrees with to_list"
-    | None, [] -> ()
-    | _ -> push c "max" "max_entry presence disagrees with to_list");
-    (match (keys, List.rev keys) with
-    | k0 :: _, kn :: _ ->
-        let spanned = B.count_range t ~lo:k0 ~hi:kn in
-        if spanned <> n then pushf c "count_range" "full span counts %d of %d entries" spanned n
-    | _ -> ());
-    List.iter
-      (fun k ->
-        let want = List.length (List.filter (fun k' -> K.compare k k' = 0) keys) in
-        let found = List.length (B.find_all t k) in
-        if found <> want then pushf c "find_all" "finds %d duplicates, expected %d" found want;
-        if B.count_range t ~lo:k ~hi:k <> want then push c "count_range" "point range disagrees with find_all";
-        let left, right = B.neighbours t k in
-        (match left with
-        | Some (kl, _) ->
-            if K.compare kl k > 0 then push c "neighbours" "left neighbour exceeds the key"
-        | None -> if List.exists (fun k' -> K.compare k' k <= 0) keys then push c "neighbours" "left neighbour missing");
-        match right with
-        | Some (kr, _) ->
-            if K.compare kr k < 0 then push c "neighbours" "right neighbour precedes the key"
-        | None -> if List.exists (fun k' -> K.compare k' k >= 0) keys then push c "neighbours" "right neighbour missing")
-      (sample 16 keys);
-    seal c
-end
+let btree (t : 'a Cq_index.Btree.t) : report =
+  let module B = Cq_index.Btree in
+  let c = ctx "btree" in
+  guard c "structure" (fun () -> B.check_invariants t);
+  let keys = List.map (fun (k, k2, _) -> (k, k2)) (B.to_list t) in
+  let n = List.length keys in
+  if n <> B.length t then pushf c "size" "length reports %d but %d entries listed" (B.length t) n;
+  let cmp = Cq_util.Order.float_pair in
+  let rec sorted = function
+    | k1 :: (k2 :: _ as tl) -> cmp k1 k2 <= 0 && sorted tl
+    | _ -> true
+  in
+  if not (sorted keys) then push c "order" "to_list is not in key order";
+  (match (keys, List.rev keys) with
+  | (k0, k02) :: _, (kn, kn2) :: _ ->
+      let spanned = B.count_range t k0 k02 kn kn2 in
+      if spanned <> n then pushf c "count_range" "full span counts %d of %d entries" spanned n
+  | _ -> ());
+  let lands_on key = function
+    | Some cur -> cmp (B.key cur, B.key2 cur) key = 0
+    | None -> false
+  in
+  List.iter
+    (fun ((k, k2) as key) ->
+      let want = List.length (List.filter (fun k' -> cmp key k' = 0) keys) in
+      let found = B.count_range t k k2 k k2 in
+      if found <> want then pushf c "count_range" "point range finds %d duplicates, expected %d" found want;
+      if not (lands_on key (B.seek_ge t k k2)) then push c "seek_ge" "seek_ge misses a listed key";
+      if not (lands_on key (B.seek_le t k k2)) then push c "seek_le" "seek_le misses a listed key")
+    (sample 16 keys);
+  seal c
 
 (* ------------------------------------------------------------------ *)
 (* Treap                                                                *)

@@ -44,11 +44,9 @@ val parallel : Cq_engine.Parallel.t -> report
 (** Wraps {!Cq_engine.Parallel.check_invariants}: every shard's engine
     audit plus query placement and delivery-count agreement. *)
 
-module Btree (K : Cq_index.Btree.ORDERED) (B : module type of Cq_index.Btree.Make (K)) : sig
-  val audit : 'a B.t -> report
-  (** Key order, leaf occupancy, min/max entries, and sampled
-      [find_all] / [count_range] / [neighbours] consistency. *)
-end
+val btree : 'a Cq_index.Btree.t -> report
+(** Key order, leaf occupancy and size, and sampled [count_range] /
+    [seek_ge] / [seek_le] consistency with the listing. *)
 
 module Treap (E : Cq_index.Treap.ELEMENT) (T : module type of Cq_index.Treap.Make (E)) : sig
   val audit : T.t -> report

@@ -374,16 +374,14 @@ let run_sweep_store ~seed ~ops =
   finish run ~ops ~final_size:(S.size t)
 
 (* ------------------------------------------------------------------ *)
-(* B+-tree (keyed on interval left endpoints)                           *)
+(* B+-tree (keyed on interval (lo, hi), probed on lo alone)           *)
 (* ------------------------------------------------------------------ *)
 
-module Fkey = Cq_relation.Table.Fkey
-module Fbt = Cq_relation.Table.Fbt
-module Fbt_audit = Invariant.Btree (Fkey) (Fbt)
+module Bt = Cq_index.Btree
 
 let run_btree ~seed ~ops =
   let run = make_run "btree" seed in
-  let t : int Fbt.t = Fbt.create () in
+  let t : int Bt.t = Bt.create () in
   let stream = Fault.gen ~seed ~n:ops in
   let mirror : (int, I.t) Hashtbl.t = Hashtbl.create 1024 in
   let keys () = Hashtbl.fold (fun _ iv acc -> I.lo iv :: acc) mirror [] in
@@ -394,11 +392,11 @@ let run_btree ~seed ~ops =
         try
           (match op with
           | Fault.Add { id; iv } | Fault.Re_add { id; iv } ->
-              Fbt.insert t (I.lo iv) id;
+              Bt.insert t (I.lo iv) (I.hi iv) id;
               Hashtbl.add mirror id iv
           | Fault.Remove { id; iv } | Fault.Remove_absent { id; iv } ->
               let expect = mirror_mem mirror id iv in
-              let got = Fbt.remove_first t (I.lo iv) (fun id' -> id' = id) in
+              let got = Bt.remove_first t (I.lo iv) (I.hi iv) (fun id' -> id' = id) in
               if got <> expect then
                 diverge run i "remove_first %d at %g returned %b, oracle says %b" id (I.lo iv)
                   got expect
@@ -406,32 +404,33 @@ let run_btree ~seed ~ops =
           | Fault.Probe x ->
               let ks = keys () in
               let want = List.length (List.filter (fun k -> k = x) ks) in
-              let got = Fbt.count_range t ~lo:x ~hi:x in
+              let got = Bt.count_range t x neg_infinity x infinity in
               if got <> want then
                 diverge run i "count_range [%g,%g] = %d, oracle says %d" x x got want;
               let le = List.filter (fun k -> k <= x) ks
               and ge = List.filter (fun k -> k >= x) ks in
-              let left, right = Fbt.neighbours t x in
+              let left = Bt.seek_le t x infinity and right = Bt.seek_ge t x neg_infinity in
               (match (left, le) with
-              | Some (k, _), _ :: _ ->
+              | Some c, _ :: _ ->
                   let best = List.fold_left max neg_infinity le in
-                  if k <> best then diverge run i "left neighbour of %g is %g, oracle says %g" x k best
+                  if Bt.key c <> best then
+                    diverge run i "left neighbour of %g is %g, oracle says %g" x (Bt.key c) best
               | None, [] -> ()
               | _ -> diverge run i "left-neighbour presence at %g disagrees with oracle" x);
               match (right, ge) with
-              | Some (k, _), _ :: _ ->
+              | Some c, _ :: _ ->
                   let best = List.fold_left min infinity ge in
-                  if k <> best then
-                    diverge run i "right neighbour of %g is %g, oracle says %g" x k best
+                  if Bt.key c <> best then
+                    diverge run i "right neighbour of %g is %g, oracle says %g" x (Bt.key c) best
               | None, [] -> ()
               | _ -> diverge run i "right-neighbour presence at %g disagrees with oracle" x);
-          let n = Fbt.length t and m = Hashtbl.length mirror in
+          let n = Bt.length t and m = Hashtbl.length mirror in
           if n <> m then diverge run i "length %d, oracle says %d" n m;
-          if (i + 1) mod gap = 0 then record_report run (Fbt_audit.audit t)
+          if (i + 1) mod gap = 0 then record_report run (Invariant.btree t)
         with exn -> diverge run i "uncaught exception: %s" (Printexc.to_string exn))
     stream;
-  record_report run (Fbt_audit.audit t);
-  finish run ~ops ~final_size:(Fbt.length t)
+  record_report run (Invariant.btree t);
+  finish run ~ops ~final_size:(Bt.length t)
 
 (* ------------------------------------------------------------------ *)
 (* Set-like structures: hotspot tracker and the two partitions          *)
@@ -1136,10 +1135,10 @@ let audit_workload ~seed ~n () =
   apply
     ~add:(fun id iv -> Cq_index.Sweep_store.add ss iv id)
     ~del:(fun id iv -> ignore (Cq_index.Sweep_store.remove ss iv (fun id' -> id' = id)));
-  let bt : int Fbt.t = Fbt.create () in
+  let bt : int Bt.t = Bt.create () in
   apply
-    ~add:(fun id iv -> Fbt.insert bt (I.lo iv) id)
-    ~del:(fun id iv -> ignore (Fbt.remove_first bt (I.lo iv) (fun id' -> id' = id)));
+    ~add:(fun id iv -> Bt.insert bt (I.lo iv) (I.hi iv) id)
+    ~del:(fun id iv -> ignore (Bt.remove_first bt (I.lo iv) (I.hi iv) (fun id' -> id' = id)));
   let tr = Tracker.create ~alpha:0.05 ~seed () in
   apply ~add:(fun id iv -> Tracker.insert tr (id, iv)) ~del:(fun id iv -> ignore (Tracker.delete tr (id, iv)));
   let lp = Lazy_p.create ~seed () in
@@ -1186,7 +1185,7 @@ let audit_workload ~seed ~n () =
     @ [
         ("sweep_store", Invariant.sweep_store ss);
         ("band_hot_groups", band_groups_report);
-        ("btree", Fbt_audit.audit bt);
+        ("btree", Invariant.btree bt);
         ("hotspot_tracker", Tracker_audit.audit tr);
         ("lazy_partition", Lazy_audit.audit ~name:"lazy_partition" lp);
         ("refined_partition", Refined_audit.audit ~name:"refined_partition" rp);

@@ -306,6 +306,16 @@ let test_ssi_hist_group_count () =
   let h = Ssi_hist.build ivs ~buckets:12 in
   Alcotest.(check int) "groups" 3 (Ssi_hist.num_groups h)
 
+(* Infinite ends are clipped to one past the finite span, so inside it
+   the one-bucket-per-interval histogram still counts every interval
+   that reaches the point. *)
+let test_ssi_hist_infinite_ends () =
+  let ivs = I.[| make 0.0 infinity; make neg_infinity 10.0; make 4.0 6.0; make neg_infinity infinity |] in
+  let h = Ssi_hist.build ~use_exact_kmeans:true ivs ~buckets:32 in
+  List.iter
+    (fun (x, want) -> Alcotest.(check (float 1e-9)) (Printf.sprintf "at %g" x) want (Ssi_hist.estimate h x))
+    [ (-0.5, 2.0); (5.0, 4.0); (10.5, 2.0) ]
+
 let prop_ssi_hist_never_negative =
   QCheck2.Test.make ~name:"ssi-hist: estimates are non-negative" ~count:150
     QCheck2.Gen.(list_size (int_range 1 80) interval_gen)
@@ -360,6 +370,7 @@ let () =
           Alcotest.test_case "beats EQW on clustered input" `Slow
             test_ssi_hist_beats_eqw_on_clustered;
           Alcotest.test_case "group count" `Quick test_ssi_hist_group_count;
+          Alcotest.test_case "infinite ends" `Quick test_ssi_hist_infinite_ends;
           qc prop_ssi_hist_never_negative;
         ] );
     ]

@@ -3,67 +3,74 @@
    R-tree vs brute force, the instrumented stab index vs the bare tree. *)
 
 module I = Cq_interval.Interval
-module Btree = Cq_index.Btree
+module Bt = Cq_index.Btree
 module Flat = Cq_index.Flat_interval_tree
 module Rect = Cq_index.Rect
 module Rtree = Cq_index.Rtree
 module Rng = Cq_util.Rng
 
-module FB = Cq_relation.Table.Fbt
+(* Keys are (primary, secondary) pairs from a small grid, so equal
+   primaries and exact duplicate pairs are common — the hard cases for
+   ordered-index seek semantics. *)
+let key_gen =
+  QCheck2.Gen.(
+    pair (map (fun i -> float_of_int i /. 2.0) (int_bound 40)) (map float_of_int (int_bound 2)))
 
-(* Values come from a small grid so duplicates are common — the hard
-   case for ordered-index seek semantics. *)
-let key_gen = QCheck2.Gen.(map (fun i -> float_of_int i /. 2.0) (int_bound 40))
-
-type op = Ins of float | Del of float
+type op = Ins of float * float | Del of float * float
 
 let op_gen =
   QCheck2.Gen.(
-    oneof [ map (fun k -> Ins k) key_gen; map (fun k -> Del k) key_gen ])
+    oneof [ map (fun (k, k2) -> Ins (k, k2)) key_gen; map (fun (k, k2) -> Del (k, k2)) key_gen ])
 
 let ops_gen = QCheck2.Gen.(list_size (int_range 0 400) op_gen)
+let cmp = Cq_util.Order.float_pair
 
-(* Reference model: a sorted list of (key, value); duplicates kept in
-   insertion order among equals (the B-tree appends equal keys to the
-   right and deletes the leftmost match, so values with equal keys form
-   a FIFO). *)
+(* Reference model: a sorted list of (key, key2, value), lexicographic
+   on the pair; duplicates kept in insertion order among equals (the
+   B-tree appends an equal pair to the right and deletes the leftmost
+   match, so values with equal pairs form a FIFO). *)
 module Model = struct
-  type t = (float * int) list
+  type t = (float * float * int) list
 
-  let insert (m : t) k v =
+  let key (k, k2, _) = (k, k2)
+
+  let insert (m : t) k k2 v =
     let rec go = function
-      | [] -> [ (k, v) ]
-      | (k', v') :: rest when k' <= k -> (k', v') :: go rest
-      | rest -> (k, v) :: rest
+      | e :: rest when cmp (key e) (k, k2) <= 0 -> e :: go rest
+      | rest -> (k, k2, v) :: rest
     in
     go m
 
-  let remove_first (m : t) k pred =
+  let remove_first (m : t) k k2 pred =
     let rec go = function
       | [] -> None
-      | (k', v') :: rest when k' = k && pred v' -> Some rest
-      | x :: rest -> Option.map (fun r -> x :: r) (go rest)
+      | ((_, _, v) as e) :: rest when cmp (key e) (k, k2) = 0 && pred v -> Some rest
+      | e :: rest -> Option.map (fun r -> e :: r) (go rest)
     in
     go m
 
-  let seek_ge (m : t) k = List.find_opt (fun (k', _) -> k' >= k) m
-  let seek_le (m : t) k = List.fold_left (fun acc (k', v) -> if k' <= k then Some (k', v) else acc) None m
+  let ge (m : t) p = List.filter (fun e -> cmp (key e) p >= 0) m
+  let lt (m : t) p = List.filter (fun e -> cmp (key e) p < 0) m
+  let seek_ge m p = List.nth_opt (ge m p) 0
+  let seek_le m p = List.nth_opt (List.rev (List.filter (fun e -> cmp (key e) p <= 0) m)) 0
 end
 
-let apply_ops ops =
-  let t = FB.create ~order:2 () in
+let entry c = (Bt.key c, Bt.key2 c, Bt.value c)
+
+let apply_ops ?(order = 2) ops =
+  let t = Bt.create ~order () in
   let model = ref [] in
   let fresh = ref 0 in
   List.iter
     (fun op ->
       match op with
-      | Ins k ->
+      | Ins (k, k2) ->
           incr fresh;
-          FB.insert t k !fresh;
-          model := Model.insert !model k !fresh
-      | Del k -> (
-          let removed = FB.remove_first t k (fun _ -> true) in
-          match Model.remove_first !model k (fun _ -> true) with
+          Bt.insert t k k2 !fresh;
+          model := Model.insert !model k k2 !fresh
+      | Del (k, k2) -> (
+          let removed = Bt.remove_first t k k2 (fun _ -> true) in
+          match Model.remove_first !model k k2 (fun _ -> true) with
           | Some m ->
               if not removed then QCheck2.Test.fail_report "model removed but tree did not";
               model := m
@@ -74,8 +81,8 @@ let apply_ops ops =
 let prop_btree_models_sorted_list =
   QCheck2.Test.make ~name:"btree: to_list matches model" ~count:300 ops_gen (fun ops ->
       let t, model = apply_ops ops in
-      FB.check_invariants t;
-      FB.to_list t = model)
+      Bt.check_invariants t;
+      Bt.to_list t = model)
 
 let prop_btree_seeks =
   QCheck2.Test.make ~name:"btree: seek_ge/seek_le match model" ~count:200
@@ -83,79 +90,75 @@ let prop_btree_seeks =
     (fun (ops, probes) ->
       let t, model = apply_ops ops in
       List.for_all
-        (fun k ->
-          let ge = Option.map (fun c -> (FB.key c, FB.value c)) (FB.seek_ge t k) in
-          let le = Option.map (fun c -> (FB.key c, FB.value c)) (FB.seek_le t k) in
-          (* seek_ge must agree on the key; among equal keys it must be
-             the leftmost, which the model's find_opt also returns. *)
-          ge = Model.seek_ge model k && le = Model.seek_le model k)
+        (fun (k, k2) ->
+          (* Among equal pairs seek_ge must be the leftmost and seek_le
+             the rightmost, as the model's filters give. *)
+          Option.map entry (Bt.seek_ge t k k2) = Model.seek_ge model (k, k2)
+          && Option.map entry (Bt.seek_le t k k2) = Model.seek_le model (k, k2))
         probes)
 
 let prop_btree_range =
   QCheck2.Test.make ~name:"btree: iter_range matches model filter" ~count:200
     QCheck2.Gen.(triple ops_gen key_gen key_gen)
     (fun (ops, a, b) ->
-      let lo = Float.min a b and hi = Float.max a b in
+      let (lo, lo2), (hi, hi2) = if cmp a b <= 0 then (a, b) else (b, a) in
       let t, model = apply_ops ops in
       let got = ref [] in
-      FB.iter_range t ~lo ~hi (fun k v -> got := (k, v) :: !got);
-      List.rev !got = List.filter (fun (k, _) -> k >= lo && k <= hi) model)
+      Bt.iter_range t lo lo2 hi hi2 (fun v -> got := v :: !got);
+      let inside e = cmp (Model.key e) (lo, lo2) >= 0 && cmp (Model.key e) (hi, hi2) <= 0 in
+      List.rev !got = List.filter_map (fun ((_, _, v) as e) -> if inside e then Some v else None) model
+      && Bt.count_range t lo lo2 hi hi2 = List.length !got)
 
 let prop_btree_bulk_load =
   QCheck2.Test.make ~name:"btree: of_sorted valid and faithful" ~count:200
     QCheck2.Gen.(list_size (int_range 0 600) key_gen)
     (fun keys ->
-      let sorted = List.sort compare keys in
-      let entries = Array.of_list (List.mapi (fun i k -> (k, i)) sorted) in
-      (* Re-sort stably by key only (values keep relative order). *)
-      let t = FB.of_sorted ~order:3 entries in
-      FB.check_invariants t;
-      List.map fst (FB.to_list t) = sorted)
+      let sorted = List.stable_sort cmp keys in
+      let entries = Array.of_list (List.mapi (fun i (k, k2) -> (k, k2, i)) sorted) in
+      let t = Bt.of_sorted ~order:3 entries in
+      Bt.check_invariants t;
+      Bt.to_list t = Array.to_list entries)
 
 let prop_btree_cursor_walk =
   QCheck2.Test.make ~name:"btree: cursor walks forward and back" ~count:200 ops_gen (fun ops ->
       let t, model = apply_ops ops in
-      (* Forward from the smallest key. *)
-      let forward =
-        match model with
-        | [] -> []
-        | (k0, _) :: _ ->
-            let rec walk acc = function
-              | None -> List.rev acc
-              | Some c -> walk ((FB.key c, FB.value c) :: acc) (FB.next c)
-            in
-            walk [] (FB.seek_ge t k0)
+      let rec forward acc = function
+        | None -> List.rev acc
+        | Some c -> forward (entry c :: acc) (Bt.next c)
       in
-      let backward =
-        match FB.max_entry t with
-        | None -> []
-        | Some (kmax, _) ->
-            let rec walk acc = function
-              | None -> acc
-              | Some c -> walk ((FB.key c, FB.value c) :: acc) (FB.prev c)
-            in
-            walk [] (FB.seek_le t kmax)
+      let rec backward acc = function
+        | None -> acc
+        | Some c -> backward (entry c :: acc) (Bt.prev c)
       in
-      forward = model && backward = model)
+      forward [] (Bt.seek_ge t neg_infinity neg_infinity) = model
+      && backward [] (Bt.seek_le t infinity infinity) = model)
 
-(* The finger runs on the production S.B tree, at the smallest order
-   (duplicates straddle many leaves) and the default one. *)
-module Fbt = Cq_relation.Table.Fbt
+(* The finger runs at the smallest order (duplicates straddle many
+   leaves) and the default one. *)
+let bt_of_ops ~order ops = fst (apply_ops ~order ops)
 
-let fbt_of_ops ~order ops =
-  let t = Fbt.create ~order () in
-  List.iteri
-    (fun v -> function
-      | Ins k -> Fbt.insert t k v
-      | Del k -> ignore (Fbt.remove_first t k (fun _ -> true)))
-    ops;
-  t
+(* Targets reach past both ends of [key_gen]'s grid, secondaries
+   included. *)
+let target_gen =
+  QCheck2.Gen.(
+    pair
+      (map (fun i -> float_of_int i /. 2.0) (int_range (-4) 44))
+      (oneof [ map float_of_int (int_range (-1) 3); oneofl [ neg_infinity; infinity ] ]))
 
-(* Targets reach past both ends of [key_gen]'s grid. *)
-let target_gen = QCheck2.Gen.(map (fun i -> float_of_int i /. 2.0) (int_range (-4) 44))
+(* The entry at the finger and the one before it, read from the leaf
+   columns: what a STEP 1 reads as its two anchors. *)
+let anchors f =
+  let i = Bt.finger_index f and j = Bt.finger_back_index f in
+  let at = if i < Bt.finger_count f then Some ((Bt.finger_keys f).(i), (Bt.finger_keys2 f).(i)) else None in
+  let before =
+    if j >= 0 then Some ((Bt.finger_back_keys f).(j), (Bt.finger_back_keys2 f).(j)) else None
+  in
+  (at, before)
+
+let last l = List.nth_opt (List.rev l) 0
 
 (* After each seek the finger must sit where [seek_ge] lands (the
-   first entry [finger_iter_le] visits is that entry), report the keys
+   first entry [finger_iter_le] visits is that entry), read the keys
    at and before that entry, and walk exactly what [iter_range] walks.
    Targets are replayed rising, then in generated order (which goes
    backwards), on one finger. *)
@@ -166,37 +169,32 @@ let prop_btree_finger =
         (list_size (int_range 1 40) target_gen)
         (map float_of_int (int_bound 6)))
     (fun (order, ops, targets, width) ->
-      let t = fbt_of_ops ~order ops in
-      let f = Fbt.finger t in
-      let check k =
-        Fbt.finger_seek f k;
+      let t, model = apply_ops ~order ops in
+      let f = Bt.finger t in
+      let check (k, k2) =
+        Bt.finger_seek f k k2;
         let walked = ref [] in
-        Fbt.finger_iter_le f (k +. width) () (fun () v -> walked := v :: !walked);
+        Bt.finger_iter_le f (k +. width) k2 () (fun () v -> walked := v :: !walked);
         let expected = ref [] in
-        Fbt.iter_range t ~lo:k ~hi:(k +. width) (fun _ v -> expected := v :: !expected);
+        Bt.iter_range t k k2 (k +. width) k2 (fun v -> expected := v :: !expected);
         let at = ref None in
-        Fbt.finger_iter_le f infinity () (fun () v -> if !at = None then at := Some v);
-        let ge = Fbt.seek_ge t k in
-        let before =
-          match ge with
-          | Some c -> Option.map Fbt.key (Fbt.prev c)
-          | None -> Option.map fst (Fbt.max_entry t)
-        in
+        Bt.finger_iter_le f infinity infinity () (fun () v -> if !at = None then at := Some v);
+        let ge = Bt.seek_ge t k k2 in
         !walked = !expected
-        && !at = Option.map Fbt.value ge
-        (* The defaults lie outside every key the generators make. *)
-        && Fbt.finger_key f ~default:1e9 = Option.fold ~none:1e9 ~some:Fbt.key ge
-        && Fbt.finger_prev_key f ~default:(-1e9) = Option.value before ~default:(-1e9)
+        && !at = Option.map Bt.value ge
+        && anchors f
+           = (Option.map Model.key (Model.seek_ge model (k, k2)), Option.map Model.key (last (Model.lt model (k, k2))))
       in
-      let rising = List.for_all check (List.sort Float.compare targets) in
-      Fbt.finger_reset f;
+      let rising = List.for_all check (List.sort cmp targets) in
+      Bt.finger_reset f;
       rising && List.for_all check targets)
 
 (* The backward walk from a finger is the tree's listing below the
-   same key, cut at [lo], from the largest down.  Targets on the key grid land on runs of duplicates (which
-   straddle leaves at order 2), targets past the top leave the finger
-   at the end, and an all-deleted op list leaves the tree empty; [lo]
-   ranges from below every key to above the target. *)
+   same key, cut at [lo], from the largest down.  Targets on the key
+   grid land on runs of duplicates (which straddle leaves at order 2),
+   targets past the top leave the finger at the end, and an
+   all-deleted op list leaves the tree empty; [lo] ranges from below
+   every key to above the target. *)
 let prop_btree_finger_back =
   QCheck2.Test.make ~name:"btree: finger_iter_back_ge matches the listing below the key" ~count:300
     QCheck2.Gen.(
@@ -204,68 +202,90 @@ let prop_btree_finger_back =
         (list_size (int_range 1 40) target_gen)
         (map (fun i -> float_of_int i -. 1.0) (int_bound 8)))
     (fun (order, ops, targets, depth) ->
-      let t = fbt_of_ops ~order ops in
-      let f = Fbt.finger t in
+      let t = bt_of_ops ~order ops in
+      let f = Bt.finger t in
       List.for_all
-        (fun k ->
-          Fbt.finger_seek f k;
+        (fun (k, k2) ->
+          Bt.finger_seek f k k2;
           List.for_all
-            (fun lo ->
+            (fun (lo, lo2) ->
               let walked = ref [] in
-              Fbt.finger_iter_back_ge f lo () (fun () v -> walked := v :: !walked);
+              Bt.finger_iter_back_ge f lo lo2 () (fun () v -> walked := v :: !walked);
               let expected =
-                List.filter_map (fun (k', v) -> if lo <= k' && k' < k then Some v else None) (Fbt.to_list t)
+                List.filter_map
+                  (fun (a, a2, v) -> if cmp (a, a2) (lo, lo2) >= 0 && cmp (a, a2) (k, k2) < 0 then Some v else None)
+                  (Bt.to_list t)
               in
               !walked = expected)
-            [ k -. depth; neg_infinity ])
+            [ (k -. depth, k2); (k, neg_infinity); (neg_infinity, neg_infinity) ])
         targets)
 
-(* The key modules' node searches against the [compare_at] binary
-   search they replace ([Btree.ORDERED]'s contract), on sorted arrays
-   with duplicates, over every [from, count) sub-range, for keys equal
-   to an element, between elements, below the minimum and above the
-   maximum. *)
-let bound_loop compare_at ~past_equal a from count k =
-  let lo = ref from and hi = ref count in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = compare_at a mid k in
-    if c < 0 || (past_equal && c = 0) then lo := mid + 1 else hi := mid
-  done;
-  !lo
+(* The one tree against a sorted-list reference, interleaved: inserts
+   of exact duplicate pairs, deletes of the first duplicate a predicate
+   accepts, and finger seeks, at order 2 so leaves split and merge.
+   After each seek the finger's two anchors (the entries at and before
+   it, read from the leaf columns), [seek_ge] and both walks must match
+   the reference; after each update the finger is reset, as the
+   contract requires. *)
+type step = Put of float * float | Drop of float * float * bool | Look of (float * float) * (float * float) * (float * float)
 
-let bounds_agree (type k) (module K : Btree.ORDERED with type t = k) (a : k array) (ks : k list) =
-  let n = Array.length a in
-  List.for_all
-    (fun k ->
-      let ok = ref true in
-      for from = 0 to n do
-        for count = from to n do
-          if
-            K.lower_bound a from count k <> bound_loop K.compare_at ~past_equal:false a from count k
-            || K.upper_bound a from count k <> bound_loop K.compare_at ~past_equal:true a from count k
-          then ok := false
-        done
-      done;
-      !ok)
-    ks
+let step_gen =
+  let small = QCheck2.Gen.(pair (map float_of_int (int_bound 5)) (map float_of_int (int_bound 2))) in
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun (k, k2) -> Put (k, k2)) small);
+        (2, map2 (fun (k, k2) odd -> Drop (k, k2, odd)) small bool);
+        ( 3,
+          map3
+            (fun p lo hi -> Look (p, lo, hi))
+            target_gen target_gen target_gen );
+      ])
 
-(* Grid keys with duplicates; probes add half-steps and both ends. *)
-let sorted_grid_gen = QCheck2.Gen.(map (List.sort Float.compare) (list_size (int_range 0 24) key_gen))
-let probe_keys a = (-1.0 :: 21.0 :: Array.to_list a) @ List.map (fun k -> k +. 0.25) (Array.to_list a)
-
-let prop_key_bounds =
-  QCheck2.Test.make ~name:"btree keys: lower_bound/upper_bound match the compare_at loop" ~count:200
-    QCheck2.Gen.(pair sorted_grid_gen (list_size (int_range 0 24) (pair key_gen key_gen)))
-    (fun (fl, pl) ->
-      let fa = Array.of_list fl in
-      let pa = Array.of_list (List.sort Cq_relation.Table.Pkey.compare pl) in
-      let pprobes =
-        ((-1.0, 0.0) :: (21.0, 0.0) :: Array.to_list pa)
-        @ List.concat_map (fun (x, y) -> [ (x, y +. 0.25); (x, y -. 0.25) ]) (Array.to_list pa)
+let prop_btree_reference =
+  QCheck2.Test.make ~name:"btree: one (B, C) tree against a sorted-list reference" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 300) step_gen)
+    (fun steps ->
+      let t = Bt.create ~order:2 () in
+      let f = Bt.finger t in
+      let model = ref [] and fresh = ref 0 in
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let step = function
+        | Put (k, k2) ->
+            incr fresh;
+            Bt.insert t k k2 !fresh;
+            model := Model.insert !model k k2 !fresh;
+            Bt.finger_reset f
+        | Drop (k, k2, odd) ->
+            let pred v = v land 1 = Bool.to_int odd in
+            let removed = Bt.remove_first t k k2 pred in
+            (match Model.remove_first !model k k2 pred with
+            | Some m ->
+                if not removed then fail "(%g, %g): the reference removed, the tree did not" k k2;
+                model := m
+            | None -> if removed then fail "(%g, %g): the tree removed, the reference did not" k k2);
+            Bt.finger_reset f
+        | Look (((k, k2) as p), (lo, lo2), (hi, hi2)) ->
+            Bt.finger_seek f k k2;
+            let ge = Model.ge !model p and lt = Model.lt !model p in
+            if anchors f <> (Option.map Model.key (List.nth_opt ge 0), Option.map Model.key (last lt)) then
+              fail "(%g, %g): anchors differ" k k2;
+            if Option.map entry (Bt.seek_ge t k k2) <> List.nth_opt ge 0 then fail "(%g, %g): seek_ge differs" k k2;
+            let fwd = ref [] and back = ref [] in
+            Bt.finger_iter_le f hi hi2 () (fun () v -> fwd := v :: !fwd);
+            Bt.finger_iter_back_ge f lo lo2 () (fun () v -> back := v :: !back);
+            let rec take_while p = function x :: xs when p x -> x :: take_while p xs | _ -> [] in
+            let value (_, _, v) = v in
+            let want_fwd = List.map value (take_while (fun e -> cmp (Model.key e) (hi, hi2) <= 0) ge) in
+            let want_back =
+              List.map value (take_while (fun e -> cmp (Model.key e) (lo, lo2) >= 0) (List.rev lt))
+            in
+            if List.rev !fwd <> want_fwd then fail "(%g, %g): forward walk differs" k k2;
+            if List.rev !back <> want_back then fail "(%g, %g): backward walk differs" k k2
       in
-      bounds_agree (module Cq_relation.Table.Fkey) fa (probe_keys fa)
-      && bounds_agree (module Cq_relation.Table.Pkey) pa pprobes)
+      List.iter step steps;
+      Bt.check_invariants t;
+      Bt.to_list t = !model)
 
 (* The leaf accessors against [seek_ge] and the listing: after each
    seek the key at the finger's slot is the entry [seek_ge] finds (the
@@ -277,73 +297,76 @@ let prop_btree_leaf_access =
   QCheck2.Test.make ~name:"btree: leaf accessors match seek_ge and the leaf chain" ~count:300
     QCheck2.Gen.(triple (oneofl [ 2; 16 ]) ops_gen (list_size (int_range 1 40) target_gen))
     (fun (order, ops, targets) ->
-      let t = fbt_of_ops ~order ops in
-      let f = Fbt.finger t in
-      let placed k =
-        Fbt.finger_seek f k;
-        let i = Fbt.finger_index f and n = Fbt.finger_count f in
-        let at = if i < n then Some (Fbt.finger_keys f).(i) else None in
-        let j = Fbt.finger_back_index f in
-        let back = if j >= 0 then Some (Fbt.finger_back_keys f).(j) else None in
-        let ge = Fbt.seek_ge t k in
+      let t = bt_of_ops ~order ops in
+      let f = Bt.finger t in
+      let placed (k, k2) =
+        Bt.finger_seek f k k2;
+        let ge = Bt.seek_ge t k k2 in
         let before =
           match ge with
-          | Some c -> Option.map Fbt.key (Fbt.prev c)
-          | None -> Option.map fst (Fbt.max_entry t)
+          | Some c -> Bt.prev c
+          | None -> Bt.seek_le t infinity infinity
         in
-        at = Option.map Fbt.key ge && back = before
+        let key c = (Bt.key c, Bt.key2 c) in
+        anchors f = (Option.map key ge, Option.map key before)
       in
-      let listed = List.map fst (Fbt.to_list t) in
-      Fbt.finger_reset f;
+      let listed = List.map (fun (k, k2, _) -> (k, k2)) (Bt.to_list t) in
+      Bt.finger_reset f;
+      let leaf () =
+        List.init (Bt.finger_count f) (fun i -> ((Bt.finger_keys f).(i), (Bt.finger_keys2 f).(i)))
+      in
       let rec chain acc =
-        let leaf = Array.to_list (Array.sub (Fbt.finger_keys f) 0 (Fbt.finger_count f)) in
-        if Fbt.finger_next_leaf f then chain (List.rev_append leaf acc) else List.rev_append acc leaf
+        let l = leaf () in
+        if Bt.finger_next_leaf f then chain (List.rev_append l acc) else List.rev_append acc l
       in
       chain [] = listed && List.for_all placed targets)
 
 let test_btree_finger_empty () =
-  let t = Fbt.create ~order:2 () in
-  let f = Fbt.finger t in
+  let t = Bt.create ~order:2 () in
+  let f = Bt.finger t in
   List.iter
     (fun k ->
-      Fbt.finger_seek f k;
-      Alcotest.(check (float 0.0)) "at the end" infinity (Fbt.finger_key f ~default:infinity);
-      Alcotest.(check (float 0.0))
-        "nothing before" neg_infinity
-        (Fbt.finger_prev_key f ~default:neg_infinity);
-      Fbt.finger_iter_le f infinity () (fun () _ -> Alcotest.fail "visited an entry");
-      Fbt.finger_iter_back_ge f neg_infinity () (fun () _ -> Alcotest.fail "visited an entry"))
+      Bt.finger_seek f k 0.0;
+      Alcotest.(check int) "at the end" (Bt.finger_count f) (Bt.finger_index f);
+      Alcotest.(check int) "nothing before" (-1) (Bt.finger_back_index f);
+      Bt.finger_iter_le f infinity infinity () (fun () _ -> Alcotest.fail "visited an entry");
+      Bt.finger_iter_back_ge f neg_infinity neg_infinity () (fun () _ -> Alcotest.fail "visited an entry"))
     [ 1.0; neg_infinity; infinity; 0.0 ]
 
+(* The neighbours of a primary key: the rightmost entry with primary
+   <= k (secondary +∞) and the leftmost with primary >= k (secondary
+   -∞), one entry per primary here, with secondaries 1 and 2 on 5. *)
 let test_btree_neighbours () =
-  let t = FB.create ~order:2 () in
-  List.iter (fun k -> FB.insert t k (int_of_float k)) [ 1.0; 3.0; 5.0; 7.0 ];
-  let le, ge = FB.neighbours t 4.0 in
-  Alcotest.(check (option (pair (float 0.0) int))) "le" (Some (3.0, 3)) le;
-  Alcotest.(check (option (pair (float 0.0) int))) "ge" (Some (5.0, 5)) ge;
-  let le, ge = FB.neighbours t 5.0 in
-  Alcotest.(check (option (pair (float 0.0) int))) "le exact" (Some (5.0, 5)) le;
-  Alcotest.(check (option (pair (float 0.0) int))) "ge exact" (Some (5.0, 5)) ge;
-  let le, ge = FB.neighbours t 0.0 in
-  Alcotest.(check (option (pair (float 0.0) int))) "le below min" None le;
-  Alcotest.(check (option (pair (float 0.0) int))) "ge below min" (Some (1.0, 1)) ge
+  let t = Bt.create ~order:2 () in
+  List.iter (fun (k, k2) -> Bt.insert t k k2 (int_of_float (k *. 10.0 +. k2))) [ (1.0, 0.0); (3.0, 0.0); (5.0, 1.0); (5.0, 2.0); (7.0, 0.0) ];
+  let neighbours k =
+    (Option.map Bt.value (Bt.seek_le t k infinity), Option.map Bt.value (Bt.seek_ge t k neg_infinity))
+  in
+  let pair = Alcotest.(pair (option int) (option int)) in
+  Alcotest.check pair "between" (Some 30, Some 51) (neighbours 4.0);
+  Alcotest.check pair "exact: both ends of the run" (Some 52, Some 51) (neighbours 5.0);
+  Alcotest.check pair "below min" (None, Some 10) (neighbours 0.0);
+  Alcotest.check pair "above max" (Some 70, None) (neighbours 8.0);
+  Alcotest.(check (option int)) "inside a run" (Some 52) (Option.map Bt.value (Bt.seek_ge t 5.0 1.5))
 
 let test_btree_find_all_duplicates () =
-  let t = FB.create ~order:2 () in
+  let t = Bt.create ~order:2 () in
   for i = 1 to 20 do
-    FB.insert t 5.0 i;
-    FB.insert t (100.0 +. float_of_int i) (-i)
+    Bt.insert t 5.0 1.0 i;
+    Bt.insert t (100.0 +. float_of_int i) 0.0 (-i)
   done;
-  Alcotest.(check (list int)) "duplicates in order" (List.init 20 (fun i -> i + 1))
-    (FB.find_all t 5.0);
-  Alcotest.(check int) "count_range" 20 (FB.count_range t ~lo:5.0 ~hi:5.0)
+  let got = ref [] in
+  Bt.iter_range t 5.0 1.0 5.0 1.0 (fun v -> got := v :: !got);
+  Alcotest.(check (list int)) "duplicates in order" (List.init 20 (fun i -> i + 1)) (List.rev !got);
+  Alcotest.(check int) "count_range" 20 (Bt.count_range t 5.0 neg_infinity 5.0 infinity);
+  Alcotest.(check int) "other secondary" 0 (Bt.count_range t 5.0 0.0 5.0 0.0)
 
 let test_btree_empty () =
-  let t : int FB.t = FB.create () in
-  Alcotest.(check bool) "is_empty" true (FB.is_empty t);
-  Alcotest.(check bool) "seek on empty" true (FB.seek_ge t 1.0 = None);
-  Alcotest.(check bool) "remove on empty" false (FB.remove_first t 1.0 (fun _ -> true));
-  FB.check_invariants t
+  let t : int Bt.t = Bt.create () in
+  Alcotest.(check bool) "is_empty" true (Bt.is_empty t);
+  Alcotest.(check bool) "seek on empty" true (Bt.seek_ge t 1.0 0.0 = None);
+  Alcotest.(check bool) "remove on empty" false (Bt.remove_first t 1.0 0.0 (fun _ -> true));
+  Bt.check_invariants t
 
 (* --------------------------- Interval tree ---------------------------- *)
 
@@ -561,16 +584,19 @@ let test_rtree_empty_rect_rejected () =
 
 let test_btree_validation () =
   Alcotest.check_raises "order < 2" (Invalid_argument "Btree.create: order must be >= 2")
-    (fun () -> ignore (FB.create ~order:1 () : int FB.t));
+    (fun () -> ignore (Bt.create ~order:1 () : int Bt.t));
   Alcotest.check_raises "unsorted bulk load"
     (Invalid_argument "Btree.of_sorted: input not sorted") (fun () ->
-      ignore (FB.of_sorted [| (2.0, 0); (1.0, 1) |]));
+      ignore (Bt.of_sorted [| (2.0, 0.0, 0); (1.0, 0.0, 1) |]));
+  Alcotest.check_raises "unsorted secondaries"
+    (Invalid_argument "Btree.of_sorted: input not sorted") (fun () ->
+      ignore (Bt.of_sorted [| (1.0, 1.0, 0); (1.0, 0.0, 1) |]));
   (* Bulk loads at many sizes keep the invariants. *)
   List.iter
     (fun n ->
-      let t = FB.of_sorted ~order:4 (Array.init n (fun i -> (float_of_int i, i))) in
-      FB.check_invariants t;
-      Alcotest.(check int) "size" n (FB.length t))
+      let t = Bt.of_sorted ~order:4 (Array.init n (fun i -> (float_of_int (i / 3), float_of_int i, i))) in
+      Bt.check_invariants t;
+      Alcotest.(check int) "size" n (Bt.length t))
     [ 0; 1; 3; 7; 8; 9; 63; 64; 65; 1000 ]
 
 let test_treap_extras () =
@@ -909,21 +935,21 @@ let prop_store_sweep_on_btree =
         (list_size (int_range 0 200) window_gen)
         ops_gen (int_range (-10) 10))
     (fun (order, ivs, ops, shift) ->
-      let tree = fbt_of_ops ~order ops in
-      let keys = Array.of_list (List.map fst (Fbt.to_list tree)) in
+      let tree = bt_of_ops ~order ops in
+      let keys = Array.of_list (List.map (fun (k, _, _) -> k) (Bt.to_list tree)) in
       let shift = float_of_int shift in
       let t = Store.create () in
       List.iteri (fun i iv -> Store.add t iv (I.lo iv, I.hi iv, i)) ivs;
-      let finger = Fbt.finger tree in
+      let finger = Bt.finger tree in
       let c = Cq_relation.Table.cursor_on finger in
-      Fbt.finger_reset finger;
+      Bt.finger_reset finger;
       c.shift.(0) <- shift;
       Cq_relation.Table.load_cursor c finger;
       let got = ref [] and placed = ref true in
       Store.sweep t c (fun ((lo, _, _) as p) ->
           let at = ref None in
-          Fbt.finger_iter_le finger infinity () (fun () v -> if !at = None then at := Some v);
-          if !at <> Option.map Fbt.value (Fbt.seek_ge tree (lo +. shift)) then placed := false;
+          Bt.finger_iter_le finger infinity infinity () (fun () v -> if !at = None then at := Some v);
+          if !at <> Option.map Bt.value (Bt.seek_ge tree (lo +. shift) neg_infinity) then placed := false;
           got := p :: !got);
       List.rev !got = reference_sweep t keys shift && !placed)
 
@@ -1069,7 +1095,7 @@ let () =
           qc prop_btree_cursor_walk;
           qc prop_btree_finger;
           qc prop_btree_finger_back;
-          qc prop_key_bounds;
+          qc prop_btree_reference;
           qc prop_btree_leaf_access;
           Alcotest.test_case "neighbours" `Quick test_btree_neighbours;
           Alcotest.test_case "duplicates" `Quick test_btree_find_all_duplicates;

@@ -399,6 +399,58 @@ end
 let band_processors : (module BAND_AUDITED) list = [ (module Hot (BJ.Hotspot)); (module BJ.Ssi) ]
 let select_processors : (module SJ.STRATEGY) list = [ (module Hot (SJ.Hotspot)); (module SJ.Ssi) ]
 
+(* The edges of S(B,C) as one (B, C) tree: many rows per B value, rows
+   with equal (B, C), zero-width rangeC windows, rangeC ends on an S.C
+   value or just off one, and infinite ends on either axis.  Events hit
+   each B value and one no row holds.  Every strategy, and the hotspot
+   processor at α = 0.3 (so these windows form hot groups), must match
+   the reference in both results and affected queries. *)
+let select_edge_gen =
+  let open QCheck2.Gen in
+  let* rows = list_size (int_range 0 60) (pair (fgen 2) (fgen 6)) in
+  let on_row = if rows = [] then fgen 6 else oneofl (List.map snd rows) in
+  let c_end =
+    frequency
+      [
+        (3, on_row);
+        (1, map (fun c -> c +. 0.5) (fgen 6));
+        (1, oneofl [ neg_infinity; infinity ]);
+      ]
+  in
+  let ordered x y = if x <= y then I.make x y else I.make y x in
+  let range_c = frequency [ (2, map (fun c -> I.make c c) on_row); (4, map2 ordered c_end c_end) ] in
+  let range_a =
+    frequency
+      [
+        (3, interval_gen 20);
+        (1, map (fun a -> I.make a infinity) (fgen 20));
+        (1, map (fun a -> I.make neg_infinity a) (fgen 20));
+      ]
+  in
+  let* ranges = list_size (int_range 1 40) (pair range_a range_c) in
+  let+ events = list_size (int_range 1 12) (pair (fgen 20) (fgen 3)) in
+  (rows, ranges, events)
+
+let prop_select_edges =
+  QCheck2.Test.make ~name:"select joins: (B, C) edge cases match the reference" ~count:150
+    select_edge_gen (fun (s_tuples, ranges, events) ->
+      let table, _ = make_s_table s_tuples in
+      let queries = SQ.of_ranges (Array.of_list ranges) in
+      let events = make_r_events events in
+      List.for_all
+        (fun (module S : SJ.STRATEGY) ->
+          let st = S.create table queries in
+          List.for_all
+            (fun r ->
+              let want = SJ.reference table queries r in
+              let affected = ref [] in
+              S.affected st r (fun q -> affected := q.SQ.qid :: !affected);
+              select_results (module S) st r = want
+              && List.sort compare !affected = List.sort_uniq compare (List.map fst want)
+              || QCheck2.Test.fail_reportf "%s diverges at a = %g, b = %g" S.name r.Tuple.a r.b)
+            events)
+        ((module Hot (SJ.Hotspot) : SJ.STRATEGY) :: select_strategies))
+
 let prop_band_processors_match =
   QCheck2.Test.make ~name:"band processors: match brute force" ~count:100
     band_case_gen (fun (s_tuples, ranges, events) ->
@@ -513,8 +565,8 @@ let prop_band_scattered_sweep =
             List.map
               (fun (q : BQ.t) ->
                 let rows = ref [] in
-                Table.Fbt.iter_range (Table.s_by_b table) ~lo:(I.lo q.range +. r.b)
-                  ~hi:(I.hi q.range +. r.b) (fun _ s -> rows := (q.qid, s.Tuple.sid) :: !rows);
+                Cq_index.Btree.iter_range (Table.s_by_b table) (I.lo q.range +. r.b) neg_infinity
+                  (I.hi q.range +. r.b) infinity (fun s -> rows := (q.qid, s.Tuple.sid) :: !rows);
                 (q.qid, List.rev !rows))
               sweep_order
           in
@@ -691,6 +743,7 @@ let () =
           qc prop_select_strategies_agree;
           qc prop_select_dynamic_updates;
           qc prop_select_affected_matches;
+          qc prop_select_edges;
           Alcotest.test_case "no join partner" `Quick test_select_no_join_partner;
           Alcotest.test_case "gap between anchors" `Quick test_select_gap_between_anchors;
           Alcotest.test_case "anchor duplicates" `Quick test_select_rect_contains_anchor_line;
