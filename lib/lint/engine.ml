@@ -21,6 +21,7 @@ let has_suffix s suf =
   let ls = String.length s and lf = String.length suf in
   ls >= lf && String.equal (String.sub s (ls - lf) lf) suf
 
+(* Every .ml/.mli under root/lib and root/bin; sorted, relative paths. *)
 let discover ~root =
   let acc = ref [] in
   let rec walk rel =

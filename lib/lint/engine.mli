@@ -12,19 +12,15 @@ type report = {
 val clean : report -> bool
 (** No findings, no unused waivers, no errors. *)
 
-val discover : root:string -> string list
-(** Every [.ml]/[.mli] under [root/lib] and [root/bin], skipping
-    [_build]/[.git]/hidden directories; sorted, relative paths. *)
-
 val lint_source : path:string -> string -> (Diagnostic.t list, string) result
 (** Parse and check an in-memory source (the fixture-test entry point);
     [path] decides which rules apply.  CQL005 is not checked here. *)
 
-val lint_path : root:string -> path:string -> (Diagnostic.t list, string) result
-
 val run : ?waiver_file:string -> root:string -> unit -> report
-(** Full run over [root].  [waiver_file] defaults to [root/.cqlint]
-    when that file exists; a missing default is simply "no waivers". *)
+(** Full run over every [.ml]/[.mli] under [root/lib] and [root/bin]
+    (skipping [_build], [.git] and hidden directories).  [waiver_file]
+    defaults to [root/.cqlint] when that file exists; a missing default
+    is simply "no waivers". *)
 
 val hot_manifest : root:string -> string list
 (** Sorted ["path:name"] lines, one per [\[@cq.hot\]] binding under

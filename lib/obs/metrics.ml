@@ -114,12 +114,12 @@ let create_registry () =
 
 let registry = create_registry ()
 
-let with_lock r f =
-  Mutex.lock r.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
+let with_lock f =
+  Mutex.lock registry.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock registry.lock) f
 
-let intern r tbl name make =
-  with_lock r (fun () ->
+let intern tbl name make =
+  with_lock (fun () ->
       match Hashtbl.find_opt tbl name with
       | Some m -> m
       | None ->
@@ -127,18 +127,15 @@ let intern r tbl name make =
           Hashtbl.replace tbl name m;
           m)
 
-let counter ?(registry = registry) name =
-  intern registry registry.counters name (fun () -> { c = 0 })
+let counter name = intern registry.counters name (fun () -> { c = 0 })
+let gauge name = intern registry.gauges name (fun () -> { g = 0.0 })
 
-let gauge ?(registry = registry) name =
-  intern registry registry.gauges name (fun () -> { g = 0.0 })
-
-let histogram ?(registry = registry) name =
-  intern registry registry.histograms name (fun () ->
+let histogram name =
+  intern registry.histograms name (fun () ->
       { counts = Array.make n_buckets 0; n = 0; sum = 0.0; mn = infinity; mx = neg_infinity })
 
-let reset ?(registry = registry) () =
-  with_lock registry (fun () ->
+let reset () =
+  with_lock (fun () ->
       Hashtbl.iter (fun _ c -> c.c <- 0) registry.counters;
       Hashtbl.iter (fun _ g -> g.g <- 0.0) registry.gauges;
       Hashtbl.iter
@@ -183,8 +180,8 @@ let summarize h =
 
 let by_name (a, _) (b, _) = String.compare a b
 
-let snapshot ?(registry = registry) () =
-  with_lock registry (fun () ->
+let snapshot () =
+  with_lock (fun () ->
       {
         snap_counters =
           Hashtbl.fold (fun k c acc -> (k, c.c) :: acc) registry.counters []
@@ -196,7 +193,8 @@ let snapshot ?(registry = registry) () =
           |> List.sort by_name;
       })
 
-let pp_snapshot fmt s =
+let pp fmt () =
+  let s = snapshot () in
   Format.fprintf fmt "@[<v>";
   List.iter (fun (k, v) -> Format.fprintf fmt "%-40s %d@," k v) s.snap_counters;
   List.iter (fun (k, v) -> Format.fprintf fmt "%-40s %g@," k v) s.snap_gauges;
@@ -206,5 +204,3 @@ let pp_snapshot fmt s =
         h.p90 h.p99 h.max_v)
     s.snap_histograms;
   Format.fprintf fmt "@]"
-
-let pp fmt () = pp_snapshot fmt (snapshot ())

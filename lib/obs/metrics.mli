@@ -1,5 +1,5 @@
 (** Near-zero-overhead runtime metrics: counters, gauges, and
-    log-bucketed histograms behind a single global {!registry}.
+    log-bucketed histograms behind a single global registry.
 
     Recording is gated on one global switch, {b off by default}: a
     disabled {!incr} or {!observe} costs one load and one branch, so
@@ -41,18 +41,11 @@ type histogram
     — 64 buckets cover the full positive float range, so a nanosecond
     latency and a fanout count share the same shape. *)
 
-type registry
+val counter : string -> counter
+(** Create-or-intern by name in the one registry. *)
 
-val registry : registry
-(** The process-wide default registry every [?registry] defaults to. *)
-
-val create_registry : unit -> registry
-
-val counter : ?registry:registry -> string -> counter
-(** Create-or-intern by name. *)
-
-val gauge : ?registry:registry -> string -> gauge
-val histogram : ?registry:registry -> string -> histogram
+val gauge : string -> gauge
+val histogram : string -> histogram
 
 val incr : counter -> unit
 val add : counter -> int -> unit
@@ -79,8 +72,6 @@ val observe_since : histogram -> int64 -> unit
 
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
-val hist_min : histogram -> float
-val hist_max : histogram -> float
 
 val percentile : histogram -> float -> float
 (** Nearest-rank estimate from the buckets: the containing bucket's
@@ -116,13 +107,12 @@ type snapshot = {
   snap_histograms : (string * hist_summary) list;
 }
 
-val snapshot : ?registry:registry -> unit -> snapshot
+val snapshot : unit -> snapshot
 (** Name-sorted copy of every registered metric's current value. *)
 
-val reset : ?registry:registry -> unit -> unit
+val reset : unit -> unit
 (** Zero every registered value (cells stay interned) — used by the
     bench harness to capture per-experiment deltas. *)
 
-val pp_snapshot : Format.formatter -> snapshot -> unit
 val pp : Format.formatter -> unit -> unit
-(** [pp fmt ()] dumps a snapshot of the default registry. *)
+(** [pp fmt ()] dumps a snapshot of the registry. *)

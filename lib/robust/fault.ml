@@ -154,11 +154,20 @@ let gen_query rng (lo0, span, w0, dw) =
 
 let mixed_rates = [| 1.0; 1.0; 1.0; 0.25; 0.5; 0.75 |]
 
-(* Rows uniform over [0, 1000)^2, windows up to 150 wide over the same
-   range, so every query kind delivers. *)
+(* Rows uniform over [0, 1000)^2, except that half the B values sit on
+   40 grid points 25 apart, so R and S rows share B values and select
+   joins meet partners; windows up to 150 wide over the same range, so
+   every query kind delivers. *)
 let gen_uniform ?(churn = false) ?rates ~seed ~n () =
   let rng = Rng.create seed in
   let query () = gen_query rng (-200.0, 1000.0, 1.0, 150.0) in
+  let row side =
+    let x = Rng.float rng *. 1000.0 in
+    let b =
+      if Rng.bool rng then 25.0 *. float_of_int (Rng.int rng 40) else Rng.float rng *. 1000.0
+    in
+    match side with Par.R -> (x, b) | Par.S -> (b, x)
+  in
   let subs = List.init (8 + Rng.int rng 17) (fun _ -> Sub (query ())) in
   let batch i =
     let rate =
@@ -167,9 +176,7 @@ let gen_uniform ?(churn = false) ?rates ~seed ~n () =
       | Some rs -> [ Rate (if i = 0 then rs.(0) else rs.(Rng.int rng (Array.length rs))) ]
     in
     let side = if Rng.bool rng then Par.R else Par.S in
-    let rows =
-      Array.init (1 + Rng.int rng 50) (fun _ -> (Rng.float rng *. 1000.0, Rng.float rng *. 1000.0))
-    in
+    let rows = Array.init (1 + Rng.int rng 50) (fun _ -> row side) in
     let sub = if churn && Rng.int rng 3 = 0 then [ Sub (query ()) ] else [] in
     rate @ (Rows (side, rows) :: sub)
   in

@@ -78,7 +78,9 @@ val mixed_rates : float array
 val gen_uniform : ?churn:bool -> ?rates:float array -> seed:int -> n:int -> unit -> workload
 (** 8–24 band/select subscriptions (one window in sixteen unbounded on
     one side), then [max 4 (n / 40)] batches of 1–50 rows uniform over
-    [\[0, 1000)]; the batch size is drawn from [\[1, 64\]].  [churn] (default [false]) follows a third of the
+    [\[0, 1000)], except that half the B values lie on the grid
+    [0, 25, …, 975], so select joins meet equal-B partners; the batch
+    size is drawn from [\[1, 64\]].  [churn] (default [false]) follows a third of the
     batches with a new subscription, so batches run against a query
     population that has just changed.  [rates] puts the workload under
     the [Shed] policy and precedes every batch with a [Rate]: the first

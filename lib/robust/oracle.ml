@@ -2,6 +2,7 @@ module I = Cq_interval.Interval
 module Rng = Cq_util.Rng
 module Metrics = Cq_obs.Metrics
 module Trace = Cq_obs.Trace
+module Err = Cq_util.Error
 
 type divergence = { structure : string; seed : int; op_index : int; detail : string }
 
@@ -73,122 +74,123 @@ let finish run ~ops ~final_size =
     divergence = run.div;
   }
 
-(* The mirror for index-shaped structures: a multiset of (id, interval)
-   pairs, held as a Hashtbl with duplicate bindings per id. *)
+(* ------------------------------------------------------------------ *)
+(* Structures: each described once, one replay loop for all            *)
+(* ------------------------------------------------------------------ *)
 
-let mirror_mem tbl id iv = List.exists (fun iv' -> I.equal iv' iv) (Hashtbl.find_all tbl id)
+type structure = {
+  name : string;
+  dup : bool;
+  add : int -> I.t -> unit;
+  remove : int -> I.t -> bool;
+  check : int -> float -> (int * I.t) list -> string option;
+  size : unit -> int;
+  audit : unit -> Invariant.report;
+}
 
-let mirror_remove_one tbl id iv =
-  let bs = Hashtbl.find_all tbl id in
-  let rec drop = function
-    | [] -> []
-    | iv' :: tl -> if I.equal iv' iv then tl else iv' :: drop tl
+(* The mirror holds every live copy as id -> (insertion number,
+   interval).  A remove drops the oldest matching copy, the one the
+   sweep store's contract says a remove takes first; a check sees the
+   live pairs in insertion order. *)
+let run_structure s ~seed ~ops =
+  let run = make_run s.name seed in
+  let live = Hashtbl.create 1024 and next = ref 0 in
+  let take id iv =
+    let copies = Hashtbl.find_all live id in
+    match List.find_opt (fun (_, iv') -> I.equal iv iv') (List.rev copies) with
+    | None -> false
+    | Some (k, _) ->
+        List.iter (fun _ -> Hashtbl.remove live id) copies;
+        List.iter (fun ((k', _) as c) -> if k' <> k then Hashtbl.add live id c) (List.rev copies);
+        true
   in
-  let bs' = drop bs in
-  List.iter (fun _ -> Hashtbl.remove tbl id) bs;
-  List.iter (fun iv' -> Hashtbl.add tbl id iv') (List.rev bs')
-
-let mirror_entries tbl = Hashtbl.fold (fun id iv acc -> (id, iv) :: acc) tbl []
-
-(* ------------------------------------------------------------------ *)
-(* Stabbing indexes: one generic driver, four instances                 *)
-(* ------------------------------------------------------------------ *)
-
-module type STAB_INDEX = sig
-  type t
-
-  val name : string
-  val create : seed:int -> t
-  val add : t -> int -> I.t -> unit
-  val remove : t -> int -> I.t -> bool
-  val stab_ids : t -> float -> int list
-  val size : t -> int
-  val audit : t -> entries:(int * I.t) list -> Invariant.report
-end
-
-let run_index (module S : STAB_INDEX) ~seed ~ops =
-  let run = make_run S.name seed in
-  let t = S.create ~seed in
-  let stream = Fault.gen ~seed ~n:ops in
-  let mirror : (int, I.t) Hashtbl.t = Hashtbl.create 1024 in
+  let pairs () =
+    Hashtbl.fold (fun id (k, iv) acc -> (k, (id, iv)) :: acc) live []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+  in
   let gap = checkpoint_gap ops in
   Array.iteri
     (fun i op ->
       if Option.is_none run.div then
         try
           (match op with
+          | Fault.Re_add { id; iv } when not s.dup -> (
+              match s.add id iv with
+              | () -> diverge run i "duplicate insert of %d was accepted" id
+              | exception Invalid_argument _ -> ())
           | Fault.Add { id; iv } | Fault.Re_add { id; iv } ->
-              S.add t id iv;
-              Hashtbl.add mirror id iv
+              s.add id iv;
+              Hashtbl.add live id (!next, iv);
+              incr next
           | Fault.Remove { id; iv } | Fault.Remove_absent { id; iv } ->
-              let expect = mirror_mem mirror id iv in
-              let got = S.remove t id iv in
-              if got <> expect then
-                diverge run i "remove %d %s returned %b, oracle says %b" id (I.to_string iv)
-                  got expect
-              else if got then mirror_remove_one mirror id iv
-          | Fault.Probe x ->
-              let want =
-                List.sort Int.compare
-                  (Hashtbl.fold
-                     (fun id iv acc -> if I.stabs iv x then id :: acc else acc)
-                     mirror [])
-              in
-              let got = List.sort Int.compare (S.stab_ids t x) in
-              if not (List.equal Int.equal got want) then
-                diverge run i "stab %g returned %d ids, oracle says %d" x (List.length got)
-                  (List.length want));
-          let n = S.size t and m = Hashtbl.length mirror in
+              let got = s.remove id iv in
+              if got <> take id iv then
+                diverge run i "remove %d %s returned %b, oracle says %b" id (I.to_string iv) got
+                  (not got)
+          | Fault.Probe x -> Option.iter (diverge run i "%s") (s.check i x (pairs ())));
+          let n = s.size () and m = Hashtbl.length live in
           if n <> m then diverge run i "size %d, oracle says %d" n m;
-          if (i + 1) mod gap = 0 then
-            record_report run (S.audit t ~entries:(mirror_entries mirror))
+          if (i + 1) mod gap = 0 then record_report run (s.audit ())
         with exn -> diverge run i "uncaught exception: %s" (Printexc.to_string exn))
-    stream;
-  record_report run (S.audit t ~entries:(mirror_entries mirror));
-  finish run ~ops ~final_size:(S.size t)
+    (Fault.gen ~seed ~n:ops);
+  record_report run (s.audit ());
+  finish run ~ops ~final_size:(s.size ())
+
+let no_check _ _ _ = None
+
+let collect iter =
+  let acc = ref [] in
+  iter (fun id -> acc := id :: !acc);
+  List.rev !acc
+
+let differs what got want =
+  let rec first j = function
+    | x :: xs, y :: ys when Int.equal x y -> first (j + 1) (xs, ys)
+    | [], [] -> None
+    | _ -> Some j
+  in
+  Option.map
+    (Printf.sprintf "%s returned %d ids, oracle says %d; first difference at position %d" what
+       (List.length got) (List.length want))
+    (first 0 (got, want))
+
+(* The stabbing answer at [x] as a set of ids. *)
+let stab_check stab_ids _ x live =
+  let want = List.filter_map (fun (id, iv) -> if I.stabs iv x then Some id else None) live in
+  differs (Printf.sprintf "stab %g" x)
+    (List.sort Int.compare (stab_ids x))
+    (List.sort Int.compare want)
 
 (* Payloads carry their interval along so the audit can recover it. *)
-module Itree_driver : STAB_INDEX = struct
-  module T = Cq_index.Flat_interval_tree
+let interval_tree () =
+  let module T = Cq_index.Flat_interval_tree in
+  let t = T.create () in
+  {
+    name = "interval_tree";
+    dup = true;
+    add = (fun id iv -> T.add t iv (id, iv));
+    remove = (fun id iv -> T.remove t iv (fun (id', _) -> id' = id));
+    check = stab_check (fun x -> collect (fun f -> T.stab t x (fun (id, _) -> f id)));
+    size = (fun () -> T.size t);
+    audit = (fun () -> Invariant.interval_tree ~interval:snd t);
+  }
 
-  type t = (int * I.t) T.t
-
-  let name = "interval_tree"
-  let create ~seed:_ = T.create ()
-  let add t id iv = T.add t iv (id, iv)
-  let remove t id iv = T.remove t iv (fun (id', _) -> id' = id)
-
-  let stab_ids t x =
-    let acc = ref [] in
-    T.stab t x (fun (id, _) -> acc := id :: !acc);
-    !acc
-
-  let size = T.size
-  let audit t ~entries:_ = Invariant.interval_tree ~interval:snd t
-end
-
-(* Intervals embed into the R-tree as zero-height-free rectangles
-   [iv × [0,1]]; stabbing at y = 0.5 recovers 1-D stabbing. *)
-module Rtree_driver : STAB_INDEX = struct
-  module R = Cq_index.Rtree
-  module Rect = Cq_index.Rect
-
-  type t = int R.t
-
-  let name = "rtree"
-  let create ~seed:_ = R.create ()
-  let rect iv = Rect.make ~x:iv ~y:(I.make 0.0 1.0)
-  let add t id iv = R.insert t (rect iv) id
-  let remove t id iv = R.remove t (rect iv) (fun id' -> id' = id)
-
-  let stab_ids t x =
-    let acc = ref [] in
-    R.stab t ~x ~y:0.5 (fun _ id -> acc := id :: !acc);
-    !acc
-
-  let size = R.size
-  let audit t ~entries:_ = Invariant.rtree t
-end
+(* Intervals embed into the R-tree as rectangles [iv × [0,1]];
+   stabbing at y = 0.5 recovers 1-D stabbing. *)
+let rtree () =
+  let module R = Cq_index.Rtree in
+  let t = R.create () in
+  let rect iv = Cq_index.Rect.make ~x:iv ~y:(I.make 0.0 1.0) in
+  {
+    name = "rtree";
+    dup = true;
+    add = (fun id iv -> R.insert t (rect iv) id);
+    remove = (fun id iv -> R.remove t (rect iv) (Int.equal id));
+    check = stab_check (fun x -> collect (fun f -> R.stab t ~x ~y:0.5 (fun _ id -> f id)));
+    size = (fun () -> R.size t);
+    audit = (fun () -> Invariant.rtree t);
+  }
 
 (* Treap elements are (id, interval), ordered primarily by left
    endpoint as the partition algorithms require. *)
@@ -204,35 +206,26 @@ end
 module Tr = Cq_index.Treap.Make (Elem)
 module Tr_audit = Invariant.Treap (Elem) (Tr)
 
-module Treap_driver : STAB_INDEX = struct
-  type t = { rng : Rng.t; mutable tr : Tr.t }
-
-  let name = "treap"
-  let create ~seed = { rng = Rng.create seed; tr = Tr.empty }
-  let add t id iv = t.tr <- Tr.add t.rng (id, iv) t.tr
-
-  let remove t id iv =
-    match Tr.remove (id, iv) t.tr with
-    | Some tr ->
-        t.tr <- tr;
-        true
-    | None -> false
-
-  (* Each probe additionally exercises the Appendix-B SPLIT/JOIN pair:
-     the treap is split at the probe and rejoined before answering, so
-     a split/join bug corrupts the membership answer and gets caught. *)
-  let stab_ids t x =
-    let l, r = Tr.split_lo_le x t.tr in
-    t.tr <- Tr.join l r;
-    Tr.fold (fun acc (id, iv) -> if I.stabs iv x then id :: acc else acc) [] t.tr
-
-  let size t = Tr.size t.tr
-  let audit t ~entries:_ = Tr_audit.audit t.tr
-end
-
-(* ------------------------------------------------------------------ *)
-(* Sweep store                                                          *)
-(* ------------------------------------------------------------------ *)
+(* Each probe first splits the treap at the probe and joins it back
+   (Appendix B's SPLIT/JOIN), so a split/join bug corrupts the answer. *)
+let treap ~seed =
+  let rng = Rng.create seed and tr = ref Tr.empty in
+  let stab_ids x =
+    let l, r = Tr.split_lo_le x !tr in
+    tr := Tr.join l r;
+    Tr.fold (fun acc (id, iv) -> if I.stabs iv x then id :: acc else acc) [] !tr
+  in
+  {
+    name = "treap";
+    dup = true;
+    add = (fun id iv -> tr := Tr.add rng (id, iv) !tr);
+    remove =
+      (fun id iv ->
+        Option.fold ~none:false ~some:(fun t -> tr := t; true) (Tr.remove (id, iv) !tr));
+    check = stab_check stab_ids;
+    size = (fun () -> Tr.size !tr);
+    audit = (fun () -> Tr_audit.audit !tr);
+  }
 
 (* The keys a probe at [x] sweeps against: sorted, one on the grid the
    intervals sit on and the others off it, spread over a few windows'
@@ -281,9 +274,7 @@ let sweep_ids st ~keys ~shift =
   let c = S.cursor ~hop ~descend ~sync:(fun _ -> ()) in
   c.shift.(0) <- shift;
   if n > 0 then load c 0 0;
-  let acc = ref [] in
-  S.sweep st c (fun id -> acc := id :: !acc);
-  List.rev !acc
+  collect (S.sweep st c)
 
 (* The anchors a probe at [x] walks with, cycling through a finite
    pair, a missing left or right anchor, and the exact hit. *)
@@ -294,235 +285,173 @@ let anchors_at i x =
   | 2 -> [| x -. 1.0; nan |]
   | _ -> [| infinity; nan |]
 
-(* The anchored walk's contract on the sorted mirror: the longest
+(* The anchored walk's contract on the sorted pairs: the longest
    prefix with lo <= a1, then the later windows with hi >= a2. *)
-let anchored_model mirror anchors =
+let anchored_model sorted anchors =
   let rec prefix acc = function
     | (id, iv) :: rest when I.lo iv <= anchors.(0) -> prefix (id :: acc) rest
     | rest -> List.rev_append acc (List.filter_map (fun (id, iv) -> if I.hi iv >= anchors.(1) then Some id else None) rest)
   in
-  prefix [] mirror
+  prefix [] sorted
 
-(* The mirror is the sorted window list itself: (id, interval) in
-   (lo, hi) order, equal keys in insertion order.  An add goes after
-   its equal keys and a remove takes the first match, as the store's
-   contract says, so listing and sweep are compared in order. *)
-let run_sweep_store ~seed ~ops =
+(* The live pairs sorted stably by (lo, hi) are the store's order:
+   equal keys in insertion order.  Listing, sweep and anchored walk are
+   compared in that order. *)
+let sweep_store () =
   let module S = Cq_index.Sweep_store in
-  let run = make_run "sweep_store" seed in
   let t = S.create () in
-  let stream = Fault.gen ~seed ~n:ops in
-  let mirror = ref [] in
-  let key iv = (I.lo iv, I.hi iv) in
-  let before_or_equal a b = Cq_util.Order.float_pair (key a) (key b) <= 0 in
-  let rec insert id iv = function
-    | (_, iv') :: _ as rest when not (before_or_equal iv' iv) -> (id, iv) :: rest
-    | e :: rest -> e :: insert id iv rest
-    | [] -> [ (id, iv) ]
+  let check i x live =
+    let key (_, iv) = (I.lo iv, I.hi iv) in
+    let sorted = List.stable_sort (Cq_util.Order.by key Cq_util.Order.float_pair) live in
+    let keys = sweep_keys x and anchors = anchors_at i x in
+    let holds (_, iv) =
+      Array.exists (fun k -> I.lo iv +. sweep_shift <= k && k <= I.hi iv +. sweep_shift) keys
+    in
+    List.find_map Fun.id
+      [
+        differs "listing" (List.map (fun (_, _, id) -> id) (S.to_list t)) (List.map fst sorted);
+        differs (Printf.sprintf "sweep at %g" x) (sweep_ids t ~keys ~shift:sweep_shift)
+          (List.map fst (List.filter holds sorted));
+        differs
+          (Printf.sprintf "anchored walk at [%g, %g]" anchors.(0) anchors.(1))
+          (collect (S.walk_anchored t anchors))
+          (anchored_model sorted anchors);
+      ]
   in
-  let rec drop id iv = function
-    | (id', iv') :: rest when id' = id && I.equal iv' iv -> Some rest
-    | e :: rest -> Option.map (List.cons e) (drop id iv rest)
-    | [] -> None
+  {
+    name = "sweep_store";
+    dup = true;
+    add = (fun id iv -> S.add t iv id);
+    remove = (fun id iv -> S.remove t iv (Int.equal id));
+    check;
+    size = (fun () -> S.size t);
+    audit = (fun () -> Invariant.sweep_store t);
+  }
+
+(* A band hotspot processor over the windows (an empty S table): every
+   hot group's member store, beside the processor's own audit. *)
+let band_hot_groups ~seed =
+  let module BH = Cq_joins.Band_join.Hotspot in
+  let bh = BH.create_alpha ~alpha:0.05 ~seed (Cq_relation.Table.create_s ()) [||] in
+  let q id iv = Cq_joins.Band_query.make ~qid:id ~range:iv in
+  let audit () =
+    let fail check detail = Error [ { Invariant.structure = "band_hot_groups"; check; detail } ] in
+    let own =
+      match BH.check_invariants bh with
+      | () -> Ok ()
+      | exception exn -> fail "processor" (Printexc.to_string exn)
+    in
+    let stores = ref [] in
+    BH.iter_group_stores bh (fun st -> stores := Invariant.sweep_store st :: !stores);
+    let count =
+      if List.length !stores = BH.num_hotspots bh then Ok ()
+      else
+        fail "groups"
+          (Printf.sprintf "%d group stores for %d hotspots" (List.length !stores)
+             (BH.num_hotspots bh))
+    in
+    Invariant.merge (own :: count :: !stores)
   in
-  let gap = checkpoint_gap ops in
-  Array.iteri
-    (fun i op ->
-      if Option.is_none run.div then
-        try
-          (match op with
-          | Fault.Add { id; iv } | Fault.Re_add { id; iv } ->
-              S.add t iv id;
-              mirror := insert id iv !mirror
-          | Fault.Remove { id; iv } | Fault.Remove_absent { id; iv } -> (
-              let got = S.remove t iv (fun id' -> id' = id) in
-              match drop id iv !mirror with
-              | Some rest when got -> mirror := rest
-              | None when not got -> ()
-              | expect ->
-                  diverge run i "remove %d %s returned %b, oracle says %b" id (I.to_string iv)
-                    got (Option.is_some expect))
-          | Fault.Probe x ->
-              let listed = List.map (fun (_, _, id) -> id) (S.to_list t) in
-              if not (List.equal Int.equal listed (List.map fst !mirror)) then
-                diverge run i "listing differs from the sorted mirror (%d entries, oracle %d)"
-                  (List.length listed) (List.length !mirror);
-              let keys = sweep_keys x in
-              let holds iv =
-                Array.exists
-                  (fun k -> I.lo iv +. sweep_shift <= k && k <= I.hi iv +. sweep_shift)
-                  keys
-              in
-              let want = List.filter_map (fun (id, iv) -> if holds iv then Some id else None) !mirror in
-              let got = sweep_ids t ~keys ~shift:sweep_shift in
-              if not (List.equal Int.equal got want) then
-                diverge run i "sweep at %g returned %d ids, oracle says %d" x (List.length got)
-                  (List.length want);
-              let anchors = anchors_at i x in
-              let walked = ref [] in
-              S.walk_anchored t anchors (fun id -> walked := id :: !walked);
-              let want = anchored_model !mirror anchors in
-              if not (List.equal Int.equal (List.rev !walked) want) then
-                diverge run i "anchored walk at [%g, %g] returned %d ids, oracle says %d"
-                  anchors.(0) anchors.(1) (List.length !walked) (List.length want));
-          let n = S.size t and m = List.length !mirror in
-          if n <> m then diverge run i "size %d, oracle says %d" n m;
-          if (i + 1) mod gap = 0 then record_report run (Invariant.sweep_store t)
-        with exn -> diverge run i "uncaught exception: %s" (Printexc.to_string exn))
-    stream;
-  record_report run (Invariant.sweep_store t);
-  finish run ~ops ~final_size:(S.size t)
+  {
+    name = "band_hot_groups";
+    dup = false;
+    add = (fun id iv -> BH.insert_query bh (q id iv));
+    remove = (fun id iv -> BH.delete_query bh (q id iv));
+    check = no_check;
+    size = (fun () -> BH.query_count bh);
+    audit;
+  }
 
-(* ------------------------------------------------------------------ *)
-(* B+-tree (keyed on interval (lo, hi), probed on lo alone)           *)
-(* ------------------------------------------------------------------ *)
-
-module Bt = Cq_index.Btree
-
-let run_btree ~seed ~ops =
-  let run = make_run "btree" seed in
+(* The B+-tree keyed on (lo, hi), probed on lo alone: [count_range] and
+   both neighbours against scans of the live left endpoints. *)
+let btree () =
+  let module Bt = Cq_index.Btree in
   let t : int Bt.t = Bt.create () in
-  let stream = Fault.gen ~seed ~n:ops in
-  let mirror : (int, I.t) Hashtbl.t = Hashtbl.create 1024 in
-  let keys () = Hashtbl.fold (fun _ iv acc -> I.lo iv :: acc) mirror [] in
-  let gap = checkpoint_gap ops in
-  Array.iteri
-    (fun i op ->
-      if Option.is_none run.div then
-        try
-          (match op with
-          | Fault.Add { id; iv } | Fault.Re_add { id; iv } ->
-              Bt.insert t (I.lo iv) (I.hi iv) id;
-              Hashtbl.add mirror id iv
-          | Fault.Remove { id; iv } | Fault.Remove_absent { id; iv } ->
-              let expect = mirror_mem mirror id iv in
-              let got = Bt.remove_first t (I.lo iv) (I.hi iv) (fun id' -> id' = id) in
-              if got <> expect then
-                diverge run i "remove_first %d at %g returned %b, oracle says %b" id (I.lo iv)
-                  got expect
-              else if got then mirror_remove_one mirror id iv
-          | Fault.Probe x ->
-              let ks = keys () in
-              let want = List.length (List.filter (fun k -> k = x) ks) in
-              let got = Bt.count_range t x neg_infinity x infinity in
-              if got <> want then
-                diverge run i "count_range [%g,%g] = %d, oracle says %d" x x got want;
-              let le = List.filter (fun k -> k <= x) ks
-              and ge = List.filter (fun k -> k >= x) ks in
-              let left = Bt.seek_le t x infinity and right = Bt.seek_ge t x neg_infinity in
-              (match (left, le) with
-              | Some c, _ :: _ ->
-                  let best = List.fold_left max neg_infinity le in
-                  if Bt.key c <> best then
-                    diverge run i "left neighbour of %g is %g, oracle says %g" x (Bt.key c) best
-              | None, [] -> ()
-              | _ -> diverge run i "left-neighbour presence at %g disagrees with oracle" x);
-              match (right, ge) with
-              | Some c, _ :: _ ->
-                  let best = List.fold_left min infinity ge in
-                  if Bt.key c <> best then
-                    diverge run i "right neighbour of %g is %g, oracle says %g" x (Bt.key c) best
-              | None, [] -> ()
-              | _ -> diverge run i "right-neighbour presence at %g disagrees with oracle" x);
-          let n = Bt.length t and m = Hashtbl.length mirror in
-          if n <> m then diverge run i "length %d, oracle says %d" n m;
-          if (i + 1) mod gap = 0 then record_report run (Invariant.btree t)
-        with exn -> diverge run i "uncaught exception: %s" (Printexc.to_string exn))
-    stream;
-  record_report run (Invariant.btree t);
-  finish run ~ops ~final_size:(Bt.length t)
+  let check _ x live =
+    let ks = List.map (fun (_, iv) -> I.lo iv) live in
+    let neighbour side cursor ks best =
+      match (cursor, ks) with
+      | Some c, k :: _ ->
+          let b = List.fold_left best k ks in
+          if Float.equal (Bt.key c) b then None
+          else Some (Printf.sprintf "%s neighbour of %g is %g, oracle says %g" side x (Bt.key c) b)
+      | None, [] -> None
+      | _ -> Some (Printf.sprintf "%s-neighbour presence at %g disagrees with oracle" side x)
+    in
+    let got = Bt.count_range t x neg_infinity x infinity
+    and want = List.length (List.filter (Float.equal x) ks) in
+    let left () = neighbour "left" (Bt.seek_le t x infinity) (List.filter (fun k -> k <= x) ks) Float.max
+    and right () = neighbour "right" (Bt.seek_ge t x neg_infinity) (List.filter (fun k -> k >= x) ks) Float.min in
+    if got <> want then Some (Printf.sprintf "count_range [%g,%g] = %d, oracle says %d" x x got want)
+    else match left () with None -> right () | d -> d
+  in
+  {
+    name = "btree";
+    dup = true;
+    add = (fun id iv -> Bt.insert t (I.lo iv) (I.hi iv) id);
+    remove = (fun id iv -> Bt.remove_first t (I.lo iv) (I.hi iv) (Int.equal id));
+    check;
+    size = (fun () -> Bt.length t);
+    audit = (fun () -> Invariant.btree t);
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Set-like structures: hotspot tracker and the two partitions          *)
-(* ------------------------------------------------------------------ *)
-
-(* These reject duplicate inserts with Invalid_argument and hold at
-   most one copy of each element, so the mirror is a plain id -> iv
-   table and Re_add ops assert the rejection. *)
-type setlike = {
-  s_insert : int * I.t -> unit;
-  s_delete : int * I.t -> bool;
-  s_mem : int * I.t -> bool;
-  s_size : unit -> int;
-  s_audit : unit -> Invariant.report;
-}
-
-let run_setlike name s ~seed ~ops =
-  let run = make_run name seed in
-  let stream = Fault.gen ~seed ~n:ops in
-  let mirror : (int, I.t) Hashtbl.t = Hashtbl.create 1024 in
-  let gap = checkpoint_gap ops in
-  Array.iteri
-    (fun i op ->
-      if Option.is_none run.div then
-        try
-          (match op with
-          | Fault.Add { id; iv } ->
-              s.s_insert (id, iv);
-              Hashtbl.replace mirror id iv;
-              if not (s.s_mem (id, iv)) then diverge run i "mem is false right after insert"
-          | Fault.Re_add { id; iv } -> (
-              match s.s_insert (id, iv) with
-              | () -> diverge run i "duplicate insert of %d was accepted" id
-              | exception Invalid_argument _ -> ())
-          | Fault.Remove { id; iv } | Fault.Remove_absent { id; iv } ->
-              let expect = Hashtbl.mem mirror id in
-              let got = s.s_delete (id, iv) in
-              if got <> expect then
-                diverge run i "delete %d returned %b, oracle says %b" id got expect
-              else if got then Hashtbl.remove mirror id
-          | Fault.Probe _ -> ());
-          let n = s.s_size () and m = Hashtbl.length mirror in
-          if n <> m then diverge run i "size %d, oracle says %d" n m;
-          if (i + 1) mod gap = 0 then record_report run (s.s_audit ())
-        with exn -> diverge run i "uncaught exception: %s" (Printexc.to_string exn))
-    stream;
-  record_report run (s.s_audit ());
-  finish run ~ops ~final_size:(s.s_size ())
+(* The tracker and the partitions hold one copy of each pair, refuse a
+   second with Invalid_argument, and must report a pair present right
+   after inserting it. *)
+let set_like name ~insert ~delete ~mem ~size ~audit =
+  {
+    name;
+    dup = false;
+    add =
+      (fun id iv ->
+        insert (id, iv);
+        if not (mem (id, iv)) then Err.corrupt ~structure:name "mem is false right after inserting %d" id);
+    remove = (fun id iv -> delete (id, iv));
+    check = no_check;
+    size;
+    audit;
+  }
 
 module Tracker = Hotspot_core.Hotspot_tracker.Make (Elem)
 module Tracker_audit = Invariant.Tracker (Elem) (Tracker)
-
-let run_tracker ?(alpha = 0.05) ~seed ~ops () =
-  let t = Tracker.create ~alpha ~seed () in
-  run_setlike "hotspot_tracker"
-    {
-      s_insert = (fun e -> Tracker.insert t e);
-      s_delete = (fun e -> Tracker.delete t e);
-      s_mem = (fun e -> Tracker.mem t e);
-      s_size = (fun () -> Tracker.size t);
-      s_audit = (fun () -> Tracker_audit.audit t);
-    }
-    ~seed ~ops
-
 module Lazy_p = Hotspot_core.Lazy_partition.Make (Elem)
 module Refined_p = Hotspot_core.Refined_partition.Make (Elem)
 module Lazy_audit = Invariant.Partition (Elem) (Lazy_p)
 module Refined_audit = Invariant.Partition (Elem) (Refined_p)
 
-let run_lazy_partition ~seed ~ops =
-  let p = Lazy_p.create ~seed () in
-  run_setlike "lazy_partition"
-    {
-      s_insert = (fun e -> Lazy_p.insert p e);
-      s_delete = (fun e -> Lazy_p.delete p e);
-      s_mem = (fun e -> Lazy_p.mem p e);
-      s_size = (fun () -> Lazy_p.size p);
-      s_audit = (fun () -> Lazy_audit.audit ~name:"lazy_partition" p);
-    }
-    ~seed ~ops
+(* The tracker runs at alpha 0.05 so the hub clusters actually promote. *)
+let tracker ~seed =
+  let t = Tracker.create ~alpha:0.05 ~seed () in
+  set_like "hotspot_tracker" ~insert:(Tracker.insert t) ~delete:(Tracker.delete t)
+    ~mem:(Tracker.mem t)
+    ~size:(fun () -> Tracker.size t)
+    ~audit:(fun () -> Tracker_audit.audit t)
 
-let run_refined_partition ~seed ~ops =
+let lazy_partition ~seed =
+  let p = Lazy_p.create ~seed () in
+  set_like "lazy_partition" ~insert:(Lazy_p.insert p) ~delete:(Lazy_p.delete p) ~mem:(Lazy_p.mem p)
+    ~size:(fun () -> Lazy_p.size p)
+    ~audit:(fun () -> Lazy_audit.audit ~name:"lazy_partition" p)
+
+let refined_partition ~seed =
   let p = Refined_p.create ~seed () in
-  run_setlike "refined_partition"
-    {
-      s_insert = (fun e -> Refined_p.insert p e);
-      s_delete = (fun e -> Refined_p.delete p e);
-      s_mem = (fun e -> Refined_p.mem p e);
-      s_size = (fun () -> Refined_p.size p);
-      s_audit = (fun () -> Refined_audit.audit ~name:"refined_partition" p);
-    }
-    ~seed ~ops
+  set_like "refined_partition" ~insert:(Refined_p.insert p) ~delete:(Refined_p.delete p)
+    ~mem:(Refined_p.mem p)
+    ~size:(fun () -> Refined_p.size p)
+    ~audit:(fun () -> Refined_audit.audit ~name:"refined_partition" p)
+
+let structures ~seed =
+  [
+    interval_tree ();
+    rtree ();
+    treap ~seed;
+    sweep_store ();
+    band_hot_groups ~seed;
+    btree ();
+    tracker ~seed;
+    lazy_partition ~seed;
+    refined_partition ~seed;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level differential harness: workload x driver x comparator   *)
@@ -531,7 +460,6 @@ let run_refined_partition ~seed ~ops =
 module Engine = Cq_engine.Engine
 module Par = Cq_engine.Parallel
 module Tuple = Cq_relation.Tuple
-module Err = Cq_util.Error
 module Netd = Cq_net.Driver
 
 type pair = { qi : int; sign : int; at : int; r : Tuple.r; s : Tuple.s }
@@ -1090,86 +1018,20 @@ let diff w a b cmp =
 (* The full battery                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let index_drivers : (module STAB_INDEX) list =
-  [
-    (module Itree_driver);
-    (module Rtree_driver);
-    (module Treap_driver);
-  ]
-
-(* Build every structure from the same adversarial stream (mutations
-   only, single-copy semantics so the set-like structures can share
-   it), then deep-audit each one once. *)
+(* Build every structure from the same adversarial stream (adds and
+   removes only, so the set-like structures hold one copy of each
+   pair), then deep-audit each one once. *)
 let audit_workload ~seed ~n () =
   let audit_start = Cq_util.Clock.monotonic_ns () in
   let stream = Fault.gen ~seed ~n in
-  let live = Hashtbl.create 1024 in
-  let apply ~add ~del =
+  let build s =
     Array.iter
-      (fun op ->
-        match op with
-        | Fault.Add { id; iv } ->
-            add id iv;
-            Hashtbl.replace live id iv
-        | Fault.Remove { id; iv } when Hashtbl.mem live id ->
-            del id iv;
-            Hashtbl.remove live id
+      (function
+        | Fault.Add { id; iv } -> s.add id iv
+        | Fault.Remove { id; iv } -> ignore (s.remove id iv)
         | _ -> ())
       stream;
-    Hashtbl.reset live
-  in
-  let entries =
-    let mirror : (int, I.t) Hashtbl.t = Hashtbl.create 1024 in
-    apply ~add:(Hashtbl.replace mirror) ~del:(fun id _ -> Hashtbl.remove mirror id);
-    mirror_entries mirror
-  in
-  let index_reports =
-    List.map
-      (fun (module S : STAB_INDEX) ->
-        let t = S.create ~seed in
-        apply ~add:(S.add t) ~del:(fun id iv -> ignore (S.remove t id iv));
-        (S.name, S.audit t ~entries))
-      index_drivers
-  in
-  let ss = Cq_index.Sweep_store.create () in
-  apply
-    ~add:(fun id iv -> Cq_index.Sweep_store.add ss iv id)
-    ~del:(fun id iv -> ignore (Cq_index.Sweep_store.remove ss iv (fun id' -> id' = id)));
-  let bt : int Bt.t = Bt.create () in
-  apply
-    ~add:(fun id iv -> Bt.insert bt (I.lo iv) (I.hi iv) id)
-    ~del:(fun id iv -> ignore (Bt.remove_first bt (I.lo iv) (I.hi iv) (fun id' -> id' = id)));
-  let tr = Tracker.create ~alpha:0.05 ~seed () in
-  apply ~add:(fun id iv -> Tracker.insert tr (id, iv)) ~del:(fun id iv -> ignore (Tracker.delete tr (id, iv)));
-  let lp = Lazy_p.create ~seed () in
-  apply ~add:(fun id iv -> Lazy_p.insert lp (id, iv)) ~del:(fun id iv -> ignore (Lazy_p.delete lp (id, iv)));
-  let rp = Refined_p.create ~seed () in
-  apply ~add:(fun id iv -> Refined_p.insert rp (id, iv)) ~del:(fun id iv -> ignore (Refined_p.delete rp (id, iv)));
-  (* A band hotspot processor over the same windows: every hot group's
-     member store, beside the processor's own audit. *)
-  let band_groups_report =
-    let module BH = Cq_joins.Band_join.Hotspot in
-    let bh = BH.create_alpha ~alpha:0.05 ~seed (Cq_relation.Table.create_s ()) [||] in
-    let q id iv = Cq_joins.Band_query.make ~qid:id ~range:iv in
-    apply
-      ~add:(fun id iv -> BH.insert_query bh (q id iv))
-      ~del:(fun id iv -> ignore (BH.delete_query bh (q id iv)));
-    let fail check detail = Error [ { Invariant.structure = "band_hot_groups"; check; detail } ] in
-    let own =
-      match BH.check_invariants bh with
-      | () -> Ok ()
-      | exception exn -> fail "processor" (Printexc.to_string exn)
-    in
-    let stores = ref [] in
-    BH.iter_group_stores bh (fun st -> stores := Invariant.sweep_store st :: !stores);
-    let count =
-      if List.length !stores = BH.num_hotspots bh then Ok ()
-      else
-        fail "groups"
-          (Printf.sprintf "%d group stores for %d hotspots" (List.length !stores)
-             (BH.num_hotspots bh))
-    in
-    Invariant.merge (own :: count :: !stores)
+    (s.name, s.audit ())
   in
   let engine_report =
     let o = replay ~keep:false Seq_rows (Fault.gen_engine ~seed ~n:(max 100 (n / 10))) in
@@ -1180,18 +1042,7 @@ let audit_workload ~seed ~n () =
     | [] -> Ok ()
     | vs -> Error vs
   in
-  let reports =
-    index_reports
-    @ [
-        ("sweep_store", Invariant.sweep_store ss);
-        ("band_hot_groups", band_groups_report);
-        ("btree", Invariant.btree bt);
-        ("hotspot_tracker", Tracker_audit.audit tr);
-        ("lazy_partition", Lazy_audit.audit ~name:"lazy_partition" lp);
-        ("refined_partition", Refined_audit.audit ~name:"refined_partition" rp);
-        ("engine", engine_report);
-      ]
-  in
+  let reports = List.map build (structures ~seed) @ [ ("engine", engine_report) ] in
   note_elapsed "audit" ~start_ns:audit_start ~ops:n;
   Metrics.add (Metrics.counter "oracle.audit.structures") (List.length reports);
   reports
@@ -1199,13 +1050,8 @@ let audit_workload ~seed ~n () =
 let fuzz_all ?(shards = 2) ~seed ~ops () =
   let n = max 200 (ops / 10) in
   let churned = Fault.gen_uniform ~churn:true ~seed ~n () in
-  List.map (fun d -> run_index d ~seed ~ops) index_drivers
+  List.map (fun s -> run_structure s ~seed ~ops) (structures ~seed)
   @ [
-      run_sweep_store ~seed ~ops;
-      run_btree ~seed ~ops;
-      run_tracker ~seed ~ops ();
-      run_lazy_partition ~seed ~ops;
-      run_refined_partition ~seed ~ops;
       diff (Fault.gen_engine ~seed ~n) Reference Seq_rows Same;
       diff churned Seq_rows Seq_batch Same;
       diff churned Seq_rows Seq_batch Same_stream;

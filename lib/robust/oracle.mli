@@ -1,16 +1,17 @@
 (** Differential testing: every structure in the stack runs an
-    adversarial {!Fault} stream next to a naive mirror (an O(n) scan
-    over a hashtable multiset — too slow to ship, too simple to be
+    adversarial {!Fault} stream next to a naive mirror (a table of the
+    live pairs, scanned in O(n) — too slow to ship, too simple to be
     wrong) and must agree with it on every answer.
 
     A run stops at the {e first} divergence and reports the seed and
     operation index, so any failure replays exactly:
-    [run_index d ~seed ~ops] with the printed seed reproduces it
-    bit-for-bit (the op stream, the treap priorities and the driver's
-    own choices are all derived from [seed]).  Engine-level runs go
-    through the one harness below ({!diff}).  Invariant audits from
-    {!Invariant} run at checkpoints throughout and their violations are
-    collected alongside. *)
+    [run_structure s ~seed ~ops], with [s] taken from
+    [structures ~seed] at the printed seed, reproduces it bit for bit
+    (the op stream, the treap priorities and the tracker's choices are
+    all derived from [seed]).  Engine-level runs go through the one
+    harness below ({!diff}).  Invariant audits from {!Invariant} run at
+    checkpoints throughout and their violations are collected
+    alongside. *)
 
 type divergence = { structure : string; seed : int; op_index : int; detail : string }
 
@@ -26,53 +27,39 @@ type outcome = {
 val passed : outcome -> bool
 val pp_outcome : Format.formatter -> outcome -> unit
 
-(** {2 Stabbing-index drivers}
+(** {2 Structures}
 
-    The three 1-D-stabbing-capable indexes behind one interface; the
-    treap driver additionally split/joins at every probe, and the
-    R-tree driver embeds intervals as [iv × \[0,1\]] rectangles. *)
+    Each structure is described once, over (id, interval) pairs, and
+    one loop replays a {!Fault.gen} stream into it beside its mirror,
+    a table of the live pairs: sizes and remove results at every
+    operation, [check] at every [Probe], [audit] every
+    [max 50 (ops / 20)] operations and at the end. *)
 
-module type STAB_INDEX = sig
-  type t
+type structure = {
+  name : string;
+  dup : bool;
+      (** [Re_add] keeps a copy, or (when [false]) must raise
+          [Invalid_argument]; the mirror's remove drops the oldest copy. *)
+  add : int -> Cq_interval.Interval.t -> unit;
+  remove : int -> Cq_interval.Interval.t -> bool;
+  check : int -> float -> (int * Cq_interval.Interval.t) list -> string option;
+      (** [check i x live]: the answers at probe [x] (op [i]) against
+          the live pairs, oldest first; [Some] what differs. *)
+  size : unit -> int;
+  audit : unit -> Invariant.report;
+}
 
-  val name : string
-  val create : seed:int -> t
-  val add : t -> int -> Cq_interval.Interval.t -> unit
-  val remove : t -> int -> Cq_interval.Interval.t -> bool
-  val stab_ids : t -> float -> int list
-  val size : t -> int
-  val audit : t -> entries:(int * Cq_interval.Interval.t) list -> Invariant.report
-end
+val structures : seed:int -> structure list
+(** Fresh instances: [interval_tree], [rtree] and [treap] (split and
+    rejoined at every probe) answer stabs; [sweep_store] its listing,
+    the cursor sweep over leaves of three keys and the anchored walk,
+    in (lo, hi, insertion) order; [band_hot_groups], a band hotspot
+    processor, audits every hot group's store; [btree] keyed (lo, hi)
+    [count_range] and both neighbours on lo; [hotspot_tracker],
+    [lazy_partition] and [refined_partition] membership after each
+    insert. *)
 
-module Itree_driver : STAB_INDEX
-module Rtree_driver : STAB_INDEX
-module Treap_driver : STAB_INDEX
-
-val index_drivers : (module STAB_INDEX) list
-
-val run_index : (module STAB_INDEX) -> seed:int -> ops:int -> outcome
-
-(** {2 Other structures} *)
-
-val run_sweep_store : seed:int -> ops:int -> outcome
-(** {!Cq_index.Sweep_store} against a sorted-list mirror: every listing
-    in order, and at every probe the windows whose copy shifted a
-    quarter step left holds one of a few sorted keys around the probe
-    (the cursor sweep over leaves of three keys, in order), and the
-    anchored walk for anchors around the probe — finite, a missing
-    left or right anchor, or the exact hit — in order. *)
-
-val run_btree : seed:int -> ops:int -> outcome
-(** B+-tree keyed on interval left endpoints: [count_range] and
-    [neighbours] checked against linear scans of the mirror. *)
-
-val run_tracker : ?alpha:float -> seed:int -> ops:int -> unit -> outcome
-(** Hotspot tracker (default [alpha] 0.05 so the hub clusters actually
-    promote): membership against the mirror, duplicate inserts must
-    raise, (I1)–(I3) audited at checkpoints. *)
-
-val run_lazy_partition : seed:int -> ops:int -> outcome
-val run_refined_partition : seed:int -> ops:int -> outcome
+val run_structure : structure -> seed:int -> ops:int -> outcome
 
 (** {2 Engine-level differential harness}
 
@@ -217,15 +204,13 @@ val diff : Fault.workload -> driver -> driver -> comparator -> outcome
 (** Replay [w] through both drivers, then {!verdict}. *)
 
 val fuzz_all : ?shards:int -> seed:int -> ops:int -> unit -> outcome list
-(** The full battery: every structure, then the engine, batch (as
-    multisets and in delivery order), parallel (at [shards], default
-    2) and mixed-rate shed pairings of {!diff} on
-    [max 200 (ops / 10)]-step workloads. *)
+(** The full battery: {!run_structure} over every one of
+    {!structures}, then the engine, batch (as multisets and in delivery
+    order), parallel (at [shards], default 2) and mixed-rate shed
+    pairings of {!diff} on [max 200 (ops / 10)]-step workloads. *)
 
 val audit_workload : seed:int -> n:int -> unit -> (string * Invariant.report) list
-(** Build every structure from the same seeded adversarial stream and
-    run each deep audit once — no differential mirror, just the
-    invariant reports.  The stream's windows also feed a band hotspot
-    processor, and every hot group's member store is audited with
-    {!Invariant.sweep_store} ([band_hot_groups]).  Powers
-    [cqctl audit]. *)
+(** Build each of {!structures} from the adds and removes of the same
+    seeded stream and run its deep audit once — no differential mirror,
+    just the invariant reports — then replay a {!Fault.gen_engine}
+    workload through [Seq_rows] ([engine]).  Powers [cqctl audit]. *)

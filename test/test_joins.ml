@@ -451,6 +451,29 @@ let prop_select_edges =
             events)
         ((module Hot (SJ.Hotspot) : SJ.STRATEGY) :: select_strategies))
 
+(* The select hotspot processor's shed predicate is asked only about
+   queries the event really hits, each once, whether the query sits in
+   a hot group (α = 0.3 makes them form) or in the scattered index,
+   where a stabbed candidate must be confirmed before the ask. *)
+let prop_select_shed_asks =
+  QCheck2.Test.make ~name:"select hotspot: shed asked about hit queries, each once" ~count:150
+    select_edge_gen (fun (s_tuples, ranges, events) ->
+      let table, _ = make_s_table s_tuples in
+      let queries = SQ.of_ranges (Array.of_list ranges) in
+      let st = SJ.Hotspot.create_alpha ~alpha:0.3 ~seed:42 table queries in
+      let asked = ref [] in
+      SJ.Hotspot.set_shed st (Some (fun qid -> asked := qid :: !asked; qid mod 2 = 0));
+      List.for_all
+        (fun r ->
+          asked := [];
+          let want = SJ.reference table queries r in
+          let kept = select_results (module SJ.Hotspot) st r in
+          List.sort compare !asked = List.sort_uniq compare (List.map fst want)
+          && kept = List.filter (fun (qid, _) -> qid mod 2 = 0) want
+          || QCheck2.Test.fail_reportf "a = %g, b = %g: asked about [%s]" r.Tuple.a r.b
+               (String.concat "; " (List.map string_of_int (List.rev !asked))))
+        (make_r_events events))
+
 let prop_band_processors_match =
   QCheck2.Test.make ~name:"band processors: match brute force" ~count:100
     band_case_gen (fun (s_tuples, ranges, events) ->
@@ -744,6 +767,7 @@ let () =
           qc prop_select_dynamic_updates;
           qc prop_select_affected_matches;
           qc prop_select_edges;
+          qc prop_select_shed_asks;
           Alcotest.test_case "no join partner" `Quick test_select_no_join_partner;
           Alcotest.test_case "gap between anchors" `Quick test_select_gap_between_anchors;
           Alcotest.test_case "anchor duplicates" `Quick test_select_rect_contains_anchor_line;

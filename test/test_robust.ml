@@ -29,8 +29,11 @@ let test_fault_gen_deterministic () =
     (dump (Fault.gen_engine ~seed:5 ~n:500))
 
 let test_fuzz_replay_deterministic () =
-  let o1 = Oracle.run_index (module Oracle.Treap_driver) ~seed:11 ~ops:1_000 in
-  let o2 = Oracle.run_index (module Oracle.Treap_driver) ~seed:11 ~ops:1_000 in
+  let treap () =
+    List.find (fun (s : Oracle.structure) -> s.name = "treap") (Oracle.structures ~seed:11)
+  in
+  let o1 = Oracle.run_structure (treap ()) ~seed:11 ~ops:1_000 in
+  let o2 = Oracle.run_structure (treap ()) ~seed:11 ~ops:1_000 in
   Alcotest.(check int) "same final size" o1.Oracle.final_size o2.Oracle.final_size;
   Alcotest.(check bool) "same verdict" (Oracle.passed o1) (Oracle.passed o2)
 
@@ -39,15 +42,32 @@ let test_fuzz_replay_deterministic () =
 let check_outcome o =
   if not (Oracle.passed o) then Alcotest.fail (Format.asprintf "@[<v>%a@]" Oracle.pp_outcome o)
 
-let test_fuzz_indexes () =
-  List.iter (fun d -> check_outcome (Oracle.run_index d ~seed:3 ~ops:fuzz_ops)) Oracle.index_drivers
+(* Each oracle test runs its own named slice of [Oracle.structures]; the
+   slices are pinned against the full battery, so no structure drops out
+   unnoticed. *)
+let battery_groups =
+  [
+    ("stab indexes", [ "interval_tree"; "rtree"; "treap" ]);
+    ("stores", [ "sweep_store"; "band_hot_groups" ]);
+    ("btree", [ "btree" ]);
+    ("tracker", [ "hotspot_tracker" ]);
+    ("partitions", [ "lazy_partition"; "refined_partition" ]);
+  ]
 
-let test_fuzz_btree () = check_outcome (Oracle.run_btree ~seed:3 ~ops:fuzz_ops)
-let test_fuzz_tracker () = check_outcome (Oracle.run_tracker ~seed:3 ~ops:fuzz_ops ())
+let test_fuzz_battery () =
+  Alcotest.(check (list string)) "the battery"
+    (List.concat_map snd battery_groups)
+    (List.map (fun (s : Oracle.structure) -> s.name) (Oracle.structures ~seed:3))
 
-let test_fuzz_partitions () =
-  check_outcome (Oracle.run_lazy_partition ~seed:3 ~ops:fuzz_ops);
-  check_outcome (Oracle.run_refined_partition ~seed:3 ~ops:fuzz_ops)
+let fuzz_group group () =
+  let names = List.assoc group battery_groups in
+  let structures = Oracle.structures ~seed:3 in
+  List.iter
+    (fun name ->
+      match List.find_opt (fun (s : Oracle.structure) -> s.name = name) structures with
+      | Some s -> check_outcome (Oracle.run_structure s ~seed:3 ~ops:fuzz_ops)
+      | None -> Alcotest.failf "no structure named %s in the battery" name)
+    names
 
 let seeds n = List.init n (fun i -> i + 1)
 
@@ -378,10 +398,12 @@ let () =
         ] );
       ( "oracle",
         [
-          Alcotest.test_case "stab indexes agree" `Slow test_fuzz_indexes;
-          Alcotest.test_case "btree agrees" `Quick test_fuzz_btree;
-          Alcotest.test_case "tracker agrees" `Quick test_fuzz_tracker;
-          Alcotest.test_case "partitions agree" `Quick test_fuzz_partitions;
+          Alcotest.test_case "battery covers every structure" `Quick test_fuzz_battery;
+          Alcotest.test_case "stab indexes agree" `Slow (fuzz_group "stab indexes");
+          Alcotest.test_case "stores agree" `Quick (fuzz_group "stores");
+          Alcotest.test_case "btree agrees" `Quick (fuzz_group "btree");
+          Alcotest.test_case "tracker agrees" `Quick (fuzz_group "tracker");
+          Alcotest.test_case "partitions agree" `Quick (fuzz_group "partitions");
           Alcotest.test_case "engine agrees" `Quick test_fuzz_engine;
           Alcotest.test_case "batch ingest matches per-tuple" `Quick test_fuzz_batch;
           Alcotest.test_case "parallel matches sequential" `Quick test_fuzz_parallel;
