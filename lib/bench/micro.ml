@@ -442,6 +442,51 @@ let parallel_delivery_allocs_per_result () =
   done;
   !words /. float_of_int !results
 
+(* Minor words per R-tree update and per point stab at M = 8, on the
+   1k clustered rectangles of a select group's shape (rangeC from the
+   clustered ranges, rangeA a same-length range around its midpoint).
+   An update removes one seeded entry and inserts it again; the stabs
+   land uniformly on the domain.  Rectangles, removal predicates and
+   the stab callback are made before counting starts. *)
+let rtree_allocs () =
+  let module R = Cq_index.Rtree in
+  let n = 1_000 and rounds = 20_000 in
+  let rects =
+    Array.map
+      (fun r -> Cq_index.Rect.make ~x:r ~y:(I.of_midpoint ~mid:(I.midpoint r) ~len:(I.length r)))
+      (ranges n 2)
+  in
+  let t = R.create ~max_entries:8 () in
+  Array.iteri (fun i r -> R.insert t r i) rects;
+  let owner = Array.init n (fun i p -> p = i) in
+  let rng = Cq_util.Rng.create 7 in
+  let picks = Array.init rounds (fun _ -> Cq_util.Rng.int rng n) in
+  let coord () = Cq_util.Dist.uniform rng ~lo:0.0 ~hi:10_000.0 in
+  (* Boxed once here, so a stab call boxes nothing. *)
+  let points = Array.init rounds (fun _ -> (coord (), coord ())) in
+  let hits = ref 0 in
+  let hit _ = incr hits in
+  let update k =
+    let i = picks.(k) in
+    ignore (R.remove t rects.(i) owner.(i));
+    R.insert t rects.(i) i
+  in
+  (* The first half warms up (the split scratch, the vectors). *)
+  for k = 0 to (rounds / 2) - 1 do
+    update k
+  done;
+  let w0 = Gc.minor_words () in
+  for k = rounds / 2 to rounds - 1 do
+    update k
+  done;
+  let w1 = Gc.minor_words () in
+  for k = 0 to rounds - 1 do
+    let x, y = points.(k) in
+    R.stab t ~x ~y hit
+  done;
+  let w2 = Gc.minor_words () in
+  ((w1 -. w0) /. float_of_int (rounds / 2), (w2 -. w1) /. float_of_int rounds)
+
 let run () =
   Report.section "micro" "Bechamel micro-benchmarks (ns per op, OLS on monotonic clock)";
   ingest_run ();
@@ -449,6 +494,11 @@ let run () =
   let w = parallel_delivery_allocs_per_result () in
   Report.record_metric "parallel_delivery_allocs_per_result" w "minor_words_per_result";
   Report.note "one-shard parallel delivery (ingest + flush): %.3f minor words/result" w;
+  let update, stab = rtree_allocs () in
+  Report.record_metric "rtree_update_allocs_per_op" update "minor_words_per_op";
+  Report.record_metric "rtree_stab_allocs_per_op" stab "minor_words_per_op";
+  Report.note "rtree (1k clustered, M = 8): %.2f minor words/update (remove + insert), %.2f/stab"
+    update stab;
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instance = Toolkit.Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in

@@ -2,7 +2,9 @@
 
     A continuous equality-join query with local selections
     [σ_{A∈rangeA} R ⋈ σ_{C∈rangeC} S] is the rectangle
-    [rangeC × rangeA] (Section 3.2, Figure 5). *)
+    [rangeC × rangeA] (Section 3.2, Figure 5).  {!Rtree} stores the
+    bounds in flat columns and only takes and returns this type at its
+    interface. *)
 
 type t = { x : Cq_interval.Interval.t; y : Cq_interval.Interval.t }
 
@@ -13,19 +15,4 @@ val is_empty : t -> bool
 
 val contains_point : t -> x:float -> y:float -> bool
 
-val contains : t -> t -> bool
-(** [contains outer inner]: is [inner] a subset of [outer]?  An empty
-    rectangle is contained in everything. *)
-
 val intersects : t -> t -> bool
-
-val union : t -> t -> t
-(** Minimum bounding rectangle of both. *)
-
-val area : t -> float
-
-val enlargement : t -> t -> float
-(** [enlargement mbr r]: area growth of [mbr] needed to absorb [r]. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

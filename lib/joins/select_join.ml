@@ -133,12 +133,12 @@ module Join_first = struct
 
   let process_r t (r : Tuple.r) sink =
     iter_joining t.table ~b:r.b (fun s ->
-        Rtree.stab t.rects ~x:s.Tuple.c ~y:r.a (fun _ q -> sink q s))
+        Rtree.stab t.rects ~x:s.Tuple.c ~y:r.a (fun q -> sink q s))
 
   let affected t (r : Tuple.r) report =
     Dedupe.fresh t.dedupe;
     iter_joining t.table ~b:r.b (fun s ->
-        Rtree.stab t.rects ~x:s.Tuple.c ~y:r.a (fun _ (q : Select_query.t) ->
+        Rtree.stab t.rects ~x:s.Tuple.c ~y:r.a (fun (q : Select_query.t) ->
             if Dedupe.mark t.dedupe q.qid then report q))
 
   let insert_query t q =
@@ -199,11 +199,39 @@ end
 (* A stabbing group: member rectangles in an R-tree plus a reusable
    STEP-1 output buffer.  [group_step1] clears and refills [scratch],
    so its contents are only valid until the next STEP 1 on the same
-   group (the batch-ingest non-reentrancy contract). *)
+   group (the batch-ingest non-reentrancy contract).  [take_first] and
+   [take_second] are the two probes' callbacks, made once with the
+   group: they read the current STEP 1's acceptance test from [mark]
+   and the first anchor's C value from [q1] (NaN when there is none,
+   which no rangeC holds). *)
 type group = {
   rtree : Select_query.t Rtree.t;
   scratch : Select_query.t Vec.t;
+  mutable mark : Select_query.t -> bool;
+  q1 : float array;
+  take_first : Select_query.t -> unit;
+  take_second : Select_query.t -> unit;
 }
+
+let create_group () =
+  let rec g =
+    {
+      rtree = Rtree.create ~max_entries:8 ();
+      scratch = Vec.create ();
+      mark = (fun _ -> false);
+      q1 = [| nan |];
+      take_first = (fun q -> if g.mark q then Vec.push g.scratch q);
+      (* A rectangle the first probe found holds q1 in its rangeC: the
+         second probe skips it, so each member is offered once.  The
+         range is read as fields of the private record (a call to
+         [I.stabs] would box q1). *)
+      take_second =
+        (fun (q : Select_query.t) ->
+          let c = q.range_c and q1 = g.q1.(0) in
+          if (not (c.I.lo <= q1 && q1 <= c.I.hi)) && g.mark q then Vec.push g.scratch q);
+    }
+  in
+  g
 
 (* STEP 1 for one stabbing group (on the rangeC projections) with
    stabbing point [stab]: find the affected queries.  The anchors are
@@ -212,35 +240,36 @@ type group = {
    usable only while it stays within the event's B value.  One seek of
    the finger [f] finds both, and leaves [f] on the second for STEP 2;
    their C values are read from the leaves' secondary column, as band
-   STEP 1 reads B from the primary one. *)
-let group_step1 f (r : Tuple.r) ~stab ~g ~mark =
+   STEP 1 reads B from the primary one.  The two join result points
+   closest to (stab, r.a) probe the group's rectangle index with the
+   group's own callbacks, so nothing is allocated but the boxed probe
+   coordinates. *)
+let[@cq.hot] group_step1 f (r : Tuple.r) ~stab ~g ~mark =
   let b = r.b in
-  let affected = g.scratch in
-  Vec.clear affected;
+  Vec.clear g.scratch;
+  g.mark <- mark;
   Bt.finger_seek f b stab;
   let j = Bt.finger_back_index f in
-  let has1 = j >= 0 && (Bt.finger_back_keys f).(j) = b in
-  let q1 = if has1 then (Bt.finger_back_keys2 f).(j) else nan in
-  (* The two join result points closest to (stab, r.a) probe the
-     group's rectangle index.  A rectangle the first probe found holds
-     q1 in its rangeC: the second probe skips it, so each member is
-     offered once. *)
-  if has1 then Rtree.stab g.rtree ~x:q1 ~y:r.a (fun _ q -> if mark q then Vec.push affected q);
+  if j >= 0 && (Bt.finger_back_keys f).(j) = b then begin
+    let q1 = (Bt.finger_back_keys2 f).(j) in
+    g.q1.(0) <- q1;
+    Rtree.stab g.rtree ~x:q1 ~y:r.a g.take_first
+  end
+  else g.q1.(0) <- nan;
   let i = Bt.finger_index f in
   if i < Bt.finger_count f && (Bt.finger_keys f).(i) = b then
-    Rtree.stab g.rtree ~x:(Bt.finger_keys2 f).(i) ~y:r.a (fun _ (q : Select_query.t) ->
-        if not (has1 && I.stabs q.range_c q1) && mark q then Vec.push affected q);
-  affected
+    Rtree.stab g.rtree ~x:(Bt.finger_keys2 f).(i) ~y:r.a g.take_second;
+  g.scratch
 
 (* STEP 2: each affected rectangle covers a consecutive C-run of join
    result points including an anchor; walk back from the first anchor
    and forward from the second, both from the finger STEP 1 left.  No
    allocation per emitted result. *)
-let process_group f g ~stab (r : Tuple.r) ~mark (sink : sink) =
+let[@cq.hot] process_group f g ~stab (r : Tuple.r) ~mark (sink : sink) =
   let b = r.b in
-  let affected = group_step1 f r ~stab ~g ~mark in
-  for i = 0 to Vec.length affected - 1 do
-    let q : Select_query.t = Vec.get affected i in
+  let hits = group_step1 f r ~stab ~g ~mark in
+  for i = 0 to Vec.length hits - 1 do
+    let q : Select_query.t = Vec.get hits i in
     Bt.finger_iter_back_ge f b q.range_c.I.lo q sink;
     Bt.finger_iter_le f b q.range_c.I.hi q sink
   done
@@ -287,7 +316,7 @@ module Core_query = struct
   module Group = struct
     type g = group
 
-    let create () = { rtree = Rtree.create ~max_entries:8 (); scratch = Vec.create () }
+    let create = create_group
     let add g q = Rtree.insert g.rtree (Select_query.rect q) q
 
     let remove g (q : Select_query.t) =

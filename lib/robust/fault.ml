@@ -44,6 +44,16 @@ let gen_interval rng hubs =
       let lo = hub +. float_of_int (Rng.int rng 9 - 4) in
       I.make lo (lo +. float_of_int (1 + Rng.int rng 6))
 
+(* Half the probes land off the grid, within half a unit of a hub;
+   the other half land exactly on the 0.25 grid within 5 of a hub,
+   where endpoints sit, so a closed-versus-open endpoint test is
+   probed.  One uniform draw places both, so the other ops of a seed's
+   stream do not depend on where its probes land. *)
+let gen_probe rng hubs =
+  let hub = hubs.(Rng.int rng hub_count) and u = Rng.float rng in
+  if u < 0.5 then hub +. (2.0 *. u) -. 0.5
+  else hub +. (0.25 *. float_of_int (Int.min 40 (int_of_float ((u -. 0.5) *. 82.0)) - 20))
+
 let gen ~seed ~n =
   let rng = Rng.create seed in
   let hubs = Array.init hub_count (fun i -> float_of_int (i * 20)) in
@@ -78,7 +88,7 @@ let gen ~seed ~n =
       if !live_n >= live_cap then remove_some ()
       else
         match Rng.int rng 20 with
-        | 0 -> Probe (hubs.(Rng.int rng hub_count) +. Rng.float rng -. 0.5)
+        | 0 -> Probe (gen_probe rng hubs)
         | 1 -> (
             (* duplicate of an exact live (id, iv) pair *)
             match pick_live () with

@@ -25,7 +25,9 @@ type op =
   | Re_add of { id : int; iv : Cq_interval.Interval.t }
       (** Exact duplicate of a live pair; structures must either raise
           a typed rejection or handle the duplicate coherently. *)
-  | Probe of float  (** Compare stabbing answers against the oracle. *)
+  | Probe of float
+      (** Compare stabbing answers against the oracle.  Half the probes
+          of {!gen} sit exactly on the grid the endpoints sit on. *)
 
 val gen : seed:int -> n:int -> op array
 (** [gen ~seed ~n] returns [n] operations.  [Remove] ops always target

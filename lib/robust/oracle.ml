@@ -176,18 +176,18 @@ let interval_tree () =
     audit = (fun () -> Invariant.interval_tree ~interval:snd t);
   }
 
-(* Intervals embed into the R-tree as rectangles [iv × [0,1]];
-   stabbing at y = 0.5 recovers 1-D stabbing. *)
+(* Intervals embed into the R-tree as squares [iv × iv]; stabbing at
+   (x, x) recovers 1-D stabbing and tests both axes' endpoints. *)
 let rtree () =
   let module R = Cq_index.Rtree in
   let t = R.create () in
-  let rect iv = Cq_index.Rect.make ~x:iv ~y:(I.make 0.0 1.0) in
+  let rect iv = Cq_index.Rect.make ~x:iv ~y:iv in
   {
     name = "rtree";
     dup = true;
     add = (fun id iv -> R.insert t (rect iv) id);
     remove = (fun id iv -> R.remove t (rect iv) (Int.equal id));
-    check = stab_check (fun x -> collect (fun f -> R.stab t ~x ~y:0.5 (fun _ id -> f id)));
+    check = stab_check (fun x -> collect (fun f -> R.stab t ~x ~y:x f));
     size = (fun () -> R.size t);
     audit = (fun () -> Invariant.rtree t);
   }

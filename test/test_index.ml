@@ -536,7 +536,7 @@ let prop_rtree_stab =
       List.for_all
         (fun (x, y) ->
           let got = ref [] in
-          Rtree.stab t ~x ~y (fun _ p -> got := p :: !got);
+          Rtree.stab t ~x ~y (fun p -> got := p :: !got);
           let want =
             List.filteri (fun _ _ -> true) (List.mapi (fun i r -> (i, r)) rects)
             |> List.filter (fun (_, r) -> Rect.contains_point r ~x ~y)
@@ -552,7 +552,7 @@ let prop_rtree_search =
       let t = Rtree.create ~max_entries:5 () in
       List.iteri (fun i r -> Rtree.insert t r i) rects;
       let got = ref [] in
-      Rtree.search t w (fun _ p -> got := p :: !got);
+      Rtree.search t w (fun p -> got := p :: !got);
       let want = List.mapi (fun i r -> (i, r)) rects
                  |> List.filter (fun (_, r) -> Rect.intersects r w)
                  |> List.map fst in
@@ -575,6 +575,78 @@ let prop_rtree_delete =
       Rtree.iter t (fun _ p -> got := p :: !got);
       let want = List.mapi (fun i _ -> i) rects |> List.filter (fun i -> i mod 2 = 1) in
       List.sort compare !got = List.sort compare want)
+
+(* Grid intervals on [0, 10], some zero-width and some unbounded on one
+   side, so rectangles share edges and stabs land on them. *)
+let grid_iv_gen =
+  QCheck2.Gen.(
+    map3
+      (fun a b shape ->
+        let lo = Float.min a b and hi = Float.max a b in
+        match shape with
+        | 0 -> I.make neg_infinity hi
+        | 1 -> I.make lo infinity
+        | 2 -> I.make lo lo
+        | _ -> I.make lo hi)
+      (map float_of_int (int_bound 10))
+      (map float_of_int (int_bound 10))
+      (int_bound 7))
+
+type rtree_op = Ins of Rect.t | Del of int | Stab of float * float
+
+let rtree_op_gen =
+  let coord = QCheck2.Gen.(map (fun k -> float_of_int k /. 2.0) (int_bound 22)) in
+  QCheck2.Gen.(
+    frequency
+      [
+        (5, map2 (fun x y -> Ins (Rect.make ~x ~y)) grid_iv_gen grid_iv_gen);
+        (3, map (fun k -> Del k) nat);
+        (3, map2 (fun x y -> Stab (x, y)) coord coord);
+      ])
+
+(* Inserts, removes and stabs interleaved: the invariants (each stored
+   MBR exact, occupancy, depth) hold after every remove, and every stab
+   reports exactly the live entries containing the point. *)
+let prop_rtree_interleaved m =
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "rtree: interleaved insert/remove/stab (M = %d)" m)
+    ~count:200
+    QCheck2.Gen.(list_size (int_range 0 300) rtree_op_gen)
+    (fun ops ->
+      let t = Rtree.create ~max_entries:m () in
+      let live = ref [] and next = ref 0 in
+      List.iter
+        (function
+          | Ins r ->
+              Rtree.insert t r !next;
+              live := !live @ [ (!next, r) ];
+              incr next
+          | Del k ->
+              (match !live with
+              | [] ->
+                  if Rtree.remove t (Rect.make ~x:(I.make 0. 1.) ~y:(I.make 0. 1.)) (fun _ -> true)
+                  then QCheck2.Test.fail_report "remove from an empty tree succeeded"
+              | l ->
+                  let id, r = List.nth l (k mod List.length l) in
+                  if not (Rtree.remove t r (fun p -> p = id)) then
+                    QCheck2.Test.fail_reportf "remove of live entry %d failed" id;
+                  live := List.filter (fun (id', _) -> id' <> id) l);
+              Rtree.check_invariants t;
+              if Rtree.size t <> List.length !live then
+                QCheck2.Test.fail_report "size disagrees with the model"
+          | Stab (x, y) ->
+              let got = ref [] in
+              Rtree.stab t ~x ~y (fun p -> got := p :: !got);
+              let want =
+                List.filter_map
+                  (fun (id, r) -> if Rect.contains_point r ~x ~y then Some id else None)
+                  !live
+              in
+              if List.sort compare !got <> want then
+                QCheck2.Test.fail_reportf "stab (%g, %g): %d hits, %d expected" x y
+                  (List.length !got) (List.length want))
+        ops;
+      true)
 
 let test_rtree_empty_rect_rejected () =
   let t = Rtree.create () in
@@ -1138,6 +1210,8 @@ let () =
           qc prop_rtree_stab;
           qc prop_rtree_search;
           qc prop_rtree_delete;
+          qc (prop_rtree_interleaved 4);
+          qc (prop_rtree_interleaved 8);
           Alcotest.test_case "empty rect rejected" `Quick test_rtree_empty_rect_rejected;
         ] );
       (* Alcotest truncates test names to fit beside the widest suite
