@@ -487,6 +487,70 @@ let rtree_allocs () =
   let w2 = Gc.minor_words () in
   ((w1 -. w0) /. float_of_int (rounds / 2), (w2 -. w1) /. float_of_int rounds)
 
+(* The scattered band path's sweep at scattered-band's shape: 9,500
+   windows of length ~0.02 at uniform offsets in [-1500, 1500], and
+   2,000 keys a side, S.B Normal(5000, 1000) and R.B uniform on
+   [0, 10000].  Events alternate as the engine's do: an R event sweeps
+   the windows against S.B shifted by its B, an S event the mirrored
+   windows [-hi, -lo] against R.B shifted by its B.  Stores, cursors and
+   shifts are made before counting starts, and the hit only counts.
+   The store's loop allocates nothing; the words counted are the
+   cursor's descents, each of which boxes its target for the B-tree
+   seek (most events descend once, to their first window's target).
+   Returns minor words per event, and ns per stored window of each of
+   [sweep_passes] timed passes over the same events, R and S events
+   interleaved in each. *)
+let sweep_events = 1_000
+let sweep_passes = 7
+
+let sweep_bench () =
+  let module Store = Cq_index.Sweep_store in
+  let rng = Cq_util.Rng.create 13 in
+  let n = 9_500 in
+  let fwd = Store.create () and bwd = Store.create () in
+  for i = 0 to n - 1 do
+    let mid = Cq_util.Dist.uniform rng ~lo:(-1500.0) ~hi:1500.0 in
+    let w = I.of_midpoint ~mid ~len:(Float.max 0.005 (Cq_util.Dist.normal rng ~mu:0.02 ~sigma:0.005)) in
+    Store.add fwd w i;
+    Store.add bwd (I.make (-.I.hi w) (-.I.lo w)) i
+  done;
+  let s_b () = Cq_util.Dist.normal_clamped rng ~mu:5000.0 ~sigma:1000.0 ~lo:0.0 ~hi:10_000.0 in
+  let r_b () = Cq_util.Dist.uniform rng ~lo:0.0 ~hi:10_000.0 in
+  let finger draw =
+    let t = Bt.create () in
+    for i = 0 to 1_999 do
+      Bt.insert t (draw ()) 0.0 i
+    done;
+    Bt.finger t
+  in
+  (* Index 0 is an R event's side, 1 an S event's. *)
+  let stores = [| fwd; bwd |] and fingers = [| finger s_b; finger r_b |] in
+  let cursors = Array.map Cq_relation.Table.cursor_on fingers in
+  let shifts = Array.init sweep_events (fun e -> if e land 1 = 0 then r_b () else s_b ()) in
+  let hits = ref 0 in
+  let hit _ = incr hits in
+  let pass () =
+    for e = 0 to sweep_events - 1 do
+      let side = e land 1 in
+      let cursor = cursors.(side) in
+      Bt.finger_reset fingers.(side);
+      cursor.shift.(0) <- shifts.(e);
+      Cq_relation.Table.load_cursor cursor fingers.(side);
+      Store.sweep stores.(side) cursor hit
+    done
+  in
+  pass ();
+  let w0 = Gc.minor_words () in
+  pass ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int sweep_events in
+  let ns =
+    Array.init sweep_passes (fun _ ->
+        let t0 = Cq_util.Clock.monotonic () in
+        pass ();
+        (Cq_util.Clock.monotonic () -. t0) *. 1e9 /. float_of_int (sweep_events * n))
+  in
+  (words, ns, !hits / ((2 + sweep_passes) * sweep_events))
+
 let run () =
   Report.section "micro" "Bechamel micro-benchmarks (ns per op, OLS on monotonic clock)";
   ingest_run ();
@@ -499,6 +563,14 @@ let run () =
   Report.record_metric "rtree_stab_allocs_per_op" stab "minor_words_per_op";
   Report.note "rtree (1k clustered, M = 8): %.2f minor words/update (remove + insert), %.2f/stab"
     update stab;
+  let words, ns, hits = sweep_bench () in
+  let q1 = Stats.percentile ns 25.0 and med = Stats.median ns and q3 = Stats.percentile ns 75.0 in
+  Report.record_metric "sweep_allocs_per_event" words "minor_words_per_event";
+  Report.record_metric "sweep_ns_per_window" med "ns";
+  Report.note
+    "sweep (9.5k windows, 2k keys a side, %d hits/event): %.2f minor words/event, %.2f ns per \
+     stored window (median of %d passes, quartiles %.2f-%.2f, spread %.3f)"
+    hits words med sweep_passes q1 q3 ((q3 -. q1) /. med);
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instance = Toolkit.Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in

@@ -283,68 +283,77 @@ let[@cq.hot] slot_ge (keys : float array) from n (lo : float array) i (shift : f
     !a
   end
 
-(* Move the cursor to the first key at or above [lo.(i) + shift]: in
-   its leaf when the leaf's last key reaches the target, else in the
-   next leaf when that one's does, else wherever a descent from the
-   root lands.  [false] when no key reaches the target. *)
-let[@cq.hot] advance cur (lo : float array) i =
-  let n = cur.nkeys in
-  if n > 0 && Array.unsafe_get cur.keys (n - 1) >= Array.unsafe_get lo i +. cur.shift.(0) then begin
-    cur.idx <- slot_ge cur.keys cur.idx n lo i cur.shift;
-    true
-  end
-  else if cur.hop cur then begin
-    let n = cur.nkeys in
-    if Array.unsafe_get cur.keys (n - 1) >= Array.unsafe_get lo i +. cur.shift.(0) then
-      cur.idx <- slot_ge cur.keys 0 n lo i cur.shift
-    else cur.descend cur lo i;
-    cur.idx < cur.nkeys
-  end
-  else begin
-    cur.idx <- n;
-    false
-  end
+(* One loop over chunks, blocks and windows.  The cursor's leaf, count,
+   slot and key live in locals; the record is written back only around
+   a closure call and at the end.
 
-(* Windows [i, stop) of chunk [c]; [false] once the cursor has run off
-   the end, which ends the sweep.  A window whose target is at or below
-   the cursor's key leaves the cursor where it is, with no call. *)
-let[@cq.hot] rec sweep_windows c i stop cur hit =
-  if i >= stop then true
-  else if
-    Array.unsafe_get cur.keys cur.idx >= Array.unsafe_get c.lo i +. cur.shift.(0)
-    || advance cur c.lo i
-  then begin
-    if Array.unsafe_get cur.keys cur.idx <= c.hi.(i) +. cur.shift.(0) then begin
-      if cur.synced <> cur.idx then begin
-        cur.sync cur;
-        cur.synced <- cur.idx
-      end;
-      hit c.pay.(i)
+   A chunk or block whose max hi + shift is below the key is skipped
+   whole, and so is each run of windows that end below it: none holds
+   a key or moves the cursor.  The next window, which ends at or above
+   the key, moves the cursor when its target is above the key: to the
+   next key when that one reaches the target, else within the leaf when
+   the leaf's last key does, else to the next leaf when that one's does,
+   else wherever a descent from the root lands.  When no key reaches the
+   target the sweep ends.  The window hits iff the key is then
+   <= hi + shift.  After a move, the block ends once the key passes its
+   max hi + shift: every later window in it ends below the key, and so
+   starts below it, so none hits or moves the cursor. *)
+let[@cq.hot] sweep t cur hit =
+  let dir = t.dir and shift = cur.shift.(0) in
+  let keys = ref cur.keys and n = ref cur.nkeys and idx = ref cur.idx in
+  let live = ref (!idx < !n) in
+  let key = ref (if !live then Array.unsafe_get !keys !idx else infinity) in
+  let k = ref 0 in
+  while !live && !k < Array.length dir do
+    let c = Array.unsafe_get dir !k in
+    if c.cmax +. shift >= !key then begin
+      let lo = c.lo and hi = c.hi and b = ref 0 in
+      while !live && !b < c.count do
+        let stop = Int.min c.count (!b + block) in
+        let bmax = Array.unsafe_get c.bmax (!b / block) +. shift in
+        let i = ref !b in
+        while !live && !i < stop && bmax >= !key do
+          let j = ref !i in
+          while !j < stop && Array.unsafe_get hi !j +. shift < !key do
+            incr j
+          done;
+          let j = !j in
+          if j < stop then begin
+            let target = Array.unsafe_get lo j +. shift in
+            if !key < target then begin
+              if !idx + 1 < !n && Array.unsafe_get !keys (!idx + 1) >= target then incr idx
+              else if Array.unsafe_get !keys (!n - 1) >= target then
+                idx := slot_ge !keys !idx !n lo j cur.shift
+              else begin
+                cur.idx <- !idx;
+                (if not (cur.hop cur) then cur.idx <- cur.nkeys
+                 else if Array.unsafe_get cur.keys (cur.nkeys - 1) >= target then
+                   cur.idx <- slot_ge cur.keys 0 cur.nkeys lo j cur.shift
+                 else cur.descend cur lo j);
+                keys := cur.keys;
+                n := cur.nkeys;
+                idx := cur.idx
+              end;
+              live := !idx < !n;
+              if !live then key := Array.unsafe_get !keys !idx
+            end;
+            if !live && !key <= Array.unsafe_get hi j +. shift then begin
+              if cur.synced <> !idx then begin
+                cur.idx <- !idx;
+                cur.sync cur;
+                cur.synced <- !idx
+              end;
+              hit c.pay.(j)
+            end
+          end;
+          i := j + 1
+        done;
+        b := stop
+      done
     end;
-    sweep_windows c (i + 1) stop cur hit
-  end
-  else false
-
-(* Blocks [b, ..) of chunk [c]. *)
-let[@cq.hot] rec sweep_blocks c b cur hit =
-  let start = b * block in
-  if start >= c.count then true
-  else if c.bmax.(b) +. cur.shift.(0) < Array.unsafe_get cur.keys cur.idx then
-    sweep_blocks c (b + 1) cur hit
-  else
-    sweep_windows c start (Int.min c.count (start + block)) cur hit
-    && sweep_blocks c (b + 1) cur hit
-
-let[@cq.hot] rec sweep_chunks dir k cur hit =
-  if k < Array.length dir then begin
-    let c = dir.(k) in
-    if
-      c.cmax +. cur.shift.(0) < Array.unsafe_get cur.keys cur.idx
-      || sweep_blocks c 0 cur hit
-    then sweep_chunks dir (k + 1) cur hit
-  end
-
-let[@cq.hot] sweep t cur hit = if cur.idx < cur.nkeys then sweep_chunks t.dir 0 cur hit
+    incr k
+  done;
+  cur.idx <- !idx
 
 (* ------------------------------------------------------------------ *)
 (* The anchored walk                                                    *)

@@ -97,21 +97,28 @@ val sweep : 'a t -> cursor -> ('a -> unit) -> unit
     (closed) holds a key of the cursor's sequence — a band event's
     scattered windows against S.B.  Windows arrive in ascending [lo],
     so their targets [lo + shift] only rise and the cursor only moves
-    forward: for each window it scans at most 8 slots of the leaf and
-    then gallops, and leaves the leaf only past its last key (a [hop]
-    when the next leaf reaches the target, else a [descend]).  A
-    window hits iff the key the cursor lands on is [<= hi + shift];
-    the sweep then calls [hit], with the caller's finger on the
-    window's first key ([sync] first when [synced] is not [idx]).
-    [hit] must not move the cursor.
+    forward.  A window that ends below the cursor's key is passed
+    over.  One whose target is above the key moves the cursor: to the
+    next key when that one reaches the target, else within the leaf
+    (at most 8 slots scanned, then a gallop) when the leaf's last key
+    does; past the last key, by a [hop] when the next leaf reaches the
+    target, else a [descend].  A window hits iff the key the cursor
+    lands on is [<= hi + shift]; the sweep then calls [hit], with the
+    caller's finger on the window's first key ([sync] first when
+    [synced] is not [idx]).  [hit] must not move the cursor, and
+    [shift] is read once per sweep.
 
     A block (or chunk) whose largest [hi] plus [shift] is below the
     cursor's key is skipped whole: its windows start at or after every
-    key passed, so none reaches a key.  Once the cursor is past the
-    last key the sweep stops: no later window can reach a key, not
-    even one that ends at [infinity].  Bounds are read from the float
-    columns; only a hit reads its payload.  Allocation-free: a window
-    reaches [descend] as (column, slot), never as a boxed float. *)
+    key passed, so none reaches a key.  For the same reason a block
+    ends as soon as a move takes the key past its largest [hi] plus
+    [shift].  Once the cursor is past the last key the sweep stops: no
+    later window can reach a key, not even one that ends at
+    [infinity].  Bounds are read from the float columns; only a hit
+    reads its payload.  The sweep allocates nothing: a window reaches
+    [descend] as (column, slot), never as a boxed float (the caller's
+    closures may; [Table.cursor_on]'s [descend] boxes its target in
+    the B-tree seek). *)
 
 (** {2 The anchored walk} *)
 

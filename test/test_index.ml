@@ -993,6 +993,76 @@ let test_store_sweep_pruned_cases () =
   Alcotest.(check int) "key between windows: moves" 1 n;
   Alcotest.(check int) "key between windows: hits" 0 (List.length got)
 
+(* The block exit and the sweep's end, two keys per leaf so a move is
+   either within a leaf (no count, a later hit must [sync]) or a hop or
+   descent.  Each case lists the exact hits, as windows. *)
+let test_store_sweep_block_exit () =
+  let check name ?(shift = 0.0) windows keys ~moves ~hits =
+    let t = Store.create () in
+    List.iteri (fun i (lo, hi) -> Store.add t (I.make lo hi) (lo, hi, i)) windows;
+    let got, n, placed = sweep_keys ~leaf:2 t keys shift in
+    Alcotest.(check int) (name ^ ": moves") moves n;
+    Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+      (name ^ ": hits") hits
+      (List.map (fun (lo, hi, _) -> (lo, hi)) got);
+    Alcotest.(check bool) (name ^ ": finger placed") true placed
+  in
+  (* [2,3] hops from key 0 to the leaf [10, 11], past the first block's
+     max hi 8, so the block ends; [9,10] in the next block holds the
+     same key 10, and [10.5,12] moves within the leaf to 11. *)
+  let first_block = [ (2., 3.); (2.5, 3.5); (3., 4.); (4., 5.); (5., 6.); (6., 7.); (7., 8.); (7.5, 8.) ] in
+  check "advance past the block's max hi" (first_block @ [ (9., 10.); (10.5, 12.) ])
+    [| 0.; 1.; 10.; 11. |] ~moves:1
+    ~hits:[ (9., 10.); (10.5, 12.) ];
+  (* Shifted by 1, [1,2] hops to key 5, which equals the block's max hi
+     4 + 1: the block goes on, and [1.5,4] holds 5. *)
+  check "advance onto the block's max hi" ~shift:1.0
+    [ (1., 2.); (1.5, 4.); (3., 3.5) ]
+    [| 0.; 1.; 5.; 6. |] ~moves:1
+    ~hits:[ (1.5, 4.) ];
+  (* The hop lands on 4, inside the block: [2.5,5] and [4,4.5] hold it,
+     and [4.5,6] moves within the leaf to 6. *)
+  check "advance inside the block"
+    [ (2., 3.); (2.5, 5.); (4., 4.5); (4.5, 6.) ]
+    [| 0.; 1.; 4.; 6. |] ~moves:1
+    ~hits:[ (2.5, 5.); (4., 4.5); (4.5, 6.) ];
+  (* [4,4.5], the fifth of 20 windows in one chunk, finds no next leaf:
+     the sweep ends there, before [12.25, inf]. *)
+  check "failed hop in mid-chunk"
+    ((12.25, infinity) :: List.init 20 (fun i -> (float_of_int i, float_of_int i +. 0.5)))
+    [| 0.; 1.; 2.; 3. |] ~moves:2
+    ~hits:[ (0., 0.5); (1., 1.5); (2., 2.5); (3., 3.5) ]
+
+(* The sweep allocates nothing: 10k windows [i/10, i/10 + 0.05] against
+   S.B keys 0..999 through [Table.cursor_on], where every move stays in
+   the leaf or hops to the next one (a descent boxes its target in the
+   B-tree's seek). *)
+let test_store_sweep_allocates_nothing () =
+  let tree = Bt.create () in
+  for k = 0 to 999 do
+    Bt.insert tree (float_of_int k) 0.0 k
+  done;
+  let t = Store.create () in
+  for i = 0 to 9_999 do
+    let lo = float_of_int i /. 10.0 in
+    Store.add t (I.make lo (lo +. 0.05)) i
+  done;
+  let finger = Bt.finger tree in
+  let c = Cq_relation.Table.cursor_on finger in
+  let hits = ref 0 in
+  let hit _ = incr hits in
+  let sweep () =
+    Bt.finger_reset finger;
+    Cq_relation.Table.load_cursor c finger;
+    Store.sweep t c hit
+  in
+  sweep ();
+  let w0 = Gc.minor_words () in
+  sweep ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "hits" 2_000 !hits;
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words
+
 (* The cursor on S.B itself ([Table.cursor_on]): B-trees of order 2
    (many leaves, duplicates straddling them) and 16 built by inserts
    and deletes, windows whose shifted lo ends jump over many leaves or
@@ -1201,6 +1271,8 @@ let () =
           Alcotest.test_case "chunk split and merge boundaries" `Quick test_store_chunk_boundaries;
           qc prop_store_sweep_matches_filter;
           Alcotest.test_case "sweep: pruned and empty cases" `Quick test_store_sweep_pruned_cases;
+          Alcotest.test_case "sweep: block exit and the end" `Quick test_store_sweep_block_exit;
+          Alcotest.test_case "sweep: allocates nothing" `Quick test_store_sweep_allocates_nothing;
           qc prop_store_sweep_on_btree;
           qc prop_store_walk_anchored;
           Alcotest.test_case "stale block max caught" `Quick test_store_corruption_caught;
