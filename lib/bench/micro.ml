@@ -494,9 +494,9 @@ let rtree_allocs () =
    the windows against S.B shifted by its B, an S event the mirrored
    windows [-hi, -lo] against R.B shifted by its B.  Stores, cursors and
    shifts are made before counting starts, and the hit only counts.
-   The store's loop allocates nothing; the words counted are the
-   cursor's descents, each of which boxes its target for the B-tree
-   seek (most events descend once, to their first window's target).
+   Neither the store's loop nor the cursor's descents (most events
+   descend once, to their first window's target) allocate, so the
+   words counted are 0.
    Returns minor words per event, and ns per stored window of each of
    [sweep_passes] timed passes over the same events, R and S events
    interleaved in each. *)

@@ -52,7 +52,7 @@ module type QUERY = sig
   type scan
 
   val scan_create : store -> scan
-  val scan_begin : scan -> event -> unit
+  val scan_begin : scan -> event -> bool
   val scattered : (scan, t, event, result) scattered
 
   module Group : sig
@@ -221,12 +221,13 @@ module Make (Q : QUERY) = struct
         | None -> ());
     w
 
-  let[@cq.hot] begin_event w ev sink =
-    Q.scan_begin w.scan ev;
+  (* Whether to walk: the processor holds a query ([held]) and the event can join. *)
+  let[@cq.hot] begin_event w ~held ev sink =
     w.cands <- 0;
     w.accepted <- 0;
     w.ev <- Some ev;
-    w.sink <- sink
+    w.sink <- sink;
+    held && Q.scan_begin w.scan ev
 
   let[@cq.hot] end_event w =
     w.ev <- None;
@@ -359,28 +360,31 @@ module Make (Q : QUERY) = struct
        their meaning. *)
     let[@cq.hot] process_r t ev sink =
       let w = t.w in
-      begin_event w ev sink;
-      Hashtbl.iter t.c_group t.hot;
-      (match t.scattered with
-      | Stabbed { tree; point; _ } -> B.stab tree (point ev) t.c_scat
-      | Swept { store; cursor } ->
-          let n = Store.size store in
-          w.cands <- w.cands + n;
-          (match w.shed with None -> w.accepted <- w.accepted + n | Some _ -> ());
-          Store.sweep store (cursor w.scan) t.c_scat);
+      if begin_event w ~held:(Tracker.size t.tracker > 0) ev sink then begin
+        Hashtbl.iter t.c_group t.hot;
+        match t.scattered with
+        | Stabbed { tree; point; _ } -> B.stab tree (point ev) t.c_scat
+        | Swept { store; cursor } ->
+            let n = Store.size store in
+            w.cands <- w.cands + n;
+            (match w.shed with None -> w.accepted <- w.accepted + n | Some _ -> ());
+            Store.sweep store (cursor w.scan) t.c_scat
+      end;
       end_event w
 
     let affected t ev report =
       let scan = t.w.scan in
-      Q.scan_begin scan ev;
-      Hashtbl.iter
-        (fun gid g ->
-          let stab = Tracker.hotspot_stab t.tracker gid in
-          Q.Group.identify scan g ~stab ev ~mark:accept_all report)
-        t.hot;
-      match t.scattered with
-      | Stabbed { tree; point; hit } -> B.stab tree (point ev) (fun q -> if hit scan q then report q)
-      | Swept { store; cursor } -> Store.sweep store (cursor scan) report
+      if Tracker.size t.tracker > 0 && Q.scan_begin scan ev then begin
+        Hashtbl.iter
+          (fun gid g ->
+            let stab = Tracker.hotspot_stab t.tracker gid in
+            Q.Group.identify scan g ~stab ev ~mark:accept_all report)
+          t.hot;
+        match t.scattered with
+        | Stabbed { tree; point; hit } ->
+            B.stab tree (point ev) (fun q -> if hit scan q then report q)
+        | Swept { store; cursor } -> Store.sweep store (cursor scan) report
+      end
 
     let set_shed t pred = t.w.shed <- pred
     let iter_groups t f = Hashtbl.iter (fun _ g -> f g) t.hot
@@ -535,15 +539,15 @@ module Make (Q : QUERY) = struct
        the event stabs. *)
     let[@cq.hot] process_r t ev sink =
       refresh t;
-      begin_event t.w ev sink;
-      Index.iter t.index t.w.visit;
+      if begin_event t.w ~held:(Hashtbl.length t.queries > 0) ev sink then
+        Index.iter t.index t.w.visit;
       end_event t.w
 
     let affected t ev report =
       refresh t;
       let scan = t.w.scan in
-      Q.scan_begin scan ev;
-      Index.iter t.index (fun ~stab g -> Q.Group.identify scan g ~stab ev ~mark:accept_all report)
+      if Hashtbl.length t.queries > 0 && Q.scan_begin scan ev then
+        Index.iter t.index (fun ~stab g -> Q.Group.identify scan g ~stab ev ~mark:accept_all report)
 
     let insert_query t q =
       Hashtbl.replace t.queries (Q.qid q) q;

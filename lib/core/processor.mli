@@ -141,12 +141,26 @@ module type QUERY = sig
       The scan also carries the finger the group walk runs on
       ({!Group.process}, {!Group.identify}): [scan_begin] makes it
       valid for the event, and every group's STEP 1 seeks it to that
-      group's anchors. *)
+      group's anchors.  A select scan finds the event's run of
+      S(B,C) by one descent in [scan_begin], and every later seek of
+      the event starts from that run. *)
 
   val scan_create : store -> scan
 
-  val scan_begin : scan -> event -> unit
-  (** Start a new event; called before the event's first group walk. *)
+  val scan_begin : scan -> event -> bool
+  (** Start a new event; called before the event's first group walk.
+      It returns whether the event can join anything: [false] only
+      when no query can have a result for it, as for a select event
+      whose R.B no S row holds.  A band event always returns [true].
+
+      The processors ({!Make}'s [Hotspot.process_r]/[affected] and
+      [Ssi.process_r]/[affected]) call it only while they hold a
+      query, and on [false] skip the group walk and the scattered
+      walk.  Such an event offers no candidate: its
+      [proc.<label>.fanout] and [proc.<label>.accepted] samples read
+      0, and it stabs no scattered index, so
+      [stab.interval_tree.stab_ns] is sampled only for events that
+      can join. *)
 
   val scattered : (scan, t, event, result) scattered
   (** Which scattered walk the class uses, with its hooks. *)

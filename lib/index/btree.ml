@@ -401,9 +401,9 @@ let[@cq.hot] before_lt f k k2 =
     | Some p -> compare_at p.lkeys p.lkeys2 (p.lcount - 1) k k2 < 0
     | None -> true
 
-let[@cq.hot] finger_descend f k k2 =
-  let l = descend_ge f.ftree.root k k2 in
-  let i = lower_bound l.lkeys l.lkeys2 0 l.lcount k k2 in
+(* Put the finger on slot [i] of [l], or on the next leaf's first slot
+   when [i] is past [l]'s last entry and there is a next leaf. *)
+let[@cq.hot] finger_land f l i =
   match l.lnext with
   | Some nx when i = l.lcount ->
       f.fleaf <- nx;
@@ -411,6 +411,65 @@ let[@cq.hot] finger_descend f k k2 =
   | _ ->
       f.fleaf <- l;
       f.fidx <- i
+
+let[@cq.hot] finger_descend f k k2 =
+  let l = descend_ge f.ftree.root k k2 in
+  finger_land f l (lower_bound l.lkeys l.lkeys2 0 l.lcount k k2)
+
+let finger_copy f ~from =
+  f.fleaf <- from.fleaf;
+  f.fidx <- from.fidx
+
+(* The first slot in [from, count) of [ks] at or above the target
+   [col.(i) + shift.(0)].  The target is taken as (column, slot,
+   shift) and added up here, where it is only compared: a float passed
+   to a function that is not inlined is boxed. *)
+let[@cq.hot] lower_bound_shifted (ks : float array) from count (col : float array) i
+    (shift : float array) =
+  let x = Array.unsafe_get col i +. Array.unsafe_get shift 0 in
+  let lo = ref from and hi = ref count in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Float.compare (Array.unsafe_get ks mid) x < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* With a secondary of -∞, (k, -∞) <= (k', k2') iff k <= k' (no
+   secondary is NaN), so the descent and the leaf search compare the
+   primaries alone. *)
+let[@cq.hot] rec descend_shifted node col i shift =
+  match node with
+  | Leaf l -> l
+  | Internal nd ->
+      descend_shifted
+        nd.kids.(lower_bound_shifted nd.seps 0 (Array.length nd.seps) col i shift)
+        col i shift
+
+(* [finger_seek]'s steps on primaries alone: from the finger when the
+   entry before it is below the target and the target lies in its leaf
+   or the next one, else from the root. *)
+let[@cq.hot] finger_seek_shifted f (col : float array) i (shift : float array) =
+  let x = Array.unsafe_get col i +. Array.unsafe_get shift 0 in
+  let l = f.fleaf and j = f.fidx in
+  let n = l.lcount in
+  let before_lt =
+    if j > 0 then Float.compare (Array.unsafe_get l.lkeys (j - 1)) x < 0
+    else
+      match l.lprev with
+      | Some p -> Float.compare (Array.unsafe_get p.lkeys (p.lcount - 1)) x < 0
+      | None -> true
+  in
+  if before_lt && j = n then ()
+  else if before_lt && Float.compare (Array.unsafe_get l.lkeys (n - 1)) x >= 0 then
+    f.fidx <- lower_bound_shifted l.lkeys j n col i shift
+  else
+    match l.lnext with
+    | Some nx when before_lt && Float.compare (Array.unsafe_get nx.lkeys (nx.lcount - 1)) x >= 0 ->
+        f.fleaf <- nx;
+        f.fidx <- lower_bound_shifted nx.lkeys 0 nx.lcount col i shift
+    | _ ->
+        let l = descend_shifted f.ftree.root col i shift in
+        finger_land f l (lower_bound_shifted l.lkeys 0 l.lcount col i shift)
 
 (* When everything before the finger is < the key, the target lies at
    or after the finger: at the end if the finger is there, else in its

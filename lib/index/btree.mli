@@ -98,6 +98,25 @@ val finger_seek : 'a finger -> float -> float -> unit
     target, including one that goes backwards, re-descends from the
     root. *)
 
+val finger_descend : 'a finger -> float -> float -> unit
+(** [finger_descend f k k2] moves [f] where [finger_seek f k k2] does,
+    by one descent from the root, whatever [f] designated before: a
+    finger stale after an update is valid again.  It is a
+    {!finger_reset} and a seek in one descent. *)
+
+val finger_seek_shifted : 'a finger -> float array -> int -> float array -> unit
+(** [finger_seek_shifted f col i shift] is
+    [finger_seek f (col.(i) +. shift.(0)) neg_infinity], searching
+    from the finger or from the root as that seek does, with the
+    target taken as (column, slot, shift) so no float is boxed.  The
+    secondaries stored must not be NaN. *)
+
+val finger_copy : 'a finger -> from:'a finger -> unit
+(** [finger_copy f ~from] moves [f] to the entry [from] designates
+    (both fingers on one tree).  [from] does not move, so a caller can
+    keep one position, such as the start of an event's run of equal
+    primaries, and restart every later seek from it. *)
+
 (** {3 Leaf access}
 
     A caller that runs its own loop over the keys — a band sweep

@@ -116,9 +116,9 @@ val sweep : 'a t -> cursor -> ('a -> unit) -> unit
     later window can reach a key, not even one that ends at
     [infinity].  Bounds are read from the float columns; only a hit
     reads its payload.  The sweep allocates nothing: a window reaches
-    [descend] as (column, slot), never as a boxed float (the caller's
-    closures may; [Table.cursor_on]'s [descend] boxes its target in
-    the B-tree seek). *)
+    [descend] as (column, slot), never as a boxed float, and
+    [Table.cursor_on]'s [descend] passes it on to the B-tree's seek as
+    it came. *)
 
 (** {2 The anchored walk} *)
 

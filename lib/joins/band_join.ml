@@ -296,12 +296,14 @@ module Core_query = struct
     { finger; cursor = Table.cursor_on finger; group = Bt.finger sb }
 
   (* The cursor starts on S.B's first key, so every window's target is
-     at or after it. *)
+     at or after it.  Any event may join: a band window reaches rows
+     of any B. *)
   let[@cq.hot] scan_begin s (r : Tuple.r) =
     Bt.finger_reset s.finger;
     Bt.finger_reset s.group;
     s.cursor.shift.(0) <- r.b;
-    Table.load_cursor s.cursor s.finger
+    Table.load_cursor s.cursor s.finger;
+    true
 
   (* A hit's rows, from the finger the sweep left on its first one.
      The window end is read as a field of the private record: a call
@@ -392,14 +394,14 @@ module Ssi_dynamic = struct
 
   let process_r t r sink =
     sync t;
-    Core_query.scan_begin t.scan r;
+    ignore (Core_query.scan_begin t.scan r);
     P.iter_group_sizes t.part (fun gid _size ->
         let a = aux_of t gid in
         Core_query.Group.process t.scan a.g ~stab:a.stab r ~mark sink)
 
   let affected t r report =
     sync t;
-    Core_query.scan_begin t.scan r;
+    ignore (Core_query.scan_begin t.scan r);
     P.iter_group_sizes t.part (fun gid _size ->
         let a = aux_of t gid in
         Core_query.Group.identify t.scan a.g ~stab:a.stab r ~mark report)

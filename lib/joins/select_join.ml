@@ -20,18 +20,57 @@ module type STRATEGY =
 (* Visit the S-tuples joining with the event (same B), in C order. *)
 let iter_joining table ~b f = Bt.iter_range (Table.s_by_b table) b neg_infinity b infinity f
 
-(* The S-tuples with B = [b] and C in [[lo, hi]], in C order, from one
-   seek of the finger [f]: [sink q] gets each. *)
-let iter_selected f ~b ~lo ~hi q sink =
-  Bt.finger_seek f b lo;
-  Bt.finger_iter_le f b hi q sink
+(* --------------------------------------------------------------------- *)
+(* The event's run in S(B,C)                                               *)
+(* --------------------------------------------------------------------- *)
 
-(* Whether S holds a tuple with B = [b] and C in [[lo, hi]]: one seek
-   of [f] to (b, lo), then a look at the entry it lands on. *)
-let holds f ~b ~lo ~hi =
-  Bt.finger_seek f b lo;
+(* An R-tuple joins only the S rows with S.B = r.B: one run of S(B,C),
+   in C order.  [scan_begin] finds the run's first entry by one descent
+   from the root and keeps it in [run]; every later seek of the event
+   (a group's STEP 1, a candidate's probe) copies [run] into [finger]
+   and seeks from there, so a run that fits in a leaf or two costs a
+   search inside one leaf, and a longer one [finger_seek]'s own
+   descent. *)
+type scan = {
+  mutable ev : Tuple.r;
+  run : Tuple.s Bt.finger;
+  finger : Tuple.s Bt.finger;
+}
+
+let scan_create table =
+  let sb = Table.s_by_b table in
+  { ev = { rid = -1; a = 0.0; b = 0.0 }; run = Bt.finger sb; finger = Bt.finger sb }
+
+(* Whether the event has a join partner: the run's first entry, the
+   leftmost with key >= (r.b, -∞), has B = r.b.  With none, no query
+   has a result, and the caller skips the event's walk. *)
+let[@cq.hot] scan_begin s (r : Tuple.r) =
+  s.ev <- r;
+  let run = s.run in
+  Bt.finger_descend run r.b neg_infinity;
+  let i = Bt.finger_index run in
+  i < Bt.finger_count run && Array.unsafe_get (Bt.finger_keys run) i = r.b
+
+(* [finger] on the leftmost entry >= (r.b, c), sought from the run. *)
+let[@cq.hot] seek s c =
+  Bt.finger_copy s.finger ~from:s.run;
+  Bt.finger_seek s.finger s.ev.b c
+
+(* The S-tuples joining the event with C in [q]'s rangeC, in C order,
+   from one seek: [sink q] gets each. *)
+let probe s (q : Select_query.t) sink =
+  seek s q.range_c.I.lo;
+  Bt.finger_iter_le s.finger s.ev.b q.range_c.I.hi q sink
+
+(* Whether [probe] would emit: one seek to (r.b, lo), then a look at
+   the entry it lands on. *)
+let hit s (q : Select_query.t) =
+  seek s q.range_c.I.lo;
+  let f = s.finger in
   let i = Bt.finger_index f in
-  i < Bt.finger_count f && (Bt.finger_keys f).(i) = b && (Bt.finger_keys2 f).(i) <= hi
+  i < Bt.finger_count f
+  && (Bt.finger_keys f).(i) = s.ev.b
+  && (Bt.finger_keys2 f).(i) <= q.range_c.I.hi
 
 (* --------------------------------------------------------------------- *)
 (* NAIVE: join, then evaluate every query on the intermediate result       *)
@@ -161,8 +200,7 @@ end
 module Select_first = struct
   type t = {
     a_index : Select_query.t Itree.t;
-    (* On S(B,C), reset at each event. *)
-    finger : Tuple.s Bt.finger;
+    scan : scan;
   }
 
   let name = "SJ-S"
@@ -170,17 +208,15 @@ module Select_first = struct
   let create table queries =
     let a_index = Itree.create () in
     Array.iter (fun (q : Select_query.t) -> Itree.add a_index q.range_a q) queries;
-    { a_index; finger = Bt.finger (Table.s_by_b table) }
+    { a_index; scan = scan_create table }
 
+  (* The processors' rule: an event with no join partner ends after
+     its one descent, before the rangeA stab. *)
   let process_r t (r : Tuple.r) sink =
-    Bt.finger_reset t.finger;
-    Itree.stab t.a_index r.a (fun (q : Select_query.t) ->
-        iter_selected t.finger ~b:r.b ~lo:q.range_c.I.lo ~hi:q.range_c.I.hi q sink)
+    if scan_begin t.scan r then Itree.stab t.a_index r.a (fun q -> probe t.scan q sink)
 
   let affected t (r : Tuple.r) report =
-    Bt.finger_reset t.finger;
-    Itree.stab t.a_index r.a (fun (q : Select_query.t) ->
-        if holds t.finger ~b:r.b ~lo:q.range_c.I.lo ~hi:q.range_c.I.hi then report q)
+    if scan_begin t.scan r then Itree.stab t.a_index r.a (fun q -> if hit t.scan q then report q)
 
   let insert_query t (q : Select_query.t) = Itree.add t.a_index q.range_a q
 
@@ -237,18 +273,19 @@ let create_group () =
    stabbing point [stab]: find the affected queries.  The anchors are
    the joining S-tuples whose C values surround the stabbing point —
    the rightmost entry < (b, stab) and the leftmost >= (b, stab), each
-   usable only while it stays within the event's B value.  One seek of
-   the finger [f] finds both, and leaves [f] on the second for STEP 2;
-   their C values are read from the leaves' secondary column, as band
-   STEP 1 reads B from the primary one.  The two join result points
-   closest to (stab, r.a) probe the group's rectangle index with the
-   group's own callbacks, so nothing is allocated but the boxed probe
-   coordinates. *)
-let[@cq.hot] group_step1 f (r : Tuple.r) ~stab ~g ~mark =
+   usable only while it stays within the event's B value.  One seek
+   from the event's run finds both, and leaves the scan's finger on the
+   second for STEP 2; their C values are read from the leaves'
+   secondary column, as band STEP 1 reads B from the primary one.  The
+   two join result points closest to (stab, r.a) probe the group's
+   rectangle index with the group's own callbacks, so nothing is
+   allocated but the boxed probe coordinates. *)
+let[@cq.hot] group_step1 s (r : Tuple.r) ~stab ~g ~mark =
   let b = r.b in
   Vec.clear g.scratch;
   g.mark <- mark;
-  Bt.finger_seek f b stab;
+  seek s stab;
+  let f = s.finger in
   let j = Bt.finger_back_index f in
   if j >= 0 && (Bt.finger_back_keys f).(j) = b then begin
     let q1 = (Bt.finger_back_keys2 f).(j) in
@@ -265,9 +302,9 @@ let[@cq.hot] group_step1 f (r : Tuple.r) ~stab ~g ~mark =
    result points including an anchor; walk back from the first anchor
    and forward from the second, both from the finger STEP 1 left.  No
    allocation per emitted result. *)
-let[@cq.hot] process_group f g ~stab (r : Tuple.r) ~mark (sink : sink) =
-  let b = r.b in
-  let hits = group_step1 f r ~stab ~g ~mark in
+let[@cq.hot] process_group s g ~stab (r : Tuple.r) ~mark (sink : sink) =
+  let b = r.b and f = s.finger in
+  let hits = group_step1 s r ~stab ~g ~mark in
   for i = 0 to Vec.length hits - 1 do
     let q : Select_query.t = Vec.get hits i in
     Bt.finger_iter_back_ge f b q.range_c.I.lo q sink;
@@ -291,25 +328,11 @@ module Core_query = struct
   let scatter_interval (q : Select_query.t) = q.range_a
 
   (* Candidates are already pruned by the rangeA stab, so each one is
-     probed on its own: the scan remembers the event, plus the finger
-     on S(B,C) that each candidate's probe and each group's STEP 1
-     seek. *)
-  type scan = {
-    mutable ev : Tuple.r;
-    finger : Tuple.s Bt.finger;
-  }
+     probed on its own, from the event's run. *)
+  type nonrec scan = scan
 
-  let scan_create table =
-    { ev = { rid = -1; a = 0.0; b = 0.0 }; finger = Bt.finger (Table.s_by_b table) }
-
-  let scan_begin s r =
-    s.ev <- r;
-    Bt.finger_reset s.finger
-
-  let probe s (q : Select_query.t) sink =
-    iter_selected s.finger ~b:s.ev.b ~lo:q.range_c.I.lo ~hi:q.range_c.I.hi q sink
-
-  let hit s (q : Select_query.t) = holds s.finger ~b:s.ev.b ~lo:q.range_c.I.lo ~hi:q.range_c.I.hi
+  let scan_create = scan_create
+  let scan_begin = scan_begin
 
   let scattered = Processor.Stab { point = (fun (r : Tuple.r) -> r.a); probe; hit }
 
@@ -325,10 +348,8 @@ module Core_query = struct
     let size g = Rtree.size g.rtree
     let iter g k = Rtree.iter g.rtree (fun _ q -> k q)
     let check_invariants g = Rtree.check_invariants g.rtree
-    let process s g ~stab ev ~mark sink = process_group s.finger g ~stab ev ~mark sink
-
-    let identify s g ~stab ev ~mark report =
-      Vec.iter report (group_step1 s.finger ev ~stab ~g ~mark)
+    let process s g ~stab ev ~mark sink = process_group s g ~stab ev ~mark sink
+    let identify s g ~stab ev ~mark report = Vec.iter report (group_step1 s ev ~stab ~g ~mark)
   end
 end
 

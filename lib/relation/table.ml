@@ -22,7 +22,7 @@ let cursor_on finger =
        end
   in
   let descend (c : Store.cursor) lo i =
-    Bt.finger_seek finger (lo.(i) +. c.shift.(0)) neg_infinity;
+    Bt.finger_seek_shifted finger lo i c.shift;
     load_cursor c finger
   in
   let sync (c : Store.cursor) = Bt.finger_set_index finger c.idx in

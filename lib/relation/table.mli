@@ -24,9 +24,9 @@ end
 
 val cursor_on : 'a Cq_index.Btree.finger -> Cq_index.Sweep_store.cursor
 (** A cursor whose [hop], [descend] and [sync] move the finger (to the
-    next leaf, by a {!Cq_index.Btree.finger_seek} from the root, to
-    the cursor's slot) and reload the cursor from it.  Made once per
-    scan. *)
+    next leaf, by a {!Cq_index.Btree.finger_seek_shifted}, to the
+    cursor's slot) and reload the cursor from it.  Made once per scan;
+    none of the three allocates. *)
 
 val load_cursor : Cq_index.Sweep_store.cursor -> 'a Cq_index.Btree.finger -> unit
 (** Load the finger's leaf and slot into the cursor.  Before a sweep:

@@ -321,6 +321,59 @@ let prop_btree_leaf_access =
       in
       chain [] = listed && List.for_all placed targets)
 
+(* A finger put by a descent from the root lands where [finger_seek]
+   does, from wherever it was (here: the end of the tree, or stale after
+   an insert); the shifted seek, from wherever the last check left its
+   finger, lands where the seek to (col.(i) + shift, -∞) does; and a
+   copy designates the same entry as its source, keeps it while the
+   source moves, and seeks from it as a fresh finger would.  Orders 2
+   and 16, targets past both ends. *)
+let prop_btree_finger_descend_copy =
+  QCheck2.Test.make ~name:"btree: finger_descend, finger_seek_shifted and finger_copy" ~count:300
+    QCheck2.Gen.(triple (oneofl [ 2; 16 ]) ops_gen (list_size (int_range 1 40) (pair target_gen target_gen)))
+    (fun (order, ops, targets) ->
+      let t = bt_of_ops ~order ops in
+      let f = Bt.finger t and g = Bt.finger t and h = Bt.finger t in
+      let col = [| 0.0; 0.0 |] and shift = [| 0.0 |] in
+      (* The keys at and before the finger, and the value at it, so
+         two entries with equal keys are told apart. *)
+      let anchors f =
+        let at = ref None in
+        Bt.finger_iter_le f infinity infinity () (fun () v -> if !at = None then at := Some v);
+        (anchors f, !at)
+      in
+      let placed (k, k2) (k', k2') =
+        Bt.finger_seek h k k2;
+        Bt.finger_seek f infinity infinity;
+        Bt.finger_descend f k k2;
+        let at_seek = anchors f = anchors h in
+        col.(1) <- k -. 3.0;
+        shift.(0) <- 3.0;
+        Bt.finger_seek h (col.(1) +. shift.(0)) neg_infinity;
+        Bt.finger_seek_shifted g col 1 shift;
+        let shifted = anchors g = anchors h in
+        Bt.finger_descend f k k2;
+        Bt.finger_copy g ~from:f;
+        let copied = anchors g = anchors f in
+        Bt.finger_seek f k' k2';
+        Bt.finger_descend h k k2;
+        let kept = anchors g = anchors h in
+        Bt.finger_seek g k' k2';
+        at_seek && shifted && copied && kept && anchors g = anchors f
+      in
+      let before_insert = List.for_all (fun (a, b) -> placed a b) targets in
+      (* A finger left stale by an update. *)
+      Bt.finger_seek f 2.0 0.0;
+      Bt.insert t 2.0 0.0 (-1);
+      let stale =
+        List.for_all
+          (fun (k, k2) ->
+            Bt.finger_descend f k k2;
+            snd (anchors f) = Option.map Bt.value (Bt.seek_ge t k k2))
+          (List.map fst targets)
+      in
+      before_insert && stale)
+
 let test_btree_finger_empty () =
   let t = Bt.create ~order:2 () in
   let f = Bt.finger t in
@@ -1035,8 +1088,9 @@ let test_store_sweep_block_exit () =
 
 (* The sweep allocates nothing: 10k windows [i/10, i/10 + 0.05] against
    S.B keys 0..999 through [Table.cursor_on], where every move stays in
-   the leaf or hops to the next one (a descent boxes its target in the
-   B-tree's seek). *)
+   the leaf or hops to the next one, and then, through a cursor that
+   counts [Table.cursor_on]'s descents, ten windows 100 keys apart,
+   each reached by a descent from the root. *)
 let test_store_sweep_allocates_nothing () =
   let tree = Bt.create () in
   for k = 0 to 999 do
@@ -1061,7 +1115,31 @@ let test_store_sweep_allocates_nothing () =
   sweep ();
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check int) "hits" 2_000 !hits;
-  Alcotest.(check (float 0.0)) "minor words" 0.0 words
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words;
+  let far = Store.create () in
+  for j = 0 to 9 do
+    Store.add far (I.make (100.0 *. float_of_int j) ((100.0 *. float_of_int j) +. 0.05)) j
+  done;
+  let descents = ref 0 in
+  let counted =
+    Store.cursor ~hop:c.hop ~sync:c.sync ~descend:(fun cur lo i ->
+        incr descents;
+        c.descend cur lo i)
+  in
+  let sweep_far () =
+    Bt.finger_reset finger;
+    Cq_relation.Table.load_cursor counted finger;
+    Store.sweep far counted hit
+  in
+  sweep_far ();
+  hits := 0;
+  descents := 0;
+  let w0 = Gc.minor_words () in
+  sweep_far ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "far hits" 10 !hits;
+  Alcotest.(check bool) "far windows descend" true (!descents >= 5);
+  Alcotest.(check (float 0.0)) "minor words with descents" 0.0 words
 
 (* The cursor on S.B itself ([Table.cursor_on]): B-trees of order 2
    (many leaves, duplicates straddling them) and 16 built by inserts
@@ -1239,6 +1317,7 @@ let () =
           qc prop_btree_finger_back;
           qc prop_btree_reference;
           qc prop_btree_leaf_access;
+          qc prop_btree_finger_descend_copy;
           Alcotest.test_case "neighbours" `Quick test_btree_neighbours;
           Alcotest.test_case "duplicates" `Quick test_btree_find_all_duplicates;
           Alcotest.test_case "empty tree" `Quick test_btree_empty;

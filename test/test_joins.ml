@@ -10,6 +10,7 @@ module BQ = Cq_joins.Band_query
 module BJ = Cq_joins.Band_join
 module SQ = Cq_joins.Select_query
 module SJ = Cq_joins.Select_join
+module Bt = Cq_index.Btree
 
 (* Small discrete domains so equality joins hit and band windows
    overlap heavily. *)
@@ -745,6 +746,73 @@ let test_select_both_anchors () =
       check_once S.name ~want ~emitted:!emitted ~affected:!affected)
     select_processors
 
+(* An event's run of S(B,C) across leaves.  B = 2i for i < 30, with
+   run lengths cycling through 1, 2, 3, 5, 8, 13 and 40 rows from an
+   offset that moves the leaf boundaries; over the seven offsets some
+   run starts on a leaf's first slot after another leaf, some spans two
+   leaves, and the last ends at the tree's last entry (checked first,
+   with a finger).  Events take every stored B, every odd B between two
+   stored ones, and one past each end.  The hotspot processor (α = 0.3:
+   hot groups and scattered queries both), SSI and SJ-SelectFirst must
+   match the reference in results and in affected queries. *)
+let test_select_runs_across_leaves () =
+  let lens = [| 1; 2; 3; 5; 8; 13; 40 |] in
+  let queries =
+    SQ.of_ranges
+      (Array.init 40 (fun i ->
+           let a = float_of_int (i * 7 mod 20) in
+           let c =
+             if i mod 2 = 0 then I.make (10.0 -. float_of_int (i mod 4)) (10.0 +. float_of_int (i mod 3))
+             else
+               let c = float_of_int (i * 3 mod 20) in
+               I.make c (c +. 1.0)
+           in
+           (I.make a (a +. float_of_int (3 + (i mod 5))), c)))
+  in
+  let first_slot = ref false and two_leaves = ref false and at_end = ref false in
+  for offset = 0 to 6 do
+    let rows =
+      List.concat
+        (List.init 30 (fun i ->
+             List.init lens.((i + offset) mod 7) (fun j ->
+                 (float_of_int (2 * i), float_of_int (((j * 7) + i) mod 20)))))
+    in
+    let table, _ = make_s_table rows in
+    let cov = SJ.Hotspot.coverage (SJ.Hotspot.create_alpha ~alpha:0.3 ~seed:42 table queries) in
+    Alcotest.(check bool) "hot groups and scattered queries" true (cov > 0.0 && cov < 1.0);
+    let f = Bt.finger (Table.s_by_b table) in
+    for i = 0 to 29 do
+      Bt.finger_descend f (float_of_int (2 * i)) neg_infinity;
+      let slot = Bt.finger_index f and len = lens.((i + offset) mod 7) in
+      if slot = 0 && Bt.finger_back_index f >= 0 then first_slot := true;
+      if slot + len > Bt.finger_count f then two_leaves := true;
+      if i = 29 && slot + len = Bt.finger_count f && not (Bt.finger_next_leaf f) then
+        at_end := true
+    done;
+    List.iter
+      (fun (module S : SJ.STRATEGY) ->
+        let st = S.create table queries in
+        for b = -1 to 59 do
+          List.iter
+            (fun a ->
+              let r = { Tuple.rid = 0; a; b = float_of_int b } in
+              let want = SJ.reference table queries r in
+              let affected = ref [] in
+              S.affected st r (fun q -> affected := q.SQ.qid :: !affected);
+              let where = Printf.sprintf "%s, offset %d, a = %g, b = %d" S.name offset a b in
+              Alcotest.(check (list (pair int int))) where want (select_results (module S) st r);
+              Alcotest.(check (list int))
+                (where ^ " affected")
+                (List.sort_uniq compare (List.map fst want))
+                (List.sort compare !affected))
+            [ 2.0; 9.0; 16.0 ]
+        done)
+      [ (module Hot (SJ.Hotspot)); (module SJ.Ssi); (module SJ.Select_first) ]
+  done;
+  Alcotest.(check bool) "a run starts on a leaf's first slot" true !first_slot;
+  Alcotest.(check bool) "a run spans two leaves" true !two_leaves;
+  Alcotest.(check bool) "a run ends at the last entry" true !at_end
+
 (* ---------------------------------------------------------------------- *)
 
 let qc = QCheck_alcotest.to_alcotest
@@ -786,5 +854,6 @@ let () =
             test_band_both_anchors;
           Alcotest.test_case "select rectangle reached from both anchors" `Quick
             test_select_both_anchors;
+          Alcotest.test_case "select runs across leaves" `Quick test_select_runs_across_leaves;
         ] );
     ]

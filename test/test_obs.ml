@@ -447,16 +447,21 @@ let test_metrics_on_matches_off () =
     (M.hist_count (M.histogram "proc.SJ.fanout"))
 
 (* The select processor's scattered index is the instrumented interval
-   tree: with metrics on, every single-row R event stabs it once and
-   leaves one [stab.interval_tree.stab_ns] sample; with metrics off it
-   records nothing. *)
+   tree: with metrics on, every single-row R event that has a join
+   partner (an S row with its B) stabs it once and leaves one
+   [stab.interval_tree.stab_ns] sample; an event with none ends before
+   the stab and leaves no sample; with metrics off nothing is
+   recorded. *)
 let test_instrumented_interval_tree () =
   let module E = Cq_engine.Engine in
   let events = 10 in
-  let run () =
+  let run ?(partner = true) () =
     (* Twenty disjoint rangeA windows at alpha = 0.5: no group is hot,
-       so every select query sits in the scattered index. *)
+       so every select query sits in the scattered index.  The S row
+       comes first, so its own event meets an empty R and stabs
+       nothing. *)
     let eng = E.create ~alpha:0.5 ~seed:3 () in
+    ignore (E.insert_s eng ~b:(if partner then 1.0 else 2.0) ~c:50.0);
     for i = 0 to 19 do
       let lo = 10.0 *. float_of_int i in
       ignore
@@ -476,6 +481,9 @@ let test_instrumented_interval_tree () =
   with_obs @@ fun () ->
   M.reset ();
   Alcotest.(check int) "one stab sample per R event" events (run ());
+  M.reset ();
+  Alcotest.(check int) "no stab sample for an event with no partner" 0
+    (run ~partner:false ());
   (* Tracker moves may add a query more than once. *)
   Alcotest.(check bool) "an add sample per subscription" true
     (M.hist_count (M.histogram "stab.interval_tree.add_ns") >= 20)
